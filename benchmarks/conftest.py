@@ -7,7 +7,11 @@ whole harness runs in a few minutes; the experiment functions accept the
 full-size parameters when a faithful run is wanted.
 
 Each benchmark both reports timings through pytest-benchmark and writes the
-rendered series (the rows the paper plots) to ``benchmarks/results/``.
+rendered series (the rows the paper plots) — to the tracked
+``benchmarks/results/`` and ``BENCH_throughput.json`` only under an explicit
+``pytest --record``, otherwise to a temp directory, so running the gate
+leaves the working tree untouched.  The series are echoed to stdout either
+way.
 """
 
 from __future__ import annotations
@@ -36,8 +40,12 @@ for _threads_var in (
 ):
     os.environ.setdefault(_threads_var, "1")
 
+import numpy as np
 import pytest
 
+from repro.database.engine import RetrievalEngine
+from repro.database.knn import LinearScanIndex
+from repro.distances.weighted_euclidean import WeightedEuclideanDistance
 from repro.features.datasets import build_imsi_like_dataset
 
 #: Scale of the benchmark corpus relative to the paper's evaluation set.
@@ -56,14 +64,61 @@ def bench_dataset():
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> str:
-    """Directory the rendered figure series are written to."""
+def results_dir(request, tmp_path_factory) -> str:
+    """Directory the rendered figure series are written to.
+
+    The tracked ``benchmarks/results/`` under ``--record``, a temp directory
+    otherwise.
+    """
+    if not request.config.getoption("--record"):
+        return str(tmp_path_factory.mktemp("results"))
     os.makedirs(RESULTS_DIRECTORY, exist_ok=True)
     return RESULTS_DIRECTORY
 
 
+@pytest.fixture(scope="session")
+def trajectory_path(request, tmp_path_factory) -> str:
+    """The trajectory file benchmarks merge their sections into.
+
+    The tracked ``BENCH_throughput.json`` under ``--record``, a temp file
+    otherwise (pass it to ``benchmarks.record.update_section``).
+    """
+    if not request.config.getoption("--record"):
+        return str(tmp_path_factory.mktemp("trajectory") / "BENCH_throughput.json")
+    from benchmarks.record import OUTPUT_PATH
+
+    return OUTPUT_PATH
+
+
+class RowScanLoopEngine(RetrievalEngine):
+    """A ``RetrievalEngine`` whose single-row entry points run the reference row scan.
+
+    The batch and frontier speed-up bars are stated against the per-query
+    loop those paths replaced: one ``distances_to`` + ``k_smallest`` row scan
+    per query, which is exactly the kept reference ``LinearScanIndex.search``.
+    ``RetrievalEngine.search`` / ``search_with_parameters`` are one-row
+    batches through the same matrix kernel, so a loop over *them* would only
+    measure per-call overhead against the batch.  This engine keeps the
+    baseline fixed: its batched entry points are the inherited production
+    ones, its single-row entry points are the row scan.
+    """
+
+    def __init__(self, collection) -> None:
+        super().__init__(collection)
+        self._reference = LinearScanIndex(collection)
+
+    def search(self, query_point, k, distance=None, *, budget=None):
+        return self._reference.search(query_point, k, distance or self.default_distance)
+
+    def search_with_parameters(self, query_point, k, delta, weights, *, budget=None):
+        distance = WeightedEuclideanDistance(
+            self.collection.dimension, weights=np.clip(weights, 0.0, None)
+        )
+        return self._reference.search(np.asarray(query_point) + delta, k, distance)
+
+
 def write_series(results_dir: str, name: str, text: str) -> None:
-    """Write a rendered series to ``benchmarks/results/<name>.txt`` and echo it."""
+    """Write a rendered series to ``<results_dir>/<name>.txt`` and echo it."""
     path = os.path.join(results_dir, f"{name}.txt")
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text + "\n")

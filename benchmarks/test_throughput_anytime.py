@@ -102,13 +102,13 @@ def _trajectory_section(result) -> dict:
     }
 
 
-def test_throughput_anytime(benchmark, anytime_corpus, results_dir):
+def test_throughput_anytime(benchmark, anytime_corpus, results_dir, trajectory_path):
     result = benchmark.pedantic(
         run_experiment, args=(anytime_corpus,), rounds=1, iterations=1
     )
     text = render_anytime_recall(result)
     write_series(results_dir, "throughput_anytime", text)
-    update_section("anytime_recall", _trajectory_section(result), _git_key())
+    update_section("anytime_recall", _trajectory_section(result), _git_key(), trajectory_path)
 
     benchmark.extra_info["exact_fraction"] = float(
         result.exact_rows / result.full_scan_rows

@@ -89,7 +89,7 @@ def _trajectory_section(result) -> dict:
     }
 
 
-def test_throughput_bypass(benchmark, bench_dataset, results_dir):
+def test_throughput_bypass(benchmark, bench_dataset, results_dir, trajectory_path):
     result, corpus_size = benchmark.pedantic(
         run_experiment, args=(bench_dataset,), rounds=1, iterations=1
     )
@@ -99,7 +99,7 @@ def test_throughput_bypass(benchmark, bench_dataset, results_dir):
         + render_bypass_amortization(result)
     )
     write_series(results_dir, "throughput_bypass", text)
-    update_section("bypass_amortization", _trajectory_section(result), _git_key())
+    update_section("bypass_amortization", _trajectory_section(result), _git_key(), trajectory_path)
 
     benchmark.extra_info["cold_iterations"] = float(result.cold_iterations)
     benchmark.extra_info["warm_iterations"] = float(result.warm_iterations)

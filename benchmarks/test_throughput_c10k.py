@@ -160,7 +160,7 @@ def _trajectory_section(result, cores: int) -> dict:
     }
 
 
-def test_throughput_c10k(benchmark, c10k_scale_dataset, results_dir):
+def test_throughput_c10k(benchmark, c10k_scale_dataset, results_dir, trajectory_path):
     result, corpus_size = benchmark.pedantic(
         run_experiment, args=(c10k_scale_dataset,), rounds=1, iterations=1
     )
@@ -170,7 +170,7 @@ def test_throughput_c10k(benchmark, c10k_scale_dataset, results_dir):
         f"{cores} cores available)\n" + render_connection_scaling(result)
     )
     write_series(results_dir, "throughput_c10k", text)
-    update_section("connection_scaling", _trajectory_section(result, cores), _git_key())
+    update_section("connection_scaling", _trajectory_section(result, cores), _git_key(), trajectory_path)
 
     benchmark.extra_info["threaded_qps"] = float(result.threaded_qps)
     benchmark.extra_info["async_qps"] = float(result.async_qps)

@@ -5,17 +5,17 @@ PR 1 batched the *first rounds* of a multi-user workload
 the *feedback loops* themselves, advancing iteration i of every active
 query with one batched search.  This benchmark measures that claim on the
 IMSI-like corpus: 64 queries' relevance-feedback loops run once
-sequentially (``FeedbackEngine.run_loop`` per query) and once through
-``LoopScheduler``, and the loop-phase speed-up (with byte-identical
+sequentially (``FeedbackEngine.run_loop`` per query, every search a
+reference row scan — see ``benchmarks.conftest.RowScanLoopEngine``) and once
+through ``LoopScheduler``, and the loop-phase speed-up (with byte-identical
 ``FeedbackLoopResult`` lists) is recorded in ``benchmarks/results/``
 alongside PR 1's first-round numbers.
 """
 
 import pytest
 
-from benchmarks.conftest import BENCH_SEED, write_series
+from benchmarks.conftest import BENCH_SEED, RowScanLoopEngine, write_series
 from repro.database.collection import FeatureCollection
-from repro.database.engine import RetrievalEngine
 from repro.evaluation.reporting import render_feedback_throughput
 from repro.evaluation.simulated_user import SimulatedUser
 from repro.evaluation.throughput import measure_feedback_speedup
@@ -43,7 +43,7 @@ def run_experiment(dataset):
     collection = FeatureCollection(
         drop_last_bin(dataset.features), labels=[record.category for record in dataset.records]
     )
-    feedback = FeedbackEngine(RetrievalEngine(collection))
+    feedback = FeedbackEngine(RowScanLoopEngine(collection))
     user = SimulatedUser(collection)
     rng = ensure_rng(derive_seed(BENCH_SEED, "throughput_feedback"))
     query_indices = rng.integers(0, collection.size, size=N_QUERIES)
@@ -72,5 +72,5 @@ def test_throughput_feedback(benchmark, full_scale_dataset, results_dir):
     # frontier is not a speed-up.
     assert result.identical_results
     # Acceptance bar of the frontier refactor: the batched loop phase is at
-    # least 3x faster than the sequential per-query loops.
+    # least 3x faster than the sequential per-query row-scan loops.
     assert result.speedup >= 3.0, f"loop-phase speedup {result.speedup:.2f}x below the 3x bar"

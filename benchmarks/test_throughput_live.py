@@ -89,11 +89,11 @@ def _trajectory_section(result) -> dict:
     }
 
 
-def test_throughput_live(benchmark, live_corpus, results_dir):
+def test_throughput_live(benchmark, live_corpus, results_dir, trajectory_path):
     result = benchmark.pedantic(run_experiment, args=(live_corpus,), rounds=1, iterations=1)
     text = render_live_mutation(result)
     write_series(results_dir, "throughput_live", text)
-    update_section("live_mutation", _trajectory_section(result), _git_key())
+    update_section("live_mutation", _trajectory_section(result), _git_key(), trajectory_path)
 
     benchmark.extra_info["insert_speedup"] = float(result.insert_speedup)
     benchmark.extra_info["frozen_qps"] = float(result.frozen_qps)

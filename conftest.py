@@ -33,6 +33,20 @@ if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
 
+def pytest_addoption(parser):
+    # The gate must be side-effect free: benchmarks write their series and
+    # trajectory sections to a temp directory unless recording is asked for
+    # (see ``benchmarks/conftest.py``).  Declared here because pytest only
+    # honours ``pytest_addoption`` in the rootdir conftest.
+    parser.addoption(
+        "--record",
+        action="store_true",
+        default=False,
+        help="let benchmarks overwrite the tracked benchmarks/results/*.txt "
+        "and BENCH_throughput.json (default: write to a temp directory)",
+    )
+
+
 def pytest_configure(config):
     # Every socket-serving suite is tagged ``serving`` (module-level
     # ``pytestmark``), so ``-m "not serving"`` is the fast socket-free

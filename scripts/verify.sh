@@ -63,10 +63,18 @@
 # Any other arguments are forwarded to pytest verbatim and replace the
 # default targets, e.g. `scripts/verify.sh tests/test_database_batch.py -k
 # linear`.
+#
+# Recording: pytest alone never touches a tracked file — benchmarks write
+# benchmarks/results/*.txt and their BENCH_throughput.json sections only
+# under `pytest --record`, otherwise to a temp directory.  Every mode above
+# that runs a benchmark passes --record (these are the modes nightly CI
+# uploads artifacts from); --fast, --anytime-fast, --full and forwarded
+# targets do not — add --record yourself to record from those.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+record=(--record)
 record_trajectory=0
 run_scale_lab=0
 run_c10k_figures=0
@@ -77,6 +85,7 @@ targets=()
 case "${1:-}" in
     --fast)
         shift
+        record=()
         targets=(tests)
         ;;
     --sharded)
@@ -148,6 +157,7 @@ case "${1:-}" in
         ;;
     --anytime-fast)
         shift
+        record=()
         targets=(
             tests/test_anytime_equivalence.py
             tests/test_properties_anytime.py
@@ -168,6 +178,7 @@ case "${1:-}" in
         ;;
     --full)
         shift
+        record=()
         targets=()
         ;;
     "")
@@ -179,9 +190,13 @@ case "${1:-}" in
             benchmarks/test_throughput_sharded.py
         )
         ;;
+    *)
+        # Forwarded pytest targets: side-effect free unless asked.
+        record=()
+        ;;
 esac
 
-PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -x -q "${targets[@]+"${targets[@]}"}" "$@"
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -x -q "${record[@]+"${record[@]}"}" "${targets[@]+"${targets[@]}"}" "$@"
 
 if [[ "$record_trajectory" == 1 ]]; then
     python benchmarks/record.py

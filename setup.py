@@ -1,9 +1,9 @@
 """Setuptools entry point.
 
-The pyproject.toml metadata is authoritative; this shim exists so that
-``pip install -e .`` works on environments whose setuptools lacks the
-``wheel`` package required by the PEP 517 editable path (e.g. fully offline
-machines).
+A bare shim: the repository carries no ``pyproject.toml`` / ``setup.cfg``
+metadata, so this declares nothing.  The package is used straight from the
+``src/`` layout — ``PYTHONPATH=src python ...``, which the root
+``conftest.py`` also arranges for pytest — and needs only NumPy at run time.
 """
 
 from setuptools import setup

@@ -7,15 +7,17 @@ service:
 
 * :mod:`repro.database.collection` — the feature collection (vectors plus
   category labels),
-* :mod:`repro.database.query` — query and result value objects,
+* :mod:`repro.database.query` — query and result value objects, including
+  the validated :class:`QueryBatch` every ``execute`` accepts,
 * :mod:`repro.database.index` — the :class:`KNNIndex` protocol (single and
   batch search, capability negotiation, deterministic tie-breaking),
 * :mod:`repro.database.knn` — exhaustive-scan k-NN (the reference engine),
 * :mod:`repro.database.vptree` — a vantage-point tree metric index,
 * :mod:`repro.database.mtree` — an M-tree metric index (Ciaccia et al.),
 * :mod:`repro.database.engine` — the retrieval engine tying a collection, an
-  index and a parameterised distance function together, with batched entry
-  points for multi-user workloads,
+  index and a parameterised distance function together; its query surface
+  (thin ``search*`` wrappers over one ``execute(batch)``) is defined once
+  and shared with the sharded engine,
 * :mod:`repro.database.sharding` — the concurrency layer: deterministic
   index-range sharding (:class:`ShardedCollection`), a :class:`WorkerPool`
   with pluggable thread/process backends, a shared-memory corpus host
@@ -36,7 +38,7 @@ from repro.database.engine import RetrievalEngine
 from repro.database.index import KNNIndex, NeighborHeap, k_smallest
 from repro.database.knn import LinearScanIndex
 from repro.database.mtree import MTreeIndex
-from repro.database.query import Query, ResultItem, ResultSet
+from repro.database.query import Query, QueryBatch, ResultItem, ResultSet
 from repro.database.segments import Compactor, LiveCollection, LiveSnapshot, SegmentUnit
 from repro.database.sharding import (
     SharedCorpus,
@@ -63,6 +65,7 @@ __all__ = [
     "LinearScanIndex",
     "MTreeIndex",
     "Query",
+    "QueryBatch",
     "ResultItem",
     "ResultSet",
     "SharedCorpus",

@@ -2,9 +2,27 @@
 
 The engine is the "Query/Result" box of Figure 4 in the paper: given a query
 point, a result-set size ``k`` and a (possibly feedback-adjusted) distance
-function, it returns the ``k`` closest database objects.  It owns
+function, it returns the ``k`` closest database objects.
 
-* the :class:`~repro.database.collection.FeatureCollection`,
+**One execution path.**  In the paper a query is always ``(q, k, Δ, W)``, so
+every public entry point — ``search`` / ``search_batch`` /
+``search_with_parameters`` / ``search_batch_with_parameters`` /
+``run_batch`` — is a thin wrapper that validates its arguments into one
+:class:`~repro.database.query.QueryBatch` and hands it to ``execute(batch,
+budget=...)``.  The wrappers, ``execute`` and the counter bookkeeping are
+defined once, on :class:`QueryEngine`, and inherited by both engines
+(:class:`RetrievalEngine` here, :class:`~repro.database.sharding.ShardedEngine`
+next door); an engine only says how it *answers* a validated batch:
+
+``QueryBatch`` → ``execute`` → blocked scan
+(:meth:`~repro.database.knn.LinearScanIndex.execute`) or part fan-out
+(:func:`~repro.database.budget.fan_out` over live segments / shards) →
+:func:`~repro.database.index.merge_topk`.
+
+:class:`RetrievalEngine` owns
+
+* the :class:`~repro.database.collection.FeatureCollection` (or a
+  :class:`~repro.database.segments.LiveCollection`),
 * the default distance function (unweighted Euclidean in the experiments),
 * a linear-scan engine that handles arbitrary per-query distances, and
 * optionally a metric index (VP-tree or M-tree) that accelerates queries
@@ -14,14 +32,8 @@ function, it returns the ``k`` closest database objects.  It owns
 Dispatch is capability-driven: every candidate engine implements the
 :class:`~repro.database.index.KNNIndex` protocol, the retrieval engine asks
 ``supports(distance)`` and falls back to the exact linear scan otherwise.
-Each decision is counted (``index_hits`` / ``scan_fallbacks``) so silent
-fallbacks show up in :meth:`RetrievalEngine.stats`.
-
-The batch entry points (:meth:`RetrievalEngine.search_batch`,
-:meth:`RetrievalEngine.run_batch`,
-:meth:`RetrievalEngine.search_batch_with_parameters`) answer many queries per
-call; for the linear scan that means one pairwise distance matrix instead of
-Q row scans, which is where the multi-user throughput comes from.
+Each decision is counted (``index_hits`` / ``scan_fallbacks``, one per query
+row) so silent fallbacks show up in :meth:`RetrievalEngine.stats`.
 """
 
 from __future__ import annotations
@@ -30,15 +42,15 @@ import threading
 
 import numpy as np
 
-from repro.database.budget import Budget, effective_budget
+from repro.database.budget import Budget
 from repro.database.collection import FeatureCollection
 from repro.database.index import KNNIndex
-from repro.database.knn import LinearScanIndex, parameter_scan_pairs
-from repro.database.query import Query, ResultSet
+from repro.database.knn import LinearScanIndex
+from repro.database.query import Query, QueryBatch, ResultSet
 from repro.database.segments import LiveCollection
-from repro.distances.base import DistanceFunction, check_precision
+from repro.distances.base import DistanceFunction
 from repro.distances.weighted_euclidean import WeightedEuclideanDistance
-from repro.utils.validation import ValidationError, as_float_matrix, check_dimension
+from repro.utils.validation import ValidationError, as_float_vector
 
 
 def run_grouped_by_k(search_batch, queries: "list[Query]", distance: DistanceFunction | None = None) -> "list[ResultSet]":
@@ -47,9 +59,9 @@ def run_grouped_by_k(search_batch, queries: "list[Query]", distance: DistanceFun
     Queries are grouped by their ``k`` (preserving input order in the
     returned list) and each group runs through one ``search_batch(points,
     k, distance)`` call, so a homogeneous multi-user batch costs one matrix
-    computation.  Shared by :meth:`RetrievalEngine.run_batch` and
-    :meth:`~repro.database.sharding.ShardedEngine.run_batch` — one place to
-    change when the batching policy does (e.g. request coalescing).
+    computation.  Shared by :meth:`QueryEngine.run_batch` and the serving
+    layer's ``run_batch`` op — one place to change when the batching policy
+    does (e.g. request coalescing).
     """
     if not queries:
         return []
@@ -64,7 +76,304 @@ def run_grouped_by_k(search_batch, queries: "list[Query]", distance: DistanceFun
     return results
 
 
-class RetrievalEngine:
+def _one_row(vector, name: str, dimension: int) -> np.ndarray:
+    """A single ``dimension``-D vector as the one-row matrix ``QueryBatch`` takes.
+
+    Anything that is not one vector is rejected here, in the caller's terms
+    (``query point must have dimension 6, got 5``), before it is lifted.
+    """
+    return as_float_vector(vector, name=name, dim=dimension)[None, :]
+
+
+class QueryEngine:
+    """The query surface and counter bookkeeping shared by both engines.
+
+    Subclasses implement :meth:`_answer` — how a validated
+    :class:`~repro.database.query.QueryBatch` is answered on their corpus
+    layout — and :meth:`stats`; everything a caller sees (the four
+    ``search*`` wrappers, ``run_batch``, ``execute``, the feedback
+    accounting) lives here once.
+
+    Counter updates are guarded by a lock so an engine shared by a worker
+    pool (see :mod:`repro.database.sharding`) never loses an update: a bare
+    ``+= 1`` is a read-modify-write that can interleave across threads.
+    Searches themselves are read-only over immutable state and need no
+    synchronisation.
+    """
+
+    _COUNTERS = (
+        "n_searches",
+        "n_batches",
+        "n_objects_retrieved",
+        "index_hits",
+        "scan_fallbacks",
+        "feedback_iterations",
+        "frontier_batches",
+        "delta_hits",
+    )
+
+    def __init__(
+        self,
+        collection: "FeatureCollection | LiveCollection",
+        default_distance: "DistanceFunction | None",
+    ) -> None:
+        self._collection = collection
+        self._live = isinstance(collection, LiveCollection)
+        if default_distance is None:
+            if self._live:
+                # Metric indexes serve a distance by identity; defaulting to
+                # the instance the live collection's index factory was built
+                # with makes base-index hits work out of the box.
+                default_distance = collection.index_distance
+            else:
+                default_distance = WeightedEuclideanDistance.default(collection.dimension)
+        if default_distance.dimension != collection.dimension:
+            raise ValidationError("default distance dimensionality does not match the collection")
+        self._default_distance = default_distance
+        self._counter_lock = threading.Lock()
+        self._counters = dict.fromkeys(self._COUNTERS, 0)
+
+    # ------------------------------------------------------------------ #
+    # Accessors
+    # ------------------------------------------------------------------ #
+    @property
+    def collection(self) -> "FeatureCollection | LiveCollection":
+        """The full collection served (frozen or live) — the view feedback code sees."""
+        return self._collection
+
+    @property
+    def is_live(self) -> bool:
+        """True when the engine serves a mutable :class:`LiveCollection`."""
+        return self._live
+
+    @property
+    def default_distance(self) -> DistanceFunction:
+        """The distance used when none is supplied with the query."""
+        return self._default_distance
+
+    # ------------------------------------------------------------------ #
+    # Counters
+    # ------------------------------------------------------------------ #
+    def _count(self, **increments: int) -> None:
+        with self._counter_lock:
+            for name, value in increments.items():
+                self._counters[name] += value
+
+    def _counter_snapshot(self) -> dict[str, int]:
+        with self._counter_lock:
+            return dict(self._counters)
+
+    def reset_counters(self) -> None:
+        """Reset every counter reported by :meth:`stats`.
+
+        That includes the feedback-loop accounting (``feedback_iterations``
+        / ``frontier_batches``) and, on a sharded engine, every shard
+        engine's own counters.
+        """
+        with self._counter_lock:
+            self._counters = dict.fromkeys(self._COUNTERS, 0)
+        self._reset_parts()
+
+    def _reset_parts(self) -> None:
+        """Reset the counters of the engines this one fans out to (none here)."""
+
+    def record_feedback_iterations(self, count: int = 1) -> None:
+        """Account ``count`` feedback-loop iterations (re-searches).
+
+        Called by the feedback engine (one per sequential loop iteration) and
+        by the frontier scheduler (one per active query per frontier round).
+        """
+        self._count(feedback_iterations=int(count))
+
+    def record_frontier_batch(self, count: int = 1) -> None:
+        """Account ``count`` batched searches dispatched by the frontier."""
+        self._count(frontier_batches=int(count))
+
+    def absorb_counters(self, counters: dict) -> None:
+        """Fold another engine's :meth:`stats` snapshot into this engine.
+
+        The process-backend sub-frontier scheduler runs loops on worker-side
+        engines whose counters would otherwise be lost with the worker;
+        workers ship their stats deltas home and the parent absorbs them
+        here, so the engine's accounting matches the in-process run.  Keys
+        missing from ``counters`` are treated as zero.  (A frozen sharded
+        engine reports its dispatch counters from its shard engines, so the
+        absorbed ``index_hits`` / ``scan_fallbacks`` of a worker's unsharded
+        scan — decisions with no shard to land on — do not show there.)
+        """
+        self._count(**{name: int(counters.get(name, 0)) for name in self._COUNTERS})
+
+    def _account(self, results: "list[ResultSet]", batches: int) -> None:
+        self._count(
+            n_searches=len(results),
+            n_objects_retrieved=sum(len(result) for result in results),
+            n_batches=batches,
+        )
+
+    # ------------------------------------------------------------------ #
+    # Execution
+    # ------------------------------------------------------------------ #
+    def _answer(
+        self, batch: QueryBatch, budget: "Budget | None", batches: int
+    ) -> "list[ResultSet]":
+        """Answer a validated batch on this engine's corpus layout.
+
+        ``batches`` is what the caller counts for this request in
+        ``n_batches`` (0 from the single-row wrappers); an engine that fans
+        out to other engines enters them with the same count.
+        """
+        raise NotImplementedError
+
+    def _answer_live(
+        self, batch: QueryBatch, budget: "Budget | None", mapper=None
+    ) -> "list[ResultSet]":
+        """Answer a batch on the current snapshot of a live collection.
+
+        One dispatch decision is counted per row: the base segment's index
+        serves the base scan when it supports the distance (``index_hits``),
+        otherwise — and always for per-row ``(Δ, W)`` batches — the whole
+        composition runs on linear scans (``scan_fallbacks``); any resident
+        delta segment also counts as a ``delta_hits`` consultation.
+        """
+        batch = batch.resolved(self._default_distance)
+        snapshot = self._collection.snapshot()
+        indexed = batch.weights is None and snapshot.base_index_supports(batch.distance)
+        self._count(
+            **{"index_hits" if indexed else "scan_fallbacks": batch.n_rows},
+            delta_hits=batch.n_rows if snapshot.n_delta_segments else 0,
+        )
+        return snapshot.execute(batch, budget=budget, mapper=mapper)
+
+    def _run(self, batch: QueryBatch, budget: "Budget | None", batches: int) -> "list[ResultSet]":
+        results = self._answer(batch, budget, batches)
+        self._account(results, batches)
+        return results
+
+    def execute(self, batch: QueryBatch, *, budget: "Budget | None" = None) -> "list[ResultSet]":
+        """Answer a validated :class:`~repro.database.query.QueryBatch`.
+
+        The one execution path: every ``search*`` wrapper below builds a
+        batch and lands here.  A ``budget`` (see
+        :class:`~repro.database.budget.Budget`) makes the request anytime:
+        whichever layer answers charges its own work, opens its own coverage
+        scope and records what the budget could not afford, so results may
+        hold fewer than ``k`` neighbours and the coverage accumulates on the
+        budget object.  Absent or unlimited budgets take every exact path
+        verbatim.  It stays a separate argument because it is mutable
+        per-request accounting — the batch is plain data that also crosses
+        the pipe to shard worker processes.
+        """
+        return self._run(batch, budget, batches=1)
+
+    # ------------------------------------------------------------------ #
+    # The query surface: wrappers that build a batch
+    # ------------------------------------------------------------------ #
+    def search(
+        self,
+        query_point,
+        k: int,
+        distance: DistanceFunction | None = None,
+        *,
+        budget: "Budget | None" = None,
+    ) -> ResultSet:
+        """Return the ``k`` objects closest to ``query_point``.
+
+        When ``distance`` is omitted the default distance applies.  A
+        one-row :meth:`search_batch` (identical bits) that counts no batch
+        in :meth:`stats`.
+        """
+        dimension = self._collection.dimension
+        batch = QueryBatch.plain(
+            _one_row(query_point, "query point", dimension), k, distance, dimension=dimension
+        )
+        return self._run(batch, budget, batches=0)[0]
+
+    def search_batch(
+        self,
+        query_points,
+        k: int,
+        distance: DistanceFunction | None = None,
+        precision: str = "exact",
+        *,
+        budget: "Budget | None" = None,
+    ) -> list[ResultSet]:
+        """Return the ``k`` nearest neighbours of every row of ``query_points``.
+
+        Byte-identical to ``[self.search(q, k, distance) for q in
+        query_points]`` but dispatched once (one pairwise matrix per scan
+        block for the linear scan); the dispatch counters count one decision
+        per query so batch and loop report identically.
+
+        ``precision="fast"`` routes the linear scans through the two-stage
+        float32 kernel (approximate float32 candidate selection + exact
+        float64 re-scoring); the results stay byte-identical to the default
+        ``"exact"`` path.  Metric-index dispatch is unaffected — the trees
+        are exact by construction.
+        """
+        batch = QueryBatch.plain(
+            query_points, k, distance, precision, dimension=self._collection.dimension
+        )
+        return self.execute(batch, budget=budget)
+
+    def run_batch(
+        self, queries: list[Query], distance: DistanceFunction | None = None
+    ) -> list[ResultSet]:
+        """Execute a batch of :class:`~repro.database.query.Query` objects.
+
+        Queries are grouped by their ``k`` (preserving input order in the
+        returned list) and each group runs through :meth:`search_batch`, so a
+        homogeneous multi-user batch costs one matrix computation.
+        """
+        return run_grouped_by_k(self.search_batch, queries, distance)
+
+    def search_with_parameters(
+        self, query_point, k: int, delta, weights, *, budget: "Budget | None" = None
+    ) -> ResultSet:
+        """Search with explicit query-parameter overrides.
+
+        ``delta`` shifts the query point (``q_opt = q + Δ``) and ``weights``
+        parameterises the weighted Euclidean distance — exactly how the
+        optimal query parameters stored by FeedbackBypass are applied.  A
+        one-row :meth:`search_batch_with_parameters` (identical bits) that
+        counts no batch in :meth:`stats`.
+        """
+        dimension = self._collection.dimension
+        batch = QueryBatch.with_parameters(
+            _one_row(query_point, "query point", dimension),
+            k,
+            _one_row(delta, "delta", dimension),
+            _one_row(weights, "weights", dimension),
+            dimension=dimension,
+        )
+        return self._run(batch, budget, batches=0)[0]
+
+    def search_batch_with_parameters(
+        self,
+        query_points,
+        k: int,
+        deltas,
+        weights,
+        precision: str = "exact",
+        *,
+        budget: "Budget | None" = None,
+    ) -> list[ResultSet]:
+        """Batched :meth:`search_with_parameters`: one (Δ, W) row per query.
+
+        This is the FeedbackBypass first-round arm of a workload: every query
+        carries its own predicted offset and weight vector, so no single
+        distance object covers the batch.  The whole batch is still answered
+        with matrix algebra — an approximate per-query-weight distance matrix
+        selects candidates, which are then re-evaluated exactly — and the
+        results match the per-query method byte for byte, for either
+        ``precision`` (the fast float32 matrix only selects candidates).
+        """
+        batch = QueryBatch.with_parameters(
+            query_points, k, deltas, weights, precision, dimension=self._collection.dimension
+        )
+        return self.execute(batch, budget=budget)
+
+
+class RetrievalEngine(QueryEngine):
     """k-NN query processing with pluggable distance functions.
 
     Parameters
@@ -87,19 +396,7 @@ class RetrievalEngine:
         default_distance: DistanceFunction | None = None,
         metric_index: KNNIndex | None = None,
     ) -> None:
-        self._collection = collection
-        self._live = isinstance(collection, LiveCollection)
-        if default_distance is None:
-            if self._live:
-                # Metric indexes serve a distance by identity; defaulting to
-                # the instance the live collection's index factory was built
-                # with makes base-index hits work out of the box.
-                default_distance = collection.index_distance
-            else:
-                default_distance = WeightedEuclideanDistance.default(collection.dimension)
-        if default_distance.dimension != collection.dimension:
-            raise ValidationError("default distance dimensionality does not match the collection")
-        self._default_distance = default_distance
+        super().__init__(collection, default_distance)
         if self._live:
             # A live collection owns its own segments, scans and base index
             # (rebuilt by every compaction through its ``index_factory``); an
@@ -110,40 +407,15 @@ class RetrievalEngine:
                     "pass index_factory to LiveCollection instead of metric_index"
                 )
             self._scan = None
-            self._metric_index = None
         else:
             self._scan = LinearScanIndex(collection)
             if metric_index is not None and metric_index.collection is not collection:
                 raise ValidationError("metric index was built for a different collection")
-            self._metric_index = metric_index
-        # Counter updates are guarded by a lock so an engine shared by a
-        # worker pool (see :mod:`repro.database.sharding`) never loses an
-        # update: a bare ``+= 1`` is a read-modify-write that can interleave
-        # across threads.  Searches themselves are read-only over the
-        # immutable collection and need no synchronisation.
-        self._counter_lock = threading.Lock()
-        self._n_searches = 0
-        self._n_objects_retrieved = 0
-        self._n_batches = 0
-        self._index_hits = 0
-        self._scan_fallbacks = 0
-        self._feedback_iterations = 0
-        self._frontier_batches = 0
-        self._delta_hits = 0
+        self._metric_index = metric_index
 
     # ------------------------------------------------------------------ #
     # Accessors
     # ------------------------------------------------------------------ #
-    @property
-    def collection(self) -> "FeatureCollection | LiveCollection":
-        """The underlying feature collection (frozen or live)."""
-        return self._collection
-
-    @property
-    def is_live(self) -> bool:
-        """True when the engine serves a mutable :class:`LiveCollection`."""
-        return self._live
-
     @property
     def delta_hits(self) -> int:
         """Searches that had to consult at least one delta segment.
@@ -152,17 +424,12 @@ class RetrievalEngine:
         much query traffic runs while mutations are resident outside the
         base (compaction drives it back to zero-growth).
         """
-        return self._delta_hits
-
-    @property
-    def default_distance(self) -> DistanceFunction:
-        """The distance used when none is supplied with the query."""
-        return self._default_distance
+        return self._counters["delta_hits"]
 
     @property
     def n_searches(self) -> int:
         """Number of k-NN searches executed so far."""
-        return self._n_searches
+        return self._counters["n_searches"]
 
     @property
     def n_objects_retrieved(self) -> int:
@@ -171,17 +438,17 @@ class RetrievalEngine:
         The Saved-Objects efficiency metric of Section 5.3 is a difference of
         this counter between two strategies.
         """
-        return self._n_objects_retrieved
+        return self._counters["n_objects_retrieved"]
 
     @property
     def index_hits(self) -> int:
         """Number of searches served by the metric index."""
-        return self._index_hits
+        return self._counters["index_hits"]
 
     @property
     def scan_fallbacks(self) -> int:
         """Number of searches that fell back to the exact linear scan."""
-        return self._scan_fallbacks
+        return self._counters["scan_fallbacks"]
 
     @property
     def feedback_iterations(self) -> int:
@@ -192,12 +459,12 @@ class RetrievalEngine:
         accounting of Figure 15 can be read straight off the engine instead
         of being recomputed from per-query loop results.
         """
-        return self._feedback_iterations
+        return self._counters["feedback_iterations"]
 
     @property
     def frontier_batches(self) -> int:
         """Number of batched searches dispatched by the frontier scheduler."""
-        return self._frontier_batches
+        return self._counters["frontier_batches"]
 
     def describe(self) -> dict:
         """Static shape of this engine: what a serving front end advertises.
@@ -207,23 +474,17 @@ class RetrievalEngine:
         whether a metric index is mounted.  The serving layer's ``info`` op
         returns it so clients can sanity-check what they connected to.
         """
-        if self._live:
-            base_index = self._collection.base_index
-            return {
-                "engine": type(self).__name__,
-                "corpus_size": self._collection.size,
-                "dimension": self._collection.dimension,
-                "default_distance": type(self._default_distance).__name__,
-                "metric_index": None if base_index is None else type(base_index).__name__,
-                "live": True,
-            }
-        return {
+        index = self._collection.base_index if self._live else self._metric_index
+        info = {
             "engine": type(self).__name__,
             "corpus_size": self._collection.size,
             "dimension": self._collection.dimension,
             "default_distance": type(self._default_distance).__name__,
-            "metric_index": None if self._metric_index is None else type(self._metric_index).__name__,
+            "metric_index": None if index is None else type(index).__name__,
         }
+        if self._live:
+            info["live"] = True
+        return info
 
     def stats(self) -> dict[str, int]:
         """Dispatch and volume counters of this engine.
@@ -237,17 +498,8 @@ class RetrievalEngine:
         taken under the counter lock, so it is internally consistent even
         while worker threads are searching.
         """
-        with self._counter_lock:
-            snapshot = {
-                "n_searches": self._n_searches,
-                "n_batches": self._n_batches,
-                "n_objects_retrieved": self._n_objects_retrieved,
-                "index_hits": self._index_hits,
-                "scan_fallbacks": self._scan_fallbacks,
-                "feedback_iterations": self._feedback_iterations,
-                "frontier_batches": self._frontier_batches,
-            }
-            delta_hits = self._delta_hits
+        snapshot = self._counter_snapshot()
+        delta_hits = snapshot.pop("delta_hits")
         if self._live:
             # Gated on live collections so frozen engines keep their exact
             # historical stats shape (asserted by the serving grids).
@@ -255,279 +507,31 @@ class RetrievalEngine:
             snapshot["compactions"] = self._collection.n_compactions
         return snapshot
 
-    def reset_counters(self) -> None:
-        """Reset the search / retrieved-object / dispatch counters.
-
-        Clears every counter reported by :meth:`stats`, including the
-        feedback-loop accounting (``feedback_iterations`` /
-        ``frontier_batches``).
-        """
-        with self._counter_lock:
-            self._n_searches = 0
-            self._n_objects_retrieved = 0
-            self._n_batches = 0
-            self._index_hits = 0
-            self._scan_fallbacks = 0
-            self._feedback_iterations = 0
-            self._frontier_batches = 0
-            self._delta_hits = 0
-
-    def record_feedback_iterations(self, count: int = 1) -> None:
-        """Account ``count`` feedback-loop iterations (re-searches).
-
-        Called by the feedback engine (one per sequential loop iteration) and
-        by the frontier scheduler (one per active query per frontier round).
-        """
-        with self._counter_lock:
-            self._feedback_iterations += int(count)
-
-    def record_frontier_batch(self, count: int = 1) -> None:
-        """Account ``count`` batched searches dispatched by the frontier."""
-        with self._counter_lock:
-            self._frontier_batches += int(count)
-
-    def absorb_counters(self, counters: dict) -> None:
-        """Fold another engine's :meth:`stats` snapshot into this engine.
-
-        The process-backend sub-frontier scheduler runs loops on worker-side
-        engines whose counters would otherwise be lost with the worker;
-        workers ship their stats deltas home and the parent absorbs them
-        here, so the engine's accounting matches the in-process run.  Keys
-        missing from ``counters`` are treated as zero.
-        """
-        with self._counter_lock:
-            self._n_searches += int(counters.get("n_searches", 0))
-            self._n_batches += int(counters.get("n_batches", 0))
-            self._n_objects_retrieved += int(counters.get("n_objects_retrieved", 0))
-            self._index_hits += int(counters.get("index_hits", 0))
-            self._scan_fallbacks += int(counters.get("scan_fallbacks", 0))
-            self._feedback_iterations += int(counters.get("feedback_iterations", 0))
-            self._frontier_batches += int(counters.get("frontier_batches", 0))
-            self._delta_hits += int(counters.get("delta_hits", 0))
-
     # ------------------------------------------------------------------ #
-    # Dispatch
+    # Execution
     # ------------------------------------------------------------------ #
-    def _select_engine(self, distance: DistanceFunction, count: int = 1) -> KNNIndex:
-        """Pick the engine for ``distance``, counting ``count`` decisions.
-
-        Batch dispatch counts one decision per query so batch and loop
-        report identical statistics.
-        """
-        if self._metric_index is not None and self._metric_index.supports(distance):
-            with self._counter_lock:
-                self._index_hits += count
-            return self._metric_index
-        with self._counter_lock:
-            self._scan_fallbacks += count
-        return self._scan
-
-    def _account(self, results: list[ResultSet], batches: int = 0) -> None:
-        retrieved = sum(len(result) for result in results)
-        with self._counter_lock:
-            self._n_searches += len(results)
-            self._n_objects_retrieved += retrieved
-            self._n_batches += batches
-
-    def _count_live_dispatch(self, snapshot, distance: DistanceFunction, count: int) -> None:
-        """Account ``count`` dispatch decisions against a live snapshot.
-
-        The base segment's index serves the base scan when it supports the
-        distance (``index_hits``), otherwise the whole composition runs on
-        linear scans (``scan_fallbacks``); any resident delta segment also
-        counts as a ``delta_hits`` consultation.
-        """
-        with self._counter_lock:
-            if snapshot.base_index_supports(distance):
-                self._index_hits += count
-            else:
-                self._scan_fallbacks += count
-            if snapshot.n_delta_segments:
-                self._delta_hits += count
-
-    # ------------------------------------------------------------------ #
-    # Query processing
-    # ------------------------------------------------------------------ #
-    def search(
-        self,
-        query_point,
-        k: int,
-        distance: DistanceFunction | None = None,
-        *,
-        budget: "Budget | None" = None,
-    ) -> ResultSet:
-        """Return the ``k`` objects closest to ``query_point``.
-
-        When ``distance`` is omitted the default distance applies.  The
-        metric index serves the query whenever it supports the distance;
-        otherwise the exact linear scan answers it (feedback may have changed
-        the distance parameters arbitrarily).
-
-        A ``budget`` (see :class:`~repro.database.budget.Budget`) makes this
-        an anytime query: a finite budget routes through the budgeted batch
-        path and may return fewer than ``k`` neighbours, accumulating its
-        coverage on the budget object; an absent or unlimited budget is the
-        exact path verbatim.
-        """
-        if budget is not None:
-            query_point = self._collection.validate_query_point(query_point)
-            return self.search_batch(query_point[None, :], k, distance, budget=budget)[0]
-        if distance is None:
-            distance = self._default_distance
-        if self._live:
-            snapshot = self._collection.snapshot()
-            self._count_live_dispatch(snapshot, distance, 1)
-            result = snapshot.search(query_point, k, distance)
-            self._account([result])
-            return result
-        engine = self._select_engine(distance)
-        if engine is self._scan:
-            result = engine.search(query_point, k, distance)
-        else:
-            result = engine.search(query_point, k)
-        self._account([result])
-        return result
-
-    def search_batch(
-        self,
-        query_points,
-        k: int,
-        distance: DistanceFunction | None = None,
-        precision: str = "exact",
-        *,
-        budget: "Budget | None" = None,
+    def _answer(
+        self, batch: QueryBatch, budget: "Budget | None", batches: int
     ) -> list[ResultSet]:
-        """Return the ``k`` nearest neighbours of every row of ``query_points``.
+        """Dispatch a batch: live snapshot, metric index, or the linear scan.
 
-        Equivalent to ``[self.search(q, k, distance) for q in query_points]``
-        but dispatched once: the selected engine answers the whole batch
-        (one pairwise matrix for the linear scan).  The dispatch counters
-        count one decision per query so batch and loop report identically.
-
-        ``precision="fast"`` routes the linear scan through its two-stage
-        float32 kernel (approximate float32 candidate selection + exact
-        float64 re-scoring); the results stay byte-identical to the default
-        ``"exact"`` path.  Metric-index dispatch is unaffected — the trees
-        are exact by construction.
-
-        A ``budget`` is forwarded to whichever engine answers the batch:
-        each one charges its own work, opens its own coverage scope and
-        records what the budget could not afford (see
-        :class:`~repro.database.budget.Budget`).  Absent or unlimited
-        budgets take every exact path verbatim.
+        The metric index serves a shared-distance batch whenever it supports
+        the distance; every other batch — feedback may have changed the
+        distance parameters arbitrarily, and per-row ``(Δ, W)`` batches have
+        no single distance at all — runs on the exact linear scan.  On the
+        trees a single row is answered by the single walk
+        (``index.search``), which beats the shared batch traversal at one
+        row; the choice follows from the row count and the results are
+        identical by the :class:`~repro.database.index.KNNIndex` contract.
         """
-        check_precision(precision)
-        if distance is None:
-            distance = self._default_distance
-        query_points = as_float_matrix(
-            query_points, name="query_points", shape=(None, self._collection.dimension)
-        )
         if self._live:
-            snapshot = self._collection.snapshot()
-            self._count_live_dispatch(snapshot, distance, query_points.shape[0])
-            results = snapshot.search_batch(query_points, k, distance, precision, budget=budget)
-            self._account(results, batches=1)
-            return results
-        engine = self._select_engine(distance, count=query_points.shape[0])
-        if engine is self._scan:
-            results = engine.search_batch(query_points, k, distance, precision, budget=budget)
-        else:
-            results = engine.search_batch(query_points, k, budget=budget)
-        self._account(results, batches=1)
-        return results
-
-    def execute(self, query: Query, distance: DistanceFunction | None = None) -> ResultSet:
-        """Execute a :class:`~repro.database.query.Query` object."""
-        return self.search(query.point, query.k, distance=distance)
-
-    def run_batch(
-        self, queries: list[Query], distance: DistanceFunction | None = None
-    ) -> list[ResultSet]:
-        """Execute a batch of :class:`~repro.database.query.Query` objects.
-
-        Queries are grouped by their ``k`` (preserving input order in the
-        returned list) and each group runs through :meth:`search_batch`, so a
-        homogeneous multi-user batch costs one matrix computation.
-        """
-        return run_grouped_by_k(self.search_batch, queries, distance)
-
-    def search_with_parameters(
-        self, query_point, k: int, delta, weights, *, budget: "Budget | None" = None
-    ) -> ResultSet:
-        """Search with explicit query-parameter overrides.
-
-        ``delta`` shifts the query point (``q_opt = q + Δ``) and ``weights``
-        parameterises the weighted Euclidean distance — exactly how the
-        optimal query parameters stored by FeedbackBypass are applied.
-        With a ``budget`` the request routes through the batched
-        parameterised path (where the budget accounting lives).
-        """
-        query_point = self._collection.validate_query_point(query_point)
-        delta = np.asarray(delta, dtype=np.float64)
-        if delta.shape != query_point.shape:
-            raise ValidationError("delta must have the same shape as the query point")
-        weights = np.asarray(weights, dtype=np.float64)
-        if budget is not None:
-            if weights.shape != query_point.shape:
-                raise ValidationError("weights must have the same shape as the query point")
-            return self.search_batch_with_parameters(
-                query_point[None, :], k, delta[None, :], weights[None, :], budget=budget
-            )[0]
-        distance = WeightedEuclideanDistance(self._collection.dimension, weights=np.clip(weights, 0.0, None))
-        return self.search(query_point + delta, k, distance=distance)
-
-    def search_batch_with_parameters(
-        self,
-        query_points,
-        k: int,
-        deltas,
-        weights,
-        precision: str = "exact",
-        *,
-        budget: "Budget | None" = None,
-    ) -> list[ResultSet]:
-        """Batched :meth:`search_with_parameters`: one (Δ, W) row per query.
-
-        This is the FeedbackBypass first-round arm of a workload: every query
-        carries its own predicted offset and weight vector, so no single
-        distance object covers the batch.  The whole batch is still answered
-        with matrix algebra — an approximate per-query-weight distance matrix
-        selects candidates, which are then re-evaluated exactly — and the
-        results match the per-query method byte for byte.
-
-        ``precision="fast"`` computes the candidate-selection matrix in
-        float32 with a correspondingly wider margin; the exact re-evaluation
-        is float64 either way, so the results stay byte-identical.  Corpora
-        taller than the scan's block size are processed in row blocks with
-        per-block top-k merging (same bound as
-        :meth:`~repro.database.knn.LinearScanIndex.search_batch`).
-        """
-        k = check_dimension(k, "k")
-        check_precision(precision)
-        dimension = self._collection.dimension
-        query_points = as_float_matrix(query_points, name="query_points", shape=(None, dimension))
-        n_queries = query_points.shape[0]
-        deltas = as_float_matrix(deltas, name="deltas", shape=(n_queries, dimension))
-        weights = np.clip(as_float_matrix(weights, name="weights", shape=(n_queries, None)), 0.0, None)
-
-        if self._live:
-            snapshot = self._collection.snapshot()
-            results = snapshot.search_batch_with_parameters(
-                query_points, k, deltas, weights, precision, budget=budget
-            )
-            with self._counter_lock:
-                self._scan_fallbacks += n_queries
-                if snapshot.n_delta_segments:
-                    self._delta_hits += n_queries
-            self._account(results, batches=1)
-            return results
-
-        shifted = query_points + deltas
-        pairs = parameter_scan_pairs(
-            shifted, weights, k, self._collection.workspace, self._scan.block_rows, precision, budget
-        )
-        results = [ResultSet.from_arrays(labels, ordered) for labels, ordered in pairs]
-        with self._counter_lock:
-            self._scan_fallbacks += n_queries
-        self._account(results, batches=1)
-        return results
+            return self._answer_live(batch, budget)
+        batch = batch.resolved(self._default_distance)
+        index = self._metric_index
+        if batch.weights is None and index is not None and index.supports(batch.distance):
+            self._count(index_hits=batch.n_rows)
+            if batch.n_rows == 1:
+                return [index.search(batch.points[0], batch.k, budget=budget)]
+            return index.search_batch(batch.points, batch.k, budget=budget)
+        self._count(scan_fallbacks=batch.n_rows)
+        return self._scan.execute(batch, budget=budget)

@@ -20,7 +20,9 @@ Determinism on ties is part of the contract: equal distances are broken by
 ascending collection index, so any two conforming engines — and the batch
 and single-query paths of the same engine — return byte-identical result
 sets.  :func:`k_smallest` and :class:`NeighborHeap` implement that rule for
-array-based and heap-based engines respectively.
+array-based and heap-based engines respectively, and :func:`merge_topk` is
+the one place per-part top-k lists (scan blocks, live segments, shards) are
+merged under it.
 
 :func:`k_smallest` itself has two interchangeable selection strategies —
 the vectorised argpartition pipeline and a bounded heap — whose outputs are
@@ -37,9 +39,9 @@ import time
 
 import numpy as np
 
-from repro.database.query import ResultSet
+from repro.database.query import QueryBatch, ResultSet
 from repro.distances.base import DistanceFunction
-from repro.utils.validation import ValidationError, as_float_matrix, check_dimension
+from repro.utils.validation import ValidationError, check_dimension
 
 
 def _argpartition_smallest(
@@ -216,6 +218,43 @@ def k_smallest(
     return select(distances, k, labels)
 
 
+def merge_topk(per_part: list, k: int, n_queries: int) -> "list[ResultSet]":
+    """Global top-``k`` per query from per-part ``(labels, distances)`` lists.
+
+    ``per_part`` holds one entry per corpus part that answered — a scan
+    block, a live segment, a shard — each a list of ``n_queries`` pairs
+    whose labels are already global and whose rows are in (distance,
+    ascending label) order.  Every global top-k object is inside its own
+    part's top-k (fewer than ``k`` objects precede it anywhere, so in
+    particular within its part), so pooling the parts loses nothing, and
+    :func:`k_smallest` over the pooled rows applies the library-wide
+    tie-break; distances are carried through verbatim.  The selection is a
+    pure function of the pooled (distance, label) set, so the bits do not
+    depend on how the corpus was split.
+
+    This partial merge is the only merge: parts a budget never reached are
+    simply absent (zero parts → well-formed empty results), and the
+    complete answer is the case where every part answered.
+    """
+    if not per_part:
+        return [ResultSet.empty() for _ in range(n_queries)]
+    if len(per_part) == 1:
+        # Already in merged order; a part may carry rows past rank k (the
+        # live segments' k + dead widening).
+        return [
+            ResultSet.from_arrays(labels[:k], distances[:k]) for labels, distances in per_part[0]
+        ]
+    merged = []
+    for position in range(n_queries):
+        labels, distances = k_smallest(
+            np.concatenate([pairs[position][1] for pairs in per_part]),
+            k,
+            labels=np.concatenate([pairs[position][0] for pairs in per_part]),
+        )
+        merged.append(ResultSet.from_arrays(labels, distances))
+    return merged
+
+
 def candidate_pool(approximate_row: np.ndarray, k: int, *, margin: float | None = None) -> np.ndarray:
     """Candidate positions for an exact top-``k`` from approximate distances.
 
@@ -311,10 +350,8 @@ class KNNIndex(abc.ABC):
         subclasses override it where the whole batch can be answered with
         shared matrix computations.
         """
-        query_points = as_float_matrix(
-            query_points, name="query_points", shape=(None, self.collection.dimension)
-        )
-        return [self.search(query_point, k, distance) for query_point in query_points]
+        batch = QueryBatch.plain(query_points, k, distance, dimension=self.collection.dimension)
+        return [self.search(query_point, batch.k, distance) for query_point in batch.points]
 
     def _check_supports(self, distance: DistanceFunction) -> None:
         if not self.supports(distance):

@@ -6,16 +6,21 @@ vectors x 31 dimensions fit comfortably in a single vectorised distance
 computation).  The metric indexes (:mod:`repro.database.vptree`,
 :mod:`repro.database.mtree`) are validated against it.
 
-Its :meth:`LinearScanIndex.search_batch` answers a whole query batch with
-pairwise distance matrices (a few BLAS calls for the weighted Euclidean
-family) followed by top-k selection — the batch-first hot path of the
-retrieval engine.  Two scale features live here:
+Its :meth:`LinearScanIndex.execute` answers a whole validated
+:class:`~repro.database.query.QueryBatch` — rows sharing one distance, or
+rows carrying their own ``(Δ, W)`` — with pairwise distance matrices (a few
+BLAS calls for the weighted Euclidean family) followed by top-k selection:
+the batch-first hot path of the retrieval engine, and the only scan loop in
+the library.  :meth:`LinearScanIndex.search` is kept beside it as the
+exact-definition reference (``distances_to`` + ``k_smallest``) the
+equivalence grids compare every other path against.  Two scale features
+live here:
 
-* **Blocked scans** — above :data:`DEFAULT_BLOCK_ROWS` corpus rows, the scan
-  processes the corpus in cache-sized row blocks and merges per-block top-k
-  lists through :func:`~repro.database.index.k_smallest`, so peak memory is
-  O(``block_rows`` × queries) instead of O(corpus × queries): a
-  million-vector corpus never materialises a ``(N, Q)`` distance matrix.
+* **Blocked scans** — the scan walks the corpus in cache-sized row blocks
+  (:data:`DEFAULT_BLOCK_ROWS`; a shorter corpus is one block) and merges the
+  per-block top-k lists through :func:`~repro.database.index.merge_topk`, so
+  peak memory is O(``block_rows`` × queries) instead of O(corpus × queries):
+  a million-vector corpus never materialises a ``(N, Q)`` distance matrix.
 * **Two-stage float32 kernels** — ``precision="fast"`` computes an
   order-preserving surrogate matrix in float32 (squared distances / p-th
   powers, see :meth:`~repro.distances.base.DistanceFunction.pairwise` with
@@ -34,16 +39,11 @@ import numpy as np
 
 from repro.database.budget import Budget, effective_budget
 from repro.database.collection import FeatureCollection
-from repro.database.index import KNNIndex, k_smallest
-from repro.database.query import ResultSet
-from repro.distances.base import (
-    EXACT_MARGIN_SCALE,
-    FAST_MARGIN_SCALE,
-    DistanceFunction,
-    check_precision,
-)
+from repro.database.index import KNNIndex, k_smallest, merge_topk
+from repro.database.query import QueryBatch, ResultSet
+from repro.distances.base import EXACT_MARGIN_SCALE, FAST_MARGIN_SCALE, DistanceFunction
 from repro.distances.weighted_euclidean import pairwise_per_query_weights
-from repro.utils.validation import ValidationError, as_float_matrix, check_dimension
+from repro.utils.validation import ValidationError, check_dimension
 
 #: Corpus rows per scan block.  64k rows × 64 queries of float64 distances is
 #: a 32 MiB working set — big enough to amortise per-block Python overhead,
@@ -119,192 +119,69 @@ class LinearScanIndex(KNNIndex):
         *,
         budget: "Budget | None" = None,
     ) -> list[ResultSet]:
-        """Answer every query row with pairwise matrices + top-k selection.
+        """Answer every query row under one shared ``distance``.
 
-        The result is byte-identical to ``[search(q, k, distance) for q in
-        query_points]`` for **either** precision: approximate matrices (the
-        algebraic float64 expansions, and every ``precision="fast"`` float32
-        matrix) only select candidates, which are then re-evaluated through
-        the exact row-wise computation before the final selection.  Corpora
-        taller than :attr:`block_rows` are scanned in row blocks with
-        per-block top-k merging — same results, bounded peak memory.
-
-        A finite ``budget`` clamps the scan: blocks are charged at
-        ``rows × queries`` metric evaluations before being scanned, the
-        last admissible block is shortened to exactly what the budget
-        grants, and the unscanned tail is recorded as an unbounded skip in
-        the budget's coverage.  Because per-(sub-)block top-k lists merge
-        associatively, a budget large enough to scan everything is
-        byte-identical to no budget at all.
+        Validates the input into a :class:`~repro.database.query.QueryBatch`
+        and runs :meth:`execute`; byte-identical to ``[search(q, k,
+        distance) for q in query_points]`` for **either** precision.
         """
-        k = check_dimension(k, "k")
-        check_precision(precision)
         if distance is None:
             raise ValidationError("the linear scan needs an explicit distance function")
-        query_points = as_float_matrix(
-            query_points, name="query_points", shape=(None, self._collection.dimension)
+        batch = QueryBatch.plain(
+            query_points, k, distance, precision, dimension=self._collection.dimension
         )
-        self._check_distance(distance)
-        n_points = self._collection.size
-        k = min(k, n_points)
-        # A fast matrix is approximate by definition; an exact matrix is
-        # only trusted row-wise when the kernel says so.
-        rowwise_exact = precision == "exact" and distance.pairwise_matches_rowwise
-        workspace = self._collection.workspace
-        effective = effective_budget(budget)
-        if effective is not None:
-            with effective.scope(n_points * query_points.shape[0]):
-                return self._search_batch_budgeted(
-                    query_points, k, distance, precision, workspace, rowwise_exact, effective
-                )
-        if budget is not None:
-            budget.note_exact(n_points * query_points.shape[0])
-        if n_points <= self._block_rows:
-            return self._scan_block(
-                query_points, k, distance, precision, workspace, rowwise_exact, base=0
-            )
+        return self.execute(batch, budget=budget)
 
-        # Blocked scan: per-block top-k lists merge under the total
-        # (distance, ascending index) order, which is associative — the
-        # running merge is therefore byte-identical to the single-shot scan.
-        running: list[tuple[np.ndarray, np.ndarray]] | None = None
-        for start in range(0, n_points, self._block_rows):
-            stop = min(start + self._block_rows, n_points)
-            view = workspace.block(start, stop)
-            block_results = self._scan_block(
-                query_points, k, distance, precision, view, rowwise_exact, base=start
-            )
-            if running is None:
-                running = block_results
-            else:
-                running = [
-                    k_smallest(
-                        np.concatenate((held_distances, new_distances)),
-                        k,
-                        labels=np.concatenate((held_labels, new_labels)),
-                    )
-                    for (held_labels, held_distances), (new_labels, new_distances) in zip(
-                        running, block_results
-                    )
-                ]
-        return [ResultSet.from_arrays(labels, ordered) for labels, ordered in running]
+    def execute(self, batch: QueryBatch, *, budget: "Budget | None" = None) -> list[ResultSet]:
+        """Answer a validated batch with pairwise matrices + top-k selection.
 
-    def _scan_block(
-        self,
-        query_points: np.ndarray,
-        k: int,
-        distance: DistanceFunction,
-        precision: str,
-        workspace,
-        rowwise_exact: bool,
-        base: int,
-    ) -> list:
-        """Top-k of one corpus block, labelled with global indices.
+        The one blocked scan of the library, for shared-distance and per-row
+        ``(Δ, W)`` batches alike: the corpus is walked in
+        :attr:`block_rows`-row workspace blocks (a short corpus is a single
+        block), each block yields one top-k list per query
+        (:func:`_block_topk`), and :func:`~repro.database.index.merge_topk`
+        re-selects across blocks — same results as one ``(N, Q)`` matrix,
+        peak memory bounded by the block.  Approximate matrices (the
+        algebraic float64 expansions, every ``precision="fast"`` float32
+        matrix, the per-row-weight expansion) only select candidates, which
+        are re-evaluated through the exact row-wise computation, so the
+        bits equal :meth:`search`'s.
 
-        Returns ``(labels, distances)`` pairs when scanning one block of a
-        larger corpus (``base`` > 0 or a partial view) and the same pairs
-        for the single-shot case — the caller materialises ``ResultSet``s.
-        For approximate matrices, candidates within the precision's error
-        margin of the block's k-th distance are re-scored exactly through
-        ``distances_to`` (float64), so the selected distances are exact bits.
-        """
-        block_points = workspace.matrix
-        matrix = distance.pairwise(
-            query_points, block_points, workspace=workspace, precision=precision
-        )
-        block_k = min(k, block_points.shape[0])
-        selected: list[tuple[np.ndarray, np.ndarray]] = []
-        if rowwise_exact:
-            for row in matrix:
-                labels, ordered = k_smallest(row, block_k)
-                selected.append((labels + base if base else labels, ordered))
-        else:
-            # Candidate thresholds for the whole batch at once — the values
-            # candidate_pool computes per row (the k-th approximate value
-            # plus the precision's error margin), with the partition and
-            # row maxima vectorised over the query axis.  On the fast path
-            # this stage runs entirely in float32.
-            if block_k == matrix.shape[1]:
-                thresholds = np.full(matrix.shape[0], np.inf)
-            else:
-                # np.partition (values only) beats argpartition + gather: no
-                # (Q, N) index array, and position block_k-1 *is* the k-th
-                # smallest value.
-                kth_values = np.partition(matrix, block_k - 1, axis=1)[:, block_k - 1]
-                margin_scale = (
-                    FAST_MARGIN_SCALE if precision == "fast" else EXACT_MARGIN_SCALE
-                )
-                margins = margin_scale * np.maximum(1.0, matrix.max(axis=1))
-                thresholds = kth_values + margins
-            for query_point, row, threshold in zip(query_points, matrix, thresholds):
-                candidates = np.flatnonzero(row <= threshold)
-                exact = distance.distances_to(query_point, block_points[candidates])
-                labels, ordered = k_smallest(exact, block_k, labels=candidates)
-                selected.append((labels + base if base else labels, ordered))
-        if base == 0 and block_points.shape[0] == self._collection.size:
-            return [ResultSet.from_arrays(labels, ordered) for labels, ordered in selected]
-        return selected
-
-    def _search_batch_budgeted(
-        self,
-        query_points: np.ndarray,
-        k: int,
-        distance: DistanceFunction,
-        precision: str,
-        workspace,
-        rowwise_exact: bool,
-        budget: Budget,
-    ) -> list[ResultSet]:
-        """The blocked scan under a finite budget: charge, clamp, merge.
-
-        Every block is granted at ``per_row = n_queries`` evaluations per
-        corpus row, so the number of rows scanned is a deterministic
+        A finite ``budget`` clamps the scan: blocks are charged at ``rows ×
+        queries`` metric evaluations before being scanned, the last
+        admissible block is shortened to exactly what the budget grants, and
+        the unscanned tail is recorded as an unbounded skip in the budget's
+        coverage.  Every block is granted at ``per_row = n_queries``
+        evaluations per corpus row, so the rows scanned are a deterministic
         function of the remaining work cap — execution under a smaller cap
-        is a strict prefix of execution under a larger one, which is what
-        the anytime monotonicity property rests on.
+        is a strict prefix of execution under a larger one (the anytime
+        monotonicity property) — and because per-(sub-)block top-k lists
+        merge associatively, a budget large enough to scan everything is
+        byte-identical to no budget at all.
         """
-        n_queries = query_points.shape[0]
-        n_points = self._collection.size
+        n_queries = batch.n_rows
         if n_queries == 0:
             return []
-        empty = ResultSet.from_arrays(
-            np.array([], dtype=np.intp), np.array([], dtype=np.float64)
-        )
-        running: list[tuple[np.ndarray, np.ndarray]] | None = None
-        for start in range(0, n_points, self._block_rows):
-            stop = min(start + self._block_rows, n_points)
-            granted = budget.grant_rows(stop - start, per_row=n_queries)
-            truncated = granted < stop - start
-            if granted:
-                view = workspace.block(start, start + granted)
-                block_results = self._scan_block(
-                    query_points, k, distance, precision, view, rowwise_exact, base=start
-                )
-                if block_results and isinstance(block_results[0], ResultSet):
-                    # Whole corpus granted in one shot: _scan_block already
-                    # materialised the exact single-block answer.
-                    return block_results
-                if running is None:
-                    running = block_results
-                else:
-                    running = [
-                        k_smallest(
-                            np.concatenate((held_distances, new_distances)),
-                            min(k, held_labels.shape[0] + new_labels.shape[0]),
-                            labels=np.concatenate((held_labels, new_labels)),
-                        )
-                        for (held_labels, held_distances), (new_labels, new_distances) in zip(
-                            running, block_results
-                        )
-                    ]
-            if truncated:
-                # The rest of the corpus is unscanned and a scan carries no
-                # geometry to bound it: record an unbounded skip.
-                budget.note_skip(None)
-                break
-        if running is None:
-            return [empty] * n_queries
-        return [ResultSet.from_arrays(labels, ordered) for labels, ordered in running]
+        workspace = self._collection.workspace
+        n_points = self._collection.size
+        k = min(batch.k, n_points)
+        effective = effective_budget(budget)
+        if effective is None and budget is not None:
+            budget.note_exact(n_points * n_queries)
+        per_block = []
+        with nullcontext() if effective is None else effective.scope(n_points * n_queries):
+            for start in range(0, n_points, self._block_rows):
+                rows = min(self._block_rows, n_points - start)
+                granted = rows if effective is None else effective.grant_rows(rows, per_row=n_queries)
+                if granted:
+                    view = workspace.block(start, start + granted)
+                    per_block.append(_block_topk(batch, k, view))
+                if granted < rows:
+                    # The rest of the corpus is unscanned and a scan carries
+                    # no geometry to bound it: record an unbounded skip.
+                    effective.note_skip(None)
+                    break
+        return merge_topk(per_block, k, n_queries)
 
     def range_search(self, query_point, radius: float, distance: DistanceFunction) -> ResultSet:
         """Return every vector within ``radius`` of ``query_point``."""
@@ -317,115 +194,58 @@ class LinearScanIndex(KNNIndex):
         return ResultSet.from_arrays(order, distances[order])
 
 
-# ---------------------------------------------------------------------- #
-# Per-query-weight parameterised scan (shared machinery)
-# ---------------------------------------------------------------------- #
-def _parameter_scan_block(
-    shifted: np.ndarray, weights: np.ndarray, k: int, workspace, base: int, precision: str
-) -> list:
-    """Per-query-weight top-k over one corpus block (labels offset by ``base``)."""
-    block_points = workspace.matrix
-    n_block = block_points.shape[0]
-    block_k = min(k, n_block)
-    approximate = pairwise_per_query_weights(
-        shifted, weights, block_points, workspace=workspace, precision=precision
-    )
+def _block_topk(batch: QueryBatch, k: int, view) -> list:
+    """Top-k of one corpus block per query, as ``(global labels, distances)``.
 
-    # Candidate thresholds for the whole batch at once — the same values
-    # candidate_pool computes per row (the k-th approximate distance plus
-    # the precision's error margin), with the partition and row maxima
-    # vectorised over the query axis.
-    margin_scale = FAST_MARGIN_SCALE if precision == "fast" else EXACT_MARGIN_SCALE
-    if block_k == n_block:
-        thresholds = np.full(shifted.shape[0], np.inf)
-    else:
-        # Values-only partition: position block_k-1 is the k-th smallest
-        # approximate value, with no (Q, N) index array materialised.
-        kth_values = np.partition(approximate, block_k - 1, axis=1)[:, block_k - 1]
-        margins = margin_scale * np.maximum(1.0, approximate.max(axis=1))
-        thresholds = kth_values + margins
-
-    pairs = []
-    for query_point, weight_row, row, threshold in zip(shifted, weights, approximate, thresholds):
-        candidates = np.flatnonzero(row <= threshold)
-        # Exact re-evaluation of the candidates: the same expression as
-        # WeightedEuclideanDistance.distances_to, with the per-query
-        # distance-object construction and re-validation skipped (the
-        # batch inputs were validated by the caller).
-        candidate_deltas = block_points[candidates] - query_point
-        exact = np.sqrt(np.sum(weight_row * candidate_deltas * candidate_deltas, axis=1))
-        labels, ordered = k_smallest(exact, block_k, labels=candidates)
-        pairs.append((labels + base if base else labels, ordered))
-    return pairs
-
-
-def parameter_scan_pairs(
-    shifted: np.ndarray,
-    weights: np.ndarray,
-    k: int,
-    workspace,
-    block_rows: int,
-    precision: str,
-    budget: "Budget | None" = None,
-) -> list:
-    """Exact per-query ``(Δ, W)`` top-k over one workspace, blocked.
-
-    The candidate-selection + exact-re-scoring pipeline behind
-    :meth:`~repro.database.engine.RetrievalEngine.search_batch_with_parameters`,
-    factored out so segment-composed collections
-    (:mod:`repro.database.segments`) can run the identical computation per
-    segment: the exact candidate distances are element-wise per object, so
-    the bits do not depend on how the corpus was split into workspaces.
-    Returns one ``(labels, distances)`` pair per query row, labels local to
-    the workspace, in the library-wide (distance, ascending label) order.
-
-    A finite ``budget`` clamps the blocks exactly like
-    :meth:`LinearScanIndex.search_batch` — per-(sub-)block pairs merge
-    associatively, the unscanned tail is an unbounded skip.
+    The kernel step is chosen by what the batch carries: per-row weights run
+    the per-query-weight expansion and re-score candidates with the weighted
+    Euclidean row expression; a shared distance runs its ``pairwise`` kernel
+    and re-scores through ``distances_to`` — unless the kernel is row-exact
+    at this precision, in which case the matrix rows are selected directly.
+    Re-scored distances are exact float64 element-wise expressions per
+    object, so the bits do not depend on how the corpus was blocked.
     """
-    n_points = int(workspace.matrix.shape[0])
-    n_queries = int(shifted.shape[0])
-    k = min(k, n_points)
-    effective = effective_budget(budget)
-    if effective is None:
-        if budget is not None:
-            budget.note_exact(n_points * n_queries)
-        if n_points <= block_rows:
-            return _parameter_scan_block(shifted, weights, k, workspace, 0, precision)
-    if effective is not None and n_queries == 0:
-        return []
-    pairs = None
-    scope = nullcontext() if effective is None else effective.scope(n_points * n_queries)
-    with scope:
-        for start in range(0, n_points, block_rows):
-            stop = min(start + block_rows, n_points)
-            if effective is not None:
-                granted = effective.grant_rows(stop - start, per_row=n_queries)
-                truncated = granted < stop - start
-                stop = start + granted
+    block_points = view.matrix
+    block_k = min(k, block_points.shape[0])
+    distance, weights = batch.distance, batch.weights
+    if weights is not None:
+        matrix = pairwise_per_query_weights(
+            batch.points, weights, block_points, workspace=view, precision=batch.precision
+        )
+    else:
+        matrix = distance.pairwise(
+            batch.points, block_points, workspace=view, precision=batch.precision
+        )
+    if weights is None and batch.precision == "exact" and distance.pairwise_matches_rowwise:
+        selected = [k_smallest(row, block_k) for row in matrix]
+    else:
+        # Candidate thresholds for the whole batch at once — the values
+        # candidate_pool computes per row (the k-th approximate value plus
+        # the precision's error margin), with the partition and row maxima
+        # vectorised over the query axis.  On the fast path this stage runs
+        # entirely in float32.
+        if block_k == matrix.shape[1]:
+            thresholds = np.full(matrix.shape[0], np.inf)
+        else:
+            # np.partition (values only) beats argpartition + gather: no
+            # (Q, N) index array, and position block_k-1 *is* the k-th
+            # smallest value.
+            kth_values = np.partition(matrix, block_k - 1, axis=1)[:, block_k - 1]
+            margin_scale = FAST_MARGIN_SCALE if batch.precision == "fast" else EXACT_MARGIN_SCALE
+            thresholds = kth_values + margin_scale * np.maximum(1.0, matrix.max(axis=1))
+        selected = []
+        for position, (query_point, row, threshold) in enumerate(
+            zip(batch.points, matrix, thresholds)
+        ):
+            candidates = np.flatnonzero(row <= threshold)
+            if weights is None:
+                exact = distance.distances_to(query_point, block_points[candidates])
             else:
-                truncated = False
-            if stop > start:
-                view = workspace.block(start, stop)
-                block_pairs = _parameter_scan_block(shifted, weights, k, view, start, precision)
-                if pairs is None:
-                    pairs = block_pairs
-                else:
-                    pairs = [
-                        k_smallest(
-                            np.concatenate((held_distances, new_distances)),
-                            min(k, held_labels.shape[0] + new_labels.shape[0]),
-                            labels=np.concatenate((held_labels, new_labels)),
-                        )
-                        for (held_labels, held_distances), (new_labels, new_distances) in zip(
-                            pairs, block_pairs
-                        )
-                    ]
-            if truncated:
-                effective.note_skip(None)
-                break
-    if pairs is None:
-        empty_labels = np.array([], dtype=np.intp)
-        empty_distances = np.array([], dtype=np.float64)
-        return [(empty_labels, empty_distances)] * n_queries
-    return pairs
+                # The same expression as WeightedEuclideanDistance.distances_to,
+                # minus the per-query distance object and its re-validation.
+                offsets = block_points[candidates] - query_point
+                exact = np.sqrt(np.sum(weights[position] * offsets * offsets, axis=1))
+            selected.append(k_smallest(exact, block_k, labels=candidates))
+    if view.start:
+        return [(labels + view.start, ordered) for labels, ordered in selected]
+    return selected

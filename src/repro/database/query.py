@@ -4,15 +4,27 @@ Following Section 2 of the paper, a query is a pair ``Q = (q, k)``: a query
 point and a limit on the number of results.  A result set is the list of the
 ``k`` database objects closest to ``q`` under the current distance function,
 ordered by increasing distance.
+
+With FeedbackBypass in the picture a query is really ``(q, k, Δ, W)`` — the
+default search is the ``Δ = 0, W = 1`` instance the bypass has not improved
+yet — and the engines answer many of them per call.  :class:`QueryBatch` is
+that request: the one validated value every execution layer below the public
+``search*`` wrappers accepts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.utils.validation import ValidationError, as_float_vector, check_dimension
+from repro.distances.base import DistanceFunction, check_precision
+from repro.utils.validation import (
+    ValidationError,
+    as_float_matrix,
+    as_float_vector,
+    check_dimension,
+)
 
 
 @dataclass(frozen=True)
@@ -40,6 +52,111 @@ class Query:
     def dimension(self) -> int:
         """Dimensionality of the query point."""
         return int(self.point.shape[0])
+
+
+@dataclass(frozen=True, eq=False)
+class QueryBatch:
+    """A validated batch of k-NN queries ``(q + Δ, k, W)`` — one row per query.
+
+    Build one through :meth:`plain` or :meth:`with_parameters`: those are the
+    only places query input is validated, and every layer below the public
+    ``search*`` wrappers (engines, live snapshots, the linear scan, shard
+    workers) accepts nothing but a ``QueryBatch`` — the type *is* the proof
+    that shapes, finiteness, ``k`` and ``precision`` were checked.  The bare
+    constructor is for deriving a batch from a validated one
+    (:meth:`with_k`, :meth:`resolved`).
+
+    A batch is plain picklable data (it crosses the pipe to the shard worker
+    processes); the mutable :class:`~repro.database.budget.Budget` accounting
+    deliberately stays a separate ``execute`` argument.
+
+    Attributes
+    ----------
+    points:
+        ``(Q, D)`` float64 query points, already shifted by ``Δ``.
+    k:
+        Number of results requested per row.
+    distance:
+        The distance shared by every row; ``None`` means "the answering
+        engine's default distance" (resolved per engine, so a shard worker
+        uses its own instance — the one its metric index was built for).
+    weights:
+        ``(Q, D)`` non-negative per-row weights of the weighted Euclidean
+        distance, or ``None`` for a shared-distance batch.  Never set
+        together with ``distance``.
+    precision:
+        ``"exact"`` or ``"fast"`` (float32 candidate selection, exact
+        float64 re-scoring — same bytes either way).
+    """
+
+    points: np.ndarray
+    k: int
+    distance: "DistanceFunction | None" = None
+    weights: "np.ndarray | None" = None
+    precision: str = "exact"
+
+    @classmethod
+    def plain(
+        cls,
+        query_points,
+        k: int,
+        distance: "DistanceFunction | None" = None,
+        precision: str = "exact",
+        *,
+        dimension: int,
+    ) -> "QueryBatch":
+        """Validate a shared-distance batch against a ``dimension``-D corpus."""
+        points = as_float_matrix(query_points, name="query_points", shape=(None, dimension))
+        if distance is not None and distance.dimension != dimension:
+            raise ValidationError(
+                "distance dimensionality does not match the collection "
+                f"({distance.dimension} vs {dimension})"
+            )
+        return cls(points, check_dimension(k, "k"), distance, None, check_precision(precision))
+
+    @classmethod
+    def with_parameters(
+        cls,
+        query_points,
+        k: int,
+        deltas,
+        weights,
+        precision: str = "exact",
+        *,
+        dimension: int,
+    ) -> "QueryBatch":
+        """Validate a per-row ``(Δ, W)`` batch; shifts by ``Δ``, clips ``W`` at 0."""
+        points = as_float_matrix(query_points, name="query_points", shape=(None, dimension))
+        n_queries = points.shape[0]
+        deltas = as_float_matrix(deltas, name="deltas", shape=(n_queries, dimension))
+        weights = as_float_matrix(weights, name="weights", shape=(n_queries, dimension))
+        return cls(
+            points + deltas,
+            check_dimension(k, "k"),
+            None,
+            np.clip(weights, 0.0, None),
+            check_precision(precision),
+        )
+
+    @property
+    def n_rows(self) -> int:
+        """Number of queries in the batch."""
+        return int(self.points.shape[0])
+
+    @property
+    def group_key(self) -> tuple:
+        """What two batches must share for their rows to ride one dispatch."""
+        return (self.weights is not None, self.k, self.distance, self.precision)
+
+    def with_k(self, k: int) -> "QueryBatch":
+        """The same rows asking for ``k`` results (per-segment widening)."""
+        return replace(self, k=k)
+
+    def resolved(self, default_distance: DistanceFunction) -> "QueryBatch":
+        """This batch with ``distance=None`` replaced by the engine's default."""
+        if self.distance is not None or self.weights is not None:
+            return self
+        return replace(self, distance=default_distance)
 
 
 @dataclass(frozen=True)
@@ -130,6 +247,11 @@ class ResultSet:
         when the result list no longer changes (Section 5).
         """
         return len(self) == len(other) and bool(np.array_equal(self._indices, other._indices))
+
+    @classmethod
+    def empty(cls) -> "ResultSet":
+        """The well-formed empty result (what a spent budget returns)."""
+        return cls.from_arrays(np.array([], dtype=np.intp), np.array([], dtype=np.float64))
 
     @classmethod
     def from_arrays(cls, indices, distances) -> "ResultSet":

@@ -18,7 +18,7 @@ PAPERS.md) so a corpus can mutate *under* serving traffic:
 * :class:`LiveSnapshot` — a consistent, immutable view of the composition
   at one instant.  Queries run per segment with a ``k + dead`` widened
   top-k, drop tombstoned rows, and re-select the global top-k through
-  :func:`~repro.database.index.k_smallest` under the library-wide
+  :func:`~repro.database.index.merge_topk` under the library-wide
   (distance, ascending **stable id**) tie-break.
 * :class:`Compactor` — a background thread folding deltas into a new base
   off the hot path: the rebuild (matrix gather, workspace, index) runs
@@ -49,12 +49,12 @@ import threading
 
 import numpy as np
 
-from repro.database.budget import Budget, effective_budget
+from repro.database.budget import Budget, fan_out
 from repro.database.collection import FeatureCollection
-from repro.database.index import KNNIndex, k_smallest
-from repro.database.knn import DEFAULT_BLOCK_ROWS, LinearScanIndex, parameter_scan_pairs
-from repro.database.query import ResultSet
-from repro.distances.base import DistanceFunction, check_precision
+from repro.database.index import KNNIndex, merge_topk
+from repro.database.knn import LinearScanIndex
+from repro.database.query import QueryBatch, ResultSet
+from repro.distances.base import DistanceFunction
 from repro.distances.weighted_euclidean import WeightedEuclideanDistance
 from repro.utils.validation import (
     ValidationError,
@@ -130,10 +130,6 @@ class _SnapshotSegment:
         return len(self.unit) - self.n_dead
 
 
-def _serial_map(function, items):
-    return [function(item) for item in items]
-
-
 class LiveSnapshot:
     """A consistent, immutable view of a :class:`LiveCollection`.
 
@@ -143,15 +139,14 @@ class LiveSnapshot:
     particular within its segment — plus at most ``n_dead`` dead ones, so
     widening by the segment's tombstone count loses nothing), tombstoned
     rows are dropped, local positions map to stable ids, and
-    :func:`~repro.database.index.k_smallest` re-selects the global top-k
+    :func:`~repro.database.index.merge_topk` re-selects the global top-k
     under (distance, ascending id).  The result is byte-identical to
     querying a frozen collection rebuilt from the snapshot's alive rows.
 
-    ``mapper`` on the batch entry points accepts a
+    ``mapper`` on :meth:`execute` accepts a
     :meth:`~repro.database.sharding.WorkerPool.map`-shaped callable so a
     sharded engine can fan the per-segment scans out over its worker pool;
-    the merge is associative and order-fixed, so parallelism never shows in
-    the bits.
+    the merge is order-fixed, so parallelism never shows in the bits.
     """
 
     __slots__ = ("_segments", "_epoch", "_size", "_dimension")
@@ -210,56 +205,60 @@ class LiveSnapshot:
     # ------------------------------------------------------------------ #
     # Search
     # ------------------------------------------------------------------ #
-    def _segment_pairs(
-        self,
-        segment: _SnapshotSegment,
-        query_points: np.ndarray,
-        k: int,
-        distance: DistanceFunction,
-        precision: str,
-        budget: "Budget | None" = None,
-    ) -> list:
-        """One segment's per-query ``(ids, distances)`` pairs, dead rows dropped."""
-        unit = segment.unit
-        k_eff = min(k + segment.n_dead, len(unit))
-        if unit.index is not None and unit.index.supports(distance):
-            results = unit.index.search_batch(query_points, k_eff, budget=budget)
-        else:
-            results = unit.scan.search_batch(query_points, k_eff, distance, precision, budget=budget)
-        pairs = []
-        for result in results:
-            local = result.indices()
-            ordered = result.distances()
-            if segment.alive is not None:
-                keep = segment.alive[local]
-                local = local[keep]
-                ordered = ordered[keep]
-            pairs.append((unit.ids[local], ordered))
-        return pairs
+    def execute(
+        self, batch: QueryBatch, *, budget: "Budget | None" = None, mapper=None
+    ) -> "list[ResultSet]":
+        """The ``k`` nearest alive vectors of every batch row, by stable id.
 
-    def _merge(self, per_segment: list, n_queries: int, k: int) -> "list[ResultSet]":
-        """Global top-k per query from the per-segment candidate pairs."""
-        if not per_segment:
-            # A zero budget can skip every segment; the contract is
-            # well-formed (empty) results, never an exception.
-            empty_ids = np.array([], dtype=np.intp)
-            empty_distances = np.array([], dtype=np.float64)
-            return [ResultSet.from_arrays(empty_ids, empty_distances) for _ in range(n_queries)]
-        if len(per_segment) == 1:
-            # Single segment, already filtered and in (distance, id) order
-            # (ids ascend with local position, so the orders coincide), and
-            # the k+dead widening only ever *adds* rows past rank k.
-            return [
-                ResultSet.from_arrays(ids[:k], ordered[:k])
-                for ids, ordered in per_segment[0]
-            ]
-        results = []
-        for position in range(n_queries):
-            ids = np.concatenate([pairs[position][0] for pairs in per_segment])
-            ordered = np.concatenate([pairs[position][1] for pairs in per_segment])
-            labels, selected = k_smallest(ordered, min(k, ids.shape[0]), labels=ids)
-            results.append(ResultSet.from_arrays(labels, selected))
-        return results
+        Every segment answers the batch widened to ``k + its dead`` — through
+        the base segment's metric index when it serves the batch's shared
+        distance, otherwise through the segment's linear scan (always, for
+        per-row ``(Δ, W)`` batches) — tombstoned rows are dropped, local
+        positions map to stable ids, and
+        :func:`~repro.database.index.merge_topk` re-selects across segments.
+        Byte-identical to ``FeatureCollection(alive rows)`` queried through
+        the same engine configuration, with positions mapped to ids: the
+        exact candidate distances are element-wise per object, so segment
+        membership never shows in the bits.
+
+        The segments are the parts of one :func:`~repro.database.budget.fan_out`:
+        a finite ``budget`` runs them serially (base first, then deltas in
+        admission order, ignoring ``mapper``), each one the budget reaches
+        is consulted through the budgeted per-engine path and counted
+        ``segments_answered``, and segments the exhausted budget never
+        reaches are unbounded skips counted ``segments_skipped``.  The
+        budget charges what a scan actually evaluates — resident rows, dead
+        ones included, since liveness is filtered after the distances.
+        """
+
+        def answer_segment(segment: _SnapshotSegment, segment_budget: "Budget | None") -> list:
+            unit = segment.unit
+            part = batch.with_k(min(batch.k + segment.n_dead, len(unit)))
+            if part.weights is None and unit.index is not None and unit.index.supports(part.distance):
+                results = unit.index.search_batch(part.points, part.k, budget=segment_budget)
+            else:
+                results = unit.scan.execute(part, budget=segment_budget)
+            pairs = []
+            for result in results:
+                local = result.indices()
+                ordered = result.distances()
+                if segment.alive is not None:
+                    keep = segment.alive[local]
+                    local = local[keep]
+                    ordered = ordered[keep]
+                pairs.append((unit.ids[local], ordered))
+            return pairs
+
+        rows_resident = sum(len(segment.unit) for segment in self._segments)
+        per_segment = fan_out(
+            self._segments,
+            answer_segment,
+            budget,
+            rows_resident * batch.n_rows,
+            Budget.note_segment,
+            mapper,
+        )
+        return merge_topk(per_segment, batch.k, batch.n_rows)
 
     def search_batch(
         self,
@@ -268,141 +267,11 @@ class LiveSnapshot:
         distance: DistanceFunction,
         precision: str = "exact",
         *,
-        mapper=None,
         budget: "Budget | None" = None,
     ) -> "list[ResultSet]":
-        """The ``k`` nearest alive vectors of every query row, by stable id.
-
-        Byte-identical to ``FeatureCollection(alive rows)`` queried through
-        the same engine configuration, with positions mapped to ids.
-
-        A finite ``budget`` runs the segments serially (base first, then
-        deltas in admission order, ignoring ``mapper``): each segment the
-        budget reaches is consulted through the budgeted per-engine path
-        and counted ``segments_answered``; segments the exhausted budget
-        never reaches are unbounded skips counted ``segments_skipped``.
-        """
-        k = check_dimension(k, "k")
-        check_precision(precision)
-        query_points = as_float_matrix(
-            query_points, name="query_points", shape=(None, self._dimension)
-        )
-        n_queries = query_points.shape[0]
-        effective = effective_budget(budget)
-        if effective is not None:
-            per_segment = []
-            with effective.scope(self._rows_resident() * n_queries):
-                for segment in self._segments:
-                    if effective.exhausted():
-                        effective.note_skip(None)
-                        effective.note_segment(answered=False)
-                        continue
-                    per_segment.append(
-                        self._segment_pairs(segment, query_points, k, distance, precision, effective)
-                    )
-                    effective.note_segment(answered=True)
-            return self._merge(per_segment, n_queries, k)
-        if budget is not None:
-            budget.note_exact(self._rows_resident() * n_queries)
-        run = _serial_map if mapper is None else mapper
-        per_segment = run(
-            lambda segment: self._segment_pairs(segment, query_points, k, distance, precision),
-            self._segments,
-        )
-        return self._merge(per_segment, n_queries, k)
-
-    def _rows_resident(self) -> int:
-        """Resident rows across all segments (dead rows included).
-
-        The budget charges what a scan actually evaluates, and scans see
-        tombstoned rows too — liveness is filtered after the distances.
-        """
-        return sum(len(segment.unit) for segment in self._segments)
-
-    def search(
-        self,
-        query_point,
-        k: int,
-        distance: DistanceFunction,
-        *,
-        budget: "Budget | None" = None,
-    ) -> ResultSet:
-        """Single-query front end to :meth:`search_batch` (identical bits)."""
-        query_point = np.atleast_1d(np.asarray(query_point, dtype=np.float64))
-        return self.search_batch(query_point[None, :], k, distance, budget=budget)[0]
-
-    def search_batch_with_parameters(
-        self,
-        query_points,
-        k: int,
-        deltas,
-        weights,
-        precision: str = "exact",
-        *,
-        mapper=None,
-        budget: "Budget | None" = None,
-    ) -> "list[ResultSet]":
-        """Per-query ``(Δ, W)`` search across the segments (exact merge).
-
-        Runs the engine's candidate-selection + exact-re-scoring pipeline
-        (:func:`~repro.database.knn.parameter_scan_pairs`) once per segment
-        with the ``k + dead`` widening, then merges like
-        :meth:`search_batch` — the exact candidate distances are
-        element-wise per object, so segment membership never shows in the
-        bits.  A finite ``budget`` degrades exactly like
-        :meth:`search_batch`: serial segments, budget-clamped blocks,
-        per-segment completeness in the coverage report.
-        """
-        k = check_dimension(k, "k")
-        check_precision(precision)
-        query_points = as_float_matrix(
-            query_points, name="query_points", shape=(None, self._dimension)
-        )
-        n_queries = query_points.shape[0]
-        deltas = as_float_matrix(deltas, name="deltas", shape=(n_queries, self._dimension))
-        weights = np.clip(
-            as_float_matrix(weights, name="weights", shape=(n_queries, None)), 0.0, None
-        )
-        shifted = query_points + deltas
-
-        def scan_segment(segment: _SnapshotSegment, segment_budget: "Budget | None" = None) -> list:
-            unit = segment.unit
-            k_eff = min(k + segment.n_dead, len(unit))
-            pairs = parameter_scan_pairs(
-                shifted,
-                weights,
-                k_eff,
-                unit.collection.workspace,
-                unit.scan.block_rows,
-                precision,
-                segment_budget,
-            )
-            mapped = []
-            for local, ordered in pairs:
-                if segment.alive is not None:
-                    keep = segment.alive[local]
-                    local = local[keep]
-                    ordered = ordered[keep]
-                mapped.append((unit.ids[local], ordered))
-            return mapped
-
-        effective = effective_budget(budget)
-        if effective is not None:
-            per_segment = []
-            with effective.scope(self._rows_resident() * n_queries):
-                for segment in self._segments:
-                    if effective.exhausted():
-                        effective.note_skip(None)
-                        effective.note_segment(answered=False)
-                        continue
-                    per_segment.append(scan_segment(segment, effective))
-                    effective.note_segment(answered=True)
-            return self._merge(per_segment, n_queries, k)
-        if budget is not None:
-            budget.note_exact(self._rows_resident() * n_queries)
-        run = _serial_map if mapper is None else mapper
-        per_segment = run(scan_segment, self._segments)
-        return self._merge(per_segment, n_queries, k)
+        """Validate a shared-``distance`` batch and :meth:`execute` it."""
+        batch = QueryBatch.plain(query_points, k, distance, precision, dimension=self._dimension)
+        return self.execute(batch, budget=budget)
 
 
 class LiveCollection:

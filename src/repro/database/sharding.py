@@ -18,15 +18,20 @@ concurrency layer the ROADMAP asked for:
 * :class:`SharedCorpus` — a collection's matrix hosted in
   :mod:`multiprocessing.shared_memory`, attached zero-copy by worker
   processes through a small picklable :class:`SharedCorpusHandle`.
-* :class:`ShardedEngine` — the :class:`~repro.database.engine.RetrievalEngine`
-  query contract (``search`` / ``search_batch`` /
-  ``search_batch_with_parameters`` / ``run_batch``) implemented by fanning
-  every query out to one :class:`~repro.database.engine.RetrievalEngine` per
-  shard (each with its own linear scan and, optionally, its own metric
-  index) and merging the per-shard top-k lists.  With ``backend="process"``
-  the per-shard engines live in long-lived worker processes that attach the
-  corpus from shared memory once; only queries and per-shard top-k lists
-  cross the process boundary, as small pickles.
+* :class:`ShardedEngine` — the query surface of
+  :class:`~repro.database.engine.QueryEngine` (the ``search*`` wrappers,
+  ``run_batch`` and the counters are inherited, not re-implemented) with one
+  thing of its own: how a validated
+  :class:`~repro.database.query.QueryBatch` is answered — fanned out
+  unchanged to one :class:`~repro.database.engine.RetrievalEngine` per shard
+  (each with its own linear scan and, optionally, its own metric index)
+  through :func:`~repro.database.budget.fan_out`, the per-shard top-k lists
+  merged by :func:`~repro.database.index.merge_topk`.  With
+  ``backend="process"`` the per-shard engines live in long-lived worker
+  processes that attach the corpus from shared memory once; only the batch
+  and the per-shard top-k lists cross the process boundary, as small
+  pickles (one ``("call", "_run", (batch, None, batches))`` message per
+  dispatch).
 
 **Exactness is the contract.**  Per-object distances are computed by
 element-wise / row-wise expressions whose bits do not depend on which other
@@ -54,19 +59,18 @@ import weakref
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import get_context, shared_memory
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.database.budget import Budget, effective_budget
+from repro.database.budget import Budget, effective_budget, fan_out
 from repro.database.collection import FeatureCollection
-from repro.database.engine import RetrievalEngine, run_grouped_by_k
-from repro.database.index import KNNIndex, k_smallest
-from repro.database.query import Query, ResultSet
+from repro.database.engine import QueryEngine, RetrievalEngine
+from repro.database.index import KNNIndex, merge_topk
+from repro.database.query import QueryBatch, ResultSet
 from repro.database.segments import LiveCollection
-from repro.distances.base import DistanceFunction, check_precision
-from repro.distances.weighted_euclidean import WeightedEuclideanDistance
-from repro.utils.validation import ValidationError, as_float_matrix, check_dimension
+from repro.distances.base import DistanceFunction
+from repro.utils.validation import ValidationError, check_dimension
 
 __all__ = [
     "ShardedCollection",
@@ -655,7 +659,7 @@ class _ProcessShardBackend:
         self._corpus.close()
 
 
-class ShardedEngine:
+class ShardedEngine(QueryEngine):
     """k-NN query processing fanned out over per-shard retrieval engines.
 
     Parameters
@@ -693,12 +697,13 @@ class ShardedEngine:
         process backend requires a *picklable* factory (module-level
         function or ``functools.partial``, not a lambda).
 
-    The query surface mirrors the retrieval engine's, and the results are
+    The query surface *is* the retrieval engine's — both inherit it from
+    :class:`~repro.database.engine.QueryEngine` — and the results are
     byte-identical to it: every shard engine evaluates per-object distances
     with the same element-wise expressions (bits independent of shard
-    membership and of the hosting process), and :meth:`_merge` re-selects
-    the global top-k under the library-wide (distance, ascending global
-    index) order.
+    membership and of the hosting process), and
+    :func:`~repro.database.index.merge_topk` re-selects the global top-k
+    under the library-wide (distance, ascending global index) order.
 
     Lifecycle: :meth:`close` (or the context manager) tears the worker pool
     down deterministically.  A thread-backend engine keeps serving serially
@@ -716,8 +721,11 @@ class ShardedEngine:
         default_distance: DistanceFunction | None = None,
         index_factory: IndexFactory | None = None,
     ) -> None:
-        self._live = isinstance(collection, LiveCollection)
-        if self._live:
+        self._backend = _check_backend(backend)
+        self._process_backend: "_ProcessShardBackend | None" = None
+        self._shard_engines: tuple[RetrievalEngine, ...] = ()
+        self._sharded: "ShardedCollection | None" = None
+        if isinstance(collection, LiveCollection):
             # A live collection already *is* a partition — base + delta
             # segments — and the partition changes with every insert and
             # compaction, so a static index-range ShardedCollection cannot
@@ -727,7 +735,7 @@ class ShardedEngine:
                 raise ValidationError(
                     "a live collection shards by segment; n_shards must be None"
                 )
-            if _check_backend(backend) == "process":
+            if self._backend == "process":
                 raise ValidationError(
                     "a live collection mutates in place and cannot be hosted in "
                     "shared memory; use backend='thread'"
@@ -737,30 +745,9 @@ class ShardedEngine:
                     "a live collection manages its own base index; "
                     "pass index_factory to LiveCollection instead"
                 )
-            self._live_collection = collection
-            if default_distance is None:
-                default_distance = collection.index_distance
-            if default_distance.dimension != collection.dimension:
-                raise ValidationError(
-                    "default distance dimensionality does not match the collection"
-                )
-            self._default_distance = default_distance
-            self._backend = "thread"
+            super().__init__(collection, default_distance)
             self._pool = WorkerPool(n_workers)
-            self._process_backend = None
-            self._shard_engines = ()
-            self._sharded = None
-            self._counter_lock = threading.Lock()
-            self._n_searches = 0
-            self._n_batches = 0
-            self._n_objects_retrieved = 0
-            self._feedback_iterations = 0
-            self._frontier_batches = 0
-            self._index_hits = 0
-            self._scan_fallbacks = 0
-            self._delta_hits = 0
             return
-        self._live_collection = None
         if isinstance(collection, ShardedCollection):
             if n_shards is not None and n_shards != collection.n_shards:
                 raise ValidationError(
@@ -769,22 +756,15 @@ class ShardedEngine:
             self._sharded = collection
         else:
             self._sharded = ShardedCollection(collection, 1 if n_shards is None else n_shards)
-        full = self._sharded.collection
-        if default_distance is None:
-            default_distance = WeightedEuclideanDistance.default(full.dimension)
-        if default_distance.dimension != full.dimension:
-            raise ValidationError("default distance dimensionality does not match the collection")
-        self._default_distance = default_distance
-        self._backend = _check_backend(backend)
+        super().__init__(self._sharded.collection, default_distance)
+        default_distance = self._default_distance
         if self._backend == "process":
             self._pool = None
-            self._shard_engines: tuple[RetrievalEngine, ...] = ()
-            self._process_backend: _ProcessShardBackend | None = _ProcessShardBackend(
+            self._process_backend = _ProcessShardBackend(
                 self._sharded, n_workers, default_distance, index_factory
             )
         else:
             self._pool = WorkerPool(n_workers)
-            self._process_backend = None
             self._shard_engines = tuple(
                 RetrievalEngine(
                     shard,
@@ -795,28 +775,10 @@ class ShardedEngine:
                 )
                 for shard in self._sharded.shards
             )
-        self._counter_lock = threading.Lock()
-        self._n_searches = 0
-        self._n_batches = 0
-        self._n_objects_retrieved = 0
-        self._feedback_iterations = 0
-        self._frontier_batches = 0
 
     # ------------------------------------------------------------------ #
     # Accessors
     # ------------------------------------------------------------------ #
-    @property
-    def collection(self) -> "FeatureCollection | LiveCollection":
-        """The full (unpartitioned) collection — the view feedback code sees."""
-        if self._live:
-            return self._live_collection
-        return self._sharded.collection
-
-    @property
-    def is_live(self) -> bool:
-        """True when the engine serves a mutable :class:`LiveCollection`."""
-        return self._live
-
     @property
     def sharded_collection(self) -> "ShardedCollection | None":
         """The shard layout this engine serves (``None`` for live collections,
@@ -833,11 +795,6 @@ class ShardedEngine:
         return self._shard_engines
 
     @property
-    def default_distance(self) -> DistanceFunction:
-        """The distance used when none is supplied with the query."""
-        return self._default_distance
-
-    @property
     def backend(self) -> str:
         """The shard fan-out backend, ``"thread"`` or ``"process"``."""
         return self._backend
@@ -847,7 +804,7 @@ class ShardedEngine:
         """Number of shards (for a live collection: segments in the current
         snapshot, which changes with inserts and compactions)."""
         if self._live:
-            return self._live_collection.snapshot().n_segments
+            return self._collection.snapshot().n_segments
         return self._sharded.n_shards
 
     @property
@@ -934,403 +891,98 @@ class ShardedEngine:
         ``shard_count``).  ``per_shard`` keeps the unaggregated
         per-shard dispatch stats for drill-down; with ``backend="process"``
         they are fetched from the worker processes.
-        """
-        if self._live:
-            # Live collections have no shard engines: the dispatch decision
-            # is made once per query against the snapshot's base index, so
-            # the counters live at the top level and ``per_shard`` is empty.
-            with self._counter_lock:
-                return {
-                    "shard_count": self.n_shards,
-                    "n_workers": self.n_workers,
-                    "backend": self._backend,
-                    "n_searches": self._n_searches,
-                    "n_batches": self._n_batches,
-                    "n_objects_retrieved": self._n_objects_retrieved,
-                    "index_hits": self._index_hits,
-                    "scan_fallbacks": self._scan_fallbacks,
-                    "feedback_iterations": self._feedback_iterations,
-                    "frontier_batches": self._frontier_batches,
-                    "delta_hits": self._delta_hits,
-                    "compactions": self._live_collection.n_compactions,
-                    "per_shard": (),
-                }
-        per_shard = self._shard_stats()
-        with self._counter_lock:
-            return {
-                "shard_count": self.n_shards,
-                "n_workers": self.n_workers,
-                "backend": self._backend,
-                "n_searches": self._n_searches,
-                "n_batches": self._n_batches,
-                "n_objects_retrieved": self._n_objects_retrieved,
-                "index_hits": sum(stats["index_hits"] for stats in per_shard),
-                "scan_fallbacks": sum(stats["scan_fallbacks"] for stats in per_shard),
-                "feedback_iterations": self._feedback_iterations,
-                "frontier_batches": self._frontier_batches,
-                "per_shard": per_shard,
-            }
 
-    def reset_counters(self) -> None:
-        """Reset the top-level counters and every shard engine's counters."""
-        with self._counter_lock:
-            self._n_searches = 0
-            self._n_batches = 0
-            self._n_objects_retrieved = 0
-            self._feedback_iterations = 0
-            self._frontier_batches = 0
-            if self._live:
-                self._index_hits = 0
-                self._scan_fallbacks = 0
-                self._delta_hits = 0
+        Live collections have no shard engines: the dispatch decision is
+        made once per query against the snapshot's base index, so the
+        counters live at the top level and ``per_shard`` is empty.
+        """
+        counters = self._counter_snapshot()
+        delta_hits = counters.pop("delta_hits")
+        per_shard = ()
+        if not self._live:
+            per_shard = self._shard_stats()
+            counters["index_hits"] = sum(shard["index_hits"] for shard in per_shard)
+            counters["scan_fallbacks"] = sum(shard["scan_fallbacks"] for shard in per_shard)
+        stats = {
+            "shard_count": self.n_shards,
+            "n_workers": self.n_workers,
+            "backend": self._backend,
+            **counters,
+        }
+        if self._live:
+            stats["delta_hits"] = delta_hits
+            stats["compactions"] = self._collection.n_compactions
+        stats["per_shard"] = per_shard
+        return stats
+
+    def _reset_parts(self) -> None:
         if self._process_backend is not None:
             self._process_backend.reset()
+        for engine in self._shard_engines:
+            engine.reset_counters()
+
+    # ------------------------------------------------------------------ #
+    # Execution
+    # ------------------------------------------------------------------ #
+    def _answer(
+        self, batch: QueryBatch, budget: "Budget | None", batches: int
+    ) -> list[ResultSet]:
+        """Fan the batch out to every shard and merge the per-shard top-k.
+
+        The batch travels to the shard engines unchanged — ``distance=None``
+        stays ``None``, so each shard engine resolves its *own* default
+        distance instance (the one its metric index was built for, also
+        inside a worker process) — and every shard engine answers it the way
+        :meth:`execute` would (one pairwise matrix per shard for the linear
+        scan), counting the ``batches`` this engine counts, so a single-row
+        search counts no batch on any shard either.  The per-query Python
+        overhead stays amortised *and* the shards run concurrently.
+        Shard-local indices become global by one offset addition and
+        :func:`~repro.database.index.merge_topk` re-selects the global
+        top-k; distances are carried through verbatim, so the merged arrays
+        are byte-identical to the unsharded result.
+
+        Thread backend: the shards are the parts of one
+        :func:`~repro.database.budget.fan_out` over the worker pool — a
+        finite ``budget`` consults them serially in shard-id order and stops
+        when it runs dry (``shards_answered`` / ``shards_skipped``).
+        Process backend: one pipe round-trip per worker carrying the pickled
+        batch; only the batch and the per-shard top-k lists cross the
+        process boundary, and finite budgets are refused — a live
+        :class:`~repro.database.budget.Budget` (lock, clock) cannot cross
+        it, and a shared cap drained from another process would not be
+        deterministic anyway.
+        """
+        if self._live:
+            return self._answer_live(batch, budget, mapper=self._pool.map)
+        rows_total = self._collection.size * batch.n_rows
+        offsets = self._sharded.offsets
+        if self._process_backend is None:
+            per_shard = fan_out(
+                list(zip(offsets, self._shard_engines)),
+                lambda shard, shard_budget: _global_pairs(
+                    shard[0], shard[1]._run(batch, shard_budget, batches)
+                ),
+                budget,
+                rows_total,
+                Budget.note_shard,
+                self._pool.map,
+            )
         else:
-            for engine in self._shard_engines:
-                engine.reset_counters()
+            if effective_budget(budget) is not None:
+                raise ValidationError(
+                    "finite budgets need backend='thread': a live Budget cannot "
+                    "cross the process boundary"
+                )
+            if budget is not None:
+                budget.note_exact(rows_total)
+                for _ in offsets:
+                    budget.note_shard(answered=True)
+            answers = self._process_backend.map_shards("_run", (batch, None, batches))
+            per_shard = [_global_pairs(offset, results) for offset, results in zip(offsets, answers)]
+        return merge_topk(per_shard, batch.k, batch.n_rows)
 
-    def record_feedback_iterations(self, count: int = 1) -> None:
-        """Account ``count`` feedback-loop iterations (re-searches)."""
-        with self._counter_lock:
-            self._feedback_iterations += int(count)
 
-    def record_frontier_batch(self, count: int = 1) -> None:
-        """Account ``count`` batched searches dispatched by the frontier."""
-        with self._counter_lock:
-            self._frontier_batches += int(count)
-
-    def absorb_counters(self, counters: dict) -> None:
-        """Fold a worker-side engine's stats snapshot into the volume counters.
-
-        Process-backend sub-frontiers run their loops on worker-side
-        engines; the volume and feedback counters ship home and land here.
-        Dispatch counters (``index_hits`` / ``scan_fallbacks``) are *not*
-        absorbed — they belong to per-shard engines, and the worker ran an
-        unsharded scan whose dispatch decisions have no shard to land on.
-        """
-        with self._counter_lock:
-            self._n_searches += int(counters.get("n_searches", 0))
-            self._n_batches += int(counters.get("n_batches", 0))
-            self._n_objects_retrieved += int(counters.get("n_objects_retrieved", 0))
-            self._feedback_iterations += int(counters.get("feedback_iterations", 0))
-            self._frontier_batches += int(counters.get("frontier_batches", 0))
-
-    def _account(self, results: "Iterable[ResultSet]", count: int, batches: int) -> None:
-        retrieved = sum(len(result) for result in results)
-        with self._counter_lock:
-            self._n_searches += count
-            self._n_objects_retrieved += retrieved
-            self._n_batches += batches
-
-    def _count_live_dispatch(self, snapshot, distance: DistanceFunction, count: int) -> None:
-        with self._counter_lock:
-            if snapshot.base_index_supports(distance):
-                self._index_hits += count
-            else:
-                self._scan_fallbacks += count
-            if snapshot.n_delta_segments:
-                self._delta_hits += count
-
-    # ------------------------------------------------------------------ #
-    # Fan-out
-    # ------------------------------------------------------------------ #
-    def _fan_out(self, method: str, args: tuple) -> list:
-        """Run ``method(*args)`` on every shard engine, ordered by shard id.
-
-        Thread backend: one pool task per shard engine.  Process backend:
-        one pipe round-trip per worker; the arguments (query batches,
-        distances) and the per-shard top-k results are the only bytes that
-        cross the process boundary.
-        """
-        if self._process_backend is not None:
-            return self._process_backend.map_shards(method, args)
-        return self._pool.map(
-            lambda engine: getattr(engine, method)(*args), self._shard_engines
-        )
-
-    # ------------------------------------------------------------------ #
-    # Exact merge
-    # ------------------------------------------------------------------ #
-    def _merge(self, shard_results: "list[ResultSet]", k: int) -> ResultSet:
-        """Merge one query's per-shard top-k lists into the global top-k.
-
-        Every global top-k object is necessarily inside its shard's
-        top-``min(k, shard_size)`` (fewer than k objects precede it under
-        the (distance, index) order anywhere, so in particular within its
-        shard), so pooling the per-shard lists loses nothing.  The pooled
-        candidates re-run through :func:`~repro.database.index.k_smallest`
-        with their *global* indices as labels, which applies the exact
-        tie-break — equal distances break by ascending collection index —
-        the unsharded engines use.  Distances are carried through verbatim,
-        so the merged arrays are byte-identical to the unsharded result.
-        """
-        distances = np.concatenate([result.distances() for result in shard_results])
-        global_indices = np.concatenate(
-            [
-                self._sharded.to_global(shard_id, result.indices())
-                for shard_id, result in enumerate(shard_results)
-            ]
-        )
-        indices, ordered = k_smallest(distances, min(k, distances.shape[0]), labels=global_indices)
-        return ResultSet.from_arrays(indices, ordered)
-
-    def _merge_batch(self, per_shard: "list[list[ResultSet]]", n_queries: int, k: int) -> list[ResultSet]:
-        """Merge per-shard batch answers (one list per shard) query by query."""
-        return [
-            self._merge([shard_lists[position] for shard_lists in per_shard], k)
-            for position in range(n_queries)
-        ]
-
-    def _merge_partial(self, shard_results: "list[tuple[int, ResultSet]]", k: int) -> ResultSet:
-        """Merge one query's answers from the shards a budget reached.
-
-        Like :meth:`_merge`, but over explicit ``(shard_id, result)`` pairs
-        because a budget-cut fan-out may have skipped shards entirely.  Zero
-        answered shards merge to a well-formed empty result.
-        """
-        if not shard_results:
-            empty_indices = np.array([], dtype=np.intp)
-            empty_distances = np.array([], dtype=np.float64)
-            return ResultSet.from_arrays(empty_indices, empty_distances)
-        distances = np.concatenate([result.distances() for _, result in shard_results])
-        global_indices = np.concatenate(
-            [
-                self._sharded.to_global(shard_id, result.indices())
-                for shard_id, result in shard_results
-            ]
-        )
-        indices, ordered = k_smallest(distances, min(k, distances.shape[0]), labels=global_indices)
-        return ResultSet.from_arrays(indices, ordered)
-
-    def _merge_batch_partial(
-        self, answered: "list[tuple[int, list[ResultSet]]]", n_queries: int, k: int
-    ) -> list[ResultSet]:
-        """Query-by-query :meth:`_merge_partial` over the answered shards."""
-        return [
-            self._merge_partial(
-                [(shard_id, shard_lists[position]) for shard_id, shard_lists in answered], k
-            )
-            for position in range(n_queries)
-        ]
-
-    def _budgeted_fan_out(
-        self, budget: Budget, n_queries: int, call
-    ) -> "list[tuple[int, list[ResultSet]]]":
-        """Serial budget-cut fan-out: consult shards in shard-id order.
-
-        ``call(engine)`` answers the batch on one shard engine with the
-        budget threaded through; shards the exhausted budget never reaches
-        are unbounded skips counted ``shards_skipped``.  Requires the
-        thread backend — a live :class:`Budget` (lock, clock) cannot cross
-        the process boundary, and a shared cap drained from another process
-        would not be deterministic anyway.
-        """
-        if self._process_backend is not None:
-            raise ValidationError(
-                "finite budgets need backend='thread': a live Budget cannot "
-                "cross the process boundary"
-            )
-        answered: "list[tuple[int, list[ResultSet]]]" = []
-        with budget.scope(self.collection.size * n_queries):
-            for shard_id, engine in enumerate(self._shard_engines):
-                if budget.exhausted():
-                    budget.note_skip(None)
-                    budget.note_shard(answered=False)
-                    continue
-                answered.append((shard_id, call(engine)))
-                budget.note_shard(answered=True)
-        return answered
-
-    # ------------------------------------------------------------------ #
-    # Query processing
-    # ------------------------------------------------------------------ #
-    def search(
-        self,
-        query_point,
-        k: int,
-        distance: DistanceFunction | None = None,
-        *,
-        budget: "Budget | None" = None,
-    ) -> ResultSet:
-        """Return the ``k`` objects closest to ``query_point``.
-
-        The query fans out to every shard engine (in parallel when the
-        backend has workers) and the per-shard top-k lists merge exactly.
-        A finite ``budget`` cuts the fan-out short (see
-        :meth:`search_batch`).
-        """
-        k = check_dimension(k, "k")
-        query_point = self.collection.validate_query_point(query_point)
-        if budget is not None:
-            return self.search_batch(query_point[None, :], k, distance, budget=budget)[0]
-        if self._live:
-            if distance is None:
-                distance = self._default_distance
-            snapshot = self._live_collection.snapshot()
-            self._count_live_dispatch(snapshot, distance, 1)
-            merged = snapshot.search_batch(
-                query_point[None, :], k, distance, mapper=self._pool.map
-            )[0]
-            self._account([merged], count=1, batches=0)
-            return merged
-        shard_results = self._fan_out("search", (query_point, k, distance))
-        merged = self._merge(shard_results, k)
-        self._account([merged], count=1, batches=0)
-        return merged
-
-    def search_batch(
-        self,
-        query_points,
-        k: int,
-        distance: DistanceFunction | None = None,
-        precision: str = "exact",
-        *,
-        budget: "Budget | None" = None,
-    ) -> list[ResultSet]:
-        """Return the ``k`` nearest neighbours of every row of ``query_points``.
-
-        A finite ``budget`` consults the shards serially in shard-id order
-        and stops when the budget runs dry: shards it reached are counted
-        ``shards_answered`` (possibly partially scanned, through each shard
-        engine's own budgeted path), the rest ``shards_skipped``, and the
-        merged results carry whatever the answered shards returned.
-        Requires the thread backend.  Absent or unlimited budgets take the
-        parallel exact fan-out verbatim.
-
-        Each worker answers the whole batch for one shard through the shard
-        engine's batched path (one pairwise matrix per shard for the linear
-        scan), so the per-query Python overhead stays amortised *and* the
-        shards run concurrently.  Byte-identical to the unsharded
-        ``search_batch`` — and therefore to ``[search(q, k) for q in
-        query_points]`` — by the merge argument above.
-
-        ``precision`` travels with the fan-out (as one more positional
-        argument, so the pipe protocol of the process backend is unchanged):
-        every shard engine runs its scan through the two-stage float32
-        kernel when ``"fast"``, and the merged results stay byte-identical
-        either way.
-        """
-        k = check_dimension(k, "k")
-        check_precision(precision)
-        query_points = as_float_matrix(
-            query_points, name="query_points", shape=(None, self.collection.dimension)
-        )
-        if self._live:
-            if distance is None:
-                distance = self._default_distance
-            snapshot = self._live_collection.snapshot()
-            self._count_live_dispatch(snapshot, distance, query_points.shape[0])
-            merged = snapshot.search_batch(
-                query_points, k, distance, precision, mapper=self._pool.map, budget=budget
-            )
-            self._account(merged, count=len(merged), batches=1)
-            return merged
-        effective = effective_budget(budget)
-        if effective is not None:
-            answered = self._budgeted_fan_out(
-                effective,
-                query_points.shape[0],
-                lambda engine: engine.search_batch(
-                    query_points, k, distance, precision, budget=effective
-                ),
-            )
-            merged = self._merge_batch_partial(answered, query_points.shape[0], k)
-            self._account(merged, count=len(merged), batches=1)
-            return merged
-        if budget is not None:
-            budget.note_exact(self.collection.size * query_points.shape[0])
-            for _ in self._shard_engines:
-                budget.note_shard(answered=True)
-        per_shard = self._fan_out("search_batch", (query_points, k, distance, precision))
-        merged = self._merge_batch(per_shard, query_points.shape[0], k)
-        self._account(merged, count=len(merged), batches=1)
-        return merged
-
-    def execute(self, query: Query, distance: DistanceFunction | None = None) -> ResultSet:
-        """Execute a :class:`~repro.database.query.Query` object."""
-        return self.search(query.point, query.k, distance=distance)
-
-    def run_batch(
-        self, queries: "list[Query]", distance: DistanceFunction | None = None
-    ) -> list[ResultSet]:
-        """Execute a batch of :class:`~repro.database.query.Query` objects.
-
-        Same grouping as :meth:`RetrievalEngine.run_batch`: queries group by
-        their ``k`` (preserving input order in the returned list) and each
-        group runs through :meth:`search_batch`.
-        """
-        return run_grouped_by_k(self.search_batch, queries, distance)
-
-    def search_with_parameters(self, query_point, k: int, delta, weights) -> ResultSet:
-        """Search with explicit query-parameter overrides (``q + Δ``, weights ``W``).
-
-        One-row front end to :meth:`search_batch_with_parameters`, which
-        validates all shapes against the collection's dimensionality.
-        """
-        query_point = self.collection.validate_query_point(query_point)
-        delta = np.atleast_1d(np.asarray(delta, dtype=np.float64))
-        weights = np.atleast_1d(np.asarray(weights, dtype=np.float64))
-        return self.search_batch_with_parameters(
-            query_point[None, :], k, delta[None, ...], weights[None, ...]
-        )[0]
-
-    def search_batch_with_parameters(
-        self,
-        query_points,
-        k: int,
-        deltas,
-        weights,
-        precision: str = "exact",
-        *,
-        budget: "Budget | None" = None,
-    ) -> list[ResultSet]:
-        """Batched per-query (Δ, W) search — the FeedbackBypass / frontier arm.
-
-        Each shard engine runs its own
-        :meth:`~repro.database.engine.RetrievalEngine.search_batch_with_parameters`
-        over the shard (approximate per-query-weight matrix, exact candidate
-        re-evaluation); the exact candidate distances are element-wise per
-        object, so merging reproduces the unsharded batch byte for byte —
-        for either ``precision`` (the fast float32 matrix only selects
-        candidates).
-        """
-        k = check_dimension(k, "k")
-        check_precision(precision)
-        dimension = self.collection.dimension
-        query_points = as_float_matrix(query_points, name="query_points", shape=(None, dimension))
-        n_queries = query_points.shape[0]
-        deltas = as_float_matrix(deltas, name="deltas", shape=(n_queries, dimension))
-        weights = as_float_matrix(weights, name="weights", shape=(n_queries, None))
-        if self._live:
-            snapshot = self._live_collection.snapshot()
-            merged = snapshot.search_batch_with_parameters(
-                query_points, k, deltas, weights, precision, mapper=self._pool.map, budget=budget
-            )
-            with self._counter_lock:
-                self._scan_fallbacks += n_queries
-                if snapshot.n_delta_segments:
-                    self._delta_hits += n_queries
-            self._account(merged, count=len(merged), batches=1)
-            return merged
-        effective = effective_budget(budget)
-        if effective is not None:
-            answered = self._budgeted_fan_out(
-                effective,
-                n_queries,
-                lambda engine: engine.search_batch_with_parameters(
-                    query_points, k, deltas, weights, precision, budget=effective
-                ),
-            )
-            merged = self._merge_batch_partial(answered, n_queries, k)
-            self._account(merged, count=len(merged), batches=1)
-            return merged
-        if budget is not None:
-            budget.note_exact(self.collection.size * n_queries)
-            for _ in self._shard_engines:
-                budget.note_shard(answered=True)
-        per_shard = self._fan_out(
-            "search_batch_with_parameters", (query_points, k, deltas, weights, precision)
-        )
-        merged = self._merge_batch(per_shard, n_queries, k)
-        self._account(merged, count=len(merged), batches=1)
-        return merged
+def _global_pairs(offset: int, results: "list[ResultSet]") -> list:
+    """One shard's answers as ``(global indices, distances)`` pairs."""
+    return [(result.indices() + offset, result.distances()) for result in results]

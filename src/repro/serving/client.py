@@ -36,7 +36,13 @@ from repro.database.query import Query, ResultSet
 from repro.feedback.engine import FeedbackLoopResult, Judge
 from repro.feedback.scores import JudgmentBatch
 from repro.serving.codec import BINARY, PICKLE, CodecError, pack_hello, parse_reply
-from repro.serving.protocol import recv_message, recv_payload, send_message, send_payload
+from repro.serving.protocol import (
+    QUERY_WIRE_KEYS,
+    recv_message,
+    recv_payload,
+    send_message,
+    send_payload,
+)
 from repro.utils.validation import ValidationError
 
 __all__ = ["ServingClient", "ServingError"]
@@ -206,6 +212,19 @@ class ServingClient:
             raise ValidationError("budget must be a Budget, a spec dict, or None")
         return budget
 
+    def _query(self, op: str, k: int, *arrays, budget=None):
+        """Build and send one k-NN query request (wire names from ``QUERY_WIRE_KEYS``)."""
+        array_keys, result_key = QUERY_WIRE_KEYS[op]
+        message = {
+            key: np.asarray(array, dtype=np.float64) for key, array in zip(array_keys, arrays)
+        }
+        message["k"] = int(k)
+        spec = self._budget_spec(budget)
+        if spec is None:
+            return self._call(op, **message)
+        payload = self._call(op, **message, budget=spec)
+        return payload[result_key], Coverage.from_dict(payload["coverage"])
+
     def search(self, query_point, k: int, *, budget=None):
         """k-NN search of one query point (coalesced server-side).
 
@@ -215,18 +234,7 @@ class ServingClient:
         :class:`~repro.database.budget.Coverage` report says how much of
         the corpus was consulted.  Without one, just the result.
         """
-        spec = self._budget_spec(budget)
-        if spec is None:
-            return self._call(
-                "search", query_point=np.asarray(query_point, dtype=np.float64), k=int(k)
-            )
-        payload = self._call(
-            "search",
-            query_point=np.asarray(query_point, dtype=np.float64),
-            k=int(k),
-            budget=spec,
-        )
-        return payload["result"], Coverage.from_dict(payload["coverage"])
+        return self._query("search", k, query_point, budget=budget)
 
     def search_batch(self, query_points, k: int, *, budget=None):
         """k-NN search of a query matrix, one result list per row.
@@ -234,18 +242,7 @@ class ServingClient:
         With a ``budget``: returns ``(results, coverage)`` (see
         :meth:`search`); without one, just the result list.
         """
-        spec = self._budget_spec(budget)
-        if spec is None:
-            return self._call(
-                "search_batch", query_points=np.asarray(query_points, dtype=np.float64), k=int(k)
-            )
-        payload = self._call(
-            "search_batch",
-            query_points=np.asarray(query_points, dtype=np.float64),
-            k=int(k),
-            budget=spec,
-        )
-        return payload["results"], Coverage.from_dict(payload["coverage"])
+        return self._query("search_batch", k, query_points, budget=budget)
 
     def run_batch(self, queries: "list[Query]") -> "list[ResultSet]":
         """Execute :class:`~repro.database.query.Query` objects (mixed ``k`` fine)."""
@@ -259,34 +256,16 @@ class ServingClient:
 
         With a ``budget``: returns ``(result, coverage)`` (see :meth:`search`).
         """
-        message = {
-            "query_point": np.asarray(query_point, dtype=np.float64),
-            "k": int(k),
-            "delta": np.asarray(delta, dtype=np.float64),
-            "weights": np.asarray(weights, dtype=np.float64),
-        }
-        spec = self._budget_spec(budget)
-        if spec is None:
-            return self._call("search_with_parameters", **message)
-        payload = self._call("search_with_parameters", budget=spec, **message)
-        return payload["result"], Coverage.from_dict(payload["coverage"])
+        return self._query("search_with_parameters", k, query_point, delta, weights, budget=budget)
 
     def search_batch_with_parameters(self, query_points, k: int, deltas, weights, *, budget=None):
         """Batched parameterised search, one ``(Δ, W)`` row per query.
 
         With a ``budget``: returns ``(results, coverage)`` (see :meth:`search`).
         """
-        message = {
-            "query_points": np.asarray(query_points, dtype=np.float64),
-            "k": int(k),
-            "deltas": np.asarray(deltas, dtype=np.float64),
-            "weights": np.asarray(weights, dtype=np.float64),
-        }
-        spec = self._budget_spec(budget)
-        if spec is None:
-            return self._call("search_batch_with_parameters", **message)
-        payload = self._call("search_batch_with_parameters", budget=spec, **message)
-        return payload["results"], Coverage.from_dict(payload["coverage"])
+        return self._query(
+            "search_batch_with_parameters", k, query_points, deltas, weights, budget=budget
+        )
 
     # ------------------------------------------------------------------ #
     # Feedback loops

@@ -39,23 +39,26 @@ import time
 
 import numpy as np
 
-from repro.database.query import ResultSet
+from repro.database.query import QueryBatch, ResultSet
 from repro.feedback.engine import FeedbackEngine, FeedbackLoopResult
 from repro.feedback.scheduler import FeedbackFrontier, LoopRequest
-from repro.utils.validation import ValidationError, as_float_matrix, check_dimension
+from repro.utils.validation import ValidationError, check_dimension
 
 __all__ = ["RequestCoalescer", "FrontierCoalescer"]
 
 
 class _PendingRows:
-    """One submitter's rows inside a window, and its completion signal."""
+    """One submitter's rows inside a window, and its completion signal.
 
-    __slots__ = ("points", "deltas", "weights", "event", "results", "error")
+    ``arrays`` are the matrix arguments of the engine call the rows will
+    ride: ``(points,)`` or ``(points, deltas, weights)``.
+    """
 
-    def __init__(self, points, deltas=None, weights=None) -> None:
-        self.points = points
-        self.deltas = deltas
-        self.weights = weights
+    __slots__ = ("arrays", "n_rows", "event", "results", "error")
+
+    def __init__(self, arrays: tuple, n_rows: int) -> None:
+        self.arrays = arrays
+        self.n_rows = n_rows
         self.event = threading.Event()
         self.results: "list[ResultSet] | None" = None
         self.error: "BaseException | None" = None
@@ -210,12 +213,8 @@ class RequestCoalescer:
         Byte-identical to ``engine.search_batch(query_points, k)`` — the
         window only decides which *other* rows share the dispatch.
         """
-        k = check_dimension(k, "k")
-        query_points = as_float_matrix(
-            query_points, name="query_points", shape=(None, self._engine.collection.dimension)
-        )
-        pending = _PendingRows(query_points)
-        return self._submit(("plain", k), k, pending)
+        batch = QueryBatch.plain(query_points, k, dimension=self._engine.collection.dimension)
+        return self._submit(batch, (batch.points,))
 
     def submit_search_with_parameters(
         self, query_points, k: int, deltas, weights
@@ -224,18 +223,10 @@ class RequestCoalescer:
 
         Byte-identical to ``engine.search_batch_with_parameters(...)``.
         """
-        k = check_dimension(k, "k")
-        dimension = self._engine.collection.dimension
-        query_points = as_float_matrix(
-            query_points, name="query_points", shape=(None, dimension)
+        batch = QueryBatch.with_parameters(
+            query_points, k, deltas, weights, dimension=self._engine.collection.dimension
         )
-        n_rows = query_points.shape[0]
-        deltas = as_float_matrix(deltas, name="deltas", shape=(n_rows, dimension))
-        weights = as_float_matrix(weights, name="weights", shape=(n_rows, None))
-        pending = _PendingRows(query_points, deltas, weights)
-        # Weight rows of different widths cannot stack, so the width joins
-        # the grouping key (every bundled caller passes D-wide rows).
-        return self._submit(("params", k, weights.shape[1]), k, pending)
+        return self._submit(batch, (query_points, deltas, weights))
 
     @staticmethod
     def _is_solo(group: "_GroupState", window: "_Window", pending: _PendingRows) -> bool:
@@ -246,10 +237,21 @@ class RequestCoalescer:
             and window.requests[0] is pending
         )
 
-    def _submit(self, key: tuple, k: int, pending: _PendingRows) -> "list[ResultSet]":
-        n_rows = pending.points.shape[0]
+    def _submit(self, batch: QueryBatch, arrays: tuple) -> "list[ResultSet]":
+        """Admit one validated submission into its group's window and wait.
+
+        A bad request is rejected by its own ``QueryBatch`` constructor
+        before it can join (and poison) a shared window, and the group key —
+        what rows must share to ride one dispatch — comes from the batch.
+        What waits in the window are the submitter's ``arrays`` as given:
+        the engine call they ride builds the batch that is executed, so
+        nothing is shifted or clipped twice.
+        """
+        n_rows = batch.n_rows
         if n_rows == 0:
             return []
+        pending = _PendingRows(arrays, n_rows)
+        key = batch.group_key
         with self._lock:
             self._n_requests += 1
             self._n_rows += n_rows
@@ -303,7 +305,7 @@ class RequestCoalescer:
                 with self._lock:
                     window = group.windows.pop(0)
                     window.closed = True
-                self._dispatch(key, window)
+                self._dispatch(window, batch.k)
         if pending.error is not None:
             raise pending.error
         return pending.results
@@ -311,40 +313,32 @@ class RequestCoalescer:
     # ------------------------------------------------------------------ #
     # Dispatch
     # ------------------------------------------------------------------ #
-    def _dispatch(self, key: tuple, window: _Window) -> None:
-        """Run one engine call for the window and split the results back."""
+    def _dispatch(self, window: _Window, k: int) -> None:
+        """Run one engine call for the window and split the results back.
+
+        The submissions' arrays are stacked column by column and enter the
+        engine through its public ``search_batch`` /
+        ``search_batch_with_parameters`` — the seam an instrumenting proxy
+        wraps — chosen by how many arrays a submission of this group carries.
+        """
         requests = window.requests
         try:
-            points = (
-                requests[0].points
-                if len(requests) == 1
-                else np.vstack([pending.points for pending in requests])
-            )
-            if key[0] == "plain":
-                results = self._engine.search_batch(points, key[1])
+            if len(requests) == 1:
+                arrays = requests[0].arrays
             else:
-                deltas = (
-                    requests[0].deltas
-                    if len(requests) == 1
-                    else np.vstack([pending.deltas for pending in requests])
-                )
-                weights = (
-                    requests[0].weights
-                    if len(requests) == 1
-                    else np.vstack([pending.weights for pending in requests])
-                )
-                results = self._engine.search_batch_with_parameters(
-                    points, key[1], deltas, weights
-                )
+                arrays = [np.vstack(column) for column in zip(*(p.arrays for p in requests))]
+            if len(arrays) == 1:
+                results = self._engine.search_batch(arrays[0], k)
+            else:
+                results = self._engine.search_batch_with_parameters(arrays[0], k, *arrays[1:])
             with self._lock:
                 self._n_dispatches += 1
-                self._n_dispatched_rows += points.shape[0]
-                self._largest_dispatch = max(self._largest_dispatch, int(points.shape[0]))
+                self._n_dispatched_rows += window.rows
+                self._largest_dispatch = max(self._largest_dispatch, window.rows)
             offset = 0
             for pending in requests:
-                n_rows = pending.points.shape[0]
-                pending.results = results[offset : offset + n_rows]
-                offset += n_rows
+                pending.results = results[offset : offset + pending.n_rows]
+                offset += pending.n_rows
                 pending.event.set()
         except BaseException as error:  # noqa: BLE001 - fanned back to submitters
             for pending in requests:

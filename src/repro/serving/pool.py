@@ -341,17 +341,11 @@ class PooledServingClient:
         With ``budget`` set the server answers anytime-style and the call
         returns ``(result, coverage)`` — see :meth:`ServingClient.search`.
         """
-        if budget is None:
-            return self._call("search", query_point, k, idempotent=True)
         return self._call("search", query_point, k, idempotent=True, budget=budget)
 
     def search_batch(self, query_points, k: int, *, budget=None) -> "list[ResultSet]":
         """k-NN search of a query matrix, one result list per row."""
-        if budget is None:
-            return self._call("search_batch", query_points, k, idempotent=True)
-        return self._call(
-            "search_batch", query_points, k, idempotent=True, budget=budget
-        )
+        return self._call("search_batch", query_points, k, idempotent=True, budget=budget)
 
     def run_batch(self, queries: "list[Query]") -> "list[ResultSet]":
         """Execute :class:`~repro.database.query.Query` objects (mixed ``k`` fine)."""
@@ -361,28 +355,14 @@ class PooledServingClient:
         self, query_point, k: int, delta, weights, *, budget=None
     ) -> ResultSet:
         """Parameterised search (``q + Δ``, weights ``W``) of one query."""
-        if budget is None:
-            return self._call(
-                "search_with_parameters", query_point, k, delta, weights, idempotent=True
-            )
         return self._call(
-            "search_with_parameters",
-            query_point,
-            k,
-            delta,
-            weights,
-            idempotent=True,
-            budget=budget,
+            "search_with_parameters", query_point, k, delta, weights, idempotent=True, budget=budget
         )
 
     def search_batch_with_parameters(
         self, query_points, k: int, deltas, weights, *, budget=None
     ) -> "list[ResultSet]":
         """Batched parameterised search, one ``(Δ, W)`` row per query."""
-        if budget is None:
-            return self._call(
-                "search_batch_with_parameters", query_points, k, deltas, weights, idempotent=True
-            )
         return self._call(
             "search_batch_with_parameters",
             query_points,

@@ -36,6 +36,7 @@ import struct
 __all__ = [
     "ConnectionClosed",
     "ProtocolError",
+    "QUERY_WIRE_KEYS",
     "frame",
     "recv_message",
     "recv_payload",
@@ -43,6 +44,20 @@ __all__ = [
     "send_payload",
     "MAX_FRAME_BYTES",
 ]
+
+#: Message keys of the four k-NN query ops: ``op -> (array keys, result
+#: key)``.  The array keys name the query matrix and, for the parameterised
+#: ops, its ``Δ`` and ``W`` companions; a singular result key marks a
+#: one-row op (vectors on the wire, one result back).  Every op also carries
+#: ``k`` and optionally ``budget`` — the answer is then ``{result key: ...,
+#: "coverage": ...}``.  The server's query handler and the client's request
+#: builder both read the wire names from here.
+QUERY_WIRE_KEYS = {
+    "search": (("query_point",), "result"),
+    "search_batch": (("query_points",), "results"),
+    "search_with_parameters": (("query_point", "delta", "weights"), "result"),
+    "search_batch_with_parameters": (("query_points", "deltas", "weights"), "results"),
+}
 
 #: Frame header: one big-endian uint32 payload length.
 _HEADER = struct.Struct(">I")

@@ -63,6 +63,7 @@ from repro.serving.codec import (
     parse_hello,
 )
 from repro.serving.protocol import (
+    QUERY_WIRE_KEYS,
     ConnectionClosed,
     ProtocolError,
     recv_payload,
@@ -277,11 +278,8 @@ class ServingCore:
             "ping": self._op_ping,
             "info": self._op_info,
             "stats": self._op_stats,
-            "search": self._op_search,
-            "search_batch": self._op_search_batch,
+            **dict.fromkeys(QUERY_WIRE_KEYS, self._op_query),
             "run_batch": self._op_run_batch,
-            "search_with_parameters": self._op_search_with_parameters,
-            "search_batch_with_parameters": self._op_search_batch_with_parameters,
             "feedback_loop": self._op_feedback_loop,
             "session_open": self._op_session_open,
             "session_feedback": self._op_session_feedback,
@@ -431,59 +429,44 @@ class ServingCore:
             return None
         return Budget.from_wire(spec)
 
-    def _op_search(self, message, owner):
-        point = np.atleast_1d(np.asarray(message["query_point"], dtype=np.float64))
-        budget = self._wire_budget(message)
-        if budget is not None:
-            # Budgeted requests bypass the coalescer: a budget is one
-            # request's private accounting, so its dispatch cannot share a
-            # window with unbudgeted peers.
-            result = self.engine.search_batch(point[None, :], message["k"], budget=budget)[0]
-            return {"result": result, "coverage": budget.coverage().to_dict()}
-        return self.coalescer.submit_search(point[None, :], message["k"])[0]
+    def _op_query(self, message, owner):
+        """The four k-NN query ops, driven by :data:`QUERY_WIRE_KEYS`.
 
-    def _op_search_batch(self, message, owner):
+        One-row ops lift their vectors to one-row matrices and unwrap the
+        single result.  Unbudgeted requests ride the coalescer's shared
+        windows; budgeted ones bypass it — a budget is one request's private
+        accounting, so its dispatch cannot share a window with unbudgeted
+        peers — and answer with the coverage report beside the results.
+        Either way the engine is entered through ``search_batch`` /
+        ``search_batch_with_parameters``.
+        """
+        array_keys, result_key = QUERY_WIRE_KEYS[message["op"]]
+        arrays = [message[key] for key in array_keys]
+        single = result_key == "result"
+        if single:
+            arrays = [
+                np.atleast_1d(np.asarray(array, dtype=np.float64))[None, :] for array in arrays
+            ]
+        if len(array_keys) == 1:
+            submit, search = self.coalescer.submit_search, self.engine.search_batch
+        else:
+            submit = self.coalescer.submit_search_with_parameters
+            search = self.engine.search_batch_with_parameters
+        points, *parameters = arrays
         budget = self._wire_budget(message)
-        if budget is not None:
-            results = self.engine.search_batch(
-                message["query_points"], message["k"], budget=budget
-            )
-            return {"results": results, "coverage": budget.coverage().to_dict()}
-        return self.coalescer.submit_search(message["query_points"], message["k"])
+        if budget is None:
+            results = submit(points, message["k"], *parameters)
+            return results[0] if single else results
+        results = search(points, message["k"], *parameters, budget=budget)
+        return {
+            result_key: results[0] if single else results,
+            "coverage": budget.coverage().to_dict(),
+        }
 
     def _op_run_batch(self, message, owner):
         queries = [Query(point=point, k=k) for point, k in message["queries"]]
         return run_grouped_by_k(
             lambda points, k, distance: self.coalescer.submit_search(points, k), queries
-        )
-
-    def _op_search_with_parameters(self, message, owner):
-        point = np.atleast_1d(np.asarray(message["query_point"], dtype=np.float64))
-        delta = np.atleast_1d(np.asarray(message["delta"], dtype=np.float64))
-        weights = np.atleast_1d(np.asarray(message["weights"], dtype=np.float64))
-        budget = self._wire_budget(message)
-        if budget is not None:
-            result = self.engine.search_batch_with_parameters(
-                point[None, :], message["k"], delta[None, :], weights[None, :], budget=budget
-            )[0]
-            return {"result": result, "coverage": budget.coverage().to_dict()}
-        return self.coalescer.submit_search_with_parameters(
-            point[None, :], message["k"], delta[None, :], weights[None, :]
-        )[0]
-
-    def _op_search_batch_with_parameters(self, message, owner):
-        budget = self._wire_budget(message)
-        if budget is not None:
-            results = self.engine.search_batch_with_parameters(
-                message["query_points"],
-                message["k"],
-                message["deltas"],
-                message["weights"],
-                budget=budget,
-            )
-            return {"results": results, "coverage": budget.coverage().to_dict()}
-        return self.coalescer.submit_search_with_parameters(
-            message["query_points"], message["k"], message["deltas"], message["weights"]
         )
 
     @staticmethod

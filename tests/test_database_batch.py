@@ -6,15 +6,19 @@ Q]`` byte for byte, and all engines must break distance ties identically
 (by ascending collection index).
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.database.collection import FeatureCollection
 from repro.database.engine import RetrievalEngine
-from repro.database.index import KNNIndex, NeighborHeap, k_smallest
+from repro.database.index import KNNIndex, NeighborHeap, k_smallest, merge_topk
 from repro.database.knn import LinearScanIndex
 from repro.database.mtree import MTreeIndex
 from repro.database.query import Query
+from repro.database.segments import LiveCollection
+from repro.database.sharding import ShardedEngine
 from repro.database.vptree import VPTreeIndex
 from repro.distances.mahalanobis import MahalanobisDistance
 from repro.distances.minkowski import MinkowskiDistance, euclidean
@@ -61,6 +65,25 @@ def _indexes(collection, distance):
     ]
 
 
+@contextlib.contextmanager
+def _engine_under_test(kind, collection):
+    """``(engine, alive_ids)``: an engine over ``collection``'s alive rows."""
+    if kind == "frozen":
+        yield RetrievalEngine(collection), np.arange(collection.size)
+    elif kind == "sharded":
+        with ShardedEngine(collection, 3, n_workers=2) as engine:
+            yield engine, np.arange(collection.size)
+    else:
+        # Base + one delta segment, tombstones in both (never on the
+        # duplicated vectors, so the tie cases survive).
+        live = LiveCollection(collection.vectors[:250])
+        live.insert(collection.vectors[250:])
+        junk = live.insert(np.full((3, DIMENSION), 0.5))
+        live.delete(np.concatenate(([3, 50, 260], junk)))
+        alive = np.setdiff1d(np.arange(collection.size), [3, 50, 260])
+        yield RetrievalEngine(live), alive
+
+
 def _assert_identical(first, second):
     assert np.array_equal(first.indices(), second.indices())
     assert np.array_equal(first.distances(), second.distances())
@@ -75,6 +98,41 @@ class TestBatchLoopEquivalence:
             batch = index.search_batch(queries, k, distance_arg)
             for query, result in zip(queries, batch):
                 _assert_identical(result, index.search(query, k, distance_arg))
+
+    @pytest.mark.parametrize("kind", ["frozen", "live", "sharded"])
+    @pytest.mark.parametrize("k", [1, 7, 400])
+    def test_engine_entry_points_equal_reference_scan(self, collection, queries, kind, k):
+        # Batch == single-row holds by construction (one execution path), so
+        # every entry point is anchored to the kept exact-definition
+        # reference instead: LinearScanIndex.search over the alive rows.
+        rng = np.random.default_rng(19)
+        deltas = rng.normal(0.0, 0.02, queries.shape)
+        weights = rng.random(queries.shape) - 0.1  # a few negatives: clipped at 0
+        with _engine_under_test(kind, collection) as (engine, alive_ids):
+            scan = LinearScanIndex(FeatureCollection(collection.vectors[alive_ids]))
+
+            def reference(point, distance):
+                result = scan.search(point, k, distance)
+                return alive_ids[result.indices()], result.distances()
+
+            def assert_reference(result, point, distance):
+                indices, distances = reference(point, distance)
+                assert np.array_equal(result.indices(), indices)
+                assert np.array_equal(result.distances(), distances)
+
+            plain = engine.search_batch(queries, k)
+            parameterised = engine.search_batch_with_parameters(queries, k, deltas, weights)
+            for row, (query, delta, weight) in enumerate(zip(queries, deltas, weights)):
+                adjusted = WeightedEuclideanDistance(DIMENSION, weights=np.clip(weight, 0.0, None))
+                assert_reference(plain[row], query, engine.default_distance)
+                assert_reference(engine.search(query, k), query, engine.default_distance)
+                assert_reference(parameterised[row], query + delta, adjusted)
+                assert_reference(
+                    engine.search_with_parameters(query, k, delta, weight), query + delta, adjusted
+                )
+            empty = np.zeros((0, DIMENSION))
+            assert engine.search_batch(empty, k) == []
+            assert engine.search_batch_with_parameters(empty, k, empty, empty) == []
 
     @pytest.mark.parametrize("distance", _distance_functions(), ids=lambda d: type(d).__name__)
     def test_all_indexes_agree_including_ties(self, collection, queries, distance):
@@ -112,6 +170,22 @@ class TestSelectionHelpers:
         distances = np.array([0.2, 0.1, 0.2, 0.2])
         indices, _ = k_smallest(distances, 2)
         np.testing.assert_array_equal(indices, [1, 0])
+
+    def test_merge_topk_zero_one_and_many_parts(self):
+        near = (np.array([4, 9]), np.array([0.1, 0.3]))
+        far = (np.array([2, 7]), np.array([0.3, 0.5]))
+        # Zero parts (a budget reached nothing): well-formed empty results.
+        assert [len(result) for result in merge_topk([], 3, n_queries=2)] == [0, 0]
+        # One part is already in merged order: sliced to k.
+        (single,) = merge_topk([[near]], 1, n_queries=1)
+        np.testing.assert_array_equal(single.indices(), [4])
+        # Many parts: the 0.3 tie across parts breaks by ascending label.
+        (merged,) = merge_topk([[near], [far]], 3, n_queries=1)
+        np.testing.assert_array_equal(merged.indices(), [4, 2, 9])
+        assert np.array_equal(merged.distances(), [0.1, 0.3, 0.3])
+        # k past the pooled size returns everything, still in order.
+        (everything,) = merge_topk([[near], [far]], 10, n_queries=1)
+        np.testing.assert_array_equal(everything.indices(), [4, 2, 9, 7])
 
     def test_neighbor_heap_tie_break(self):
         heap = NeighborHeap(2)

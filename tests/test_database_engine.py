@@ -35,9 +35,9 @@ class TestSearch:
         reference = np.sort(euclidean(4).distances_to(query, collection.vectors))[:5]
         np.testing.assert_allclose(results.distances(), reference, atol=1e-12)
 
-    def test_execute_query_object(self, collection):
+    def test_run_batch_query_object(self, collection):
         engine = RetrievalEngine(collection)
-        results = engine.execute(Query(point=np.zeros(4), k=3))
+        (results,) = engine.run_batch([Query(point=np.zeros(4), k=3)])
         assert len(results) == 3
 
     def test_custom_distance_is_used(self, collection):

@@ -13,13 +13,16 @@ sequential ``run_loop`` exactly.  Lifecycle is part of the contract too:
 """
 
 import os
+import pickle
 
 import numpy as np
 import pytest
 
+from repro.database.budget import Budget
 from repro.database.collection import FeatureCollection
 from repro.database.engine import RetrievalEngine
 from repro.database.mtree import MTreeIndex
+from repro.database.query import QueryBatch
 from repro.database.sharding import ShardedEngine, WorkerPool
 from repro.database.vptree import VPTreeIndex
 from repro.distances.minkowski import MinkowskiDistance, euclidean
@@ -130,6 +133,29 @@ class TestProcessEngineEquivalence:
             batch = engine.search_batch_with_parameters(queries, 9, deltas, weights)
             for result, reference_result in zip(batch, expected):
                 _assert_identical(result, reference_result)
+            # The QueryBatch itself is what crosses the pipe (one pickled
+            # ("call", "_run", (batch, None, batches)) message per dispatch): a
+            # parameterised batch and a precision="fast" one round-trip
+            # through the two workers byte-identical to the unsharded engine.
+            for query_batch in (
+                QueryBatch.with_parameters(queries, 9, deltas, weights, dimension=DIMENSION),
+                QueryBatch.with_parameters(
+                    queries, 9, deltas, weights, "fast", dimension=DIMENSION
+                ),
+                QueryBatch.plain(queries, 9, None, "fast", dimension=DIMENSION),
+            ):
+                assert pickle.loads(pickle.dumps(query_batch)).precision == query_batch.precision
+                assert engine.execute(query_batch) == reference.execute(query_batch)
+            assert engine.search_batch(queries, 9, None, "fast") == reference.search_batch(
+                queries, 9
+            )
+            # A finite budget is live accounting and never crosses the pipe.
+            with pytest.raises(ValidationError, match="need backend='thread'"):
+                engine.search_batch_with_parameters(
+                    queries, 9, deltas, weights, budget=Budget(max_rows=10)
+                )
+            with pytest.raises(ValidationError, match="need backend='thread'"):
+                engine.execute(query_batch, budget=Budget(max_rows=0))
 
     def test_cross_shard_ties_break_by_global_index(self, collection):
         with ShardedEngine(collection, 5, n_workers=2, backend="process") as engine:
@@ -152,6 +178,9 @@ class TestProcessEngineEquivalence:
             # (living in a worker process) recorded one hit per query.
             assert stats["index_hits"] == 3 * queries.shape[0]
             assert stats["scan_fallbacks"] == 0
+            # A single-row search counts no batch, worker-side either.
+            engine.search(queries[0], 5)
+            assert [shard["n_batches"] for shard in engine.stats()["per_shard"]] == [1, 1, 1]
             engine.reset_counters()
             cleared = engine.stats()
             assert cleared["n_searches"] == 0

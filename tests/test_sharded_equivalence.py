@@ -13,9 +13,12 @@ The grid is randomized but seeded: every run draws the same configurations
 and the same query batches, so failures reproduce.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
+from repro.database.budget import Budget
 from repro.database.collection import FeatureCollection
 from repro.database.engine import RetrievalEngine
 from repro.database.mtree import MTreeIndex
@@ -159,6 +162,50 @@ class TestShardedSearchEquivalence:
                 _assert_identical(
                     single, reference.search_with_parameters(queries[0], 9, deltas[0], weights[0])
                 )
+
+    def test_public_query_signatures_match_unsharded(self, collection, queries):
+        # A sharded engine must be a drop-in wherever a caller passes the
+        # unsharded engine's arguments (budget= on every query method).
+        for name in (
+            "search",
+            "search_batch",
+            "search_with_parameters",
+            "search_batch_with_parameters",
+            "run_batch",
+            "execute",
+        ):
+            assert inspect.signature(getattr(ShardedEngine, name)) == inspect.signature(
+                getattr(RetrievalEngine, name)
+            ), name
+        with ShardedEngine(collection, 3) as sharded:
+            budget = Budget()
+            arguments = (queries[0], 5, np.full(DIMENSION, 0.01), np.linspace(0.5, 2.0, DIMENSION))
+            single = sharded.search_with_parameters(*arguments, budget=budget)
+            _assert_identical(
+                single, RetrievalEngine(collection).search_with_parameters(*arguments)
+            )
+            assert budget.coverage().complete
+
+    def test_volume_counters_match_unsharded(self, collection, queries):
+        # Every entry point books what the unsharded engine books — the
+        # single-row wrappers count no batch, on the shard engines either.
+        deltas = np.zeros_like(queries)
+        weights = np.ones_like(queries)
+        reference = RetrievalEngine(collection)
+        with ShardedEngine(collection, 3, n_workers=2) as sharded:
+            for engine in (reference, sharded):
+                engine.search(queries[0], 5)
+                engine.search_with_parameters(queries[0], 5, deltas[0], weights[0])
+                engine.search_batch(queries, 5)
+                engine.search_batch_with_parameters(queries, 5, deltas, weights)
+            expected, stats = reference.stats(), sharded.stats()
+        assert expected["n_batches"] == 2
+        for name in ("n_searches", "n_batches", "n_objects_retrieved"):
+            assert stats[name] == expected[name], name
+        assert stats["scan_fallbacks"] == 3 * expected["scan_fallbacks"]
+        for shard in stats["per_shard"]:
+            assert shard["n_batches"] == expected["n_batches"]
+            assert shard["n_searches"] == expected["n_searches"]
 
     def test_cross_shard_ties_break_by_global_index(self, collection):
         # The triplicated vector lives at indices 2, 75 and 140 — three
