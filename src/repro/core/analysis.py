@@ -87,14 +87,20 @@ def storage_estimate(tree: SimplexTree) -> TreeStorageReport:
     )
 
 
+def iter_nodes(tree: SimplexTree):
+    """Yield every node of the simplex hierarchy, parents before children."""
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children)
+
+
 def nodes_per_level(tree: SimplexTree) -> np.ndarray:
     """Return the number of simplex nodes at every depth (index = depth)."""
     counts: dict[int, int] = {}
-    stack = [tree._triangulation.root]  # noqa: SLF001 - analysis reaches into the structure it measures
-    while stack:
-        node = stack.pop()
+    for node in iter_nodes(tree):
         counts[node.depth] = counts.get(node.depth, 0) + 1
-        stack.extend(node.children)
     depth = max(counts) if counts else 0
     return np.asarray([counts.get(level, 0) for level in range(depth + 1)], dtype=np.intp)
 
@@ -107,13 +113,7 @@ def branching_profile(tree: SimplexTree) -> tuple[float, int]:
     which together with the level counts explains the logarithmic depth of
     Figure 16.
     """
-    child_counts = []
-    stack = [tree._triangulation.root]  # noqa: SLF001
-    while stack:
-        node = stack.pop()
-        if node.children:
-            child_counts.append(len(node.children))
-            stack.extend(node.children)
+    child_counts = [len(node.children) for node in iter_nodes(tree) if node.children]
     if not child_counts:
         return 0.0, 0
     return float(np.mean(child_counts)), int(max(child_counts))
@@ -135,7 +135,7 @@ def prediction_roughness(tree: SimplexTree, probes) -> float:
     for probe in probes:
         if not tree.contains(probe):
             continue
-        leaf, _ = tree._triangulation.locate(probe)  # noqa: SLF001
-        payloads = np.vstack([tree._payload_for(vertex) for vertex in leaf.simplex.vertices])  # noqa: SLF001
+        leaf, _ = tree.locate(probe)
+        payloads = tree.vertex_payloads(leaf)
         spreads.append(float(np.mean(payloads.max(axis=0) - payloads.min(axis=0))))
     return float(np.mean(spreads)) if spreads else 0.0

@@ -2,11 +2,11 @@
 
 FeedbackBypass accumulates value across query sessions, so the tree must
 survive process restarts.  Because the tree is completely determined by its
-configuration (root simplex, payload dimension, ε) and the ordered sequence
-of insert/update operations, persistence stores exactly that journal and
-rebuilds the tree by replaying it — the on-disk format stays simple and
-versionable, and the reloaded tree is bit-for-bit identical in structure and
-predictions.
+configuration (root simplex, payload dimension, ε, tolerance) and the
+ordered sequence of insert/update operations, persistence stores exactly
+that journal and rebuilds the tree by replaying it — the on-disk format stays
+simple and versionable, and the reloaded tree is bit-for-bit identical in
+structure and predictions.
 
 The format is a single ``.npz`` archive (compressed NumPy container).
 """
@@ -42,6 +42,7 @@ def save_simplex_tree(tree: SimplexTree, path: str | os.PathLike) -> None:
         value_dimension=np.asarray([tree.value_dimension]),
         default_value=tree.default_value,
         epsilon=np.asarray([tree.epsilon]),
+        tolerance=np.asarray([tree.tolerance]),
         journal_points=points,
         journal_payloads=payloads,
         journal_actions=actions,
@@ -56,11 +57,17 @@ def load_simplex_tree(path: str | os.PathLike) -> SimplexTree:
             raise ValidationError(
                 f"unsupported Simplex Tree format version {version} (expected {FORMAT_VERSION})"
             )
+        # ``tolerance`` is an optional key: archives written before it was
+        # saved were all replayed with the default, and still are.
+        optional = {}
+        if "tolerance" in archive.files:
+            optional["tolerance"] = float(np.asarray(archive["tolerance"]).ravel()[0])
         tree = SimplexTree(
             archive["root_vertices"],
             value_dimension=int(np.asarray(archive["value_dimension"]).ravel()[0]),
             default_value=archive["default_value"],
             epsilon=float(np.asarray(archive["epsilon"]).ravel()[0]),
+            **optional,
         )
         points = archive["journal_points"]
         payloads = archive["journal_payloads"]

@@ -12,6 +12,15 @@ optimal query mapping instead of the number of queries.
 The class is generic over the payload: it maps points of R^D to vectors of
 R^N without knowing that those vectors happen to be ``(Δ, W)`` pairs.  The
 :class:`~repro.core.bypass.FeedbackBypass` facade adds that interpretation.
+
+Every operation goes through one point location,
+:meth:`SimplexTree.locate` (the barycentric-ratio descent of
+:mod:`repro.geometry.triangulation`): ``predict`` walks the tree once and
+solves once more on the leaf it finds for the interpolation weights;
+``insert`` walks it once too — the located leaf gives the ε-gate's
+prediction and, if the point is to be stored, is the leaf that is split.
+Payloads live in one ``(n_vertices, N)`` table under the vertex ids of the
+triangulation, so a prediction gathers its D+1 payload rows by id.
 """
 
 from __future__ import annotations
@@ -20,9 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.interpolation import interpolate_payloads
 from repro.geometry.simplex import Simplex
-from repro.geometry.triangulation import IncrementalTriangulation, TriangulationNode
+from repro.geometry.triangulation import IncrementalTriangulation, RowTable, TriangulationNode
 from repro.utils.validation import (
     ValidationError,
     as_float_matrix,
@@ -122,11 +130,14 @@ class SimplexTree:
             default_value, name="default_value", dim=self._value_dimension
         ).copy()
 
-        # Payloads are stored per vertex, keyed by a rounded coordinate tuple
-        # so that vertices shared between adjacent simplices share a payload.
-        self._payloads: dict[tuple[float, ...], np.ndarray] = {}
-        for vertex in root_vertices:
-            self._payloads[self._key(vertex)] = self._default_value.copy()
+        # One payload row per vertex, under the vertex's id in the
+        # triangulation's table, so a vertex shared between adjacent simplices
+        # shares a payload; the rounded coordinate tuple is how an
+        # already-stored query point is recognised.
+        self._payloads = RowTable(np.tile(self._default_value, (root_vertices.shape[0], 1)))
+        self._vertex_ids: dict[tuple[float, ...], int] = {
+            self._key(vertex): vertex_id for vertex_id, vertex in enumerate(root_vertices)
+        }
 
         self.statistics = TreeStatistics()
         # Ordered log of (point, payload, action) used by persistence to
@@ -139,14 +150,18 @@ class SimplexTree:
     def _key(self, point: np.ndarray) -> tuple[float, ...]:
         return tuple(np.round(np.asarray(point, dtype=np.float64), 12))
 
-    def _payload_for(self, vertex: np.ndarray) -> np.ndarray:
-        key = self._key(vertex)
-        payload = self._payloads.get(key)
-        if payload is None:
-            # Should not happen: every vertex either is a root corner or was
-            # inserted together with its payload.
-            raise ValidationError("internal error: vertex without payload")
-        return payload
+    def _interpolate(self, leaf: TriangulationNode, point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(coordinates of point in leaf, interpolated payload)`` — the
+        arithmetic of :func:`~repro.core.interpolation.interpolate_payloads`."""
+        weights = leaf.coordinates(point)
+        return weights, weights @ self.vertex_payloads(leaf)
+
+    def _lookup(self, point: np.ndarray) -> tuple[TriangulationNode, int]:
+        """Counted :meth:`locate` of an already validated point."""
+        leaf, visited = self._triangulation.locate(point)
+        self.statistics.n_lookups += 1
+        self.statistics.total_traversed += visited
+        return leaf, visited
 
     # ------------------------------------------------------------------ #
     # Properties
@@ -172,6 +187,16 @@ class SimplexTree:
         return self._default_value.copy()
 
     @property
+    def tolerance(self) -> float:
+        """The geometric tolerance."""
+        return self._tolerance
+
+    @property
+    def root(self) -> TriangulationNode:
+        """The root node of the simplex hierarchy."""
+        return self._triangulation.root
+
+    @property
     def root_simplex(self) -> Simplex:
         """The root simplex ``S_0``."""
         return self._triangulation.root.simplex
@@ -187,7 +212,7 @@ class SimplexTree:
         return self._triangulation.n_simplices
 
     def depth(self) -> int:
-        """Maximum leaf depth of the tree."""
+        """Maximum leaf depth of the tree (maintained by insert, O(1))."""
         return self._triangulation.depth()
 
     @property
@@ -203,17 +228,27 @@ class SimplexTree:
         point = as_float_vector(point, name="point", dim=self.dimension)
         return self.root_simplex.contains(point, tolerance=self._tolerance)
 
-    def lookup(self, point) -> tuple[TriangulationNode, int]:
+    def locate(self, point) -> tuple[TriangulationNode, int]:
         """Return the leaf node whose simplex contains ``point`` and the path length.
+
+        The one point location every operation of the tree uses; it touches
+        no counter.  Raises :class:`ValidationError` outside the root simplex.
+        """
+        point = as_float_vector(point, name="point", dim=self.dimension)
+        return self._triangulation.locate(point)
+
+    def lookup(self, point) -> tuple[TriangulationNode, int]:
+        """:meth:`locate`, counted in :attr:`statistics`.
 
         Mirrors ``SimplexTree::Lookup`` in Figure 8 of the paper; the path
         length feeds the Figure 16 statistics.
         """
         point = as_float_vector(point, name="point", dim=self.dimension)
-        leaf, visited = self._triangulation.locate(point)
-        self.statistics.n_lookups += 1
-        self.statistics.total_traversed += visited
-        return leaf, visited
+        return self._lookup(point)
+
+    def vertex_payloads(self, leaf: TriangulationNode) -> np.ndarray:
+        """The ``(D+1, N)`` payloads stored at the vertices of ``leaf`` (copy)."""
+        return self._payloads.take(leaf.vertex_ids)
 
     def predict(self, point) -> np.ndarray:
         """Predict the payload at ``point`` (``SimplexTree::Predict`` in the paper).
@@ -225,48 +260,40 @@ class SimplexTree:
         """
         point = as_float_vector(point, name="point", dim=self.dimension)
         self.statistics.n_predictions += 1
-        if not self.contains(point):
+        try:
+            leaf, _ = self._lookup(point)
+        except ValidationError:  # outside the root simplex
             return self._default_value.copy()
-        leaf, _ = self.lookup(point)
-        vertices = leaf.simplex.vertices
-        payloads = np.vstack([self._payload_for(vertex) for vertex in vertices])
-        return interpolate_payloads(vertices, payloads, point)
+        return self._interpolate(leaf, point)[1]
 
     def predict_batch(self, points) -> np.ndarray:
         """Predict the payloads for every row of ``points`` at once.
 
         Equivalent to ``np.vstack([self.predict(p) for p in points])`` —
-        including the statistics counters — but with the traversal
-        bookkeeping shared across the batch: points are first located, then
-        grouped by enclosing leaf, so the vertex-payload gathering (the
-        dictionary lookups and stacking that dominate a single ``predict``)
-        happens once per distinct leaf instead of once per point.
+        including the statistics counters — but points are first located,
+        then grouped by enclosing leaf, so the leaf's payloads are gathered
+        once per distinct leaf instead of once per point.
         """
         points = as_float_matrix(points, name="points", shape=(None, self.dimension))
         predictions = np.empty((points.shape[0], self._value_dimension), dtype=np.float64)
         self.statistics.n_predictions += points.shape[0]
 
         # Locate every point, bucketing rows by their enclosing leaf.
-        rows_by_leaf: dict[int, list[int]] = {}
-        leaves: dict[int, TriangulationNode] = {}
+        rows_by_leaf: dict[int, tuple[TriangulationNode, list[int]]] = {}
         for row, point in enumerate(points):
-            if not self.root_simplex.contains(point, tolerance=self._tolerance):
+            try:
+                leaf, _ = self._lookup(point)
+            except ValidationError:  # outside the root simplex
                 predictions[row] = self._default_value
                 continue
-            leaf, visited = self._triangulation.locate(point)
-            self.statistics.n_lookups += 1
-            self.statistics.total_traversed += visited
-            rows_by_leaf.setdefault(id(leaf), []).append(row)
-            leaves[id(leaf)] = leaf
+            rows_by_leaf.setdefault(id(leaf), (leaf, []))[1].append(row)
 
-        # Interpolate per leaf: the vertex payload matrix is built once and
+        # Interpolate per leaf: the payload matrix is gathered once and
         # reused for every point that landed in the same simplex.
-        for key, rows in rows_by_leaf.items():
-            leaf = leaves[key]
-            vertices = leaf.simplex.vertices
-            payloads = np.vstack([self._payload_for(vertex) for vertex in vertices])
+        for leaf, rows in rows_by_leaf.values():
+            payloads = self.vertex_payloads(leaf)
             for row in rows:
-                predictions[row] = interpolate_payloads(vertices, payloads, points[row])
+                predictions[row] = leaf.coordinates(points[row]) @ payloads
         return predictions
 
     # ------------------------------------------------------------------ #
@@ -284,62 +311,69 @@ class SimplexTree:
         """
         point = as_float_vector(point, name="point", dim=self.dimension)
         value = as_float_vector(value, name="value", dim=self._value_dimension)
-        if not self.contains(point):
-            raise ValidationError("cannot insert a point outside the root simplex")
-
-        prediction = self.predict(point)
+        # One walk: the leaf it finds serves the ε-gate's prediction and,
+        # if the point is stored, the split.
+        try:
+            leaf, _ = self._lookup(point)
+        except ValidationError:
+            raise ValidationError("cannot insert a point outside the root simplex") from None
+        self.statistics.n_predictions += 1
+        weights, prediction = self._interpolate(leaf, point)
         error = float(np.max(np.abs(value - prediction)))
 
         key = self._key(point)
-        if key in self._payloads:
+        vertex_id = self._vertex_ids.get(key)
+        if vertex_id is not None:
             # Already-seen query: refresh its OQPs, no geometric change.
-            self._payloads[key] = value.copy()
-            self.statistics.n_updates += 1
-            self._journal.append((point.copy(), value.copy(), "updated"))
-            return InsertOutcome(action="updated", prediction_error=error)
+            return self._update(vertex_id, point, value, error)
 
         if not force and error <= self._epsilon:
             self.statistics.n_rejected_inserts += 1
             return InsertOutcome(action="skipped", prediction_error=error)
 
         try:
-            self._triangulation.insert(point)
+            vertex_id = self._triangulation.split(leaf, point, weights)
         except ValidationError:
             # The point is geometrically indistinguishable from an existing
             # vertex (within tolerance) even though its rounded key differs:
             # treat it as an update of the closest vertex.
             nearest_key = min(
-                self._payloads,
+                self._vertex_ids,
                 key=lambda candidate: float(np.max(np.abs(np.asarray(candidate) - point))),
             )
-            self._payloads[nearest_key] = value.copy()
-            self.statistics.n_updates += 1
-            self._journal.append((point.copy(), value.copy(), "updated"))
-            return InsertOutcome(action="updated", prediction_error=error)
+            return self._update(self._vertex_ids[nearest_key], point, value, error)
 
-        self._payloads[key] = value.copy()
+        self._payloads.append(value)
+        self._vertex_ids[key] = vertex_id
         self.statistics.n_inserts += 1
         self._journal.append((point.copy(), value.copy(), "inserted"))
         return InsertOutcome(action="inserted", prediction_error=error)
+
+    def _update(self, vertex_id: int, point: np.ndarray, value: np.ndarray, error: float) -> InsertOutcome:
+        self._payloads.replace(vertex_id, value)
+        self.statistics.n_updates += 1
+        self._journal.append((point.copy(), value.copy(), "updated"))
+        return InsertOutcome(action="updated", prediction_error=error)
 
     # ------------------------------------------------------------------ #
     # Introspection helpers
     # ------------------------------------------------------------------ #
     def stored_points(self) -> np.ndarray:
-        """Return the stored feedback points, shape ``(n_stored_points, D)``."""
+        """Return the stored feedback points in insertion order, a read-only
+        ``(n_stored_points, D)`` view of the vertex table (no copy)."""
         return self._triangulation.points
 
     def stored_payload(self, point) -> np.ndarray:
         """Return the payload stored exactly at ``point`` (error if absent)."""
         point = as_float_vector(point, name="point", dim=self.dimension)
-        key = self._key(point)
-        if key not in self._payloads:
+        vertex_id = self._vertex_ids.get(self._key(point))
+        if vertex_id is None:
             raise ValidationError("no payload stored at this point")
-        return self._payloads[key].copy()
+        return self._payloads.take(vertex_id).copy()
 
     def leaf_count(self) -> int:
-        """Number of leaf simplices."""
-        return len(self._triangulation.leaves())
+        """Number of leaf simplices (maintained by insert, O(1))."""
+        return self._triangulation.n_leaves
 
     def traversal_profile(self, points) -> tuple[float, int]:
         """Return (average simplices traversed, tree depth) over ``points``.
@@ -348,13 +382,11 @@ class SimplexTree:
         operation counters used elsewhere.
         """
         points = as_float_matrix(points, name="points", shape=(None, self.dimension))
-        saved = (self.statistics.n_lookups, self.statistics.total_traversed)
         visits = []
         for point in points:
-            if not self.contains(point):
+            try:
+                visits.append(self._triangulation.locate(point)[1])
+            except ValidationError:  # outside the root simplex
                 continue
-            _, visited = self._triangulation.locate(point)
-            visits.append(visited)
-        self.statistics.n_lookups, self.statistics.total_traversed = saved
         average = float(np.mean(visits)) if visits else 0.0
         return average, self.depth()

@@ -16,6 +16,7 @@ from repro.database.collection import FeatureCollection
 from repro.evaluation.session import InteractiveSession, SessionConfig
 from repro.features.datasets import build_imsi_like_dataset
 from repro.features.normalization import drop_last_bin
+from repro.utils.validation import ValidationError
 
 
 def bounded_wait(predicate, timeout: float = 10.0, interval: float = 0.005, *, strict: bool = True) -> None:
@@ -40,6 +41,42 @@ def wait_until():
     """The bounded-poll helper as a fixture (importable-from-conftest is
     ambiguous with two conftests on ``sys.path``; a fixture is not)."""
     return bounded_wait
+
+
+def child_by_child_locate(root, point, tolerance: float = 1e-9):
+    """Point location exactly as the Simplex Tree defines it, one solve per child.
+
+    The reference for ``IncrementalTriangulation.locate``: descend from
+    ``root`` into the first child, in order, whose simplex contains the point
+    (else the child whose smallest barycentric coordinate is largest), using
+    nothing but the public ``node.children`` / ``node.simplex`` API.  Returns
+    ``(leaf, visited)``.
+    """
+    if not root.simplex.contains(point, tolerance=tolerance):
+        raise ValidationError("point lies outside the root simplex")
+    node, visited = root, 1
+    while node.children:
+        chosen = None
+        for child in node.children:
+            if child.simplex.contains(point, tolerance=tolerance):
+                chosen = child
+                break
+        if chosen is None:
+            # Numerical corner case: the point sits on a face shared by
+            # children but each strict test rejected it.
+            chosen = max(
+                node.children,
+                key=lambda child: float(np.min(child.simplex.barycentric_coordinates(point))),
+            )
+        node = chosen
+        visited += 1
+    return node, visited
+
+
+@pytest.fixture(scope="session")
+def locate_oracle():
+    """The child-by-child walk (a fixture for the same reason as ``wait_until``)."""
+    return child_by_child_locate
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.analysis import iter_nodes
 from repro.core.persistence import FORMAT_VERSION, load_simplex_tree, save_simplex_tree
 from repro.core.simplex_tree import SimplexTree
 from repro.geometry.bounding import standard_simplex_vertices, unit_cube_root_vertices
@@ -70,6 +71,46 @@ class TestSaveLoadRoundtrip:
         save_simplex_tree(tree, path)
         reloaded = load_simplex_tree(path)
         np.testing.assert_allclose(reloaded.predict([0.4, 0.4]), [7.0], atol=1e-9)
+
+    def test_tolerance_survives_roundtrip(self, tmp_path):
+        # The second point sits 1e-7 off the shared edge of two leaves: at
+        # tolerance 1e-6 the sliver child across that edge is degenerate and
+        # omitted, at the default 1e-9 it is kept — a reload that forgot the
+        # tolerance would replay into a different tree.
+        operations = [([0.5, 0.5], [1.0, 2.0]), ([0.25 + 1e-7, 0.25], [3.0, 4.0]), ([0.3, 0.6], [5.0, 6.0])]
+
+        def grow(**kwargs):
+            tree = SimplexTree(unit_cube_root_vertices(2), value_dimension=2, **kwargs)
+            for point, value in operations:
+                tree.insert(point, value)
+            return tree
+
+        tree = grow(tolerance=1e-6)
+        assert tree.n_simplices != grow().n_simplices
+        path = tmp_path / "tolerant.npz"
+        save_simplex_tree(tree, path)
+        reloaded = load_simplex_tree(path)
+        assert reloaded.tolerance == 1e-6
+        assert reloaded.n_simplices == tree.n_simplices
+
+        def leaves(some_tree):
+            return [node.simplex.vertices.tobytes() for node in iter_nodes(some_tree) if node.is_leaf]
+
+        assert leaves(reloaded) == leaves(tree)
+        rng = np.random.default_rng(5)
+        for probe in rng.random((50, 2)):
+            assert reloaded.predict(probe).tobytes() == tree.predict(probe).tobytes()
+
+    def test_archive_without_tolerance_loads_with_the_default(self, tmp_path):
+        tree = build_populated_tree(seed=5)
+        path = tmp_path / "tree.npz"
+        save_simplex_tree(tree, path)
+        with np.load(path) as archive:
+            payload = {name: archive[name] for name in archive.files if name != "tolerance"}
+        np.savez_compressed(path, **payload)
+        reloaded = load_simplex_tree(path)
+        assert reloaded.tolerance == 1e-9
+        assert reloaded.n_simplices == tree.n_simplices
 
     def test_reloaded_tree_accepts_further_inserts(self, tmp_path):
         tree = build_populated_tree(seed=2)

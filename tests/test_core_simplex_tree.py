@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.analysis import iter_nodes
 from repro.core.simplex_tree import SimplexTree
 from repro.geometry.bounding import standard_simplex_vertices, unit_cube_root_vertices
 from repro.utils.validation import ValidationError
@@ -180,6 +181,18 @@ class TestLookupAndStatistics:
         tree.traversal_profile(np.array([[0.2, 0.2], [0.6, 0.3]]))
         after = tree.statistics.snapshot()
         assert before["n_lookups"] == after["n_lookups"]
+
+    def test_constant_time_measurements_equal_a_full_walk_after_every_insert(self):
+        tree = make_tree()
+        rng = np.random.default_rng(11)
+        pool = rng.random((25, 2)) * 0.9 + 0.05
+        for _ in range(60):  # new points, and repeats that only update a payload
+            tree.insert(pool[rng.integers(0, len(pool))], rng.random(3))
+            depths = [node.depth for node in iter_nodes(tree) if node.is_leaf]
+            assert tree.leaf_count() == len(depths)
+            assert tree.depth() == max(depths)
+            inserted = [point for point, _, action in tree.journal if action == "inserted"]
+            assert np.array_equal(tree.stored_points(), np.array(inserted))
 
     def test_stored_points_and_payloads(self):
         tree = make_tree()

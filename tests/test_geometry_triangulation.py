@@ -92,6 +92,47 @@ class TestInsert:
             previous_depth = depth
 
 
+class TestIncrementalBookkeeping:
+    @pytest.mark.parametrize("dimension", [2, 6])
+    def test_depth_leaf_count_and_points_equal_a_full_walk_after_every_insert(self, dimension):
+        triangulation = IncrementalTriangulation(unit_cube_root_vertices(dimension))
+        rng = np.random.default_rng(7)
+        inserted = []
+        # Interior points, exact repeats (rejected) and points on an existing
+        # edge (fewer than D+1 children) all go through the same counters.
+        for step in range(60):
+            if step % 7 == 3 and inserted:
+                point = inserted[rng.integers(0, len(inserted))]
+            elif step % 7 == 5:
+                corners = triangulation.leaves()[step].simplex.vertices
+                point = 0.5 * (corners[0] + corners[1])
+            else:
+                point = rng.random(dimension) * 0.9 + 0.05
+            try:
+                triangulation.insert(point)
+                inserted.append(point)
+            except ValidationError:
+                pass
+            leaves = triangulation.leaves()
+            assert triangulation.n_leaves == len(leaves)
+            assert triangulation.depth() == max(leaf.depth for leaf in leaves)
+            assert triangulation.n_points == len(inserted)
+            assert np.array_equal(triangulation.points, np.array(inserted).reshape(-1, dimension))
+        assert triangulation.n_leaves < 1 + dimension * len(inserted)  # some split had fewer children
+
+    def test_split_takes_a_leaf_and_returns_the_new_vertex_id(self, triangulation_2d):
+        root = triangulation_2d.root
+        assert triangulation_2d.split(root, [0.4, 0.4]) == 3  # after the three root corners
+        assert [child.vertex_ids.tolist() for child in root.children] == [[3, 1, 2], [0, 3, 2], [0, 1, 3]]
+        with pytest.raises(ValidationError):
+            triangulation_2d.split(root, [0.2, 0.2])  # no longer a leaf
+
+    def test_points_view_is_read_only(self, triangulation_2d):
+        triangulation_2d.insert([0.4, 0.4])
+        with pytest.raises(ValueError):
+            triangulation_2d.points[0, 0] = 9.0
+
+
 class TestPartitionInvariant:
     def test_leaves_cover_domain_samples(self):
         triangulation = IncrementalTriangulation(unit_cube_root_vertices(3))

@@ -114,6 +114,43 @@ class TestTriangulationProperties:
             assert visited <= triangulation.depth() + 1
             assert leaf.simplex.contains(probe, tolerance=1e-7)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=5),
+        st.integers(min_value=1, max_value=25),
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from([0.0, 1e-10, 1e-6]),
+    )
+    def test_locate_is_the_child_by_child_walk(self, locate_oracle, dimension, n_inserts, seed, nudge):
+        """Same leaf object, same number of visited nodes — also on vertices,
+        next to them and on shared faces, where the closed form hands over to
+        the per-child solves."""
+        triangulation = IncrementalTriangulation(unit_cube_root_vertices(dimension, margin=1e-9))
+        rng = np.random.default_rng(seed)
+        for point in rng.random((n_inserts, dimension)) * 0.9 + 0.05:
+            try:
+                triangulation.insert(point)
+            except ValidationError:
+                pass
+        leaves = triangulation.leaves()
+        probes = list(rng.random((10, dimension)))
+        for _ in range(10):
+            vertices = leaves[rng.integers(0, len(leaves))].simplex.vertices
+            k = int(rng.integers(1, dimension + 1))  # k = 1: a vertex; k <= D: a shared face
+            corners = rng.choice(dimension + 1, k, replace=False)
+            on_face = rng.dirichlet(np.ones(k)) @ vertices[corners]
+            probes.append(on_face + nudge * rng.choice([-1.0, 1.0], dimension))
+        for probe in probes:
+            try:
+                expected = locate_oracle(triangulation.root, probe)
+            except ValidationError:
+                with pytest.raises(ValidationError):
+                    triangulation.locate(probe)
+                continue
+            leaf, visited = triangulation.locate(probe)
+            assert leaf is expected[0]
+            assert visited == expected[1]
+
     @settings(max_examples=20, deadline=None)
     @given(
         st.integers(min_value=2, max_value=4),
