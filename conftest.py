@@ -9,8 +9,8 @@ imports NumPy* — this conftest is the first module pytest loads for any
 target in the repository, so the guard actually precedes BLAS
 initialisation, which reads these variables exactly once at load time.
 N worker threads/processes × M BLAS threads oversubscribes the cores and
-turns the worker-pool speed-up bars into measurements of cache thrash; one
-BLAS thread per worker gives the pool sole ownership of the cores (see
+makes the worker-pool suites thrash the cache; one BLAS thread per worker
+gives the pool sole ownership of the cores (see
 :class:`repro.database.sharding.WorkerPool`).  ``setdefault`` keeps
 explicit operator overrides in force, and worker processes inherit the
 environment, so the guard covers the process backend too.
@@ -34,16 +34,16 @@ if _SRC not in sys.path:
 
 
 def pytest_addoption(parser):
-    # The gate must be side-effect free: benchmarks write their series and
-    # trajectory sections to a temp directory unless recording is asked for
-    # (see ``benchmarks/conftest.py``).  Declared here because pytest only
+    # The gate must be side-effect free: the figure benchmarks write their
+    # series to a temp directory unless recording is asked for (see
+    # ``benchmarks/conftest.py``).  Declared here because pytest only
     # honours ``pytest_addoption`` in the rootdir conftest.
     parser.addoption(
         "--record",
         action="store_true",
         default=False,
-        help="let benchmarks overwrite the tracked benchmarks/results/*.txt "
-        "and BENCH_throughput.json (default: write to a temp directory)",
+        help="let the figure benchmarks overwrite the tracked "
+        "benchmarks/results/*.txt (default: write to a temp directory)",
     )
 
 

@@ -48,9 +48,9 @@ additionally models *simultaneous arrival* (see below):
   :meth:`~repro.feedback.engine.FeedbackEngine.run_loop`.
 * **evaluation** — :class:`~repro.evaluation.session.InteractiveSession`
   runs the Default and Bypass first-round arms of a workload through
-  ``run_batch`` and its feedback phase on the frontier scheduler, and
-  :mod:`repro.evaluation.throughput` measures both the first-round and the
-  loop-phase batch-vs-loop queries/sec gains.  Unlike the layers above,
+  ``run_batch`` and its feedback phase on the frontier scheduler (one
+  batched dispatch per round instead of one search per query per round,
+  counted exactly by the engine's ``stats()``).  Unlike the layers above,
   session batching is *semantically* a modelling choice: every query in a
   batch is predicted from the tree state at batch start (a group of
   simultaneous users, none seeing the others' feedback), so outcomes can
@@ -96,14 +96,13 @@ is purely a deployment knob:
   module-level function, judges must carry labels — see
   :class:`~repro.evaluation.simulated_user.CategoryJudge`).
 
-Caveats worth knowing: **cores bound everything** — on a 1-core CI box
-neither backend can beat the serial scan, which is why the benchmark bars
-degrade to a no-pathological-slowdown floor there
-(``benchmarks/test_throughput_procs.py`` records the core count next to
-the numbers); **pin BLAS threads** to one per worker when benchmarking or
-deploying multi-worker scans (``OMP_NUM_THREADS=1`` etc., see
-``benchmarks/conftest.py``), otherwise N workers × M BLAS threads thrash
-the same cores; and **close what you open** — process-backend engines and
+Caveats worth knowing: **cores bound everything** — on a 1-core box
+neither backend can beat the serial scan (``python3 -m bench --trace 1``
+reports the serial, thread and process batch times side by side); **pin
+BLAS threads** to one per worker when benchmarking or deploying
+multi-worker scans (``OMP_NUM_THREADS=1`` etc., see the repository's root
+``conftest.py``), otherwise N workers × M BLAS threads thrash the same
+cores; and **close what you open** — process-backend engines and
 sessions hold worker processes and a shared-memory segment, so use the
 context manager or ``close()`` (a ``weakref`` finalizer backstops leaked
 segments, but deterministic teardown is the contract).  Distance kernels
@@ -120,9 +119,8 @@ connections at it.  Coalescing is what makes concurrency *cheaper* instead
 of merely concurrent — per-connection RPC dispatch pays one scan per
 request, the shared micro-batch window pays one matrix dispatch per
 ``max_batch`` rows — so throughput under concurrent load improves even on
-a single core (batching economics, not parallelism;
-``benchmarks/test_throughput_serving.py`` holds the ≥2× bar on ≥4-core
-machines and a degradation floor elsewhere).  The knobs to know:
+a single core (batching economics, not parallelism; the coalescer's
+``stats()`` counts requests, rows and dispatches).  The knobs to know:
 ``max_batch`` (window row cap; ``1`` disables coalescing), ``max_wait``
 (``0.0`` = continuous batching with no deliberate delay — sharing comes
 from backpressure; raise it only to grow windows under sparse arrivals),
@@ -137,8 +135,8 @@ At connection scale, swap the front end:
 :class:`~repro.serving.async_server.AsyncRetrievalServer` serves the same
 wire contract from one asyncio event loop — tens of thousands of mostly
 idle connections cost an epoll registration each instead of a thread —
-while dispatch still runs on the shared coalescers
-(``benchmarks/test_throughput_c10k.py`` holds the C10K bar).  Client-side,
+while dispatch still runs on the shared coalescers (the serving stress
+suite parks hundreds of idle connections beside hot traffic).  Client-side,
 :class:`~repro.serving.pool.PooledServingClient` bounds connections,
 budgets each request's deadline, retries idempotent ops on transport
 failure with exponential backoff, and health-checks pooled sockets before
@@ -153,10 +151,9 @@ every query remains byte-identical to a frozen rebuild at that snapshot
 working unchanged), and a background
 :class:`~repro.database.segments.Compactor` folds deltas into a fresh
 base off the hot path under an atomic epoch swap — queries in flight
-never block (``docs/mutability.md``;
-``benchmarks/test_throughput_live.py`` holds the O(delta)-insert and
-no-dispatch-stall bars).  The serving layer exposes it as ``insert`` /
-``delete`` / ``compact`` / ``corpus_stats`` ops on both front ends.
+never block (``docs/mutability.md``).  The serving layer exposes it as
+``insert`` / ``delete`` / ``compact`` / ``corpus_stats`` ops on both front
+ends.
 
 Quickstart::
 

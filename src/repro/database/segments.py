@@ -703,8 +703,7 @@ class Compactor:
     ``min_delta_rows`` (or, with ``max_tombstones``, when that many dead
     rows are resident).  Because the fold's heavy phase runs outside the
     mutation lock, queries keep dispatching at full rate while this thread
-    works — the zero-dispatch-stall bar of
-    ``benchmarks/test_throughput_live.py``.
+    works.
     """
 
     def __init__(

@@ -12,13 +12,15 @@ This subpackage reproduces Section 5 of the paper:
   (learning curves, k sweeps, per-category robustness, tree growth),
 * :mod:`repro.evaluation.efficiency` — the Saved-Cycles / Saved-Objects
   experiment,
-* :mod:`repro.evaluation.throughput` — queries/sec of the batched query
-  pipeline against the per-query loop, of the frontier-scheduled feedback
-  phase against the sequential loops, of the sharded engine's worker pool
-  and backends, and of the coalescing network serving layer against serial
-  per-connection dispatch,
+* :mod:`repro.evaluation.workloads` — query streams (uniform, skewed,
+  repeated) and the repeat-rate experiment,
 * :mod:`repro.evaluation.reporting` — plain-text rendering of experiment
   results (the series the paper plots).
+
+Like the paper, the package measures efficiency in counts (feedback
+cycles and objects saved), never with a clock.  Served-path speed is the
+job of the ``bench`` benchmark at the repository root, which drives the
+serving layer from outside; nothing here imports :mod:`repro.serving`.
 """
 
 from repro.evaluation.metrics import (
@@ -47,27 +49,6 @@ from repro.evaluation.experiments import (
     tree_growth,
 )
 from repro.evaluation.efficiency import EfficiencyResult, saved_cycles_experiment
-from repro.evaluation.throughput import (
-    AnytimeRecallResult,
-    BackendThroughputResult,
-    BypassAmortizationResult,
-    ConnectionScalingResult,
-    FeedbackThroughputResult,
-    LatencySummary,
-    PrecisionThroughputResult,
-    ServingThroughputResult,
-    ShardedThroughputResult,
-    ThroughputResult,
-    measure_anytime_recall,
-    measure_backend_speedup,
-    measure_batch_speedup,
-    measure_bypass_amortization,
-    measure_connection_scaling,
-    measure_feedback_speedup,
-    measure_precision_speedup,
-    measure_serving_speedup,
-    measure_sharded_speedup,
-)
 from repro.evaluation.workloads import (
     RepeatRateBenefitResult,
     category_skewed_workload,
@@ -78,19 +59,11 @@ from repro.evaluation.workloads import (
 )
 from repro.evaluation.reporting import (
     format_series_table,
-    render_anytime_recall,
-    render_backend_throughput,
-    render_bypass_amortization,
     render_category_robustness,
-    render_connection_scaling,
     render_efficiency,
     render_engine_stats,
-    render_feedback_throughput,
     render_k_sweep,
     render_learning_curve,
-    render_serving_throughput,
-    render_sharded_throughput,
-    render_throughput,
     render_tree_growth,
 )
 
@@ -117,25 +90,6 @@ __all__ = [
     "tree_growth",
     "EfficiencyResult",
     "saved_cycles_experiment",
-    "AnytimeRecallResult",
-    "BackendThroughputResult",
-    "BypassAmortizationResult",
-    "ConnectionScalingResult",
-    "FeedbackThroughputResult",
-    "LatencySummary",
-    "PrecisionThroughputResult",
-    "ServingThroughputResult",
-    "ShardedThroughputResult",
-    "ThroughputResult",
-    "measure_anytime_recall",
-    "measure_backend_speedup",
-    "measure_batch_speedup",
-    "measure_bypass_amortization",
-    "measure_connection_scaling",
-    "measure_feedback_speedup",
-    "measure_precision_speedup",
-    "measure_serving_speedup",
-    "measure_sharded_speedup",
     "RepeatRateBenefitResult",
     "category_skewed_workload",
     "repeat_rate_benefit",
@@ -143,18 +97,10 @@ __all__ = [
     "run_workload",
     "uniform_workload",
     "format_series_table",
-    "render_anytime_recall",
-    "render_backend_throughput",
-    "render_bypass_amortization",
     "render_category_robustness",
-    "render_connection_scaling",
     "render_efficiency",
     "render_engine_stats",
-    "render_feedback_throughput",
     "render_k_sweep",
-    "render_serving_throughput",
-    "render_sharded_throughput",
     "render_learning_curve",
-    "render_throughput",
     "render_tree_growth",
 ]

@@ -1,7 +1,7 @@
 """Figure-level experiments.
 
 Every function here regenerates the data series behind one of the paper's
-evaluation figures (see the per-experiment index in DESIGN.md).  They all
+evaluation figures (``benchmarks/test_fig*.py`` runs one each).  They all
 follow the same pattern: build an :class:`~repro.evaluation.session.InteractiveSession`
 for the given dataset, stream randomly sampled queries through it, and
 aggregate the per-query outcomes into the series the paper plots.  The

@@ -1,13 +1,12 @@
 """Plain-text rendering of experiment results.
 
-The benchmark harness prints the same rows / series the paper plots; these
-helpers keep that formatting in one place so benchmarks, examples and
-EXPERIMENTS.md stay consistent.
+The figure benchmarks under ``benchmarks/`` print the same rows / series
+the paper plots; these helpers keep that formatting in one place so the
+benchmarks, the examples and the tracked ``benchmarks/results/*.txt`` stay
+consistent.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -18,19 +17,6 @@ from repro.evaluation.experiments import (
     LearningCurveResult,
     TreeGrowthResult,
 )
-
-if TYPE_CHECKING:
-    from repro.evaluation.throughput import (
-        BackendThroughputResult,
-        BypassAmortizationResult,
-        ConnectionScalingResult,
-        FeedbackThroughputResult,
-        AnytimeRecallResult,
-        LiveMutationResult,
-        ServingThroughputResult,
-        ShardedThroughputResult,
-        ThroughputResult,
-    )
 
 
 def format_series_table(header: list[str], rows: list[list]) -> str:
@@ -163,102 +149,8 @@ def render_engine_stats(stats: dict[str, int]) -> str:
     return "Retrieval-engine dispatch\n" + format_series_table(["counter", "value"], rows)
 
 
-def render_throughput(result: ThroughputResult) -> str:
-    """Batch-vs-loop throughput of the batched query pipeline."""
-    rows = [
-        ["loop", result.n_queries, result.k, result.loop_seconds, result.loop_qps],
-        ["batch", result.n_queries, result.k, result.batch_seconds, result.batch_qps],
-    ]
-    header = ["path", "queries", "k", "seconds", "queries/sec"]
-    identical = "identical" if result.identical_results else "DIVERGENT"
-    return (
-        f"Batch throughput (speedup {result.speedup:.2f}x, results {identical})\n"
-        + format_series_table(header, rows)
-    )
 
 
-def render_feedback_throughput(result: "FeedbackThroughputResult") -> str:
-    """Sequential-vs-frontier throughput of the feedback loop phase."""
-    rows = [
-        [
-            "sequential",
-            result.n_queries,
-            result.k,
-            result.feedback_iterations,
-            result.sequential_seconds,
-            result.sequential_qps,
-        ],
-        [
-            "frontier",
-            result.n_queries,
-            result.k,
-            result.feedback_iterations,
-            result.frontier_seconds,
-            result.frontier_qps,
-        ],
-    ]
-    header = ["path", "queries", "k", "iterations", "seconds", "queries/sec"]
-    identical = "identical" if result.identical_results else "DIVERGENT"
-    return (
-        f"Feedback-loop throughput (speedup {result.speedup:.2f}x, results {identical})\n"
-        + format_series_table(header, rows)
-    )
-
-
-def render_sharded_throughput(result: "ShardedThroughputResult") -> str:
-    """Serial-vs-parallel throughput of the sharded multi-worker engine."""
-    rows = [
-        ["unsharded", result.n_queries, result.k, 1, 1, result.unsharded_seconds, result.unsharded_qps],
-        ["sharded-serial", result.n_queries, result.k, result.n_shards, 1, result.serial_seconds, result.serial_qps],
-        [
-            "sharded-parallel",
-            result.n_queries,
-            result.k,
-            result.n_shards,
-            result.n_workers,
-            result.parallel_seconds,
-            result.parallel_qps,
-        ],
-    ]
-    header = ["path", "queries", "k", "shards", "workers", "seconds", "queries/sec"]
-    identical = "identical" if result.identical_results else "DIVERGENT"
-    return (
-        f"Sharded throughput (worker speedup {result.speedup:.2f}x, results {identical})\n"
-        + format_series_table(header, rows)
-    )
-
-
-def render_backend_throughput(result: "BackendThroughputResult") -> str:
-    """Thread-vs-process throughput of the sharded engine's backends."""
-    rows = [
-        ["unsharded", result.n_queries, result.k, 1, 1, result.unsharded_seconds, result.unsharded_qps],
-        ["sharded-serial", result.n_queries, result.k, result.n_shards, 1, result.serial_seconds, result.serial_qps],
-        [
-            "sharded-thread",
-            result.n_queries,
-            result.k,
-            result.n_shards,
-            result.n_workers,
-            result.thread_seconds,
-            result.thread_qps,
-        ],
-        [
-            "sharded-process",
-            result.n_queries,
-            result.k,
-            result.n_shards,
-            result.n_workers,
-            result.process_seconds,
-            result.process_qps,
-        ],
-    ]
-    header = ["path", "queries", "k", "shards", "workers", "seconds", "queries/sec"]
-    identical = "identical" if result.identical_results else "DIVERGENT"
-    return (
-        f"Backend throughput (thread {result.thread_speedup:.2f}x, "
-        f"process {result.process_speedup:.2f}x over serial, results {identical})\n"
-        + format_series_table(header, rows)
-    )
 
 
 def render_tree_growth(result: TreeGrowthResult) -> str:
@@ -271,162 +163,3 @@ def render_tree_growth(result: TreeGrowthResult) -> str:
     ]
     header = ["queries", "avg simplices traversed", "tree depth", "stored points"]
     return "Simplex-Tree growth (Figure 16)\n" + format_series_table(header, rows)
-
-
-def render_serving_throughput(result: "ServingThroughputResult") -> str:
-    """Serial-vs-coalesced throughput of the network serving layer."""
-    rows = [
-        [
-            "serving-serial",
-            result.n_queries,
-            result.k,
-            result.n_clients,
-            result.serial_dispatches,
-            result.serial_seconds,
-            result.serial_qps,
-        ],
-        [
-            "serving-coalesced",
-            result.n_queries,
-            result.k,
-            result.n_clients,
-            result.coalesced_dispatches,
-            result.coalesced_seconds,
-            result.coalesced_qps,
-        ],
-    ]
-    header = ["path", "queries", "k", "clients", "dispatches", "seconds", "queries/sec"]
-    identical = "identical" if result.identical_results else "DIVERGENT"
-    return (
-        f"Serving throughput (coalescing speedup {result.speedup:.2f}x, results {identical})\n"
-        + format_series_table(header, rows)
-    )
-
-
-def render_connection_scaling(result: "ConnectionScalingResult") -> str:
-    """C10K connection scaling of the async serving front end."""
-    rows = [
-        [
-            "compare-threaded",
-            result.n_compare_clients,
-            0,
-            result.compare_requests,
-            result.threaded_seconds,
-            result.threaded_qps,
-        ],
-        [
-            "compare-async",
-            result.n_compare_clients,
-            0,
-            result.compare_requests,
-            result.async_seconds,
-            result.async_qps,
-        ],
-        [
-            "c10k-async",
-            result.n_hot,
-            result.n_idle,
-            result.hot_requests,
-            result.hot_seconds,
-            result.hot_qps,
-        ],
-    ]
-    header = ["phase", "hot clients", "idle conns", "requests", "seconds", "queries/sec"]
-    identical = "identical" if result.identical_results else "DIVERGENT"
-    return (
-        f"Connection scaling (async/threaded qps {result.async_vs_threaded:.2f}x at "
-        f"{result.n_compare_clients} clients, {result.idle_alive}/{result.n_idle} idle "
-        f"sustained, {result.dispatch_share:.3f} dispatches/request, results {identical})\n"
-        + format_series_table(header, rows)
-    )
-
-
-def render_bypass_amortization(result: "BypassAmortizationResult") -> str:
-    """Cohort-by-cohort iteration economy of the shared served bypass."""
-    rows = [
-        [
-            "cold",
-            result.n_clients,
-            result.n_queries,
-            result.cold_iterations,
-            result.cold_seconds,
-        ]
-    ]
-    for position, iterations in enumerate(result.cohort_iterations, start=1):
-        seconds = result.warm_seconds if position == len(result.cohort_iterations) else ""
-        rows.append([f"warm-{position}", result.n_clients, result.n_queries, iterations, seconds])
-    header = ["cohort", "clients", "queries", "mean iterations", "seconds"]
-    identical = "identical" if result.identical_results else "DIVERGENT"
-    return (
-        f"Bypass amortization (cold {result.cold_iterations:.2f} -> warm "
-        f"{result.warm_iterations:.2f} iterations, {result.saved_iterations:.2f} saved "
-        f"per query, {result.amortization:.2f}x, {result.trained_nodes} trained nodes, "
-        f"results {identical})\n" + format_series_table(header, rows)
-    )
-
-
-def render_live_mutation(result: "LiveMutationResult") -> str:
-    """Write cost, mixed-traffic throughput and compaction of a live corpus."""
-    header = ["phase", "ops", "seconds", "per-op ms", "qps"]
-    rows = [
-        [
-            "insert (live)",
-            result.n_inserts,
-            result.insert_seconds * result.n_inserts,
-            result.insert_seconds * 1e3,
-            1.0 / result.insert_seconds,
-        ],
-        [
-            "rebuild-per-write",
-            result.n_rebuilds,
-            result.rebuild_seconds * result.n_rebuilds,
-            result.rebuild_seconds * 1e3,
-            1.0 / result.rebuild_seconds,
-        ],
-        [
-            "frozen read-only",
-            result.read_queries,
-            result.frozen_seconds,
-            result.frozen_seconds * 1e3 / result.read_queries,
-            result.frozen_qps,
-        ],
-        [
-            "live mixed r/w",
-            result.read_queries + result.write_ops,
-            result.mixed_seconds,
-            result.mixed_seconds * 1e3 / result.read_queries,
-            result.mixed_qps,
-        ],
-    ]
-    identical = "identical" if result.identical_results else "DIVERGENT"
-    return (
-        f"Live mutation (corpus = {result.n_rows} x {result.dimension}, k = {result.k}: "
-        f"insert {result.insert_speedup:.1f}x cheaper than rebuild-per-write, "
-        f"mixed traffic at {result.mixed_ratio:.2f}x frozen qps, "
-        f"{result.queries_during_compaction} reads completed during the "
-        f"{result.compaction_seconds * 1e3:.1f} ms compaction, results {identical})\n"
-        + format_series_table(header, rows)
-    )
-
-
-def render_anytime_recall(result: "AnytimeRecallResult") -> str:
-    """Recall trajectory of budgeted retrieval as the work cap grows."""
-    header = ["budget frac", "max rows", "recall", "coverage", "complete", "seconds"]
-    rows = [
-        [
-            f"{point['fraction']:g}",
-            point["max_rows"],
-            f"{point['recall']:.4f}",
-            f"{point['coverage']:.4f}",
-            "yes" if point["complete"] else "no",
-            f"{point['seconds']:.4f}",
-        ]
-        for point in result.points
-    ]
-    exact_fraction = result.exact_rows / max(result.full_scan_rows, 1)
-    monotone = "monotone" if result.monotone else "NON-MONOTONE"
-    return (
-        f"Anytime recall ({result.n_rows} rows x {result.n_queries} queries, "
-        f"k={result.k}, exact work {exact_fraction:.2%} of full scan, "
-        f"curve {monotone})\n" + format_series_table(header, rows)
-    )

@@ -15,8 +15,8 @@ than one block of scratch beyond the output matrix.  Everything is a pure
 function of the arguments, so two processes — or the benchmark and the test
 that checks it — build bit-identical corpora.
 
-The :mod:`benchmarks.scale_lab` driver and the scale-regression benchmark
-build their corpora here; ``scale`` there is just ``n_vectors``.
+The fast-precision identity grid (``tests/test_fast_precision.py``) builds
+its near-tie-heavy corpora here.
 """
 
 from __future__ import annotations

@@ -100,9 +100,8 @@ class RequestCoalescer:
     max_batch:
         Row cap of one window: a window holding this many rows is sealed
         and later arrivals open the next one.  ``1`` disables coalescing —
-        every submission is its own engine call (the "serial
-        per-connection dispatch" baseline the throughput harness measures
-        against).
+        every submission is its own engine call (serial per-connection
+        dispatch).
     max_wait:
         Optional extra gather time (seconds).  ``0.0`` (default) is pure
         **continuous batching**: nobody ever waits on a clock — a lone

@@ -1,20 +1,11 @@
-"""Batched sessions, the workload runner and the throughput helper."""
+"""Batched sessions, the workload runner and the engine-stats report."""
 
-import numpy as np
 import pytest
 
 from repro.database.engine import RetrievalEngine
-from repro.evaluation.reporting import (
-    render_engine_stats,
-    render_feedback_throughput,
-    render_throughput,
-)
+from repro.evaluation.reporting import render_engine_stats
 from repro.evaluation.session import InteractiveSession, SessionConfig
-from repro.evaluation.simulated_user import SimulatedUser
-from repro.evaluation.throughput import measure_batch_speedup, measure_feedback_speedup
 from repro.evaluation.workloads import run_workload
-from repro.feedback.engine import FeedbackEngine
-from repro.utils.validation import ValidationError
 
 
 class TestSessionRunBatch:
@@ -68,75 +59,9 @@ class TestSessionRunBatch:
         assert len(outcomes) == 3
 
 
-class TestThroughputHelper:
-    def test_measures_and_verifies_equivalence(self, tiny_collection):
-        engine = RetrievalEngine(tiny_collection)
-        rng = np.random.default_rng(5)
-        queries = tiny_collection.vectors[rng.integers(0, tiny_collection.size, 16)]
-        result = measure_batch_speedup(engine, queries, 5, repeats=2)
-        assert result.identical_results
-        assert result.n_queries == 16
-        assert result.loop_qps > 0 and result.batch_qps > 0
-        assert result.speedup == pytest.approx(result.loop_seconds / result.batch_seconds)
-
-    def test_requires_queries(self, tiny_collection):
-        engine = RetrievalEngine(tiny_collection)
-        with pytest.raises(ValidationError):
-            measure_batch_speedup(engine, np.zeros((0, tiny_collection.dimension)), 5)
-
-    def test_render_throughput(self, tiny_collection):
-        engine = RetrievalEngine(tiny_collection)
-        queries = tiny_collection.vectors[:4]
-        result = measure_batch_speedup(engine, queries, 3, repeats=1)
-        text = render_throughput(result)
-        assert "queries/sec" in text and "speedup" in text
-
+class TestEngineStatsReport:
     def test_render_engine_stats(self, tiny_collection):
         engine = RetrievalEngine(tiny_collection)
         engine.search(tiny_collection.vectors[0], 3)
         text = render_engine_stats(engine.stats())
         assert "scan_fallbacks" in text and "index_hits" in text
-
-
-class TestFeedbackThroughputHelper:
-    def test_measures_and_verifies_equivalence(self, tiny_collection):
-        feedback = FeedbackEngine(RetrievalEngine(tiny_collection), max_iterations=5)
-        user = SimulatedUser(tiny_collection)
-        rng = np.random.default_rng(6)
-        query_indices = rng.integers(0, tiny_collection.size, 8)
-        judges = [user.judge_for_query(int(index)) for index in query_indices]
-        result = measure_feedback_speedup(
-            feedback, tiny_collection.vectors[query_indices], 6, judges, repeats=2
-        )
-        assert result.identical_results
-        assert result.n_queries == 8
-        assert result.feedback_iterations >= 0
-        assert result.sequential_qps > 0 and result.frontier_qps > 0
-        assert result.speedup == pytest.approx(
-            result.sequential_seconds / result.frontier_seconds
-        )
-
-    def test_requires_one_judge_per_query(self, tiny_collection):
-        feedback = FeedbackEngine(RetrievalEngine(tiny_collection))
-        user = SimulatedUser(tiny_collection)
-        with pytest.raises(ValidationError):
-            measure_feedback_speedup(
-                feedback, tiny_collection.vectors[:3], 5, [user.judge_for_query(0)] * 2
-            )
-
-    def test_requires_queries(self, tiny_collection):
-        feedback = FeedbackEngine(RetrievalEngine(tiny_collection))
-        with pytest.raises(ValidationError):
-            measure_feedback_speedup(
-                feedback, np.zeros((0, tiny_collection.dimension)), 5, []
-            )
-
-    def test_render_feedback_throughput(self, tiny_collection):
-        feedback = FeedbackEngine(RetrievalEngine(tiny_collection), max_iterations=3)
-        user = SimulatedUser(tiny_collection)
-        judges = [user.judge_for_query(index) for index in (0, 1)]
-        result = measure_feedback_speedup(
-            feedback, tiny_collection.vectors[:2], 4, judges, repeats=1
-        )
-        text = render_feedback_throughput(result)
-        assert "queries/sec" in text and "frontier" in text and "sequential" in text

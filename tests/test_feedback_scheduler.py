@@ -30,8 +30,8 @@ def assert_loop_results_identical(sequential: FeedbackLoopResult, frontier: Feed
     """Byte-level equality of two feedback-loop results.
 
     Asserts field by field for diagnosable failures, then cross-checks the
-    canonical :meth:`FeedbackLoopResult.identical_to` (which the throughput
-    measurement relies on) against the same pair.
+    canonical :meth:`FeedbackLoopResult.identical_to` (which the serving
+    suites rely on) against the same pair.
     """
     np.testing.assert_array_equal(
         sequential.initial_state.query_point, frontier.initial_state.query_point
@@ -57,6 +57,27 @@ def user(tiny_collection) -> SimulatedUser:
 def query_indices(tiny_collection) -> np.ndarray:
     rng = np.random.default_rng(31)
     return rng.integers(0, tiny_collection.size, size=10)
+
+
+def assert_dispatch_counts(sequential_engine, frontier_engine, results, ks):
+    """The frontier's batching, counted exactly.
+
+    Sequentially every search is a single-row call: one first round per
+    query plus one per feedback iteration, and no batched dispatch.  The
+    frontier runs the same searches as one batched dispatch per round per
+    k-group: the group's first rounds, then one per loop round until the
+    group's longest loop retires.
+    """
+    sequential = sequential_engine.retrieval_engine.stats()
+    frontier = frontier_engine.retrieval_engine.stats()
+    searches = len(results) + sum(result.iterations for result in results)
+    assert sequential["n_searches"] == frontier["n_searches"] == searches
+    assert sequential["n_batches"] == sequential["frontier_batches"] == 0
+    longest: dict = {}
+    for result, k in zip(results, ks):
+        longest[k] = max(longest.get(k, 0), result.iterations)
+    rounds = sum(1 + iterations for iterations in longest.values())
+    assert frontier["frontier_batches"] == frontier["n_batches"] == rounds
 
 
 def _requests(collection, user, indices, k=8, deltas=None, weights=None):
@@ -104,14 +125,16 @@ class TestSchedulerEquivalenceGrid:
         for sequential_result, frontier_result in zip(sequential, frontier):
             assert_loop_results_identical(sequential_result, frontier_result)
         # Both paths account the same number of feedback iterations on their
-        # engines; only the frontier dispatches batched searches.
+        # engines; only the frontier dispatches batched searches, one per
+        # round: max(iterations) loop rounds after the first-round batch.
         assert (
             sequential_engine.retrieval_engine.feedback_iterations
             == frontier_engine.retrieval_engine.feedback_iterations
+            == sum(result.iterations for result in frontier)
         )
-        assert sequential_engine.retrieval_engine.frontier_batches == 0
-        if any(result.iterations for result in frontier):
-            assert frontier_engine.retrieval_engine.frontier_batches > 0
+        assert_dispatch_counts(
+            sequential_engine, frontier_engine, frontier, [8] * len(frontier)
+        )
 
     def test_initial_parameters_are_honoured(self, tiny_collection, user, query_indices):
         rng = np.random.default_rng(5)
@@ -156,6 +179,7 @@ class TestSchedulerEquivalenceGrid:
         frontier = LoopScheduler(frontier_engine).run(requests)
         for sequential_result, frontier_result in zip(sequential, frontier):
             assert_loop_results_identical(sequential_result, frontier_result)
+        assert_dispatch_counts(sequential_engine, frontier_engine, frontier, ks)
 
     def test_no_signal_query_retires_without_iterating(self, tiny_collection, user):
         def hopeless_judge(results):
@@ -169,6 +193,54 @@ class TestSchedulerEquivalenceGrid:
         assert result.iterations == 0
         assert not result.converged
         assert result.final_results == result.initial_results
+
+    def test_a_frontier_that_retires_at_once_costs_one_dispatch(
+        self, tiny_collection, user, query_indices
+    ):
+        def hopeless_judge(results):
+            return user.judge_batch(results, "NoSuchCategory")
+
+        engine = FeedbackEngine(RetrievalEngine(tiny_collection))
+        requests = [
+            LoopRequest(query_point=tiny_collection.vectors[int(index)], k=5, judge=hopeless_judge)
+            for index in query_indices
+        ]
+        results = LoopScheduler(engine).run(requests)
+        assert [result.iterations for result in results] == [0] * len(requests)
+        stats = engine.retrieval_engine.stats()
+        assert stats["n_searches"] == len(requests)
+        assert stats["n_batches"] == stats["frontier_batches"] == 1
+        assert stats["feedback_iterations"] == 0
+
+    def test_a_k_group_per_query_dispatches_per_query(self, tiny_collection, user, query_indices):
+        # The degenerate layout: no two loops share a k, so every round is
+        # one single-row batch per live loop and the frontier dispatches
+        # exactly as many times as the sequential loops search.
+        ks = [3 + position for position in range(query_indices.size)]
+        sequential_engine = FeedbackEngine(RetrievalEngine(tiny_collection))
+        frontier_engine = FeedbackEngine(RetrievalEngine(tiny_collection))
+        sequential = [
+            sequential_engine.run_loop(
+                tiny_collection.vectors[int(index)], k, user.judge_for_query(int(index))
+            )
+            for index, k in zip(query_indices, ks)
+        ]
+        frontier = LoopScheduler(frontier_engine).run(
+            [
+                LoopRequest(
+                    query_point=tiny_collection.vectors[int(index)],
+                    k=k,
+                    judge=user.judge_for_query(int(index)),
+                )
+                for index, k in zip(query_indices, ks)
+            ]
+        )
+        for sequential_result, frontier_result in zip(sequential, frontier):
+            assert_loop_results_identical(sequential_result, frontier_result)
+        assert_dispatch_counts(sequential_engine, frontier_engine, frontier, ks)
+        stats = frontier_engine.retrieval_engine.stats()
+        assert stats["n_batches"] == stats["n_searches"]
+        assert any(result.iterations for result in frontier)
 
 
 class TestFrontierMechanics:

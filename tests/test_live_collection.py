@@ -260,6 +260,178 @@ class TestByteIdentityToFrozenRebuild:
         )
 
 
+class TestWritesNeverRebuild:
+    N_WRITES = 24
+
+    def test_single_row_writes_leave_the_base_untouched(self):
+        """O(delta), no rebuild: writes never replace the indexed base.
+
+        After many single-row inserts and deletes — with queries in between,
+        so every intermediate snapshot is materialised and searched — the
+        base segment, its metric index and its kernel workspace are the very
+        objects the collection started with, no compaction ran, and the
+        inserted rows sit in exactly one delta segment.
+        """
+        live = LiveCollection(_base_vectors(), index_factory=_vptree_factory)
+        engine = RetrievalEngine(live)
+        base = live.snapshot().segments[0].unit
+        base_index = live.base_index
+        workspace = base.collection.workspace
+        assert isinstance(base_index, VPTreeIndex)
+
+        rng = np.random.default_rng(8)
+        inserted = []
+        for write in range(self.N_WRITES):
+            (new_id,) = live.insert(rng.random(DIMENSION))
+            inserted.append(int(new_id))
+            live.delete([write])
+            engine.search_batch(_queries(live, seed=write, n=2), 5)
+
+        snapshot = live.snapshot()
+        assert snapshot.segments[0].unit is base
+        assert snapshot.segments[0].unit.collection.workspace is workspace
+        assert live.base_index is base_index
+        assert snapshot.epoch == live.epoch == 0
+        assert live.n_compactions == live.corpus_stats()["compactions"] == 0
+        assert snapshot.n_delta_segments == 1
+        np.testing.assert_array_equal(snapshot.segments[1].unit.ids, inserted)
+        assert snapshot.n_tombstones == self.N_WRITES
+        assert live.size == 40
+
+    @staticmethod
+    def _base_objects(live):
+        unit = live.snapshot().segments[0].unit
+        return unit, live.base_index, unit.collection.workspace
+
+    @staticmethod
+    def _assert_base_is(live, objects):
+        unit, index, workspace = objects
+        assert live.snapshot().segments[0].unit is unit
+        assert live.base_index is index
+        assert unit.collection.workspace is workspace
+
+    @pytest.mark.parametrize("index_kind", sorted(INDEX_FACTORIES))
+    def test_mixed_traffic_is_exact_and_never_rebuilds(self, index_kind):
+        """Nine reads to one write, every read checked against a frozen rebuild.
+
+        Whatever the base index, the reads stay byte-identical to freezing
+        the alive rows at that instant, and the writes between them still
+        touch nothing but the delta segment and the tombstones.
+        """
+        live = LiveCollection(_base_vectors(), index_factory=INDEX_FACTORIES[index_kind])
+        engine = RetrievalEngine(live)
+        base = self._base_objects(live)
+        rng = np.random.default_rng(21)
+        for step in range(40):
+            if step % 10 == 9:
+                live.insert(rng.random((2, DIMENSION)))
+                live.delete([step])
+                continue
+            frozen, ids = _frozen_rebuild(live)
+            reference = RetrievalEngine(frozen, default_distance=engine.default_distance)
+            queries = _queries(live, seed=step, n=3)
+            _assert_identical(
+                engine.search_batch(queries, 6), reference.search_batch(queries, 6), ids
+            )
+        self._assert_base_is(live, base)
+        assert live.epoch == 0 and live.n_compactions == 0
+        assert live.corpus_stats()["delta_rows"] == 8
+        assert live.corpus_stats()["tombstones"] == 4
+
+    def test_sharded_engine_writes_leave_the_base_untouched(self):
+        live = LiveCollection(_base_vectors(), index_factory=_vptree_factory)
+        base = self._base_objects(live)
+        rng = np.random.default_rng(22)
+        with ShardedEngine(live, n_workers=2) as sharded:
+            for write in range(self.N_WRITES):
+                live.insert(rng.random(DIMENSION))
+                live.delete([write])
+                sharded.search_batch(_queries(live, seed=write, n=2), 5)
+            stats = sharded.stats()
+            # The fan-out covers the base and the one delta segment.
+            assert sharded.n_shards == stats["shard_count"] == 2
+        self._assert_base_is(live, base)
+        assert stats["compactions"] == 0
+        assert stats["n_searches"] == 2 * self.N_WRITES
+        assert live.epoch == 0
+
+    def test_compaction_is_the_one_rebuild(self):
+        live = LiveCollection(_base_vectors(), index_factory=_vptree_factory)
+        original = self._base_objects(live)
+        rng = np.random.default_rng(23)
+        live.insert(rng.random((4, DIMENSION)))
+        live.delete([3])
+        live.compact()
+        folded = self._base_objects(live)
+        assert all(new is not old for new, old in zip(folded, original))
+        assert live.epoch == 1 and live.n_compactions == 1
+        for write in range(self.N_WRITES):
+            live.insert(rng.random(DIMENSION))
+            live.delete([10 + write])
+        self._assert_base_is(live, folded)
+        assert live.epoch == 1 and live.n_compactions == 1
+
+    def test_reads_and_writes_proceed_while_a_fold_rebuilds(self):
+        """A compaction parked in its O(corpus) phase holds up nobody.
+
+        The fold's index build is blocked on an event; meanwhile reads
+        answer byte-identically to a frozen rebuild and writes land, all
+        before the fold is let go.  After the swap the racing insert sits in
+        the fresh delta and the racing delete is a tombstone of the new base.
+        """
+        building, release = threading.Event(), threading.Event()
+        armed = []
+
+        def blocking_factory(collection, distance):
+            if armed:
+                building.set()
+                assert release.wait(timeout=30.0)
+            return _vptree_factory(collection, distance)
+
+        live = LiveCollection(_base_vectors(), index_factory=blocking_factory)
+        engine = RetrievalEngine(live)
+        live.insert(np.random.default_rng(24).random((3, DIMENSION)))
+        armed.append(True)
+        outcomes = []
+        fold = threading.Thread(target=lambda: outcomes.append(live.compact()))
+        fold.start()
+        try:
+            assert building.wait(timeout=30.0)
+            reads = 0
+            for seed in range(3):
+                frozen, ids = _frozen_rebuild(live)
+                reference = RetrievalEngine(frozen, default_distance=engine.default_distance)
+                queries = _queries(live, seed=seed, n=4)
+                _assert_identical(
+                    engine.search_batch(queries, 5), reference.search_batch(queries, 5), ids
+                )
+                reads += 1
+            (racing_id,) = live.insert(live.vector(7)[None, :])
+            live.delete([5])
+            frozen, ids = _frozen_rebuild(live)
+            reference = RetrievalEngine(frozen, default_distance=engine.default_distance)
+            queries = _queries(live, seed=9, n=4)
+            racing = engine.search_batch(queries, 5)
+            _assert_identical(racing, reference.search_batch(queries, 5), ids)
+            reads += 1
+            assert fold.is_alive() and live.epoch == 0
+        finally:
+            release.set()
+            fold.join(timeout=30.0)
+        assert not fold.is_alive()
+        assert reads == 4
+        assert outcomes[0]["compacted"] is True and live.epoch == 1
+        snapshot = live.snapshot()
+        assert snapshot.n_delta_segments == 1
+        np.testing.assert_array_equal(snapshot.segments[1].unit.ids, [racing_id])
+        assert snapshot.n_tombstones == 1
+        assert live.size == 40 + 3 + 1 - 1
+        # The same answers, bit for bit, across the swap.
+        for before, after in zip(racing, engine.search_batch(queries, 5)):
+            np.testing.assert_array_equal(before.indices(), after.indices())
+            assert before.distances().tobytes() == after.distances().tobytes()
+
+
 class TestCompaction:
     def test_compact_folds_everything_into_one_segment(self):
         live = LiveCollection(_base_vectors(), index_factory=_vptree_factory)

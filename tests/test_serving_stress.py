@@ -3,9 +3,11 @@
 Complements the equivalence grid with the ugly parts of serving real
 traffic: many connections hammering mixed operations at once (with exact
 counter totals afterwards — coalescing must lose no request and count no
-request twice), a client disconnecting mid-frontier while other sessions'
-loops keep advancing, a close() that drains in-flight work, and a
-process-backend teardown that provably releases its shared-memory segment.
+request twice), hundreds of idle connections parked on the async front end
+while hot clients are served, a client disconnecting mid-frontier while
+other sessions' loops keep advancing, a close() that drains in-flight work,
+and a process-backend teardown that provably releases its shared-memory
+segment.
 """
 
 import os
@@ -20,8 +22,9 @@ from repro.database.engine import RetrievalEngine
 from repro.database.sharding import ShardedEngine
 from repro.evaluation.simulated_user import CategoryJudge, SimulatedUser
 from repro.feedback.engine import FeedbackEngine
-from repro.serving import RetrievalServer, ServerConfig, ServingClient
-from repro.serving.protocol import send_message
+from repro.serving import AsyncRetrievalServer, RetrievalServer, ServerConfig, ServingClient
+from repro.serving.codec import BINARY, pack_hello, parse_reply
+from repro.serving.protocol import recv_message, recv_payload, send_message, send_payload
 
 pytestmark = pytest.mark.serving
 
@@ -149,6 +152,87 @@ class TestConcurrentHammering:
         assert stats["sessions"]["open"] == 0
         assert stats["connections"]["open"] == 0
         assert stats["connections"]["accepted"] == self.N_CLIENTS
+
+
+class TestIdleConnectionSwarm:
+    """The C10K population shape on the async front end, counted not timed.
+
+    Many users are logged in but not searching: their connections finish
+    the codec handshake and go silent.  The event loop must park them all
+    while hot clients are served byte-identically, and every parked
+    connection must still answer afterwards — no reaped socket, no starved
+    handler.
+    """
+
+    N_IDLE = 256
+    N_HOT = 4
+    REQUESTS_PER_HOT = 8
+    #: Descriptors kept free for everything besides the idle swarm.
+    FD_HEADROOM = 256
+
+    def _idle_connections_that_fit(self) -> int:
+        """Each idle connection costs two descriptors here (client + server side)."""
+        try:
+            import resource
+        except ImportError:  # pragma: no cover - non-POSIX platform
+            return self.N_IDLE
+        soft, _ = resource.getrlimit(resource.RLIMIT_NOFILE)
+        if soft == resource.RLIM_INFINITY:
+            return self.N_IDLE
+        return min(self.N_IDLE, (soft - self.FD_HEADROOM) // 2)
+
+    def test_idle_connections_survive_hot_traffic(self, tiny_collection, wait_until):
+        n_idle = self._idle_connections_that_fit()
+        if n_idle < 1:
+            pytest.skip("RLIMIT_NOFILE leaves no room for idle connections")
+        engine = RetrievalEngine(tiny_collection)
+        rng = np.random.default_rng(10_000)
+        queries = rng.random((self.N_HOT, self.REQUESTS_PER_HOT, tiny_collection.dimension))
+        references = [[engine.search(point, K) for point in rows] for rows in queries]
+
+        with AsyncRetrievalServer(engine, ServerConfig()) as server:
+            host, port = server.address
+            idle = []
+            try:
+                for _ in range(n_idle):
+                    sock = socket.create_connection((host, port), timeout=10.0)
+                    idle.append(sock)
+                    send_payload(sock, pack_hello([BINARY.name]))
+                    assert parse_reply(recv_payload(sock)) == BINARY.name
+                wait_until(lambda: server.stats()["connections"]["open"] == n_idle)
+
+                answers: dict = {}
+
+                def hot(client_id):
+                    with ServingClient(host, port) as client:
+                        answers[client_id] = [
+                            client.search(point, K) for point in queries[client_id]
+                        ]
+
+                _run_threads(self.N_HOT, hot)
+                wait_until(lambda: server.stats()["connections"]["open"] == n_idle)
+
+                pongs = 0
+                for sock in idle:
+                    send_message(sock, {"op": "ping"}, BINARY)
+                    response = recv_message(sock, BINARY)
+                    pongs += bool(response.get("ok") and response.get("result") == "pong")
+                stats = server.stats()
+            finally:
+                for sock in idle:
+                    sock.close()
+
+        for client_id in range(self.N_HOT):
+            for served, local in zip(answers[client_id], references[client_id]):
+                assert served.indices().tobytes() == local.indices().tobytes()
+                assert served.distances().tobytes() == local.distances().tobytes()
+        assert pongs == n_idle
+        assert stats["connections"]["accepted"] == n_idle + self.N_HOT
+        # Idle pings never reach the engine: the coalescer saw the hot
+        # requests and nothing else.
+        hot_requests = self.N_HOT * self.REQUESTS_PER_HOT
+        coalescer = stats["coalescer"]
+        assert coalescer["requests"] == coalescer["dispatched_rows"] == hot_requests
 
 
 class TestDisconnectMidFrontier:

@@ -207,6 +207,39 @@ class TestShardedSearchEquivalence:
             assert shard["n_batches"] == expected["n_batches"]
             assert shard["n_searches"] == expected["n_searches"]
 
+    @pytest.mark.parametrize(
+        "n_workers,backend",
+        [(1, "thread"), (2, "thread"), (4, "thread"), (2, "process")],
+        ids=lambda value: str(value),
+    )
+    def test_workers_split_the_shards_never_the_work(
+        self, collection, queries, n_workers, backend
+    ):
+        """The degree of parallelism shows in neither the answers nor the work.
+
+        However many workers fan four shards out, on threads or processes,
+        every shard engine answers each batch with exactly one batched
+        dispatch covering every query, and the merged top-k (with ``k``
+        larger than any shard) is byte-identical to the unsharded engine.
+        """
+        k, rounds = 50, 2
+        reference = RetrievalEngine(collection)
+        expected = [reference.search_batch(queries, k) for _ in range(rounds)][-1]
+        with ShardedEngine(collection, 4, n_workers=n_workers, backend=backend) as sharded:
+            for _ in range(rounds):
+                for result, reference_result in zip(sharded.search_batch(queries, k), expected):
+                    _assert_identical(result, reference_result, (n_workers, backend))
+            stats = sharded.stats()
+            shard_sizes = [shard.size for shard in sharded.sharded_collection.shards]
+        assert max(shard_sizes) < k and sum(shard_sizes) == SIZE
+        assert stats["n_batches"] == rounds
+        assert stats["n_searches"] == rounds * len(queries)
+        assert [shard["n_batches"] for shard in stats["per_shard"]] == [rounds] * 4
+        assert [shard["n_searches"] for shard in stats["per_shard"]] == [
+            rounds * len(queries)
+        ] * 4
+        assert stats["scan_fallbacks"] == 4 * reference.stats()["scan_fallbacks"]
+
     def test_cross_shard_ties_break_by_global_index(self, collection):
         # The triplicated vector lives at indices 2, 75 and 140 — three
         # different shards at n_shards=5.  Querying exactly there must
