@@ -6,11 +6,11 @@ labels (the image categories of the evaluation corpus) and convenience
 constructors from an :class:`~repro.features.datasets.ImageDataset`.
 
 The collection also owns the :class:`CorpusWorkspace` of its matrix: the
-corpus-side quantities every batched distance kernel re-derived per call
-(the centred matrix, its element-wise squares, the squared norms) are
-computed once per collection and handed to
-:meth:`~repro.distances.base.DistanceFunction.pairwise`, so the scan hot
-loop stops paying a corpus-sized recomputation per query batch.
+corpus-side quantities every batched distance kernel would otherwise
+re-derive per call (the mean, the float32 centred matrix, the weighted
+point norms) are computed once per collection and handed to
+:meth:`~repro.distances.base.DistanceFunction.pairwise`, so a scan request
+streams the float32 centred matrix once and nothing else corpus-sized.
 """
 
 from __future__ import annotations
@@ -19,51 +19,56 @@ import numpy as np
 
 from repro.utils.validation import ValidationError, as_float_matrix, as_float_vector
 
+#: Weight vectors / forms whose point norms a workspace keeps (oldest out first).
+MAX_CACHED_NORMS = 8
+
+#: Corpus rows per step when the float64 point norms are computed.
+_NORM_BLOCK_ROWS = 8192
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
 
 class CorpusWorkspace:
     """Precomputed corpus-side terms shared by the batched distance kernels.
 
-    The matrix-form distance expansions (the Gram form of the weighted
-    Euclidean distance, the per-query-weight form driving the frontier
-    loop, the bilinear Mahalanobis form) all re-derived the same quantities
-    from the corpus matrix on **every batch**: the column means, the centred
-    matrix ``P - mean``, its element-wise squares, and plain squared norms.
-    None of those depend on the query batch or on the distance parameters,
-    so this workspace materialises them once per corpus:
+    The default scan is a float32 candidate stage plus exact float64
+    re-scoring (:mod:`repro.database.knn`), so the workspace holds what that
+    stage reads and builds everything else only on demand:
 
     ``matrix``
         The collection's C-contiguous read-only ``(N, D)`` float64 matrix —
         the exact row-wise kernels (``distances_to``) run straight over it.
-    ``mean``
-        Column means ``points.mean(axis=0)`` (the centring every Gram
-        expansion applies to keep cancellation error on the distance scale).
-    ``centered``
-        ``matrix - mean``, C-contiguous — the right-hand side of the BLAS
-        products.
-    ``centered_squared``
-        ``centered ** 2`` — one matvec against a weight vector replaces the
-        per-batch ``points * points`` (N × D) temporary in the weighted
-        point-norm terms.
-    ``squared`` / ``norms``
-        Uncentred element-wise squares and squared row norms, for kernels
-        that expand without centring.  The bundled kernels all centre, so
-        these two materialise lazily on first access (then stay cached) —
-        a workspace costs nothing for terms no kernel reads.
+    ``mean`` / ``extent``
+        Column means, and per column the largest ``|x - mean|`` of the
+        corpus (both eager, ``D`` floats).  Every kernel centres on the
+        mean; the scan bounds its terms with ``extent``
+        (:meth:`~repro.distances.base.DistanceFunction.term_bound`).
+    ``centered32``
+        ``matrix - mean`` computed in float64 and stored float32 (lazy, one
+        streaming pass with no float64 temporary): the right-hand side of
+        every float32 candidate product.
+    :meth:`point_norms`
+        ``Σ c_j·form·c_j`` per centred row for a weight vector or quadratic
+        form, computed in float64 and stored float32, kept for the last
+        :data:`MAX_CACHED_NORMS` forms — a request under a known distance
+        reads no corpus-sized term but :attr:`centered32`.
+    ``centered_squared32``
+        Float32 squares of :attr:`centered32` (lazy): only the
+        per-query-weight kernel reads it.
+    ``centered`` / ``centered_squared``
+        The float64 centred matrix and its squares (lazy): only the
+        ``precision="exact"`` override and a direct exact ``pairwise`` read
+        them.
 
-    ``matrix32`` / ``centered32`` / ``centered_squared32``
-        A read-only **float32 mirror** of the corpus-side terms, backing the
-        ``precision="fast"`` two-stage kernels: the approximate candidate
-        scan runs entirely in float32 (half the memory traffic, twice the
-        BLAS throughput) and the survivors are re-scored exactly in float64.
-        The mirror is lazy — a collection that never serves a fast-path
-        query pays nothing for it — and cached once built.
-
-    All arrays are read-only; the workspace is immutable and valid for the
-    lifetime of the matrix it was built from (:meth:`owns` lets a kernel
-    verify it was handed the workspace of the very matrix it is scanning).
-    Everything in here is a pure function of the matrix bits, so two
-    processes attaching the same shared-memory corpus build bit-identical
-    workspaces.
+    All arrays are read-only; the workspace is valid for the lifetime of the
+    matrix it was built from (:meth:`owns` lets a kernel verify it was
+    handed the workspace of the very matrix it is scanning).  Everything in
+    here is a pure function of the matrix bits, so two processes attaching
+    the same shared-memory corpus build bit-identical workspaces, and a rare
+    concurrent double-build of a lazy term is harmless.
 
     :meth:`block` hands out row-range views for the blocked scans: a view
     shares every array's memory with this workspace (no corpus-sized copy
@@ -73,83 +78,76 @@ class CorpusWorkspace:
     __slots__ = (
         "matrix",
         "mean",
-        "centered",
-        "centered_squared",
-        "_squared",
-        "_norms",
-        "_matrix32",
+        "extent",
+        "_centered",
+        "_centered_squared",
         "_centered32",
         "_centered_squared32",
+        "_norms",
     )
 
     def __init__(self, matrix: np.ndarray) -> None:
         if matrix.ndim != 2:
             raise ValidationError("a corpus workspace needs a 2-D matrix")
         self.matrix = matrix
-        mean = matrix.mean(axis=0)
-        centered = np.ascontiguousarray(matrix - mean)
-        centered_squared = centered * centered
-        for array in (mean, centered, centered_squared):
-            array.setflags(write=False)
+        mean = _frozen(matrix.mean(axis=0))
         self.mean = mean
-        self.centered = centered
-        self.centered_squared = centered_squared
-        self._squared: np.ndarray | None = None
-        self._norms: np.ndarray | None = None
-        self._matrix32: np.ndarray | None = None
+        self.extent = _frozen(np.maximum(matrix.max(axis=0) - mean, mean - matrix.min(axis=0)))
+        self._centered: np.ndarray | None = None
+        self._centered_squared: np.ndarray | None = None
         self._centered32: np.ndarray | None = None
         self._centered_squared32: np.ndarray | None = None
+        self._norms: dict[bytes, np.ndarray] = {}
 
     @property
-    def squared(self) -> np.ndarray:
-        """Uncentred element-wise squares ``matrix ** 2`` (lazy, cached)."""
-        if self._squared is None:
-            squared = self.matrix * self.matrix
-            squared.setflags(write=False)
-            self._squared = squared
-        return self._squared
+    def centered(self) -> np.ndarray:
+        """Float64 centred matrix ``matrix - mean`` (lazy, cached, read-only)."""
+        if self._centered is None:
+            self._centered = _frozen(self.matrix - self.mean)
+        return self._centered
 
     @property
-    def norms(self) -> np.ndarray:
-        """Uncentred squared row norms ``sum(matrix ** 2, axis=1)`` (lazy, cached)."""
-        if self._norms is None:
-            norms = np.einsum("ij,ij->i", self.matrix, self.matrix)
-            norms.setflags(write=False)
-            self._norms = norms
-        return self._norms
-
-    @property
-    def matrix32(self) -> np.ndarray:
-        """Float32 mirror of the corpus matrix (lazy, cached, read-only)."""
-        if self._matrix32 is None:
-            mirror = self.matrix.astype(np.float32)
-            mirror.setflags(write=False)
-            self._matrix32 = mirror
-        return self._matrix32
+    def centered_squared(self) -> np.ndarray:
+        """Element-wise squares of :attr:`centered` (lazy, cached, read-only)."""
+        if self._centered_squared is None:
+            self._centered_squared = _frozen(self.centered * self.centered)
+        return self._centered_squared
 
     @property
     def centered32(self) -> np.ndarray:
-        """Float32 mirror of the centred matrix (lazy, cached, read-only)."""
+        """Float32 centred matrix, computed in float64 (lazy, cached, read-only)."""
         if self._centered32 is None:
-            mirror = self.centered.astype(np.float32)
-            mirror.setflags(write=False)
-            self._centered32 = mirror
+            mirror = np.empty(self.matrix.shape, dtype=np.float32)
+            np.subtract(self.matrix, self.mean, out=mirror, casting="same_kind")
+            self._centered32 = _frozen(mirror)
         return self._centered32
 
     @property
     def centered_squared32(self) -> np.ndarray:
-        """Element-wise squares of :attr:`centered32`, computed in float32.
-
-        Squared *after* the float32 cast (not a cast of the float64
-        squares): the fast kernels' error bound is stated in terms of pure
-        float32 arithmetic over float32 inputs.
-        """
+        """Element-wise squares of :attr:`centered32`, computed in float32."""
         if self._centered_squared32 is None:
-            mirror = self.centered32
-            mirror = mirror * mirror
-            mirror.setflags(write=False)
-            self._centered_squared32 = mirror
+            self._centered_squared32 = _frozen(np.square(self.centered32))
         return self._centered_squared32
+
+    def point_norms(self, form: np.ndarray) -> np.ndarray:
+        """``Σ_d w_d·c_jd²`` (weight vector) or ``c_jᵀ·W·c_j`` (``(D, D)`` form) per row.
+
+        ``c_j`` is the centred row.  Computed in float64 a few thousand rows
+        at a time, stored float32, and cached by the form's bytes for the
+        last :data:`MAX_CACHED_NORMS` forms.
+        """
+        key = form.tobytes()
+        norms = self._norms.get(key)
+        if norms is None:
+            norms = np.empty(self.matrix.shape[0], dtype=np.float32)
+            for start in range(0, norms.shape[0], _NORM_BLOCK_ROWS):
+                centered = self.matrix[start : start + _NORM_BLOCK_ROWS] - self.mean
+                product = centered @ form if form.ndim == 2 else centered * form
+                norms[start : start + centered.shape[0]] = np.einsum("ij,ij->i", product, centered)
+            if len(self._norms) >= MAX_CACHED_NORMS:
+                self._norms.pop(list(self._norms)[0], None)
+            self._norms[key] = norms = _frozen(norms)
+        return norms
 
     def owns(self, points: np.ndarray) -> bool:
         """True when ``points`` is the very matrix this workspace was built from."""
@@ -175,11 +173,11 @@ class CorpusBlockView:
     """One row block of a :class:`CorpusWorkspace`, sharing its memory.
 
     Satisfies the workspace interface the distance kernels consume (``mean``,
-    ``centered``, ``centered_squared``, the float32 mirrors, ``owns``) for the
-    row range ``[start, stop)``.  The mean is the **full-corpus** mean — the
-    centring only exists to keep cancellation error on the distance scale, and
-    the exact re-scoring never sees it, so block-level results are independent
-    of how the corpus was blocked.
+    the centred matrices, :meth:`point_norms`, ``owns``) for the row range
+    ``[start, stop)``.  The mean is the **full-corpus** mean — the centring
+    only exists to keep cancellation error on the distance scale, and the
+    exact re-scoring never sees it, so block-level results are independent of
+    how the corpus was blocked.
     """
 
     __slots__ = ("parent", "start", "stop", "matrix", "mean")
@@ -200,24 +198,15 @@ class CorpusBlockView:
         return self.parent.centered_squared[self.start : self.stop]
 
     @property
-    def squared(self) -> np.ndarray:
-        return self.parent.squared[self.start : self.stop]
-
-    @property
-    def norms(self) -> np.ndarray:
-        return self.parent.norms[self.start : self.stop]
-
-    @property
-    def matrix32(self) -> np.ndarray:
-        return self.parent.matrix32[self.start : self.stop]
-
-    @property
     def centered32(self) -> np.ndarray:
         return self.parent.centered32[self.start : self.stop]
 
     @property
     def centered_squared32(self) -> np.ndarray:
         return self.parent.centered_squared32[self.start : self.stop]
+
+    def point_norms(self, form: np.ndarray) -> np.ndarray:
+        return self.parent.point_norms(form)[self.start : self.stop]
 
     def owns(self, points: np.ndarray) -> bool:
         """True when ``points`` is this very block of the parent matrix."""
@@ -303,11 +292,16 @@ class FeatureCollection:
 
         Materialised on first access and cached for the collection's
         lifetime (the matrix is immutable, so the workspace never goes
-        stale).  The batch k-NN paths hand it to
+        stale).  Building it costs three column reductions (the mean and
+        the centred extent); the corpus-sized terms follow lazily, each on
+        the first request that reads it — under the default scan that is
+        the float32 centred matrix and the point norms of the distance's
+        weights, and no float64 copy of the corpus at all.  The batch k-NN
+        paths hand it to
         :meth:`~repro.distances.base.DistanceFunction.pairwise` so the
-        corpus-side terms of the matrix expansions are never recomputed per
-        query batch.  Its content is a deterministic function of the matrix,
-        so a rare concurrent double-build is harmless.
+        corpus-side terms are never recomputed per query batch.  Its content
+        is a deterministic function of the matrix, so a rare concurrent
+        double-build is harmless.
         """
         if self._workspace is None:
             self._workspace = CorpusWorkspace(self._vectors)
@@ -375,7 +369,7 @@ class FeatureCollection:
 
     def __getstate__(self) -> dict:
         # The workspace is a pure function of the matrix: rebuild it on
-        # demand instead of shipping three corpus-sized arrays per pickle
+        # demand instead of shipping corpus-sized arrays per pickle
         # (spawn-safety: collections must cross process boundaries cheaply).
         state = self.__dict__.copy()
         state["_workspace"] = None

@@ -293,7 +293,7 @@ class QueryEngine:
         query_points,
         k: int,
         distance: DistanceFunction | None = None,
-        precision: str = "exact",
+        precision: str = "fast",
         *,
         budget: "Budget | None" = None,
     ) -> list[ResultSet]:
@@ -304,11 +304,12 @@ class QueryEngine:
         block for the linear scan); the dispatch counters count one decision
         per query so batch and loop report identically.
 
-        ``precision="fast"`` routes the linear scans through the two-stage
-        float32 kernel (approximate float32 candidate selection + exact
-        float64 re-scoring); the results stay byte-identical to the default
-        ``"exact"`` path.  Metric-index dispatch is unaffected — the trees
-        are exact by construction.
+        The linear scans select candidates with a float32 kernel and
+        re-score them exactly in float64 (see
+        :mod:`repro.database.knn`); ``precision="exact"`` overrides that
+        with the float64 kernels, and the results are byte-identical either
+        way.  Metric-index dispatch is unaffected — the trees are exact by
+        construction.
         """
         batch = QueryBatch.plain(
             query_points, k, distance, precision, dimension=self._collection.dimension
@@ -353,7 +354,7 @@ class QueryEngine:
         k: int,
         deltas,
         weights,
-        precision: str = "exact",
+        precision: str = "fast",
         *,
         budget: "Budget | None" = None,
     ) -> list[ResultSet]:
@@ -363,9 +364,9 @@ class QueryEngine:
         carries its own predicted offset and weight vector, so no single
         distance object covers the batch.  The whole batch is still answered
         with matrix algebra — an approximate per-query-weight distance matrix
-        selects candidates, which are then re-evaluated exactly — and the
-        results match the per-query method byte for byte, for either
-        ``precision`` (the fast float32 matrix only selects candidates).
+        selects candidates, in float32 unless ``precision="exact"``, which
+        are then re-evaluated exactly — and the results match the per-query
+        method byte for byte either way.
         """
         batch = QueryBatch.with_parameters(
             query_points, k, deltas, weights, precision, dimension=self._collection.dimension

@@ -8,9 +8,9 @@ computation).  The metric indexes (:mod:`repro.database.vptree`,
 
 Its :meth:`LinearScanIndex.execute` answers a whole validated
 :class:`~repro.database.query.QueryBatch` — rows sharing one distance, or
-rows carrying their own ``(Δ, W)`` — with pairwise distance matrices (a few
-BLAS calls for the weighted Euclidean family) followed by top-k selection:
-the batch-first hot path of the retrieval engine, and the only scan loop in
+rows carrying their own ``(Δ, W)`` — with pairwise distance matrices (one
+BLAS product for the Gram-form families) followed by top-k selection: the
+batch-first hot path of the retrieval engine, and the only scan loop in
 the library.  :meth:`LinearScanIndex.search` is kept beside it as the
 exact-definition reference (``distances_to`` + ``k_smallest``) the
 equivalence grids compare every other path against.  Two scale features
@@ -21,19 +21,23 @@ live here:
   per-block top-k lists through :func:`~repro.database.index.merge_topk`, so
   peak memory is O(``block_rows`` × queries) instead of O(corpus × queries):
   a million-vector corpus never materialises a ``(N, Q)`` distance matrix.
-* **Two-stage float32 kernels** — ``precision="fast"`` computes an
-  order-preserving surrogate matrix in float32 (squared distances / p-th
-  powers, see :meth:`~repro.distances.base.DistanceFunction.pairwise` with
-  ``precision="fast"``), widens the candidate set by the float32 error
-  margin (ties included), and re-scores only those candidates exactly in
-  float64 with the global (distance, index) tie-break.  The final result
-  sets are **byte-identical** to the pure-float64 path — the fast matrix
-  only ever decides which rows get the exact treatment.
+* **A float32 candidate stage, exact float64 confirmation** — the default
+  scan.  Every family with a float32 kernel (weighted Euclidean, per-row
+  weights, Mahalanobis, Minkowski) selects candidates from an
+  order-preserving float32 surrogate (one sgemm over the workspace's
+  float32 centred corpus for the Gram forms), widened by a margin sized
+  from the row's :meth:`~repro.distances.base.DistanceFunction.term_bound`
+  (ties included), and re-scores only those exactly in float64 with the
+  global (distance, index) tie-break: **byte-identical** to
+  :meth:`LinearScanIndex.search`.  Magnitudes past float32's safe range, a
+  family without a float32 kernel and ``precision="exact"`` run the float64
+  kernels instead.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
+from functools import partial
 
 import numpy as np
 
@@ -41,8 +45,17 @@ from repro.database.budget import Budget, effective_budget
 from repro.database.collection import FeatureCollection
 from repro.database.index import KNNIndex, k_smallest, merge_topk
 from repro.database.query import QueryBatch, ResultSet
-from repro.distances.base import EXACT_MARGIN_SCALE, FAST_MARGIN_SCALE, DistanceFunction
-from repro.distances.weighted_euclidean import pairwise_per_query_weights
+from repro.distances.base import (
+    EXACT_MARGIN_SCALE,
+    FAST_MARGIN_SCALE,
+    FLOAT32_TERM_LIMIT,
+    DistanceFunction,
+)
+from repro.distances.weighted_euclidean import (
+    WeightedEuclideanDistance,
+    pairwise_per_query_weights,
+    per_query_weights_bound,
+)
 from repro.utils.validation import ValidationError, check_dimension
 
 #: Corpus rows per scan block.  64k rows × 64 queries of float64 distances is
@@ -115,7 +128,7 @@ class LinearScanIndex(KNNIndex):
         query_points,
         k: int,
         distance: DistanceFunction = None,
-        precision: str = "exact",
+        precision: str = "fast",
         *,
         budget: "Budget | None" = None,
     ) -> list[ResultSet]:
@@ -123,7 +136,8 @@ class LinearScanIndex(KNNIndex):
 
         Validates the input into a :class:`~repro.database.query.QueryBatch`
         and runs :meth:`execute`; byte-identical to ``[search(q, k,
-        distance) for q in query_points]`` for **either** precision.
+        distance) for q in query_points]`` for **either** precision
+        (``"exact"`` only overrides the float32 candidate stage).
         """
         if distance is None:
             raise ValidationError("the linear scan needs an explicit distance function")
@@ -141,11 +155,11 @@ class LinearScanIndex(KNNIndex):
         block), each block yields one top-k list per query
         (:func:`_block_topk`), and :func:`~repro.database.index.merge_topk`
         re-selects across blocks — same results as one ``(N, Q)`` matrix,
-        peak memory bounded by the block.  Approximate matrices (the
-        algebraic float64 expansions, every ``precision="fast"`` float32
-        matrix, the per-row-weight expansion) only select candidates, which
-        are re-evaluated through the exact row-wise computation, so the
-        bits equal :meth:`search`'s.
+        peak memory bounded by the block.  Candidates come from the float32
+        kernels unless :func:`_candidate_stage` says otherwise.
+        Approximate matrices (every float32 matrix, the algebraic float64
+        expansions) only select candidates, which are re-evaluated through
+        the exact row-wise computation, so the bits equal :meth:`search`'s.
 
         A finite ``budget`` clamps the scan: blocks are charged at ``rows ×
         queries`` metric evaluations before being scanned, the last
@@ -165,6 +179,7 @@ class LinearScanIndex(KNNIndex):
         workspace = self._collection.workspace
         n_points = self._collection.size
         k = min(batch.k, n_points)
+        stage = _candidate_stage(batch, workspace)
         effective = effective_budget(budget)
         if effective is None and budget is not None:
             budget.note_exact(n_points * n_queries)
@@ -175,7 +190,7 @@ class LinearScanIndex(KNNIndex):
                 granted = rows if effective is None else effective.grant_rows(rows, per_row=n_queries)
                 if granted:
                     view = workspace.block(start, start + granted)
-                    per_block.append(_block_topk(batch, k, view))
+                    per_block.append(_block_topk(batch, k, view, *stage))
                 if granted < rows:
                     # The rest of the corpus is unscanned and a scan carries
                     # no geometry to bound it: record an unbounded skip.
@@ -194,36 +209,65 @@ class LinearScanIndex(KNNIndex):
         return ResultSet.from_arrays(order, distances[order])
 
 
-def _block_topk(batch: QueryBatch, k: int, view) -> list:
+def _candidate_stage(batch: QueryBatch, workspace) -> tuple:
+    """``(fast, bounds, query_norms)``: the stage ``batch`` takes and what sizes its margins.
+
+    ``bounds`` is the per-row :meth:`~repro.distances.base.DistanceFunction.term_bound`
+    on this corpus (``None``: no float32 kernel).  The float32 stage runs when
+    the batch allows it and every term it forms — the bound, the squared
+    centred magnitudes, the parameters — stays below
+    :data:`~repro.distances.base.FLOAT32_TERM_LIMIT`: a property of the
+    input, observed in ``O(Q·D)``.  ``query_norms`` (the centred ``Σ w q²``
+    of the weighted Euclidean family, else ``None``) tighten the margins.
+    """
+    offsets = np.abs(batch.points - workspace.mean)
+    reach = offsets + workspace.extent
+    weights, distance = batch.weights, batch.distance
+    if weights is None:
+        term_bound = distance.term_bound
+    else:
+        term_bound = partial(per_query_weights_bound, weights)
+    with np.errstate(over="ignore"):
+        bounds = term_bound(reach)
+        if bounds is None or batch.precision != "fast":
+            return False, bounds, None
+        parameters = distance.parameters() if weights is None else weights
+        largest = max(bounds.max(), np.square(reach.max()), np.abs(parameters).max())
+    seminorm = weights is not None or isinstance(distance, WeightedEuclideanDistance)
+    query_norms = term_bound(offsets) if seminorm else None
+    return bool(largest <= FLOAT32_TERM_LIMIT), bounds, query_norms
+
+
+def _block_topk(batch: QueryBatch, k: int, view, fast: bool, bounds, query_norms) -> list:
     """Top-k of one corpus block per query, as ``(global labels, distances)``.
 
     The kernel step is chosen by what the batch carries: per-row weights run
     the per-query-weight expansion and re-score candidates with the weighted
     Euclidean row expression; a shared distance runs its ``pairwise`` kernel
-    and re-scores through ``distances_to`` — unless the kernel is row-exact
-    at this precision, in which case the matrix rows are selected directly.
-    Re-scored distances are exact float64 element-wise expressions per
-    object, so the bits do not depend on how the corpus was blocked.
+    (float32 when ``fast``) and re-scores through ``distances_to`` — unless
+    the kernel is row-exact in float64, in which case the matrix rows are
+    selected directly.  Re-scored distances are exact float64 element-wise
+    expressions per object, so the bits do not depend on how the corpus was
+    blocked.
     """
     block_points = view.matrix
     block_k = min(k, block_points.shape[0])
     distance, weights = batch.distance, batch.weights
+    precision = "fast" if fast else "exact"
     if weights is not None:
         matrix = pairwise_per_query_weights(
-            batch.points, weights, block_points, workspace=view, precision=batch.precision
+            batch.points, weights, block_points, workspace=view, precision=precision
         )
     else:
-        matrix = distance.pairwise(
-            batch.points, block_points, workspace=view, precision=batch.precision
-        )
-    if weights is None and batch.precision == "exact" and distance.pairwise_matches_rowwise:
+        matrix = distance.pairwise(batch.points, block_points, workspace=view, precision=precision)
+    if weights is None and not fast and distance.pairwise_matches_rowwise:
         selected = [k_smallest(row, block_k) for row in matrix]
     else:
-        # Candidate thresholds for the whole batch at once — the values
-        # candidate_pool computes per row (the k-th approximate value plus
-        # the precision's error margin), with the partition and row maxima
-        # vectorised over the query axis.  On the fast path this stage runs
-        # entirely in float32.
+        # Candidate thresholds for the whole batch at once: the k-th
+        # approximate value plus the error margin, a fraction of the row's
+        # term bound on the matrix's own scale — squared for the float32
+        # stage, the root of it for the float64 expansions, which return
+        # distances (the row maxima for a family with no bound).
         if block_k == matrix.shape[1]:
             thresholds = np.full(matrix.shape[0], np.inf)
         else:
@@ -231,8 +275,19 @@ def _block_topk(batch: QueryBatch, k: int, view) -> list:
             # (Q, N) index array, and position block_k-1 *is* the k-th
             # smallest value.
             kth_values = np.partition(matrix, block_k - 1, axis=1)[:, block_k - 1]
-            margin_scale = FAST_MARGIN_SCALE if batch.precision == "fast" else EXACT_MARGIN_SCALE
-            thresholds = kth_values + margin_scale * np.maximum(1.0, matrix.max(axis=1))
+            if bounds is None:
+                margins = EXACT_MARGIN_SCALE * np.maximum(1.0, matrix.max(axis=1))
+            elif not fast:
+                margins = EXACT_MARGIN_SCALE * np.maximum(1.0, np.sqrt(bounds))
+            else:
+                if query_norms is not None:
+                    # Only rows within the k-th value can decide the answer,
+                    # and under a (semi)norm their terms are at most
+                    # 3·|q|² + 2·kth: a tighter bound than the corpus extent.
+                    nearby = 3.0 * query_norms + 2.0 * np.maximum(kth_values, 0.0)
+                    bounds = np.minimum(bounds, nearby)
+                margins = FAST_MARGIN_SCALE * np.maximum(1.0, bounds)
+            thresholds = kth_values + margins
         selected = []
         for position, (query_point, row, threshold) in enumerate(
             zip(batch.points, matrix, thresholds)

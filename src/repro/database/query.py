@@ -85,15 +85,17 @@ class QueryBatch:
         distance, or ``None`` for a shared-distance batch.  Never set
         together with ``distance``.
     precision:
-        ``"exact"`` or ``"fast"`` (float32 candidate selection, exact
-        float64 re-scoring — same bytes either way).
+        ``"fast"`` (the default: the scan's float32 candidate stage with
+        exact float64 re-scoring, wherever the family and the magnitudes
+        allow it) or ``"exact"`` (float64 kernels only) — same bytes either
+        way.
     """
 
     points: np.ndarray
     k: int
     distance: "DistanceFunction | None" = None
     weights: "np.ndarray | None" = None
-    precision: str = "exact"
+    precision: str = "fast"
 
     @classmethod
     def plain(
@@ -101,7 +103,7 @@ class QueryBatch:
         query_points,
         k: int,
         distance: "DistanceFunction | None" = None,
-        precision: str = "exact",
+        precision: str = "fast",
         *,
         dimension: int,
     ) -> "QueryBatch":
@@ -121,7 +123,7 @@ class QueryBatch:
         k: int,
         deltas,
         weights,
-        precision: str = "exact",
+        precision: str = "fast",
         *,
         dimension: int,
     ) -> "QueryBatch":

@@ -265,7 +265,7 @@ class LiveSnapshot:
         query_points,
         k: int,
         distance: DistanceFunction,
-        precision: str = "exact",
+        precision: str = "fast",
         *,
         budget: "Budget | None" = None,
     ) -> "list[ResultSet]":
@@ -678,13 +678,16 @@ class LiveCollection:
             alive_ids = np.flatnonzero(alive_ref[:next_id]).astype(np.intp)
             matrix = np.ascontiguousarray(archive[alive_ids])
             collection = FeatureCollection(matrix, copy=False)
-            collection.workspace  # materialise the kernel terms off the hot path
             index = (
                 None
                 if self._index_factory is None
                 else self._index_factory(collection, self._index_distance)
             )
             new_base = SegmentUnit(collection, alive_ids, index=index, is_base=True)
+            if index is None or not index.supports(self._index_distance):
+                # One default-distance scan builds exactly the workspace terms
+                # the base scan reads, off the hot path, not under traffic.
+                new_base.scan.search_batch(matrix[:1], 1, self._index_distance)
 
             with self._lock:
                 self._base_unit = new_base

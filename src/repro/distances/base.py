@@ -19,14 +19,19 @@ EXACT_MARGIN_SCALE = 1e-6
 #: the Gram/bilinear expansions, the p-th power sum for Minkowski — which
 #: skips the full-matrix root **and** avoids the sqrt amplification that
 #: would blow float32 cancellation noise up to ~sqrt(eps32) near zero: on
-#: the squared scale the absolute error stays ~eps32 of the centred norm
-#: scale (measured worst case ~5e-7 of the row's maximum across corpus
-#: shapes).  Widening candidates by 1e-4 of the row's squared-scale
-#: maximum (floored at 1.0) therefore over-covers the worst case by more
-#: than two orders of magnitude, which is what makes the exact float64
-#: re-scoring pass byte-identical rather than merely close — while
-#: keeping candidate pools a few dozen rows even at million-vector scale.
+#: that scale the absolute error of a value stays within ~(D + 2p)·eps32
+#: of the row's :meth:`DistanceFunction.term_bound`.  Widening candidates
+#: by 1e-4 of that bound (floored at 1.0) covers the worst case up to
+#: several hundred dimensions, which is what makes the exact float64
+#: re-scoring pass byte-identical rather than merely close — while keeping
+#: candidate pools a few dozen rows even at million-vector scale.
 FAST_MARGIN_SCALE = 1e-4
+
+#: The float32 stage runs only while every term it forms — the bound of
+#: :meth:`DistanceFunction.term_bound`, the squared centred coordinates and
+#: the parameters themselves — stays below this value: eight decades inside
+#: float32's 3.4e38, so no intermediate can overflow into ``inf - inf``.
+FLOAT32_TERM_LIMIT = 1e30
 
 #: The two precision modes of :meth:`DistanceFunction.pairwise`.
 PRECISIONS = ("exact", "fast")
@@ -41,17 +46,17 @@ def check_precision(precision: str) -> str:
     return precision
 
 
-def approximation_margin(row: np.ndarray, precision: str) -> float:
-    """Candidate-widening margin for one approximate distance row.
+def assemble_float32(cross_queries, query_norms, centered_points, point_norms) -> np.ndarray:
+    """The float32 Gram matrix ``query_norms + point_norms + cross_queries @ centered_pointsᵀ``.
 
-    The margin is a fraction of the row's value scale on whatever scale
-    the row was computed — true distances for the float64 expansions
-    (:data:`EXACT_MARGIN_SCALE`), squared distances / p-th powers for the
-    float32 fast path (:data:`FAST_MARGIN_SCALE`) — floored at the same
-    fraction of 1.0 so near-degenerate rows still widen.
+    The float64 query-side terms (``-2`` folded into ``cross_queries``) are
+    cast once and the norms (``point_norms`` shared ``(N,)`` or ``(Q, N)``)
+    are added into the sgemm's own output: no other full-size temporary.
     """
-    scale = FAST_MARGIN_SCALE if precision == "fast" else EXACT_MARGIN_SCALE
-    return scale * max(1.0, float(row.max()))
+    matrix = cross_queries.astype(np.float32) @ centered_points.T
+    matrix += point_norms
+    matrix += query_norms.astype(np.float32)[:, None]
+    return matrix
 
 
 class DistanceFunction(abc.ABC):
@@ -132,7 +137,9 @@ class DistanceFunction(abc.ABC):
             per batch — the zero-recompute hot path of the scan engines.  A
             workspace built for a *different* matrix is ignored (checked via
             :meth:`~repro.database.collection.CorpusWorkspace.owns`), so
-            passing one is always safe.
+            passing one is always safe.  The matrix a workspace owns was
+            validated finite when its collection was built and is read-only
+            since, so it is not re-validated; every other ``points`` is.
         precision:
             ``"exact"`` (default) computes true distances in float64.
             ``"fast"`` lets the kernel compute the matrix in **float32** —
@@ -145,11 +152,12 @@ class DistanceFunction(abc.ABC):
             regardless of :attr:`pairwise_matches_rowwise` — callers that
             need exact results (the scan engines) must treat it as
             candidate-selection input only: widen the k-th value by
-            :func:`approximation_margin` and re-score the candidates through
-            :meth:`distances_to` in float64.  Candidate selection only needs
-            the ordering, which every monotone transform preserves.
-            Distances without a float32 specialisation silently serve
-            ``"fast"`` through the exact kernel (correct, just not faster).
+            :data:`FAST_MARGIN_SCALE` of :meth:`term_bound` and re-score the
+            candidates through :meth:`distances_to` in float64.  Candidate
+            selection only needs the ordering, which every monotone
+            transform preserves.  Distances without a float32 specialisation
+            silently serve ``"fast"`` through the exact kernel (correct,
+            just not faster).
 
         Returns
         -------
@@ -169,15 +177,28 @@ class DistanceFunction(abc.ABC):
             matrix[row] = self.distances_to(query, points)
         return matrix
 
+    def term_bound(self, reach: np.ndarray) -> "np.ndarray | None":
+        """Per query row, a bound on every value the matrix kernels form.
+
+        ``reach[i, d]`` bounds the magnitude of every centred coordinate ``d``
+        the kernel meets for query row ``i``: ``|q_d - mean_d|`` plus the
+        corpus's largest ``|x_d - mean_d|``.  On the kernel's natural scale
+        (squared distances, p-th power sums) the result covers the
+        distances, the norm terms and the cross products; the scan sizes
+        candidate margins from it and takes the float32 stage only below
+        :data:`FLOAT32_TERM_LIMIT`.  ``None`` (the default): no float32
+        kernel, the scan runs the family in float64.
+        """
+        return None
+
     # ------------------------------------------------------------------ #
     # Shared helpers
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _usable_workspace(workspace, points: np.ndarray):
-        """Return ``workspace`` when it belongs to ``points``, else ``None``."""
-        if workspace is not None and workspace.owns(points):
-            return workspace
-        return None
+    def _corpus(self, points, workspace):
+        """``(points, workspace)``, or the validated ``points`` and ``None`` if not owned."""
+        if workspace is not None and workspace.owns(points) and points.shape[1] == self._dimension:
+            return points, workspace
+        return self._validate_points(points), None
 
     def _validate_point(self, point, name: str = "point") -> np.ndarray:
         return as_float_vector(point, name=name, dim=self._dimension)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.distances.base import DistanceFunction, check_precision
+from repro.distances.base import DistanceFunction, assemble_float32, check_precision
 from repro.utils.validation import ValidationError, as_float_matrix
 
 
@@ -89,7 +89,12 @@ class MahalanobisDistance(DistanceFunction):
         query = self._validate_point(query, "query")
         points = self._validate_points(points)
         deltas = points - query
-        values = np.einsum("ij,jk,ik->i", deltas, self._matrix, deltas)
+        # The same element-wise sequence for every row, so an object's bits do
+        # not depend on which rows share the call (a three-operand einsum's do).
+        transformed = deltas[:, :1] * self._matrix[0]
+        for row in range(1, self.dimension):
+            transformed += deltas[:, row : row + 1] * self._matrix[row]
+        values = np.sum(transformed * deltas, axis=1)
         return np.sqrt(np.clip(values, 0.0, None))
 
     @property
@@ -105,43 +110,46 @@ class MahalanobisDistance(DistanceFunction):
 
         The corpus :class:`~repro.database.collection.CorpusWorkspace`
         supplies the centred matrix (the mean and the ``(N, D)`` subtraction
-        drop out of the per-batch path); the quadratic point norms still
-        depend on ``W`` and are recomputed when the parameters change.
+        drop out of the per-batch path); the exact quadratic point norms
+        still depend on ``W`` and are recomputed when the parameters change.
 
-        ``precision="fast"`` runs the whole bilinear form in float32 against
-        the workspace's float32 mirror and returns the **squared** form
-        values (no full-matrix clip + sqrt) — approximate candidate-selection
-        output on a monotone scale, like every fast kernel.
+        ``precision="fast"`` returns the **squared** form values (no
+        full-matrix clip + sqrt) from one float32 product against the
+        workspace's float32 centred matrix; the query side and the point
+        norms ``cᵀWc`` (cached by the workspace per ``W``) are computed in
+        float64 — approximate candidate-selection output on a monotone
+        scale, like every fast kernel.
         """
         check_precision(precision)
         queries = self._validate_points(queries, name="queries")
-        points = self._validate_points(points)
-        cache = self._usable_workspace(workspace, points)
-        if precision == "fast":
-            form = self._matrix.astype(np.float32)
-            if cache is None:
-                center = points.mean(axis=0)
-                centered_points = (points - center).astype(np.float32)
-            else:
-                center = cache.mean
-                centered_points = cache.centered32
-            queries = (queries - center).astype(np.float32)
+        points, cache = self._corpus(points, workspace)
+        fast = precision == "fast"
+        if cache is None:
+            center = points.mean(axis=0)
+            centered_points = points - center
+            point_norms = np.einsum("ij,jk,ik->i", centered_points, self._matrix, centered_points)
+            if fast:
+                centered_points = centered_points.astype(np.float32)
+        elif fast:
+            center = cache.mean
+            centered_points = cache.centered32
+            point_norms = cache.point_norms(self._matrix)
         else:
-            form = self._matrix
-            if cache is None:
-                center = points.mean(axis=0)
-                centered_points = points - center
-            else:
-                center = cache.mean
-                centered_points = cache.centered
-            queries = queries - center
-        transformed_queries = queries @ form
+            center = cache.mean
+            centered_points = cache.centered
+            point_norms = np.einsum("ij,jk,ik->i", centered_points, self._matrix, centered_points)
+        queries = queries - center
+        transformed_queries = queries @ self._matrix
         query_norms = np.einsum("ij,ij->i", transformed_queries, queries)
-        point_norms = np.einsum("ij,jk,ik->i", centered_points, form, centered_points)
+        if fast:
+            return assemble_float32(
+                -2.0 * transformed_queries, query_norms, centered_points, point_norms
+            )
         squared = (
             query_norms[:, None] + point_norms[None, :] - 2.0 * transformed_queries @ centered_points.T
         )
-        if precision == "fast":
-            return squared
         np.clip(squared, 0.0, None, out=squared)
         return np.sqrt(squared, out=squared)
+
+    def term_bound(self, reach: np.ndarray) -> np.ndarray:
+        return np.einsum("ij,ij->i", reach @ np.abs(self._matrix), reach)

@@ -81,26 +81,29 @@ class MinkowskiDistance(DistanceFunction):
         is built from the same element-wise operations as
         :meth:`distances_to` (broadcast over a query chunk at a time to bound
         the ``(Q, N, D)`` intermediate); the results are therefore
-        bit-identical to the row-wise form.  The exact path ignores the
-        workspace (an element-wise ``|p - q|^p`` kernel has nothing to
-        reuse), but accepts it for the uniform :class:`KNNIndex` call shape.
+        bit-identical to the row-wise form.  The exact path reads nothing
+        from the workspace (an element-wise ``|p - q|^p`` kernel has nothing
+        to reuse), but accepts it for the uniform :class:`KNNIndex` call shape.
 
         ``precision="fast"`` runs the same broadcast in float32 over the
-        workspace's :attr:`~repro.database.collection.CorpusWorkspace.matrix32`
-        mirror and returns the p-th **power sum** without the outer
-        ``1/p`` root — a monotone transform of the distance, which is all
-        candidate selection needs, and one full-matrix ``power`` call
-        cheaper.  Element-wise float32 has no cancellation amplification,
-        but the result still differs from the float64 row form in the low
+        workspace's :attr:`~repro.database.collection.CorpusWorkspace.centered32`
+        (both sides centred in float64 first, so a large common offset
+        costs no float32 bits) and returns the p-th **power sum** without
+        the outer ``1/p`` root — a monotone transform of the distance, which
+        is all candidate selection needs, and one full-matrix ``power`` call
+        cheaper.  The result differs from the float64 row form in the low
         bits, so it is candidate-selection input like every fast matrix.
         """
         check_precision(precision)
         queries = self._validate_points(queries, name="queries")
-        points = self._validate_points(points)
+        points, cache = self._corpus(points, workspace)
         if precision == "fast":
-            cache = self._usable_workspace(workspace, points)
-            points = cache.matrix32 if cache is not None else points.astype(np.float32)
-            queries = queries.astype(np.float32)
+            if cache is None:
+                center = points.mean(axis=0)
+                points = (points - center).astype(np.float32)
+            else:
+                center, points = cache.mean, cache.centered32
+            queries = (queries - center).astype(np.float32)
             weights = self._weights.astype(np.float32)
             dtype = np.float32
         else:
@@ -117,6 +120,9 @@ class MinkowskiDistance(DistanceFunction):
             else:
                 matrix[start : start + chunk] = np.power(power_sums, 1.0 / self._order)
         return matrix
+
+    def term_bound(self, reach: np.ndarray) -> np.ndarray:
+        return reach**self._order @ self._weights
 
 
 def euclidean(dimension: int) -> MinkowskiDistance:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.distances.base import DistanceFunction, check_precision
+from repro.distances.base import DistanceFunction, assemble_float32, check_precision
 from repro.utils.validation import ValidationError, as_float_vector
 
 
@@ -88,16 +88,16 @@ class WeightedEuclideanDistance(DistanceFunction):
 
         ``precision="fast"`` runs the same expansion in float32 (sgemm
         instead of dgemm, half the bytes through the memory bus) against the
-        workspace's float32 mirror and returns the **squared** distances —
-        candidate selection is monotone in d², so the fast path skips the
-        clip + sqrt over the full ``(Q, N)`` matrix entirely.  The returned
-        float32 matrix is candidate-selection input for the two-stage scan,
-        not final distances.
+        workspace's float32 centred matrix and its cached point norms for
+        these weights, and returns the **squared** distances — candidate
+        selection is monotone in d², so the fast path skips the clip + sqrt
+        over the full ``(Q, N)`` matrix entirely.  The returned float32
+        matrix is candidate-selection input for the two-stage scan, not
+        final distances.
         """
         check_precision(precision)
         queries = self._validate_points(queries, name="queries")
-        points = self._validate_points(points)
-        cache = self._usable_workspace(workspace, points)
+        points, cache = self._corpus(points, workspace)
         if precision == "fast":
             return self._pairwise_fast(queries, points, cache)
         if cache is None:
@@ -122,22 +122,23 @@ class WeightedEuclideanDistance(DistanceFunction):
         """Float32 *squared*-distance Gram expansion: the approximate half
         of the two-stage scan.  Skipping the root also sidesteps its error
         amplification near zero, so the float32 noise stays proportional to
-        the (squared) norm scale."""
-        weights32 = self._weights.astype(np.float32)
+        :meth:`term_bound`.  Both norm terms are computed in float64."""
         if cache is None:
             center = points.mean(axis=0)
-            centered_points = (points - center).astype(np.float32)
-            point_norms = (centered_points * centered_points) @ weights32
+            centered = points - center
+            centered_points = centered.astype(np.float32)
+            point_norms = np.einsum("ij,ij->i", centered * self._weights, centered)
         else:
             center = cache.mean
             centered_points = cache.centered32
-            point_norms = cache.centered_squared32 @ weights32
-        queries = (queries - center).astype(np.float32)
-        weighted_queries = queries * weights32
+            point_norms = cache.point_norms(self._weights)
+        queries = queries - center
+        weighted_queries = queries * self._weights
         query_norms = np.einsum("ij,ij->i", weighted_queries, queries)
-        return (
-            query_norms[:, None] + point_norms[None, :] - 2.0 * weighted_queries @ centered_points.T
-        )
+        return assemble_float32(-2.0 * weighted_queries, query_norms, centered_points, point_norms)
+
+    def term_bound(self, reach: np.ndarray) -> np.ndarray:
+        return reach**2 @ self._weights
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
@@ -168,45 +169,47 @@ def pairwise_per_query_weights(
     every call disappears.
 
     ``precision="fast"`` evaluates the same products in float32 against the
-    workspace's float32 mirror — the frontier's candidate scan at scale —
-    returning the approximate **squared** distances (no full-matrix clip +
-    sqrt, as with :meth:`WeightedEuclideanDistance.pairwise`); callers
-    re-score candidates exactly either way.
+    workspace's float32 centred matrix and its squares — the frontier's
+    candidate scan at scale — returning the approximate **squared**
+    distances (no full-matrix clip + sqrt, as with
+    :meth:`WeightedEuclideanDistance.pairwise`); callers re-score candidates
+    exactly either way.
     """
     check_precision(precision)
     queries = np.asarray(queries, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
-    points = np.asarray(points, dtype=np.float64)
     cache = workspace if workspace is not None and workspace.owns(points) else None
-    if precision == "fast":
-        weights = weights.astype(np.float32)
-        if cache is None:
-            center = points.mean(axis=0)
-            centered_points = (points - center).astype(np.float32)
-            centered_squared = centered_points * centered_points
-        else:
-            center = cache.mean
-            centered_points = cache.centered32
-            centered_squared = cache.centered_squared32
-        queries = (queries - center).astype(np.float32)
+    points = np.asarray(points, dtype=np.float64)
+    fast = precision == "fast"
+    if cache is None:
+        center = points.mean(axis=0)
+        centered_points = points - center
+        if fast:
+            centered_points = centered_points.astype(np.float32)
+        centered_squared = centered_points * centered_points
+    elif fast:
+        center = cache.mean
+        centered_points = cache.centered32
+        centered_squared = cache.centered_squared32
     else:
-        if cache is None:
-            center = points.mean(axis=0)
-            centered_points = points - center
-            centered_squared = centered_points * centered_points
-        else:
-            center = cache.mean
-            centered_points = cache.centered
-            centered_squared = cache.centered_squared
-        queries = queries - center
+        center = cache.mean
+        centered_points = cache.centered
+        centered_squared = cache.centered_squared
+    queries = queries - center
     weighted_queries = queries * weights
     query_norms = np.einsum("ij,ij->i", weighted_queries, queries)
+    if fast:
+        point_norms = weights.astype(np.float32) @ centered_squared.T
+        return assemble_float32(-2.0 * weighted_queries, query_norms, centered_points, point_norms)
     squared = (
         query_norms[:, None]
         + weights @ centered_squared.T
         - 2.0 * weighted_queries @ centered_points.T
     )
-    if precision == "fast":
-        return squared
     np.clip(squared, 0.0, None, out=squared)
     return np.sqrt(squared, out=squared)
+
+
+def per_query_weights_bound(weights, reach) -> np.ndarray:
+    """:meth:`WeightedEuclideanDistance.term_bound` with one weight vector per query row."""
+    return np.einsum("ij,ij->i", reach**2, weights)

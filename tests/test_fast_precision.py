@@ -1,15 +1,20 @@
 """Byte-identity contracts of the raw-speed layer.
 
-``precision="fast"`` (two-stage float32 kernels) and blocked scans both
-promise the same thing: the exact results of the float64 single-shot scan,
-bit for bit, at lower cost.  These tests pin that promise across the full
-grid — distance family x k x blocking x sharding backend — plus the
-adversarial corner the margins were designed for (dense near-ties), the
-memory bound of the blocked scan, and the per-query-weights batch path.
+The default scan (a float32 candidate stage with exact float64 re-scoring)
+and blocked scans both promise the same thing: the exact results of the
+float64 single-shot scan, bit for bit, at lower cost.  These tests pin that
+promise across the full grid — distance family x k x blocking x sharding
+backend — with ``precision="exact"`` as the compared override, plus the
+adversarial corners the margins and the magnitude guard were designed for
+(dense near-ties, magnitudes past float32's range, a Hypothesis sweep of
+scales, offsets, duplicates and weights), the memory bound of the blocked
+scan, the per-query-weights batch path, and what a request reads.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.database.collection import FeatureCollection
 from repro.database.engine import RetrievalEngine
@@ -20,6 +25,7 @@ from repro.distances.mahalanobis import MahalanobisDistance
 from repro.distances.minkowski import MinkowskiDistance
 from repro.distances.weighted_euclidean import WeightedEuclideanDistance
 from repro.features.synthetic import build_clustered_corpus, sample_queries
+from repro.serving.coalescer import RequestCoalescer
 from repro.utils.validation import ValidationError
 
 DIMENSION = 16
@@ -37,6 +43,19 @@ def distance_grid():
         ("minkowski3", MinkowskiDistance(DIMENSION, order=3.0, weights=rng.random(DIMENSION) + 0.1)),
         ("mahalanobis", MahalanobisDistance(DIMENSION, matrix=np.eye(DIMENSION) + 0.2)),
     ]
+
+
+def _spy_precisions(monkeypatch, distance_class) -> list:
+    """Record the ``precision`` of every ``pairwise`` call on ``distance_class``."""
+    precisions = []
+    original = distance_class.pairwise
+
+    def spy(self, queries, points, **kwargs):
+        precisions.append(kwargs.get("precision", "exact"))
+        return original(self, queries, points, **kwargs)
+
+    monkeypatch.setattr(distance_class, "pairwise", spy)
+    return precisions
 
 
 @pytest.fixture(scope="module")
@@ -59,15 +78,24 @@ class TestFastPrecisionIdentity:
     @pytest.mark.parametrize("k", [1, 7, 64])
     def test_fast_matches_exact_across_distances_and_k(self, collection, queries, name, distance, k):
         engine = RetrievalEngine(collection)
-        exact = engine.search_batch(queries, k, distance)
-        fast = engine.search_batch(queries, k, distance, "fast")
-        assert fast == exact
+        default = engine.search_batch(queries, k, distance)
+        exact = engine.search_batch(queries, k, distance, "exact")
+        assert default == exact
+
+    @pytest.mark.parametrize("name,distance", distance_grid(), ids=lambda v: v if isinstance(v, str) else "")
+    def test_default_takes_the_float32_stage(self, collection, queries, name, distance, monkeypatch):
+        precisions = _spy_precisions(monkeypatch, type(distance))
+        RetrievalEngine(collection).search_batch(queries, 5, distance)
+        assert precisions == ["fast"]
+        RetrievalEngine(collection).search_batch(queries, 5, distance, "exact")
+        assert precisions == ["fast", "exact"]
 
     def test_fast_matches_per_query_search_loop(self, collection, queries):
         engine = RetrievalEngine(collection)
-        fast = engine.search_batch(queries, 10, None, "fast")
-        loop = [engine.search(point, 10) for point in queries]
-        assert fast == loop
+        default = engine.search_batch(queries, 10)
+        loop = [LinearScanIndex(collection).search(point, 10, engine.default_distance) for point in queries]
+        assert default == loop
+        assert [engine.search(point, 10) for point in queries] == loop
 
     def test_adversarial_near_ties(self):
         """Dense 1e-9 perturbations of one point: the margin's worst case.
@@ -86,9 +114,28 @@ class TestFastPrecisionIdentity:
         engine = RetrievalEngine(FeatureCollection(vectors))
         near_queries = vectors[:4] + 1e-10
         for distance in (None, MinkowskiDistance(DIMENSION, order=3.0)):
-            exact = engine.search_batch(near_queries, 25, distance)
-            fast = engine.search_batch(near_queries, 25, distance, "fast")
-            assert fast == exact
+            exact = engine.search_batch(near_queries, 25, distance, "exact")
+            default = engine.search_batch(near_queries, 25, distance)
+            assert default == exact
+
+    @pytest.mark.parametrize("scale", [1.0, 1e18, 1e19])
+    def test_magnitudes_past_float32_take_the_exact_path(self, scale, monkeypatch):
+        """At 1e19 the float32 stage would form ``inf - inf = nan`` and select nothing.
+
+        The scan observes the corpus extent, the batch's centred magnitude
+        and the weights, and sends such a batch through the float64 kernels:
+        full, byte-identical answers at every scale.
+        """
+        rng = np.random.default_rng(3)
+        collection = FeatureCollection(scale * rng.normal(size=(500, 8)))
+        engine = RetrievalEngine(collection)
+        queries = collection.vectors[:5] + scale * 0.01 * rng.normal(size=(5, 8))
+        precisions = _spy_precisions(monkeypatch, WeightedEuclideanDistance)
+        default = engine.search_batch(queries, 10)
+        reference = [LinearScanIndex(collection).search(q, 10, engine.default_distance) for q in queries]
+        assert default == reference
+        assert all(len(result) == 10 for result in default)
+        assert precisions == ["fast" if scale == 1.0 else "exact"]
 
     def test_invalid_precision_rejected(self, collection, queries):
         engine = RetrievalEngine(collection)
@@ -110,16 +157,39 @@ class TestBlockedScan:
     @pytest.mark.parametrize("block_rows", [170, 512, N_VECTORS - 1])
     def test_blocked_matches_single_shot(self, collection, queries, precision, block_rows):
         distance = WeightedEuclideanDistance(DIMENSION)
-        reference = LinearScanIndex(collection).search_batch(queries, 12, distance)
+        reference = LinearScanIndex(collection).search_batch(queries, 12, distance, "exact")
         blocked = LinearScanIndex(collection, block_rows=block_rows)
         assert blocked.search_batch(queries, 12, distance, precision) == reference
 
+    @pytest.mark.parametrize("precision", ["exact", "fast"])
+    def test_blocks_of_one_far_cluster(self, precision):
+        """Each block holds one tight cluster a thousand units off the corpus mean.
+
+        Inside a block every distance is ~1e-3 while the centred norms are
+        ~1e6, so the block's largest value says nothing about the Gram
+        expansion's error; the margins are sized from the term bound.
+        """
+        rng = np.random.default_rng(11)
+        centre = np.full(8, 1000.0)
+        vectors = np.vstack([sign * centre + 1e-3 * rng.normal(size=(16, 8)) for sign in (1, -1)])
+        collection = FeatureCollection(vectors)
+        queries = vectors[[2, 5, 20]] + 1e-4 * rng.normal(size=(3, 8))
+        blocked = LinearScanIndex(collection, block_rows=16)
+        for distance in (
+            WeightedEuclideanDistance(8),
+            MinkowskiDistance(8, order=1.0),
+            MahalanobisDistance(8, matrix=np.eye(8) + 0.2),
+        ):
+            reference = [LinearScanIndex(collection).search(q, 5, distance) for q in queries]
+            assert blocked.search_batch(queries, 5, distance, precision) == reference
+
     def test_blocked_matches_for_rowwise_exact_kernels(self, collection, queries):
-        # Minkowski's pairwise is row-exact, so the blocked exact path skips
-        # re-scoring entirely — the merge alone must preserve identity.
+        # Minkowski's exact pairwise is row-exact, so the blocked exact path
+        # skips re-scoring entirely — the merge alone must preserve identity.
         distance = MinkowskiDistance(DIMENSION, order=1.0)
-        reference = LinearScanIndex(collection).search_batch(queries, 12, distance)
+        reference = LinearScanIndex(collection).search_batch(queries, 12, distance, "exact")
         blocked = LinearScanIndex(collection, block_rows=300)
+        assert blocked.search_batch(queries, 12, distance, "exact") == reference
         assert blocked.search_batch(queries, 12, distance) == reference
 
     def test_blocked_scan_bounds_kernel_width(self, collection, queries, monkeypatch):
@@ -176,29 +246,29 @@ class TestBlockedScan:
 
 class TestShardedPrecision:
     def test_thread_backend_fast_matches_unsharded_exact(self, collection, queries):
-        reference = RetrievalEngine(collection).search_batch(queries, 15)
+        reference = RetrievalEngine(collection).search_batch(queries, 15, None, "exact")
         with ShardedEngine(collection, 3, n_workers=2) as sharded:
-            assert sharded.search_batch(queries, 15, None, "fast") == reference
+            assert sharded.search_batch(queries, 15) == reference
 
     def test_process_backend_fast_matches_unsharded_exact(self, queries):
         small = FeatureCollection(
             build_clustered_corpus(300, DIMENSION, n_clusters=4, seed=31).vectors
         )
         small_queries = queries[:3]
-        reference = RetrievalEngine(small).search_batch(small_queries, 8)
+        reference = RetrievalEngine(small).search_batch(small_queries, 8, None, "exact")
         with ShardedEngine(small, 2, n_workers=2, backend="process") as sharded:
-            assert sharded.search_batch(small_queries, 8, None, "fast") == reference
+            assert sharded.search_batch(small_queries, 8) == reference
 
     def test_sharded_per_query_weights_fast(self, collection, queries):
         rng = np.random.default_rng(55)
         deltas = 0.01 * rng.normal(size=queries.shape)
         weights = rng.random((queries.shape[0], DIMENSION)) + 0.1
         reference = RetrievalEngine(collection).search_batch_with_parameters(
-            queries, 10, deltas, weights
+            queries, 10, deltas, weights, "exact"
         )
         with ShardedEngine(collection, 3, n_workers=2) as sharded:
-            fast = sharded.search_batch_with_parameters(queries, 10, deltas, weights, "fast")
-        assert fast == reference
+            default = sharded.search_batch_with_parameters(queries, 10, deltas, weights)
+        assert default == reference
 
 
 class TestParameterScanPrecision:
@@ -212,20 +282,20 @@ class TestParameterScanPrecision:
     def test_fast_matches_exact_and_per_query_loop(self, collection, queries, parameters):
         deltas, weights = parameters
         engine = RetrievalEngine(collection)
-        exact = engine.search_batch_with_parameters(queries, 10, deltas, weights)
-        fast = engine.search_batch_with_parameters(queries, 10, deltas, weights, "fast")
+        exact = engine.search_batch_with_parameters(queries, 10, deltas, weights, "exact")
+        default = engine.search_batch_with_parameters(queries, 10, deltas, weights)
         loop = [
             engine.search_with_parameters(point, 10, delta, weight)
             for point, delta, weight in zip(queries, deltas, weights)
         ]
-        assert fast == exact
+        assert default == exact
         assert exact == loop
 
     @pytest.mark.parametrize("precision", ["exact", "fast"])
     def test_blocked_parameter_scan_matches(self, collection, queries, parameters, precision):
         deltas, weights = parameters
         reference = RetrievalEngine(collection).search_batch_with_parameters(
-            queries, 10, deltas, weights
+            queries, 10, deltas, weights, "exact"
         )
         blocked_engine = RetrievalEngine(collection)
         blocked_engine._scan = LinearScanIndex(collection, block_rows=333)
@@ -240,3 +310,132 @@ class TestParameterScanPrecision:
             RetrievalEngine(collection).search_batch_with_parameters(
                 queries, 10, deltas, weights, "single"
             )
+
+
+FAMILIES = ("euclidean", "weighted", "mahalanobis", "cityblock", "minkowski3", "per_row")
+
+
+@st.composite
+def scan_cases(draw):
+    """A corpus, queries and a distance from the corners the margins must cover.
+
+    Scales 1e-30 … 1e30 (past float32 on both sides), a common offset up to
+    1e6 times the scale, tight clusters stored contiguously (so a block can
+    hold one cluster far from the corpus mean), exact and near-duplicate
+    rows, queries on, near and away from corpus rows, weights spanning
+    1e-6 … 1e6 (shared or one vector per row) and blocked scans.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 40))
+    dimension = draw(st.integers(1, 5))
+    scale = 10.0 ** draw(st.integers(-30, 30))
+    offset = scale * draw(st.sampled_from([0.0, 1.0, 1e3, 1e6]))
+    centres = rng.normal(size=(draw(st.integers(1, 3)), dimension))
+    spread = draw(st.sampled_from([1.0, 1e-4]))
+    base = centres[np.sort(rng.integers(len(centres), size=n))] + spread * rng.normal(size=(n, dimension))
+    for _ in range(draw(st.integers(0, n // 2))):
+        source, target = rng.integers(n, size=2)
+        noise = draw(st.sampled_from([0.0, 1e-9, 1e-6]))
+        base[target] = base[source] + noise * rng.normal(size=dimension)
+    vectors = offset + scale * base
+    n_queries = draw(st.integers(1, 4))
+    jitter = draw(st.sampled_from([0.0, 1e-9, 1e-3, 1.0]))
+    queries = vectors[rng.integers(n, size=n_queries)] + scale * jitter * rng.normal(
+        size=(n_queries, dimension)
+    )
+    weights = 10.0 ** rng.uniform(-6, 6, size=(n_queries, dimension))
+    family = draw(st.sampled_from(FAMILIES))
+    if family == "per_row":
+        distance = scale * 1e-3 * rng.normal(size=(n_queries, dimension))  # the deltas
+    elif family == "mahalanobis":
+        root = np.sqrt(weights[0])
+        spread = rng.normal(size=(dimension, dimension))
+        form = root[:, None] * (spread @ spread.T + np.eye(dimension)) * root[None, :]
+        distance = MahalanobisDistance(dimension, matrix=form)
+    else:
+        distance = {
+            "euclidean": WeightedEuclideanDistance(dimension),
+            "weighted": WeightedEuclideanDistance(dimension, weights=weights[0]),
+            "cityblock": MinkowskiDistance(dimension, order=1.0, weights=weights[0]),
+            "minkowski3": MinkowskiDistance(dimension, order=3.0, weights=weights[0]),
+        }[family]
+    k = draw(st.integers(1, 8))
+    block_rows = draw(st.sampled_from([None, 3, 7, 16]))
+    return vectors, queries, family, distance, weights, k, block_rows
+
+
+class TestDefaultScanProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(scan_cases())
+    def test_default_scan_equals_the_reference(self, case):
+        vectors, queries, family, distance, weights, k, block_rows = case
+        collection = FeatureCollection(vectors)
+        engine = RetrievalEngine(collection)
+        engine._scan = LinearScanIndex(collection, block_rows=block_rows)
+        reference = LinearScanIndex(collection)
+        if family == "per_row":
+            deltas = distance
+            results = engine.search_batch_with_parameters(queries, k, deltas, weights)
+            expected = [
+                reference.search(point, k, WeightedEuclideanDistance(point.shape[0], weights=weight))
+                for point, weight in zip(queries + deltas, weights)
+            ]
+        else:
+            results = engine.search_batch(queries, k, distance)
+            expected = [reference.search(point, k, distance) for point in queries]
+        assert results == expected
+
+
+class _CountingDict(dict):
+    writes = 0
+
+    def __setitem__(self, key, value):
+        self.writes += 1
+        super().__setitem__(key, value)
+
+
+class TestWhatARequestReads:
+    N_ROUNDS = 6
+
+    def test_default_requests_read_only_the_float32_terms(self, corpus, queries, monkeypatch):
+        """Engine and coalescer batches stream ``centered32`` and cached norms, nothing else.
+
+        No float64 centred copy is built, the default weights' point norms
+        are computed once, and no validation pass touches the corpus: every
+        array ``np.isfinite`` sees is a query or a gathered candidate set.
+        """
+        collection = FeatureCollection(corpus.vectors)
+        engine = RetrievalEngine(collection)
+        coalescer = RequestCoalescer(engine)
+        workspace = collection.workspace
+        workspace._norms = stored = _CountingDict()
+        checked = []
+        isfinite = np.isfinite
+
+        def spy(values, *args, **kwargs):
+            checked.append(values)
+            return isfinite(values, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", spy)
+        for _ in range(self.N_ROUNDS):
+            engine.search_batch(queries, 10)
+            coalescer.submit_search(queries[:2], 10)
+        monkeypatch.undo()
+
+        assert workspace._centered is None and workspace._centered_squared is None
+        assert workspace._centered32 is not None and workspace._centered_squared32 is None
+        assert stored.writes == 1
+        assert list(stored.values())[0] is workspace.point_norms(engine.default_distance.weights)
+        assert checked, "the requests validated no input at all"
+        assert not any(
+            isinstance(values, np.ndarray) and np.shares_memory(values, collection.vectors)
+            for values in checked
+        )
+
+    @pytest.mark.parametrize("precision", ["exact", "fast"])
+    def test_pairwise_validates_matrices_it_does_not_own(self, collection, queries, precision):
+        poisoned = collection.vectors.copy()
+        poisoned[3, 2] = np.nan
+        for _, distance in distance_grid():
+            with pytest.raises(ValidationError):
+                distance.pairwise(queries, poisoned, workspace=collection.workspace, precision=precision)

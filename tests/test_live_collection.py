@@ -371,6 +371,29 @@ class TestWritesNeverRebuild:
         self._assert_base_is(live, folded)
         assert live.epoch == 1 and live.n_compactions == 1
 
+    @pytest.mark.parametrize("index_kind", ["none", "vptree"])
+    def test_compaction_warms_what_the_scan_reads(self, index_kind):
+        """The new base's float32 terms exist before its first query — and nothing else.
+
+        Without an index the base scan serves the default distance, so the
+        off-lock rebuild builds ``centered32`` and the default weights' point
+        norms; the float64 centred copies stay unbuilt.  A base index that
+        serves the default distance leaves the workspace to the first scan.
+        """
+        live = LiveCollection(_base_vectors(), index_factory=INDEX_FACTORIES[index_kind])
+        rng = np.random.default_rng(24)
+        live.insert(rng.random((4, DIMENSION)))
+        live.delete([2])
+        live.compact()
+        collection = live.snapshot().segments[0].unit.collection
+        if index_kind != "none":
+            assert collection._workspace is None
+            return
+        workspace = collection._workspace
+        assert workspace is not None and workspace._centered32 is not None
+        assert list(workspace._norms) == [live.index_distance.weights.tobytes()]
+        assert workspace._centered is None and workspace._centered_squared is None
+
     def test_reads_and_writes_proceed_while_a_fold_rebuilds(self):
         """A compaction parked in its O(corpus) phase holds up nobody.
 

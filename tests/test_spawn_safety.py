@@ -87,12 +87,15 @@ class TestPickleRoundTrips:
         assert restored.labels == collection.labels
         assert not restored.vectors.flags.writeable
         # The workspace is intentionally not shipped (it is corpus-sized and
-        # a pure function of the matrix); it rebuilds bit-identically.
+        # a pure function of the matrix); the terms the scan reads rebuild
+        # bit-identically.
+        for term in ("mean", "extent", "centered32"):
+            np.testing.assert_array_equal(
+                getattr(restored.workspace, term), getattr(collection.workspace, term)
+            )
+        ones = np.ones(collection.dimension)
         np.testing.assert_array_equal(
-            restored.workspace.centered, collection.workspace.centered
-        )
-        np.testing.assert_array_equal(
-            restored.workspace.centered_squared, collection.workspace.centered_squared
+            restored.workspace.point_norms(ones), collection.workspace.point_norms(ones)
         )
 
     def test_workspace_not_in_pickle(self, collection):
