@@ -5,6 +5,9 @@ and from the FeedbackBypass prediction — and the difference in iterations is
 the number of cycles (k-NN requests) the prediction saves.  The paper reports
 savings that grow with the number of processed queries, reaching about two
 cycles (≈100 retrieved objects at k = 50) after 1000 queries.
+
+The saving is signed, so a prediction that lengthens a loop counts against
+it; the series also reports the share of queries that lost.
 """
 
 import numpy as np
@@ -38,11 +41,13 @@ def test_fig15_saved_cycles(benchmark, bench_dataset, results_dir):
         benchmark.extra_info[f"final_saved_cycles_k{int(k)}"] = float(result.saved_cycles[position, -1])
         benchmark.extra_info[f"final_saved_objects_k{int(k)}"] = float(result.saved_objects[position, -1])
 
-    # Shape checks: savings are non-negative, saved objects are exactly
-    # cycles x k, and the trained module does save work on average.
-    assert np.all(result.saved_cycles >= 0.0)
+    # After warm-up the trained module saves work at every checkpoint, net
+    # of the queries it slowed down, and those stay a minority; saved
+    # objects are exactly cycles x k.
     for position, k in enumerate(result.k_values):
+        assert np.all(result.saved_cycles[position] > 0.0), int(k)
+        assert np.all(result.lost_share[position] >= 0.0), int(k)
+        assert np.all(result.lost_share[position] < 0.5), int(k)
         np.testing.assert_allclose(
             result.saved_objects[position], result.saved_cycles[position] * int(k), atol=1e-9
         )
-    assert result.saved_cycles.mean() > 0.0

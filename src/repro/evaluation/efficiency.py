@@ -5,6 +5,10 @@ parameters and once from the parameters FeedbackBypass predicts — and the
 difference in iterations is the number of feedback cycles the prediction
 saves.  Saved-Objects is simply ``Saved-Cycles x k``: every saved cycle is
 one k-NN request the underlying database never has to answer (Section 5.3).
+
+The saving is signed: a query whose loop from the prediction runs longer
+than from the defaults counts as a negative saving, and the share of such
+queries is reported beside the mean.
 """
 
 from __future__ import annotations
@@ -28,8 +32,9 @@ class EfficiencyResult:
 
     k_values: np.ndarray
     checkpoints: np.ndarray
-    saved_cycles: np.ndarray   # shape (len(k_values), len(checkpoints))
+    saved_cycles: np.ndarray   # signed mean saving, shape (len(k_values), len(checkpoints))
     saved_objects: np.ndarray  # saved_cycles * k
+    lost_share: np.ndarray     # share of the block's queries whose bypass loop ran longer
 
     def series_for(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Return (saved cycles, saved objects) for one value of ``k``."""
@@ -65,6 +70,7 @@ def saved_cycles_experiment(
         checkpoints.append(n_queries)
     saved_cycles = np.zeros((len(k_values), len(checkpoints)))
     saved_objects = np.zeros_like(saved_cycles)
+    lost_share = np.zeros_like(saved_cycles)
 
     for row, k in enumerate(k_values):
         config = SessionConfig(k=int(k), epsilon=epsilon, measure_bypass_loop=True)
@@ -72,18 +78,20 @@ def saved_cycles_experiment(
         rng = ensure_rng(derive_seed(seed, "efficiency", k))
         indices = dataset.sample_query_indices(n_queries, rng)
 
-        block_savings: list[float] = []
+        block_savings: list[int] = []
         column = 0
         for position, query_index in enumerate(indices, start=1):
             outcome = session.run_query(int(query_index))
             if position > warmup_queries and outcome.loop_iterations_bypass is not None:
                 block_savings.append(
-                    max(outcome.loop_iterations_default - outcome.loop_iterations_bypass, 0)
+                    outcome.loop_iterations_default - outcome.loop_iterations_bypass
                 )
             if column < len(checkpoints) and position == checkpoints[column]:
-                average_saving = float(np.mean(block_savings)) if block_savings else 0.0
-                saved_cycles[row, column] = average_saving
-                saved_objects[row, column] = average_saving * k
+                if block_savings:
+                    savings = np.asarray(block_savings, dtype=np.float64)
+                    saved_cycles[row, column] = savings.mean()
+                    saved_objects[row, column] = saved_cycles[row, column] * k
+                    lost_share[row, column] = np.mean(savings < 0)
                 block_savings = []
                 column += 1
 
@@ -92,4 +100,5 @@ def saved_cycles_experiment(
         checkpoints=np.asarray(checkpoints, dtype=np.intp),
         saved_cycles=saved_cycles,
         saved_objects=saved_objects,
+        lost_share=lost_share,
     )

@@ -124,16 +124,19 @@ def render_category_robustness(result: CategoryRobustnessResult) -> str:
 
 
 def render_efficiency(result: EfficiencyResult) -> str:
-    """Figure 15: saved cycles and saved objects."""
+    """Figure 15: signed saved cycles and objects, and the share of queries that lost."""
     sections = []
     for position, k in enumerate(result.k_values):
         rows = [
-            [int(queries), cycles, objects]
-            for queries, cycles, objects in zip(
-                result.checkpoints, result.saved_cycles[position], result.saved_objects[position]
+            [int(queries), cycles, objects, lost]
+            for queries, cycles, objects, lost in zip(
+                result.checkpoints,
+                result.saved_cycles[position],
+                result.saved_objects[position],
+                result.lost_share[position],
             )
         ]
-        header = ["queries", "Saved-Cycles", "Saved-Objects"]
+        header = ["queries", "Saved-Cycles", "Saved-Objects", "lost share"]
         sections.append(f"k = {int(k)}\n" + format_series_table(header, rows))
     return "Efficiency (Figure 15)\n" + "\n\n".join(sections)
 

@@ -423,17 +423,6 @@ class InteractiveSession:
     # ------------------------------------------------------------------ #
     # Query processing
     # ------------------------------------------------------------------ #
-    def _optimal_parameters(
-        self, query_index: int, loop_default: FeedbackLoopResult
-    ) -> OptimalQueryParameters:
-        """The OQPs a default-start loop converged to for ``query_index``."""
-        return loop_default.optimal_parameters(self._query_vectors[query_index])
-
-    @staticmethod
-    def _wants_insert(loop_default: FeedbackLoopResult, optimal: OptimalQueryParameters) -> bool:
-        """Whether a loop produced any feedback signal worth storing."""
-        return not (loop_default.iterations == 0 and optimal.is_default())
-
     def _assemble_outcome(
         self,
         query_index: int,
@@ -481,7 +470,6 @@ class InteractiveSession:
         # Run the feedback loop from the default start to obtain this query's
         # optimal parameters (the paper's automated loop).
         loop_default = self.run_feedback_loop(query_index, default_parameters)
-        optimal = self._optimal_parameters(query_index, loop_default)
 
         # Optionally measure how many iterations remain when starting from
         # the prediction (Saved-Cycles).
@@ -492,10 +480,8 @@ class InteractiveSession:
 
         # Store the optimal parameters, unless the loop produced no feedback
         # signal at all (no relevant results ever appeared).
-        if self._wants_insert(loop_default, optimal):
-            inserted = self._bypass.insert(query_point, optimal).action
-        else:
-            inserted = "none"
+        optimal = loop_default.parameters_to_store(query_point)
+        inserted = "none" if optimal is None else self._bypass.insert(query_point, optimal).action
 
         return self._assemble_outcome(
             query_index,
@@ -582,15 +568,8 @@ class InteractiveSession:
 
         # Train the bypass with the retired cohort: one ordered insert_batch
         # call over the queries that produced a feedback signal.
-        optimals = [
-            self._optimal_parameters(int(query_index), loop)
-            for query_index, loop in zip(indices, loops_default)
-        ]
-        insertable = [
-            position
-            for position in positions
-            if self._wants_insert(loops_default[position], optimals[position])
-        ]
+        optimals = [loop.parameters_to_store(point) for point, loop in zip(points, loops_default)]
+        insertable = [position for position in positions if optimals[position] is not None]
         inserted = ["none"] * indices.size
         if insertable:
             insert_outcomes = self._bypass.insert_batch(

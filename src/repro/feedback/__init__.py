@@ -42,7 +42,7 @@ from repro.feedback.reweighting import (
 )
 from repro.feedback.mindreader import mindreader_matrix_update
 from repro.feedback.hierarchical import hierarchical_update
-from repro.feedback.engine import FeedbackEngine, FeedbackLoopResult, FeedbackState
+from repro.feedback.engine import FeedbackEngine, FeedbackLoopResult, FeedbackState, LoopCursor
 from repro.feedback.scheduler import FeedbackFrontier, LoopRequest, LoopScheduler
 
 __all__ = [
@@ -65,6 +65,7 @@ __all__ = [
     "FeedbackEngine",
     "FeedbackLoopResult",
     "FeedbackState",
+    "LoopCursor",
     "FeedbackFrontier",
     "LoopRequest",
     "LoopScheduler",

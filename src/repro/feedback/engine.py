@@ -7,18 +7,22 @@ changing (or an iteration budget runs out).  The judge is a callable so the
 same engine serves both real interactive use and the category-oracle
 simulation of the experiments.
 
-The engine exposes the loop as per-state *step primitives* — validate the
-starting parameters (:meth:`FeedbackEngine.prepare_loop`), compute the next
-state from one round of judgments (:meth:`FeedbackEngine.compute_new_state`,
-or :meth:`FeedbackEngine.compute_new_states` for a stacked frontier of
-states) — so the same computation drives both the sequential reference loop
-(:meth:`FeedbackEngine.run_loop`) and the batched frontier scheduler
-(:mod:`repro.feedback.scheduler`), which is contractually byte-identical
-to it.
+The loop's transition is defined once, as the :class:`LoopCursor` that
+:meth:`FeedbackEngine.start` validates and returns: it says which ``(Δ, W)``
+the next search runs under, takes the next state (or the lack of a feedback
+signal), takes each search's results and decides when and why the loop
+stops.  A caller only computes the step — one state with
+:meth:`FeedbackEngine.compute_new_state`, or a stacked frontier with
+:meth:`FeedbackEngine.compute_new_states` — and dispatches the search.  The
+sequential reference loop (:meth:`FeedbackEngine.run_loop`), the batched
+frontier scheduler (:mod:`repro.feedback.scheduler`) and the served
+client-judged sessions (:mod:`repro.serving.sessions`) all drive the same
+cursor, which is why they are byte-identical to one another.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -40,6 +44,11 @@ from repro.utils.validation import ValidationError, as_float_vector, check_dimen
 #: A judge maps a result set to one relevance judgment per result — either a
 #: judgment list or the vectorised :class:`JudgmentBatch` form.
 Judge = Callable[[ResultSet], "list[RelevanceJudgment] | JudgmentBatch"]
+
+#: Why a loop stopped: no relevant result was judged (``no_signal``), the
+#: result list stabilised (``converged``) or the iteration cap was reached
+#: (``budget``); ``active`` while it still iterates.
+LOOP_REASONS = ("active", "no_signal", "converged", "budget")
 
 
 @dataclass(frozen=True)
@@ -82,9 +91,9 @@ class FeedbackLoopResult:
     iterations:
         Number of *feedback* iterations, i.e. additional searches beyond the
         first one.  This is the quantity the Saved-Cycles metric compares.
-    converged:
-        True when the loop stopped because the result list stabilised (rather
-        than because the iteration budget or the feedback signal ran out).
+    reason:
+        Why the loop stopped, one of :data:`LOOP_REASONS` (``active`` for a
+        served session closed mid-loop).
     """
 
     initial_state: FeedbackState
@@ -92,7 +101,16 @@ class FeedbackLoopResult:
     initial_results: ResultSet
     final_results: ResultSet
     iterations: int
-    converged: bool
+    reason: str
+
+    def __post_init__(self) -> None:
+        if self.reason not in LOOP_REASONS:
+            raise ValidationError(f"unknown loop stop reason {self.reason!r}")
+
+    @property
+    def converged(self) -> bool:
+        """True when the loop stopped because the result list stabilised."""
+        return self.reason == "converged"
 
     def optimal_parameters(self, query_point) -> OptimalQueryParameters:
         """The OQPs this loop converged to, relative to ``query_point``.
@@ -107,12 +125,23 @@ class FeedbackLoopResult:
             weights=self.final_state.weights.copy(),
         )
 
+    def parameters_to_store(self, query_point) -> "OptimalQueryParameters | None":
+        """The OQPs worth storing in a Simplex Tree, or ``None``.
+
+        The insert policy: a loop that produced no feedback signal at all
+        (zero iterations and default parameters) stores nothing.
+        """
+        optimal = self.optimal_parameters(query_point)
+        if self.iterations == 0 and optimal.is_default():
+            return None
+        return optimal
+
     def identical_to(self, other: "FeedbackLoopResult") -> bool:
         """Byte-level equality with another loop result.
 
         This is the comparison behind the scheduler contract — states,
-        result sets, iteration count and convergence flag must all match
-        bit for bit between the sequential loop and the frontier scheduler.
+        result sets, iteration count and stop reason must all match bit for
+        bit between the sequential loop and the frontier scheduler.
         """
         return bool(
             np.array_equal(self.initial_state.query_point, other.initial_state.query_point)
@@ -122,7 +151,114 @@ class FeedbackLoopResult:
             and self.initial_results == other.initial_results
             and self.final_results == other.final_results
             and self.iterations == other.iterations
-            and self.converged == other.converged
+            and self.reason == other.reason
+        )
+
+
+class LoopCursor:
+    """One feedback loop's state machine: judge → step → re-search → stop.
+
+    A cursor is pure bookkeeping — it never searches and never judges.  Its
+    driver alternates two moves: run the search :meth:`search_parameters`
+    names and hand the results to :meth:`settle`; then, unless the loop is
+    :attr:`done`, judge :attr:`results`, compute the next state and hand it
+    to :meth:`propose`.  Build one with :meth:`FeedbackEngine.start`.
+    """
+
+    __slots__ = (
+        "query_point",
+        "k",
+        "max_iterations",
+        "state",
+        "results",
+        "initial_state",
+        "initial_results",
+        "iterations",
+        "reason",
+        "_initial_delta",
+        "_proposed",
+    )
+
+    def __init__(
+        self,
+        query_point: np.ndarray,
+        k: int,
+        initial_delta: np.ndarray,
+        initial_weights: np.ndarray,
+        max_iterations: int,
+    ) -> None:
+        self.query_point = query_point
+        self.k = k
+        self.max_iterations = max_iterations
+        self.state = self.initial_state = FeedbackState(
+            query_point=query_point + initial_delta, weights=initial_weights
+        )
+        self.results: ResultSet | None = None
+        self.initial_results: ResultSet | None = None
+        self.iterations = 0
+        self.reason = "active"
+        self._initial_delta = initial_delta
+        self._proposed: FeedbackState | None = None
+
+    @property
+    def done(self) -> bool:
+        """Whether the loop has stopped (:attr:`reason` says why)."""
+        return self.reason != "active"
+
+    def search_parameters(self) -> "tuple[np.ndarray, np.ndarray]":
+        """The ``(Δ, W)`` the next search runs under, relative to the query point.
+
+        Before the first round this is the caller's own ``Δ₀``: recomputing
+        it from the state as ``(q + Δ₀) − q`` would not be bit-identical to
+        it.  After that it is the proposed state's offset and weights.
+        """
+        if self._proposed is None:
+            return self._initial_delta, self.state.weights
+        return self._proposed.query_point - self.query_point, self._proposed.weights
+
+    def propose(self, next_state: "FeedbackState | None") -> None:
+        """Stage the next state, computed from the judged :attr:`results`.
+
+        ``None`` — or the current state itself, which is how
+        :meth:`FeedbackEngine.compute_new_state` answers — means no result
+        was judged relevant: the loop ends as ``no_signal``, with no search.
+        """
+        if next_state is None or next_state is self.state:
+            self.reason = "no_signal"
+        else:
+            self._proposed = next_state
+
+    def settle(self, results: ResultSet) -> None:
+        """Take the results of the search :meth:`search_parameters` named.
+
+        The first call is the first round, which is not an iteration; a cap
+        of zero ends the loop there.  Every later call counts one iteration,
+        moves to the proposed state, and stops the loop as ``converged``
+        when the result list holds the same objects as before, or as
+        ``budget`` when the cap is reached.
+        """
+        if self.results is None:
+            self.results = self.initial_results = results
+            if self.max_iterations == 0:
+                self.reason = "budget"
+            return
+        self.iterations += 1
+        converged = results.same_objects(self.results)
+        self.state, self.results, self._proposed = self._proposed, results, None
+        if converged:
+            self.reason = "converged"
+        elif self.iterations >= self.max_iterations:
+            self.reason = "budget"
+
+    def result(self) -> FeedbackLoopResult:
+        """The loop's outcome so far, as a :class:`FeedbackLoopResult`."""
+        return FeedbackLoopResult(
+            initial_state=self.initial_state,
+            final_state=self.state,
+            initial_results=self.initial_results,
+            final_results=self.results,
+            iterations=self.iterations,
+            reason=self.reason,
         )
 
 
@@ -190,17 +326,35 @@ class FeedbackEngine:
     # ------------------------------------------------------------------ #
     # Step primitives
     # ------------------------------------------------------------------ #
-    def prepare_loop(
-        self, query_point, k: int, initial_delta=None, initial_weights=None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """Validate one loop's starting parameters.
+    def start(
+        self,
+        query_point,
+        k: int,
+        initial_delta=None,
+        initial_weights=None,
+        *,
+        max_iterations: "int | None" = None,
+    ) -> LoopCursor:
+        """Validate one loop's starting parameters and return its cursor.
 
-        Returns the validated ``(query_point, initial_delta,
-        initial_weights, k)`` with the ``None`` defaults resolved (no offset,
-        unweighted Euclidean).  Shared prologue of :meth:`run_loop` and of
-        the frontier scheduler, so both paths reject exactly the same inputs
-        and start from exactly the same state.
+        ``None`` defaults resolve to no offset and unweighted Euclidean.
+        ``max_iterations`` is a per-loop cap (a non-negative ``int``; ``0``
+        stops after the first round); the cursor's cap is the smaller of it
+        and the engine's.  Every loop — sequential, frontier or served —
+        starts here, so all of them reject exactly the same inputs and start
+        from exactly the same state.
         """
+        cap = self._max_iterations
+        if max_iterations is not None:
+            if (
+                isinstance(max_iterations, bool)
+                or not isinstance(max_iterations, numbers.Integral)
+                or max_iterations < 0
+            ):
+                raise ValidationError(
+                    f"max_iterations must be a non-negative int or None, got {max_iterations!r}"
+                )
+            cap = min(cap, int(max_iterations))
         k = check_dimension(k, "k")
         dimension = self._engine.collection.dimension
         query_point = as_float_vector(query_point, name="query_point", dim=dimension)
@@ -212,7 +366,7 @@ class FeedbackEngine:
         initial_weights = as_float_vector(initial_weights, name="initial_weights", dim=dimension)
         if np.any(initial_weights < 0):
             raise ValidationError("initial_weights must be non-negative")
-        return query_point, initial_delta, initial_weights, k
+        return LoopCursor(query_point, k, initial_delta, initial_weights, cap)
 
     def compute_new_state(
         self, state: FeedbackState, judgments: "list[RelevanceJudgment] | JudgmentBatch"
@@ -332,43 +486,18 @@ class FeedbackEngine:
             offset, unweighted Euclidean); FeedbackBypass passes its
             predictions here.
         """
-        query_point, initial_delta, initial_weights, k = self.prepare_loop(
-            query_point, k, initial_delta, initial_weights
-        )
-
-        state = FeedbackState(query_point=query_point + initial_delta, weights=initial_weights)
-        initial_state = state
-        results = self._engine.search_with_parameters(
-            query_point, k, delta=initial_delta, weights=initial_weights
-        )
-        initial_results = results
-
-        iterations = 0
-        converged = False
-        for _ in range(self._max_iterations):
-            judgments = judge(results)
-            new_state = self.compute_new_state(state, judgments)
-            if new_state is state:
-                # No relevant results: nothing to learn from, stop here.
+        cursor = self.start(query_point, k, initial_delta, initial_weights)
+        cursor.settle(self._search(cursor))
+        while not cursor.done:
+            cursor.propose(self.compute_new_state(cursor.state, judge(cursor.results)))
+            if cursor.done:
                 break
-            new_results = self._engine.search_with_parameters(
-                query_point, k, delta=new_state.query_point - query_point, weights=new_state.weights
-            )
-            iterations += 1
+            cursor.settle(self._search(cursor))
             self._engine.record_feedback_iterations()
-            if new_results.same_objects(results):
-                state = new_state
-                results = new_results
-                converged = True
-                break
-            state = new_state
-            results = new_results
+        return cursor.result()
 
-        return FeedbackLoopResult(
-            initial_state=initial_state,
-            final_state=state,
-            initial_results=initial_results,
-            final_results=results,
-            iterations=iterations,
-            converged=converged,
+    def _search(self, cursor: LoopCursor) -> ResultSet:
+        delta, weights = cursor.search_parameters()
+        return self._engine.search_with_parameters(
+            cursor.query_point, cursor.k, delta=delta, weights=weights
         )

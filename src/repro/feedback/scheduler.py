@@ -24,9 +24,13 @@ per iteration:
   gathers all relevant result vectors with one fancy index and applies the
   frontier array forms of the update rules over the stacked segments.
 
-Queries **retire** from the frontier exactly when the sequential loop would
-stop them: the result list stabilised (converged), no result was judged
-relevant (signal ran out), or the iteration budget is exhausted.
+Each entry drives the same :class:`~repro.feedback.engine.LoopCursor` as
+the sequential loop, so queries **retire** from the frontier exactly when
+the sequential loop would stop them: the result list stabilised
+(converged), no result was judged relevant (signal ran out), or the
+iteration budget is exhausted.  The frontier itself only decides how the
+step is computed (stacked) and how the searches are dispatched (one batch
+per ``k``).
 
 The scheduler's contract — enforced tier-1 by
 ``tests/test_feedback_scheduler.py`` — is that
@@ -43,8 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.database.engine import RetrievalEngine
-from repro.database.query import ResultSet
-from repro.feedback.engine import FeedbackEngine, FeedbackLoopResult, FeedbackState, Judge
+from repro.feedback.engine import FeedbackEngine, FeedbackLoopResult, Judge, LoopCursor
 from repro.feedback.reweighting import ReweightingRule
 from repro.utils.validation import ValidationError
 
@@ -62,10 +65,11 @@ class LoopRequest:
     here).
 
     ``max_iterations`` is the per-request iteration budget of the anytime
-    layer: the loop retires after at most that many feedback iterations,
-    never exceeding the engine's own cap (the effective cap is the minimum
-    of the two).  ``None`` leaves the engine cap alone; ``0`` admits the
-    query for its first-round search only.
+    layer, validated by :meth:`~repro.feedback.engine.FeedbackEngine.start`
+    (a non-negative ``int``): the loop retires after at most that many
+    feedback iterations, never exceeding the engine's own cap.  ``None``
+    leaves the engine cap alone; ``0`` admits the query for its first-round
+    search only.
     """
 
     query_point: "np.ndarray"
@@ -75,71 +79,37 @@ class LoopRequest:
     initial_weights: "np.ndarray | None" = None
     max_iterations: "int | None" = None
 
+    def start(self, feedback_engine: FeedbackEngine) -> LoopCursor:
+        """Validate this request and return its loop's cursor."""
+        return feedback_engine.start(
+            self.query_point,
+            self.k,
+            self.initial_delta,
+            self.initial_weights,
+            max_iterations=self.max_iterations,
+        )
+
 
 class _FrontierEntry:
-    """Mutable loop state of one in-flight query."""
+    """One in-flight query: its admission position, its judge, its loop."""
 
-    __slots__ = (
-        "position",
-        "query_point",
-        "initial_delta",
-        "k",
-        "judge",
-        "state",
-        "results",
-        "initial_state",
-        "initial_results",
-        "iterations",
-        "converged",
-        "done",
-        "proposed",
-        "max_iterations",
-    )
+    __slots__ = ("position", "judge", "cursor")
 
-    def __init__(
-        self,
-        position: int,
-        query_point: np.ndarray,
-        initial_delta: np.ndarray,
-        k: int,
-        judge: Judge,
-        max_iterations: int,
-    ) -> None:
+    def __init__(self, position: int, judge: Judge, cursor: LoopCursor) -> None:
         self.position = position
-        self.query_point = query_point
-        self.initial_delta = initial_delta
-        self.k = k
         self.judge = judge
-        self.max_iterations = max_iterations
-        self.state: FeedbackState | None = None
-        self.results: ResultSet | None = None
-        self.initial_state: FeedbackState | None = None
-        self.initial_results: ResultSet | None = None
-        self.iterations = 0
-        self.converged = False
-        self.done = False
-        self.proposed: FeedbackState | None = None
-
-    def result(self) -> FeedbackLoopResult:
-        return FeedbackLoopResult(
-            initial_state=self.initial_state,
-            final_state=self.state,
-            initial_results=self.initial_results,
-            final_results=self.results,
-            iterations=self.iterations,
-            converged=self.converged,
-        )
+        self.cursor = cursor
 
 
 class FeedbackFrontier:
     """The set of in-flight feedback loops, advanced one iteration at a time.
 
-    Construction admits every request, validates it through the feedback
-    engine's shared prologue and executes all first-round searches batched
-    (grouped by ``k``).  Each :meth:`advance` call then runs iteration *i*
-    of the paper's loop for every still-active query; queries retire as they
-    converge, lose their feedback signal or exhaust the engine's iteration
-    budget.  :meth:`results` returns the finished
+    Construction admits every request, starts its loop's cursor
+    (:meth:`LoopRequest.start`) and executes all first-round searches
+    batched (grouped by ``k``).  Each :meth:`advance` call then runs
+    iteration *i* of the paper's loop for every still-active query; queries
+    retire as they converge, lose their feedback signal or exhaust their
+    iteration budget.  :meth:`results` returns the finished
     :class:`~repro.feedback.engine.FeedbackLoopResult` per request, in
     request order.
     """
@@ -176,39 +146,14 @@ class FeedbackFrontier:
         Returns the admitted entries' frontier positions, in request order
         (fetch finished loops with :meth:`result_at`).
         """
-        staged: list[_FrontierEntry] = []
-        for request in requests:
-            query_point, initial_delta, initial_weights, k = self._feedback.prepare_loop(
-                request.query_point, request.k, request.initial_delta, request.initial_weights
-            )
-            cap = self._feedback.max_iterations
-            if request.max_iterations is not None:
-                if request.max_iterations < 0:
-                    raise ValidationError("max_iterations must be non-negative (or None)")
-                cap = min(cap, int(request.max_iterations))
-            entry = _FrontierEntry(
-                self._next_position + len(staged),
-                query_point,
-                initial_delta,
-                k,
-                request.judge,
-                cap,
-            )
-            entry.state = FeedbackState(
-                query_point=query_point + initial_delta, weights=initial_weights
-            )
-            entry.initial_state = entry.state
-            staged.append(entry)
-
-        # First rounds, batched: one search_batch_with_parameters dispatch
-        # per distinct k, searching under the *original* initial deltas —
-        # recomputing them from the states (``(q + Δ) - q``) would not be
-        # bit-identical to the Δ the sequential loop passes.
+        position = self._next_position
+        staged = [
+            _FrontierEntry(position + offset, request.judge, request.start(self._feedback))
+            for offset, request in enumerate(requests)
+        ]
+        # First rounds, batched: one dispatch per distinct k.
         for group in self._group_by_k(staged):
-            results = self._dispatch(group)
-            for entry, result_set in zip(group, results):
-                entry.results = result_set
-                entry.initial_results = result_set
+            self._dispatch(group)
         for entry in staged:
             self._entries[entry.position] = entry
         self._next_position += len(staged)
@@ -223,7 +168,7 @@ class FeedbackFrontier:
     @property
     def active_count(self) -> int:
         """Number of queries still iterating."""
-        return sum(1 for entry in self._entries.values() if not entry.done)
+        return sum(1 for entry in self._entries.values() if not entry.cursor.done)
 
     @property
     def retired_count(self) -> int:
@@ -237,31 +182,28 @@ class FeedbackFrontier:
     def _group_by_k(entries: "list[_FrontierEntry]") -> "list[list[_FrontierEntry]]":
         groups: dict[int, list[_FrontierEntry]] = {}
         for entry in entries:
-            groups.setdefault(entry.k, []).append(entry)
+            groups.setdefault(entry.cursor.k, []).append(entry)
         return list(groups.values())
 
-    def _dispatch(self, group: "list[_FrontierEntry]") -> "list[ResultSet]":
-        """One batched search for a same-``k`` group of entries.
+    def _dispatch(self, group: "list[_FrontierEntry]") -> None:
+        """One batched search for a same-``k`` group of entries, settled.
 
-        Searches under each entry's *proposed* state when one is staged (a
-        loop iteration) and under its current state otherwise (the first
-        round).  Exactly the parameters the sequential loop would pass to
-        ``search_with_parameters``, stacked.
+        Exactly the parameters the sequential loop would pass to
+        ``search_with_parameters`` (each cursor's
+        :meth:`~repro.feedback.engine.LoopCursor.search_parameters`),
+        stacked.
         """
-        states = [entry.state if entry.proposed is None else entry.proposed for entry in group]
-        points = np.vstack([entry.query_point for entry in group])
-        deltas = np.vstack(
-            [
-                state.query_point - entry.query_point
-                if entry.proposed is not None
-                else entry.initial_delta
-                for entry, state in zip(group, states)
-            ]
+        cursors = [entry.cursor for entry in group]
+        deltas, weights = zip(*(cursor.search_parameters() for cursor in cursors))
+        results = self._engine.search_batch_with_parameters(
+            np.vstack([cursor.query_point for cursor in cursors]),
+            cursors[0].k,
+            np.vstack(deltas),
+            np.vstack(weights),
         )
-        weights = np.vstack([state.weights for state in states])
-        results = self._engine.search_batch_with_parameters(points, group[0].k, deltas, weights)
         self._engine.record_frontier_batch()
-        return results
+        for cursor, result_set in zip(cursors, results):
+            cursor.settle(result_set)
 
     # ------------------------------------------------------------------ #
     # One frontier iteration
@@ -283,12 +225,7 @@ class FeedbackFrontier:
         never its bits — every loop stays byte-identical to its sequential
         reference, it just retires later.
         """
-        # A zero per-request iteration budget retires the entry before it is
-        # ever judged: the loop is its first-round search, nothing more.
-        for entry in self._entries.values():
-            if not entry.done and entry.iterations >= entry.max_iterations:
-                entry.done = True
-        active = [entry for entry in self._entries.values() if not entry.done]
+        active = [entry for entry in self._entries.values() if not entry.cursor.done]
         if limit is not None:
             if limit < 0:
                 raise ValidationError("advance limit must be non-negative (or None)")
@@ -296,34 +233,16 @@ class FeedbackFrontier:
         if not active:
             return 0 if limit is None else self.active_count
 
-        judgments = [entry.judge(entry.results) for entry in active]
+        judgments = [entry.judge(entry.cursor.results) for entry in active]
         proposals = self._feedback.compute_new_states(
-            [entry.state for entry in active], judgments
+            [entry.cursor.state for entry in active], judgments
         )
-
-        searching: list[_FrontierEntry] = []
         for entry, proposal in zip(active, proposals):
-            if proposal is None:
-                # No relevant results: nothing to learn from, the loop ends
-                # here (sequentially: the `new_state is state` break).
-                entry.done = True
-            else:
-                entry.proposed = proposal
-                searching.append(entry)
-
+            entry.cursor.propose(proposal)
+        searching = [entry for entry in active if not entry.cursor.done]
         for group in self._group_by_k(searching):
-            results = self._dispatch(group)
+            self._dispatch(group)
             self._engine.record_feedback_iterations(len(group))
-            for entry, new_results in zip(group, results):
-                entry.iterations += 1
-                if new_results.same_objects(entry.results):
-                    entry.converged = True
-                    entry.done = True
-                entry.state = entry.proposed
-                entry.results = new_results
-                entry.proposed = None
-                if entry.iterations >= entry.max_iterations:
-                    entry.done = True
         return self.active_count
 
     def run_to_completion(self) -> None:
@@ -331,15 +250,15 @@ class FeedbackFrontier:
         while self.advance():
             pass
 
-    def _entry_at(self, position: int) -> _FrontierEntry:
+    def _cursor_at(self, position: int) -> LoopCursor:
         entry = self._entries.get(position)
         if entry is None:
             raise ValidationError(f"unknown or discarded frontier position {position}")
-        return entry
+        return entry.cursor
 
     def is_done(self, position: int) -> bool:
         """Whether the entry at ``position`` has retired from the frontier."""
-        return self._entry_at(position).done
+        return self._cursor_at(position).done
 
     def result_at(self, position: int) -> FeedbackLoopResult:
         """The finished loop result of one entry (by admission position).
@@ -349,10 +268,10 @@ class FeedbackFrontier:
         loop the moment it retires, without waiting for the rest of the
         frontier.
         """
-        entry = self._entry_at(position)
-        if not entry.done:
+        cursor = self._cursor_at(position)
+        if not cursor.done:
             raise ValidationError(f"frontier entry {position} is still active")
-        return entry.result()
+        return cursor.result()
 
     def discard(self, position: int) -> None:
         """Release a retired entry whose result has been collected.
@@ -364,7 +283,7 @@ class FeedbackFrontier:
         memory and per-round cost proportional to the *active* loops.
         Active entries cannot be discarded — they are still iterating.
         """
-        if not self._entry_at(position).done:
+        if not self._cursor_at(position).done:
             raise ValidationError(f"frontier entry {position} is still active")
         del self._entries[position]
 
@@ -381,7 +300,7 @@ class FeedbackFrontier:
             raise ValidationError(
                 f"{self.active_count} queries are still active on the frontier"
             )
-        return [entry.result() for entry in self._entries.values()]
+        return [entry.cursor.result() for entry in self._entries.values()]
 
 
 @dataclass(frozen=True)

@@ -434,8 +434,8 @@ class ServingClient:
         The network-shaped twin of :meth:`run_feedback_loop`: the judge
         never leaves this process — each round the client judges the
         current results and ships only ``(indices, scores)``.  The server
-        applies :meth:`~repro.feedback.engine.FeedbackEngine.run_loop`'s
-        transitions verbatim, so the returned
+        advances the same :class:`~repro.feedback.engine.LoopCursor` as
+        :meth:`~repro.feedback.engine.FeedbackEngine.run_loop`, so the returned
         :class:`~repro.feedback.engine.FeedbackLoopResult` is byte-identical
         to the local sequential loop with the same judge.
         """

@@ -458,16 +458,15 @@ class FrontierCoalescer:
         Byte-identical to ``feedback_engine.run_loop(request.query_point,
         request.k, request.judge, ...)`` — the scheduler contract, with the
         frontier's composition decided by whoever else is looping right now.
-        Validation errors (wrong dimensionality, negative weights) surface
-        here, before the request ever reaches the driver.  ``context`` is an
-        opaque value handed to the ``on_retire`` sink alongside the result
-        (the server passes the connection's tenant name).
+        Validation errors (wrong dimensionality, negative weights, a bad
+        iteration cap) surface here, before the request ever reaches the
+        driver.  ``context`` is an opaque value handed to the ``on_retire``
+        sink alongside the result (the server passes the connection's tenant
+        name).
         """
-        # Shared prologue of run_loop and the frontier: reject exactly the
-        # inputs the sequential loop would, on the submitting thread.
-        self._feedback.prepare_loop(
-            request.query_point, request.k, request.initial_delta, request.initial_weights
-        )
+        # Every loop's validation, on the submitting thread: the cursor
+        # itself is started again at admission.
+        request.start(self._feedback)
         waiter = _LoopWaiter()
         with self._lock:
             if self._closed:

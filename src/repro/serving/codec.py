@@ -279,7 +279,7 @@ class BinaryCodec:
             self._encode(value.initial_results, out)
             self._encode(value.final_results, out)
             self._encode(int(value.iterations), out)
-            self._encode(bool(value.converged), out)
+            self._encode(value.reason, out)
         elif isinstance(value, JudgmentBatch):
             out += b"B"
             self._encode_array(value.indices, out)
@@ -396,11 +396,13 @@ class BinaryCodec:
             initial_results, offset = self._decode(data, offset)
             final_results, offset = self._decode(data, offset)
             iterations, offset = self._decode(data, offset)
-            converged, offset = self._decode(data, offset)
+            reason, offset = self._decode(data, offset)
             if not isinstance(initial_state, FeedbackState) or not isinstance(
                 initial_results, ResultSet
             ):
                 raise CodecError("malformed loop-result payload")
+            # An unknown reason fails FeedbackLoopResult's own validation,
+            # a ValueError that decode() reports as a CodecError.
             return (
                 FeedbackLoopResult(
                     initial_state=initial_state,
@@ -408,7 +410,7 @@ class BinaryCodec:
                     initial_results=initial_results,
                     final_results=final_results,
                     iterations=int(iterations),
-                    converged=bool(converged),
+                    reason=reason,
                 ),
                 offset,
             )

@@ -501,11 +501,12 @@ class ServingCore:
             message.get("initial_delta"),
             message.get("initial_weights"),
         )
+        cursor = session.cursor
         return {
             "session_id": session.session_id,
-            "results": session.results,
-            "iterations": 0,
-            "done": False,
+            "results": cursor.results,
+            "iterations": cursor.iterations,
+            "done": cursor.done,
         }
 
     def _op_session_feedback(self, message, owner) -> dict:
@@ -536,14 +537,14 @@ class ServingCore:
     def _train_from_loop(self, request, result, tenant) -> None:
         """Frontier retirement sink: deposit a converged loop in the tree.
 
-        Mirrors the evaluation session's insert policy — a loop that
-        produced no feedback signal at all (zero iterations and default
-        parameters) stores nothing.  Runs on the frontier driver thread;
-        failures (e.g. a query outside the root simplex, or a closing
-        registry) are swallowed by the coalescer so delivery never breaks.
+        Applies the evaluation session's insert policy
+        (:meth:`~repro.feedback.engine.FeedbackLoopResult.parameters_to_store`).
+        Runs on the frontier driver thread; failures (e.g. a query outside
+        the root simplex, or a closing registry) are swallowed by the
+        coalescer so delivery never breaks.
         """
-        optimal = result.optimal_parameters(request.query_point)
-        if result.iterations == 0 and optimal.is_default():
+        optimal = result.parameters_to_store(request.query_point)
+        if optimal is None:
             return
         self.bypass.insert(
             tenant if tenant is not None else DEFAULT_TENANT,

@@ -7,13 +7,13 @@ each round trips over the network — open the session, look at the results,
 send relevance judgments, get the re-searched results, repeat.  This module
 keeps that per-session loop state on the server:
 
-* :class:`ServingSession` — one user's in-flight loop: the validated query
-  point, the current :class:`~repro.feedback.engine.FeedbackState`, the
-  current results and the iteration/convergence bookkeeping, advanced one
-  judged round at a time with **exactly** the transitions of
-  :meth:`~repro.feedback.engine.FeedbackEngine.run_loop` (same no-signal
-  stop, same convergence test, same iteration budget), so a client that
-  judges with the same oracle reproduces the sequential loop byte for byte.
+* :class:`ServingSession` — one user's in-flight loop: an id, the owning
+  connection, a lock and the loop's
+  :class:`~repro.feedback.engine.LoopCursor`, advanced one judged round at
+  a time.  The cursor is the one :meth:`~repro.feedback.engine.FeedbackEngine.run_loop`
+  drives (same no-signal stop, same convergence test, same iteration
+  budget), so a client that judges with the same oracle reproduces the
+  sequential loop byte for byte.
 * :class:`SessionManager` — the registry: creates ids, owns the sessions,
   scopes every session to the connection that opened it and drops a
   connection's sessions when it goes away.
@@ -32,7 +32,7 @@ import threading
 import numpy as np
 
 from repro.database.query import ResultSet
-from repro.feedback.engine import FeedbackEngine, FeedbackLoopResult, FeedbackState
+from repro.feedback.engine import FeedbackEngine, FeedbackLoopResult, LoopCursor
 from repro.feedback.scores import JudgmentBatch
 from repro.serving.coalescer import RequestCoalescer
 from repro.utils.validation import ValidationError
@@ -43,53 +43,13 @@ __all__ = ["ServingSession", "SessionManager"]
 class ServingSession:
     """One interactive user's feedback loop, advanced round by round."""
 
-    __slots__ = (
-        "session_id",
-        "owner",
-        "query_point",
-        "k",
-        "state",
-        "results",
-        "initial_state",
-        "initial_results",
-        "iterations",
-        "converged",
-        "done",
-        "lock",
-    )
+    __slots__ = ("session_id", "owner", "lock", "cursor")
 
-    def __init__(
-        self,
-        session_id: int,
-        owner,
-        query_point: np.ndarray,
-        k: int,
-        state: FeedbackState,
-        results: ResultSet,
-    ) -> None:
+    def __init__(self, session_id: int, owner, cursor: LoopCursor) -> None:
         self.session_id = session_id
         self.owner = owner
-        self.query_point = query_point
-        self.k = k
-        self.state = state
-        self.results = results
-        self.initial_state = state
-        self.initial_results = results
-        self.iterations = 0
-        self.converged = False
-        self.done = False
         self.lock = threading.Lock()
-
-    def loop_result(self) -> FeedbackLoopResult:
-        """The session's loop outcome so far, in ``run_loop``'s result shape."""
-        return FeedbackLoopResult(
-            initial_state=self.initial_state,
-            final_state=self.state,
-            initial_results=self.initial_results,
-            final_results=self.results,
-            iterations=self.iterations,
-            converged=self.converged,
-        )
+        self.cursor = cursor
 
 
 class SessionManager:
@@ -125,23 +85,23 @@ class SessionManager:
 
         The prologue and the first search are exactly
         :meth:`~repro.feedback.engine.FeedbackEngine.run_loop`'s: the same
-        validation, the same initial state ``(q + Δ, W)``, the same
-        parameterised search — only routed through the micro-batch window.
+        cursor, started with the engine's iteration cap — only the search is
+        routed through the micro-batch window.
         """
-        query_point, initial_delta, initial_weights, k = self._feedback.prepare_loop(
-            query_point, k, initial_delta, initial_weights
-        )
-        state = FeedbackState(query_point=query_point + initial_delta, weights=initial_weights)
-        results = self._coalescer.submit_search_with_parameters(
-            query_point[None, :], k, initial_delta[None, :], initial_weights[None, :]
-        )[0]
+        cursor = self._feedback.start(query_point, k, initial_delta, initial_weights)
+        cursor.settle(self._search(cursor))
         with self._lock:
-            session = ServingSession(
-                next(self._ids), owner, query_point, k, state, results
-            )
+            session = ServingSession(next(self._ids), owner, cursor)
             self._sessions[session.session_id] = session
             self._n_opened += 1
         return session
+
+    def _search(self, cursor: LoopCursor) -> ResultSet:
+        """The cursor's next search, as a one-row coalesced submission."""
+        delta, weights = cursor.search_parameters()
+        return self._coalescer.submit_search_with_parameters(
+            cursor.query_point[None, :], cursor.k, delta[None, :], weights[None, :]
+        )[0]
 
     def get(self, session_id: int, owner) -> ServingSession:
         """Look a session up, enforcing connection ownership."""
@@ -157,7 +117,7 @@ class SessionManager:
         with self._lock:
             self._sessions.pop(session_id, None)
         with session.lock:
-            return session.loop_result()
+            return session.cursor.result()
 
     def drop_owner(self, owner) -> None:
         """Drop every session of a disconnected connection."""
@@ -184,10 +144,10 @@ class SessionManager:
 
         ``indices`` / ``scores`` are the client's relevance judgments of the
         session's *current* results (what a judge callable would have
-        returned).  The transition is ``run_loop``'s, verbatim: no relevant
-        result stops the loop with no search; otherwise the new state is
-        computed, the re-search runs (coalesced), the iteration counts, and
-        the loop ends on convergence or on the iteration budget.
+        returned).  The session's cursor takes the step computed from them:
+        no relevant result stops the loop with no search; otherwise the
+        re-search runs (coalesced), the iteration counts, and the loop ends
+        on convergence or on the iteration budget.
 
         Returns the round payload the wire protocol sends back: the new
         results (``None`` when the signal ran out), the bookkeeping flags
@@ -195,7 +155,8 @@ class SessionManager:
         """
         session = self.get(session_id, owner)
         with session.lock:
-            if session.done:
+            cursor = session.cursor
+            if cursor.done:
                 raise ValidationError(f"session {session_id} has already finished")
             indices = np.asarray(indices, dtype=np.intp)
             collection_size = self._feedback.retrieval_engine.collection.size
@@ -203,40 +164,19 @@ class SessionManager:
                 raise ValidationError("judgment indices out of collection range")
             judgments = JudgmentBatch(indices=indices, scores=np.asarray(scores, dtype=np.float64))
 
-            new_state = self._feedback.compute_new_state(session.state, judgments)
-            if new_state is session.state:
-                # No relevant results: nothing to learn from — run_loop's
-                # `new_state is state` break, no re-search, not converged.
-                session.done = True
-                reason = "no_signal"
-                new_results = None
-            else:
-                delta = new_state.query_point - session.query_point
-                new_results = self._coalescer.submit_search_with_parameters(
-                    session.query_point[None, :],
-                    session.k,
-                    delta[None, :],
-                    new_state.weights[None, :],
-                )[0]
-                session.iterations += 1
+            cursor.propose(self._feedback.compute_new_state(cursor.state, judgments))
+            new_results = None
+            if not cursor.done:
+                new_results = self._search(cursor)
+                cursor.settle(new_results)
                 self._feedback.retrieval_engine.record_feedback_iterations()
-                reason = "active"
-                if new_results.same_objects(session.results):
-                    session.converged = True
-                    session.done = True
-                    reason = "converged"
-                session.state = new_state
-                session.results = new_results
-                if session.iterations >= self._feedback.max_iterations and not session.done:
-                    session.done = True
-                    reason = "budget"
             with self._lock:
                 self._n_rounds += 1
             return {
                 "session_id": session.session_id,
                 "results": new_results,
-                "iterations": session.iterations,
-                "converged": session.converged,
-                "done": session.done,
-                "reason": reason,
+                "iterations": cursor.iterations,
+                "converged": cursor.reason == "converged",
+                "done": cursor.done,
+                "reason": cursor.reason,
             }

@@ -30,8 +30,13 @@ class TestSavedCycles:
     def test_checkpoints_respect_warmup(self, efficiency_result):
         assert np.all(efficiency_result.checkpoints > 10)
 
-    def test_saved_cycles_non_negative(self, efficiency_result):
-        assert np.all(efficiency_result.saved_cycles >= 0.0)
+    def test_savings_are_signed_and_losses_counted(self, efficiency_result):
+        # A saving is negative only where some query lost, and the lost
+        # share is a share of the block.
+        lost = efficiency_result.lost_share
+        assert np.all((lost >= 0.0) & (lost <= 1.0))
+        assert np.all(efficiency_result.saved_cycles[lost == 0.0] >= 0.0)
+        assert np.all(efficiency_result.saved_cycles >= -10.0)
 
     def test_saved_objects_is_cycles_times_k(self, efficiency_result):
         for row, k in enumerate(efficiency_result.k_values):

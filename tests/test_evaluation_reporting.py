@@ -87,9 +87,10 @@ class TestRenderers:
             checkpoints=np.array([300, 400]),
             saved_cycles=np.array([[1.0, 1.5], [1.8, 2.1]]),
             saved_objects=np.array([[20.0, 30.0], [90.0, 105.0]]),
+            lost_share=np.array([[0.1, 0.05], [0.2, 0.0]]),
         )
         text = render_efficiency(result)
-        assert "Saved-Cycles" in text and "k = 50" in text
+        assert "Saved-Cycles" in text and "k = 50" in text and "lost share" in text
 
     def test_render_tree_growth(self):
         result = TreeGrowthResult(

@@ -132,6 +132,49 @@ def test_evaluation_never_reaches_serving(path):
     assert offending == [], f"{path.name} reaches {offending}"
 
 
+def _call_sites(matches) -> "dict[str, set[str]]":
+    """``{module: {enclosing function, ...}}`` of every call ``matches`` accepts."""
+    sites: "dict[str, set[str]]" = {}
+
+    def visit(node, function: str, module: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name, module)
+                continue
+            if isinstance(child, ast.Call) and matches(child.func):
+                sites.setdefault(module, set()).add(function)
+            visit(child, function, module)
+
+    for path in _source_files(SRC / "repro"):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        visit(tree, "<module>", _module_name(path))
+    return sites
+
+
+def _named(name: str):
+    def matches(func) -> bool:
+        return (isinstance(func, ast.Name) and func.id == name) or (
+            isinstance(func, ast.Attribute) and func.attr == name
+        )
+
+    return matches
+
+
+def test_the_feedback_loop_transition_is_written_once():
+    """One module decides when a loop has converged and builds its result.
+
+    The sequential loop, the frontier and the served sessions all drive the
+    ``LoopCursor`` of ``repro.feedback.engine``; a second copy of the
+    transition would need its own convergence test or its own result
+    construction.  The codec's decoder rebuilds results it received, so it
+    is the one construction allowed elsewhere.
+    """
+    assert set(_call_sites(_named("same_objects"))) == {"repro.feedback.engine"}
+    constructions = _call_sites(_named("FeedbackLoopResult"))
+    assert constructions.pop("repro.serving.codec", set()) <= {"_decode"}
+    assert set(constructions) == {"repro.feedback.engine"}
+
+
 def test_importing_the_library_loads_no_measurement_code():
     """The whole library, imported in a fresh interpreter, loads neither.
 
