@@ -126,10 +126,9 @@ a single core (batching economics, not parallelism; the coalescer's
 from backpressure; raise it only to grow windows under sparse arrivals),
 and ``own_engine=True`` when the server should tear the engine down
 — worker processes, shared-memory segments and all — on ``close()``.  The
-wire speaks a negotiated codec: a length-prefixed binary format by default
-(float64 bits survive exactly; decoding never executes code), with legacy
-pickle as an explicit trusted-network opt-in (``allow_pickle=True``) —
-loopback by default, never an untrusted port (see ``docs/serving.md``).
+wire speaks one codec behind a versioned handshake: a length-prefixed
+binary format (float64 bits survive exactly; decoding never executes code)
+— nothing on the wire is ever unpickled (see ``docs/serving.md``).
 
 At connection scale, swap the front end:
 :class:`~repro.serving.async_server.AsyncRetrievalServer` serves the same

@@ -6,9 +6,10 @@ the sharded multi-worker engines — behind a TCP service whose core is
 *request coalescing*:
 
 * :mod:`repro.serving.protocol` — the length-prefixed frame format,
-* :mod:`repro.serving.codec` — the negotiated wire codecs: the versioned
-  handshake, the safe binary codec (exact float64 bit preservation) and
-  the opt-in legacy pickle codec,
+* :mod:`repro.serving.codec` — the wire codec: the versioned handshake
+  (one :func:`~repro.serving.codec.answer_hello` for both front ends) and
+  the binary codec (exact float64 bit preservation, decodes nothing but
+  data),
 * :mod:`repro.serving.coalescer` — the shared micro-batch window for k-NN
   queries (:class:`RequestCoalescer`) and the shared feedback frontier for
   relevance-feedback loops (:class:`FrontierCoalescer`),
@@ -32,7 +33,7 @@ the sharded multi-worker engines — behind a TCP service whose core is
 The layer's contract is the library-wide one: coalescing changes *who
 shares a dispatch*, never results — every answer is byte-identical to
 calling the engine (or :meth:`~repro.feedback.engine.FeedbackEngine.run_loop`)
-directly, whichever front end and codec carried it.  See
+directly, whichever front end carried it.  See
 ``docs/serving.md`` for the wire protocol and the coalescing semantics.
 """
 
@@ -40,14 +41,9 @@ from repro.serving.async_server import AsyncRetrievalServer
 from repro.serving.bypass_registry import DEFAULT_TENANT, BypassRegistry
 from repro.serving.client import ServingClient, ServingError
 from repro.serving.coalescer import FrontierCoalescer, RequestCoalescer
-from repro.serving.codec import BinaryCodec, CodecError, PickleCodec
+from repro.serving.codec import BinaryCodec, CodecError
 from repro.serving.pool import PooledServingClient, PoolTimeout
-from repro.serving.protocol import (
-    ConnectionClosed,
-    ProtocolError,
-    recv_message,
-    send_message,
-)
+from repro.serving.protocol import ConnectionClosed, ProtocolError
 from repro.serving.server import RetrievalServer, ServerConfig, ServingCore
 from repro.serving.sessions import ServingSession, SessionManager
 
@@ -59,7 +55,6 @@ __all__ = [
     "ConnectionClosed",
     "DEFAULT_TENANT",
     "FrontierCoalescer",
-    "PickleCodec",
     "PoolTimeout",
     "PooledServingClient",
     "ProtocolError",
@@ -71,6 +66,4 @@ __all__ = [
     "ServingError",
     "ServingSession",
     "SessionManager",
-    "recv_message",
-    "send_message",
 ]

@@ -1,10 +1,11 @@
 """The C10K front end: one event loop, tens of thousands of sockets.
 
 :class:`AsyncRetrievalServer` serves the exact same wire contract as the
-threaded :class:`~repro.serving.server.RetrievalServer` — same codec
-handshake, same ops, same chunked streaming, byte-identical results — but
-holds its connections on an :mod:`asyncio` event loop instead of one
-thread per socket.  A thread costs ~8 MiB of stack and a scheduler slot;
+threaded :class:`~repro.serving.server.RetrievalServer` — the same
+handshake function (:func:`~repro.serving.codec.answer_hello`), same ops,
+same chunked streaming, byte-identical results — but holds its
+connections on an :mod:`asyncio` event loop instead of one thread per
+socket.  A thread costs ~8 MiB of stack and a scheduler slot;
 an idle asyncio connection costs a heap object and an epoll registration,
 which is the difference between "thousands" and "the ROADMAP's millions"
 of mostly-idle users.
@@ -41,9 +42,9 @@ import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.serving.codec import CodecError, choose_codec, pack_accept, pack_reject, parse_hello
+from repro.serving.codec import MAX_HELLO_BYTES, answer_hello
 from repro.serving.protocol import MAX_FRAME_BYTES, ProtocolError, _HEADER, frame
-from repro.serving.server import PICKLE, ServerConfig, ServingCore
+from repro.serving.server import ServerConfig, ServingCore
 from repro.utils.validation import ValidationError
 
 __all__ = ["AsyncRetrievalServer"]
@@ -205,7 +206,7 @@ class AsyncRetrievalServer:
     # Per-connection protocol
     # ------------------------------------------------------------------ #
     @staticmethod
-    async def _read_frame_now(reader: asyncio.StreamReader):
+    async def _read_frame_now(reader: asyncio.StreamReader, max_bytes: int):
         """Read one frame's payload; ``None`` on clean EOF between frames."""
         try:
             header = await reader.readexactly(_HEADER.size)
@@ -216,8 +217,8 @@ class AsyncRetrievalServer:
                 f"connection closed mid-header ({len(error.partial)} of {_HEADER.size} bytes read)"
             ) from error
         (length,) = _HEADER.unpack(header)
-        if length > MAX_FRAME_BYTES:
-            raise ProtocolError(f"frame of {length} bytes exceeds the frame limit")
+        if length > max_bytes:
+            raise ProtocolError(f"frame of {length} bytes exceeds the limit of {max_bytes}")
         try:
             return await reader.readexactly(length)
         except asyncio.IncompleteReadError as error:
@@ -225,7 +226,12 @@ class AsyncRetrievalServer:
                 f"connection closed mid-frame ({len(error.partial)} of {length} bytes read)"
             ) from error
 
-    async def _read_frame(self, reader: asyncio.StreamReader, timeout: "float | None"):
+    async def _read_frame(
+        self,
+        reader: asyncio.StreamReader,
+        timeout: "float | None",
+        max_bytes: int = MAX_FRAME_BYTES,
+    ):
         """One frame under one idle-timeout guard (a single wrapper task).
 
         The timeout spans the whole frame — idle gap *and* payload — which
@@ -234,8 +240,8 @@ class AsyncRetrievalServer:
         task-creation overhead on the loop.
         """
         if timeout is None:
-            return await self._read_frame_now(reader)
-        return await asyncio.wait_for(self._read_frame_now(reader), timeout)
+            return await self._read_frame_now(reader, max_bytes)
+        return await asyncio.wait_for(self._read_frame_now(reader, max_bytes), timeout)
 
     @staticmethod
     async def _send_frames(writer: asyncio.StreamWriter, payloads, timeout: "float | None") -> None:
@@ -253,43 +259,33 @@ class AsyncRetrievalServer:
 
     async def _handle_connection(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         core = self._core
-        config = core.config
-        timeout = config.idle_timeout
+        timeout = core.config.idle_timeout
         owner = object()  # unique ownership token of this connection
         core.connection_opened()
         self._writers.add(writer)
-        codec = None
-        chunk_items: "int | None" = None
         try:
             sock = writer.get_extra_info("socket")
             if sock is not None:
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            while True:
+            hello = await self._read_frame(reader, timeout, MAX_HELLO_BYTES)
+            if hello is None:
+                return
+            reply, accepted = answer_hello(hello)
+            await self._send_frames(writer, [reply], timeout)
+            while accepted:
                 payload = await self._read_frame(reader, timeout)
                 if payload is None:
                     break
-                if codec is None:
-                    # The first frame is fully consumed here either way —
-                    # as a handshake, or (legacy) served as the first
-                    # pickle request inside _open_conversation.
-                    codec, chunk_items = await self._open_conversation(
-                        writer, payload, owner, timeout
-                    )
-                    if codec is None:
-                        break
-                    continue
                 core.begin_request()
                 try:
                     frames = await self._loop.run_in_executor(
                         self._executor,
-                        functools.partial(
-                            core.serve_frames, codec, payload, owner, chunk_items=chunk_items
-                        ),
+                        functools.partial(core.serve_frames, payload, owner),
                     )
                     await self._send_frames(writer, frames, timeout)
                 finally:
                     core.end_request()
-        except (ProtocolError, CodecError, asyncio.TimeoutError, OSError):
+        except (ProtocolError, asyncio.TimeoutError, OSError):
             # Torn-down, timed-out or misbehaving connection; per-connection
             # state is dropped below and the loop keeps serving the rest.
             pass
@@ -301,51 +297,3 @@ class AsyncRetrievalServer:
                 await writer.wait_closed()
             except (OSError, asyncio.TimeoutError):  # pragma: no cover
                 pass
-
-    async def _open_conversation(self, writer, payload, owner, timeout):
-        """Resolve the connection's codec from its first frame.
-
-        The async twin of the threaded front end's ``_open_conversation``
-        — same handshake, same legacy-pickle gate, same reject messages.
-        """
-        core = self._core
-        config = core.config
-        try:
-            offered = parse_hello(payload)
-        except CodecError as error:
-            await self._send_frames(writer, [pack_reject(str(error))], timeout)
-            return None, None
-        if offered is None:
-            if not config.allow_pickle:
-                refusal = PICKLE.encode(
-                    {
-                        "ok": False,
-                        "error": "codec",
-                        "message": "this server requires the codec handshake "
-                        "(legacy pickle is disabled; enable allow_pickle to serve it)",
-                    }
-                )
-                await self._send_frames(writer, [refusal], timeout)
-                return None, None
-            core.begin_request()
-            try:
-                frames = await self._loop.run_in_executor(
-                    self._executor,
-                    functools.partial(
-                        core.serve_frames, PICKLE, payload, owner, chunk_items=None
-                    ),
-                )
-                await self._send_frames(writer, frames, timeout)
-            finally:
-                core.end_request()
-            return PICKLE, None
-        codec = choose_codec(offered, allow_pickle=config.allow_pickle)
-        if codec is None:
-            reject = pack_reject(
-                f"no codec overlap (offered {offered!r}; pickle "
-                f"{'enabled' if config.allow_pickle else 'disabled'})"
-            )
-            await self._send_frames(writer, [reject], timeout)
-            return None, None
-        await self._send_frames(writer, [pack_accept(codec.name)], timeout)
-        return codec, config.stream_chunk_items

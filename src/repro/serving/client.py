@@ -13,15 +13,13 @@ round by round over the wire (open, judge, send judgments, repeat), which
 is the real interactive-user shape.
 
 Each connection opens with the codec handshake of
-:mod:`repro.serving.codec`: the client offers its codec (the safe binary
-format by default), the server accepts or rejects.  ``codec="legacy"``
-reproduces the PR-5 wire exactly — no handshake, raw pickle frames —
-and is only served by servers configured with ``allow_pickle=True``.
+:mod:`repro.serving.codec`: the client offers ``binary.1``, the server
+accepts or rejects, and every later frame is the binary codec.
 
 Both feedback shapes return values byte-identical to the corresponding
 local :class:`~repro.feedback.engine.FeedbackEngine` call — the serving
-layer's contract, enforced by ``tests/test_serving_equivalence.py`` over
-every codec × front-end combination.
+layer's contract, enforced by ``tests/test_serving_equivalence.py`` on
+both front ends.
 """
 
 from __future__ import annotations
@@ -35,14 +33,8 @@ from repro.database.budget import Budget, Coverage
 from repro.database.query import Query, ResultSet
 from repro.feedback.engine import FeedbackLoopResult, Judge
 from repro.feedback.scores import JudgmentBatch
-from repro.serving.codec import BINARY, PICKLE, CodecError, pack_hello, parse_reply
-from repro.serving.protocol import (
-    QUERY_WIRE_KEYS,
-    recv_message,
-    recv_payload,
-    send_message,
-    send_payload,
-)
+from repro.serving.codec import BINARY, CodecError, pack_hello, parse_reply
+from repro.serving.protocol import QUERY_WIRE_KEYS, recv_payload, send_payload
 from repro.utils.validation import ValidationError
 
 __all__ = ["ServingClient", "ServingError"]
@@ -54,11 +46,6 @@ class ServingError(RuntimeError):
     def __init__(self, kind: str, message: str) -> None:
         super().__init__(f"{kind}: {message}")
         self.kind = kind
-
-
-#: Codec names a client may ask for.  ``"legacy"`` is the PR-5 wire: no
-#: handshake, raw pickle frames, no chunked streaming.
-_CODEC_MODES = ("binary", "pickle", "legacy")
 
 
 class ServingClient:
@@ -80,47 +67,22 @@ class ServingClient:
         blocks indefinitely.  Adjustable later via :meth:`set_timeout`
         (the hook :class:`~repro.serving.pool.PooledServingClient` uses to
         enforce per-request deadline budgets).
-    codec:
-        ``"binary"`` (default) negotiates the safe binary codec;
-        ``"pickle"`` negotiates the legacy pickle codec through the same
-        handshake; ``"legacy"`` skips the handshake entirely and speaks
-        the PR-5 raw-pickle wire.  Both pickle modes require a server
-        configured with ``allow_pickle=True``.
     """
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        timeout: "float | None" = None,
-        codec: str = "binary",
-    ) -> None:
-        if codec not in _CODEC_MODES:
-            raise ValidationError(f"codec must be one of {_CODEC_MODES}, got {codec!r}")
+    def __init__(self, host: str, port: int, *, timeout: "float | None" = None) -> None:
         self._sock = socket.create_connection((host, port), timeout=timeout)
         # The conversation is many tiny frames; never wait for Nagle.
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._lock = threading.Lock()
         self._closed = False
-        self._codec = None
-        if codec != "legacy":
-            wanted = BINARY if codec == "binary" else PICKLE
-            try:
-                send_payload(self._sock, pack_hello([wanted.name]))
-                accepted = parse_reply(recv_payload(self._sock))
-            except (CodecError, OSError):
-                self.close()
-                raise
-            if accepted != wanted.name:  # pragma: no cover - defensive
-                self.close()
-                raise CodecError(f"server accepted {accepted!r}, wanted {wanted.name!r}")
-            self._codec = wanted
-
-    @property
-    def codec_name(self) -> "str | None":
-        """The negotiated codec's name (``None`` on a legacy connection)."""
-        return None if self._codec is None else self._codec.name
+        try:
+            send_payload(self._sock, pack_hello([BINARY.name]))
+            accepted = parse_reply(recv_payload(self._sock))
+            if accepted != BINARY.name:  # pragma: no cover - defensive
+                raise CodecError(f"server accepted {accepted!r}, wanted {BINARY.name!r}")
+        except BaseException:
+            self.close()
+            raise
 
     def set_timeout(self, timeout: "float | None") -> None:
         """Set the socket timeout for subsequent exchanges (``None`` blocks)."""
@@ -147,9 +109,8 @@ class ServingClient:
         with self._lock:
             if self._closed:
                 raise ValidationError("the serving client is closed")
-            send_message(self._sock, message, self._codec)
-            response = recv_message(self._sock, self._codec)
-            response = self._reassemble(response)
+            send_payload(self._sock, BINARY.encode(message))
+            response = self._reassemble(BINARY.decode(recv_payload(self._sock)))
         if not isinstance(response, dict) or "ok" not in response:
             raise ServingError("protocol", f"malformed response {response!r}")
         if not response["ok"]:
@@ -170,7 +131,7 @@ class ServingClient:
         n_chunks = response["chunked"]
         items: list = []
         for _ in range(n_chunks):
-            items.extend(recv_message(self._sock, self._codec))
+            items.extend(BINARY.decode(recv_payload(self._sock)))
         total = response.get("total")
         if total is not None and total != len(items):
             raise ServingError(
@@ -283,11 +244,11 @@ class ServingClient:
     ) -> FeedbackLoopResult:
         """Run one relevance-feedback loop on the server's shared frontier.
 
-        ``judge`` travels to the server, so it must survive the
-        connection's codec: the binary codec carries
-        :class:`~repro.evaluation.simulated_user.CategoryJudge` (the
-        bundled example); arbitrary callables need one of the pickle
-        modes (and a server that allows them).  Byte-identical to the
+        ``judge`` travels to the server, so it must be a value the binary
+        codec carries: a
+        :class:`~repro.evaluation.simulated_user.CategoryJudge`.  Any other
+        judge stays local with :meth:`run_feedback_session`, where only
+        its judgments cross the wire.  Byte-identical to the
         local :meth:`~repro.feedback.engine.FeedbackEngine.run_loop`,
         however many other connections' loops share the frontier rounds.
         On a bypass-enabled server the retired loop trains ``tenant``'s

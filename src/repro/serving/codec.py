@@ -1,33 +1,31 @@
-"""Versioned wire codecs and the per-connection codec handshake.
+"""The wire codec and the per-connection handshake.
 
-PR 5's protocol pickled every payload — compact and exact, but unsafe
-(pickle executes code on load) and unversioned (no way to evolve the wire
-without breaking every peer).  This module replaces it with a **negotiated**
-codec layer:
+A pickled wire is compact and exact, but unsafe (pickle executes code on
+load) and unversioned (no way to evolve the wire without breaking every
+peer).  The serving layer therefore speaks one versioned codec behind a
+handshake, and nothing on its wire is ever unpickled:
 
 * The first frame a client sends is a *hello*: a hand-rolled, codec-free
   byte layout (magic, wire version, the codec names the client offers).
-  The server answers with an *accept* naming the codec both sides will
-  speak, or a *reject* naming the reason, and every later frame on the
-  connection is encoded with the agreed codec.
-* :class:`BinaryCodec` (``binary.1``) is the default: a length-prefixed,
-  tag-based binary encoding of exactly the value shapes the serving ops
-  exchange — dicts, lists, strings, ints, IEEE-754 ``float64`` (bit
-  preserved), NumPy arrays (dtype + shape + raw little-endian bytes, so
-  every float64 bit survives the round-trip), and the library's own value
-  objects (:class:`~repro.database.query.ResultSet`,
+  The server answers with an *accept* naming ``binary.1`` or a *reject*
+  naming the reason — :func:`answer_hello` is that whole decision, shared
+  by both front ends — and every later frame on the connection is encoded
+  with :data:`BINARY`.
+* :class:`BinaryCodec` (``binary.1``) is a length-prefixed, tag-based
+  binary encoding of exactly the value shapes the serving ops exchange —
+  dicts, lists, strings, ints, IEEE-754 ``float64`` (bit preserved), NumPy
+  arrays (dtype + shape + raw little-endian bytes, so every float64 bit
+  survives the round-trip), and the library's own value objects
+  (:class:`~repro.database.query.ResultSet`,
   :class:`~repro.feedback.engine.FeedbackState`,
   :class:`~repro.feedback.engine.FeedbackLoopResult`,
   :class:`~repro.feedback.scores.JudgmentBatch`,
   :class:`~repro.evaluation.simulated_user.CategoryJudge`,
   :class:`~repro.core.oqp.OptimalQueryParameters`,
-  :class:`~repro.core.simplex_tree.InsertOutcome`).  Decoding
-  never constructs anything but these — a hostile peer can at worst make
-  the decoder raise :class:`CodecError`.
-* :class:`PickleCodec` (``pickle.1``) is the legacy trusted-network mode.
-  Servers refuse it unless explicitly configured
-  (``ServerConfig(allow_pickle=True)``); it remains the only codec that can
-  carry arbitrary judges.
+  :class:`~repro.core.simplex_tree.InsertOutcome`).  Decoding never
+  constructs anything but these, nests at most :data:`MAX_NESTING` levels
+  deep, and checks every length against the bytes present — a hostile peer
+  can at worst make the decoder raise :class:`CodecError`.
 
 The codec layer also defines the **chunked streaming** envelope: a response
 whose result is a long list (a large ``run_batch``/``search_batch`` answer)
@@ -38,7 +36,8 @@ instead of one giant frame — see :func:`encode_response_frames`.
 
 from __future__ import annotations
 
-import pickle
+import math
+import reprlib
 import struct
 
 import numpy as np
@@ -53,13 +52,12 @@ from repro.serving.protocol import ProtocolError
 
 __all__ = [
     "BINARY",
-    "CODECS",
     "CodecError",
-    "PICKLE",
+    "MAX_HELLO_BYTES",
+    "MAX_NESTING",
     "WIRE_VERSION",
     "BinaryCodec",
-    "PickleCodec",
-    "choose_codec",
+    "answer_hello",
     "encode_response_frames",
     "pack_accept",
     "pack_hello",
@@ -69,22 +67,33 @@ __all__ = [
 ]
 
 #: Wire-protocol revision spoken through the handshake.  Version 1 was the
-#: implicit PR-5 protocol (pickle frames, no handshake, no streaming);
+#: original handshake-less pickle wire, which no server serves any more;
 #: version 2 added the handshake, the binary codec and chunked responses.
 WIRE_VERSION = 2
 
-#: Handshake frames open with this magic so the server can tell a hello
-#: from a legacy (version-1) pickle request, whose payload never starts
-#: with these bytes (pickle protocol 2+ begins ``b"\x80"``).
+#: Every handshake frame opens with this magic; a first frame without it
+#: is answered with a reject and the connection closes.
 MAGIC = b"RSRV"
 
 _HELLO = struct.Struct(">4sHB")  # magic, wire version, number of codecs
 _REPLY = struct.Struct(">4sHBH")  # magic, wire version, status, text length
 _ACCEPTED, _REJECTED = 0, 1
 
+#: The largest possible hello: the fixed header plus 255 offered names of
+#: 255 bytes each.  Front ends read a connection's first frame under this
+#: cap, so a peer that has not handshaken cannot make the server allocate
+#: more than this.
+MAX_HELLO_BYTES = _HELLO.size + 255 * (1 + 255)
+
+#: How deep the decoder follows nested values.  The deepest message the
+#: serving ops exchange nests about five levels (a response dict holding a
+#: loop result holding a state holding an array); a payload nesting deeper
+#: is refused with :class:`CodecError` instead of exhausting the stack.
+MAX_NESTING = 32
+
 
 class CodecError(ProtocolError):
-    """A payload could not be encoded or decoded under the agreed codec."""
+    """A payload could not be encoded or decoded, or a handshake failed."""
 
 
 # ---------------------------------------------------------------------------
@@ -101,18 +110,15 @@ def pack_hello(codec_names) -> bytes:
     return b"".join(parts)
 
 
-def parse_hello(payload) -> "list[str] | None":
+def parse_hello(payload) -> "list[str]":
     """Parse a hello payload into the offered codec names.
 
-    Returns ``None`` when the payload is not a handshake at all (no magic —
-    a legacy pickle request); raises :class:`CodecError` when the magic
-    matches but the layout or the wire version does not — the peer *tried*
-    to handshake and failed, which must be answered with a reject, not
-    guessed around.
+    Raises :class:`CodecError` when the payload is not a hello at all (no
+    magic) or when its layout or wire version is wrong.
     """
     data = bytes(payload)
     if len(data) < _HELLO.size or not data.startswith(MAGIC):
-        return None
+        raise CodecError("this server requires the codec handshake as the first frame")
     magic, version, count = _HELLO.unpack_from(data)
     if version != WIRE_VERSION:
         raise CodecError(f"unsupported wire version {version} (this side speaks {WIRE_VERSION})")
@@ -162,7 +168,10 @@ def parse_reply(payload) -> str:
     magic, version, status, length = _REPLY.unpack_from(data)
     if version != WIRE_VERSION:
         raise CodecError(f"unsupported wire version {version} in handshake reply")
-    text = data[_REPLY.size : _REPLY.size + length].decode("utf-8")
+    try:
+        text = data[_REPLY.size : _REPLY.size + length].decode("utf-8")
+    except UnicodeDecodeError as error:
+        raise CodecError(f"malformed handshake reply: {error}") from error
     if status == _REJECTED:
         raise CodecError(f"handshake rejected: {text}")
     if status != _ACCEPTED or len(text) != length:
@@ -295,7 +304,7 @@ class BinaryCodec:
         else:
             raise CodecError(
                 f"the binary codec cannot carry {type(value).__name__} values; "
-                "use the legacy pickle codec for arbitrary objects"
+                "an arbitrary judge stays client-side (run_feedback_session)"
             )
 
     def _encode_array(self, array: np.ndarray, out: bytearray) -> None:
@@ -318,14 +327,24 @@ class BinaryCodec:
     def decode(self, payload):
         data = bytes(payload)
         try:
-            value, offset = self._decode(data, 0)
-        except (struct.error, IndexError, UnicodeDecodeError, ValueError, TypeError) as error:
+            value, offset = self._decode(data, 0, 0)
+        except (
+            struct.error,
+            IndexError,
+            UnicodeDecodeError,
+            ValueError,
+            TypeError,
+            OverflowError,
+        ) as error:
             raise CodecError(f"malformed binary payload: {error}") from error
         if offset != len(data):
             raise CodecError(f"trailing bytes after binary payload ({len(data) - offset})")
         return value
 
-    def _decode(self, data: bytes, offset: int):
+    def _decode(self, data: bytes, offset: int, depth: int):
+        if depth >= MAX_NESTING:
+            raise CodecError(f"binary payload nests deeper than {MAX_NESTING} levels")
+        depth += 1
         tag = data[offset : offset + 1]
         offset += 1
         if tag == b"N":
@@ -358,7 +377,7 @@ class BinaryCodec:
             offset += _U32.size
             items = []
             for _ in range(count):
-                item, offset = self._decode(data, offset)
+                item, offset = self._decode(data, offset, depth)
                 items.append(item)
             return (items if tag == b"l" else tuple(items)), offset
         if tag == b"d":
@@ -366,37 +385,37 @@ class BinaryCodec:
             offset += _U32.size
             mapping = {}
             for _ in range(count):
-                key, offset = self._decode(data, offset)
-                value, offset = self._decode(data, offset)
+                key, offset = self._decode(data, offset, depth)
+                value, offset = self._decode(data, offset, depth)
                 mapping[key] = value
             return mapping, offset
         if tag == b"a":
             return self._decode_array(data, offset)
         if tag == b"R":
-            indices, offset = self._decode_tagged_array(data, offset)
-            distances, offset = self._decode_tagged_array(data, offset)
+            indices, offset = self._decode_tagged_array(data, offset, depth)
+            distances, offset = self._decode_tagged_array(data, offset, depth)
             return ResultSet.from_arrays(indices, distances), offset
         if tag == b"O":
-            delta, offset = self._decode_tagged_array(data, offset)
-            weights, offset = self._decode_tagged_array(data, offset)
+            delta, offset = self._decode_tagged_array(data, offset, depth)
+            weights, offset = self._decode_tagged_array(data, offset, depth)
             return OptimalQueryParameters(delta=delta, weights=weights), offset
         if tag == b"o":
-            action, offset = self._decode(data, offset)
-            prediction_error, offset = self._decode(data, offset)
+            action, offset = self._decode(data, offset, depth)
+            prediction_error, offset = self._decode(data, offset, depth)
             if not isinstance(action, str) or not isinstance(prediction_error, float):
                 raise CodecError("malformed insert-outcome payload")
             return InsertOutcome(action=action, prediction_error=prediction_error), offset
         if tag == b"S":
-            query_point, offset = self._decode_tagged_array(data, offset)
-            weights, offset = self._decode_tagged_array(data, offset)
+            query_point, offset = self._decode_tagged_array(data, offset, depth)
+            weights, offset = self._decode_tagged_array(data, offset, depth)
             return FeedbackState(query_point=query_point, weights=weights), offset
         if tag == b"L":
-            initial_state, offset = self._decode(data, offset)
-            final_state, offset = self._decode(data, offset)
-            initial_results, offset = self._decode(data, offset)
-            final_results, offset = self._decode(data, offset)
-            iterations, offset = self._decode(data, offset)
-            reason, offset = self._decode(data, offset)
+            initial_state, offset = self._decode(data, offset, depth)
+            final_state, offset = self._decode(data, offset, depth)
+            initial_results, offset = self._decode(data, offset, depth)
+            final_results, offset = self._decode(data, offset, depth)
+            iterations, offset = self._decode(data, offset, depth)
+            reason, offset = self._decode(data, offset, depth)
             if not isinstance(initial_state, FeedbackState) or not isinstance(
                 initial_results, ResultSet
             ):
@@ -415,13 +434,13 @@ class BinaryCodec:
                 offset,
             )
         if tag == b"B":
-            indices, offset = self._decode_tagged_array(data, offset)
-            scores, offset = self._decode_tagged_array(data, offset)
+            indices, offset = self._decode_tagged_array(data, offset, depth)
+            scores, offset = self._decode_tagged_array(data, offset, depth)
             return JudgmentBatch(indices=indices, scores=scores), offset
         if tag == b"J":
-            label_list, offset = self._decode(data, offset)
-            category, offset = self._decode(data, offset)
-            scale, offset = self._decode(data, offset)
+            label_list, offset = self._decode(data, offset, depth)
+            category, offset = self._decode(data, offset, depth)
+            scale, offset = self._decode(data, offset, depth)
             labels = np.array(label_list, dtype=object)
             return (
                 CategoryJudge(labels=labels, category=category, scale=RelevanceScale(scale)),
@@ -434,8 +453,8 @@ class BinaryCodec:
         if offset + length > len(data):
             raise CodecError("truncated binary payload")
 
-    def _decode_tagged_array(self, data: bytes, offset: int):
-        value, offset = self._decode(data, offset)
+    def _decode_tagged_array(self, data: bytes, offset: int, depth: int):
+        value, offset = self._decode(data, offset, depth)
         if not isinstance(value, np.ndarray):
             raise CodecError("expected an array field in binary payload")
         return value, offset
@@ -456,66 +475,51 @@ class BinaryCodec:
             offset += _U32.size
         (nbytes,) = _U64.unpack_from(data, offset)
         offset += _U64.size
+        if math.prod(shape) * dtype.itemsize != nbytes:
+            raise CodecError("array byte count does not match its shape")
         self._check(data, offset, nbytes)
         array = np.frombuffer(data[offset : offset + nbytes], dtype=dtype)
-        array = array.reshape(shape) if ndim != 1 else array
-        if array.nbytes != nbytes:
-            raise CodecError("array byte count does not match its shape")
-        return array, offset + nbytes
-
-
-class PickleCodec:
-    """The legacy trusted-network codec: pickle frames, exactly PR 5's wire.
-
-    Retained because it is the only codec that can carry *arbitrary*
-    picklable judges; servers refuse it unless explicitly configured with
-    ``allow_pickle=True``.
-    """
-
-    name = "pickle.1"
-
-    def encode(self, message) -> bytes:
-        return pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-
-    def decode(self, payload):
-        return pickle.loads(bytes(payload))
+        return (array.reshape(shape) if ndim != 1 else array), offset + nbytes
 
 
 BINARY = BinaryCodec()
-PICKLE = PickleCodec()
-
-#: Registry of every codec this build speaks, by handshake name.
-CODECS = {BINARY.name: BINARY, PICKLE.name: PICKLE}
 
 
-def choose_codec(offered, *, allow_pickle: bool):
-    """The server's pick from a client's offer, or ``None`` when no overlap.
+def answer_hello(payload) -> "tuple[bytes, bool]":
+    """The server's reply to a connection's first frame, and whether it accepts.
 
-    The client's preference order wins (its list is best-first); the pickle
-    codec only matches when the server explicitly allows the legacy mode.
+    Both front ends send the reply verbatim, then serve the connection on
+    :data:`BINARY` when accepted or close it when not.  A payload that is
+    not a well-formed version-2 hello, or an offer without ``binary.1``
+    (a ``pickle.1``-only offer included), gets a reject naming the reason;
+    nothing here raises.
     """
-    for name in offered:
-        codec = CODECS.get(name)
-        if codec is None:
-            continue
-        if codec is PICKLE and not allow_pickle:
-            continue
-        return codec
-    return None
+    try:
+        offered = parse_hello(payload)
+    except CodecError as error:
+        return pack_reject(str(error)), False
+    if BINARY.name not in offered:
+        return (
+            pack_reject(
+                f"no codec overlap (offered {reprlib.repr(offered)}; "
+                f"this server speaks {BINARY.name})"
+            ),
+            False,
+        )
+    return pack_accept(BINARY.name), True
 
 
-def encode_response_frames(response: dict, codec, *, chunk_items: "int | None") -> "list[bytes]":
+def encode_response_frames(response: dict, codec, *, chunk_items: int) -> "list[bytes]":
     """Encode one response as its wire frames, streaming long list results.
 
     A response whose ``result`` is a list longer than ``chunk_items`` is
     split into a chunk-header frame ``{"ok": True, "chunked": n, "total":
     t}`` followed by ``n`` sub-frames each carrying at most ``chunk_items``
     items — bounding peak frame size (and the receiver's buffer) for large
-    ``run_batch`` answers.  ``chunk_items=None`` (a legacy version-1
-    connection) always produces the single-frame shape.
+    ``run_batch`` answers.
     """
     result = response.get("result") if response.get("ok") else None
-    if chunk_items is not None and isinstance(result, list) and len(result) > chunk_items:
+    if isinstance(result, list) and len(result) > chunk_items:
         chunks = [result[i : i + chunk_items] for i in range(0, len(result), chunk_items)]
         frames = [codec.encode({"ok": True, "chunked": len(chunks), "total": len(result)})]
         frames.extend(codec.encode(chunk) for chunk in chunks)

@@ -74,9 +74,6 @@ class PooledServingClient:
     ----------
     host, port:
         The serving front end's bound address.
-    codec:
-        Per-connection codec mode, as :class:`~repro.serving.client.ServingClient`:
-        ``"binary"`` (default), ``"pickle"`` or ``"legacy"``.
     max_connections:
         Upper bound on concurrently existing sockets.  Callers beyond it
         wait for a checkout (within their deadline budget).
@@ -99,7 +96,6 @@ class PooledServingClient:
         host: str,
         port: int,
         *,
-        codec: str = "binary",
         max_connections: int = 8,
         request_timeout: "float | None" = None,
         retries: int = 2,
@@ -118,7 +114,6 @@ class PooledServingClient:
             raise ValidationError("health_check_interval must be non-negative (or None)")
         self._host = host
         self._port = port
-        self._codec = codec
         self._max_connections = max_connections
         self._request_timeout = request_timeout
         self._retries = retries
@@ -194,7 +189,7 @@ class PooledServingClient:
 
     def _dial(self, deadline: "float | None") -> ServingClient:
         remaining = self._remaining(deadline)
-        client = ServingClient(self._host, self._port, timeout=remaining, codec=self._codec)
+        client = ServingClient(self._host, self._port, timeout=remaining)
         with self._lock:
             self._n_dials += 1
         return client

@@ -7,30 +7,21 @@ conversation is a strict request/response alternation driven by the client
 responses, a chunk-header frame followed by the announced number of chunk
 sub-frames).
 
-What the payload bytes *mean* is the business of the connection's
-negotiated codec (:mod:`repro.serving.codec`): the first frame a modern
-client sends is a codec handshake, after which both sides encode messages
-with the agreed codec — the safe length-prefixed binary format by default,
-pickle only when the server explicitly opted into the legacy mode.
-Requests are small dicts (``{"op": <name>, ...}``), responses are
-``{"ok": True, "result": ...}`` or ``{"ok": False, "error": <kind>,
-"message": <text>}`` — see ``docs/serving.md`` for the full op reference.
+What the payload bytes *mean* is the business of the codec
+(:mod:`repro.serving.codec`): the first frame a client sends is the codec
+handshake, after which both sides encode every message with the binary
+codec, which decodes nothing but data.  Requests are small dicts
+(``{"op": <name>, ...}``), responses are ``{"ok": True, "result": ...}`` or
+``{"ok": False, "error": <kind>, "message": <text>}`` — see
+``docs/serving.md`` for the full op reference.
 
 This module owns only the framing: reading and writing exact byte counts
 (into preallocated buffers — the hot path of every served request), the
-frame-size guard, and the clean-EOF-versus-torn-stream distinction.  The
-pickle convenience wrappers :func:`send_message` / :func:`recv_message`
-remain for the legacy mode and for trusted in-repo tooling.
-
-.. warning:: Pickle deserialisation executes arbitrary code by design.
-   The legacy pickle codec is for **trusted networks only** and is refused
-   by default (``ServerConfig.allow_pickle``); the binary codec decodes
-   nothing but data.  The server binds to loopback by default either way.
+frame-size guard, and the clean-EOF-versus-torn-stream distinction.
 """
 
 from __future__ import annotations
 
-import pickle
 import struct
 
 __all__ = [
@@ -38,9 +29,7 @@ __all__ = [
     "ProtocolError",
     "QUERY_WIRE_KEYS",
     "frame",
-    "recv_message",
     "recv_payload",
-    "send_message",
     "send_payload",
     "MAX_FRAME_BYTES",
 ]
@@ -111,14 +100,15 @@ def send_payload(sock, payload) -> None:
     sock.sendall(frame(payload))
 
 
-def recv_payload(sock) -> bytearray:
+def recv_payload(sock, max_bytes: int = MAX_FRAME_BYTES) -> bytearray:
     """Read one frame and return its raw payload bytes.
 
     The header is read as a single buffered 4-byte read (no 1-byte probe —
     the old ``recv(1)`` cost an extra syscall on every frame).  Raises
     :class:`ConnectionClosed` on a clean EOF (zero header bytes read) — the
     normal end of a conversation — and :class:`ProtocolError` on a
-    truncated header, a truncated payload, or an oversized frame.
+    truncated header, a truncated payload, or a frame announcing more than
+    ``max_bytes``, which is refused before anything is allocated for it.
     """
     header = bytearray(_HEADER.size)
     view = memoryview(header)
@@ -133,23 +123,7 @@ def recv_payload(sock) -> bytearray:
             )
         received += count
     (length,) = _HEADER.unpack_from(header)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame of {length} bytes exceeds the frame limit")
+    if length > max_bytes:
+        raise ProtocolError(f"frame of {length} bytes exceeds the limit of {max_bytes}")
     return _recv_exactly(sock, length)
 
-
-def send_message(sock, message, codec=None) -> None:
-    """Encode ``message`` with ``codec`` (pickle when ``None``) and send it."""
-    if codec is None:
-        payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    else:
-        payload = codec.encode(message)
-    send_payload(sock, payload)
-
-
-def recv_message(sock, codec=None):
-    """Read one frame and decode it with ``codec`` (pickle when ``None``)."""
-    payload = recv_payload(sock)
-    if codec is None:
-        return pickle.loads(bytes(payload))
-    return codec.decode(payload)

@@ -16,9 +16,8 @@ shipped to the server, run on the shared
 :class:`~repro.serving.coalescer.FrontierCoalescer`) and interactive
 multi-round sessions (judgments shipped per round, state held by the
 :class:`~repro.serving.sessions.SessionManager`), over the length-prefixed
-frames of :mod:`repro.serving.protocol` with a per-connection codec
-handshake (:mod:`repro.serving.codec`): the safe binary codec by default,
-pickle only when ``ServerConfig.allow_pickle`` opts the legacy mode in.
+frames of :mod:`repro.serving.protocol` behind the codec handshake of
+:mod:`repro.serving.codec`, after which every frame is the binary codec.
 
 Concurrency here is threads-per-connection
 (:class:`socketserver.ThreadingTCPServer`), which is exactly the shape the
@@ -54,20 +53,17 @@ from repro.feedback.scheduler import LoopRequest
 from repro.serving.bypass_registry import DEFAULT_TENANT, BypassRegistry
 from repro.serving.coalescer import FrontierCoalescer, RequestCoalescer
 from repro.serving.codec import (
-    PICKLE,
+    BINARY,
+    MAX_HELLO_BYTES,
     CodecError,
-    choose_codec,
+    answer_hello,
     encode_response_frames,
-    pack_accept,
-    pack_reject,
-    parse_hello,
 )
 from repro.serving.protocol import (
     QUERY_WIRE_KEYS,
     ConnectionClosed,
     ProtocolError,
     recv_payload,
-    send_message,
     send_payload,
 )
 from repro.serving.sessions import SessionManager
@@ -77,8 +73,7 @@ __all__ = ["ServerConfig", "ServingCore", "RetrievalServer"]
 
 #: Protocol revision, echoed by the ``info`` op so clients can sanity-check.
 #: Version 2 added the codec handshake, the binary codec and chunked
-#: streaming of large responses (version-1 peers — legacy pickle without a
-#: handshake — are still served when ``allow_pickle`` is on).
+#: streaming of large responses; it is the only version served.
 PROTOCOL_VERSION = 2
 
 
@@ -113,15 +108,10 @@ class ServerConfig:
         server drops it; ``None`` disables.  A stalled or half-open client
         can therefore never pin a handler thread or an event-loop slot
         forever.
-    allow_pickle:
-        Opt-in for the legacy trusted-network pickle codec — both the
-        negotiated ``pickle.1`` offer and bare version-1 connections that
-        skip the handshake entirely.  Off by default: pickle executes
-        arbitrary code on load.
     stream_chunk_items:
         Responses whose result list is longer than this stream as chunked
-        sub-frames of at most this many items (version-2 connections only),
-        bounding peak frame size for large ``run_batch`` answers.
+        sub-frames of at most this many items, bounding peak frame size for
+        large ``run_batch`` answers.
     executor_threads:
         Size of the async front end's dispatch pool — the number of
         requests that can *block* in the coalescers concurrently.  Ignored
@@ -171,7 +161,6 @@ class ServerConfig:
     max_iterations: int = 10
     variance_floor: float = 1e-6
     idle_timeout: "float | None" = 300.0
-    allow_pickle: bool = False
     stream_chunk_items: int = 1024
     executor_threads: int = 32
     bypass: bool = False
@@ -219,7 +208,7 @@ class ServingCore:
     shared by every connection; searches are read-only and counters are
     lock-protected, so no extra synchronisation is needed.  The core owns
     the coalescers, the session registry, the op table and the connection /
-    in-flight accounting; front ends own sockets and codecs.
+    in-flight accounting; front ends own sockets and the handshake.
     """
 
     def __init__(self, engine, config: "ServerConfig | None" = None) -> None:
@@ -339,7 +328,7 @@ class ServingCore:
         except Exception as error:  # noqa: BLE001 - shipped to the client
             return {"ok": False, "error": type(error).__name__, "message": str(error)}
 
-    def serve_frames(self, codec, payload, owner, *, chunk_items: "int | None") -> "list[bytes]":
+    def serve_frames(self, payload, owner) -> "list[bytes]":
         """Decode, dispatch and encode one request into its response frames.
 
         This is the whole blocking span of one request — the threaded
@@ -351,19 +340,19 @@ class ServingCore:
         is intact, only the payload is bad.
         """
         try:
-            message = codec.decode(payload)
+            message = BINARY.decode(payload)
         except CodecError as error:
-            response = {"ok": False, "error": "codec", "message": str(error)}
-        except Exception as error:  # noqa: BLE001 - legacy pickle decode failure
             response = {"ok": False, "error": "codec", "message": str(error)}
         else:
             response = self.respond(message, owner)
         try:
-            return encode_response_frames(response, codec, chunk_items=chunk_items)
+            return encode_response_frames(
+                response, BINARY, chunk_items=self.config.stream_chunk_items
+            )
         except CodecError as error:
-            # The *result* could not travel under this codec (e.g. an
-            # exotic object under binary) — tell the client why.
-            return [codec.encode({"ok": False, "error": "codec", "message": str(error)})]
+            # The *result* could not travel on the wire (an exotic object
+            # the binary codec does not carry) — tell the client why.
+            return [BINARY.encode({"ok": False, "error": "codec", "message": str(error)})]
 
     def stats(self) -> dict:
         """One aggregated snapshot of every serving-layer counter."""
@@ -659,8 +648,6 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
         owner = object()  # unique ownership token of this connection
         serving._register_connection(sock)
         core.connection_opened()
-        codec = None
-        chunk_items: "int | None" = None
         try:
             # Responses are many small frames; never wait for Nagle.
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -668,90 +655,28 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
                 # A stalled or half-open peer trips this and is dropped —
                 # it can never pin the handler thread forever.
                 sock.settimeout(config.idle_timeout)
-            while True:
+            reply, accepted = answer_hello(recv_payload(sock, MAX_HELLO_BYTES))
+            send_payload(sock, reply)
+            while accepted:
                 try:
                     payload = recv_payload(sock)
                 except ConnectionClosed:
                     break
-                if codec is None:
-                    # The first frame is fully consumed here either way —
-                    # as a handshake, or (legacy) served as the first
-                    # pickle request inside _open_conversation.
-                    codec, chunk_items = self._open_conversation(sock, core, payload, owner)
-                    if codec is None:
-                        break
-                    continue
                 # The response leaves inside the in-flight window so a
                 # draining close() never cuts a connection mid-answer.
                 core.begin_request()
                 try:
-                    for frame_payload in core.serve_frames(
-                        codec, payload, owner, chunk_items=chunk_items
-                    ):
+                    for frame_payload in core.serve_frames(payload, owner):
                         send_payload(sock, frame_payload)
                 finally:
                     core.end_request()
-        except (ProtocolError, OSError):
+        except (ConnectionClosed, ProtocolError, OSError):
             # Torn-down, timed-out or misbehaving connection; per-connection
             # state is dropped below and the server keeps serving the rest.
             pass
         finally:
             core.connection_closed(owner)
             serving._unregister_connection(sock)
-
-    @staticmethod
-    def _open_conversation(sock, core: ServingCore, payload, owner):
-        """Resolve the connection's codec from its first frame.
-
-        Returns ``(codec, chunk_items)`` — the codec is ``None`` when the
-        connection must be dropped.  The first frame is fully consumed:
-        either it was the handshake (answered with accept/reject), or the
-        legacy no-handshake shape, in which case it was already a pickle
-        request and is served here.
-        """
-        config = core.config
-        try:
-            offered = parse_hello(payload)
-        except CodecError as error:
-            send_payload(sock, pack_reject(str(error)))
-            return None, None
-        if offered is None:
-            # No handshake: a legacy version-1 peer speaking raw pickle.
-            if not config.allow_pickle:
-                # The peer evidently speaks pickle; answer in kind once so
-                # the refusal is diagnosable, then drop.
-                send_message(
-                    sock,
-                    {
-                        "ok": False,
-                        "error": "codec",
-                        "message": "this server requires the codec handshake "
-                        "(legacy pickle is disabled; enable allow_pickle to serve it)",
-                    },
-                )
-                return None, None
-            # Serve the first request right away; no streaming on v1.
-            core.begin_request()
-            try:
-                for frame_payload in core.serve_frames(
-                    PICKLE, payload, owner, chunk_items=None
-                ):
-                    send_payload(sock, frame_payload)
-            finally:
-                core.end_request()
-            return PICKLE, None
-        codec = choose_codec(offered, allow_pickle=config.allow_pickle)
-        if codec is None:
-            send_payload(
-                sock,
-                pack_reject(
-                    f"no codec overlap (offered {offered!r}; pickle "
-                    f"{'enabled' if config.allow_pickle else 'disabled'})"
-                ),
-            )
-            return None, None
-        send_payload(sock, pack_accept(codec.name))
-        return codec, config.stream_chunk_items
 
 
 class RetrievalServer:

@@ -8,9 +8,16 @@ measurement depends on the library, never the reverse.  Imports are read
 with :mod:`ast`, so lazy imports inside functions and ``TYPE_CHECKING``
 blocks count too; a fresh interpreter then checks the same direction
 transitively, on what importing each module actually loads.
+
+The serving layer's wire is guarded the same way: nothing under
+``repro/serving`` imports pickle, no configuration field, client parameter
+or export offers a pickle or legacy mode, and the handshake is one
+function of the codec module that both front ends call.
 """
 
 import ast
+import dataclasses
+import inspect
 import os
 import pathlib
 import subprocess
@@ -20,6 +27,7 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 EVALUATION = SRC / "repro" / "evaluation"
+SERVING = SRC / "repro" / "serving"
 
 
 def imported_modules(path: pathlib.Path) -> "set[str]":
@@ -173,6 +181,56 @@ def test_the_feedback_loop_transition_is_written_once():
     constructions = _call_sites(_named("FeedbackLoopResult"))
     assert constructions.pop("repro.serving.codec", set()) <= {"_decode"}
     assert set(constructions) == {"repro.feedback.engine"}
+
+
+@pytest.mark.parametrize("path", _source_files(SERVING), ids=lambda path: path.name)
+def test_serving_never_imports_pickle(path):
+    offending = sorted(
+        module for module in imported_modules(path) if "pickle" in module.split(".")[0]
+    )
+    assert offending == [], f"{path.name} imports {offending}"
+
+
+def test_no_pickle_or_legacy_mode_on_the_serving_surface():
+    """No config field, client parameter or export names a pickle mode."""
+    import repro.serving as serving
+
+    names = [field.name for field in dataclasses.fields(serving.ServerConfig)]
+    for client in (serving.ServingClient, serving.PooledServingClient):
+        names += list(inspect.signature(client).parameters)
+    names += list(serving.__all__)
+    assert [name for name in names if "pickle" in name.lower() or "legacy" in name.lower()] == []
+
+
+def test_the_clients_negotiate_no_codec():
+    """One codec is spoken, so neither client takes a codec choice."""
+    import repro.serving as serving
+
+    for client in (serving.ServingClient, serving.PooledServingClient):
+        assert "codec" not in inspect.signature(client).parameters, client.__name__
+
+
+def _definitions(name: str) -> "set[str]":
+    """The library modules that define a function called ``name``."""
+    modules = set()
+    for path in _source_files(SRC / "repro"):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        if any(
+            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name
+            for node in ast.walk(tree)
+        ):
+            modules.add(_module_name(path))
+    return modules
+
+
+def test_the_handshake_is_written_once():
+    """Both front ends answer a first frame with the codec's one function."""
+    assert _definitions("answer_hello") == {"repro.serving.codec"}
+    assert _call_sites(_named("answer_hello")) == {
+        "repro.serving.server": {"handle"},
+        "repro.serving.async_server": {"_handle_connection"},
+    }
+    assert _definitions("_open_conversation") == set()
 
 
 def test_importing_the_library_loads_no_measurement_code():

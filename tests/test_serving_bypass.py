@@ -3,8 +3,8 @@
 The contract: the multi-tenant Simplex Tree the server shares between
 connections is *the same tree* a local :class:`FeedbackBypass` would be —
 N clients training it concurrently over real sockets produce byte-identical
-``mopt`` answers to one local bypass fed the same ordered insert log, for
-both front ends × both codecs.  Tenants are isolated namespaces, the tree
+``mopt`` answers to one local bypass fed the same ordered insert log, on
+both front ends.  Tenants are isolated namespaces, the tree
 survives a server restart via snapshot + write-ahead-log replay, and the
 frontier's retiring feedback loops train the tree automatically.
 """
@@ -35,7 +35,7 @@ FRONT_ENDS = {"threaded": RetrievalServer, "async": AsyncRetrievalServer}
 
 
 def _bypass_config(**overrides) -> ServerConfig:
-    defaults = dict(bypass=True, max_iterations=6, allow_pickle=True)
+    defaults = dict(bypass=True, max_iterations=6)
     defaults.update(overrides)
     return ServerConfig(**defaults)
 
@@ -73,10 +73,7 @@ def _probe_points(collection) -> np.ndarray:
 
 class TestServedTreeEquivalence:
     @pytest.mark.parametrize("front_end", sorted(FRONT_ENDS))
-    @pytest.mark.parametrize("codec", ["binary", "pickle"])
-    def test_concurrent_training_matches_local_replay(
-        self, tiny_collection, front_end, codec
-    ):
+    def test_concurrent_training_matches_local_replay(self, tiny_collection, front_end):
         """N socket clients training one shared tree ≡ local ordered replay."""
         engine = RetrievalEngine(tiny_collection)
         dimension = tiny_collection.dimension
@@ -89,7 +86,7 @@ class TestServedTreeEquivalence:
 
             def work(client_id: int) -> None:
                 try:
-                    with ServingClient(host, port, codec=codec) as client:
+                    with ServingClient(host, port) as client:
                         barrier.wait()
                         base = client_id * per_client
                         for offset in range(0, per_client, 2):
@@ -130,7 +127,7 @@ class TestServedTreeEquivalence:
 
             # Byte-identical mopt answers, both registry-side and over the
             # wire, at stored vertices, fresh points and interpolated ones.
-            with ServingClient(host, port, codec=codec) as client:
+            with ServingClient(host, port) as client:
                 for point in _probe_points(tiny_collection):
                     served = client.bypass_mopt(point)
                     assert _identical_parameters(served, local.mopt(point))

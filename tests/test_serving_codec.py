@@ -1,14 +1,17 @@
-"""Round-trip contract of the versioned binary codec.
+"""Round-trip contract of the versioned binary codec, and the handshake.
 
 The binary codec's promise (see ``src/repro/serving/codec.py``): every
 value the serving layer puts on the wire — scalars, containers, NumPy
 arrays, the five library value types — survives encode/decode **bit for
 bit**, floats and arrays included; anything it cannot carry fails loudly
 at encode time; malformed payloads fail loudly at decode time.  This suite
-pins that promise value by value, independent of any socket.
+pins that promise value by value, independent of any socket, together
+with :func:`~repro.serving.codec.answer_hello`, the handshake decision
+both front ends send verbatim.
 """
 
 import math
+import pickle
 import struct
 
 import numpy as np
@@ -20,7 +23,14 @@ from repro.feedback.engine import FeedbackEngine
 from repro.feedback.engine import FeedbackState
 from repro.feedback.scores import JudgmentBatch
 from repro.database.engine import RetrievalEngine
-from repro.serving.codec import BINARY, PICKLE, CODECS, CodecError, choose_codec
+from repro.serving.codec import (
+    BINARY,
+    MAX_NESTING,
+    CodecError,
+    answer_hello,
+    pack_hello,
+    parse_reply,
+)
 
 
 def roundtrip(value):
@@ -160,11 +170,11 @@ class TestLibraryValues:
         assert result.labels.dtype == np.dtype(object)
         assert list(result.labels) == list(judge.labels)
 
-    def test_arbitrary_objects_are_refused_with_a_pointer_to_pickle(self):
+    def test_arbitrary_objects_are_refused_at_encode(self):
         class Opaque:
             pass
 
-        with pytest.raises(CodecError, match="pickle"):
+        with pytest.raises(CodecError, match="cannot carry Opaque.*run_feedback_session"):
             BINARY.encode({"judge": Opaque()})
 
 
@@ -188,18 +198,86 @@ class TestDecodeFailures:
             BINARY.decode(b"")
 
 
-class TestCodecChoice:
-    def test_registry_names(self):
-        assert CODECS[BINARY.name] is BINARY
-        assert CODECS[PICKLE.name] is PICKLE
+    # One container header each, opening one more level per repetition.
+    NESTING_PREFIXES = {
+        "list": b"l\x00\x00\x00\x01",
+        "tuple": b"u\x00\x00\x00\x01",
+        "dict value": b"d\x00\x00\x00\x01N",
+    }
 
-    def test_choose_prefers_the_clients_order(self):
-        assert choose_codec([BINARY.name, PICKLE.name], allow_pickle=True) is BINARY
-        assert choose_codec([PICKLE.name, BINARY.name], allow_pickle=True) is PICKLE
+    @pytest.mark.parametrize("container", sorted(NESTING_PREFIXES))
+    def test_nesting_depth_is_bounded(self, container):
+        # Deep enough to exhaust the interpreter's stack without the bound.
+        payload = self.NESTING_PREFIXES[container] * 5000 + b"N"
+        with pytest.raises(CodecError, match="nests deeper"):
+            BINARY.decode(payload)
 
-    def test_pickle_needs_the_gate(self):
-        assert choose_codec([PICKLE.name], allow_pickle=False) is None
-        assert choose_codec([PICKLE.name], allow_pickle=True) is PICKLE
+    def test_nesting_up_to_the_bound_decodes(self):
+        value = None
+        for _ in range(MAX_NESTING - 1):
+            value = [value]
+        assert roundtrip(value) == value
+        with pytest.raises(CodecError, match="nests deeper"):
+            roundtrip([value])
 
-    def test_no_overlap(self):
-        assert choose_codec(["msgpack.9"], allow_pickle=True) is None
+    @staticmethod
+    def _with_shape(array: np.ndarray, shape) -> bytes:
+        """``array``'s encoding with its declared shape replaced by ``shape``."""
+        encoded = BINARY.encode(array)
+        prefix = 1 + 1 + len(array.dtype.str)  # tag, dtype length, dtype
+        declared = bytes([len(shape)]) + b"".join(struct.pack(">I", dim) for dim in shape)
+        return encoded[:prefix] + declared + encoded[prefix + 1 + 4 * array.ndim :]
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(5,), (2,), (0,), (2, 2), ()],
+        ids=["longer", "shorter", "empty", "matrix", "scalar"],
+    )
+    def test_array_shape_must_match_its_bytes(self, shape):
+        # Three float64s whose header declares another element count: the
+        # decoder used to return shape (3,) for a declared (5,).
+        with pytest.raises(CodecError, match="byte count does not match"):
+            BINARY.decode(self._with_shape(np.arange(3.0), shape))
+
+    def test_the_shape_rewrite_is_faithful(self):
+        array = np.arange(6.0)
+        assert BINARY.decode(self._with_shape(array, (6,))).tobytes() == array.tobytes()
+        assert BINARY.decode(self._with_shape(array, (2, 3))).shape == (2, 3)
+
+
+def _reply(payload) -> "tuple[str | None, bool]":
+    """``answer_hello``'s verdict, as the client's ``parse_reply`` reads it."""
+    reply, accepted = answer_hello(payload)
+    try:
+        return parse_reply(reply), accepted
+    except CodecError as error:
+        assert not accepted
+        return str(error), accepted
+
+
+class TestHandshake:
+    @pytest.mark.parametrize(
+        "offer",
+        [[BINARY.name], ["msgpack.9", BINARY.name], [BINARY.name, "pickle.1"]],
+    )
+    def test_an_offer_naming_binary_is_accepted(self, offer):
+        assert _reply(pack_hello(offer)) == (BINARY.name, True)
+
+    @pytest.mark.parametrize("offer", [["pickle.1"], ["msgpack.9", "capnp.1"]])
+    def test_an_offer_without_binary_is_refused(self, offer):
+        text, accepted = _reply(pack_hello(offer))
+        assert not accepted
+        assert "no codec overlap" in text
+
+    def test_a_pickle_first_frame_is_refused_without_unpickling(self):
+        payload = pickle.dumps({"op": "ping"}, protocol=pickle.HIGHEST_PROTOCOL)
+        text, accepted = _reply(payload)
+        assert not accepted
+        assert "requires the codec handshake" in text
+
+    def test_the_largest_offer_still_gets_a_well_formed_reject(self):
+        # 255 names of 255 bytes: the reason quotes the offer abridged, so
+        # the reply's u16 text length can always hold it.
+        text, accepted = _reply(pack_hello(["x" * 255] * 255))
+        assert not accepted
+        assert "no codec overlap" in text

@@ -316,27 +316,20 @@ class TestServedFeedbackEquivalence:
 
 
 class TestFrontEndCodecGrid:
-    """Byte identity over front end x codec: the PR 7 contract.
+    """Byte identity on both front ends over the binary codec.
 
     Both front ends (thread-per-connection and asyncio) serve the same
-    :class:`~repro.serving.server.ServingCore`, and both codecs (the
-    length-prefixed binary format and opt-in pickle, plus the
-    handshake-less legacy mode) carry the same values — so every cell of
-    the grid must reproduce the local engine and the sequential feedback
-    loop bit for bit, across searches, chunk-streamed batches,
-    judge-shipped loops and client-driven sessions.
+    :class:`~repro.serving.server.ServingCore` behind the same handshake,
+    and the binary codec carries every value bit for bit — so each front
+    end must reproduce the local engine and the sequential feedback loop
+    exactly, across searches, chunk-streamed batches, judge-shipped loops
+    and client-driven sessions.
     """
 
     FRONT_ENDS = {"threaded": RetrievalServer, "async": AsyncRetrievalServer}
 
-    GRID = [
-        (front_end, codec)
-        for front_end in ("threaded", "async")
-        for codec in ("binary", "pickle", "legacy")
-    ]
-
-    @pytest.mark.parametrize("front_end,codec", GRID)
-    def test_search_paths_identical(self, collection, queries, front_end, codec):
+    @pytest.mark.parametrize("front_end", sorted(FRONT_ENDS))
+    def test_search_paths_identical(self, collection, queries, front_end):
         engine = RetrievalEngine(collection)
         direct = RetrievalEngine(collection)
         rng = np.random.default_rng(41)
@@ -344,33 +337,31 @@ class TestFrontEndCodecGrid:
         single_reference = [direct.search(point, k) for point, k in zip(queries, ks)]
         mixed = [Query(point=point, k=k) for point, k in zip(queries, ks)]
         run_batch_reference = direct.run_batch(mixed)
-        # stream_chunk_items=3 forces the chunked sub-frame path for the
-        # binary cells (10 results -> a header plus four slices).
-        config = ServerConfig(
-            max_batch=8, max_wait=0.002, allow_pickle=True, stream_chunk_items=3
-        )
+        # stream_chunk_items=3 forces the chunked sub-frame path (10
+        # results -> a header plus four slices).
+        config = ServerConfig(max_batch=8, max_wait=0.002, stream_chunk_items=3)
         server_cls = self.FRONT_ENDS[front_end]
         with server_cls(engine, config) as server:
             host, port = server.address
-            with ServingClient(host, port, codec=codec) as client:
+            with ServingClient(host, port) as client:
                 for position, k in enumerate(ks):
                     assert client.search(queries[position], k) == single_reference[position]
                 assert client.search_batch(queries, 5) == direct.search_batch(queries, 5)
                 assert client.run_batch(mixed) == run_batch_reference
 
-    @pytest.mark.parametrize("front_end,codec", GRID)
-    def test_feedback_paths_identical(self, tiny_collection, front_end, codec):
+    @pytest.mark.parametrize("front_end", sorted(FRONT_ENDS))
+    def test_feedback_paths_identical(self, tiny_collection, front_end):
         user = SimulatedUser(tiny_collection)
         engine = RetrievalEngine(tiny_collection)
         judge = user.judge_for_query(7)
         reference = FeedbackEngine(
             RetrievalEngine(tiny_collection), max_iterations=6
         ).run_loop(tiny_collection.vectors[7], 8, judge)
-        config = ServerConfig(max_iterations=6, allow_pickle=True)
+        config = ServerConfig(max_iterations=6)
         server_cls = self.FRONT_ENDS[front_end]
         with server_cls(engine, config) as server:
             host, port = server.address
-            with ServingClient(host, port, codec=codec) as client:
+            with ServingClient(host, port) as client:
                 # Judge-shipped loop (the judge object travels the wire;
                 # the binary codec carries CategoryJudge natively).
                 loop = client.run_feedback_loop(tiny_collection.vectors[7], 8, judge)
@@ -381,24 +372,25 @@ class TestFrontEndCodecGrid:
                 )
                 assert session.identical_to(reference)
 
-    @pytest.mark.parametrize("front_end", ["threaded", "async"])
-    def test_concurrent_mixed_codec_clients(self, collection, queries, front_end):
-        """Binary, pickle and legacy connections coalesce into shared windows."""
+    N_CONCURRENT = 3
+
+    @pytest.mark.parametrize("front_end", sorted(FRONT_ENDS))
+    def test_concurrent_binary_clients(self, collection, queries, front_end):
+        """Three concurrent connections coalesce into shared windows."""
         engine = RetrievalEngine(collection)
         direct = RetrievalEngine(collection)
         reference = [direct.search(point, 6) for point in queries]
-        codecs = ["binary", "pickle", "legacy"]
         results: dict = {}
         errors: list = []
-        config = ServerConfig(max_batch=8, max_wait=0.002, allow_pickle=True)
+        config = ServerConfig(max_batch=8, max_wait=0.002)
         server_cls = self.FRONT_ENDS[front_end]
         with server_cls(engine, config) as server:
             host, port = server.address
-            barrier = threading.Barrier(len(codecs))
+            barrier = threading.Barrier(self.N_CONCURRENT)
 
             def main(client_id):
                 try:
-                    with ServingClient(host, port, codec=codecs[client_id]) as client:
+                    with ServingClient(host, port) as client:
                         barrier.wait()
                         results[client_id] = [
                             client.search(point, 6) for point in queries
@@ -407,7 +399,7 @@ class TestFrontEndCodecGrid:
                     errors.append(error)
 
             threads = [
-                threading.Thread(target=main, args=(i,)) for i in range(len(codecs))
+                threading.Thread(target=main, args=(i,)) for i in range(self.N_CONCURRENT)
             ]
             for thread in threads:
                 thread.start()
@@ -415,7 +407,7 @@ class TestFrontEndCodecGrid:
                 thread.join()
         if errors:
             raise errors[0]
-        for client_id in range(len(codecs)):
+        for client_id in range(self.N_CONCURRENT):
             assert results[client_id] == reference
 
 
@@ -487,7 +479,7 @@ class TestSessionOps:
 
 
 class TestBudgetedServing:
-    """The anytime budget over the wire: front end x codec, both directions.
+    """The anytime budget over the wire, on both front ends, both directions.
 
     The budget spec travels as a plain dict (``{"max_rows": ..,
     "deadline": ..}``), restarts server-side, and the reply carries the
@@ -500,24 +492,19 @@ class TestBudgetedServing:
     """
 
     FRONT_ENDS = {"threaded": RetrievalServer, "async": AsyncRetrievalServer}
-    GRID = [
-        (front_end, codec)
-        for front_end in ("threaded", "async")
-        for codec in ("binary", "pickle", "legacy")
-    ]
 
-    @pytest.mark.parametrize("front_end,codec", GRID)
-    def test_budget_survives_wire(self, collection, queries, front_end, codec):
+    @pytest.mark.parametrize("front_end", sorted(FRONT_ENDS))
+    def test_budget_survives_wire(self, collection, queries, front_end):
         from repro.database.budget import Budget, Coverage
 
         direct = RetrievalEngine(collection)
         exact = direct.search_batch(queries, 7)
         rows_total = SIZE * queries.shape[0]
-        config = ServerConfig(max_batch=8, max_wait=0.002, allow_pickle=True)
+        config = ServerConfig(max_batch=8, max_wait=0.002)
         server_cls = self.FRONT_ENDS[front_end]
         with server_cls(RetrievalEngine(collection), config) as server:
             host, port = server.address
-            with ServingClient(host, port, codec=codec) as client:
+            with ServingClient(host, port) as client:
                 # Sufficient cap: byte-identical to the unbudgeted answer,
                 # coverage reports completion.
                 results, coverage = client.search_batch(
@@ -548,8 +535,8 @@ class TestBudgetedServing:
                 assert single == exact[1] if queries.shape[0] else True
                 assert single_cov.complete
 
-    @pytest.mark.parametrize("front_end,codec", GRID)
-    def test_budgeted_parameterised_ops(self, collection, queries, front_end, codec):
+    @pytest.mark.parametrize("front_end", sorted(FRONT_ENDS))
+    def test_budgeted_parameterised_ops(self, collection, queries, front_end):
         from repro.database.budget import Budget
 
         rng = np.random.default_rng(17)
@@ -562,11 +549,10 @@ class TestBudgetedServing:
         local = direct.search_batch_with_parameters(
             queries, 6, deltas, weights, budget=local_budget
         )
-        config = ServerConfig(allow_pickle=True)
         server_cls = self.FRONT_ENDS[front_end]
-        with server_cls(RetrievalEngine(collection), config) as server:
+        with server_cls(RetrievalEngine(collection)) as server:
             host, port = server.address
-            with ServingClient(host, port, codec=codec) as client:
+            with ServingClient(host, port) as client:
                 results, coverage = client.search_batch_with_parameters(
                     queries, 6, deltas, weights, budget={"max_rows": cap}
                 )

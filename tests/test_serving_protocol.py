@@ -29,6 +29,7 @@ from repro.serving import (
 from repro.serving.codec import (
     BINARY,
     MAGIC,
+    MAX_HELLO_BYTES,
     WIRE_VERSION,
     pack_hello,
     parse_hello,
@@ -53,7 +54,7 @@ pytestmark = [
 
 @pytest.fixture()
 def server(front_end, tiny_collection):
-    config = ServerConfig(max_wait=0.0, allow_pickle=True, idle_timeout=30.0)
+    config = ServerConfig(max_wait=0.0, idle_timeout=30.0)
     with FRONT_ENDS[front_end](RetrievalEngine(tiny_collection), config) as srv:
         yield srv
 
@@ -161,30 +162,55 @@ class TestHandshakeRejections:
         _assert_still_serving(server, tiny_collection)
 
 
-class TestLegacyGate:
-    @pytest.fixture()
-    def strict_server(self, front_end, tiny_collection):
-        config = ServerConfig(max_wait=0.0, allow_pickle=False)
-        with FRONT_ENDS[front_end](RetrievalEngine(tiny_collection), config) as srv:
-            yield srv
+class TestPickleAlwaysRefused:
+    """No configuration serves pickle: both shapes of asking are refused."""
 
-    def test_legacy_pickle_refused_when_disabled(self, strict_server, tiny_collection):
+    def test_raw_pickle_first_frame_is_refused(self, server, tiny_collection):
         import pickle
 
-        with _connect(strict_server) as sock:
+        with _connect(server) as sock:
             send_payload(sock, pickle.dumps({"op": "ping"}, protocol=pickle.HIGHEST_PROTOCOL))
-            response = pickle.loads(bytes(recv_payload(sock)))
-            assert response["ok"] is False
-            assert "handshake" in response["message"]
+            # The reject is the codec-free handshake reply, not a pickle.
+            with pytest.raises(CodecError, match="rejected: .*requires the codec handshake"):
+                parse_reply(recv_payload(sock))
             assert _closed_by_server(sock)
-        _assert_still_serving(strict_server, tiny_collection)
+        _assert_still_serving(server, tiny_collection)
 
-    def test_pickle_offer_rejected_when_disabled(self, strict_server, tiny_collection):
-        with _connect(strict_server) as sock:
+    def test_pickle_offer_is_refused(self, server, tiny_collection):
+        with _connect(server) as sock:
             send_payload(sock, pack_hello(["pickle.1"]))
             with pytest.raises(CodecError, match="no codec overlap"):
                 parse_reply(recv_payload(sock))
-        _assert_still_serving(strict_server, tiny_collection)
+            assert _closed_by_server(sock)
+        _assert_still_serving(server, tiny_collection)
+
+
+class TestFirstFrameCap:
+    """The first frame is read under the largest hello's size."""
+
+    def test_oversized_first_frame_is_closed_before_allocating(self, server, tiny_collection):
+        with _connect(server) as sock:
+            # A header announcing ~1 GiB, no body, no handshake.  Without
+            # the cap the server preallocates the announced length and then
+            # waits out its idle timeout (30 s here) for the body.
+            sock.sendall(struct.pack(">I", 0x3FFFFFFF))
+            try:
+                closed = sock.recv(1) == b""
+            except ConnectionError:
+                closed = True
+            except TimeoutError:
+                closed = False
+            assert closed, "the connection was still open after the socket's 5 s timeout"
+        _assert_still_serving(server, tiny_collection)
+
+    def test_the_largest_hello_is_still_answered(self, server, tiny_collection):
+        hello = pack_hello(["x" * 255] * 255)
+        assert len(hello) == MAX_HELLO_BYTES
+        with _connect(server) as sock:
+            send_payload(sock, hello)
+            with pytest.raises(CodecError, match="no codec overlap"):
+                parse_reply(recv_payload(sock))
+        _assert_still_serving(server, tiny_collection)
 
 
 class TestStreamingAndStalls:

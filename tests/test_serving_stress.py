@@ -20,11 +20,11 @@ import pytest
 
 from repro.database.engine import RetrievalEngine
 from repro.database.sharding import ShardedEngine
-from repro.evaluation.simulated_user import CategoryJudge, SimulatedUser
+from repro.evaluation.simulated_user import SimulatedUser
 from repro.feedback.engine import FeedbackEngine
 from repro.serving import AsyncRetrievalServer, RetrievalServer, ServerConfig, ServingClient
 from repro.serving.codec import BINARY, pack_hello, parse_reply
-from repro.serving.protocol import recv_message, recv_payload, send_message, send_payload
+from repro.serving.protocol import recv_payload, send_payload
 
 pytestmark = pytest.mark.serving
 
@@ -32,21 +32,21 @@ K = 6
 MAX_ITERATIONS = 6
 
 
-class SlowJudge:
-    """A category judge that stalls each round (picklable, deterministic).
+class SlowEngine(RetrievalEngine):
+    """An engine whose frontier rounds stall (same results, later).
 
-    The sleep models a feedback round whose judging takes real time, which
-    keeps a frontier alive long enough for disconnects and late admissions
-    to land mid-flight.  Scores are exactly the wrapped CategoryJudge's.
+    ``search_batch_with_parameters`` is the frontier's one re-search call —
+    first rounds and iterations alike — so sleeping there keeps a served
+    feedback loop alive long enough for disconnects and late admissions to
+    land mid-flight, while the judge stays a plain ``CategoryJudge`` the
+    binary codec carries.  Plain searches are not slowed.
     """
 
-    def __init__(self, judge: CategoryJudge, delay: float = 0.02) -> None:
-        self.judge = judge
-        self.delay = delay
+    DELAY = 0.05
 
-    def __call__(self, results):
-        time.sleep(self.delay)
-        return self.judge(results)
+    def search_batch_with_parameters(self, *args, **kwargs):
+        time.sleep(self.DELAY)
+        return super().search_batch_with_parameters(*args, **kwargs)
 
 
 def _run_threads(n_threads, target):
@@ -214,8 +214,8 @@ class TestIdleConnectionSwarm:
 
                 pongs = 0
                 for sock in idle:
-                    send_message(sock, {"op": "ping"}, BINARY)
-                    response = recv_message(sock, BINARY)
+                    send_payload(sock, BINARY.encode({"op": "ping"}))
+                    response = BINARY.decode(recv_payload(sock))
                     pongs += bool(response.get("ok") and response.get("result") == "pong")
                 stats = server.stats()
             finally:
@@ -239,45 +239,46 @@ class TestDisconnectMidFrontier:
     def test_other_sessions_survive_a_mid_loop_disconnect(self, tiny_collection, wait_until):
         """A vanished client's loop never corrupts its frontier neighbours."""
         user = SimulatedUser(tiny_collection)
-        engine = RetrievalEngine(tiny_collection)
-        slow_a = SlowJudge(user.judge_for_query(3))
-        slow_b = SlowJudge(user.judge_for_query(17))
+        engine = SlowEngine(tiny_collection)
+        judge_b = user.judge_for_query(17)
         reference_b = FeedbackEngine(
             RetrievalEngine(tiny_collection), max_iterations=MAX_ITERATIONS
-        ).run_loop(tiny_collection.vectors[17], K, slow_b)
+        ).run_loop(tiny_collection.vectors[17], K, judge_b)
 
-        # SlowJudge is an arbitrary callable: it needs the pickle codec,
-        # and the doomed raw socket below speaks the legacy no-handshake
-        # pickle wire — both require the explicit opt-in.
-        config = ServerConfig(max_wait=0.05, max_iterations=MAX_ITERATIONS, allow_pickle=True)
+        config = ServerConfig(max_wait=0.05, max_iterations=MAX_ITERATIONS)
         with RetrievalServer(engine, config) as server:
             host, port = server.address
 
-            # Client A: submits a slow loop and vanishes without reading
-            # the response — mid-frontier once B's loop is admitted too.
+            # Client A: handshakes on a raw socket, submits a slow loop and
+            # vanishes without reading the response — mid-frontier once B's
+            # loop is admitted too.
             doomed = socket.create_connection((host, port))
-            send_message(
+            send_payload(doomed, pack_hello([BINARY.name]))
+            assert parse_reply(recv_payload(doomed)) == BINARY.name
+            send_payload(
                 doomed,
-                {
-                    "op": "feedback_loop",
-                    "query_point": tiny_collection.vectors[3],
-                    "k": K,
-                    "judge": slow_a,
-                },
+                BINARY.encode(
+                    {
+                        "op": "feedback_loop",
+                        "query_point": tiny_collection.vectors[3],
+                        "k": K,
+                        "judge": user.judge_for_query(3),
+                    }
+                ),
             )
 
             result_b = {}
 
             def run_b():
-                with ServingClient(host, port, codec="pickle") as client:
+                with ServingClient(host, port) as client:
                     result_b["loop"] = client.run_feedback_loop(
-                        tiny_collection.vectors[17], K, slow_b
+                        tiny_collection.vectors[17], K, judge_b
                     )
 
             thread = threading.Thread(target=run_b)
             thread.start()
             # Both loops are on the frontier once the submission counter
-            # says so (SlowJudge keeps the rounds alive meanwhile).
+            # says so (SlowEngine keeps the rounds alive meanwhile).
             wait_until(lambda: server.stats()["frontier"]["loops"] == 2)
             doomed.close()  # A disconnects mid-frontier
             thread.join(timeout=30.0)
@@ -300,28 +301,26 @@ class TestDrainAndClose:
     def test_close_drains_an_in_flight_loop(self, tiny_collection, wait_until):
         """close() lets an admitted loop finish and its response leave."""
         user = SimulatedUser(tiny_collection)
-        engine = RetrievalEngine(tiny_collection)
-        slow = SlowJudge(user.judge_for_query(9))
+        engine = SlowEngine(tiny_collection)
+        judge = user.judge_for_query(9)
         reference = FeedbackEngine(
             RetrievalEngine(tiny_collection), max_iterations=MAX_ITERATIONS
-        ).run_loop(tiny_collection.vectors[9], K, slow)
+        ).run_loop(tiny_collection.vectors[9], K, judge)
 
-        server = RetrievalServer(
-            engine, ServerConfig(max_iterations=MAX_ITERATIONS, allow_pickle=True)
-        )
+        server = RetrievalServer(engine, ServerConfig(max_iterations=MAX_ITERATIONS))
         host, port = server.start()
-        client = ServingClient(host, port, codec="pickle")
+        client = ServingClient(host, port)
         outcome = {}
 
         def run_loop():
             outcome["loop"] = client.run_feedback_loop(
-                tiny_collection.vectors[9], K, slow
+                tiny_collection.vectors[9], K, judge
             )
 
         thread = threading.Thread(target=run_loop)
         thread.start()
         # The loop is submitted (and close() drains submitted loops) once
-        # the frontier's counter sees it; SlowJudge keeps it iterating.
+        # the frontier's counter sees it; SlowEngine keeps it iterating.
         wait_until(lambda: server.stats()["frontier"]["loops"] == 1)
         server.close()
         thread.join(timeout=30.0)
