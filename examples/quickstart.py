@@ -11,9 +11,9 @@ prints how the three strategies of the paper compare:
                    converges to for this very query (the upper bound).
 
 It then walks the scaling ladder on the same corpus — batched first rounds
-and frontier-scheduled feedback, sharded multi-worker serving, the
-shared-memory process backend, and finally the coalescing network serving
-layer — with every stage byte-identical to the one before.
+and frontier-scheduled feedback, a sharded multi-worker engine on threads
+and on the shared-memory process backend, and finally the coalescing
+network serving layer — with every stage byte-identical to the one before.
 
 Run with::
 
@@ -84,23 +84,26 @@ def main(scale: float = 0.1, *, n_queries: int = 150, batch_size: int = 16, k: i
         f"{engine_stats['frontier_batches']} frontier batches"
     )
 
-    # Sharded multi-worker serving: the same stream over the same corpus,
-    # but the collection is partitioned into 4 contiguous index-range
-    # shards served by per-shard engines, query batches fan out over 2
-    # worker threads, and the feedback phase runs per-worker sub-frontiers.
-    # The sharding contract makes this a pure deployment knob: per-shard
-    # top-k lists merge with the same (distance, ascending index)
-    # tie-break, so every outcome is byte-identical to the run above.
-    sharded_session = InteractiveSession.for_dataset(dataset, config)
-    sharded_outcomes = sharded_session.run_stream(
-        query_indices, batch_size=batch_size, shards=4, workers=2
-    )
-    sharded_stats = sharded_session.retrieval_engine.stats()
+    # Sharded multi-worker serving: the collection is partitioned into 4
+    # contiguous index-range shards served by per-shard engines, and every
+    # search fans out over 2 worker threads.  This shard fan-out is the one
+    # place work is spread over workers — a frontier scheduler or a server
+    # running on a ShardedEngine inherits it.  Per-shard top-k lists merge
+    # with the same (distance, ascending index) tie-break, so every answer
+    # is byte-identical to the unsharded engine.
+    from repro import RetrievalEngine, RetrievalServer, ServerConfig, ServingClient, ShardedEngine
+
+    engine = RetrievalEngine(session.collection)
+    queries = session.collection.vectors[query_indices[:batch_size]]
+    expected = engine.search_batch(queries, config.k)
+    with ShardedEngine(session.collection, 4, n_workers=2) as sharded:
+        identical = sharded.search_batch(queries, config.k) == expected
+        sharded_stats = sharded.stats()
     print()
     print(
-        f"Sharded run ({sharded_stats['shard_count']} shards, "
-        f"{sharded_stats['n_workers']} workers): "
-        f"outcomes identical to single-threaded = {sharded_outcomes == outcomes}; "
+        f"Sharded engine ({sharded_stats['shard_count']} shards, "
+        f"{sharded_stats['n_workers']} worker threads): "
+        f"search_batch identical to unsharded = {identical}; "
         f"{sharded_stats['scan_fallbacks']} per-shard dispatch decisions for "
         f"{sharded_stats['n_searches']} merged searches"
     )
@@ -111,15 +114,11 @@ def main(scale: float = 0.1, *, n_queries: int = 150, batch_size: int = 16, k: i
     # only query batches / top-k lists cross the process boundary — the scan
     # runs on independent interpreters, past the GIL.  Still byte-identical;
     # the context manager tears the workers and the segment down.
-    with InteractiveSession.for_dataset(dataset, config) as process_session:
-        process_outcomes = process_session.run_stream(
-            query_indices, batch_size=batch_size, shards=4, workers=2, backend="process"
-        )
-        process_stats = process_session.retrieval_engine.stats()
+    with ShardedEngine(session.collection, 4, n_workers=2, backend="process") as sharded:
+        identical = sharded.search_batch(queries, config.k) == expected
         print(
-            f"Process-backend run ({process_stats['shard_count']} shards, "
-            f"{process_stats['n_workers']} worker processes): "
-            f"outcomes identical = {process_outcomes == outcomes}"
+            f"Process-backend engine ({sharded.n_shards} shards, "
+            f"{sharded.n_workers} worker processes): search_batch identical = {identical}"
         )
 
     # Network serving with request coalescing: the same engine stack behind
@@ -128,9 +127,6 @@ def main(scale: float = 0.1, *, n_queries: int = 150, batch_size: int = 16, k: i
     # request) and concurrent feedback loops share one frontier — with
     # every served answer byte-identical to calling the engine directly.
     # See examples/serving_session.py for the full client surface.
-    from repro import RetrievalEngine, RetrievalServer, ServerConfig, ServingClient
-
-    engine = RetrievalEngine(session.collection)
     with RetrievalServer(engine, ServerConfig(max_batch=16)) as server:
         host, port = server.address
         with ServingClient(host, port) as client:

@@ -73,10 +73,11 @@ additionally models *simultaneous arrival* (see below):
 Performance guide: picking an execution backend
 ------------------------------------------------
 
-The sharded serving layer (:class:`~repro.database.sharding.ShardedEngine`,
-``InteractiveSession(shards=..., workers=...)``) fans per-shard work out
-over a pluggable backend; both return byte-identical results, so the choice
-is purely a deployment knob:
+The sharded serving layer (:class:`~repro.database.sharding.ShardedEngine`)
+is the one place work is spread over workers — a frontier scheduler or a
+server running on it gets parallelism from its shard fan-out.  It fans
+per-shard work out over one of two backends; both return byte-identical
+results, so the choice is purely a deployment knob:
 
 * ``backend="thread"`` (default) — zero setup cost, shares the corpus in
   place.  NumPy releases the GIL inside the distance kernels, so threads
@@ -93,8 +94,7 @@ is purely a deployment knob:
   process spawn plus one corpus copy at engine construction (amortised over
   a serving lifetime), pickle/pipe overhead per batch (amortised over batch
   size), and picklability requirements (``index_factory`` must be a
-  module-level function, judges must carry labels — see
-  :class:`~repro.evaluation.simulated_user.CategoryJudge`).
+  module-level function, not a lambda).
 
 Caveats worth knowing: **cores bound everything** — on a 1-core box
 neither backend can beat the serial scan (``python3 -m bench --trace 1``
@@ -102,8 +102,8 @@ reports the serial, thread and process batch times side by side); **pin
 BLAS threads** to one per worker when benchmarking or deploying
 multi-worker scans (``OMP_NUM_THREADS=1`` etc., see the repository's root
 ``conftest.py``), otherwise N workers × M BLAS threads thrash the same
-cores; and **close what you open** — process-backend engines and
-sessions hold worker processes and a shared-memory segment, so use the
+cores; and **close what you open** — process-backend engines hold
+worker processes and a shared-memory segment, so use the
 context manager or ``close()`` (a ``weakref`` finalizer backstops leaked
 segments, but deterministic teardown is the contract).  Distance kernels
 additionally read their corpus-side terms from the per-collection
@@ -165,12 +165,6 @@ Quickstart::
 
     # Batched: first rounds of a whole query stream in matrix form.
     outcomes = session.run_batch([1, 2, 3, 4])
-
-    # Sharded multi-worker serving; backend="process" scales scan-heavy
-    # shards past the GIL via a shared-memory corpus (results identical).
-    with InteractiveSession.for_dataset(dataset, SessionConfig(k=20)) as served:
-        served.run_stream(range(64), batch_size=16, shards=4, workers=4,
-                          backend="process")
 
     # Network serving with request coalescing: one shared engine, many
     # connections, concurrent queries merged into batched dispatches —

@@ -18,12 +18,13 @@ service:
   index and a parameterised distance function together; its query surface
   (thin ``search*`` wrappers over one ``execute(batch)``) is defined once
   and shared with the sharded engine,
-* :mod:`repro.database.sharding` — the concurrency layer: deterministic
-  index-range sharding (:class:`ShardedCollection`), a :class:`WorkerPool`
-  with pluggable thread/process backends, a shared-memory corpus host
-  (:class:`SharedCorpus`), and the :class:`ShardedEngine` fanning queries
-  out to per-shard engines — in threads or in long-lived worker processes —
-  and merging the per-shard top-k exactly,
+* :mod:`repro.database.sharding` — the concurrency layer, and the one
+  place work is spread over workers: deterministic index-range sharding
+  (:class:`ShardedCollection`), a thread :class:`WorkerPool`, a
+  shared-memory corpus host (:class:`SharedCorpus`), and the
+  :class:`ShardedEngine` fanning queries out to per-shard engines — in
+  threads or in long-lived worker processes — and merging the per-shard
+  top-k exactly,
 * :mod:`repro.database.segments` — the mutability layer: a
   :class:`LiveCollection` composes an immutable indexed base segment with
   append-only delta segments and tombstones (inserts/deletes in O(delta),

@@ -189,20 +189,6 @@ class QueryEngine:
         """Account ``count`` batched searches dispatched by the frontier."""
         self._count(frontier_batches=int(count))
 
-    def absorb_counters(self, counters: dict) -> None:
-        """Fold another engine's :meth:`stats` snapshot into this engine.
-
-        The process-backend sub-frontier scheduler runs loops on worker-side
-        engines whose counters would otherwise be lost with the worker;
-        workers ship their stats deltas home and the parent absorbs them
-        here, so the engine's accounting matches the in-process run.  Keys
-        missing from ``counters`` are treated as zero.  (A frozen sharded
-        engine reports its dispatch counters from its shard engines, so the
-        absorbed ``index_hits`` / ``scan_fallbacks`` of a worker's unsharded
-        scan — decisions with no shard to land on — do not show there.)
-        """
-        self._count(**{name: int(counters.get(name, 0)) for name in self._COUNTERS})
-
     def _account(self, results: "list[ResultSet]", batches: int) -> None:
         self._count(
             n_searches=len(results),

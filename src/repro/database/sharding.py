@@ -11,10 +11,8 @@ concurrency layer the ROADMAP asked for:
   (local) indices and collection (global) indices.  Contiguous ranges keep
   the mapping a single offset addition, so merged results carry exactly the
   indices the unsharded engine would report.
-* :class:`WorkerPool` — a small ordered-``map`` executor with a pluggable
-  execution **backend**: ``"thread"`` (the default; shard searches are
-  NumPy-dominated and release the GIL) or ``"process"`` (tasks must be
-  picklable module-level callables; scales scan-heavy work past the GIL).
+* :class:`WorkerPool` — a small ordered-``map`` executor over worker
+  threads (shard searches are NumPy-dominated and release the GIL).
 * :class:`SharedCorpus` — a collection's matrix hosted in
   :mod:`multiprocessing.shared_memory`, attached zero-copy by worker
   processes through a small picklable :class:`SharedCorpusHandle`.
@@ -32,6 +30,10 @@ concurrency layer the ROADMAP asked for:
   and the per-shard top-k lists cross the process boundary, as small
   pickles (one ``("call", "_run", (batch, None, batches))`` message per
   dispatch).
+
+This fan-out is the library's one place where work is spread over
+workers: the feedback scheduler, the evaluation session and the serving
+layer get parallelism only by running on a :class:`ShardedEngine`.
 
 **Exactness is the contract.**  Per-object distances are computed by
 element-wise / row-wise expressions whose bits do not depend on which other
@@ -56,7 +58,7 @@ from __future__ import annotations
 import pickle
 import threading
 import weakref
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import get_context, shared_memory
 from typing import Callable, Sequence
@@ -345,26 +347,20 @@ class ShardedCollection:
 
 
 class WorkerPool:
-    """A tiny ordered-``map`` executor with a pluggable execution backend.
+    """A tiny ordered-``map`` executor over a fixed set of worker threads.
 
-    ``backend="thread"`` (default) maps over a fixed set of worker threads:
-    shard searches are NumPy-dominated and release the GIL, so threads scale
-    until the Python-side fan-out/merge serialises.  ``backend="process"``
-    maps over a persistent :class:`~concurrent.futures.ProcessPoolExecutor`;
-    tasks and their arguments must then be picklable (module-level
-    functions, not closures), which is how the sub-frontier scheduler ships
-    whole feedback chunks past the GIL.
+    Shard searches are NumPy-dominated and release the GIL, so threads
+    scale until the Python-side fan-out/merge serialises; work that must
+    run past the GIL is hosted by the process shard backend instead.
 
-    ``n_workers=1`` is the serial fallback for both backends: tasks run
-    inline on the calling thread, with no executor and no handoff overhead —
-    the single-worker sharded engine therefore behaves (and costs) like a
-    plain loop over the shards.  With ``n_workers > 1`` the pool lazily
-    creates one executor and keeps it alive across calls, so a stream of
-    query batches does not pay thread/process start-up per batch.  ``map``
-    may be called concurrently from many client threads (the stress-test
-    regime); task functions must never submit back into the same pool,
-    which is why the sharded engine and the sharded loop scheduler each
-    keep their *own* pool.  After :meth:`close` the pool degrades
+    ``n_workers=1`` is the serial fallback: tasks run inline on the calling
+    thread, with no executor and no handoff overhead — the single-worker
+    sharded engine therefore behaves (and costs) like a plain loop over the
+    shards.  With ``n_workers > 1`` the pool lazily creates one executor
+    and keeps it alive across calls, so a stream of query batches does not
+    pay thread start-up per batch.  ``map`` may be called concurrently from
+    many client threads (the stress-test regime); task functions must never
+    submit back into the same pool.  After :meth:`close` the pool degrades
     permanently to the serial inline path — no workers are ever
     resurrected — so closing is safe while the owning engine stays in use.
 
@@ -377,10 +373,9 @@ class WorkerPool:
        ``benchmarks/conftest.py``) and let the worker pool own the cores.
     """
 
-    def __init__(self, n_workers: int = 1, backend: str = "thread") -> None:
+    def __init__(self, n_workers: int = 1) -> None:
         self._n_workers = check_dimension(n_workers, "n_workers")
-        self._backend = _check_backend(backend)
-        self._executor: Executor | None = None
+        self._executor: ThreadPoolExecutor | None = None
         self._executor_lock = threading.Lock()
         self._closed = False
 
@@ -388,18 +383,6 @@ class WorkerPool:
     def n_workers(self) -> int:
         """Configured degree of parallelism."""
         return self._n_workers
-
-    @property
-    def backend(self) -> str:
-        """The execution backend, ``"thread"`` or ``"process"``."""
-        return self._backend
-
-    def _make_executor(self) -> Executor:
-        if self._backend == "thread":
-            return ThreadPoolExecutor(
-                max_workers=self._n_workers, thread_name_prefix="repro-worker"
-            )
-        return ProcessPoolExecutor(max_workers=self._n_workers, mp_context=get_context())
 
     def map(self, function: Callable, items: Sequence) -> list:
         """Apply ``function`` to every item, returning results in item order."""
@@ -411,7 +394,9 @@ class WorkerPool:
                 executor = None
             else:
                 if self._executor is None:
-                    self._executor = self._make_executor()
+                    self._executor = ThreadPoolExecutor(
+                        max_workers=self._n_workers, thread_name_prefix="repro-worker"
+                    )
                 executor = self._executor
         if executor is None:
             return [function(item) for item in items]
@@ -510,6 +495,14 @@ def _shard_worker_main(connection, spec: _ShardWorkerSpec) -> None:
             connection.send(("error", f"{type(error).__name__}: {error}"))
 
 
+#: What every call on a backend with a dead worker raises: a server-side
+#: fault, not a caller error (closed backends raise ``ValidationError``).
+_WORKER_DIED = (
+    "a shard worker process died mid-query; the backend is now unusable "
+    "(close() still tears it down)"
+)
+
+
 class _ProcessShardBackend:
     """Parent-side controller of the shard worker processes.
 
@@ -576,11 +569,6 @@ class _ProcessShardBackend:
         """Number of live worker processes."""
         return self._n_workers
 
-    @property
-    def corpus_handle(self) -> SharedCorpusHandle:
-        """The shared-memory handle of the hosted corpus."""
-        return self._corpus.handle
-
     def _round_trip(self, message: tuple) -> "dict | None":
         """Send one message to every worker and merge the responses.
 
@@ -590,7 +578,9 @@ class _ProcessShardBackend:
         receiving it, so the send/recv pairing can never desynchronise.  A
         transport failure mid-round (a dead worker) permanently poisons the
         backend instead — once pipes may hold stale responses, silently
-        merging them into a later query would be far worse than raising.
+        merging them into a later query would be far worse than raising —
+        and every later call raises the same ``RuntimeError`` until
+        :meth:`close`.
         """
         from multiprocessing.reduction import ForkingPickler
 
@@ -601,8 +591,10 @@ class _ProcessShardBackend:
                 f"backend='process' could not pickle the query payload: {error}"
             ) from None
         with self._lock:
-            if self._closed or self._broken:
+            if self._closed:
                 raise ValidationError("the process shard backend is closed")
+            if self._broken:
+                raise RuntimeError(_WORKER_DIED)
             merged: "dict | None" = None
             failure: "str | None" = None
             try:
@@ -616,10 +608,7 @@ class _ProcessShardBackend:
                         merged = payload if merged is None else {**merged, **payload}
             except (EOFError, BrokenPipeError, OSError):
                 self._broken = True
-                raise RuntimeError(
-                    "a shard worker process died mid-query; the backend is now unusable "
-                    "(close() still tears it down)"
-                ) from None
+                raise RuntimeError(_WORKER_DIED) from None
         if failure is not None:
             raise RuntimeError(f"shard worker failed: {failure}")
         return merged
@@ -818,18 +807,6 @@ class ShardedEngine(QueryEngine):
     def pool(self) -> "WorkerPool | None":
         """The thread fan-out pool (``None`` for the process backend)."""
         return self._pool
-
-    @property
-    def shared_corpus_handle(self) -> "SharedCorpusHandle | None":
-        """The shared-memory corpus handle (process backend only).
-
-        The sub-frontier scheduler reuses it so feedback worker processes
-        attach the engine's existing segment instead of staging a second
-        copy of the corpus.
-        """
-        if self._process_backend is None:
-            return None
-        return self._process_backend.corpus_handle
 
     def close(self) -> None:
         """Tear the fan-out backend down deterministically (idempotent).

@@ -31,7 +31,6 @@ from repro.core.oqp import OptimalQueryParameters
 from repro.database.collection import FeatureCollection
 from repro.database.engine import RetrievalEngine
 from repro.database.query import ResultSet
-from repro.database.sharding import ShardedEngine, WorkerPool, _check_backend
 from repro.evaluation.metrics import precision, recall
 from repro.evaluation.simulated_user import SimulatedUser
 from repro.features.datasets import ImageDataset
@@ -155,9 +154,6 @@ class InteractiveSession:
         config: SessionConfig,
         *,
         query_vectors: np.ndarray | None = None,
-        shards: int = 1,
-        workers: int = 1,
-        backend: str = "thread",
     ) -> None:
         if collection.labels is None:
             raise ValidationError("the session requires a labelled collection")
@@ -167,66 +163,7 @@ class InteractiveSession:
         self._user = user
         self._bypass = bypass
         self._config = config
-        self._shards = 0
-        self._workers = 0
-        self._backend = ""
-        self._closed = False
-        self._scheduler_pool: WorkerPool | None = None
-        self.configure_sharding(shards, workers, backend)
-        # Query vectors default to the collection vectors themselves (the
-        # paper samples query images from the database).
-        self._query_vectors = collection.vectors if query_vectors is None else query_vectors
-        self._outcomes: list[QueryOutcome] = []
-
-    def configure_sharding(self, shards: int, workers: int, backend: str = "thread") -> None:
-        """(Re)build the engine stack for a shard / worker / backend configuration.
-
-        ``shards=1, workers=1`` keeps the classic single-threaded
-        :class:`~repro.database.engine.RetrievalEngine`; anything else serves
-        queries through a :class:`~repro.database.sharding.ShardedEngine`
-        (per-shard engines fanned out over ``workers`` threads, or — with
-        ``backend="process"`` — hosted in ``workers`` long-lived worker
-        processes over a shared-memory corpus) and runs the feedback phase
-        on per-worker sub-frontiers
-        (:meth:`~repro.feedback.scheduler.LoopScheduler.run_sharded`, same
-        backend).  The regimes are byte-identical per query — sharding and
-        the backend only change who does the work — so reconfiguring
-        mid-session never perturbs outcomes; the engine counters start
-        fresh with the new stack, while the trained FeedbackBypass state
-        carries over untouched.
-        """
-        check_dimension(shards, "shards")
-        check_dimension(workers, "workers")
-        _check_backend(backend)
-        # A closed session must always rebuild, even into the same
-        # configuration — close() is what the early return must not skip.
-        if not self._closed and (shards, workers, backend) == (
-            self._shards,
-            self._workers,
-            self._backend,
-        ):
-            return
-        if self._scheduler_pool is not None:
-            self._scheduler_pool.close()
-            self._scheduler_pool = None
-        previous_engine = getattr(self, "_engine", None)
-        if isinstance(previous_engine, ShardedEngine):
-            previous_engine.close()
-        if shards == 1 and workers == 1 and backend == "thread":
-            self._engine = RetrievalEngine(self._collection)
-        else:
-            self._engine = ShardedEngine(
-                self._collection, shards, n_workers=workers, backend=backend
-            )
-        if workers > 1:
-            # Sub-frontier pool of the feedback phase — deliberately separate
-            # from the engine's shard fan-out pool (nested submission into
-            # one shared pool could deadlock).
-            self._scheduler_pool = WorkerPool(workers, backend=backend)
-        self._shards = shards
-        self._workers = workers
-        self._backend = backend
-        self._closed = False
+        self._engine = RetrievalEngine(collection)
         self._feedback = FeedbackEngine(
             self._engine,
             reweighting_rule=self._config.reweighting_rule,
@@ -234,27 +171,23 @@ class InteractiveSession:
             max_iterations=self._config.max_iterations,
         )
         self._scheduler = LoopScheduler(self._feedback)
+        # Query vectors default to the collection vectors themselves (the
+        # paper samples query images from the database).
+        self._query_vectors = collection.vectors if query_vectors is None else query_vectors
+        self._outcomes: list[QueryOutcome] = []
 
     # ------------------------------------------------------------------ #
     # Construction helpers
     # ------------------------------------------------------------------ #
     @classmethod
     def for_dataset(
-        cls,
-        dataset: ImageDataset,
-        config: SessionConfig | None = None,
-        *,
-        shards: int = 1,
-        workers: int = 1,
-        backend: str = "thread",
+        cls, dataset: ImageDataset, config: SessionConfig | None = None
     ) -> "InteractiveSession":
         """Build a session for an :class:`~repro.features.datasets.ImageDataset`.
 
         Histograms are embedded into the standard simplex by dropping the
         last bin, the Simplex Tree is rooted on that simplex, and the
-        simulated user judges by the dataset's category labels.  ``shards``
-        / ``workers`` / ``backend`` select the sharded multi-worker engine
-        stack (see :meth:`configure_sharding`).
+        simulated user judges by the dataset's category labels.
         """
         if config is None:
             config = SessionConfig()
@@ -263,9 +196,7 @@ class InteractiveSession:
         collection = FeatureCollection(embedded, labels=labels)
         user = SimulatedUser(collection)
         bypass = bypass_for_histograms(dataset.n_bins, epsilon=config.epsilon)
-        return cls(
-            collection, user, bypass, config, shards=shards, workers=workers, backend=backend
-        )
+        return cls(collection, user, bypass, config)
 
     # ------------------------------------------------------------------ #
     # Accessors
@@ -276,47 +207,9 @@ class InteractiveSession:
         return self._collection
 
     @property
-    def retrieval_engine(self) -> "RetrievalEngine | ShardedEngine":
-        """The k-NN engine (sharded when the session is configured so)."""
+    def retrieval_engine(self) -> RetrievalEngine:
+        """The k-NN engine."""
         return self._engine
-
-    @property
-    def shards(self) -> int:
-        """Number of collection shards the engine stack serves."""
-        return self._shards
-
-    @property
-    def workers(self) -> int:
-        """Workers of the engine fan-out and the feedback phase."""
-        return self._workers
-
-    @property
-    def backend(self) -> str:
-        """Execution backend of the engine stack, ``"thread"`` or ``"process"``."""
-        return self._backend
-
-    def close(self) -> None:
-        """Tear the engine stack down deterministically (idempotent).
-
-        Closes the sub-frontier scheduler pool and — when the session runs
-        sharded — the engine's worker pool, including the worker processes
-        and the shared-memory corpus segment of the process backend.  A
-        closed thread-backend session keeps serving serially; a closed
-        process-backend session must be reconfigured
-        (:meth:`configure_sharding`) before serving again.
-        """
-        if self._scheduler_pool is not None:
-            self._scheduler_pool.close()
-        engine = getattr(self, "_engine", None)
-        if isinstance(engine, ShardedEngine):
-            engine.close()
-        self._closed = True
-
-    def __enter__(self) -> "InteractiveSession":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     @property
     def feedback_engine(self) -> FeedbackEngine:
@@ -414,10 +307,6 @@ class InteractiveSession:
             )
             for query_index, query_parameters in zip(query_indices, parameters)
         ]
-        if self._scheduler_pool is not None:
-            return self._scheduler.run_sharded(
-                requests, pool=self._scheduler_pool, backend=self._backend
-            )
         return self._scheduler.run(requests)
 
     # ------------------------------------------------------------------ #
@@ -507,14 +396,7 @@ class InteractiveSession:
 
         return self._complete_query(query_index, predicted, default_metrics, bypass_metrics)
 
-    def run_batch(
-        self,
-        query_indices,
-        *,
-        shards: int | None = None,
-        workers: int | None = None,
-        backend: str | None = None,
-    ) -> list[QueryOutcome]:
+    def run_batch(self, query_indices) -> list[QueryOutcome]:
         """Process a batch of queries end-to-end with batched phases.
 
         The Default and FeedbackBypass first rounds of the whole batch run
@@ -529,17 +411,7 @@ class InteractiveSession:
         sequential loops).  The retired cohort's converged OQPs are then
         handed to :meth:`~repro.core.bypass.FeedbackBypass.insert_batch` in
         input order, exactly as :meth:`run_query` would insert them.
-
-        ``shards`` / ``workers`` / ``backend`` reconfigure the engine stack
-        before the batch runs (see :meth:`configure_sharding`); outcomes are
-        identical either way, sharding only spreads the work.
         """
-        if shards is not None or workers is not None or backend is not None:
-            self.configure_sharding(
-                self._shards if shards is None else shards,
-                self._workers if workers is None else workers,
-                self._backend if backend is None else backend,
-            )
         indices = np.asarray(query_indices, dtype=np.intp)
         if indices.size == 0:
             return []
@@ -594,15 +466,7 @@ class InteractiveSession:
             )
         return outcomes
 
-    def run_stream(
-        self,
-        query_indices,
-        *,
-        batch_size: int | None = None,
-        shards: int | None = None,
-        workers: int | None = None,
-        backend: str | None = None,
-    ) -> list[QueryOutcome]:
+    def run_stream(self, query_indices, *, batch_size: int | None = None) -> list[QueryOutcome]:
         """Process a stream of queries, training the bypass incrementally.
 
         With ``batch_size`` set, the stream is processed in chunks through
@@ -612,21 +476,7 @@ class InteractiveSession:
         arrivals); between chunks the tree keeps learning as usual.  Without
         it, every query sees the feedback of all previous ones (the paper's
         sequential single-user regime).
-
-        ``shards`` / ``workers`` / ``backend`` reconfigure the engine stack
-        for the whole stream (see :meth:`configure_sharding`): the
-        collection is served by per-shard engines and each chunk's first
-        rounds, feedback sub-frontiers and searches fan out over the
-        workers — threads, or long-lived worker processes over a
-        shared-memory corpus with ``backend="process"`` — outcome-identical
-        to the single-threaded stack.
         """
-        if shards is not None or workers is not None or backend is not None:
-            self.configure_sharding(
-                self._shards if shards is None else shards,
-                self._workers if workers is None else workers,
-                self._backend if backend is None else backend,
-            )
         indices = np.asarray(query_indices, dtype=np.intp)
         if batch_size is None:
             return [self.run_query(int(index)) for index in indices]

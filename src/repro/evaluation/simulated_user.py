@@ -28,14 +28,13 @@ from repro.utils.validation import ValidationError
 
 @dataclass(frozen=True, eq=False)
 class CategoryJudge:
-    """A picklable category-oracle judge bound to one query category.
+    """A category-oracle judge bound to one query category, as plain data.
 
     This is the callable :meth:`SimulatedUser.judge_for_query` hands to the
-    feedback loops.  It carries only the collection's label array (shared —
-    and therefore pickled once — across every judge of the same collection),
-    the query's category and the score scale, so a
-    :class:`~repro.feedback.scheduler.LoopRequest` holding it crosses a
-    process boundary as a small pickle: labels travel, vectors never do.
+    feedback loops.  It carries only the collection's label array (shared
+    across every judge of the same collection), the query's category and
+    the score scale, so it travels as data — the binary codec ships it with
+    a served ``feedback_loop`` request: labels travel, vectors never do.
     The scores are exactly :meth:`SimulatedUser.judge_batch`'s.
     """
 
@@ -101,9 +100,9 @@ class SimulatedUser:
         The returned :class:`CategoryJudge` has the signature the feedback
         engine expects (``ResultSet`` to one judgment per result) and
         produces the vectorised :class:`JudgmentBatch` form, which iterates
-        as :class:`RelevanceJudgment` objects for compatibility.  It is
-        picklable (it carries the label array, not the collection), so loop
-        requests holding it can ship to worker processes.
+        as :class:`RelevanceJudgment` objects for compatibility.  It carries
+        the label array, not the collection, so a client can ship it to a
+        server's ``feedback_loop`` op.
         """
         return CategoryJudge(
             labels=self._collection.labels_array,

@@ -46,9 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.database.engine import RetrievalEngine
 from repro.feedback.engine import FeedbackEngine, FeedbackLoopResult, Judge, LoopCursor
-from repro.feedback.reweighting import ReweightingRule
 from repro.utils.validation import ValidationError
 
 __all__ = ["LoopRequest", "FeedbackFrontier", "LoopScheduler"]
@@ -293,73 +291,14 @@ class FeedbackFrontier:
         Raises when some queries are still active — drive the frontier with
         :meth:`advance` / :meth:`run_to_completion` first.  Entries released
         with :meth:`discard` are no longer reported (the batch entry points
-        :meth:`LoopScheduler.run` / ``run_sharded`` never discard, so for
-        them this is exactly one result per request, in request order).
+        :meth:`LoopScheduler.run` never discards, so for it this is exactly
+        one result per request, in request order).
         """
         if self.active_count:
             raise ValidationError(
                 f"{self.active_count} queries are still active on the frontier"
             )
         return [entry.cursor.result() for entry in self._entries.values()]
-
-
-@dataclass(frozen=True)
-class _SubFrontierSpec:
-    """One process-backend sub-frontier, as a small pickle.
-
-    Carries the shared-memory corpus handle (never the corpus), the
-    feedback engine's configuration and the chunk of requests — the judges
-    inside the requests are picklable
-    :class:`~repro.evaluation.simulated_user.CategoryJudge`-style callables
-    that carry labels, not vectors.
-    """
-
-    corpus: "object"  # SharedCorpusHandle (typed loosely to keep pickles lean)
-    reweighting_rule: ReweightingRule
-    move_query_point: bool
-    max_iterations: int
-    variance_floor: float
-    requests: "tuple[LoopRequest, ...]"
-
-
-#: Worker-process cache of the one attached corpus (keyed by segment name).
-#: A long-lived worker attaches each corpus exactly once and reuses the
-#: mapping across every sub-frontier chunk of a stream; when a *different*
-#: corpus arrives (a new transient segment), the stale attachment is
-#: released first, so the cache never holds more than one corpus.
-_ATTACHED_CORPORA: dict = {}
-
-
-def _attached_collection(handle):
-    cached = _ATTACHED_CORPORA.get(handle.name)
-    if cached is None:
-        for name in list(_ATTACHED_CORPORA):
-            _ATTACHED_CORPORA.pop(name).close()
-        cached = _ATTACHED_CORPORA[handle.name] = handle.attach()
-    return cached.collection
-
-
-def _run_subfrontier(spec: _SubFrontierSpec) -> "tuple[list[FeedbackLoopResult], dict]":
-    """Run one sub-frontier to completion inside a worker process.
-
-    Builds a plain :class:`~repro.database.engine.RetrievalEngine` over the
-    attached shared corpus (byte-identical to any conforming engine by the
-    library contract), runs the chunk's frontier, and returns the loop
-    results together with the worker engine's stats snapshot so the parent
-    can absorb the accounting.
-    """
-    collection = _attached_collection(spec.corpus)
-    engine = RetrievalEngine(collection)
-    feedback = FeedbackEngine(
-        engine,
-        reweighting_rule=spec.reweighting_rule,
-        move_query_point=spec.move_query_point,
-        max_iterations=spec.max_iterations,
-        variance_floor=spec.variance_floor,
-    )
-    frontier = FeedbackFrontier(feedback, list(spec.requests))
-    frontier.run_to_completion()
-    return frontier.results(), engine.stats()
 
 
 class LoopScheduler:
@@ -371,6 +310,9 @@ class LoopScheduler:
     all of them in one shot, so a workload of F active loops costs one
     batched search per iteration instead of F sequential scans — while
     returning results byte-identical to the sequential reference loop.
+    Parallelism comes from the retrieval engine: over a
+    :class:`~repro.database.sharding.ShardedEngine` every batched search
+    fans out across its shard workers.
     """
 
     def __init__(self, feedback_engine: FeedbackEngine) -> None:
@@ -381,10 +323,6 @@ class LoopScheduler:
         """The feedback engine whose loops this scheduler batches."""
         return self._feedback
 
-    def frontier(self, requests: "list[LoopRequest]") -> FeedbackFrontier:
-        """Admit ``requests`` and return the (first-round-searched) frontier."""
-        return FeedbackFrontier(self._feedback, requests)
-
     def run(self, requests: "list[LoopRequest]") -> "list[FeedbackLoopResult]":
         """Run every request's feedback loop to completion, batched.
 
@@ -394,162 +332,6 @@ class LoopScheduler:
         """
         if not requests:
             return []
-        frontier = self.frontier(requests)
+        frontier = FeedbackFrontier(self._feedback, requests)
         frontier.run_to_completion()
         return frontier.results()
-
-    def run_sharded(
-        self,
-        requests: "list[LoopRequest]",
-        *,
-        n_workers: int | None = None,
-        pool: "WorkerPool | None" = None,
-        backend: str = "thread",
-    ) -> "list[FeedbackLoopResult]":
-        """Run the requests on per-worker sub-frontiers, in parallel.
-
-        The frontier advances every query independently — iteration *i* of
-        query ``f`` never reads another query's state — so the request list
-        splits into ``n_workers`` contiguous sub-frontiers that run to
-        completion concurrently (one :class:`FeedbackFrontier` per worker).
-        The concatenated results are byte-identical to :meth:`run`, and
-        hence to the sequential ``run_loop`` per request, for every worker
-        count and backend.
-
-        ``backend="thread"`` runs the sub-frontiers on threads against this
-        scheduler's own feedback engine.  ``backend="process"`` ships each
-        sub-frontier to a worker process: the corpus travels as a
-        :class:`~repro.database.sharding.SharedCorpusHandle` (reusing the
-        engine's existing shared segment when the engine is a
-        process-backend :class:`~repro.database.sharding.ShardedEngine`,
-        staging a transient one otherwise), the requests as small pickles —
-        their judges must be picklable, as
-        :meth:`~repro.evaluation.simulated_user.SimulatedUser.judge_for_query`'s
-        are — and each worker runs its chunk against its own engine over the
-        attached corpus.  The workers' volume/feedback counters are absorbed
-        back into this scheduler's engine, so the parent's accounting
-        matches the in-process run (per-shard dispatch counters excepted;
-        see :meth:`~repro.database.sharding.ShardedEngine.absorb_counters`).
-
-        Pass either ``n_workers`` (a transient pool is created and closed
-        here) or an existing ``pool`` (its backend must match) to reuse its
-        workers across calls.  The pool must be dedicated to this scheduler
-        layer: sub-frontier tasks fan their searches out through the
-        *retrieval engine's* own pool when that engine is sharded, and
-        sharing one pool across the two layers could deadlock (every worker
-        waiting for a nested task that no free worker can run).
-        """
-        from repro.database.sharding import WorkerPool, _check_backend
-
-        backend = _check_backend(backend)
-        if not requests:
-            return []
-        if (n_workers is None) == (pool is None):
-            raise ValidationError("run_sharded takes exactly one of n_workers or pool")
-        if pool is not None and pool.backend != backend:
-            raise ValidationError(
-                f"run_sharded(backend={backend!r}) was given a {pool.backend!r}-backend pool"
-            )
-        owned = pool is None
-        if owned:
-            pool = WorkerPool(n_workers, backend=backend)
-        try:
-            chunk_count = min(pool.n_workers, len(requests))
-            boundaries = np.linspace(0, len(requests), chunk_count + 1).astype(int)
-            chunks = [
-                requests[start:stop]
-                for start, stop in zip(boundaries[:-1], boundaries[1:])
-                if stop > start
-            ]
-
-            if backend == "process":
-                return self._run_chunks_in_processes(chunks, pool)
-
-            def run_chunk(chunk: "list[LoopRequest]") -> "list[FeedbackLoopResult]":
-                frontier = FeedbackFrontier(self._feedback, chunk)
-                frontier.run_to_completion()
-                return frontier.results()
-
-            return [result for chunk_results in pool.map(run_chunk, chunks) for result in chunk_results]
-        finally:
-            if owned:
-                pool.close()
-
-    def _run_chunks_in_processes(
-        self, chunks: "list[list[LoopRequest]]", pool: "WorkerPool"
-    ) -> "list[FeedbackLoopResult]":
-        """Ship the sub-frontier chunks to worker processes and merge back."""
-        from repro.database.sharding import SharedCorpus
-
-        engine = self._feedback.retrieval_engine
-        handle = getattr(engine, "shared_corpus_handle", None)
-        staged: "SharedCorpus | None" = None
-        if handle is None:
-            staged = SharedCorpus(engine.collection)
-            handle = staged.handle
-        try:
-            specs = [
-                _SubFrontierSpec(
-                    corpus=handle,
-                    reweighting_rule=self._feedback.reweighting_rule,
-                    move_query_point=self._feedback.move_query_point,
-                    max_iterations=self._feedback.max_iterations,
-                    variance_floor=self._feedback.variance_floor,
-                    requests=tuple(chunk),
-                )
-                for chunk in chunks
-            ]
-            results: "list[FeedbackLoopResult]" = []
-            for chunk_results, worker_stats in pool.map(_run_subfrontier, specs):
-                results.extend(chunk_results)
-                engine.absorb_counters(worker_stats)
-            return results
-        finally:
-            # A serial pool (n_workers=1, or closed) ran the chunks inline
-            # in *this* process, leaving the corpus attached in our own
-            # module-level cache; evict it so the parent does not retain a
-            # second corpus-sized mapping for the process lifetime (a later
-            # inline call simply re-attaches, which is cheap).  Worker
-            # processes keep their cached mapping — POSIX keeps unlinked
-            # pages alive — and evict when a different corpus arrives.
-            cached = _ATTACHED_CORPORA.pop(handle.name, None)
-            if cached is not None:
-                cached.close()
-            if staged is not None:
-                staged.close()
-
-    def run_loops(
-        self,
-        query_points,
-        k: int,
-        judges: "list[Judge]",
-        *,
-        initial_deltas=None,
-        initial_weights=None,
-    ) -> "list[FeedbackLoopResult]":
-        """Array-style convenience front end to :meth:`run`.
-
-        ``query_points`` is a ``(F, D)`` matrix with one judge per row;
-        ``initial_deltas`` / ``initial_weights`` are optional parallel
-        ``(F, D)`` matrices (``None`` rows mean the defaults).
-        """
-        query_points = np.asarray(query_points, dtype=np.float64)
-        if query_points.ndim != 2:
-            raise ValidationError("query_points must be a 2-D matrix")
-        if len(judges) != query_points.shape[0]:
-            raise ValidationError("run_loops needs exactly one judge per query point")
-        if initial_deltas is not None and len(initial_deltas) != query_points.shape[0]:
-            raise ValidationError("initial_deltas must have one row per query point")
-        if initial_weights is not None and len(initial_weights) != query_points.shape[0]:
-            raise ValidationError("initial_weights must have one row per query point")
-        requests = [
-            LoopRequest(
-                query_point=query_point,
-                k=k,
-                judge=judge,
-                initial_delta=None if initial_deltas is None else initial_deltas[position],
-                initial_weights=None if initial_weights is None else initial_weights[position],
-            )
-            for position, (query_point, judge) in enumerate(zip(query_points, judges))
-        ]
-        return self.run(requests)

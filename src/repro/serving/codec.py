@@ -335,6 +335,7 @@ class BinaryCodec:
             ValueError,
             TypeError,
             OverflowError,
+            SyntaxError,  # numpy parses a comma-separated dtype string with ast
         ) as error:
             raise CodecError(f"malformed binary payload: {error}") from error
         if offset != len(data):

@@ -57,6 +57,11 @@ _HEADER = struct.Struct(">I")
 #: fails fast instead of attempting a gigabyte read.
 MAX_FRAME_BYTES = 1 << 30
 
+#: Frames up to this size are read into one buffer sized from the header.
+#: A larger frame's buffer grows as its bytes arrive, so a header alone
+#: cannot make the reader allocate what the peer never sends.
+_PREALLOCATED_FRAME_BYTES = 1 << 20
+
 
 class ConnectionClosed(Exception):
     """The peer closed the connection at a frame boundary (clean EOF)."""
@@ -67,24 +72,30 @@ class ProtocolError(Exception):
 
 
 def _recv_exactly(sock, n_bytes: int) -> bytearray:
-    """Read exactly ``n_bytes`` into one preallocated buffer.
+    """Read exactly ``n_bytes`` into one buffer.
 
     ``recv_into`` against a sliding :class:`memoryview` fills a single
     ``bytearray`` — no per-chunk ``bytes`` objects, no final ``b"".join``
-    copy, which matters on multi-megabyte batch responses.  Raises
+    copy, which matters on multi-megabyte batch responses.  Frames above
+    ``_PREALLOCATED_FRAME_BYTES`` start at that size and double, up to
+    ``n_bytes``, each time the bytes received fill the buffer, so memory
+    stays within twice what actually arrived.  Raises
     :class:`ProtocolError` on EOF before the count is met.
     """
-    buffer = bytearray(n_bytes)
-    view = memoryview(buffer)
+    buffer = bytearray(min(n_bytes, _PREALLOCATED_FRAME_BYTES))
     received = 0
-    while received < n_bytes:
-        count = sock.recv_into(view[received:])
-        if count == 0:
-            raise ProtocolError(
-                f"connection closed mid-frame ({received} of {n_bytes} bytes read)"
-            )
-        received += count
-    return buffer
+    while True:
+        with memoryview(buffer) as view:
+            while received < len(buffer):
+                count = sock.recv_into(view[received:])
+                if count == 0:
+                    raise ProtocolError(
+                        f"connection closed mid-frame ({received} of {n_bytes} bytes read)"
+                    )
+                received += count
+        if received == n_bytes:
+            return buffer
+        buffer.extend(bytes(min(len(buffer), n_bytes - len(buffer))))
 
 
 def frame(payload) -> bytes:

@@ -1,7 +1,8 @@
 """Threaded stress tests of the sharded serving layer.
 
-Many client threads hammer :meth:`ShardedEngine.search_batch` and the
-sub-frontier scheduler concurrently — with a trainer thread interleaving
+Many client threads hammer :meth:`ShardedEngine.search_batch` and run
+frontier schedulers over one shared sharded engine concurrently — with a
+trainer thread interleaving
 :meth:`~repro.core.bypass.FeedbackBypass.insert_batch` updates — and every
 thread checks its own answers against a precomputed single-threaded
 reference.  Concurrency must change *nothing observable*: results stay
@@ -23,7 +24,7 @@ from repro.core.bootstrap import bypass_for_unit_cube
 from repro.core.oqp import OptimalQueryParameters
 from repro.database.collection import FeatureCollection
 from repro.database.engine import RetrievalEngine
-from repro.database.sharding import ShardedEngine, WorkerPool
+from repro.database.sharding import ShardedEngine
 from repro.evaluation.simulated_user import SimulatedUser
 from repro.feedback.engine import FeedbackEngine
 from repro.feedback.scheduler import LoopRequest, LoopScheduler
@@ -170,7 +171,7 @@ class TestSearchStress:
 
 
 class TestSchedulerStress:
-    def test_concurrent_sub_frontier_scheduling_is_deterministic(self, collection):
+    def test_concurrent_frontiers_on_one_sharded_engine_are_deterministic(self, collection):
         user = SimulatedUser(collection)
         request_rng = np.random.default_rng(21)
         indices = request_rng.integers(0, SIZE, size=9)
@@ -193,19 +194,17 @@ class TestSchedulerStress:
             scheduler = LoopScheduler(feedback)
 
             # One single-threaded run calibrates the per-run counter costs.
-            results = scheduler.run_sharded(requests, n_workers=3)
+            results = scheduler.run(requests)
             assert all(r.identical_to(e) for r, e in zip(results, expected))
             per_run = engine.stats()
             engine.reset_counters()
 
-            with WorkerPool(3) as pool:
+            def scheduling_client():
+                for _ in range(3):
+                    mine = scheduler.run(requests)
+                    assert all(r.identical_to(e) for r, e in zip(mine, expected))
 
-                def scheduling_client():
-                    for _ in range(3):
-                        mine = scheduler.run_sharded(requests, pool=pool)
-                        assert all(r.identical_to(e) for r, e in zip(mine, expected))
-
-                errors = _run_threads([scheduling_client] * 4)
+            errors = _run_threads([scheduling_client] * 4)
             assert errors == []
             stats = engine.stats()
         # 4 threads x 3 runs, each byte-identical to the calibration run:

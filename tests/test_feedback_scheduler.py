@@ -261,27 +261,6 @@ class TestFrontierMechanics:
         assert frontier.active_count == 0
         assert len(frontier.results()) == query_indices.size
 
-    def test_run_loops_convenience_front_end(self, tiny_collection, user, query_indices):
-        engine = FeedbackEngine(RetrievalEngine(tiny_collection))
-        judges = [user.judge_for_query(int(index)) for index in query_indices]
-        points = tiny_collection.vectors[query_indices]
-        from_arrays = LoopScheduler(engine).run_loops(points, 8, judges)
-        reference_engine = FeedbackEngine(RetrievalEngine(tiny_collection))
-        reference = LoopScheduler(reference_engine).run(
-            _requests(tiny_collection, user, query_indices)
-        )
-        for first, second in zip(from_arrays, reference):
-            assert_loop_results_identical(first, second)
-
-    def test_run_loops_validates_parallel_arrays(self, tiny_collection, user):
-        scheduler = LoopScheduler(FeedbackEngine(RetrievalEngine(tiny_collection)))
-        points = tiny_collection.vectors[:3]
-        judges = [user.judge_for_query(0)] * 2
-        with pytest.raises(ValidationError):
-            scheduler.run_loops(points, 5, judges)
-        with pytest.raises(ValidationError):
-            scheduler.run_loops(points, 5, [user.judge_for_query(0)] * 3, initial_deltas=points[:2])
-
     def test_invalid_initial_weights_rejected_at_admission(self, tiny_collection, user):
         scheduler = LoopScheduler(FeedbackEngine(RetrievalEngine(tiny_collection)))
         bad = LoopRequest(

@@ -13,6 +13,11 @@ The serving layer's wire is guarded the same way: nothing under
 ``repro/serving`` imports pickle, no configuration field, client parameter
 or export offers a pickle or legacy mode, and the handshake is one
 function of the codec module that both front ends call.
+
+Parallelism has one place too: the shard fan-out of ``ShardedEngine``.
+No module starts a process pool, the thread ``WorkerPool`` has no backend
+choice, and neither the loop scheduler nor the evaluation session splits
+work across workers of its own.
 """
 
 import ast
@@ -231,6 +236,60 @@ def test_the_handshake_is_written_once():
         "repro.serving.async_server": {"_handle_connection"},
     }
     assert _definitions("_open_conversation") == set()
+
+
+def test_no_module_imports_a_process_pool():
+    """Worker processes exist only as the process shard backend's own workers."""
+    offending = {
+        str(path.relative_to(SRC)): sorted(
+            module for module in imported_modules(path) if module.endswith("ProcessPoolExecutor")
+        )
+        for path in _source_files(SRC / "repro")
+    }
+    assert {path: modules for path, modules in offending.items() if modules} == {}
+
+
+@pytest.mark.parametrize("name", ["absorb_counters", "_run_subfrontier"])
+def test_no_sub_frontier_machinery_remains(name):
+    """The feedback loops are never split across workers, so nothing ships
+    a frontier to a worker or folds a worker's counters back home."""
+    offending = [
+        str(path.relative_to(SRC))
+        for path in _source_files(SRC / "repro")
+        if name in path.read_text(encoding="utf-8")
+    ]
+    assert offending == []
+
+
+def test_the_worker_pool_runs_threads_only():
+    from repro.database.sharding import WorkerPool
+
+    assert "backend" not in inspect.signature(WorkerPool).parameters
+    assert not hasattr(WorkerPool, "backend")
+
+
+def test_the_scheduler_has_one_entry_point():
+    """A frontier runs on whatever engine the scheduler was given."""
+    from repro.feedback.scheduler import LoopScheduler
+
+    for removed in ("run_sharded", "run_loops", "frontier"):
+        assert not hasattr(LoopScheduler, removed), removed
+
+
+def test_the_session_has_no_sharding_knob():
+    """The session gets parallelism only by running on a ``ShardedEngine``."""
+    from repro.evaluation.session import InteractiveSession
+
+    knobs = {"shards", "workers", "backend"}
+    for name, member in inspect.getmembers(InteractiveSession):
+        if name.startswith("__") and name != "__init__":
+            continue
+        if isinstance(member, property):
+            assert name not in knobs, name
+        elif callable(member):
+            taken = knobs & set(inspect.signature(member).parameters)
+            assert not taken, f"InteractiveSession.{name} takes {sorted(taken)}"
+    assert not hasattr(InteractiveSession, "configure_sharding")
 
 
 def test_importing_the_library_loads_no_measurement_code():

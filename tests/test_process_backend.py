@@ -5,15 +5,17 @@ hosted in long-lived worker processes over a
 :class:`~repro.database.sharding.SharedCorpus` segment — returns result sets
 byte-identical to the serial unsharded
 :class:`~repro.database.engine.RetrievalEngine` for every shard count,
-worker count, index type, distance family and ``k``, and the
-process-backend sub-frontier scheduling of
-:meth:`~repro.feedback.scheduler.LoopScheduler.run_sharded` reproduces the
-sequential ``run_loop`` exactly.  Lifecycle is part of the contract too:
-``close()`` stops the workers and unlinks the segment deterministically.
+worker count, index type, distance family and ``k``.  Lifecycle is part
+of the contract too: ``close()`` stops the workers and unlinks the segment
+deterministically, and a worker killed under the engine is reported as a
+dead worker on every later call — a server-side fault, never a closed
+engine.
 """
 
+import multiprocessing
 import os
 import pickle
+import signal
 
 import numpy as np
 import pytest
@@ -23,17 +25,19 @@ from repro.database.collection import FeatureCollection
 from repro.database.engine import RetrievalEngine
 from repro.database.mtree import MTreeIndex
 from repro.database.query import QueryBatch
-from repro.database.sharding import ShardedEngine, WorkerPool
+from repro.database.sharding import ShardedEngine
 from repro.database.vptree import VPTreeIndex
 from repro.distances.minkowski import MinkowskiDistance, euclidean
 from repro.distances.weighted_euclidean import WeightedEuclideanDistance
-from repro.evaluation.simulated_user import SimulatedUser
-from repro.feedback.engine import FeedbackEngine
-from repro.feedback.scheduler import LoopRequest, LoopScheduler
 from repro.utils.validation import ValidationError
 
 DIMENSION = 6
 SIZE = 149
+
+
+def _segments() -> "set[str]":
+    """The shared-memory segments ``multiprocessing`` has created on this host."""
+    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
 
 
 # Module-level factories: the process backend ships them to worker
@@ -190,20 +194,18 @@ class TestProcessEngineEquivalence:
 
 class TestProcessEngineLifecycle:
     def test_close_stops_workers_and_unlinks_segment(self, collection, queries):
+        before = _segments()
         engine = ShardedEngine(collection, 3, n_workers=2, backend="process")
-        handle = engine.shared_corpus_handle
-        assert handle is not None
-        segment_path = f"/dev/shm/{handle.name.lstrip('/')}"
-        assert os.path.exists(segment_path)
+        assert len(_segments() - before) == 1  # one corpus copy, however many workers
         engine.search_batch(queries, 5)
         engine.close()
         engine.close()  # idempotent
-        assert not os.path.exists(segment_path)
-        with pytest.raises((ValidationError, RuntimeError)):
+        assert _segments() == before
+        with pytest.raises(ValidationError, match="closed"):
             engine.search_batch(queries, 5)
 
     def test_construction_failure_leaks_nothing(self, collection):
-        before = {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+        before = _segments()
         with pytest.raises(ValidationError):
             ShardedEngine(
                 collection,
@@ -212,8 +214,7 @@ class TestProcessEngineLifecycle:
                 backend="process",
                 index_factory=lambda shard, distance: None,  # unpicklable
             )
-        after = {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
-        assert after == before
+        assert _segments() == before
 
     def test_thread_backend_unaffected(self, collection, queries):
         # The thread backend keeps its permissive construction (lambdas fine)
@@ -225,7 +226,6 @@ class TestProcessEngineLifecycle:
             index_factory=lambda shard, distance: vptree_factory(shard, distance),
         ) as engine:
             assert engine.backend == "thread"
-            assert engine.shared_corpus_handle is None
             expected = engine.search_batch(queries, 5)
         assert engine.search_batch(queries, 5) == expected
 
@@ -233,108 +233,46 @@ class TestProcessEngineLifecycle:
         with pytest.raises(ValidationError):
             ShardedEngine(collection, 2, backend="fiber")
 
-    def test_closed_session_recovers_via_same_configuration(self):
-        from repro.evaluation.session import InteractiveSession, SessionConfig
-        from repro.core.bootstrap import bypass_for_points
 
-        rng = np.random.default_rng(8)
-        vectors = np.clip(rng.random((60, DIMENSION)), 0.01, 0.99)
-        labelled = FeatureCollection(vectors, labels=[f"c{i % 3}" for i in range(60)])
-        session = InteractiveSession(
-            labelled,
-            SimulatedUser(labelled),
-            bypass_for_points(vectors),
-            SessionConfig(k=5, max_iterations=3),
-            shards=2,
-            workers=2,
-            backend="process",
-        )
-        expected = session.run_batch([0, 1, 2])
-        session.close()
-        # Rebuilding into the *same* configuration must actually rebuild —
-        # the closed stack's workers and segment are gone.
-        session.configure_sharding(2, 2, "process")
-        fresh = InteractiveSession(
-            labelled,
-            SimulatedUser(labelled),
-            bypass_for_points(vectors),
-            SessionConfig(k=5, max_iterations=3),
-            shards=2,
-            workers=2,
-            backend="process",
-        )
-        with session, fresh:
-            assert session.run_batch([3, 4]) == fresh.run_batch([3, 4])
-        assert len(expected) == 3
+class TestDeadShardWorker:
+    """SIGKILL of one shard worker between two dispatches.
 
+    The next dispatch reads EOF from the dead worker's pipe — the same path
+    a kill in the middle of a dispatch takes.  From then on the backend is
+    broken, not closed: every call raises the dead-worker ``RuntimeError``
+    (a served client sees a server-side fault, never a validation error),
+    and ``close()`` still reaps every child and unlinks the segment.
+    """
 
-class TestProcessFrontierEquivalence:
-    @pytest.fixture(scope="class")
-    def requests(self, collection):
-        user = SimulatedUser(collection)
-        rng = np.random.default_rng(99)
-        indices = rng.integers(0, SIZE, size=10)
-        return [
-            LoopRequest(
-                query_point=collection.vectors[int(index)],
-                k=8,
-                judge=user.judge_for_query(int(index)),
+    @pytest.mark.parametrize("victim", [0, -1], ids=["first", "last"])
+    def test_a_killed_worker_is_reported_as_dead_every_time(
+        self, collection, queries, victim
+    ):
+        segments_before = _segments()
+        children_before = set(multiprocessing.active_children())
+        engine = ShardedEngine(collection, 3, n_workers=2, backend="process")
+        try:
+            workers = sorted(
+                set(multiprocessing.active_children()) - children_before,
+                key=lambda process: process.pid,
             )
-            for index in indices
-        ]
+            assert len(workers) == 2
+            expected = RetrievalEngine(collection).search_batch(queries, 5)
+            assert engine.search_batch(queries, 5) == expected
 
-    def test_run_sharded_process_matches_sequential_run_loop(self, collection, requests):
-        sequential = FeedbackEngine(RetrievalEngine(collection), max_iterations=6)
-        expected = [
-            sequential.run_loop(request.query_point, request.k, request.judge)
-            for request in requests
-        ]
-        for n_workers in (1, 2, 4):
-            feedback = FeedbackEngine(RetrievalEngine(collection), max_iterations=6)
-            results = LoopScheduler(feedback).run_sharded(
-                requests, n_workers=n_workers, backend="process"
-            )
-            assert len(results) == len(expected)
-            for result, reference in zip(results, expected):
-                assert result.identical_to(reference), n_workers
+            os.kill(workers[victim].pid, signal.SIGKILL)
+            workers[victim].join(timeout=10.0)
+            assert not workers[victim].is_alive()
 
-    def test_run_sharded_process_on_process_engine_reuses_segment(self, collection, requests):
-        # The scheduler rides the engine's existing shared corpus instead of
-        # staging a second copy; results still match the sequential loops.
-        sequential = FeedbackEngine(RetrievalEngine(collection), max_iterations=6)
-        expected = [
-            sequential.run_loop(request.query_point, request.k, request.judge)
-            for request in requests
-        ]
-        with ShardedEngine(collection, 3, n_workers=2, backend="process") as engine:
-            feedback = FeedbackEngine(engine, max_iterations=6)
-            results = LoopScheduler(feedback).run_sharded(
-                requests, n_workers=2, backend="process"
-            )
-            for result, reference in zip(results, expected):
-                assert result.identical_to(reference)
-
-    def test_worker_accounting_is_absorbed(self, collection, requests):
-        thread_engine = RetrievalEngine(collection)
-        thread_feedback = FeedbackEngine(thread_engine, max_iterations=6)
-        LoopScheduler(thread_feedback).run_sharded(requests, n_workers=2)
-        expected_stats = thread_engine.stats()
-
-        process_engine = RetrievalEngine(collection)
-        process_feedback = FeedbackEngine(process_engine, max_iterations=6)
-        LoopScheduler(process_feedback).run_sharded(requests, n_workers=2, backend="process")
-        # The worker processes' engines did the searching; their counters
-        # shipped home and were absorbed, so the accounting matches the
-        # thread run exactly.
-        assert process_engine.stats() == expected_stats
-
-    def test_pool_backend_must_match(self, collection, requests):
-        scheduler = LoopScheduler(FeedbackEngine(RetrievalEngine(collection)))
-        with WorkerPool(2) as pool:
-            with pytest.raises(ValidationError):
-                scheduler.run_sharded(requests, pool=pool, backend="process")
-        with WorkerPool(2, backend="process") as pool:
-            with pytest.raises(ValidationError):
-                scheduler.run_sharded(requests, pool=pool, backend="thread")
-        with pytest.raises(ValidationError):
-            scheduler.run_sharded(requests, n_workers=2, backend="fiber")
+            with pytest.raises(RuntimeError, match="died"):
+                engine.search_batch(queries, 5)
+            with pytest.raises(RuntimeError, match="died"):
+                engine.search_batch(queries, 5)
+            with pytest.raises(RuntimeError, match="died"):
+                engine.stats()
+        finally:
+            engine.close()
+        assert _segments() == segments_before
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ValidationError, match="closed"):
+            engine.search_batch(queries, 5)

@@ -239,6 +239,14 @@ class TestDecodeFailures:
         with pytest.raises(CodecError, match="byte count does not match"):
             BINARY.decode(self._with_shape(np.arange(3.0), shape))
 
+    @pytest.mark.parametrize("dtype", [b",", b"f8,(", b"zz"])
+    def test_an_unparseable_dtype_is_a_codec_error(self, dtype):
+        # numpy reads "," and "f8,(" through ast.literal_eval, which raises
+        # SyntaxError rather than the TypeError of an unknown name.
+        payload = b"a" + bytes([len(dtype)]) + dtype + b"\x00" + struct.pack(">Q", 0)
+        with pytest.raises(CodecError, match="malformed"):
+            BINARY.decode(payload)
+
     def test_the_shape_rewrite_is_faithful(self):
         array = np.arange(6.0)
         assert BINARY.decode(self._with_shape(array, (6,))).tobytes() == array.tobytes()

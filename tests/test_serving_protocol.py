@@ -10,6 +10,7 @@ asyncio) through raw sockets, and every test ends by proving the server
 still answers a fresh well-behaved client.
 """
 
+import os
 import socket
 import struct
 import threading
@@ -36,6 +37,7 @@ from repro.serving.codec import (
     parse_reply,
 )
 from repro.serving.protocol import (
+    _PREALLOCATED_FRAME_BYTES,
     MAX_FRAME_BYTES,
     ConnectionClosed,
     ProtocolError,
@@ -210,6 +212,55 @@ class TestFirstFrameCap:
             send_payload(sock, hello)
             with pytest.raises(CodecError, match="no codec overlap"):
                 parse_reply(recv_payload(sock))
+        _assert_still_serving(server, tiny_collection)
+
+
+def _rss_bytes() -> int:
+    """This process's resident set size (the servers under test run in it)."""
+    with open("/proc/self/statm", encoding="ascii") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+class TestFrameMemoryFollowsArrivals:
+    """After the handshake, a frame costs memory as its bytes arrive."""
+
+    def test_a_bare_huge_header_allocates_little(self, server, tiny_collection):
+        with _connect(server) as sock:
+            _handshake(sock)
+            before = _rss_bytes()
+            # A header announcing ~1 GiB, then nothing.  A reader that
+            # allocates the announced length up front grows by ~1 GiB.
+            sock.sendall(struct.pack(">I", 0x3FFFFFFF))
+            grown = 0
+            deadline = time.monotonic() + 1.0
+            while time.monotonic() < deadline:
+                grown = max(grown, _rss_bytes() - before)
+                time.sleep(0.02)
+            assert grown < 64 << 20, f"server RSS grew by {grown >> 20} MB"
+        _assert_still_serving(server, tiny_collection)
+
+    def test_a_multi_megabyte_request_answers_byte_identically(self, server, tiny_collection):
+        # Three float64 matrices per request: ~3 MB with few result rows.
+        rng = np.random.default_rng(29)
+        rows = (3 * _PREALLOCATED_FRAME_BYTES) // (3 * 8 * tiny_collection.dimension) + 1
+        queries, deltas = rng.random((2, rows, tiny_collection.dimension))
+        weights = rng.random((rows, tiny_collection.dimension)) + 0.5
+        message = BINARY.encode(
+            {
+                "op": "search_batch_with_parameters",
+                "query_points": queries,
+                "deltas": deltas,
+                "weights": weights,
+                "k": 2,
+            }
+        )
+        assert len(message) > 3 * _PREALLOCATED_FRAME_BYTES
+        expected = RetrievalEngine(tiny_collection).search_batch_with_parameters(
+            queries, 2, deltas, weights
+        )
+        host, port = server.address
+        with ServingClient(host, port) as client:
+            assert client.search_batch_with_parameters(queries, 2, deltas, weights) == expected
         _assert_still_serving(server, tiny_collection)
 
 

@@ -330,10 +330,12 @@ class TestDrainAndClose:
 
     def test_close_releases_process_backend_shared_memory(self, tiny_collection):
         """Server drain/close tears worker processes and segments down."""
+        def segments():
+            return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+
+        before = segments()
         engine = ShardedEngine(tiny_collection, 3, n_workers=2, backend="process")
-        handle = engine.shared_corpus_handle
-        segment_path = f"/dev/shm/{handle.name.lstrip('/')}"
-        assert os.path.exists(segment_path)
+        assert len(segments() - before) == 1
 
         reference = RetrievalEngine(tiny_collection).search_batch(
             tiny_collection.vectors[:5], K
@@ -344,7 +346,7 @@ class TestDrainAndClose:
             assert client.search_batch(tiny_collection.vectors[:5], K) == reference
         server.close()
         server.close()  # idempotent
-        assert not os.path.exists(segment_path)
+        assert segments() == before
         with pytest.raises(OSError):
             socket.create_connection((host, port), timeout=0.5)
 

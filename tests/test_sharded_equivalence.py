@@ -5,8 +5,8 @@ type, distance family and result-set size — including ``k`` larger than a
 shard and larger than the whole collection — the
 :class:`~repro.database.sharding.ShardedEngine` must return result sets
 byte-identical (indices *and* distance bits) to the unsharded
-:class:`~repro.database.engine.RetrievalEngine`, and the sub-frontier
-scheduling of :meth:`~repro.feedback.scheduler.LoopScheduler.run_sharded`
+:class:`~repro.database.engine.RetrievalEngine`, and
+:meth:`~repro.feedback.scheduler.LoopScheduler.run` on a sharded engine
 must reproduce the sequential ``run_loop`` exactly.
 
 The grid is randomized but seeded: every run draws the same configurations
@@ -334,40 +334,22 @@ class TestShardedFrontierEquivalence:
         ]
         return requests
 
-    def test_run_sharded_matches_sequential_run_loop(self, collection, feedback_setup):
+    @pytest.mark.parametrize(
+        "n_shards,n_workers,backend",
+        [(1, 2, "thread"), (3, 1, "thread"), (4, 2, "thread"), (5, 4, "thread"), (3, 2, "process")],
+        ids=lambda value: str(value),
+    )
+    def test_run_on_sharded_engine_matches_sequential_run_loop(
+        self, collection, feedback_setup, n_shards, n_workers, backend
+    ):
         requests = feedback_setup
         sequential_engine = FeedbackEngine(RetrievalEngine(collection), max_iterations=6)
         expected = [
             sequential_engine.run_loop(request.query_point, request.k, request.judge)
             for request in requests
         ]
-        for n_shards, n_workers in [(1, 2), (3, 1), (4, 2), (5, 4)]:
-            with ShardedEngine(collection, n_shards, n_workers=n_workers) as engine:
-                feedback = FeedbackEngine(engine, max_iterations=6)
-                results = LoopScheduler(feedback).run_sharded(requests, n_workers=n_workers)
-            assert len(results) == len(expected)
-            for result, reference in zip(results, expected):
-                assert result.identical_to(reference), (n_shards, n_workers)
-
-    def test_run_sharded_matches_run(self, collection, feedback_setup):
-        requests = feedback_setup
-        feedback = FeedbackEngine(RetrievalEngine(collection), max_iterations=6)
-        scheduler = LoopScheduler(feedback)
-        expected = scheduler.run(requests)
-        with WorkerPool(3) as pool:
-            results = scheduler.run_sharded(requests, pool=pool)
+        with ShardedEngine(collection, n_shards, n_workers=n_workers, backend=backend) as engine:
+            results = LoopScheduler(FeedbackEngine(engine, max_iterations=6)).run(requests)
+        assert len(results) == len(expected)
         for result, reference in zip(results, expected):
-            assert result.identical_to(reference)
-        # More workers than requests degrades to one request per frontier.
-        oversubscribed = scheduler.run_sharded(requests, n_workers=64)
-        for result, reference in zip(oversubscribed, expected):
-            assert result.identical_to(reference)
-
-    def test_run_sharded_validation(self, collection, feedback_setup):
-        scheduler = LoopScheduler(FeedbackEngine(RetrievalEngine(collection)))
-        assert scheduler.run_sharded([], n_workers=2) == []
-        with pytest.raises(ValidationError):
-            scheduler.run_sharded(feedback_setup)
-        with pytest.raises(ValidationError):
-            with WorkerPool(2) as pool:
-                scheduler.run_sharded(feedback_setup, n_workers=2, pool=pool)
+            assert result.identical_to(reference), (n_shards, n_workers, backend)

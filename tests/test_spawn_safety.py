@@ -1,20 +1,18 @@
 """Spawn-safety: everything the process backend ships must pickle faithfully.
 
 The process execution backend moves work between interpreters as pickles —
-distances and index factories at worker startup, query batches and loop
-requests per call, result sets and loop results on the way back — and hosts
-the corpus itself in shared memory.  These tests pin the contract down:
+distances and index factories at worker startup, query batches per call,
+result sets on the way back — and hosts the corpus itself in shared
+memory.  These tests pin the contract down:
 
 * every :class:`~repro.distances.base.DistanceFunction` family round-trips
   through pickle with bit-identical behaviour,
 * :class:`~repro.database.collection.FeatureCollection`,
   :class:`~repro.database.query.ResultSet` and
   :class:`~repro.feedback.scheduler.LoopRequest` (including its judge)
-  survive the round trip,
+  survive the round trip, and
 * :class:`~repro.database.sharding.SharedCorpus` attaches zero-copy with
-  byte-identical contents and tears down deterministically, and
-* the process :class:`~repro.database.sharding.WorkerPool` actually executes
-  picklable tasks in worker processes.
+  byte-identical contents and tears down deterministically.
 """
 
 import os
@@ -25,14 +23,13 @@ import pytest
 
 from repro.database.collection import FeatureCollection
 from repro.database.query import ResultSet
-from repro.database.sharding import SharedCorpus, WorkerPool
+from repro.database.sharding import SharedCorpus
 from repro.distances.hierarchical import FeatureGroup, HierarchicalDistance
 from repro.distances.mahalanobis import MahalanobisDistance
 from repro.distances.minkowski import MinkowskiDistance
 from repro.evaluation.simulated_user import SimulatedUser
 from repro.distances.weighted_euclidean import WeightedEuclideanDistance
 from repro.feedback.scheduler import LoopRequest
-from repro.utils.validation import ValidationError
 
 DIMENSION = 6
 
@@ -181,37 +178,3 @@ class TestSharedCorpus:
             np.testing.assert_array_equal(attached.collection.vectors, collection.vectors)
         finally:
             attached.close()
-
-
-def _square(value: int) -> int:
-    return value * value
-
-
-def _process_id(_: int) -> int:
-    return os.getpid()
-
-
-class TestProcessWorkerPool:
-    def test_ordered_map_in_worker_processes(self):
-        with WorkerPool(2, backend="process") as pool:
-            assert pool.backend == "process"
-            assert pool.map(_square, [1, 2, 3, 4]) == [1, 4, 9, 16]
-            # The work really leaves this interpreter.
-            owners = set(pool.map(_process_id, [0, 1, 2, 3]))
-            assert os.getpid() not in owners
-
-    def test_serial_fallback_and_close(self):
-        pool = WorkerPool(1, backend="process")
-        # n_workers=1 runs inline: same process, no executor.
-        assert pool.map(_process_id, [0]) == [os.getpid()]
-        pool.close()
-        pool.close()  # idempotent
-        assert pool.map(_square, [3]) == [9]
-
-    def test_thread_pool_reports_backend(self):
-        with WorkerPool(2) as pool:
-            assert pool.backend == "thread"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValidationError):
-            WorkerPool(2, backend="fiber")
