@@ -1,18 +1,19 @@
-"""Shared fixtures and helpers for the figure-reproduction benchmarks.
+"""Shared fixtures and helpers for the paper-figure benchmark.
 
-Every benchmark regenerates the data series behind one of the paper's
-evaluation figures (``test_fig*.py``) or an ablation of one of its design
-choices (``test_ablation_*.py``), and asserts on counts and precisions —
-never on a clock.  The corpora are scaled down (default ``scale=0.15`` of
-the paper's 2,491 evaluation images) so the whole harness runs in about a
-minute; the experiment functions accept the full-size parameters when a
-faithful run is wanted.
+``test_figures.py`` runs every entry of the
+:data:`~repro.evaluation.figures.FIGURES` registry — the series behind one of
+the paper's evaluation figures or an ablation of one of its design choices —
+and asserts the paper's claims about it as counts and precisions, never as a
+clock.  The corpus is scaled down (``BENCH_SCALE = 0.15`` of the paper's
+2,491 evaluation images) so the whole harness runs in under two minutes;
+``BENCH_SEED`` seeds the corpus and every query stream.
 
-Each benchmark writes the rendered series (the rows the paper plots) to the
-tracked ``benchmarks/results/`` only under an explicit ``pytest --record``,
-otherwise to a temp directory, so running the gate leaves the working tree
-untouched.  The series are echoed to stdout either way.  Served-path speed
-is measured by ``python3 -m bench``, not here.
+Each entry writes its rendered series (the rows the paper plots, followed by
+any claim that failed) to the tracked ``benchmarks/results/`` only under an
+explicit ``pytest --record``, otherwise to a temp directory, so running the
+gate leaves the working tree untouched.  The series are echoed to stdout
+either way.  Served-path speed is measured by ``python3 -m bench``, not
+here.
 """
 
 from __future__ import annotations

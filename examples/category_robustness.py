@@ -6,6 +6,10 @@ with the Default strategy and with the AlreadySeen upper bound — the paper's
 observation being that predictions help exactly where feedback itself helps
 (a large Default-vs-AlreadySeen gap) and cannot help where it does not.
 
+The experiment is the ``fig14_category_robustness`` entry of
+:data:`repro.evaluation.figures.FIGURES`; this script prints its table and
+reads it category by category.
+
 Run with::
 
     python examples/category_robustness.py
@@ -14,15 +18,14 @@ Run with::
 from __future__ import annotations
 
 from repro import build_imsi_like_dataset
-from repro.evaluation import SessionConfig, InteractiveSession, category_robustness
-from repro.evaluation.reporting import render_category_robustness
+from repro.evaluation import FIGURES
 
 
 def main() -> None:
     dataset = build_imsi_like_dataset(scale=0.12, seed=13)
-    session = InteractiveSession.for_dataset(dataset, SessionConfig(k=30, epsilon=0.05))
-    result = category_robustness(dataset, n_queries=400, seed=3, session=session)
-    print(render_category_robustness(result))
+    figure = FIGURES["fig14_category_robustness"]
+    result = figure.run(dataset, 13)
+    print(figure.report(result))
 
     print("\nReading the table:")
     for position, category in enumerate(result.categories):

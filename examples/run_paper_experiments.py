@@ -1,135 +1,51 @@
-"""Run the paper's experiments at a chosen scale and print every series.
+"""Run the paper's experiments and print every series.
 
-This is the command-line front end of the benchmark harness: it builds the
-synthetic IMSI-like corpus and regenerates the data series behind the
-figures of the paper's Section 5, printing them in the same layout the
-benchmarks write to ``benchmarks/results/``.
+Every reproduced series — the figures of the paper's Section 5, the
+Figure 1 demonstration and the ablations — is an entry of
+:data:`repro.evaluation.figures.FIGURES`.  This script builds the synthetic
+IMSI-like corpus, runs the entries named on the command line (all of them by
+default) and prints each table, followed by any of the paper's claims that
+do not hold on the run.  At the default scale and seed it prints exactly the
+series recorded in ``benchmarks/results/``.
 
 Usage::
 
-    python examples/run_paper_experiments.py                       # all figures, small scale
-    python examples/run_paper_experiments.py --figures 10 15 16    # a subset
-    python examples/run_paper_experiments.py --scale 1.0 --queries 1000   # faithful size (slow)
+    python examples/run_paper_experiments.py                     # every entry (~2 minutes)
+    python examples/run_paper_experiments.py fig10_learning_curve fig15_saved_cycles
+    python examples/run_paper_experiments.py --scale 0.3 --seed 7    # another corpus
 """
 
 from __future__ import annotations
 
 import argparse
 
-from repro.evaluation.efficiency import saved_cycles_experiment
-from repro.evaluation.experiments import (
-    category_robustness,
-    k_sweep,
-    learning_curve,
-    training_k_transfer,
-    tree_growth,
-)
-from repro.evaluation.reporting import (
-    format_series_table,
-    render_category_robustness,
-    render_efficiency,
-    render_k_sweep,
-    render_learning_curve,
-    render_tree_growth,
-)
+from repro.evaluation.figures import FIGURES
 from repro.features.datasets import build_imsi_like_dataset
 
 
 def parse_arguments() -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--scale", type=float, default=0.1, help="corpus scale relative to the paper's 2,491 images")
-    parser.add_argument("--queries", type=int, default=300, help="length of the training query stream")
-    parser.add_argument("--k", type=int, default=50, help="result-set size for the learning-curve figures")
-    parser.add_argument("--epsilon", type=float, default=0.05, help="Simplex-Tree insert threshold")
-    parser.add_argument("--seed", type=int, default=2001, help="random seed for corpus and query streams")
-    parser.add_argument(
-        "--figures",
-        type=int,
-        nargs="*",
-        default=[10, 11, 12, 13, 14, 15, 16],
-        help="which paper figures to regenerate (subset of 10-16)",
-    )
-    return parser.parse_args()
+    parser.add_argument("names", nargs="*", metavar="NAME", help=f"entries to run (default: all of {', '.join(FIGURES)})")
+    parser.add_argument("--scale", type=float, default=0.15, help="corpus scale relative to the paper's 2,491 images")
+    parser.add_argument("--seed", type=int, default=2001, help="random seed for the corpus and the query streams")
+    arguments = parser.parse_args()
+    unknown = sorted(set(arguments.names) - set(FIGURES))
+    if unknown:
+        parser.error(f"unknown entries: {', '.join(unknown)}")
+    return arguments
 
 
-def main() -> None:
-    arguments = parse_arguments()
-    dataset = build_imsi_like_dataset(scale=arguments.scale, seed=arguments.seed)
+def main(names=None, *, scale: float = 0.15, seed: int = 2001) -> None:
+    dataset = build_imsi_like_dataset(scale=scale, seed=seed)
     print(
         f"Corpus: {dataset.n_images} images ({', '.join(dataset.evaluation_categories)} + noise), "
         f"{dataset.n_bins}-bin histograms\n"
     )
-    figures = set(arguments.figures)
-    checkpoint = max(arguments.queries // 8, 10)
-
-    if 10 in figures:
-        result = learning_curve(
-            dataset, k=arguments.k, n_queries=arguments.queries,
-            checkpoint_every=checkpoint, epsilon=arguments.epsilon, seed=arguments.seed,
-        )
-        print(render_learning_curve(result), "\n")
-
-    if 11 in figures:
-        result = k_sweep(
-            dataset, training_k=arguments.k, n_training_queries=arguments.queries,
-            n_evaluation_queries=max(arguments.queries // 5, 20),
-            epsilon=arguments.epsilon, seed=arguments.seed,
-        )
-        print(render_k_sweep(result), "\n")
-
-    if 12 in figures:
-        rows = []
-        curves = {
-            k: learning_curve(
-                dataset, k=k, n_queries=arguments.queries, checkpoint_every=checkpoint,
-                epsilon=arguments.epsilon, seed=arguments.seed + k,
-            )
-            for k in (20, 50, 80)
-        }
-        for position, queries in enumerate(curves[20].checkpoints):
-            row = [int(queries)]
-            for k in (20, 50, 80):
-                row += [float(curves[k].bypass_precision[position]), float(curves[k].bypass_recall[position])]
-            rows.append(row)
-        header = ["queries"] + [f"{metric}(k={k})" for k in (20, 50, 80) for metric in ("Pr", "Re")]
-        print("FeedbackBypass learning per k (Figure 12)")
-        print(format_series_table(header, rows), "\n")
-
-    if 13 in figures:
-        result = training_k_transfer(
-            dataset, n_training_queries=arguments.queries,
-            n_evaluation_queries=max(arguments.queries // 6, 20),
-            epsilon=arguments.epsilon, seed=arguments.seed,
-        )
-        header = ["retrieved"] + [f"Pr(train k={k})" for k in result.training_k_values]
-        rows = [
-            [int(size)] + [float(result.precision[row, column]) for row in range(len(result.training_k_values))]
-            for column, size in enumerate(result.evaluation_sizes)
-        ]
-        print("Training-k transfer (Figure 13)")
-        print(format_series_table(header, rows), "\n")
-
-    if 14 in figures:
-        result = category_robustness(
-            dataset, k=arguments.k, n_queries=arguments.queries, epsilon=arguments.epsilon, seed=arguments.seed
-        )
-        print(render_category_robustness(result), "\n")
-
-    if 15 in figures:
-        result = saved_cycles_experiment(
-            dataset, k_values=(20, 50), n_queries=arguments.queries,
-            checkpoint_every=checkpoint, warmup_queries=arguments.queries // 3,
-            epsilon=arguments.epsilon, seed=arguments.seed,
-        )
-        print(render_efficiency(result), "\n")
-
-    if 16 in figures:
-        result = tree_growth(
-            dataset, k=arguments.k, n_queries=arguments.queries, checkpoint_every=checkpoint,
-            epsilon=arguments.epsilon, seed=arguments.seed,
-        )
-        print(render_tree_growth(result), "\n")
+    for name in names or FIGURES:
+        figure = FIGURES[name]
+        print(f"[{name}]\n{figure.report(figure.run(dataset, seed))}\n")
 
 
 if __name__ == "__main__":
-    main()
+    arguments = parse_arguments()
+    main(arguments.names, scale=arguments.scale, seed=arguments.seed)

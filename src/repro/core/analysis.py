@@ -5,7 +5,8 @@ The paper makes two resource claims about the Simplex Tree (Sections 1 and
 space (per stored point: one D-vector plus one N-vector payload), and it
 grows with the *complexity of the optimal query mapping* rather than with
 the number of processed queries.  This module measures both so the claims
-can be checked experimentally (see ``benchmarks/test_ablation_dimensionality.py``).
+can be checked experimentally (the ``ablation_dimensionality`` entry of
+:data:`repro.evaluation.figures.FIGURES`).
 """
 
 from __future__ import annotations

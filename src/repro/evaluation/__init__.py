@@ -14,8 +14,10 @@ This subpackage reproduces Section 5 of the paper:
   experiment,
 * :mod:`repro.evaluation.workloads` — query streams (uniform, skewed,
   repeated) and the repeat-rate experiment,
-* :mod:`repro.evaluation.reporting` — plain-text rendering of experiment
-  results (the series the paper plots).
+* :mod:`repro.evaluation.figures` — the ``FIGURES`` registry: for every
+  series the paper plots (and every ablation), the experiment call, the
+  plain-text table it renders and the paper's claims as named predicates,
+  which ``benchmarks/test_figures.py`` asserts.
 
 Like the paper, the package measures efficiency in counts (feedback
 cycles and objects saved), never with a clock.  Served-path speed is the
@@ -54,18 +56,9 @@ from repro.evaluation.workloads import (
     category_skewed_workload,
     repeat_rate_benefit,
     repeated_query_workload,
-    run_workload,
     uniform_workload,
 )
-from repro.evaluation.reporting import (
-    format_series_table,
-    render_category_robustness,
-    render_efficiency,
-    render_engine_stats,
-    render_k_sweep,
-    render_learning_curve,
-    render_tree_growth,
-)
+from repro.evaluation.figures import FIGURES, Figure, Table, format_series_table
 
 __all__ = [
     "average_precision_recall",
@@ -94,13 +87,9 @@ __all__ = [
     "category_skewed_workload",
     "repeat_rate_benefit",
     "repeated_query_workload",
-    "run_workload",
     "uniform_workload",
+    "FIGURES",
+    "Figure",
+    "Table",
     "format_series_table",
-    "render_category_robustness",
-    "render_efficiency",
-    "render_engine_stats",
-    "render_k_sweep",
-    "render_learning_curve",
-    "render_tree_growth",
 ]

@@ -1,7 +1,8 @@
 """Figure-level experiments.
 
 Every function here regenerates the data series behind one of the paper's
-evaluation figures (``benchmarks/test_fig*.py`` runs one each).  They all
+evaluation figures; the :data:`~repro.evaluation.figures.FIGURES` registry
+holds the call, the table and the paper's claims of each.  They all
 follow the same pattern: build an :class:`~repro.evaluation.session.InteractiveSession`
 for the given dataset, stream randomly sampled queries through it, and
 aggregate the per-query outcomes into the series the paper plots.  The
@@ -83,15 +84,13 @@ def learning_curve(
     reweighting_rule: ReweightingRule = ReweightingRule.OPTIMAL,
     seed: int = 0,
     session: InteractiveSession | None = None,
-    batch_size: int | None = None,
 ) -> LearningCurveResult:
     """Reproduce the learning-curve experiment (Figures 10 and 12).
 
     Streams ``n_queries`` randomly sampled queries through a fresh session
     and records block-averaged precision and recall for the Default,
     FeedbackBypass and AlreadySeen strategies every ``checkpoint_every``
-    queries.  With ``batch_size`` set the first-round arms run through the
-    session's batched path (simultaneous-arrival semantics per chunk).
+    queries.
     """
     check_dimension(checkpoint_every, "checkpoint_every")
     check_dimension(n_queries, "n_queries")
@@ -100,7 +99,7 @@ def learning_curve(
         session = InteractiveSession.for_dataset(dataset, config)
     rng = ensure_rng(derive_seed(seed, "learning_curve", k))
     indices = dataset.sample_query_indices(n_queries, rng)
-    outcomes = session.run_stream(indices, batch_size=batch_size)
+    outcomes = session.run_stream(indices)
 
     checkpoints: list[int] = []
     series: dict[str, list[float]] = {

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.evaluation.metrics import average_precision_recall
-from repro.evaluation.session import InteractiveSession, QueryOutcome, SessionConfig
+from repro.evaluation.session import InteractiveSession, SessionConfig
 from repro.features.datasets import ImageDataset
 from repro.utils.rng import derive_seed, ensure_rng
 from repro.utils.validation import ValidationError, check_dimension, check_in_range
@@ -25,26 +25,6 @@ def uniform_workload(dataset: ImageDataset, n_queries: int, *, seed: int = 0) ->
     """The paper's workload: queries sampled uniformly from the evaluation images."""
     rng = ensure_rng(derive_seed(seed, "uniform_workload"))
     return dataset.sample_query_indices(n_queries, rng)
-
-
-def run_workload(
-    session: InteractiveSession,
-    query_indices,
-    *,
-    batch_size: int | None = None,
-) -> list[QueryOutcome]:
-    """Drive a query workload through a session, optionally in batches.
-
-    This is the one entry point the experiments use to execute a workload:
-    with ``batch_size`` set, each chunk runs through the session's batched
-    path (:meth:`~repro.evaluation.session.InteractiveSession.run_batch`) —
-    the multi-user regime where a group of queries arrives at once: the
-    Default and FeedbackBypass first-round arms are answered with matrix
-    searches and the chunk's feedback loops advance together on the frontier
-    scheduler, byte-identical to the sequential loops.  Without it the
-    stream is processed one query at a time (the paper's regime).
-    """
-    return session.run_stream(query_indices, batch_size=batch_size)
 
 
 def category_skewed_workload(
@@ -91,25 +71,36 @@ def repeated_query_workload(
     """A stream in which a fraction of queries are re-issues of earlier ones.
 
     With probability ``repeat_rate`` the next query is drawn from the last
-    ``working_set_size`` distinct queries already issued (most-recently-used
-    bias); otherwise a fresh query is sampled uniformly.  This is the regime
-    in which FeedbackBypass can skip feedback loops entirely.
+    ``working_set_size`` fresh queries already issued (most-recently-used
+    bias); otherwise the next fresh query is issued.  This is the regime in
+    which FeedbackBypass can skip feedback loops entirely.
+
+    Fresh queries and repetition are drawn from two independent streams of
+    ``seed``, so every rate issues the same fresh queries in the same order
+    (the fresh subsequence is a prefix of the ``repeat_rate=0`` stream) and
+    a higher rate repeats at a superset of the positions a lower one does:
+    streams at different rates differ in repetition only.
     """
     check_dimension(n_queries, "n_queries")
     check_in_range(repeat_rate, 0.0, 1.0, name="repeat_rate")
     check_dimension(working_set_size, "working_set_size")
-    rng = ensure_rng(derive_seed(seed, "repeated_workload"))
+    fresh = dataset.sample_query_indices(
+        n_queries, ensure_rng(derive_seed(seed, "repeated_workload", "fresh"))
+    )
+    repeat_rng = ensure_rng(derive_seed(seed, "repeated_workload", "repeat"))
+    repeats = repeat_rng.random(n_queries) < repeat_rate
+    picks = repeat_rng.random(n_queries)
 
     history: list[int] = []
     indices = np.empty(n_queries, dtype=np.intp)
     for position in range(n_queries):
-        if history and rng.random() < repeat_rate:
+        if history and repeats[position]:
             window = history[-working_set_size:]
-            indices[position] = int(window[int(rng.integers(0, len(window)))])
+            indices[position] = window[int(picks[position] * len(window))]
         else:
-            fresh = int(dataset.sample_query_indices(1, rng)[0])
-            indices[position] = fresh
-            history.append(fresh)
+            query = int(fresh[len(history)])
+            indices[position] = query
+            history.append(query)
     return indices
 
 
@@ -121,7 +112,8 @@ class RepeatRateBenefitResult:
     bypass_precision: np.ndarray
     default_precision: np.ndarray
     already_seen_precision: np.ndarray
-    average_loop_iterations: np.ndarray
+    default_loop_iterations: np.ndarray  # mean loop length from the default parameters
+    bypass_loop_iterations: np.ndarray   # mean loop length from the prediction
 
 
 def repeat_rate_benefit(
@@ -132,27 +124,28 @@ def repeat_rate_benefit(
     k: int = 30,
     epsilon: float = 0.05,
     seed: int = 0,
-    batch_size: int | None = None,
 ) -> RepeatRateBenefitResult:
     """Measure how the FeedbackBypass advantage grows with query repetition.
 
     For every repetition rate a fresh session processes a repeated-query
     workload; the reported metrics are averaged over the second half of the
-    stream (after the tree has had a chance to see the working set).  With
-    ``batch_size`` the first-round arms run through the batched path (see
-    :func:`run_workload`).
+    stream (after the tree has had a chance to see the working set).  Every
+    rate draws its workload from the same ``seed``, so the rates share one
+    fresh-query stream and differ only in repetition.  The feedback loop runs
+    from the default parameters and from the prediction for every query: the
+    first does not depend on the bypass, the second is what repetition
+    shortens.
     """
     bypass_series = []
     default_series = []
     seen_series = []
-    iteration_series = []
+    default_iterations = []
+    bypass_iterations = []
     for rate in repeat_rates:
-        config = SessionConfig(k=k, epsilon=epsilon)
+        config = SessionConfig(k=k, epsilon=epsilon, measure_bypass_loop=True)
         session = InteractiveSession.for_dataset(dataset, config)
-        workload = repeated_query_workload(
-            dataset, n_queries, repeat_rate=rate, seed=derive_seed(seed, "rate", rate)
-        )
-        outcomes = run_workload(session, workload, batch_size=batch_size)
+        workload = repeated_query_workload(dataset, n_queries, repeat_rate=rate, seed=seed)
+        outcomes = session.run_stream(workload)
         late = outcomes[len(outcomes) // 2 :]
         bypass_precision, _ = average_precision_recall(
             (o.bypass.precision, o.bypass.recall) for o in late
@@ -166,12 +159,14 @@ def repeat_rate_benefit(
         bypass_series.append(bypass_precision)
         default_series.append(default_precision)
         seen_series.append(seen_precision)
-        iteration_series.append(float(np.mean([o.loop_iterations_default for o in late])))
+        default_iterations.append(float(np.mean([o.loop_iterations_default for o in late])))
+        bypass_iterations.append(float(np.mean([o.loop_iterations_bypass for o in late])))
 
     return RepeatRateBenefitResult(
         repeat_rates=np.asarray(repeat_rates, dtype=np.float64),
         bypass_precision=np.asarray(bypass_series),
         default_precision=np.asarray(default_series),
         already_seen_precision=np.asarray(seen_series),
-        average_loop_iterations=np.asarray(iteration_series),
+        default_loop_iterations=np.asarray(default_iterations),
+        bypass_loop_iterations=np.asarray(bypass_iterations),
     )

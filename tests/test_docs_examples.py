@@ -8,7 +8,9 @@ the user-facing entry points honest:
   the corpus builder monkeypatched to a miniature corpus so the tier-1
   suite stays fast, which exercises exactly the documented call surface;
 * ``examples/quickstart.py`` and ``examples/serving_session.py`` run end
-  to end at miniature parameters through their ``main`` entry points.
+  to end at miniature parameters through their ``main`` entry points;
+* ``examples/run_paper_experiments.py`` runs every entry of the ``FIGURES``
+  registry on the miniature corpus and prints its table.
 
 A documented name that disappears, a signature that changes, or a serving
 op that breaks fails here before any reader trips over it.
@@ -22,6 +24,8 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.evaluation import figures
+from repro.evaluation.figures import FIGURES
 from repro.features.datasets import build_imsi_like_dataset
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
@@ -92,3 +96,15 @@ class TestExampleScripts:
         module.main(**kwargs)
         printed = capsys.readouterr().out
         assert printed.strip(), f"example {name} prints its narrative"
+
+    @pytest.mark.parametrize("name", list(FIGURES))
+    def test_paper_experiments_run_every_figure(self, name, monkeypatch, capsys):
+        module = _load_example("run_paper_experiments")
+        # The dimensionality ablation builds its own corpora through the
+        # registry's builder; both shrink to the miniature corpus.
+        monkeypatch.setattr(module, "build_imsi_like_dataset", _tiny_builder)
+        monkeypatch.setattr(figures, "build_imsi_like_dataset", _tiny_builder)
+        module.main([name], scale=0.03, seed=5)
+        printed = capsys.readouterr().out
+        assert f"[{name}]\n" in printed
+        assert "\n--" in printed  # the table's header rule

@@ -1,11 +1,8 @@
-"""Batched sessions, the workload runner and the engine-stats report."""
+"""Batched sessions: one cohort's first rounds and loops at once."""
 
 import pytest
 
-from repro.database.engine import RetrievalEngine
-from repro.evaluation.reporting import render_engine_stats
 from repro.evaluation.session import InteractiveSession, SessionConfig
-from repro.evaluation.workloads import run_workload
 
 
 class TestSessionRunBatch:
@@ -50,18 +47,3 @@ class TestSessionRunBatch:
         )
         outcomes = session.run_stream([0, 1, 2, 3, 4], batch_size=2)
         assert [outcome.query_index for outcome in outcomes] == [0, 1, 2, 3, 4]
-
-    def test_run_workload_batch_knob(self, tiny_dataset):
-        session = InteractiveSession.for_dataset(
-            tiny_dataset, SessionConfig(k=10, epsilon=0.05, max_iterations=4)
-        )
-        outcomes = run_workload(session, [0, 1, 2], batch_size=3)
-        assert len(outcomes) == 3
-
-
-class TestEngineStatsReport:
-    def test_render_engine_stats(self, tiny_collection):
-        engine = RetrievalEngine(tiny_collection)
-        engine.search(tiny_collection.vectors[0], 3)
-        text = render_engine_stats(engine.stats())
-        assert "scan_fallbacks" in text and "index_hits" in text

@@ -43,6 +43,24 @@ class TestCategorySkewedWorkload:
             category_skewed_workload(tiny_dataset, 10, zipf_exponent=-1.0)
 
 
+def _interleaves_fresh_prefix(workload, fresh) -> bool:
+    """Whether ``workload`` is a prefix of ``fresh`` with repeats interleaved.
+
+    A repeat is a query equal to one of the fresh queries already issued; the
+    set of reachable prefix lengths is tracked because a repeat may equal
+    the next fresh query by chance.
+    """
+    fresh = [int(query) for query in fresh]
+    reachable = {0}
+    for query in (int(query) for query in workload):
+        reachable = {
+            length + 1 for length in reachable if length < len(fresh) and fresh[length] == query
+        } | {length for length in reachable if query in fresh[:length]}
+        if not reachable:
+            return False
+    return True
+
+
 class TestRepeatedQueryWorkload:
     def test_zero_rate_has_no_forced_repeats(self, tiny_dataset):
         workload = repeated_query_workload(tiny_dataset, 60, repeat_rate=0.0, seed=5)
@@ -57,6 +75,14 @@ class TestRepeatedQueryWorkload:
         low = repeated_query_workload(tiny_dataset, 200, repeat_rate=0.1, seed=7)
         high = repeated_query_workload(tiny_dataset, 200, repeat_rate=0.9, seed=7)
         assert len(np.unique(high)) <= len(np.unique(low))
+
+    def test_rates_share_one_fresh_query_stream(self, tiny_dataset):
+        # Every rate issues the rate-0 stream's queries in order; the other
+        # positions repeat a query already issued.
+        fresh = repeated_query_workload(tiny_dataset, 120, repeat_rate=0.0, seed=11)
+        for rate in (0.25, 0.5, 0.9):
+            workload = repeated_query_workload(tiny_dataset, 120, repeat_rate=rate, seed=11)
+            assert _interleaves_fresh_prefix(workload, fresh), rate
 
     def test_invalid_rate_rejected(self, tiny_dataset):
         with pytest.raises(ValidationError):
@@ -77,7 +103,9 @@ class TestRepeatRateBenefit:
         for series in (result.bypass_precision, result.default_precision, result.already_seen_precision):
             assert series.shape == (2,)
             assert np.all((series >= 0.0) & (series <= 1.0))
-        assert np.all(result.average_loop_iterations >= 0.0)
+        for series in (result.default_loop_iterations, result.bypass_loop_iterations):
+            assert series.shape == (2,)
+            assert np.all(series >= 1.0)
 
     def test_repetition_does_not_hurt_bypass_advantage(self, tiny_dataset):
         result = repeat_rate_benefit(
