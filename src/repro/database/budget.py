@@ -14,10 +14,9 @@ The contract every budgeted layer honours:
 * **Absent or unlimited budgets change nothing.**  ``budget=None`` (and a
   ``Budget()`` with neither cap) takes the literal exact code path, so the
   bits are structurally identical to the pre-budget engine.  A *finite but
-  sufficient* budget is also byte-identical: budget-clamped sub-block
-  top-k lists merge associatively through
-  :func:`~repro.database.index.k_smallest`, and a tree traversal whose
-  grants never run dry is the exact traversal.
+  sufficient* budget is also byte-identical: a scan granted every row
+  pools and re-scores exactly what the unbudgeted scan does, and a tree
+  traversal whose grants never run dry is the exact traversal.
 * **Execution under a smaller work cap is a prefix of execution under a
   larger one.**  Charging never alters a traversal decision — it only
   truncates — so the visited set grows monotonically with ``max_rows``,

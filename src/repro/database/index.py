@@ -21,8 +21,8 @@ ascending collection index, so any two conforming engines — and the batch
 and single-query paths of the same engine — return byte-identical result
 sets.  :func:`k_smallest` and :class:`NeighborHeap` implement that rule for
 array-based and heap-based engines respectively, and :func:`merge_topk` is
-the one place per-part top-k lists (scan blocks, live segments, shards) are
-merged under it.
+the one place per-part top-k lists (live segments, shards) are merged under
+it.
 
 :func:`k_smallest` itself has two interchangeable selection strategies —
 the vectorised argpartition pipeline and a bounded heap — whose outputs are
@@ -221,8 +221,8 @@ def k_smallest(
 def merge_topk(per_part: list, k: int, n_queries: int) -> "list[ResultSet]":
     """Global top-``k`` per query from per-part ``(labels, distances)`` lists.
 
-    ``per_part`` holds one entry per corpus part that answered — a scan
-    block, a live segment, a shard — each a list of ``n_queries`` pairs
+    ``per_part`` holds one entry per corpus part that answered — a live
+    segment, a shard — each a list of ``n_queries`` pairs
     whose labels are already global and whose rows are in (distance,
     ascending label) order.  Every global top-k object is inside its own
     part's top-k (fewer than ``k`` objects precede it anywhere, so in
@@ -253,30 +253,6 @@ def merge_topk(per_part: list, k: int, n_queries: int) -> "list[ResultSet]":
         )
         merged.append(ResultSet.from_arrays(labels, distances))
     return merged
-
-
-def candidate_pool(approximate_row: np.ndarray, k: int, *, margin: float | None = None) -> np.ndarray:
-    """Candidate positions for an exact top-``k`` from approximate distances.
-
-    Used by batch engines that compute the full distance matrix with a fast
-    but approximate expansion (see
-    :meth:`~repro.distances.base.DistanceFunction.pairwise_matches_rowwise`):
-    every position whose approximate distance lies within ``margin`` of the
-    approximate k-th distance is a candidate; re-evaluating only those
-    candidates exactly reproduces the exact top-``k`` as long as the
-    approximation error stays below ``margin``.  The default margin
-    (``1e-6`` of the row's distance scale) exceeds the error of the centred
-    Gram expansions by several orders of magnitude.
-    """
-    n = int(approximate_row.shape[0])
-    k = min(k, n)
-    if margin is None:
-        margin = 1e-6 * max(1.0, float(approximate_row.max()))
-    if k == n:
-        return np.arange(n, dtype=np.intp)
-    partition = np.argpartition(approximate_row, k - 1)[:k]
-    threshold = float(approximate_row[partition].max()) + margin
-    return np.flatnonzero(approximate_row <= threshold)
 
 
 class NeighborHeap:

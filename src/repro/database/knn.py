@@ -8,42 +8,42 @@ computation).  The metric indexes (:mod:`repro.database.vptree`,
 
 Its :meth:`LinearScanIndex.execute` answers a whole validated
 :class:`~repro.database.query.QueryBatch` — rows sharing one distance, or
-rows carrying their own ``(Δ, W)`` — with pairwise distance matrices (one
-BLAS product for the Gram-form families) followed by top-k selection: the
-batch-first hot path of the retrieval engine, and the only scan loop in
-the library.  :meth:`LinearScanIndex.search` is kept beside it as the
-exact-definition reference (``distances_to`` + ``k_smallest``) the
-equivalence grids compare every other path against.  Two scale features
-live here:
+rows carrying their own ``(Δ, W)`` — in one streamed pass: the batch-first
+hot path of the retrieval engine, and the only scan loop in the library.
+:meth:`LinearScanIndex.search` is kept beside it as the exact-definition
+reference (``distances_to`` + ``k_smallest``) the equivalence grids compare
+every other path against.  Two scale features live here:
 
 * **Blocked scans** — the scan walks the corpus in cache-sized row blocks
-  (:data:`DEFAULT_BLOCK_ROWS`; a shorter corpus is one block) and merges the
-  per-block top-k lists through :func:`~repro.database.index.merge_topk`, so
-  peak memory is O(``block_rows`` × queries) instead of O(corpus × queries):
-  a million-vector corpus never materialises a ``(N, Q)`` distance matrix.
+  (:data:`DEFAULT_BLOCK_ROWS`; a shorter corpus is one block), one
+  ``pairwise`` call per block, and pools each block's candidates under a
+  carried per-query threshold instead of selecting and merging per block:
+  peak memory is O(``block_rows`` × queries), never O(corpus × queries).
 * **A float32 candidate stage, exact float64 confirmation** — the default
   scan.  Every family with a float32 kernel (weighted Euclidean, per-row
-  weights, Mahalanobis, Minkowski) selects candidates from an
-  order-preserving float32 surrogate (one sgemm over the workspace's
-  float32 centred corpus for the Gram forms), widened by a margin sized
-  from the row's :meth:`~repro.distances.base.DistanceFunction.term_bound`
-  (ties included), and re-scores only those exactly in float64 with the
+  weights, Mahalanobis, Minkowski) pools candidates from an
+  order-preserving float32 surrogate (one sgemm per block over the
+  workspace's float32 centred corpus for the Gram forms), widened by a
+  margin sized from the row's
+  :meth:`~repro.distances.base.DistanceFunction.term_bound` (ties
+  included), and re-scores the pool once, exactly in float64 with the
   global (distance, index) tie-break: **byte-identical** to
   :meth:`LinearScanIndex.search`.  Magnitudes past float32's safe range, a
   family without a float32 kernel and ``precision="exact"`` run the float64
-  kernels instead.
+  kernels through the same pass.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from functools import partial
+from itertools import repeat
 
 import numpy as np
 
 from repro.database.budget import Budget, effective_budget
 from repro.database.collection import FeatureCollection
-from repro.database.index import KNNIndex, k_smallest, merge_topk
+from repro.database.index import KNNIndex, k_smallest
 from repro.database.query import QueryBatch, ResultSet
 from repro.distances.base import (
     EXACT_MARGIN_SCALE,
@@ -55,14 +55,15 @@ from repro.distances.weighted_euclidean import (
     WeightedEuclideanDistance,
     pairwise_per_query_weights,
     per_query_weights_bound,
+    weighted_distances,
 )
 from repro.utils.validation import ValidationError, check_dimension
 
-#: Corpus rows per scan block.  64k rows × 64 queries of float64 distances is
-#: a 32 MiB working set — big enough to amortise per-block Python overhead,
-#: small enough that the matrix, its argpartition scratch and the corpus
-#: block itself stay cache- and RAM-friendly at million-vector scale.
-DEFAULT_BLOCK_ROWS = 65536
+#: Corpus rows per scan block.  At 64 dimensions an 8,192-row block of the
+#: float32 centred corpus is 2 MiB and its ``(rows, 16)`` float32 matrix
+#: 512 KiB, which stays in cache while its norms are added and its entries
+#: pooled.  Measured at D = 64: 2,048 and 4,096 rows slower, 16,384 no faster.
+DEFAULT_BLOCK_ROWS = 8192
 
 
 class LinearScanIndex(KNNIndex):
@@ -80,8 +81,8 @@ class LinearScanIndex(KNNIndex):
     block_rows:
         Corpus rows per scan block (default :data:`DEFAULT_BLOCK_ROWS`).
         Batches against corpora at most this tall run as one matrix; taller
-        corpora are scanned block by block with per-block top-k merging,
-        bounding peak memory to O(``block_rows`` × queries).
+        corpora are scanned block by block into one candidate pool per
+        query, bounding peak memory to O(``block_rows`` × queries).
     """
 
     def __init__(self, collection: FeatureCollection, *, block_rows: int | None = None) -> None:
@@ -147,19 +148,14 @@ class LinearScanIndex(KNNIndex):
         return self.execute(batch, budget=budget)
 
     def execute(self, batch: QueryBatch, *, budget: "Budget | None" = None) -> list[ResultSet]:
-        """Answer a validated batch with pairwise matrices + top-k selection.
+        """Answer a validated batch in one streamed pass over the corpus.
 
         The one blocked scan of the library, for shared-distance and per-row
-        ``(Δ, W)`` batches alike: the corpus is walked in
-        :attr:`block_rows`-row workspace blocks (a short corpus is a single
-        block), each block yields one top-k list per query
-        (:func:`_block_topk`), and :func:`~repro.database.index.merge_topk`
-        re-selects across blocks — same results as one ``(N, Q)`` matrix,
-        peak memory bounded by the block.  Candidates come from the float32
-        kernels unless :func:`_candidate_stage` says otherwise.
-        Approximate matrices (every float32 matrix, the algebraic float64
-        expansions) only select candidates, which are re-evaluated through
-        the exact row-wise computation, so the bits equal :meth:`search`'s.
+        ``(Δ, W)`` batches alike: each :attr:`block_rows`-row workspace
+        block (a short corpus is one block) feeds one candidate pool per
+        query, and the pools are re-scored once (:class:`_StreamedScan`) —
+        same results as one ``(N, Q)`` matrix, peak memory bounded by the
+        block, bits equal to :meth:`search`'s.
 
         A finite ``budget`` clamps the scan: blocks are charged at ``rows ×
         queries`` metric evaluations before being scanned, the last
@@ -168,35 +164,31 @@ class LinearScanIndex(KNNIndex):
         coverage.  Every block is granted at ``per_row = n_queries``
         evaluations per corpus row, so the rows scanned are a deterministic
         function of the remaining work cap — execution under a smaller cap
-        is a strict prefix of execution under a larger one (the anytime
-        monotonicity property) — and because per-(sub-)block top-k lists
-        merge associatively, a budget large enough to scan everything is
-        byte-identical to no budget at all.
+        answers exactly over a prefix of the rows a larger cap scans (the
+        anytime monotonicity property) — and a budget large enough to scan
+        everything is byte-identical to no budget at all.
         """
         n_queries = batch.n_rows
         if n_queries == 0:
             return []
         workspace = self._collection.workspace
         n_points = self._collection.size
-        k = min(batch.k, n_points)
-        stage = _candidate_stage(batch, workspace)
+        scan = _StreamedScan(batch, min(batch.k, n_points), self._block_rows, workspace)
         effective = effective_budget(budget)
         if effective is None and budget is not None:
             budget.note_exact(n_points * n_queries)
-        per_block = []
         with nullcontext() if effective is None else effective.scope(n_points * n_queries):
             for start in range(0, n_points, self._block_rows):
                 rows = min(self._block_rows, n_points - start)
                 granted = rows if effective is None else effective.grant_rows(rows, per_row=n_queries)
                 if granted:
-                    view = workspace.block(start, start + granted)
-                    per_block.append(_block_topk(batch, k, view, *stage))
+                    scan.add(workspace.block(start, start + granted))
                 if granted < rows:
                     # The rest of the corpus is unscanned and a scan carries
                     # no geometry to bound it: record an unbounded skip.
                     effective.note_skip(None)
                     break
-        return merge_topk(per_block, k, n_queries)
+        return scan.results()
 
     def range_search(self, query_point, radius: float, distance: DistanceFunction) -> ResultSet:
         """Return every vector within ``radius`` of ``query_point``."""
@@ -209,98 +201,140 @@ class LinearScanIndex(KNNIndex):
         return ResultSet.from_arrays(order, distances[order])
 
 
-def _candidate_stage(batch: QueryBatch, workspace) -> tuple:
-    """``(fast, bounds, query_norms)``: the stage ``batch`` takes and what sizes its margins.
+class _StreamedScan:
+    """The candidate pools of one streamed pass, and their one exact re-score.
 
-    ``bounds`` is the per-row :meth:`~repro.distances.base.DistanceFunction.term_bound`
-    on this corpus (``None``: no float32 kernel).  The float32 stage runs when
-    the batch allows it and every term it forms — the bound, the squared
-    centred magnitudes, the parameters — stays below
-    :data:`~repro.distances.base.FLOAT32_TERM_LIMIT`: a property of the
-    input, observed in ``O(Q·D)``.  ``query_norms`` (the centred ``Σ w q²``
-    of the weighted Euclidean family, else ``None``) tighten the margins.
+    A query's cut is the k-th value of the first ``k`` rows scanned plus a
+    margin from its :meth:`~repro.distances.base.DistanceFunction.term_bound`
+    on the matrix's scale (squared for the float32 stage, the root for the
+    float64 expansions, the largest value seen for a family without a
+    bound).  Any subset's k-th value is at least the corpus's, so the cut
+    holds for every later block; a pool that outgrows one block's entries
+    re-derives it.  The float32 stage runs when the batch allows it and every
+    term it forms (bound, squared centred magnitudes, parameters) stays
+    below :data:`~repro.distances.base.FLOAT32_TERM_LIMIT`.
     """
-    offsets = np.abs(batch.points - workspace.mean)
-    reach = offsets + workspace.extent
-    weights, distance = batch.weights, batch.distance
-    if weights is None:
-        term_bound = distance.term_bound
-    else:
-        term_bound = partial(per_query_weights_bound, weights)
-    with np.errstate(over="ignore"):
-        bounds = term_bound(reach)
-        if bounds is None or batch.precision != "fast":
-            return False, bounds, None
-        parameters = distance.parameters() if weights is None else weights
-        largest = max(bounds.max(), np.square(reach.max()), np.abs(parameters).max())
-    seminorm = weights is not None or isinstance(distance, WeightedEuclideanDistance)
-    query_norms = term_bound(offsets) if seminorm else None
-    return bool(largest <= FLOAT32_TERM_LIMIT), bounds, query_norms
 
-
-def _block_topk(batch: QueryBatch, k: int, view, fast: bool, bounds, query_norms) -> list:
-    """Top-k of one corpus block per query, as ``(global labels, distances)``.
-
-    The kernel step is chosen by what the batch carries: per-row weights run
-    the per-query-weight expansion and re-score candidates with the weighted
-    Euclidean row expression; a shared distance runs its ``pairwise`` kernel
-    (float32 when ``fast``) and re-scores through ``distances_to`` — unless
-    the kernel is row-exact in float64, in which case the matrix rows are
-    selected directly.  Re-scored distances are exact float64 element-wise
-    expressions per object, so the bits do not depend on how the corpus was
-    blocked.
-    """
-    block_points = view.matrix
-    block_k = min(k, block_points.shape[0])
-    distance, weights = batch.distance, batch.weights
-    precision = "fast" if fast else "exact"
-    if weights is not None:
-        matrix = pairwise_per_query_weights(
-            batch.points, weights, block_points, workspace=view, precision=precision
-        )
-    else:
-        matrix = distance.pairwise(batch.points, block_points, workspace=view, precision=precision)
-    if weights is None and not fast and distance.pairwise_matches_rowwise:
-        selected = [k_smallest(row, block_k) for row in matrix]
-    else:
-        # Candidate thresholds for the whole batch at once: the k-th
-        # approximate value plus the error margin, a fraction of the row's
-        # term bound on the matrix's own scale — squared for the float32
-        # stage, the root of it for the float64 expansions, which return
-        # distances (the row maxima for a family with no bound).
-        if block_k == matrix.shape[1]:
-            thresholds = np.full(matrix.shape[0], np.inf)
+    def __init__(self, batch: QueryBatch, k: int, block_rows: int, workspace) -> None:
+        self.batch, self.k, self.vectors = batch, k, workspace.matrix
+        self.limit = block_rows * batch.n_rows
+        self.kth = self.query_norms = None
+        self.scanned = self.size = 0
+        self.parts = []
+        weights, distance = batch.weights, batch.distance
+        offsets = np.abs(batch.points - workspace.mean)
+        reach = offsets + workspace.extent
+        if weights is None:
+            term_bound, self.kernel = distance.term_bound, partial(distance.pairwise, batch.points)
         else:
-            # np.partition (values only) beats argpartition + gather: no
-            # (Q, N) index array, and position block_k-1 *is* the k-th
-            # smallest value.
-            kth_values = np.partition(matrix, block_k - 1, axis=1)[:, block_k - 1]
-            if bounds is None:
-                margins = EXACT_MARGIN_SCALE * np.maximum(1.0, matrix.max(axis=1))
-            elif not fast:
-                margins = EXACT_MARGIN_SCALE * np.maximum(1.0, np.sqrt(bounds))
-            else:
-                if query_norms is not None:
-                    # Only rows within the k-th value can decide the answer,
-                    # and under a (semi)norm their terms are at most
-                    # 3·|q|² + 2·kth: a tighter bound than the corpus extent.
-                    nearby = 3.0 * query_norms + 2.0 * np.maximum(kth_values, 0.0)
-                    bounds = np.minimum(bounds, nearby)
-                margins = FAST_MARGIN_SCALE * np.maximum(1.0, bounds)
-            thresholds = kth_values + margins
-        selected = []
-        for position, (query_point, row, threshold) in enumerate(
-            zip(batch.points, matrix, thresholds)
-        ):
-            candidates = np.flatnonzero(row <= threshold)
+            term_bound = partial(per_query_weights_bound, weights)
+            self.kernel = partial(pairwise_per_query_weights, batch.points, weights)
+        with np.errstate(over="ignore"):
+            self.bounds = term_bound(reach)
+            fast = self.bounds is not None and batch.precision == "fast"
+            if fast:
+                parameters = distance.parameters() if weights is None else weights
+                largest = max(self.bounds.max(), reach.max() ** 2, np.abs(parameters).max())
+                fast = largest <= FLOAT32_TERM_LIMIT
+        if fast and (weights is not None or isinstance(distance, WeightedEuclideanDistance)):
+            self.query_norms = term_bound(offsets)
+        self.precision, self.bar = ("fast" if fast else "exact"), np.inf
+        self.scale = np.ones(batch.n_rows) if self.bounds is None else None
+
+    def add(self, view) -> None:
+        """Pool the entries of one corpus block under the current cut."""
+        batch = self.batch
+        matrix = self.kernel(view.matrix, workspace=view, precision=self.precision)
+        rows = matrix.shape[1]
+        if self.scale is not None:
+            np.maximum(self.scale, matrix.max(axis=1), out=self.scale)
+            if self.kth is not None:
+                self._derive(self.kth)
+        if not self.scanned and rows >= self.k:
+            self._derive(np.partition(np.ascontiguousarray(matrix), self.k - 1, axis=1)[:, self.k - 1])
+        mask = matrix <= self.bar
+        if mask.flags.c_contiguous:
+            major, flat = matrix, np.flatnonzero(mask)
+        else:  # corpus-major, as the Gram kernels lay out a wide batch
+            major, flat = matrix.T, np.flatnonzero(mask.T)
+        values = major.reshape(-1)[flat]
+        if batch.n_rows == 1:
+            labels, queries = flat, np.zeros(flat.size, np.intp)
+        elif major is matrix:
+            queries, labels = np.divmod(flat, rows)
+        else:
+            labels, queries = np.divmod(flat, batch.n_rows)
+        if view.start:
+            labels += view.start
+        self.parts.append((labels, queries, values))
+        self.scanned += rows
+        self.size += flat.size
+        if self.size > self.limit or (self.kth is None and self.scanned >= self.k):
+            self._tighten()
+            # Ties within a margin can keep the pool above the limit: doubling
+            # it keeps the re-derivations amortised.
+            self.limit = max(self.limit, 2 * self.size)
+
+    def results(self) -> "list[ResultSet]":
+        """Exact re-scoring of each query's pool: the top-k in (distance, label) order."""
+        batch = self.batch
+        if not self.parts:
+            return [ResultSet.empty() for _ in range(batch.n_rows)]
+        if len(self.parts) > 1:  # blocks pooled since the cut was last derived
+            self._tighten()
+        labels, _, _, edges = self._grouped()
+        # Weighted Euclidean rows (shared or per-row weights) skip distances_to's
+        # re-validation of rows already validated, not its expression; a
+        # subclass may override distances_to, so only the exact type does.
+        row_weights = batch.weights
+        if row_weights is None:
+            shared = type(batch.distance) is WeightedEuclideanDistance
+            row_weights = repeat(batch.distance.parameters() if shared else None)
+        results = []
+        for position, (point, weights) in enumerate(zip(batch.points, row_weights)):
+            candidates = labels[edges[position] : edges[position + 1]]
             if weights is None:
-                exact = distance.distances_to(query_point, block_points[candidates])
+                exact = batch.distance.distances_to(point, self.vectors[candidates])
             else:
-                # The same expression as WeightedEuclideanDistance.distances_to,
-                # minus the per-query distance object and its re-validation.
-                offsets = block_points[candidates] - query_point
-                exact = np.sqrt(np.sum(weights[position] * offsets * offsets, axis=1))
-            selected.append(k_smallest(exact, block_k, labels=candidates))
-    if view.start:
-        return [(labels + view.start, ordered) for labels, ordered in selected]
-    return selected
+                exact = weighted_distances(point, self.vectors[candidates], weights)
+            results.append(ResultSet.from_arrays(*k_smallest(exact, self.k, labels=candidates)))
+        return results
+
+    def _derive(self, kth: np.ndarray) -> None:
+        """The cut ``kth`` + margin per query."""
+        self.kth = kth
+        if self.scale is not None:
+            self.cut = kth + EXACT_MARGIN_SCALE * self.scale
+        elif self.precision == "exact":
+            self.cut = kth + EXACT_MARGIN_SCALE * np.maximum(1.0, np.sqrt(self.bounds))
+        else:
+            bounds = self.bounds
+            if self.query_norms is not None:
+                # Only rows within the k-th value can decide the answer, and
+                # under a (semi)norm their terms are at most 3·|q|² + 2·kth.
+                bounds = np.minimum(bounds, 3.0 * self.query_norms + 2.0 * np.maximum(kth, 0.0))
+            self.cut = kth + FAST_MARGIN_SCALE * np.maximum(1.0, bounds)
+        # The cut in the kernel's dtype, one step up: never tighter than the float64 one.
+        dtype = np.float32 if self.precision == "fast" else np.float64
+        self.bar = np.nextafter(self.cut.astype(dtype), np.inf)[:, None]
+
+    def _tighten(self) -> None:
+        """Re-derive the cut from the pool's k-th values and cut the pool to it."""
+        labels, queries, values, edges = self._grouped()
+        k = self.k
+        kth = [np.partition(values[low:high], k - 1)[k - 1] if high - low >= k else np.inf
+               for low, high in zip(edges[:-1], edges[1:])]
+        self._derive(np.array(kth))
+        keep = values <= self.cut[queries]
+        self.parts = [(labels[keep], queries[keep], values[keep])]
+        self.size = int(np.count_nonzero(keep))
+
+    def _grouped(self) -> tuple:
+        """The pool as ``(labels, queries, values, edges)``, query ``i`` at ``edges[i]:edges[i + 1]``."""
+        parts = self.parts
+        labels, queries, values = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+        if self.batch.n_rows == 1:
+            return labels, queries, values, (0, labels.size)
+        order = np.argsort(queries, kind="stable")
+        labels, queries, values = labels[order], queries[order], values[order]
+        return labels, queries, values, np.searchsorted(queries, np.arange(self.batch.n_rows + 1))

@@ -193,7 +193,7 @@ class ResultSet:
     def _initialise(
         self, indices: np.ndarray, distances: np.ndarray, items: tuple[ResultItem, ...] | None
     ) -> None:
-        if distances.shape[0] > 1 and bool(np.any(np.diff(distances) < -1e-12)):
+        if distances.shape[0] > 1 and bool((distances[1:] - distances[:-1] < -1e-12).any()):
             raise ValidationError("result items must be sorted by non-decreasing distance")
         indices.setflags(write=False)
         distances.setflags(write=False)

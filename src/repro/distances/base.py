@@ -50,13 +50,19 @@ def assemble_float32(cross_queries, query_norms, centered_points, point_norms) -
     """The float32 Gram matrix ``query_norms + point_norms + cross_queries @ centered_pointsᵀ``.
 
     The float64 query-side terms (``-2`` folded into ``cross_queries``) are
-    cast once and the norms (``point_norms`` shared ``(N,)`` or ``(Q, N)``)
-    are added into the sgemm's own output: no other full-size temporary.
+    cast once.  The sgemm runs corpus-major (``centered_points @
+    cross_queriesᵀ``, about twice as fast as the ``(Q, N)`` orientation) and
+    the ``(Q, N)`` result is its transpose; the norms (``point_norms`` shared
+    ``(N,)`` or ``(N, Q)``) are added into it in place while it is in cache.
+    Under 8 queries element-wise passes over such short rows cost more than
+    one query-major copy, so the product is copied to that layout first.
     """
-    matrix = cross_queries.astype(np.float32) @ centered_points.T
-    matrix += point_norms
-    matrix += query_norms.astype(np.float32)[:, None]
-    return matrix
+    matrix = centered_points @ cross_queries.T.astype(np.float32)
+    if matrix.shape[1] < 8:
+        matrix = np.ascontiguousarray(matrix.T).T
+    matrix += point_norms if point_norms.ndim == 2 else point_norms[:, None]
+    matrix += query_norms.astype(np.float32)
+    return matrix.T
 
 
 class DistanceFunction(abc.ABC):
@@ -107,18 +113,6 @@ class DistanceFunction(abc.ABC):
     # ------------------------------------------------------------------ #
     # Batch (matrix-form) distance computation
     # ------------------------------------------------------------------ #
-    @property
-    def pairwise_matches_rowwise(self) -> bool:
-        """True when :meth:`pairwise` reproduces :meth:`distances_to` bit-for-bit.
-
-        Subclasses that accelerate :meth:`pairwise` with algebraic
-        reformulations (e.g. the Gram-matrix expansion of the weighted
-        Euclidean distance) return ``False``; consumers that need exact
-        row-wise values (the batch k-NN engines) then re-evaluate the final
-        candidates through :meth:`distances_to`.
-        """
-        return True
-
     def pairwise(self, queries, points, *, workspace=None, precision: str = "exact") -> np.ndarray:
         """Distance matrix between every query row and every point row.
 
@@ -148,10 +142,9 @@ class DistanceFunction(abc.ABC):
             kernels return squared distances (weighted Euclidean,
             Mahalanobis) or the p-th power sum (Minkowski), skipping the
             root over the full ``(Q, N)`` matrix.  A fast matrix is an
-            order-embedding of the distance, approximate in the low bits,
-            regardless of :attr:`pairwise_matches_rowwise` — callers that
-            need exact results (the scan engines) must treat it as
-            candidate-selection input only: widen the k-th value by
+            order-embedding of the distance, approximate in the low bits;
+            callers that need exact results (the scan engines) must treat it
+            as candidate-selection input only: widen the k-th value by
             :data:`FAST_MARGIN_SCALE` of :meth:`term_bound` and re-score the
             candidates through :meth:`distances_to` in float64.  Candidate
             selection only needs the ordering, which every monotone

@@ -163,11 +163,6 @@ class HierarchicalDistance(DistanceFunction):
             totals += weight * sub.distances_to(query[group.slice()], points[:, group.slice()])
         return totals
 
-    @property
-    def pairwise_matches_rowwise(self) -> bool:
-        # The per-feature sub-distances use the (approximate) Gram expansion.
-        return False
-
     def pairwise(self, queries, points, *, workspace=None) -> np.ndarray:
         """Matrix form: the weighted sum of the per-feature pairwise matrices.
 

@@ -97,16 +97,12 @@ class MahalanobisDistance(DistanceFunction):
         values = np.sum(transformed * deltas, axis=1)
         return np.sqrt(np.clip(values, 0.0, None))
 
-    @property
-    def pairwise_matches_rowwise(self) -> bool:
-        return False
-
     def pairwise(self, queries, points, *, workspace=None, precision: str = "exact") -> np.ndarray:
         """Matrix form via the bilinear expansion ``d² = qᵀWq + pᵀWp - 2 qᵀWp``.
 
         ``W`` is applied once per side (two matrix products) instead of once
         per (query, point) pair.  The expansion differs from the row-wise
-        einsum in the last bits, so ``pairwise_matches_rowwise`` is ``False``.
+        einsum in the last bits.
 
         The corpus :class:`~repro.database.collection.CorpusWorkspace`
         supplies the centred matrix (the mean and the ``(N, D)`` subtraction

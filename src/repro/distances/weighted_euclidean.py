@@ -63,22 +63,16 @@ class WeightedEuclideanDistance(DistanceFunction):
 
     def distances_to(self, query, points) -> np.ndarray:
         query = self._validate_point(query, "query")
-        points = self._validate_points(points)
-        deltas = points - query
-        return np.sqrt(np.sum(self._weights * deltas * deltas, axis=1))
-
-    @property
-    def pairwise_matches_rowwise(self) -> bool:
-        return False
+        return weighted_distances(query, self._validate_points(points), self._weights)
 
     def pairwise(self, queries, points, *, workspace=None, precision: str = "exact") -> np.ndarray:
         """Matrix form via the Gram expansion ``d² = |q|² + |p|² - 2 q·p``.
 
         One BLAS matrix product replaces Q row scans, which is what makes
         batched k-NN worthwhile.  The expansion loses a few low-order bits to
-        cancellation (hence ``pairwise_matches_rowwise`` is ``False``); the
-        data is centred on the point cloud's mean first so the error stays
-        proportional to the distance scale rather than the coordinate scale.
+        cancellation; the data is centred on the point cloud's mean first so
+        the error stays proportional to the distance scale rather than the
+        coordinate scale.
 
         With the corpus :class:`~repro.database.collection.CorpusWorkspace`
         supplied, every corpus-side term comes out of the cache: the centred
@@ -147,6 +141,12 @@ class WeightedEuclideanDistance(DistanceFunction):
         )
 
 
+def weighted_distances(query, points, weights) -> np.ndarray:
+    """Exact ``L2W`` from ``query`` to every row of ``points``: one expression for every caller."""
+    deltas = points - query
+    return np.sqrt(np.sum(weights * deltas * deltas, axis=1))
+
+
 def pairwise_per_query_weights(
     queries, weights, points, *, workspace=None, precision: str = "exact"
 ) -> np.ndarray:
@@ -199,7 +199,7 @@ def pairwise_per_query_weights(
     weighted_queries = queries * weights
     query_norms = np.einsum("ij,ij->i", weighted_queries, queries)
     if fast:
-        point_norms = weights.astype(np.float32) @ centered_squared.T
+        point_norms = centered_squared @ weights.T.astype(np.float32)
         return assemble_float32(-2.0 * weighted_queries, query_norms, centered_points, point_norms)
     squared = (
         query_norms[:, None]

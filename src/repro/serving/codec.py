@@ -37,6 +37,7 @@ instead of one giant frame — see :func:`encode_response_frames`.
 from __future__ import annotations
 
 import math
+import re
 import reprlib
 import struct
 
@@ -188,6 +189,10 @@ _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
 _I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
 
+#: A ``dtype.str`` as the encoder writes it for a plain array: byte order,
+#: kind, item size, optional datetime unit.
+_DTYPE_STR = re.compile(r"[<>|][biufcmMSUV]\d+(\[\w+\])?")
+
 
 class BinaryCodec:
     """Tag-based binary encoding of the serving layer's message values.
@@ -335,7 +340,6 @@ class BinaryCodec:
             ValueError,
             TypeError,
             OverflowError,
-            SyntaxError,  # numpy parses a comma-separated dtype string with ast
         ) as error:
             raise CodecError(f"malformed binary payload: {error}") from error
         if offset != len(data):
@@ -463,9 +467,12 @@ class BinaryCodec:
     def _decode_array(self, data: bytes, offset: int):
         (dtype_length,) = struct.unpack_from(">B", data, offset)
         offset += 1
-        dtype = np.dtype(data[offset : offset + dtype_length].decode("ascii"))
-        if dtype.hasobject:
-            raise CodecError("object-dtype arrays are not decodable")
+        text = data[offset : offset + dtype_length].decode("ascii")
+        # Matched before numpy parses it: no alias, field or sub-array reaches
+        # numpy, so the header names the element type and shape exactly.
+        dtype = np.dtype(text) if _DTYPE_STR.fullmatch(text) else None
+        if dtype is None or dtype.str != text:
+            raise CodecError(f"malformed binary payload: array dtype {text!r} is not a plain dtype string")
         offset += dtype_length
         (ndim,) = struct.unpack_from(">B", data, offset)
         offset += 1

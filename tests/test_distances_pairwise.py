@@ -45,11 +45,12 @@ class TestPairwise:
                     row, distance.distances_to(query, points), rtol=1e-9, atol=1e-9
                 )
 
-    def test_exactness_flag_is_honest(self, rng, data):
+    def test_minkowski_pairwise_is_rowwise_exact(self, rng, data):
+        # Minkowski's exact kernel runs row by row: bit-for-bit distances_to.
         queries, points = data
-        for distance in _distances(rng):
-            if not distance.pairwise_matches_rowwise:
-                continue
+        minkowski = [d for d in _distances(rng) if isinstance(d, MinkowskiDistance)]
+        assert len(minkowski) == 2
+        for distance in minkowski:
             matrix = distance.pairwise(queries, points)
             for row, query in zip(matrix, queries):
                 assert np.array_equal(row, distance.distances_to(query, points))

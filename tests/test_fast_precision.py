@@ -16,6 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.database import knn
+from repro.database.budget import Budget
 from repro.database.collection import FeatureCollection
 from repro.database.engine import RetrievalEngine
 from repro.database.knn import DEFAULT_BLOCK_ROWS, LinearScanIndex
@@ -184,8 +186,8 @@ class TestBlockedScan:
             assert blocked.search_batch(queries, 5, distance, precision) == reference
 
     def test_blocked_matches_for_rowwise_exact_kernels(self, collection, queries):
-        # Minkowski's exact pairwise is row-exact, so the blocked exact path
-        # skips re-scoring entirely — the merge alone must preserve identity.
+        # Minkowski's exact pairwise is row-exact: blocking and pooling alone
+        # must preserve identity on both precisions.
         distance = MinkowskiDistance(DIMENSION, order=1.0)
         reference = LinearScanIndex(collection).search_batch(queries, 12, distance, "exact")
         blocked = LinearScanIndex(collection, block_rows=300)
@@ -242,6 +244,132 @@ class TestBlockedScan:
         assert not view.owns(collection.vectors)
         assert view.centered32.dtype == np.float32
         assert view.centered32.shape == (300, DIMENSION)
+
+
+class TestPooledPass:
+    """The streamed pass pools candidates across blocks and re-scores them once.
+
+    Every case is byte-identical to :meth:`LinearScanIndex.search` and keeps
+    the kernel contract: one ``pairwise`` call per block.
+    """
+
+    @staticmethod
+    def _reference(collection, queries, k, distance=None, weights=None):
+        scan = LinearScanIndex(collection)
+        if weights is None:
+            return [scan.search(point, k, distance) for point in queries]
+        return [
+            scan.search(point, k, WeightedEuclideanDistance(point.shape[0], weights=weight))
+            for point, weight in zip(queries, weights)
+        ]
+
+    def test_far_to_near_order_keeps_the_pool_bounded(self, corpus, monkeypatch):
+        """Every block is nearer than the last: each one beats the carried cut.
+
+        Without re-deriving the thresholds the pool would grow to N × Q
+        entries.  Re-derived whenever it outgrows one block's entries, it
+        peaks below two blocks' entries and holds at most one block's once a
+        block is pooled.
+        """
+        block_rows, k = 128, 5
+        centre = corpus.vectors[0]
+        order = np.argsort(-np.linalg.norm(corpus.vectors - centre, axis=1), kind="stable")
+        collection = FeatureCollection(corpus.vectors[order])
+        rng = np.random.default_rng(4)
+        queries = centre + 1e-3 * rng.normal(size=(3, DIMENSION))
+        pooled, peaks = [], []
+        add, tighten = knn._StreamedScan.add, knn._StreamedScan._tighten
+
+        def spy_add(self, view):
+            add(self, view)
+            pooled.append(self.size)
+
+        def spy_tighten(self):
+            peaks.append(self.size)
+            tighten(self)
+
+        monkeypatch.setattr(knn._StreamedScan, "add", spy_add)
+        monkeypatch.setattr(knn._StreamedScan, "_tighten", spy_tighten)
+        precisions = _spy_precisions(monkeypatch, WeightedEuclideanDistance)
+        distance = WeightedEuclideanDistance(DIMENSION)
+        blocked = LinearScanIndex(collection, block_rows=block_rows)
+        assert blocked.search_batch(queries, k, distance) == self._reference(collection, queries, k, distance)
+        n_blocks = -(-N_VECTORS // block_rows)
+        assert precisions == ["fast"] * n_blocks
+        limit = block_rows * queries.shape[0]
+        assert len(pooled) == n_blocks and max(pooled) <= limit
+        # The order really is adversarial: the pool outgrows a block's
+        # entries every other block, and is cut back each time.
+        assert len(peaks) >= n_blocks // 2
+        assert limit < max(peaks) <= 2 * limit
+
+    def test_k_larger_than_the_first_block(self, collection, queries, monkeypatch):
+        precisions = _spy_precisions(monkeypatch, WeightedEuclideanDistance)
+        distance = WeightedEuclideanDistance(DIMENSION)
+        blocked = LinearScanIndex(collection, block_rows=16)
+        assert blocked.search_batch(queries, 40, distance) == self._reference(collection, queries, 40, distance)
+        assert len(precisions) == -(-N_VECTORS // 16)
+
+    @pytest.mark.parametrize("precision", ["exact", "fast"])
+    def test_exact_ties_split_across_a_block_boundary(self, collection, precision):
+        """Eight copies of one row straddle the boundary and the k-th rank."""
+        vectors = collection.vectors.copy()
+        vectors[96:104] = vectors[500]
+        tied = FeatureCollection(vectors)
+        queries = vectors[[500, 7]] + 1e-4
+        blocked = LinearScanIndex(tied, block_rows=100)
+        for distance in (WeightedEuclideanDistance(DIMENSION), MinkowskiDistance(DIMENSION, order=1.0)):
+            for k in (4, 9):
+                expected = self._reference(tied, queries, k, distance)
+                assert blocked.search_batch(queries, k, distance, precision) == expected
+        assert set(expected[0].indices()[:8]) == {96, 97, 98, 99, 100, 101, 102, 103}
+
+    @pytest.mark.parametrize("precision", ["exact", "fast"])
+    def test_per_row_weights_over_several_blocks(self, collection, queries, precision, monkeypatch):
+        rng = np.random.default_rng(8)
+        deltas = 0.02 * rng.normal(size=queries.shape)
+        weights = rng.random(queries.shape) + 0.05
+        engine = RetrievalEngine(collection)
+        engine._scan = LinearScanIndex(collection, block_rows=150)
+        calls = []
+        kernel = knn.pairwise_per_query_weights
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs["precision"])
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(knn, "pairwise_per_query_weights", spy)
+        results = engine.search_batch_with_parameters(queries, 11, deltas, weights, precision)
+        assert results == self._reference(collection, queries + deltas, 11, weights=weights)
+        assert calls == [precision] * -(-N_VECTORS // 150)
+
+    def test_a_subclass_is_re_scored_through_its_own_distances_to(self, collection, queries):
+        """Only the exact weighted Euclidean type skips distances_to on re-scoring."""
+
+        class Halved(WeightedEuclideanDistance):
+            def distances_to(self, query, points):
+                return 0.5 * super().distances_to(query, points)
+
+        distance = Halved(DIMENSION)
+        expected = self._reference(collection, queries, 7, distance)
+        for block_rows in (256, N_VECTORS):
+            scan = LinearScanIndex(collection, block_rows=block_rows)
+            assert scan.search_batch(queries, 7, distance) == expected
+
+    @pytest.mark.parametrize("max_rows", [0, 2, 500, 1100])
+    def test_budgeted_prefix_is_the_exact_answer_over_the_prefix(self, collection, queries, max_rows):
+        """A clamped scan answers exactly over the rows it was granted."""
+        n_queries = queries.shape[0]
+        budget = Budget(max_rows=max_rows * n_queries)
+        distance = WeightedEuclideanDistance(DIMENSION)
+        results = LinearScanIndex(collection, block_rows=256).search_batch(queries, 7, distance, budget=budget)
+        scanned = budget.coverage().rows_scanned // n_queries
+        assert scanned == max_rows
+        if not scanned:
+            assert all(len(result) == 0 for result in results)
+            return
+        prefix = FeatureCollection(collection.vectors[:scanned])
+        assert results == self._reference(prefix, queries, 7, distance)
 
 
 class TestShardedPrecision:

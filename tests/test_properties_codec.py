@@ -143,6 +143,42 @@ def test_the_seed_messages_round_trip():
         assert BINARY.encode(BINARY.decode(encoded)) == encoded, message
 
 
+#: Array-header dtype strings: what the encoder writes, and the aliases,
+#: structured, sub-array and void spellings numpy would also parse.
+_DTYPE_TEXTS = st.one_of(
+    st.sampled_from(
+        ["<f8", "<f4", "<i8", "|u1", "|b1", "<c16", ">f8", "<U2", "|S3", "<M8[ns]", "|V4"]
+        + ["(2,)<f8", "(1,)<i8", "f8,i4", "<f8,<i4", "V4", "a", "f8", "=f8", "|O", "O"]
+    ),
+    st.text(alphabet="<>|=()[],:0123456789abfiucOSUVMm", max_size=10),
+)
+
+
+@st.composite
+def array_payloads(draw):
+    """An array payload: header dtype string, shape and a byte count that often fits."""
+    text = draw(_DTYPE_TEXTS)
+    shape = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+    nbytes = math.prod(shape) * draw(st.sampled_from([1, 2, 3, 4, 8, 16]))
+    header = bytes([len(text)]) + text.encode("ascii") + bytes([len(shape)])
+    dims = b"".join(struct.pack(">I", dim) for dim in shape)
+    return text, shape, b"a" + header + dims + struct.pack(">Q", nbytes) + bytes(nbytes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(array_payloads())
+@example(("(2,)<f8", (1,), b"a\x07(2,)<f8\x01\x00\x00\x00\x01" + struct.pack(">Q", 16) + bytes(16)))
+def test_decoded_arrays_have_exactly_the_header_shape_and_dtype(case):
+    text, shape, payload = case
+    try:
+        value = BINARY.decode(payload)
+    except CodecError:
+        return
+    assert isinstance(value, np.ndarray)
+    assert value.shape == shape
+    assert value.dtype.str == text
+
+
 _names = st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=255)
 hellos = st.one_of(
     st.binary(max_size=64),

@@ -13,6 +13,7 @@ both front ends send verbatim.
 import math
 import pickle
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -246,6 +247,21 @@ class TestDecodeFailures:
         payload = b"a" + bytes([len(dtype)]) + dtype + b"\x00" + struct.pack(">Q", 0)
         with pytest.raises(CodecError, match="malformed"):
             BINARY.decode(payload)
+
+    def test_a_sub_array_dtype_cannot_reshape_the_array(self):
+        # "(2,)<f8" parses as a float64 sub-array: a (1,)-shaped header with
+        # 16 bytes used to decode to shape (1, 2).
+        payload = b"a\x07(2,)<f8\x01" + struct.pack(">I", 1) + struct.pack(">Q", 16) + bytes(16)
+        with pytest.raises(CodecError, match="not a plain dtype"):
+            BINARY.decode(payload)
+
+    @pytest.mark.parametrize("dtype", [b"f8,i4", b"V4", b"a", b"=f8", b"|O", b"<f8 "])
+    def test_only_canonical_plain_dtype_strings_decode(self, dtype):
+        payload = b"a" + bytes([len(dtype)]) + dtype + b"\x01" + struct.pack(">I", 0) + struct.pack(">Q", 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the alias "a" used to warn first
+            with pytest.raises(CodecError, match="not a plain dtype"):
+                BINARY.decode(payload)
 
     def test_the_shape_rewrite_is_faithful(self):
         array = np.arange(6.0)
