@@ -15,6 +15,8 @@ streams the float32 centred matrix once and nothing else corpus-sized.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from repro.utils.validation import ValidationError, as_float_matrix, as_float_vector
@@ -67,8 +69,9 @@ class CorpusWorkspace:
     matrix it was built from (:meth:`owns` lets a kernel verify it was
     handed the workspace of the very matrix it is scanning).  Everything in
     here is a pure function of the matrix bits, so two processes attaching
-    the same shared-memory corpus build bit-identical workspaces, and a rare
-    concurrent double-build of a lazy term is harmless.
+    the same shared-memory corpus build bit-identical workspaces.  Each lazy
+    term is built once: concurrent first readers wait on one workspace lock,
+    held only while a term is being filled, and all get the same array.
 
     :meth:`block` hands out row-range views for the blocked scans: a view
     shares every array's memory with this workspace (no corpus-sized copy
@@ -84,6 +87,7 @@ class CorpusWorkspace:
         "_centered32",
         "_centered_squared32",
         "_norms",
+        "_fill_lock",
     )
 
     def __init__(self, matrix: np.ndarray) -> None:
@@ -98,36 +102,45 @@ class CorpusWorkspace:
         self._centered32: np.ndarray | None = None
         self._centered_squared32: np.ndarray | None = None
         self._norms: dict[bytes, np.ndarray] = {}
+        # Re-entrant: a fill may read another lazy term (the squares read
+        # the centred matrix they square).
+        self._fill_lock = threading.RLock()
+
+    def _filled(self, slot: str, build) -> np.ndarray:
+        """The lazy term in ``slot``, built by ``build()`` on its first read only."""
+        value = getattr(self, slot)
+        if value is None:
+            with self._fill_lock:
+                value = getattr(self, slot)
+                if value is None:
+                    value = _frozen(build())
+                    setattr(self, slot, value)
+        return value
 
     @property
     def centered(self) -> np.ndarray:
         """Float64 centred matrix ``matrix - mean`` (lazy, cached, read-only)."""
-        if self._centered is None:
-            self._centered = _frozen(self.matrix - self.mean)
-        return self._centered
+        return self._filled("_centered", lambda: self.matrix - self.mean)
 
     @property
     def centered_squared(self) -> np.ndarray:
         """Element-wise squares of :attr:`centered` (lazy, cached, read-only)."""
-        if self._centered_squared is None:
-            self._centered_squared = _frozen(self.centered * self.centered)
-        return self._centered_squared
+        return self._filled("_centered_squared", lambda: self.centered * self.centered)
 
     @property
     def centered32(self) -> np.ndarray:
         """Float32 centred matrix, computed in float64 (lazy, cached, read-only)."""
-        if self._centered32 is None:
+
+        def build():
             mirror = np.empty(self.matrix.shape, dtype=np.float32)
-            np.subtract(self.matrix, self.mean, out=mirror, casting="same_kind")
-            self._centered32 = _frozen(mirror)
-        return self._centered32
+            return np.subtract(self.matrix, self.mean, out=mirror, casting="same_kind")
+
+        return self._filled("_centered32", build)
 
     @property
     def centered_squared32(self) -> np.ndarray:
         """Element-wise squares of :attr:`centered32`, computed in float32."""
-        if self._centered_squared32 is None:
-            self._centered_squared32 = _frozen(np.square(self.centered32))
-        return self._centered_squared32
+        return self._filled("_centered_squared32", lambda: np.square(self.centered32))
 
     def point_norms(self, form: np.ndarray) -> np.ndarray:
         """``Σ_d w_d·c_jd²`` (weight vector) or ``c_jᵀ·W·c_j`` (``(D, D)`` form) per row.
@@ -138,15 +151,21 @@ class CorpusWorkspace:
         """
         key = form.tobytes()
         norms = self._norms.get(key)
-        if norms is None:
-            norms = np.empty(self.matrix.shape[0], dtype=np.float32)
-            for start in range(0, norms.shape[0], _NORM_BLOCK_ROWS):
-                centered = self.matrix[start : start + _NORM_BLOCK_ROWS] - self.mean
-                product = centered @ form if form.ndim == 2 else centered * form
-                norms[start : start + centered.shape[0]] = np.einsum("ij,ij->i", product, centered)
-            if len(self._norms) >= MAX_CACHED_NORMS:
-                self._norms.pop(list(self._norms)[0], None)
-            self._norms[key] = norms = _frozen(norms)
+        if norms is not None:
+            return norms
+        with self._fill_lock:
+            norms = self._norms.get(key)
+            if norms is None:
+                norms = np.empty(self.matrix.shape[0], dtype=np.float32)
+                for start in range(0, norms.shape[0], _NORM_BLOCK_ROWS):
+                    centered = self.matrix[start : start + _NORM_BLOCK_ROWS] - self.mean
+                    product = centered @ form if form.ndim == 2 else centered * form
+                    norms[start : start + centered.shape[0]] = np.einsum(
+                        "ij,ij->i", product, centered
+                    )
+                if len(self._norms) >= MAX_CACHED_NORMS:
+                    self._norms.pop(list(self._norms)[0], None)
+                self._norms[key] = norms = _frozen(norms)
         return norms
 
     def owns(self, points: np.ndarray) -> bool:
@@ -234,6 +253,7 @@ class FeatureCollection:
         self._vectors = vectors
         self._vectors.setflags(write=False)
         self._workspace: CorpusWorkspace | None = None
+        self._workspace_lock = threading.Lock()
         if labels is None:
             self._labels: tuple[str, ...] | None = None
             self._labels_array: np.ndarray | None = None
@@ -299,12 +319,14 @@ class FeatureCollection:
         weights, and no float64 copy of the corpus at all.  The batch k-NN
         paths hand it to
         :meth:`~repro.distances.base.DistanceFunction.pairwise` so the
-        corpus-side terms are never recomputed per query batch.  Its content
-        is a deterministic function of the matrix, so a rare concurrent
-        double-build is harmless.
+        corpus-side terms are never recomputed per query batch.  Concurrent
+        first readers build it once and share it, so its lazy terms are
+        filled once too.
         """
         if self._workspace is None:
-            self._workspace = CorpusWorkspace(self._vectors)
+            with self._workspace_lock:
+                if self._workspace is None:
+                    self._workspace = CorpusWorkspace(self._vectors)
         return self._workspace
 
     @property
@@ -373,10 +395,12 @@ class FeatureCollection:
         # (spawn-safety: collections must cross process boundaries cheaply).
         state = self.__dict__.copy()
         state["_workspace"] = None
+        del state["_workspace_lock"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+        self._workspace_lock = threading.Lock()
         # Writability flags do not survive pickling; restore immutability.
         self._vectors.setflags(write=False)
         if self._labels_array is not None:

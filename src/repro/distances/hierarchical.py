@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.distances.base import DistanceFunction
+from repro.distances.base import DistanceFunction, check_precision
 from repro.distances.weighted_euclidean import WeightedEuclideanDistance
 from repro.utils.validation import ValidationError, as_float_vector
 
@@ -163,7 +163,7 @@ class HierarchicalDistance(DistanceFunction):
             totals += weight * sub.distances_to(query[group.slice()], points[:, group.slice()])
         return totals
 
-    def pairwise(self, queries, points, *, workspace=None) -> np.ndarray:
+    def pairwise(self, queries, points, *, workspace=None, precision: str = "exact") -> np.ndarray:
         """Matrix form: the weighted sum of the per-feature pairwise matrices.
 
         The loop over feature groups is inherent to the model (each group has
@@ -171,7 +171,11 @@ class HierarchicalDistance(DistanceFunction):
         vectorised weighted-Euclidean matrix form.  The corpus workspace is
         built for the full-width matrix, not the per-group column slices the
         sub-distances see, so it cannot be threaded through and is ignored.
+        A sum of roots has no monotone float32 natural scale, so ``"fast"``
+        is served by the exact float64 form (the family has no
+        :meth:`term_bound`, so the scan never asks for it).
         """
+        check_precision(precision)
         queries = self._validate_points(queries, name="queries")
         points = self._validate_points(points)
         totals = np.zeros((queries.shape[0], points.shape[0]), dtype=np.float64)

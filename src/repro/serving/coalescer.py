@@ -10,10 +10,10 @@ This module closes that gap with two coalescers:
   queries.  Concurrent submissions are admitted into one open window per
   ``(kind, k)`` group and the window dispatches as a single
   ``search_batch`` / ``search_batch_with_parameters`` engine call; batching
-  emerges from *backpressure* (while one dispatch runs, arrivals gather
-  into the next window — continuous batching, no deliberate delay), with
-  ``max_batch`` capping a window and ``max_wait`` optionally holding one
-  open to grow it.
+  emerges from *backpressure* (while every dispatch slot of the group is
+  busy, arrivals gather into the next window — continuous batching, no
+  deliberate delay), with ``max_batch`` capping a window and ``max_wait``
+  optionally holding one open to grow it.
 * :class:`FrontierCoalescer` — a shared
   :class:`~repro.feedback.scheduler.FeedbackFrontier` for relevance-feedback
   loops.  Loop requests from any number of connections are admitted into
@@ -34,6 +34,7 @@ both directions.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
@@ -45,6 +46,14 @@ from repro.feedback.scheduler import FeedbackFrontier, LoopRequest
 from repro.utils.validation import ValidationError, check_dimension
 
 __all__ = ["RequestCoalescer", "FrontierCoalescer"]
+
+
+def _dispatch_slots() -> int:
+    """Engine calls one group may run at once: one per CPU this process may use."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
 
 
 class _PendingRows:
@@ -65,25 +74,29 @@ class _PendingRows:
 
 
 class _Window:
-    """One micro-batch in the making: the submissions of a ``(kind, k)`` group."""
+    """One micro-batch in the making: the submissions of a ``(kind, k)`` group.
 
-    __slots__ = ("requests", "rows", "filled", "closed")
+    ``sealed`` is set once a gather on the window is pointless: it is full,
+    or a slot holder has taken it for dispatch (``closed``).
+    """
+
+    __slots__ = ("requests", "rows", "sealed", "closed")
 
     def __init__(self) -> None:
         self.requests: "list[_PendingRows]" = []
         self.rows = 0
-        self.filled = threading.Event()
+        self.sealed = threading.Event()
         self.closed = False
 
 
 class _GroupState:
-    """Per-``(kind, k)`` coalescing state: the window queue and the dispatch turn."""
+    """Per-``(kind, k)`` coalescing state: the window queue and the dispatch slots."""
 
-    __slots__ = ("windows", "turn")
+    __slots__ = ("windows", "slots")
 
-    def __init__(self) -> None:
+    def __init__(self, n_slots: int) -> None:
         self.windows: "list[_Window]" = []
-        self.turn = threading.Lock()
+        self.slots = threading.BoundedSemaphore(n_slots)
 
 
 class RequestCoalescer:
@@ -100,8 +113,8 @@ class RequestCoalescer:
     max_batch:
         Row cap of one window: a window holding this many rows is sealed
         and later arrivals open the next one.  ``1`` disables coalescing —
-        every submission is its own engine call (serial per-connection
-        dispatch).
+        every submission is its own engine call (per-connection dispatch,
+        up to one call per core at once).
     max_wait:
         Optional extra gather time (seconds).  ``0.0`` (default) is pure
         **continuous batching**: nobody ever waits on a clock — a lone
@@ -123,13 +136,17 @@ class RequestCoalescer:
     per-query ``(Δ, W)`` searches with equal ``k`` into one
     ``search_batch_with_parameters`` call — because only same-``k``
     requests can share a dispatch without changing anyone's result shape.
-    Each group has a single **dispatch turn** (a lock): every submitter
-    queues for it, and whoever holds it dispatches the oldest sealed-or-
-    current window whole.  While a dispatch is running the turn is taken,
-    so concurrent arrivals pile into the next window and ride one shared
-    engine call — under load the window size converges to the number of
-    concurrently waiting connections, with zero added latency when the
-    server is idle.
+    Each group has one **dispatch slot per CPU** the process may run on
+    (read once per coalescer from the affinity mask): every submitter
+    queues for a slot, and a holder dispatches the oldest window whole —
+    or, if another holder already took its own window, releases the slot
+    and waits for that dispatch.  Up to that many windows of one group run
+    at once, so independent connections' scans use every core; while all
+    slots are busy, concurrent arrivals pile into the next window and ride
+    one shared engine call — under load the window size converges to the
+    number of connections waiting beyond the slots, with zero added
+    latency when the server is idle.  One CPU means one slot: every
+    dispatch of a group runs alone.
     """
 
     #: Default gather time (seconds) a *lone* submitter still concedes
@@ -158,6 +175,7 @@ class RequestCoalescer:
         self._solo_grace = self.SOLO_GRACE if solo_grace is None else float(solo_grace)
         if self._solo_grace < 0:
             raise ValidationError("solo_grace must be non-negative")
+        self._n_slots = _dispatch_slots()
         self._lock = threading.Lock()
         self._groups: "dict[tuple, _GroupState]" = {}
         # Stats (under the same lock): how much sharing actually happened.
@@ -256,7 +274,7 @@ class RequestCoalescer:
             self._n_rows += n_rows
             group = self._groups.get(key)
             if group is None:
-                group = self._groups[key] = _GroupState()
+                group = self._groups[key] = _GroupState(self._n_slots)
             window = group.windows[-1] if group.windows else None
             if window is None or window.closed or window.rows >= self._max_batch:
                 window = _Window()
@@ -264,17 +282,21 @@ class RequestCoalescer:
             window.requests.append(pending)
             window.rows += n_rows
             if window.rows >= self._max_batch:
-                window.filled.set()
+                window.sealed.set()
 
-        # Queue for the group's dispatch turn.  Whoever holds it works the
-        # window queue oldest-first until its own rows have been answered —
-        # usually one dispatch, occasionally an older window first.
-        with group.turn:
-            while not pending.event.is_set():
+        # Queue for one of the group's dispatch slots.  A holder works the
+        # window queue oldest-first until its own window has been taken —
+        # usually by itself in one dispatch, occasionally after an older
+        # window.  If another holder took it, that holder answers these
+        # rows: the slot is released and the wait is on the own event.
+        with group.slots:
+            while True:
+                with self._lock:
+                    if window.closed:
+                        break
+                    current = group.windows[0]
+                    alone = self._is_solo(group, current, pending)
                 if self._max_wait > 0:
-                    with self._lock:
-                        current = group.windows[0]
-                        alone = self._is_solo(group, current, pending)
                     if current.rows < self._max_batch:
                         if alone:
                             # Solo fast path: this submitter is alone in the
@@ -289,7 +311,7 @@ class RequestCoalescer:
                             # arriving after that still coalesces: they
                             # either join the window before it is popped
                             # below or pile into the next one.
-                            current.filled.wait(
+                            current.sealed.wait(
                                 timeout=min(self._solo_grace, self._max_wait)
                             )
                             with self._lock:
@@ -299,12 +321,17 @@ class RequestCoalescer:
                         if not alone and current.rows < self._max_batch:
                             # Optional gather: hold the window open briefly
                             # so sparse arrivals can still share the dispatch
-                            # (cut short the moment it fills).
-                            current.filled.wait(timeout=self._max_wait)
+                            # (cut short the moment it fills or another
+                            # holder takes it).
+                            current.sealed.wait(timeout=self._max_wait)
                 with self._lock:
-                    window = group.windows.pop(0)
-                    window.closed = True
-                self._dispatch(window, batch.k)
+                    if current.closed:  # taken by another holder meanwhile
+                        continue
+                    group.windows.pop(0)
+                    current.closed = True
+                current.sealed.set()
+                self._dispatch(current, batch.k)
+        pending.event.wait()
         if pending.error is not None:
             raise pending.error
         return pending.results

@@ -88,12 +88,12 @@ class ServerConfig:
         port — read the real one from :attr:`RetrievalServer.address`.
     max_batch, max_wait:
         The micro-batch window of the request coalescer: ``max_batch``
-        caps a window's rows (``1`` disables coalescing — the serial
-        per-connection baseline), ``max_wait`` optionally holds a
-        not-yet-full window open to grow it (``0.0``, the default, is pure
-        continuous batching: no deliberate delay, sharing comes from
-        backpressure).  ``max_wait`` also paces the frontier coalescer's
-        admission window.
+        caps a window's rows (``1`` disables coalescing — per-connection
+        dispatch, up to one engine call per core at once), ``max_wait``
+        optionally holds a not-yet-full window open to grow it (``0.0``,
+        the default, is pure continuous batching: no deliberate delay,
+        sharing comes from backpressure once every dispatch slot is busy).
+        ``max_wait`` also paces the frontier coalescer's admission window.
     solo_grace:
         Gather time (seconds) a *lone* submitter still concedes before
         dispatching solo when ``max_wait`` is on — the coalescer's solo

@@ -12,9 +12,12 @@ precisely what these totals would expose).
 
 Single-core machines still interleave threads at every GIL release (every
 NumPy call), so the determinism and counter assertions are meaningful
-regardless of the hardware's parallelism.
+regardless of the hardware's parallelism.  The request coalescer runs one
+dispatch slot per CPU the process may use, so the same suite covers its
+one-slot regime when pinned to one CPU (``taskset -c 0``).
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -28,6 +31,7 @@ from repro.database.sharding import ShardedEngine
 from repro.evaluation.simulated_user import SimulatedUser
 from repro.feedback.engine import FeedbackEngine
 from repro.feedback.scheduler import LoopRequest, LoopScheduler
+from repro.serving.coalescer import RequestCoalescer
 
 DIMENSION = 5
 SIZE = 160
@@ -218,3 +222,58 @@ class TestSchedulerStress:
             "scan_fallbacks",
         ):
             assert stats[counter] == 12 * per_run[counter], counter
+
+
+class TestCoalescerStress:
+    @pytest.mark.parametrize("max_wait", [0.0, 0.002])
+    def test_same_k_windows_on_every_slot_answer_every_row_exactly(self, collection, max_wait):
+        """More submitters than cores on one coalescer over a cold workspace.
+
+        Up to one window per dispatch slot runs at once while the rest
+        gather; every row must come back exactly once and byte-identical,
+        and the coalescer's totals must add up (a lost window or a lost
+        counter update breaks them).
+        """
+        fresh = FeatureCollection(collection.vectors)  # cold workspace
+        reference = RetrievalEngine(collection)
+        rng = np.random.default_rng(77)
+        deltas = rng.normal(0.0, 0.02, (8, DIMENSION))
+        weights = rng.random((8, DIMENSION)) + 0.2
+        n_threads = 8
+        expectations = {}
+        for thread_id in range(n_threads):
+            queries = _thread_queries(collection, thread_id)[: 1 + thread_id % 3]
+            n_rows = queries.shape[0]
+            expectations[thread_id] = (
+                queries,
+                reference.search_batch(queries, K),
+                reference.search_batch_with_parameters(
+                    queries, K, deltas[:n_rows], weights[:n_rows]
+                ),
+            )
+        coalescer = RequestCoalescer(RetrievalEngine(fresh), max_batch=4, max_wait=max_wait)
+
+        def submitter(thread_id: int):
+            queries, expected_plain, expected_parameterised = expectations[thread_id]
+            n_rows = queries.shape[0]
+            for _ in range(N_ROUNDS):
+                assert coalescer.submit_search(queries, K) == expected_plain
+                assert (
+                    coalescer.submit_search_with_parameters(
+                        queries, K, deltas[:n_rows], weights[:n_rows]
+                    )
+                    == expected_parameterised
+                )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            errors = _run_threads([lambda t=thread_id: submitter(t) for thread_id in range(n_threads)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        stats = coalescer.stats()
+        rows = N_ROUNDS * 2 * sum(expectations[t][0].shape[0] for t in range(n_threads))
+        assert stats["requests"] == N_ROUNDS * 2 * n_threads
+        assert stats["rows"] == stats["dispatched_rows"] == rows
+        assert stats["dispatches"] <= stats["requests"]

@@ -11,11 +11,15 @@ scales, offsets, duplicates and weights), the memory bound of the blocked
 scan, the per-query-weights batch path, and what a request reads.
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.database import collection as collection_module
 from repro.database import knn
 from repro.database.budget import Budget
 from repro.database.collection import FeatureCollection
@@ -23,6 +27,7 @@ from repro.database.engine import RetrievalEngine
 from repro.database.knn import DEFAULT_BLOCK_ROWS, LinearScanIndex
 from repro.database.sharding import ShardedEngine
 from repro.distances.base import check_precision
+from repro.distances.hierarchical import FeatureGroup, HierarchicalDistance
 from repro.distances.mahalanobis import MahalanobisDistance
 from repro.distances.minkowski import MinkowskiDistance
 from repro.distances.weighted_euclidean import WeightedEuclideanDistance
@@ -44,7 +49,20 @@ def distance_grid():
         ("cityblock", MinkowskiDistance(DIMENSION, order=1.0)),
         ("minkowski3", MinkowskiDistance(DIMENSION, order=3.0, weights=rng.random(DIMENSION) + 0.1)),
         ("mahalanobis", MahalanobisDistance(DIMENSION, matrix=np.eye(DIMENSION) + 0.2)),
+        (
+            "hierarchical",
+            HierarchicalDistance(
+                DIMENSION,
+                [FeatureGroup("colour", 0, 6), FeatureGroup("texture", 6, DIMENSION)],
+                feature_weights=[0.7, 1.3],
+                component_weights=rng.random(DIMENSION) + 0.1,
+            ),
+        ),
     ]
+
+
+#: Families without a float32 kernel: the scan runs them in float64 only.
+FLOAT64_ONLY = {"hierarchical"}
 
 
 def _spy_precisions(monkeypatch, distance_class) -> list:
@@ -87,10 +105,11 @@ class TestFastPrecisionIdentity:
     @pytest.mark.parametrize("name,distance", distance_grid(), ids=lambda v: v if isinstance(v, str) else "")
     def test_default_takes_the_float32_stage(self, collection, queries, name, distance, monkeypatch):
         precisions = _spy_precisions(monkeypatch, type(distance))
+        stage = "exact" if name in FLOAT64_ONLY else "fast"
         RetrievalEngine(collection).search_batch(queries, 5, distance)
-        assert precisions == ["fast"]
+        assert precisions == [stage]
         RetrievalEngine(collection).search_batch(queries, 5, distance, "exact")
-        assert precisions == ["fast", "exact"]
+        assert precisions == [stage, "exact"]
 
     def test_fast_matches_per_query_search_loop(self, collection, queries):
         engine = RetrievalEngine(collection)
@@ -147,6 +166,11 @@ class TestFastPrecisionIdentity:
             LinearScanIndex(collection).search_batch(queries, 5, engine.default_distance, "quick")
         with pytest.raises(ValidationError):
             check_precision("")
+
+    @pytest.mark.parametrize("name,distance", distance_grid(), ids=lambda v: v if isinstance(v, str) else "")
+    def test_every_kernel_checks_its_precision(self, collection, queries, name, distance):
+        with pytest.raises(ValidationError):
+            distance.pairwise(queries, collection.vectors, precision="quick")
 
     def test_fast_pairwise_matrix_is_float32_for_gram_kernels(self, collection, queries):
         distance = WeightedEuclideanDistance(DIMENSION)
@@ -567,3 +591,63 @@ class TestWhatARequestReads:
         for _, distance in distance_grid():
             with pytest.raises(ValidationError):
                 distance.pairwise(queries, poisoned, workspace=collection.workspace, precision=precision)
+
+
+def _touch_together(n_threads, touch) -> list:
+    """Run ``touch()`` on N threads released at once; their return values."""
+    barrier = threading.Barrier(n_threads)
+    seen = [None] * n_threads
+
+    def main(position):
+        barrier.wait()
+        seen[position] = touch()
+
+    threads = [threading.Thread(target=main, args=(i,)) for i in range(n_threads)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads), "a reader hung"
+    return seen
+
+
+class TestWorkspaceFills:
+    """Concurrent first reads of a lazy workspace term build it once."""
+
+    N_THREADS = 8
+
+    @pytest.mark.parametrize(
+        "member,fills",
+        [
+            ("centered32", 1),
+            ("centered", 1),
+            # The squares also fill the centred matrix they square.
+            ("centered_squared32", 2),
+            ("centered_squared", 2),
+            ("point_norms", 1),
+        ],
+    )
+    def test_concurrent_first_touches_fill_once(self, corpus, member, fills, monkeypatch):
+        workspace = FeatureCollection(corpus.vectors).workspace
+        frozen, filled = collection_module._frozen, []
+
+        def slow_frozen(array):
+            # Each fill ends here; the pause holds the race window open.
+            filled.append(array)
+            time.sleep(0.01)
+            return frozen(array)
+
+        monkeypatch.setattr(collection_module, "_frozen", slow_frozen)
+        weights = np.linspace(0.5, 1.5, DIMENSION)
+        if member == "point_norms":
+            seen = _touch_together(self.N_THREADS, lambda: workspace.point_norms(weights))
+        else:
+            seen = _touch_together(self.N_THREADS, lambda: getattr(workspace, member))
+        assert len(filled) == fills
+        assert all(value is seen[0] for value in seen)
+        assert not seen[0].flags.writeable
+
+    def test_concurrent_first_reads_share_one_workspace(self, corpus):
+        collection = FeatureCollection(corpus.vectors)
+        seen = _touch_together(self.N_THREADS, lambda: collection.workspace)
+        assert all(workspace is seen[0] for workspace in seen)

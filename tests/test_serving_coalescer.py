@@ -6,7 +6,9 @@ machinery; these tests pin their contracts directly:
 * a window of one (``max_batch=1``, or simply a lone caller) degenerates to
   direct engine dispatch — same results, one engine call per submission;
 * concurrent same-``k`` submissions merge into one dispatch, mixed-``k``
-  submissions never do;
+  submissions never do — whatever the number of dispatch slots;
+* with more than one slot, same-``k`` windows dispatch concurrently, and
+  arrivals while every slot is busy still share the next window;
 * validation fails on the submitting thread, dispatch failures propagate to
   every submitter that shared the window;
 * :meth:`~repro.feedback.scheduler.FeedbackFrontier.admit` composes with a
@@ -17,6 +19,7 @@ machinery; these tests pin their contracts directly:
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from repro.database.engine import RetrievalEngine
 from repro.evaluation.simulated_user import SimulatedUser
 from repro.feedback.engine import FeedbackEngine
 from repro.feedback.scheduler import FeedbackFrontier, LoopRequest
+from repro.serving import coalescer as coalescer_module
 from repro.serving.coalescer import FrontierCoalescer, RequestCoalescer
 from repro.utils.validation import ValidationError
 
@@ -40,6 +44,43 @@ def engine(tiny_collection) -> RetrievalEngine:
 def queries(tiny_collection) -> np.ndarray:
     rng = np.random.default_rng(4242)
     return rng.random((12, tiny_collection.dimension))
+
+
+@pytest.fixture(params=[1, 2, 4], ids=lambda n: f"{n}slots")
+def slots(request, monkeypatch) -> int:
+    """Every coalescer the test builds gets this many dispatch slots per group."""
+    monkeypatch.setattr(coalescer_module, "_dispatch_slots", lambda: request.param)
+    return request.param
+
+
+def wait_until(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.001)
+
+
+def start_thread(target, errors):
+    """Start ``target()`` on a thread; whatever it raises lands in ``errors``."""
+
+    def main():
+        try:
+            target()
+        except BaseException as error:  # noqa: BLE001 - surfaced by the test
+            errors.append(error)
+
+    thread = threading.Thread(target=main)
+    thread.start()
+    return thread
+
+
+def join_all(threads, errors):
+    """Join every thread (bounded) and re-raise the first error any raised."""
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads), "submitter hung"
+    if errors:
+        raise errors[0]
 
 
 def run_threads(n_threads, target):
@@ -110,6 +151,7 @@ class TestRequestCoalescerWindows:
         assert stats["dispatches"] == 1
         assert stats["solo_dispatches"] == 1
 
+    @pytest.mark.usefixtures("slots")
     def test_shared_dispatches_are_not_counted_solo(self, engine, queries):
         n_threads = 4
         coalescer = RequestCoalescer(engine, max_batch=n_threads, max_wait=5.0)
@@ -124,6 +166,7 @@ class TestRequestCoalescerWindows:
         assert stats["solo_dispatches"] < stats["dispatches"]
         assert stats["dispatched_rows"] == n_threads
 
+    @pytest.mark.usefixtures("slots")
     def test_concurrent_same_k_submissions_share_one_dispatch(self, engine, queries):
         """N same-k submissions released together ride one engine call."""
         n_threads = 4
@@ -144,6 +187,7 @@ class TestRequestCoalescerWindows:
         assert stats["dispatches"] == 1
         assert stats["largest_dispatch"] == n_threads
 
+    @pytest.mark.usefixtures("slots")
     def test_mixed_k_submissions_never_share(self, engine, queries):
         """Different k means different result shapes: separate dispatches."""
         coalescer = RequestCoalescer(engine, max_batch=8, max_wait=0.05)
@@ -164,6 +208,7 @@ class TestRequestCoalescerWindows:
         assert stats["dispatches"] >= 2
         assert stats["largest_dispatch"] <= 2
 
+    @pytest.mark.usefixtures("slots")
     def test_parameterised_submissions_coalesce(self, engine, queries):
         """(Δ, W) searches group by k and stack into one parameterised call."""
         n_threads = 3
@@ -204,6 +249,7 @@ class TestRequestCoalescerWindows:
             coalescer.submit_search(np.zeros((2, engine.collection.dimension)), 0)
         assert coalescer.stats()["dispatches"] == 0
 
+    @pytest.mark.usefixtures("slots")
     def test_dispatch_failure_propagates_to_every_submitter(self, tiny_collection, queries):
         class ExplodingEngine:
             collection = tiny_collection
@@ -223,6 +269,110 @@ class TestRequestCoalescerWindows:
 
         run_threads(n_threads, submit)
         assert failures == ["engine down"] * n_threads
+
+
+class MeetingEngine:
+    """Answers ``search_batch`` only once two calls are inside it at once."""
+
+    def __init__(self, engine) -> None:
+        self.collection = engine.collection
+        self.engine = engine
+        self.barrier = threading.Barrier(2, timeout=5)
+
+    def search_batch(self, points, k, distance=None):
+        self.barrier.wait()
+        return self.engine.search_batch(points, k)
+
+
+class TestDispatchSlots:
+    """One dispatch slot per CPU: same-``k`` windows run side by side."""
+
+    def test_there_is_at_least_one_slot(self):
+        assert coalescer_module._dispatch_slots() >= 1
+
+    def test_two_slots_dispatch_same_k_windows_concurrently(self, engine, queries, monkeypatch):
+        """The second submission reaches the engine while the first is inside it."""
+        monkeypatch.setattr(coalescer_module, "_dispatch_slots", lambda: 2)
+        meeting = MeetingEngine(engine)
+        coalescer = RequestCoalescer(meeting, max_batch=64)
+        results, errors = {}, []
+
+        def submit(position):
+            return lambda: results.__setitem__(
+                position, coalescer.submit_search(queries[position : position + 1], K)
+            )
+
+        first = start_thread(submit(0), errors)
+        wait_until(lambda: meeting.barrier.n_waiting == 1)
+        second = start_thread(submit(1), errors)
+        join_all([first, second], errors)
+        assert results[0] + results[1] == engine.search_batch(queries[:2], K)
+        assert coalescer.stats()["dispatches"] == 2
+
+    def test_a_holder_whose_window_was_taken_frees_its_slot(self, engine, queries, monkeypatch):
+        """``max_wait > 0``: the holder that lost its window to a peer steps aside.
+
+        A and B share the first window, so one of them dispatches it and the
+        other finds it taken.  That one must release its slot at once — C's
+        full window can only meet A/B's dispatch at the barrier through it.
+        """
+        monkeypatch.setattr(coalescer_module, "_dispatch_slots", lambda: 2)
+        meeting = MeetingEngine(engine)
+        coalescer = RequestCoalescer(meeting, max_batch=2, max_wait=5.0, solo_grace=5.0)
+        results, errors = {}, []
+
+        def submit(start, stop):
+            return lambda: results.__setitem__(
+                start, coalescer.submit_search(queries[start:stop], K)
+            )
+
+        sharing = [start_thread(submit(0, 1), errors), start_thread(submit(1, 2), errors)]
+        wait_until(lambda: meeting.barrier.n_waiting == 1)
+        full = start_thread(submit(2, 4), errors)
+        join_all(sharing + [full], errors)
+        assert results[0] + results[1] + results[2] == engine.search_batch(queries[:4], K)
+        stats = coalescer.stats()
+        assert stats["dispatches"] == 2
+        assert stats["largest_dispatch"] == 2
+
+    def test_arrivals_beyond_the_slots_share_the_next_window(self, slots, engine, queries):
+        """Every slot busy: later submitters pile into one window and one call."""
+        gate = threading.Event()
+        entered = threading.Semaphore(0)
+        rows_per_call = []
+
+        class GatedEngine:
+            collection = engine.collection
+
+            def search_batch(self, points, k, distance=None):
+                rows_per_call.append(points.shape[0])
+                entered.release()
+                gate.wait(timeout=5)
+                return engine.search_batch(points, k)
+
+        coalescer = RequestCoalescer(GatedEngine(), max_batch=64)
+        results, errors, threads = {}, [], []
+
+        def submit(position):
+            return lambda: results.__setitem__(
+                position, coalescer.submit_search(queries[position : position + 1], K)
+            )
+
+        for position in range(slots):
+            threads.append(start_thread(submit(position), errors))
+            assert entered.acquire(timeout=5)
+        n_late = 3
+        for position in range(slots, slots + n_late):
+            threads.append(start_thread(submit(position), errors))
+        wait_until(lambda: coalescer.stats()["requests"] == slots + n_late)
+        gate.set()
+        join_all(threads, errors)
+        reference = engine.search_batch(queries[: slots + n_late], K)
+        assert [results[position][0] for position in range(slots + n_late)] == reference
+        assert rows_per_call == [1] * slots + [n_late]
+        stats = coalescer.stats()
+        assert stats["dispatches"] == slots + 1
+        assert stats["largest_dispatch"] == n_late
 
 
 class TestSoloGrace:
@@ -262,6 +412,7 @@ class TestSoloGrace:
         assert result == reference
         assert elapsed < 1.0
 
+    @pytest.mark.usefixtures("slots")
     def test_grace_still_coalesces_concurrent_arrivals(self, engine, queries):
         """A generous grace lets near-simultaneous submitters share dispatches."""
         n_threads = 4
