@@ -70,46 +70,36 @@ additionally models *simultaneous arrival* (see below):
   *shares* a dispatch, never what anyone gets back: served answers are
   byte-identical to calling the engine directly.
 
-Performance guide: picking an execution backend
-------------------------------------------------
+Performance guide: the plain scan first
+---------------------------------------
 
-The sharded serving layer (:class:`~repro.database.sharding.ShardedEngine`)
-is the one place work is spread over workers — a frontier scheduler or a
-server running on it gets parallelism from its shard fan-out.  It fans
-per-shard work out over one of two backends; both return byte-identical
-results, so the choice is purely a deployment knob:
-
-* ``backend="thread"`` (default) — zero setup cost, shares the corpus in
-  place.  NumPy releases the GIL inside the distance kernels, so threads
-  scale well for moderate worker counts — until the Python-side dispatch
-  and merge (which hold the GIL) become the bottleneck.  Prefer it for
-  small corpora, short-lived engines, and anything interactive.
-* ``backend="process"`` — hosts each shard's vectors in
-  :mod:`multiprocessing.shared_memory`
-  (:class:`~repro.database.sharding.SharedCorpus`): worker processes attach
-  the same physical pages once (N workers cost one corpus in memory, not
-  N), and per-query traffic is small pickles of query batches and top-k
-  lists.  The scan then runs on independent interpreters, so scan-heavy
-  shards on big corpora keep scaling where threads flatten out.  Costs:
-  process spawn plus one corpus copy at engine construction (amortised over
-  a serving lifetime), pickle/pipe overhead per batch (amortised over batch
-  size), and picklability requirements (``index_factory`` must be a
-  module-level function, not a lambda).
-
-Caveats worth knowing: **cores bound everything** — on a 1-core box
-neither backend can beat the serial scan (``python3 -m bench --trace 1``
-reports the serial, thread and process batch times side by side); **pin
-BLAS threads** to one per worker when benchmarking or deploying
-multi-worker scans (``OMP_NUM_THREADS=1`` etc., see the repository's root
-``conftest.py``), otherwise N workers × M BLAS threads thrash the same
-cores; and **close what you open** — process-backend engines hold
-worker processes and a shared-memory segment, so use the
-context manager or ``close()`` (a ``weakref`` finalizer backstops leaked
-segments, but deterministic teardown is the contract).  Distance kernels
-additionally read their corpus-side terms from the per-collection
+Start from a plain :class:`~repro.database.engine.RetrievalEngine`: its
+default scan (float32 candidates, one exact float64 re-score) is the
+fastest path measured on every corpus the benchmarks run.  Distance
+kernels read their corpus-side terms from the per-collection
 :class:`~repro.database.collection.CorpusWorkspace`, so the per-batch scan
-cost is query-sized work plus one BLAS product — nothing corpus-sized is
-recomputed per batch on any backend.
+cost is query-sized work plus one BLAS product per block — nothing
+corpus-sized is recomputed per batch.
+
+:class:`~repro.database.sharding.ShardedEngine` splits one batch across
+shards, on threads (``backend="thread"``, the default) or on worker
+processes attached to one shared-memory corpus (``backend="process"``).
+Both return byte-identical results, but neither has been measured beating
+the unsharded scan beyond run-to-run noise: on two cores the scan of a
+200,000 × 64 corpus is bound by memory bandwidth, and the process backend
+adds about half a second of setup (``python3 -m bench --trace 1`` reports
+the serial, thread and process batch times side by side).  What does
+scale with cores is running *different* requests at once: the serving
+layer's coalescer gives each group one dispatch slot per core (see
+``docs/performance.md``).
+
+Caveats worth knowing: **pin BLAS threads** to one per worker when
+benchmarking or deploying multi-worker scans (``OMP_NUM_THREADS=1`` etc.,
+see the repository's root ``conftest.py``), otherwise N workers × M BLAS
+threads thrash the same cores; and **close what you open** —
+process-backend engines hold worker processes and a shared-memory segment,
+so use the context manager or ``close()`` (a ``weakref`` finalizer
+backstops leaked segments, but deterministic teardown is the contract).
 
 One level up, the **serving layer** turns those knobs into a deployment:
 front any engine (including a process-backend
@@ -264,8 +254,6 @@ from repro.database import (
     WorkerPool,
 )
 from repro.distances import (
-    HierarchicalDistance,
-    MahalanobisDistance,
     MinkowskiDistance,
     WeightedEuclideanDistance,
 )
@@ -316,8 +304,6 @@ __all__ = [
     "ShardedEngine",
     "VPTreeIndex",
     "WorkerPool",
-    "HierarchicalDistance",
-    "MahalanobisDistance",
     "MinkowskiDistance",
     "WeightedEuclideanDistance",
     "ImageDataset",

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.utils.validation import ValidationError, as_float_matrix, as_float_vector
 
-#: Weight vectors / forms whose point norms a workspace keeps (oldest out first).
+#: Weight vectors whose point norms a workspace keeps (oldest out first).
 MAX_CACHED_NORMS = 8
 
 #: Corpus rows per step when the float64 point norms are computed.
@@ -53,9 +53,9 @@ class CorpusWorkspace:
         streaming pass with no float64 temporary): the right-hand side of
         every float32 candidate product.
     :meth:`point_norms`
-        ``Σ c_j·form·c_j`` per centred row for a weight vector or quadratic
-        form, computed in float64 and stored float32, kept for the last
-        :data:`MAX_CACHED_NORMS` forms — a request under a known distance
+        ``Σ_d w_d·c_jd²`` per centred row for a weight vector, computed in
+        float64 and stored float32, kept for the last
+        :data:`MAX_CACHED_NORMS` weight vectors — a request under known weights
         reads no corpus-sized term but :attr:`centered32`.
     ``centered_squared32``
         Float32 squares of :attr:`centered32` (lazy): only the
@@ -142,14 +142,14 @@ class CorpusWorkspace:
         """Element-wise squares of :attr:`centered32`, computed in float32."""
         return self._filled("_centered_squared32", lambda: np.square(self.centered32))
 
-    def point_norms(self, form: np.ndarray) -> np.ndarray:
-        """``Σ_d w_d·c_jd²`` (weight vector) or ``c_jᵀ·W·c_j`` (``(D, D)`` form) per row.
+    def point_norms(self, weights: np.ndarray) -> np.ndarray:
+        """``Σ_d w_d·c_jd²`` per row, ``c_j`` the centred row.
 
-        ``c_j`` is the centred row.  Computed in float64 a few thousand rows
-        at a time, stored float32, and cached by the form's bytes for the
-        last :data:`MAX_CACHED_NORMS` forms.
+        Computed in float64 a few thousand rows at a time, stored float32,
+        and cached by the weights' bytes for the last
+        :data:`MAX_CACHED_NORMS` weight vectors.
         """
-        key = form.tobytes()
+        key = weights.tobytes()
         norms = self._norms.get(key)
         if norms is not None:
             return norms
@@ -159,9 +159,8 @@ class CorpusWorkspace:
                 norms = np.empty(self.matrix.shape[0], dtype=np.float32)
                 for start in range(0, norms.shape[0], _NORM_BLOCK_ROWS):
                     centered = self.matrix[start : start + _NORM_BLOCK_ROWS] - self.mean
-                    product = centered @ form if form.ndim == 2 else centered * form
                     norms[start : start + centered.shape[0]] = np.einsum(
-                        "ij,ij->i", product, centered
+                        "ij,ij->i", centered * weights, centered
                     )
                 if len(self._norms) >= MAX_CACHED_NORMS:
                     self._norms.pop(list(self._norms)[0], None)
@@ -224,8 +223,8 @@ class CorpusBlockView:
     def centered_squared32(self) -> np.ndarray:
         return self.parent.centered_squared32[self.start : self.stop]
 
-    def point_norms(self, form: np.ndarray) -> np.ndarray:
-        return self.parent.point_norms(form)[self.start : self.stop]
+    def point_norms(self, weights: np.ndarray) -> np.ndarray:
+        return self.parent.point_norms(weights)[self.start : self.stop]
 
     def owns(self, points: np.ndarray) -> bool:
         """True when ``points`` is this very block of the parent matrix."""

@@ -21,10 +21,9 @@ every other path against.  Two scale features live here:
   peak memory is O(``block_rows`` × queries), never O(corpus × queries).
 * **A float32 candidate stage, exact float64 confirmation** — the default
   scan.  Every family with a float32 kernel (weighted Euclidean, per-row
-  weights, Mahalanobis, Minkowski) pools candidates from an
-  order-preserving float32 surrogate (one sgemm per block over the
-  workspace's float32 centred corpus for the Gram forms), widened by a
-  margin sized from the row's
+  weights, Minkowski) pools candidates from an order-preserving float32
+  surrogate (one sgemm per block over the workspace's float32 centred
+  corpus for the Gram forms), widened by a margin sized from the row's
   :meth:`~repro.distances.base.DistanceFunction.term_bound` (ties
   included), and re-scores the pool once, exactly in float64 with the
   global (distance, index) tie-break: **byte-identical** to

@@ -16,7 +16,7 @@ EXACT_MARGIN_SCALE = 1e-6
 
 #: Relative margin of the ``precision="fast"`` float32 kernels.  Fast
 #: matrices stay on the kernel's *natural* scale — squared distances for
-#: the Gram/bilinear expansions, the p-th power sum for Minkowski — which
+#: the Gram expansions, the p-th power sum for Minkowski — which
 #: skips the full-matrix root **and** avoids the sqrt amplification that
 #: would blow float32 cancellation noise up to ~sqrt(eps32) near zero: on
 #: that scale the absolute error of a value stays within ~(D + 2p)·eps32
@@ -139,9 +139,9 @@ class DistanceFunction(abc.ABC):
             ``"fast"`` lets the kernel compute the matrix in **float32** —
             roughly twice the BLAS throughput and half the memory traffic —
             and return it on its *natural monotone scale*: the bundled
-            kernels return squared distances (weighted Euclidean,
-            Mahalanobis) or the p-th power sum (Minkowski), skipping the
-            root over the full ``(Q, N)`` matrix.  A fast matrix is an
+            kernels return squared distances (weighted Euclidean) or the
+            p-th power sum (Minkowski), skipping the root over the full
+            ``(Q, N)`` matrix.  A fast matrix is an
             order-embedding of the distance, approximate in the low bits;
             callers that need exact results (the scan engines) must treat it
             as candidate-selection input only: widen the k-th value by

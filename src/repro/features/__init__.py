@@ -16,8 +16,9 @@ code paths:
 * :mod:`repro.features.datasets` — assembly of an IMSI-like corpus with the
   paper's category sizes (Bird 318, Fish 129, Mammal 834, Blossom 189,
   TreeLeaf 575, Bridge 148, Monument 298, plus noise images),
-* :mod:`repro.features.synthetic` — seeded clustered million-vector corpora
-  for the scale lab (no image pipeline; raw Gaussian-mixture geometry).
+* :mod:`repro.features.synthetic` — seeded clustered corpora for the
+  scan's byte-identity grids (no image pipeline; raw Gaussian-mixture
+  geometry).
 """
 
 from repro.features.datasets import (

@@ -1,10 +1,9 @@
-"""Clustered synthetic corpora for the million-vector scale lab.
+"""Clustered synthetic corpora for the scan's byte-identity grids.
 
-The IMSI-like image corpus (:mod:`repro.features.datasets`) tops out around
-ten thousand vectors — the paper's scale.  Benchmarking the raw-speed layer
-(two-stage float32 kernels, blocked scans) needs corpora two orders of
-magnitude larger with *realistic geometry*: real feature spaces are clumpy,
-and clumpiness is what stresses candidate selection (many near-ties inside a
+The IMSI-like image corpus (:mod:`repro.features.datasets`) models the
+paper's images; the float32 candidate stage and the blocked scan are better
+stressed by a plain clumpy point cloud.  Real feature spaces are clumpy, and
+clumpiness is what stresses candidate selection (many near-ties inside a
 cluster) in a way uniform noise never does.
 
 :func:`build_clustered_corpus` generates such a corpus deterministically
@@ -12,11 +11,11 @@ from a seed: a Gaussian-mixture point cloud with Dirichlet-skewed cluster
 sizes (a few big clusters, a long tail of small ones) and per-cluster
 spreads, filled block by block so the generator itself never allocates more
 than one block of scratch beyond the output matrix.  Everything is a pure
-function of the arguments, so two processes — or the benchmark and the test
-that checks it — build bit-identical corpora.
+function of the arguments, so two processes build bit-identical corpora.
 
 The fast-precision identity grid (``tests/test_fast_precision.py``) builds
-its near-tie-heavy corpora here.
+its near-tie-heavy corpora here; no served path, experiment or benchmark
+imports this module.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import numpy as np
 
 from repro.utils.validation import ValidationError, check_dimension
 
-#: Feature dimensionality of the scale-lab corpora (wide enough that the
+#: Default feature dimensionality of the corpora (wide enough that the
 #: pairwise products are BLAS-bound, like real descriptor spaces).
 DEFAULT_DIMENSION = 64
 

@@ -7,9 +7,11 @@ retrieval system combines:
   (Rocchio's formula; the score-weighted average that Ishikawa et al. proved
   optimal, Equation 2), and
 * **re-weighting** — adjust the importance of individual feature components
-  (the MARS ``1/σ`` heuristic and the provably optimal ``1/σ²`` rule), plus
-  the MindReader full-matrix update for quadratic distances and the
-  Rui–Huang hierarchical update.
+  (the MARS ``1/σ`` heuristic and the provably optimal ``1/σ²`` rule).
+
+Both act on the weighted-Euclidean ``(Δ, W)`` parameters, the one feedback
+model the loop runs; the strategy ablation compares movement alone with
+movement plus optimal re-weighting inside that family.
 
 :mod:`repro.feedback.engine` assembles the strategies into the feedback loop
 of Figure 5: evaluate, collect scores, compute new query parameters, repeat
@@ -40,8 +42,6 @@ from repro.feedback.reweighting import (
     reweight,
     reweight_frontier,
 )
-from repro.feedback.mindreader import mindreader_matrix_update
-from repro.feedback.hierarchical import hierarchical_update
 from repro.feedback.engine import FeedbackEngine, FeedbackLoopResult, FeedbackState, LoopCursor
 from repro.feedback.scheduler import FeedbackFrontier, LoopRequest, LoopScheduler
 
@@ -60,8 +60,6 @@ __all__ = [
     "optimal_weights",
     "reweight",
     "reweight_frontier",
-    "mindreader_matrix_update",
-    "hierarchical_update",
     "FeedbackEngine",
     "FeedbackLoopResult",
     "FeedbackState",

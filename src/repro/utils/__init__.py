@@ -1,4 +1,4 @@
-"""Shared utilities: seeded randomness, validation and lightweight logging.
+"""Shared utilities: seeded randomness and input validation.
 
 These helpers are intentionally small; every other subpackage builds on them
 so that array validation and RNG seeding behave identically across the

@@ -6,6 +6,9 @@ subclass) so that callers can distinguish bad input from internal failures.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 
@@ -52,8 +55,18 @@ def as_float_matrix(values, name: str = "matrix", shape: tuple[int | None, int |
 
 
 def check_dimension(value: int, name: str = "dimension", minimum: int = 1) -> int:
-    """Validate that ``value`` is an integer dimension of at least ``minimum``."""
-    if int(value) != value:
+    """Validate that ``value`` is an integer dimension of at least ``minimum``.
+
+    Integers and integer-valued floats pass.  Booleans, ``None``, strings
+    and non-finite floats are not counts: they raise
+    :class:`ValidationError` like any other bad value.
+    """
+    if (
+        isinstance(value, (bool, np.bool_))
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+        or int(value) != value
+    ):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     value = int(value)
     if value < minimum:

@@ -20,7 +20,6 @@ from repro.database.query import Query
 from repro.database.segments import LiveCollection
 from repro.database.sharding import ShardedEngine
 from repro.database.vptree import VPTreeIndex
-from repro.distances.mahalanobis import MahalanobisDistance
 from repro.distances.minkowski import MinkowskiDistance, euclidean
 from repro.distances.weighted_euclidean import WeightedEuclideanDistance
 from repro.utils.validation import ValidationError
@@ -53,7 +52,6 @@ def _distance_functions():
     return [
         WeightedEuclideanDistance(DIMENSION, weights=rng.random(DIMENSION) + 0.1),
         MinkowskiDistance(DIMENSION, order=1.0),
-        MahalanobisDistance(DIMENSION, matrix=np.eye(DIMENSION) + 0.1),
     ]
 
 

@@ -6,7 +6,6 @@ import pytest
 from repro.database.collection import FeatureCollection
 from repro.database.knn import LinearScanIndex
 from repro.database.vptree import VPTreeIndex
-from repro.distances.mahalanobis import MahalanobisDistance
 from repro.distances.minkowski import cityblock, euclidean
 from repro.distances.weighted_euclidean import WeightedEuclideanDistance
 from repro.utils.validation import ValidationError
@@ -91,7 +90,6 @@ class TestVPTreeSharedTraversalBatch:
             euclidean(6),
             cityblock(6),
             WeightedEuclideanDistance(6, weights=rng.random(6) + 0.1),
-            MahalanobisDistance(6, matrix=np.eye(6) + 0.1),
         ]
 
     @pytest.mark.parametrize("leaf_size", [1, 4, 16])

@@ -3,8 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.distances.hierarchical import FeatureGroup, HierarchicalDistance
-from repro.distances.mahalanobis import MahalanobisDistance
 from repro.distances.minkowski import MinkowskiDistance
 from repro.distances.weighted_euclidean import (
     WeightedEuclideanDistance,
@@ -20,13 +18,6 @@ def _distances(rng):
         WeightedEuclideanDistance(DIMENSION, weights=rng.random(DIMENSION) + 0.1),
         MinkowskiDistance(DIMENSION, order=1.0),
         MinkowskiDistance(DIMENSION, order=3.0, weights=rng.random(DIMENSION) + 0.1),
-        MahalanobisDistance(DIMENSION, matrix=np.eye(DIMENSION) + 0.2),
-        HierarchicalDistance(
-            DIMENSION,
-            [FeatureGroup("a", 0, 2), FeatureGroup("b", 2, 6)],
-            feature_weights=[0.5, 2.0],
-            component_weights=rng.random(DIMENSION) + 0.1,
-        ),
     ]
 
 

@@ -26,9 +26,7 @@ from repro.database.collection import FeatureCollection
 from repro.database.engine import RetrievalEngine
 from repro.database.knn import DEFAULT_BLOCK_ROWS, LinearScanIndex
 from repro.database.sharding import ShardedEngine
-from repro.distances.base import check_precision
-from repro.distances.hierarchical import FeatureGroup, HierarchicalDistance
-from repro.distances.mahalanobis import MahalanobisDistance
+from repro.distances.base import DistanceFunction, check_precision
 from repro.distances.minkowski import MinkowskiDistance
 from repro.distances.weighted_euclidean import WeightedEuclideanDistance
 from repro.features.synthetic import build_clustered_corpus, sample_queries
@@ -40,6 +38,31 @@ N_VECTORS = 2000
 N_QUERIES = 6
 
 
+class RowwiseOnly(DistanceFunction):
+    """A family with a row-wise kernel only: the sum of two half-vector norms.
+
+    It inherits the base ``pairwise`` (one ``distances_to`` row per query)
+    and has no ``term_bound``, so the scan runs it in float64 and sizes its
+    margin from the largest value it has seen.
+    """
+
+    n_parameters = 0
+
+    def parameters(self):
+        return np.empty(0)
+
+    def with_parameters(self, parameters):
+        return self
+
+    def distance(self, first, second):
+        return float(self.distances_to(first, [second])[0])
+
+    def distances_to(self, query, points):
+        offsets = self._validate_points(points) - self._validate_point(query)
+        half = self.dimension // 2
+        return np.linalg.norm(offsets[:, :half], axis=1) + np.linalg.norm(offsets[:, half:], axis=1)
+
+
 def distance_grid():
     """One representative of every pairwise-kernel family."""
     rng = np.random.default_rng(99)
@@ -48,21 +71,12 @@ def distance_grid():
         ("weighted", WeightedEuclideanDistance(DIMENSION, weights=rng.random(DIMENSION) + 0.1)),
         ("cityblock", MinkowskiDistance(DIMENSION, order=1.0)),
         ("minkowski3", MinkowskiDistance(DIMENSION, order=3.0, weights=rng.random(DIMENSION) + 0.1)),
-        ("mahalanobis", MahalanobisDistance(DIMENSION, matrix=np.eye(DIMENSION) + 0.2)),
-        (
-            "hierarchical",
-            HierarchicalDistance(
-                DIMENSION,
-                [FeatureGroup("colour", 0, 6), FeatureGroup("texture", 6, DIMENSION)],
-                feature_weights=[0.7, 1.3],
-                component_weights=rng.random(DIMENSION) + 0.1,
-            ),
-        ),
+        ("rowwise", RowwiseOnly(DIMENSION)),
     ]
 
 
 #: Families without a float32 kernel: the scan runs them in float64 only.
-FLOAT64_ONLY = {"hierarchical"}
+FLOAT64_ONLY = {"rowwise"}
 
 
 def _spy_precisions(monkeypatch, distance_class) -> list:
@@ -204,7 +218,6 @@ class TestBlockedScan:
         for distance in (
             WeightedEuclideanDistance(8),
             MinkowskiDistance(8, order=1.0),
-            MahalanobisDistance(8, matrix=np.eye(8) + 0.2),
         ):
             reference = [LinearScanIndex(collection).search(q, 5, distance) for q in queries]
             assert blocked.search_batch(queries, 5, distance, precision) == reference
@@ -464,7 +477,7 @@ class TestParameterScanPrecision:
             )
 
 
-FAMILIES = ("euclidean", "weighted", "mahalanobis", "cityblock", "minkowski3", "per_row")
+FAMILIES = ("euclidean", "weighted", "cityblock", "minkowski3", "per_row")
 
 
 @st.composite
@@ -499,11 +512,6 @@ def scan_cases(draw):
     family = draw(st.sampled_from(FAMILIES))
     if family == "per_row":
         distance = scale * 1e-3 * rng.normal(size=(n_queries, dimension))  # the deltas
-    elif family == "mahalanobis":
-        root = np.sqrt(weights[0])
-        spread = rng.normal(size=(dimension, dimension))
-        form = root[:, None] * (spread @ spread.T + np.eye(dimension)) * root[None, :]
-        distance = MahalanobisDistance(dimension, matrix=form)
     else:
         distance = {
             "euclidean": WeightedEuclideanDistance(dimension),

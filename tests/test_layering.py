@@ -9,6 +9,10 @@ with :mod:`ast`, so lazy imports inside functions and ``TYPE_CHECKING``
 blocks count too; a fresh interpreter then checks the same direction
 transitively, on what importing each module actually loads.
 
+Every library module earns its place: it is reached by import from the
+served path, a paper experiment or the benchmark, or it sits on a short
+allowlist with a reason.
+
 The serving layer's wire is guarded the same way: nothing under
 ``repro/serving`` imports pickle, no configuration field, client parameter
 or export offers a pickle or legacy mode, and the handshake is one
@@ -30,7 +34,8 @@ import sys
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 EVALUATION = SRC / "repro" / "evaluation"
 SERVING = SRC / "repro" / "serving"
 
@@ -39,9 +44,11 @@ def imported_modules(path: pathlib.Path) -> "set[str]":
     """Every module ``path`` imports, as absolute dotted names.
 
     ``from a.b import c`` yields both ``a.b`` and ``a.b.c`` (``c`` may be a
-    submodule); relative imports are resolved against the file's package.
+    submodule); relative imports are resolved against the file's package,
+    under ``src/`` for the library and under the repository root otherwise.
     """
-    package = list(path.relative_to(SRC).with_suffix("").parts)[:-1]
+    base = SRC if SRC in path.parents else ROOT
+    package = list(path.relative_to(base).with_suffix("").parts)[:-1]
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     modules: "set[str]" = set()
     for node in ast.walk(tree):
@@ -143,6 +150,53 @@ def test_evaluation_never_reaches_serving(path):
         module for module in import_closure(path) if _within(module, "repro.serving")
     )
     assert offending == [], f"{path.name} reaches {offending}"
+
+
+#: Library modules that no served path, experiment or benchmark imports,
+#: each kept for the reason given.  The list may only shrink.
+UNREACHED_ALLOWED = {
+    "repro.wavelets.haar": "waits on the wavelet coarsening item of ROADMAP.md",
+    "repro.wavelets.lifting": "waits on the wavelet coarsening item of ROADMAP.md",
+    "repro.wavelets.thresholding": "waits on the wavelet coarsening item of ROADMAP.md",
+    "repro.core.interpolation": "the determinant oracle of test_core_locate_equivalence",
+    "repro.features.synthetic": "builds the corpora of the fast-precision grid",
+}
+
+
+def _reached_modules() -> "set[str]":
+    """The library modules reached from the three roots, roots included.
+
+    The roots are every module under ``repro/serving``, the paper's
+    experiment registry and the library modules the ``bench`` benchmark
+    imports.  The examples are not roots: they import the ``repro``
+    umbrella, which re-exports everything.
+    """
+    roots = _source_files(SERVING) + [EVALUATION / "figures.py"]
+    for path in _source_files(ROOT / "bench"):
+        roots += [
+            target
+            for module in imported_modules(path)
+            if (target := _module_path(module)) is not None
+        ]
+    reached = {_module_name(path) for path in roots}
+    for path in roots:
+        reached |= import_closure(path)
+    return reached
+
+
+def test_every_module_is_reached():
+    """No library module survives without a caller that runs.
+
+    Package ``__init__``s are exempt: ``repro/__init__`` re-exports the
+    whole library, so they would be reached only by the umbrella import.
+    An allowlisted module must exist and stay unreached: once something
+    reaches it, or it is deleted, its entry goes.
+    """
+    modules = {_module_name(path) for path in _source_files(SRC / "repro") if path.name != "__init__.py"}
+    reached = _reached_modules()
+    assert sorted(modules - reached - set(UNREACHED_ALLOWED)) == []
+    assert sorted(set(UNREACHED_ALLOWED) & reached) == []
+    assert sorted(set(UNREACHED_ALLOWED) - modules) == []
 
 
 def _call_sites(matches) -> "dict[str, set[str]]":

@@ -37,9 +37,7 @@ class TestTopLevelExports:
             "Query",
             "ResultSet",
             "WeightedEuclideanDistance",
-            "MahalanobisDistance",
             "MinkowskiDistance",
-            "HierarchicalDistance",
             "ImageDataset",
             "build_imsi_like_dataset",
             "FeedbackEngine",

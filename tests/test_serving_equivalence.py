@@ -476,6 +476,10 @@ class TestSessionOps:
                 assert info["engine"] == "RetrievalEngine"
                 with pytest.raises(ValidationError):
                     client._call("no_such_op")
+                # A raw frame's k that is not a count is answered "validation".
+                for k in (float("inf"), float("nan"), None, True, "3"):
+                    with pytest.raises(ValidationError):
+                        client._call("search", query_point=tiny_collection.vectors[0], k=k)
 
 
 class TestBudgetedServing:

@@ -24,8 +24,6 @@ import pytest
 from repro.database.collection import FeatureCollection
 from repro.database.query import ResultSet
 from repro.database.sharding import SharedCorpus
-from repro.distances.hierarchical import FeatureGroup, HierarchicalDistance
-from repro.distances.mahalanobis import MahalanobisDistance
 from repro.distances.minkowski import MinkowskiDistance
 from repro.evaluation.simulated_user import SimulatedUser
 from repro.distances.weighted_euclidean import WeightedEuclideanDistance
@@ -49,13 +47,6 @@ def _all_distances(rng):
         WeightedEuclideanDistance(DIMENSION, weights=rng.random(DIMENSION) + 0.1),
         MinkowskiDistance(DIMENSION, order=1.0),
         MinkowskiDistance(DIMENSION, order=3.0, weights=rng.random(DIMENSION) + 0.1),
-        MahalanobisDistance(DIMENSION, matrix=np.eye(DIMENSION) + 0.2),
-        HierarchicalDistance(
-            DIMENSION,
-            [FeatureGroup("a", 0, 2), FeatureGroup("b", 2, 6)],
-            feature_weights=[0.5, 2.0],
-            component_weights=rng.random(DIMENSION) + 0.1,
-        ),
     ]
 
 

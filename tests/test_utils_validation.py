@@ -94,6 +94,18 @@ class TestCheckDimension:
         with pytest.raises(ValidationError):
             check_dimension(1, minimum=2)
 
+    def test_accepts_numpy_integers(self):
+        assert check_dimension(np.int64(4)) == 4
+
+    @pytest.mark.parametrize(
+        "value",
+        [True, False, np.bool_(True), None, "3", float("inf"), float("-inf"), float("nan"), np.float64("nan")],
+        ids=repr,
+    )
+    def test_rejects_values_that_are_not_counts(self, value):
+        with pytest.raises(ValidationError):
+            check_dimension(value, minimum=0)
+
 
 class TestCheckPositive:
     def test_accepts_positive(self):
