@@ -13,7 +13,8 @@ prints how the three strategies of the paper compare:
 It then walks the scaling ladder on the same corpus — batched first rounds
 and frontier-scheduled feedback, a sharded multi-worker engine on threads
 and on the shared-memory process backend, and finally the coalescing
-network serving layer — with every stage byte-identical to the one before.
+network serving layer with an interactive session over the shared bypass —
+with every stage byte-identical to the one before.
 
 Run with::
 
@@ -124,25 +125,36 @@ def main(scale: float = 0.1, *, n_queries: int = 150, batch_size: int = 16, k: i
     # Network serving with request coalescing: the same engine stack behind
     # a TCP server.  Concurrent connections' queries merge into shared
     # batched dispatches (one search_batch call instead of one scan per
-    # request) and concurrent feedback loops share one frontier — with
-    # every served answer byte-identical to calling the engine directly.
+    # request), interactive sessions' rounds included — with every served
+    # answer byte-identical to calling the engine directly.  The session
+    # below is the paper's loop behind the server: predict the starting
+    # parameters from the shared Simplex Tree, let the (client-side) judge
+    # drive the rounds, store the converged parameters.
     # See examples/serving_session.py for the full client surface.
-    with RetrievalServer(engine, ServerConfig(max_batch=16)) as server:
+    with RetrievalServer(engine, ServerConfig(max_batch=16, bypass=True)) as server:
         host, port = server.address
         with ServingClient(host, port) as client:
             query_index = int(query_indices[0])
-            served = client.search(session.collection.vectors[query_index], config.k)
-            local = engine.search(session.collection.vectors[query_index], config.k)
-            served_loop = client.run_feedback_loop(
-                session.collection.vectors[query_index],
+            query = session.collection.vectors[query_index]
+            served = client.search(query, config.k)
+            local = engine.search(query, config.k)
+            prediction = client.bypass_mopt(query)
+            served_loop = client.run_feedback_session(
+                query,
                 config.k,
                 session.user.judge_for_query(query_index),
+                initial_delta=prediction.delta,
+                initial_weights=prediction.weights,
             )
+            stored = served_loop.parameters_to_store(query)
+            if stored is not None:
+                client.bypass_insert(query, stored)
         window = server.stats()["coalescer"]
         print()
         print(
             f"Served over {host}:{port}: search identical = {served == local}, "
-            f"loop converged = {served_loop.converged}; "
+            f"session stopped as {served_loop.reason!r} "
+            f"(outcome stored in the shared tree = {stored is not None}); "
             f"{window['requests']} requests -> {window['dispatches']} engine dispatches"
         )
 

@@ -1,13 +1,17 @@
 """Serving walk-through: many clients, one shared engine, coalesced batches.
 
 Starts a :class:`~repro.serving.server.RetrievalServer` over a sharded
-engine, then demonstrates the full client surface:
+engine, with the shared served bypass on, then demonstrates the full
+client surface:
 
 * plain and parameterised k-NN searches over the wire,
-* a relevance-feedback loop whose (picklable) judge ships to the server
-  and runs on the shared frontier,
-* an interactive multi-round session where the judge stays client-side
-  and only judgments cross the wire,
+* the paper's feedback cycle behind the server: predict the starting
+  parameters from the shared Simplex Tree (``bypass_mopt``), run an
+  interactive session where the judge stays client-side and only
+  judgments cross the wire, store the converged parameters
+  (``bypass_insert``) — then the same session again, shortened by the
+  stored prediction,
+* the same session driven round by round through the raw session ops,
 * several concurrent clients whose single-query streams coalesce into
   shared batched dispatches — with the server's counters showing how much
   sharing happened, and every answer checked byte-identical to a local
@@ -54,7 +58,7 @@ def main(
     # One shared sharded engine behind the server; own_engine=True makes
     # server.close() tear the worker pool down too.
     engine = ShardedEngine(collection, 4, n_workers=2)
-    config = ServerConfig(max_batch=n_clients, max_wait=0.002)
+    config = ServerConfig(max_batch=n_clients, max_wait=0.002, bypass=True)
     with RetrievalServer(engine, config, own_engine=True) as server:
         host, port = server.address
         print(f"Serving on {host}:{port} -> {server.engine.describe()}")
@@ -71,19 +75,39 @@ def main(
                 collection.vectors[1], k, delta, weights
             ) == local.search_with_parameters(collection.vectors[1], k, delta, weights)
 
-            # A feedback loop with the judge shipped to the server: runs on
-            # the shared frontier, byte-identical to the local run_loop.
-            judge = user.judge_for_query(2)
-            served_loop = client.run_feedback_loop(collection.vectors[2], k, judge)
-            local_loop = FeedbackEngine(local).run_loop(collection.vectors[2], k, judge)
-            print(
-                f"feedback_loop: {served_loop.iterations} iterations, "
-                f"converged={served_loop.converged}, "
-                f"identical to run_loop: {served_loop.identical_to(local_loop)}"
-            )
+            # The paper's cycle: predict, run the session from the prediction
+            # (the judge stays here, only judgments cross the wire), store
+            # the outcome.  Each session is byte-identical to the local
+            # run_loop from the same start; the second starts from what the
+            # first stored.
+            query, judge = collection.vectors[2], user.judge_for_query(2)
+            for attempt in ("first", "repeat"):
+                prediction = client.bypass_mopt(query)
+                served_loop = client.run_feedback_session(
+                    query,
+                    k,
+                    judge,
+                    initial_delta=prediction.delta,
+                    initial_weights=prediction.weights,
+                )
+                stored = served_loop.parameters_to_store(query)
+                if stored is not None:
+                    client.bypass_insert(query, stored)
+                local_loop = FeedbackEngine(local).run_loop(
+                    query,
+                    k,
+                    judge,
+                    initial_delta=prediction.delta,
+                    initial_weights=prediction.weights,
+                )
+                print(
+                    f"{attempt} session: {served_loop.iterations} iterations, "
+                    f"converged={served_loop.converged}, "
+                    f"identical to run_loop: {served_loop.identical_to(local_loop)}"
+                )
 
-            # An interactive session: the judge stays here; each round the
-            # client judges the current results and ships only judgments.
+            # The same session shape through the raw ops: open, then each
+            # round judge the current results and ship only judgments.
             opened = client.open_session(collection.vectors[3], k)
             session_id, round_results = opened["session_id"], opened["results"]
             rounds = 0
@@ -131,15 +155,15 @@ def main(
         stats = server.stats()
         window = stats["coalescer"]
         print(
-            f"\n{n_clients} concurrent clients, {n_clients * queries_per_client} requests: "
+            f"\n{n_clients} concurrent clients, {n_clients * queries_per_client} requests; "
+            f"with the sessions' round searches {window['requests']} coalesced requests -> "
             f"{window['dispatches']} engine dispatches "
             f"({window['rows_per_dispatch']:.2f} rows/dispatch, "
             f"largest window {window['largest_dispatch']})"
         )
         print(
-            f"frontier: {stats['frontier']['loops']} loops in "
-            f"{stats['frontier']['frontiers']} frontiers, "
-            f"{stats['frontier']['rounds']} shared rounds"
+            f"sessions: {stats['sessions']['opened']} opened, "
+            f"{stats['sessions']['rounds']} judged rounds"
         )
         print(f"byte-identity mismatches: {len(mismatches)} (must be 0)")
         assert not mismatches

@@ -61,12 +61,10 @@ additionally models *simultaneous arrival* (see below):
   shared micro-batch window
   (:class:`~repro.serving.coalescer.RequestCoalescer`: grouped by ``k``
   and parameter shape, dispatched as one ``search_batch`` /
-  ``search_batch_with_parameters`` call, split back to the callers) and
-  concurrent relevance-feedback loops share one
-  :class:`~repro.feedback.scheduler.FeedbackFrontier`
-  (:class:`~repro.serving.coalescer.FrontierCoalescer`, continuous
-  admission via ``FeedbackFrontier.admit``) — so N interactive users cost
-  ~one frontier dispatch per round instead of N.  Coalescing decides who
+  ``search_batch_with_parameters`` call, split back to the callers).
+  Interactive feedback sessions ride the same windows — each round's
+  search is one coalesced submission — so N users judging at once cost
+  fewer dispatches than N searches per round.  Coalescing decides who
   *shares* a dispatch, never what anyone gets back: served answers are
   byte-identical to calling the engine directly.
 
@@ -124,7 +122,7 @@ At connection scale, swap the front end:
 :class:`~repro.serving.async_server.AsyncRetrievalServer` serves the same
 wire contract from one asyncio event loop — tens of thousands of mostly
 idle connections cost an epoll registration each instead of a thread —
-while dispatch still runs on the shared coalescers (the serving stress
+while dispatch still runs on the shared coalescer (the serving stress
 suite parks hundreds of idle connections beside hot traffic).  Client-side,
 :class:`~repro.serving.pool.PooledServingClient` bounds connections,
 budgets each request's deadline, retries idempotent ops on transport
@@ -167,27 +165,34 @@ Quickstart::
         host, port = server.address
         with ServingClient(host, port) as client:
             results = client.search(session.collection.vectors[0], 20)
-            loop = client.run_feedback_loop(
+            # An interactive session: the judge stays in this process,
+            # only each round's judgments cross the wire.
+            loop = client.run_feedback_session(
                 session.collection.vectors[0], 20,
                 SimulatedUser(session.collection).judge_for_query(0))
         print(server.stats()["coalescer"]["rows_per_dispatch"])
 
-    # The shared served bypass: every connection's retiring loops train
-    # one multi-tenant Simplex Tree behind the server, so a second client
-    # starts its loop from the first one's learning and converges faster.
+    # The shared served bypass, the paper's loop behind a server: predict
+    # the starting parameters from one multi-tenant Simplex Tree, run the
+    # session from them, store the converged ones — so a second client
+    # starts from the first one's learning and converges faster.
     user = SimulatedUser(session.collection)
+    query = session.collection.vectors[2]
     with RetrievalServer(engine, ServerConfig(bypass=True)) as server:
         host, port = server.address
-        with ServingClient(host, port) as first:
-            cold = first.run_feedback_loop(
-                session.collection.vectors[2], 20, user.judge_for_query(2))
-        with ServingClient(host, port) as second:
-            prediction = second.bypass_mopt(session.collection.vectors[2])
-            warm = second.run_feedback_loop(
-                session.collection.vectors[2], 20, user.judge_for_query(2),
-                initial_delta=prediction.delta,
-                initial_weights=prediction.weights)
-        assert warm.iterations <= cold.iterations
+        loops = []
+        for _ in range(2):
+            with ServingClient(host, port) as client:
+                prediction = client.bypass_mopt(query)
+                loop = client.run_feedback_session(
+                    query, 20, user.judge_for_query(2),
+                    initial_delta=prediction.delta,
+                    initial_weights=prediction.weights)
+                stored = loop.parameters_to_store(query)
+                if stored is not None:
+                    client.bypass_insert(query, stored)
+                loops.append(loop)
+        assert loops[1].iterations <= loops[0].iterations
 
     # Live mutable corpus: a segment-composed collection takes inserts
     # and deletes in O(delta) under serving traffic — every answer

@@ -328,9 +328,3 @@ class KNNIndex(abc.ABC):
         """
         batch = QueryBatch.plain(query_points, k, distance, dimension=self.collection.dimension)
         return [self.search(query_point, batch.k, distance) for query_point in batch.points]
-
-    def _check_supports(self, distance: DistanceFunction) -> None:
-        if not self.supports(distance):
-            raise ValidationError(
-                f"{type(self).__name__} cannot serve queries under {distance!r}"
-            )

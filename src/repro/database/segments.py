@@ -125,10 +125,6 @@ class _SnapshotSegment:
         self.alive = alive
         self.n_dead = int(n_dead)
 
-    @property
-    def n_alive(self) -> int:
-        return len(self.unit) - self.n_dead
-
 
 class LiveSnapshot:
     """A consistent, immutable view of a :class:`LiveCollection`.

@@ -775,15 +775,6 @@ class ShardedEngine(QueryEngine):
         return self._sharded
 
     @property
-    def shard_engines(self) -> tuple[RetrievalEngine, ...]:
-        """The per-shard retrieval engines, in global index order.
-
-        Empty for ``backend="process"``: the engines live inside the worker
-        processes (their dispatch counters surface through :meth:`stats`).
-        """
-        return self._shard_engines
-
-    @property
     def backend(self) -> str:
         """The shard fan-out backend, ``"thread"`` or ``"process"``."""
         return self._backend

@@ -33,9 +33,8 @@ class CategoryJudge:
     This is the callable :meth:`SimulatedUser.judge_for_query` hands to the
     feedback loops.  It carries only the collection's label array (shared
     across every judge of the same collection), the query's category and
-    the score scale, so it travels as data — the binary codec ships it with
-    a served ``feedback_loop`` request: labels travel, vectors never do.
-    The scores are exactly :meth:`SimulatedUser.judge_batch`'s.
+    the score scale.  The scores are exactly
+    :meth:`SimulatedUser.judge_batch`'s.
     """
 
     labels: np.ndarray
@@ -101,8 +100,7 @@ class SimulatedUser:
         engine expects (``ResultSet`` to one judgment per result) and
         produces the vectorised :class:`JudgmentBatch` form, which iterates
         as :class:`RelevanceJudgment` objects for compatibility.  It carries
-        the label array, not the collection, so a client can ship it to a
-        server's ``feedback_loop`` op.
+        the label array, not the collection.
         """
         return CategoryJudge(
             labels=self._collection.labels_array,

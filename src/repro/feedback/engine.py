@@ -22,7 +22,6 @@ cursor, which is why they are byte-identical to one another.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -231,16 +230,13 @@ class LoopCursor:
     def settle(self, results: ResultSet) -> None:
         """Take the results of the search :meth:`search_parameters` named.
 
-        The first call is the first round, which is not an iteration; a cap
-        of zero ends the loop there.  Every later call counts one iteration,
-        moves to the proposed state, and stops the loop as ``converged``
-        when the result list holds the same objects as before, or as
-        ``budget`` when the cap is reached.
+        The first call is the first round, which is not an iteration.  Every
+        later call counts one iteration, moves to the proposed state, and
+        stops the loop as ``converged`` when the result list holds the same
+        objects as before, or as ``budget`` when the cap is reached.
         """
         if self.results is None:
             self.results = self.initial_results = results
-            if self.max_iterations == 0:
-                self.reason = "budget"
             return
         self.iterations += 1
         converged = results.same_objects(self.results)
@@ -326,35 +322,14 @@ class FeedbackEngine:
     # ------------------------------------------------------------------ #
     # Step primitives
     # ------------------------------------------------------------------ #
-    def start(
-        self,
-        query_point,
-        k: int,
-        initial_delta=None,
-        initial_weights=None,
-        *,
-        max_iterations: "int | None" = None,
-    ) -> LoopCursor:
+    def start(self, query_point, k: int, initial_delta=None, initial_weights=None) -> LoopCursor:
         """Validate one loop's starting parameters and return its cursor.
 
         ``None`` defaults resolve to no offset and unweighted Euclidean.
-        ``max_iterations`` is a per-loop cap (a non-negative ``int``; ``0``
-        stops after the first round); the cursor's cap is the smaller of it
-        and the engine's.  Every loop — sequential, frontier or served —
-        starts here, so all of them reject exactly the same inputs and start
-        from exactly the same state.
+        Every loop — sequential, frontier or served — starts here, so all of
+        them reject exactly the same inputs and start from exactly the same
+        state.
         """
-        cap = self._max_iterations
-        if max_iterations is not None:
-            if (
-                isinstance(max_iterations, bool)
-                or not isinstance(max_iterations, numbers.Integral)
-                or max_iterations < 0
-            ):
-                raise ValidationError(
-                    f"max_iterations must be a non-negative int or None, got {max_iterations!r}"
-                )
-            cap = min(cap, int(max_iterations))
         k = check_dimension(k, "k")
         dimension = self._engine.collection.dimension
         query_point = as_float_vector(query_point, name="query_point", dim=dimension)
@@ -366,7 +341,7 @@ class FeedbackEngine:
         initial_weights = as_float_vector(initial_weights, name="initial_weights", dim=dimension)
         if np.any(initial_weights < 0):
             raise ValidationError("initial_weights must be non-negative")
-        return LoopCursor(query_point, k, initial_delta, initial_weights, cap)
+        return LoopCursor(query_point, k, initial_delta, initial_weights, self._max_iterations)
 
     def compute_new_state(
         self, state: FeedbackState, judgments: "list[RelevanceJudgment] | JudgmentBatch"

@@ -61,13 +61,6 @@ class LoopRequest:
     the result-set size, the judge producing its relevance judgments, and
     the optional starting parameters (FeedbackBypass passes its predictions
     here).
-
-    ``max_iterations`` is the per-request iteration budget of the anytime
-    layer, validated by :meth:`~repro.feedback.engine.FeedbackEngine.start`
-    (a non-negative ``int``): the loop retires after at most that many
-    feedback iterations, never exceeding the engine's own cap.  ``None``
-    leaves the engine cap alone; ``0`` admits the query for its first-round
-    search only.
     """
 
     query_point: "np.ndarray"
@@ -75,26 +68,20 @@ class LoopRequest:
     judge: Judge
     initial_delta: "np.ndarray | None" = None
     initial_weights: "np.ndarray | None" = None
-    max_iterations: "int | None" = None
 
     def start(self, feedback_engine: FeedbackEngine) -> LoopCursor:
         """Validate this request and return its loop's cursor."""
         return feedback_engine.start(
-            self.query_point,
-            self.k,
-            self.initial_delta,
-            self.initial_weights,
-            max_iterations=self.max_iterations,
+            self.query_point, self.k, self.initial_delta, self.initial_weights
         )
 
 
 class _FrontierEntry:
-    """One in-flight query: its admission position, its judge, its loop."""
+    """One in-flight query: its judge and its loop."""
 
-    __slots__ = ("position", "judge", "cursor")
+    __slots__ = ("judge", "cursor")
 
-    def __init__(self, position: int, judge: Judge, cursor: LoopCursor) -> None:
-        self.position = position
+    def __init__(self, judge: Judge, cursor: LoopCursor) -> None:
         self.judge = judge
         self.cursor = cursor
 
@@ -112,50 +99,15 @@ class FeedbackFrontier:
     request order.
     """
 
-    def __init__(
-        self, feedback_engine: FeedbackEngine, requests: "list[LoopRequest] | tuple" = ()
-    ) -> None:
+    def __init__(self, feedback_engine: FeedbackEngine, requests: "list[LoopRequest]") -> None:
         self._feedback = feedback_engine
         self._engine = feedback_engine.retrieval_engine
-        # Keyed by admission position (monotonic, insertion-ordered), so
-        # retired entries can be discarded by a long-lived caller without
-        # renumbering the live ones.
-        self._entries: "dict[int, _FrontierEntry]" = {}
-        self._next_position = 0
-        self.admit(requests)
-
-    def admit(self, requests: "list[LoopRequest] | tuple") -> "list[int]":
-        """Admit ``requests`` into the frontier, running their first rounds.
-
-        The frontier advances every query independently — iteration *i* of
-        one entry never reads another entry's state — so admission composes
-        freely with a frontier that is already mid-flight: new entries run
-        their (batched) first-round searches here and join the next
-        :meth:`advance`, while each admitted query's loop remains
-        byte-identical to its own sequential
-        :meth:`~repro.feedback.engine.FeedbackEngine.run_loop`.  This is the
-        continuous-batching hook the serving layer's shared frontier uses to
-        merge feedback rounds of sessions that arrive at different times.
-
-        Admission is atomic: the new entries only join the frontier after
-        their first-round searches succeed, so a validation or dispatch
-        failure here leaves the running frontier exactly as it was.
-
-        Returns the admitted entries' frontier positions, in request order
-        (fetch finished loops with :meth:`result_at`).
-        """
-        position = self._next_position
-        staged = [
-            _FrontierEntry(position + offset, request.judge, request.start(self._feedback))
-            for offset, request in enumerate(requests)
+        self._entries = [
+            _FrontierEntry(request.judge, request.start(feedback_engine)) for request in requests
         ]
         # First rounds, batched: one dispatch per distinct k.
-        for group in self._group_by_k(staged):
+        for group in self._group_by_k(self._entries):
             self._dispatch(group)
-        for entry in staged:
-            self._entries[entry.position] = entry
-        self._next_position += len(staged)
-        return [entry.position for entry in staged]
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -166,12 +118,7 @@ class FeedbackFrontier:
     @property
     def active_count(self) -> int:
         """Number of queries still iterating."""
-        return sum(1 for entry in self._entries.values() if not entry.cursor.done)
-
-    @property
-    def retired_count(self) -> int:
-        """Number of retained queries whose loops have finished."""
-        return len(self._entries) - self.active_count
+        return sum(1 for entry in self._entries if not entry.cursor.done)
 
     # ------------------------------------------------------------------ #
     # Batched dispatch helpers
@@ -206,7 +153,7 @@ class FeedbackFrontier:
     # ------------------------------------------------------------------ #
     # One frontier iteration
     # ------------------------------------------------------------------ #
-    def advance(self, limit: "int | None" = None) -> int:
+    def advance(self) -> int:
         """Run one loop iteration for every active query.
 
         Judges the active queries' current results, computes the frontier's
@@ -214,22 +161,10 @@ class FeedbackFrontier:
         signal ran out, re-searches the rest in batched dispatches, and
         retires the queries that converged or exhausted the iteration
         budget.  Returns the number of queries still active afterwards.
-
-        ``limit`` caps how many active queries iterate this turn (the
-        anytime degradation knob): under load the frontier advances only
-        the ``limit`` oldest active entries, in admission order, and the
-        rest simply wait for a later turn.  Each entry's loop only ever
-        reads its own state, so deferral changes *when* an iteration runs,
-        never its bits — every loop stays byte-identical to its sequential
-        reference, it just retires later.
         """
-        active = [entry for entry in self._entries.values() if not entry.cursor.done]
-        if limit is not None:
-            if limit < 0:
-                raise ValidationError("advance limit must be non-negative (or None)")
-            active = active[:limit]
+        active = [entry for entry in self._entries if not entry.cursor.done]
         if not active:
-            return 0 if limit is None else self.active_count
+            return 0
 
         judgments = [entry.judge(entry.cursor.results) for entry in active]
         proposals = self._feedback.compute_new_states(
@@ -248,57 +183,17 @@ class FeedbackFrontier:
         while self.advance():
             pass
 
-    def _cursor_at(self, position: int) -> LoopCursor:
-        entry = self._entries.get(position)
-        if entry is None:
-            raise ValidationError(f"unknown or discarded frontier position {position}")
-        return entry.cursor
-
-    def is_done(self, position: int) -> bool:
-        """Whether the entry at ``position`` has retired from the frontier."""
-        return self._cursor_at(position).done
-
-    def result_at(self, position: int) -> FeedbackLoopResult:
-        """The finished loop result of one entry (by admission position).
-
-        Raises when that entry is still active — the serving layer polls
-        :meth:`is_done` between :meth:`advance` rounds and collects each
-        loop the moment it retires, without waiting for the rest of the
-        frontier.
-        """
-        cursor = self._cursor_at(position)
-        if not cursor.done:
-            raise ValidationError(f"frontier entry {position} is still active")
-        return cursor.result()
-
-    def discard(self, position: int) -> None:
-        """Release a retired entry whose result has been collected.
-
-        A long-lived frontier (the serving layer admits loops into one
-        frontier for as long as traffic overlaps) would otherwise retain
-        every finished loop's state and result sets forever, and every
-        :meth:`advance` would rescan them: discarding keeps the frontier's
-        memory and per-round cost proportional to the *active* loops.
-        Active entries cannot be discarded — they are still iterating.
-        """
-        if not self._cursor_at(position).done:
-            raise ValidationError(f"frontier entry {position} is still active")
-        del self._entries[position]
-
     def results(self) -> "list[FeedbackLoopResult]":
-        """The finished loop results of every retained entry, in admission order.
+        """The finished loop results, one per request, in request order.
 
         Raises when some queries are still active — drive the frontier with
-        :meth:`advance` / :meth:`run_to_completion` first.  Entries released
-        with :meth:`discard` are no longer reported (the batch entry points
-        :meth:`LoopScheduler.run` never discards, so for it this is exactly
-        one result per request, in request order).
+        :meth:`advance` / :meth:`run_to_completion` first.
         """
         if self.active_count:
             raise ValidationError(
                 f"{self.active_count} queries are still active on the frontier"
             )
-        return [entry.cursor.result() for entry in self._entries.values()]
+        return [entry.cursor.result() for entry in self._entries]
 
 
 class LoopScheduler:

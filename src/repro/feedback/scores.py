@@ -57,10 +57,18 @@ class JudgmentBatch:
     scores: np.ndarray
 
     def __post_init__(self) -> None:
-        indices = np.asarray(self.indices, dtype=np.intp)
-        scores = as_float_vector(self.scores, name="scores") if len(self.scores) else np.zeros(0)
+        # Checked before any cast: judgments arrive from the wire, and a
+        # cast to intp would silently truncate 1.7 to 1.
+        indices = np.asarray(self.indices)
+        if indices.dtype == np.bool_ or (indices.size and indices.dtype.kind not in "iu"):
+            raise ValidationError(f"judgment indices must be integers, got {indices.dtype}")
+        indices = indices.astype(np.intp, copy=False)
+        scores = np.asarray(self.scores)
         if indices.ndim != 1 or indices.shape != scores.shape:
             raise ValidationError("indices and scores must be parallel 1-D arrays")
+        if scores.size and scores.dtype.kind not in "biuf":
+            raise ValidationError(f"relevance scores must be numbers, got {scores.dtype}")
+        scores = as_float_vector(scores, name="scores")
         if np.any(scores < 0):
             raise ValidationError("relevance scores must be non-negative")
         indices.setflags(write=False)

@@ -1,8 +1,8 @@
 """The coalescing network serving layer.
 
 Many interactive users, one shared engine: this subpackage puts the batched
-machinery of the layers below — ``search_batch``, the frontier scheduler,
-the sharded multi-worker engines — behind a TCP service whose core is
+machinery of the layers below — ``search_batch``, the sharded
+multi-worker engines — behind a TCP service whose core is
 *request coalescing*:
 
 * :mod:`repro.serving.protocol` — the length-prefixed frame format,
@@ -11,14 +11,13 @@ the sharded multi-worker engines — behind a TCP service whose core is
   the binary codec (exact float64 bit preservation, decodes nothing but
   data),
 * :mod:`repro.serving.coalescer` — the shared micro-batch window for k-NN
-  queries (:class:`RequestCoalescer`) and the shared feedback frontier for
-  relevance-feedback loops (:class:`FrontierCoalescer`),
+  queries and feedback-session rounds (:class:`RequestCoalescer`),
 * :mod:`repro.serving.bypass_registry` — :class:`BypassRegistry`, the
   shared served bypass: one persistent, multi-tenant Simplex Tree per
-  (collection, distance-family), trained by every connection's retired
-  loops and served through the ``bypass_*`` ops,
+  (collection, distance-family), predicting and trained through the
+  ``bypass_*`` ops,
 * :mod:`repro.serving.sessions` — server-held state of client-driven
-  multi-round feedback sessions,
+  multi-round feedback sessions, the one served feedback loop,
 * :mod:`repro.serving.server` — :class:`ServingCore` (the shared
   transport-independent dispatch) and :class:`RetrievalServer`, the
   thread-per-connection front end,
@@ -40,7 +39,7 @@ directly, whichever front end carried it.  See
 from repro.serving.async_server import AsyncRetrievalServer
 from repro.serving.bypass_registry import DEFAULT_TENANT, BypassRegistry
 from repro.serving.client import ServingClient, ServingError
-from repro.serving.coalescer import FrontierCoalescer, RequestCoalescer
+from repro.serving.coalescer import RequestCoalescer
 from repro.serving.codec import BinaryCodec, CodecError
 from repro.serving.pool import PooledServingClient, PoolTimeout
 from repro.serving.protocol import ConnectionClosed, ProtocolError
@@ -54,7 +53,6 @@ __all__ = [
     "CodecError",
     "ConnectionClosed",
     "DEFAULT_TENANT",
-    "FrontierCoalescer",
     "PoolTimeout",
     "PooledServingClient",
     "ProtocolError",

@@ -14,7 +14,7 @@ The split of labour per request:
 
 - the **event loop** (one thread) does nothing but byte shuffling —
   reads one length-prefixed frame, later writes the ready response
-  frames.  It never touches numpy, never blocks on the coalescers.
+  frames.  It never touches numpy, never blocks on the coalescer.
 - the **dispatch executor** (a small
   :class:`~concurrent.futures.ThreadPoolExecutor`,
   ``ServerConfig.executor_threads`` workers) runs
@@ -22,15 +22,15 @@ The split of labour per request:
   coalesced dispatch, encode — exactly the blocking span a threaded
   handler runs, bridged with :meth:`loop.run_in_executor`.
 
-The executor threads are what the coalescers feed on: requests that
-arrive together block together in the shared micro-batch window / frontier
-and ride one engine call, precisely as threaded handler threads would.
+The executor threads are what the coalescer feeds on: requests that
+arrive together block together in the shared micro-batch window and ride
+one engine call, precisely as threaded handler threads would.
 ``executor_threads`` therefore bounds *concurrent dispatches*, not
 connections — 10,000 idle sockets need zero executor slots.
 
 Everything behind the front end is the shared
 :class:`~repro.serving.server.ServingCore` — same engine, same
-coalescers, same session registry — so the byte-identity contract of
+coalescer, same session registry — so the byte-identity contract of
 ``tests/test_serving_equivalence.py`` holds over either front end.
 """
 
@@ -96,7 +96,7 @@ class AsyncRetrievalServer:
 
     @property
     def feedback_engine(self):
-        """The feedback engine loops and sessions run under."""
+        """The feedback engine sessions run under."""
         return self._core.feedback
 
     @property
@@ -135,10 +135,10 @@ class AsyncRetrievalServer:
     def close(self) -> None:
         """Drain and stop the server deterministically (idempotent).
 
-        Same sequence as the threaded front end: stop accepting, let the
-        frontier finish admitted loops, wait for in-flight responses to
-        leave, then disconnect the remaining clients, drop their sessions
-        and — with ``own_engine=True`` — close the engine.
+        Same sequence as the threaded front end: stop accepting, wait for
+        in-flight responses to leave, then disconnect the remaining
+        clients, drop their sessions and — with ``own_engine=True`` —
+        close the engine.
         """
         if self._closed:
             return
@@ -147,7 +147,7 @@ class AsyncRetrievalServer:
         if loop is not None and loop.is_running():
             # 1. Stop accepting (the asyncio server closes on the loop).
             asyncio.run_coroutine_threadsafe(self._stop_accepting(), loop).result(timeout=5.0)
-        # 2. Drain: no new loops, finish in-flight requests, drop sessions.
+        # 2. Drain: finish in-flight requests, drop sessions.
         self._core.shutdown(own_engine=False)
         if loop is not None and loop.is_running() and self._shutdown_event is not None:
             # 3. Disconnect lingering clients and let the loop exit.

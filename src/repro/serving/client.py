@@ -5,19 +5,17 @@
 :class:`~repro.serving.server.RetrievalServer` or
 :class:`~repro.serving.async_server.AsyncRetrievalServer` and mirrors the
 engine contract method for method — ``search`` / ``search_batch`` /
-``run_batch`` / parameterised search — plus the two feedback shapes:
-:meth:`run_feedback_loop` ships a serialisable judge to the server (which
-runs the loop on the shared, coalesced frontier), and
-:meth:`run_feedback_session` keeps the judge local and drives the loop
-round by round over the wire (open, judge, send judgments, repeat), which
-is the real interactive-user shape.
+``run_batch`` / parameterised search — plus interactive feedback
+sessions: :meth:`run_feedback_session` keeps the judge local and drives the
+loop round by round over the wire (open, judge, send judgments, repeat),
+which is the real interactive-user shape.
 
 Each connection opens with the codec handshake of
 :mod:`repro.serving.codec`: the client offers ``binary.1``, the server
 accepts or rejects, and every later frame is the binary codec.
 
-Both feedback shapes return values byte-identical to the corresponding
-local :class:`~repro.feedback.engine.FeedbackEngine` call — the serving
+A session's outcome is byte-identical to the local
+:meth:`~repro.feedback.engine.FeedbackEngine.run_loop` — the serving
 layer's contract, enforced by ``tests/test_serving_equivalence.py`` on
 both front ends.
 """
@@ -151,7 +149,7 @@ class ServingClient:
         return self._call("info")
 
     def stats(self) -> dict:
-        """The server's aggregated engine / coalescer / frontier counters."""
+        """The server's aggregated engine / coalescer / session counters."""
         return self._call("stats")
 
     # ------------------------------------------------------------------ #
@@ -227,55 +225,6 @@ class ServingClient:
         return self._query(
             "search_batch_with_parameters", k, query_points, deltas, weights, budget=budget
         )
-
-    # ------------------------------------------------------------------ #
-    # Feedback loops
-    # ------------------------------------------------------------------ #
-    def run_feedback_loop(
-        self,
-        query_point,
-        k: int,
-        judge: Judge,
-        *,
-        initial_delta=None,
-        initial_weights=None,
-        tenant: "str | None" = None,
-        budget: "int | dict | None" = None,
-    ) -> FeedbackLoopResult:
-        """Run one relevance-feedback loop on the server's shared frontier.
-
-        ``judge`` travels to the server, so it must be a value the binary
-        codec carries: a
-        :class:`~repro.evaluation.simulated_user.CategoryJudge`.  Any other
-        judge stays local with :meth:`run_feedback_session`, where only
-        its judgments cross the wire.  Byte-identical to the
-        local :meth:`~repro.feedback.engine.FeedbackEngine.run_loop`,
-        however many other connections' loops share the frontier rounds.
-        On a bypass-enabled server the retired loop trains ``tenant``'s
-        shared tree (the public namespace when omitted).
-
-        ``budget`` caps this loop's feedback iterations (an int, or
-        ``{"max_iterations": n}``), never exceeding the server's own cap —
-        the anytime knob for one loop; the returned result simply reports
-        fewer iterations.
-        """
-        message = {
-            "query_point": np.asarray(query_point, dtype=np.float64),
-            "k": int(k),
-            "judge": judge,
-            "initial_delta": None
-            if initial_delta is None
-            else np.asarray(initial_delta, dtype=np.float64),
-            "initial_weights": None
-            if initial_weights is None
-            else np.asarray(initial_weights, dtype=np.float64),
-            "tenant": tenant,
-        }
-        if budget is not None:
-            if isinstance(budget, bool) or not isinstance(budget, (int, dict)):
-                raise ValidationError("feedback budget must be an int, a dict, or None")
-            message["budget"] = {"max_iterations": budget} if isinstance(budget, int) else budget
-        return self._call("feedback_loop", **message)
 
     # ------------------------------------------------------------------ #
     # The shared served bypass
@@ -392,9 +341,8 @@ class ServingClient:
     ) -> FeedbackLoopResult:
         """Drive an interactive session with a *local* judge, round by round.
 
-        The network-shaped twin of :meth:`run_feedback_loop`: the judge
-        never leaves this process — each round the client judges the
-        current results and ships only ``(indices, scores)``.  The server
+        The judge never leaves this process — each round the client judges
+        the current results and ships only ``(indices, scores)``.  The server
         advances the same :class:`~repro.feedback.engine.LoopCursor` as
         :meth:`~repro.feedback.engine.FeedbackEngine.run_loop`, so the returned
         :class:`~repro.feedback.engine.FeedbackLoopResult` is byte-identical

@@ -1,51 +1,38 @@
 """Request coalescing: concurrent callers share batched engine dispatches.
 
-The batched machinery of the lower layers (``search_batch``, the frontier
-scheduler) only pays off when someone actually *builds* batches — a network
-server that forwards each connection's query as its own engine call degrades
-straight back to the per-query loop the batch pipeline was built to replace.
-This module closes that gap with two coalescers:
-
-* :class:`RequestCoalescer` — a shared **micro-batch window** for k-NN
-  queries.  Concurrent submissions are admitted into one open window per
-  ``(kind, k)`` group and the window dispatches as a single
-  ``search_batch`` / ``search_batch_with_parameters`` engine call; batching
-  emerges from *backpressure* (while every dispatch slot of the group is
-  busy, arrivals gather into the next window — continuous batching, no
-  deliberate delay), with ``max_batch`` capping a window and ``max_wait``
-  optionally holding one open to grow it.
-* :class:`FrontierCoalescer` — a shared
-  :class:`~repro.feedback.scheduler.FeedbackFrontier` for relevance-feedback
-  loops.  Loop requests from any number of connections are admitted into
-  one running frontier (continuous batching via
-  :meth:`~repro.feedback.scheduler.FeedbackFrontier.admit`), so iteration
-  *i* of N concurrent users' loops costs ~one batched dispatch per round
-  instead of N sequential scans.
+The batched machinery of the lower layers (``search_batch``,
+``search_batch_with_parameters``) only pays off when someone actually
+*builds* batches — a network server that forwards each connection's query
+as its own engine call degrades straight back to the per-query loop the
+batch pipeline was built to replace.  :class:`RequestCoalescer` closes that
+gap with a shared **micro-batch window** for k-NN queries: concurrent
+submissions are admitted into one open window per ``(kind, k)`` group and
+the window dispatches as a single ``search_batch`` /
+``search_batch_with_parameters`` engine call.  Batching emerges from
+*backpressure* (while every dispatch slot of the group is busy, arrivals
+gather into the next window — continuous batching, no deliberate delay),
+with ``max_batch`` capping a window and ``max_wait`` optionally holding one
+open to grow it.  The rounds of concurrent feedback sessions ride these
+windows too.
 
 **Coalescing never changes results.**  ``search_batch(Q, k)`` is
 byte-identical to ``[search(q, k) for q in Q]`` (the batch contract, tier-1
 enforced), so which other rows share a dispatch is unobservable to any
-single caller; likewise each frontier entry advances independently, so a
-loop admitted into a shared frontier reproduces its sequential
-:meth:`~repro.feedback.engine.FeedbackEngine.run_loop` bit for bit.  The
-serving equivalence suite (``tests/test_serving_equivalence.py``) enforces
-both directions.
+single caller.  The serving equivalence suite
+(``tests/test_serving_equivalence.py``) enforces it.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import time
 
 import numpy as np
 
 from repro.database.query import QueryBatch, ResultSet
-from repro.feedback.engine import FeedbackEngine, FeedbackLoopResult
-from repro.feedback.scheduler import FeedbackFrontier, LoopRequest
 from repro.utils.validation import ValidationError, check_dimension
 
-__all__ = ["RequestCoalescer", "FrontierCoalescer"]
+__all__ = ["RequestCoalescer"]
 
 
 def _dispatch_slots() -> int:
@@ -370,225 +357,3 @@ class RequestCoalescer:
             for pending in requests:
                 pending.error = error
                 pending.event.set()
-
-
-class _LoopWaiter:
-    """One connection's pending feedback loop on the shared frontier."""
-
-    __slots__ = ("event", "result", "error")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.result: "FeedbackLoopResult | None" = None
-        self.error: "BaseException | None" = None
-
-
-class FrontierCoalescer:
-    """One shared feedback frontier serving every connection's loops.
-
-    A dedicated driver thread owns the
-    :class:`~repro.feedback.scheduler.FeedbackFrontier`.  Loop requests
-    submitted by server threads queue for admission; the driver admits
-    whatever has gathered **between frontier rounds** (continuous batching —
-    late arrivals join the live frontier via
-    :meth:`~repro.feedback.scheduler.FeedbackFrontier.admit` instead of
-    waiting behind it) and advances iteration *i* of every active loop as
-    one batched dispatch.  Each loop's result is delivered to its waiter
-    the moment that entry retires, so a three-iteration session is never
-    held hostage by a ten-iteration neighbour.
-
-    A waiter that disappears (client disconnect mid-frontier) costs
-    nothing: its entry keeps advancing — per-entry work is exactly what the
-    client already asked for, bounded by the engine's iteration budget —
-    and the delivered result is simply never collected.
-
-    ``max_wait`` is the optional admission window: when the frontier is
-    idle, the driver naps that long after the first request arrives so
-    concurrent sessions share the first-round dispatch too (``0.0``, the
-    default, starts immediately — latecomers still merge into the running
-    frontier at the next round boundary).  :meth:`close` drains —
-    already-admitted and already-queued loops finish (bounded by
-    ``max_iterations`` rounds) — then the driver exits and later
-    submissions are refused.
-
-    ``turn_limit`` is the anytime degradation knob: each driver round
-    advances at most that many active loops (oldest first, in admission
-    order) instead of the whole frontier, so one round's latency stays
-    bounded however many sessions pile on — overload defers iterations
-    instead of growing the dispatch.  Deferral never changes any loop's
-    bits (frontier entries are independent); loops just retire over more
-    rounds.  ``None`` (default) advances everything every round.
-    """
-
-    def __init__(
-        self,
-        feedback_engine: FeedbackEngine,
-        *,
-        max_wait: float = 0.0,
-        on_retire=None,
-        turn_limit: "int | None" = None,
-    ) -> None:
-        self._feedback = feedback_engine
-        self._max_wait = float(max_wait)
-        if self._max_wait < 0:
-            raise ValidationError("max_wait must be non-negative")
-        if turn_limit is not None:
-            turn_limit = int(turn_limit)
-            if turn_limit < 1:
-                raise ValidationError("turn_limit must be positive (or None)")
-        self._turn_limit = turn_limit
-        # Optional sink called as ``on_retire(request, result, context)`` on
-        # the driver thread the moment a loop retires, before its waiter is
-        # released — the hook the shared served bypass trains through.  A
-        # failing sink never breaks delivery.
-        self._on_retire = on_retire
-        self._lock = threading.Lock()
-        self._wake = threading.Condition(self._lock)
-        self._pending: "list[tuple[LoopRequest, _LoopWaiter, object]]" = []
-        self._closed = False
-        # Stats (under the lock).
-        self._n_loops = 0
-        self._n_rounds = 0
-        self._n_frontiers = 0
-        self._peak_active = 0
-        self._driver = threading.Thread(
-            target=self._drive, name="repro-serving-frontier", daemon=True
-        )
-        self._driver.start()
-
-    @property
-    def feedback_engine(self) -> FeedbackEngine:
-        """The feedback engine whose loops the shared frontier runs."""
-        return self._feedback
-
-    @property
-    def turn_limit(self) -> "int | None":
-        """Active loops advanced per driver round (``None`` = the whole frontier)."""
-        return self._turn_limit
-
-    def stats(self) -> dict:
-        """Sharing counters: loops served, frontier rounds, peak frontier size."""
-        with self._lock:
-            return {
-                "loops": self._n_loops,
-                "rounds": self._n_rounds,
-                "frontiers": self._n_frontiers,
-                "peak_active": self._peak_active,
-            }
-
-    # ------------------------------------------------------------------ #
-    # Submission
-    # ------------------------------------------------------------------ #
-    def run_loop(self, request: LoopRequest, context=None) -> FeedbackLoopResult:
-        """Run one feedback loop on the shared frontier; blocks until done.
-
-        Byte-identical to ``feedback_engine.run_loop(request.query_point,
-        request.k, request.judge, ...)`` — the scheduler contract, with the
-        frontier's composition decided by whoever else is looping right now.
-        Validation errors (wrong dimensionality, negative weights, a bad
-        iteration cap) surface here, before the request ever reaches the
-        driver.  ``context`` is an opaque value handed to the ``on_retire``
-        sink alongside the result (the server passes the connection's tenant
-        name).
-        """
-        # Every loop's validation, on the submitting thread: the cursor
-        # itself is started again at admission.
-        request.start(self._feedback)
-        waiter = _LoopWaiter()
-        with self._lock:
-            if self._closed:
-                raise ValidationError("the serving frontier is closed")
-            self._pending.append((request, waiter, context))
-            self._n_loops += 1
-            self._wake.notify_all()
-        waiter.event.wait()
-        if waiter.error is not None:
-            raise waiter.error
-        return waiter.result
-
-    def close(self) -> None:
-        """Drain in-flight and queued loops, then stop the driver (idempotent)."""
-        with self._lock:
-            self._closed = True
-            self._wake.notify_all()
-        if self._driver is not threading.current_thread():
-            self._driver.join()
-
-    def __enter__(self) -> "FrontierCoalescer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------ #
-    # The driver
-    # ------------------------------------------------------------------ #
-    def _take_pending(self) -> "list[tuple[LoopRequest, _LoopWaiter, object]]":
-        with self._lock:
-            batch, self._pending = self._pending, []
-            return batch
-
-    def _admit(self, frontier: FeedbackFrontier, batch, waiters: dict) -> None:
-        """Admit a batch into the (possibly running) frontier, or fail it."""
-        if not batch:
-            return
-        try:
-            positions = frontier.admit([request for request, _, _ in batch])
-        except BaseException as error:  # noqa: BLE001 - fanned back to submitters
-            for _, waiter, _ in batch:
-                waiter.error = error
-                waiter.event.set()
-            return
-        for position, entry in zip(positions, batch):
-            waiters[position] = entry
-
-    def _deliver_retired(self, frontier: FeedbackFrontier, waiters: dict) -> None:
-        for position in [p for p in waiters if frontier.is_done(p)]:
-            request, waiter, context = waiters.pop(position)
-            waiter.result = frontier.result_at(position)
-            # Collected means collectable garbage: under sustained traffic
-            # the same frontier lives for as long as loops keep overlapping,
-            # so retired entries must not accumulate in it.
-            frontier.discard(position)
-            if self._on_retire is not None:
-                try:
-                    # Before the event: a waiter that immediately consults
-                    # the shared tree reads its own loop's training.
-                    self._on_retire(request, waiter.result, context)
-                except Exception:  # noqa: BLE001 - training never breaks delivery
-                    pass
-            waiter.event.set()
-
-    def _drive(self) -> None:
-        while True:
-            with self._lock:
-                while not self._pending and not self._closed:
-                    self._wake.wait()
-                if self._closed and not self._pending:
-                    return
-            # Admission window: the frontier is idle and the first request
-            # just arrived — give its concurrent peers a beat to join the
-            # shared first-round dispatch.
-            if self._max_wait > 0:
-                time.sleep(self._max_wait)
-
-            frontier = FeedbackFrontier(self._feedback)
-            waiters: "dict[int, _LoopWaiter]" = {}
-            with self._lock:
-                self._n_frontiers += 1
-            try:
-                self._admit(frontier, self._take_pending(), waiters)
-                while waiters:
-                    with self._lock:
-                        self._peak_active = max(self._peak_active, frontier.active_count)
-                    frontier.advance(limit=self._turn_limit)
-                    with self._lock:
-                        self._n_rounds += 1
-                    self._deliver_retired(frontier, waiters)
-                    # Continuous admission: loops that arrived during this
-                    # round join the live frontier for the next one.
-                    self._admit(frontier, self._take_pending(), waiters)
-            except BaseException as error:  # noqa: BLE001 - engine failure mid-frontier
-                for _, waiter, _ in waiters.values():
-                    waiter.error = error
-                    waiter.event.set()

@@ -19,8 +19,6 @@ handshake, and nothing on its wire is ever unpickled:
   (:class:`~repro.database.query.ResultSet`,
   :class:`~repro.feedback.engine.FeedbackState`,
   :class:`~repro.feedback.engine.FeedbackLoopResult`,
-  :class:`~repro.feedback.scores.JudgmentBatch`,
-  :class:`~repro.evaluation.simulated_user.CategoryJudge`,
   :class:`~repro.core.oqp.OptimalQueryParameters`,
   :class:`~repro.core.simplex_tree.InsertOutcome`).  Decoding never
   constructs anything but these, nests at most :data:`MAX_NESTING` levels
@@ -44,11 +42,9 @@ import struct
 import numpy as np
 
 from repro.database.query import ResultSet
-from repro.evaluation.simulated_user import CategoryJudge
 from repro.core.oqp import OptimalQueryParameters
 from repro.core.simplex_tree import InsertOutcome
 from repro.feedback.engine import FeedbackLoopResult, FeedbackState
-from repro.feedback.scores import JudgmentBatch, RelevanceScale
 from repro.serving.protocol import ProtocolError
 
 __all__ = [
@@ -294,23 +290,8 @@ class BinaryCodec:
             self._encode(value.final_results, out)
             self._encode(int(value.iterations), out)
             self._encode(value.reason, out)
-        elif isinstance(value, JudgmentBatch):
-            out += b"B"
-            self._encode_array(value.indices, out)
-            self._encode_array(value.scores, out)
-        elif isinstance(value, CategoryJudge):
-            out += b"J"
-            # Label arrays are object-dtype string arrays
-            # (FeatureCollection.labels_array); ship them as a string list
-            # and rebuild the same dtype on decode.
-            self._encode([str(label) for label in np.asarray(value.labels).tolist()], out)
-            self._encode(value.category, out)
-            self._encode(value.scale.value, out)
         else:
-            raise CodecError(
-                f"the binary codec cannot carry {type(value).__name__} values; "
-                "an arbitrary judge stays client-side (run_feedback_session)"
-            )
+            raise CodecError(f"the binary codec cannot carry {type(value).__name__} values")
 
     def _encode_array(self, array: np.ndarray, out: bytearray) -> None:
         if array.dtype.hasobject:
@@ -436,19 +417,6 @@ class BinaryCodec:
                     iterations=int(iterations),
                     reason=reason,
                 ),
-                offset,
-            )
-        if tag == b"B":
-            indices, offset = self._decode_tagged_array(data, offset, depth)
-            scores, offset = self._decode_tagged_array(data, offset, depth)
-            return JudgmentBatch(indices=indices, scores=scores), offset
-        if tag == b"J":
-            label_list, offset = self._decode(data, offset, depth)
-            category, offset = self._decode(data, offset, depth)
-            scale, offset = self._decode(data, offset, depth)
-            labels = np.array(label_list, dtype=object)
-            return (
-                CategoryJudge(labels=labels, category=category, scale=RelevanceScale(scale)),
                 offset,
             )
         raise CodecError(f"unknown binary tag {tag!r} at offset {offset - 1}")

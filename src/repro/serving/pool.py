@@ -18,12 +18,11 @@ call in the reliability loop a real deployment needs:
   budget, and backoff sleeps draw from the same budget, so a call takes
   at most ``request_timeout`` seconds end to end, retries included.
 - **bounded exponential-backoff retry** — *idempotent* ops (the query
-  contract, introspection, judge-shipped feedback loops: pure functions
-  of the request) are retried up to ``retries`` times on **transport**
-  failures (connection refused / reset / timed out / torn frames) with
-  exponential backoff; semantic failures
-  (:class:`~repro.utils.validation.ValidationError`, server-side errors)
-  propagate immediately — retrying can't fix a bad request.  Stateful
+  contract and introspection: pure functions of the request) are retried
+  up to ``retries`` times on **transport** failures (connection refused /
+  reset / timed out / torn frames) with exponential backoff; semantic
+  failures (:class:`~repro.utils.validation.ValidationError`, server-side
+  errors) propagate immediately — retrying can't fix a bad request.  Stateful
   session ops never auto-retry; :meth:`lease` pins one connection for the
   round-by-round interactive shape.
 
@@ -323,10 +322,6 @@ class PooledServingClient:
         """The server's engine description and serving configuration."""
         return self._call("info", idempotent=True)
 
-    def server_stats(self) -> dict:
-        """The server's aggregated counters (``stats()`` is the pool's own)."""
-        return self._call("stats", idempotent=True)
-
     # ------------------------------------------------------------------ #
     # The query contract (idempotent — pure functions of the request)
     # ------------------------------------------------------------------ #
@@ -365,40 +360,6 @@ class PooledServingClient:
             deltas,
             weights,
             idempotent=True,
-            budget=budget,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Feedback
-    # ------------------------------------------------------------------ #
-    def run_feedback_loop(
-        self,
-        query_point,
-        k: int,
-        judge: Judge,
-        *,
-        initial_delta=None,
-        initial_weights=None,
-        tenant: "str | None" = None,
-        budget: "int | dict | None" = None,
-    ) -> FeedbackLoopResult:
-        """Judge-shipped feedback loop on the server's shared frontier.
-
-        Idempotent (a pure function of the request over a read-only
-        corpus), so transport failures retry within the budget.  A retry
-        on a bypass-training server re-deposits the same converged
-        parameters — a geometric duplicate the tree folds into the same
-        vertex, so the served answers stay identical.
-        """
-        return self._call(
-            "run_feedback_loop",
-            query_point,
-            k,
-            judge,
-            idempotent=True,
-            initial_delta=initial_delta,
-            initial_weights=initial_weights,
-            tenant=tenant,
             budget=budget,
         )
 

@@ -1,8 +1,8 @@
 """The serving core and the threaded network front end.
 
 :class:`ServingCore` is the transport-independent heart of the serving
-layer: one shared engine, the request/frontier coalescers, the interactive
-session registry, the op table, and the connection / in-flight bookkeeping.
+layer: one shared engine, the request coalescer, the interactive session
+registry, the op table, and the connection / in-flight bookkeeping.
 Both front ends — the thread-per-connection :class:`RetrievalServer` here
 and the event-loop :class:`~repro.serving.async_server.AsyncRetrievalServer`
 — are thin byte-shufflers around the same core, so results are
@@ -11,26 +11,25 @@ byte-identical whichever one answers (tier-1,
 
 :class:`RetrievalServer` binds a TCP port and serves the full retrieval
 query contract — ``search`` / ``search_batch`` / ``run_batch`` / k-NN with
-per-query ``(Δ, W)`` parameters — plus relevance-feedback loops (judge
-shipped to the server, run on the shared
-:class:`~repro.serving.coalescer.FrontierCoalescer`) and interactive
-multi-round sessions (judgments shipped per round, state held by the
-:class:`~repro.serving.sessions.SessionManager`), over the length-prefixed
+per-query ``(Δ, W)`` parameters — plus interactive relevance-feedback
+sessions (the client judges each round's results and ships the judgments,
+the loop state is held by the :class:`~repro.serving.sessions.SessionManager`
+and every round's search rides the shared
+:class:`~repro.serving.coalescer.RequestCoalescer`), over the length-prefixed
 frames of :mod:`repro.serving.protocol` behind the codec handshake of
 :mod:`repro.serving.codec`, after which every frame is the binary codec.
 
 Concurrency here is threads-per-connection
 (:class:`socketserver.ThreadingTCPServer`), which is exactly the shape the
-coalescers feed on — handler threads park their queries in the shared
-micro-batch window / frontier and the batched machinery of the layers below
+coalescer feeds on — handler threads park their queries in the shared
+micro-batch window and the batched machinery of the layers below
 does the work — but caps out around thousands of sockets; the async front
 end holds tens of thousands on a handful of threads.
 
 Lifecycle: :meth:`RetrievalServer.close` (or the context manager) stops
-accepting, refuses new feedback loops while draining the in-flight ones
-(bounded by the iteration budget), disconnects the remaining clients and —
-when the server owns the engine — closes the engine too, releasing worker
-processes and shared-memory segments deterministically.
+accepting, lets in-flight requests answer, disconnects the remaining
+clients and — when the server owns the engine — closes the engine too,
+releasing worker processes and shared-memory segments deterministically.
 """
 
 from __future__ import annotations
@@ -49,9 +48,8 @@ from repro.database.query import Query
 from repro.database.segments import Compactor
 from repro.feedback.engine import FeedbackEngine
 from repro.feedback.reweighting import ReweightingRule
-from repro.feedback.scheduler import LoopRequest
 from repro.serving.bypass_registry import DEFAULT_TENANT, BypassRegistry
-from repro.serving.coalescer import FrontierCoalescer, RequestCoalescer
+from repro.serving.coalescer import RequestCoalescer
 from repro.serving.codec import (
     BINARY,
     MAX_HELLO_BYTES,
@@ -93,15 +91,14 @@ class ServerConfig:
         optionally holds a not-yet-full window open to grow it (``0.0``,
         the default, is pure continuous batching: no deliberate delay,
         sharing comes from backpressure once every dispatch slot is busy).
-        ``max_wait`` also paces the frontier coalescer's admission window.
     solo_grace:
         Gather time (seconds) a *lone* submitter still concedes before
         dispatching solo when ``max_wait`` is on — the coalescer's solo
         fast path.  Per-server because C10K tuning moves it: many mostly-
         idle connections want it tiny, few hot ones can afford more.
     reweighting_rule, move_query_point, max_iterations, variance_floor:
-        The feedback-engine configuration the server runs loops and
-        sessions under — match them to the
+        The feedback-engine configuration the server runs sessions
+        under — match them to the
         :class:`~repro.evaluation.session.SessionConfig` being reproduced.
     idle_timeout:
         Seconds a connection may sit mid-read (or mid-write) before the
@@ -114,20 +111,17 @@ class ServerConfig:
         large ``run_batch`` answers.
     executor_threads:
         Size of the async front end's dispatch pool — the number of
-        requests that can *block* in the coalescers concurrently.  Ignored
+        requests that can *block* in the coalescer concurrently.  Ignored
         by the threaded front end (each connection brings its own thread).
     bypass:
         Enable the shared served bypass: one multi-tenant
         :class:`~repro.serving.bypass_registry.BypassRegistry` of Simplex
-        Trees served through the ``bypass_*`` ops and (by default) trained
-        by every retired ``feedback_loop``.
+        Trees served through the ``bypass_*`` ops: ``bypass_mopt`` predicts
+        a session's starting parameters, ``bypass_insert`` stores the
+        converged ones.
     bypass_epsilon, bypass_margin:
         The shared trees' insert ε-gate and the bounding-simplex margin
         around the corpus (see ``BypassRegistry.for_engine``).
-    bypass_train_on_loops:
-        When on (default), every loop retired by the frontier coalescer
-        inserts its converged parameters into the requesting tenant's tree
-        — later clients' loops start from the prediction and shorten.
     bypass_snapshot_dir, bypass_snapshot_every:
         Warm-start persistence: directory for per-tenant snapshots +
         insert logs (``None`` disables), and the applied-insert cadence of
@@ -142,13 +136,6 @@ class ServerConfig:
         outside it (``None``, the default, leaves compaction to explicit
         ``compact`` ops).  The fold's heavy phase runs off the mutation
         lock, so coalesced query windows keep dispatching while it runs.
-    frontier_turn_searches:
-        Anytime degradation of the shared feedback frontier: each driver
-        round advances at most this many active loops (oldest first)
-        instead of the whole frontier, bounding one round's dispatch under
-        load — overload defers iterations instead of queueing bigger
-        batches, and deferral never changes any loop's bits.  ``None``
-        (default) advances every active loop every round.
     """
 
     host: str = "127.0.0.1"
@@ -166,19 +153,15 @@ class ServerConfig:
     bypass: bool = False
     bypass_epsilon: float = 0.0
     bypass_margin: float = 0.25
-    bypass_train_on_loops: bool = True
     bypass_snapshot_dir: "str | None" = None
     bypass_snapshot_every: int = 256
     bypass_max_nodes: "int | None" = None
     bypass_max_tenants: int = 64
     autocompact_delta_rows: "int | None" = None
-    frontier_turn_searches: "int | None" = None
 
     def __post_init__(self) -> None:
         if self.autocompact_delta_rows is not None:
             check_dimension(self.autocompact_delta_rows, "autocompact_delta_rows")
-        if self.frontier_turn_searches is not None:
-            check_dimension(self.frontier_turn_searches, "frontier_turn_searches")
         check_dimension(self.max_batch, "max_batch")
         check_dimension(self.max_iterations, "max_iterations")
         check_dimension(self.stream_chunk_items, "stream_chunk_items")
@@ -207,7 +190,7 @@ class ServingCore:
     :class:`~repro.database.sharding.ShardedEngine` on either backend — is
     shared by every connection; searches are read-only and counters are
     lock-protected, so no extra synchronisation is needed.  The core owns
-    the coalescers, the session registry, the op table and the connection /
+    the coalescer, the session registry, the op table and the connection /
     in-flight accounting; front ends own sockets and the handshake.
     """
 
@@ -238,15 +221,6 @@ class ServingCore:
                 max_nodes=self.config.bypass_max_nodes,
                 max_tenants=self.config.bypass_max_tenants,
             )
-        on_retire = None
-        if self.bypass is not None and self.config.bypass_train_on_loops:
-            on_retire = self._train_from_loop
-        self.frontier = FrontierCoalescer(
-            self.feedback,
-            max_wait=self.config.max_wait,
-            on_retire=on_retire,
-            turn_limit=self.config.frontier_turn_searches,
-        )
         self.sessions = SessionManager(self.feedback, self.coalescer)
         self.compactor: "Compactor | None" = None
         if self.config.autocompact_delta_rows is not None:
@@ -269,7 +243,6 @@ class ServingCore:
             "stats": self._op_stats,
             **dict.fromkeys(QUERY_WIRE_KEYS, self._op_query),
             "run_batch": self._op_run_batch,
-            "feedback_loop": self._op_feedback_loop,
             "session_open": self._op_session_open,
             "session_feedback": self._op_session_feedback,
             "session_close": self._op_session_close,
@@ -361,7 +334,6 @@ class ServingCore:
         snapshot = {
             "engine": self.engine.stats(),
             "coalescer": self.coalescer.stats(),
-            "frontier": self.frontier.stats(),
             "sessions": self.sessions.stats(),
             "connections": connections,
             "bypass": None if self.bypass is None else self.bypass.stats(),
@@ -373,15 +345,14 @@ class ServingCore:
         return snapshot
 
     def shutdown(self, *, own_engine: bool, drain_timeout: float = 10.0) -> None:
-        """Drain the frontier and in-flight requests, then release state."""
+        """Drain in-flight requests, then release state."""
         if self.compactor is not None:
             self.compactor.close()
-        self.frontier.close()
         self.wait_idle(drain_timeout)
         self.sessions.clear()
         if self.bypass is not None:
-            # After the frontier drained: the last retired loop has trained,
-            # so the final snapshot captures everything served.
+            # After the drain: the last in-flight insert has landed, so the
+            # final snapshot captures everything served.
             self.bypass.close()
         if own_engine:
             close = getattr(self.engine, "close", None)
@@ -458,30 +429,6 @@ class ServingCore:
             lambda points, k, distance: self.coalescer.submit_search(points, k), queries
         )
 
-    @staticmethod
-    def _loop_budget(message) -> "int | None":
-        """The feedback op's budget: an iteration cap for this one loop."""
-        spec = message.get("budget")
-        if spec is None:
-            return None
-        if not isinstance(spec, dict):
-            raise ValidationError("feedback budget must be a dict")
-        unknown = set(spec) - {"max_iterations"}
-        if unknown:
-            raise ValidationError(f"unknown feedback budget keys {sorted(unknown)!r}")
-        return spec.get("max_iterations")
-
-    def _op_feedback_loop(self, message, owner):
-        request = LoopRequest(
-            query_point=np.atleast_1d(np.asarray(message["query_point"], dtype=np.float64)),
-            k=message["k"],
-            judge=message["judge"],
-            initial_delta=message.get("initial_delta"),
-            initial_weights=message.get("initial_weights"),
-            max_iterations=self._loop_budget(message),
-        )
-        return self.frontier.run_loop(request, context=self._tenant_of(message))
-
     def _op_session_open(self, message, owner) -> dict:
         session = self.sessions.open(
             owner,
@@ -522,24 +469,6 @@ class ServingCore:
                 "(enable it with ServerConfig(bypass=True))"
             )
         return self.bypass
-
-    def _train_from_loop(self, request, result, tenant) -> None:
-        """Frontier retirement sink: deposit a converged loop in the tree.
-
-        Applies the evaluation session's insert policy
-        (:meth:`~repro.feedback.engine.FeedbackLoopResult.parameters_to_store`).
-        Runs on the frontier driver thread; failures (e.g. a query outside
-        the root simplex, or a closing registry) are swallowed by the
-        coalescer so delivery never breaks.
-        """
-        optimal = result.parameters_to_store(request.query_point)
-        if optimal is None:
-            return
-        self.bypass.insert(
-            tenant if tenant is not None else DEFAULT_TENANT,
-            request.query_point,
-            optimal,
-        )
 
     def _op_bypass_mopt(self, message, owner) -> OptimalQueryParameters:
         registry = self._require_bypass()
@@ -721,7 +650,7 @@ class RetrievalServer:
 
     @property
     def feedback_engine(self) -> FeedbackEngine:
-        """The feedback engine loops and sessions run under."""
+        """The feedback engine sessions run under."""
         return self._core.feedback
 
     @property
@@ -755,12 +684,10 @@ class RetrievalServer:
     def close(self) -> None:
         """Drain and stop the server deterministically (idempotent).
 
-        Stops accepting, lets the shared frontier finish the loops already
-        admitted or queued (new ones are refused), waits for in-flight
-        responses to leave, then disconnects the remaining clients, drops
-        their sessions, and — with ``own_engine=True`` — closes the engine,
-        releasing worker pools, worker processes and shared-memory
-        segments.
+        Stops accepting, waits for in-flight responses to leave, then
+        disconnects the remaining clients, drops their sessions, and — with
+        ``own_engine=True`` — closes the engine, releasing worker pools,
+        worker processes and shared-memory segments.
         """
         if self._closed:
             return

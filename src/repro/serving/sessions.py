@@ -1,11 +1,9 @@
 """Server-side state of interactive, client-driven feedback sessions.
 
-The :class:`~repro.serving.coalescer.FrontierCoalescer` serves loops whose
-judge travels to the server (the simulated-user regime).  A *real*
-interactive user is the opposite shape: the judge lives on the client, and
-each round trips over the network — open the session, look at the results,
-send relevance judgments, get the re-searched results, repeat.  This module
-keeps that per-session loop state on the server:
+Sessions are the server's one feedback loop.  The judge lives on the
+client, and each round trips over the network — open the session, look at
+the results, send relevance judgments, get the re-searched results,
+repeat.  This module keeps that per-session loop state on the server:
 
 * :class:`ServingSession` — one user's in-flight loop: an id, the owning
   connection, a lock and the loop's
@@ -28,8 +26,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-
-import numpy as np
 
 from repro.database.query import ResultSet
 from repro.feedback.engine import FeedbackEngine, FeedbackLoopResult, LoopCursor
@@ -158,11 +154,11 @@ class SessionManager:
             cursor = session.cursor
             if cursor.done:
                 raise ValidationError(f"session {session_id} has already finished")
-            indices = np.asarray(indices, dtype=np.intp)
+            judgments = JudgmentBatch(indices=indices, scores=scores)
+            indices = judgments.indices
             collection_size = self._feedback.retrieval_engine.collection.size
             if indices.size and (indices.min() < 0 or indices.max() >= collection_size):
                 raise ValidationError("judgment indices out of collection range")
-            judgments = JudgmentBatch(indices=indices, scores=np.asarray(scores, dtype=np.float64))
 
             cursor.propose(self._feedback.compute_new_state(cursor.state, judgments))
             new_results = None

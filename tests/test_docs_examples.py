@@ -48,7 +48,7 @@ def _load_example(name: str):
     spec = importlib.util.spec_from_file_location(f"docs_example_{name}", path)
     module = importlib.util.module_from_spec(spec)
     # Registered so dataclasses/pickle introspection inside the example
-    # (the serving example ships judges) can resolve the module.
+    # can resolve the module.
     sys.modules[spec.name] = module
     try:
         spec.loader.exec_module(module)

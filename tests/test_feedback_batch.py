@@ -52,6 +52,45 @@ class TestJudgmentBatch:
         with pytest.raises(ValidationError):
             JudgmentBatch(indices=np.array([1, 2]), scores=np.array([1.0]))
 
+    # Judgments arrive from the wire: nothing may be cast into shape first
+    # (an intp cast would judge 1.7 as 1).
+    @pytest.mark.parametrize(
+        "indices,scores",
+        [
+            ([1.7, 2.2], [1.0, 0.0]),
+            ([1.0, 2.0], [1.0, 0.0]),
+            ([True, False], [1.0, 0.0]),
+            (["1", "2"], [1.0, 0.0]),
+            ([[1, 2]], [[1.0, 0.0]]),
+            ([1], 1.0),
+            ([], 1.0),
+            ([1, 2], ["yes", "no"]),
+            ([1, 2], [1.0, np.nan]),
+        ],
+        ids=[
+            "float-indices",
+            "integral-float-indices",
+            "bool-indices",
+            "string-indices",
+            "2d",
+            "0d-scores",
+            "0d-scores-no-indices",
+            "string-scores",
+            "nan-score",
+        ],
+    )
+    def test_rejects_malformed_judgments_before_any_cast(self, indices, scores):
+        with pytest.raises(ValidationError):
+            JudgmentBatch(indices=indices, scores=scores)
+
+    @pytest.mark.parametrize(
+        "indices", [[], np.array([], dtype=np.float64), np.array([3, 1], dtype=np.uint8)]
+    )
+    def test_accepts_integer_and_empty_indices(self, indices):
+        batch = JudgmentBatch(indices=indices, scores=np.ones(len(indices)))
+        assert batch.indices.dtype == np.intp
+        assert batch.indices.tolist() == [int(i) for i in indices]
+
 
 class TestVectorisedOracle:
     @pytest.mark.parametrize("scale", list(RelevanceScale))

@@ -253,10 +253,11 @@ class TestFrontierMechanics:
         assert frontier.active_count == len(frontier) == query_indices.size
         with pytest.raises(ValidationError):
             frontier.results()  # still active
-        rounds = 0
-        while frontier.advance():
+        rounds, active = 0, frontier.active_count
+        while remaining := frontier.advance():
             rounds += 1
-            assert frontier.active_count + frontier.retired_count == len(frontier)
+            assert remaining == frontier.active_count <= active  # retired loops stay retired
+            active = remaining
         assert rounds <= engine.max_iterations
         assert frontier.active_count == 0
         assert len(frontier.results()) == query_indices.size

@@ -152,6 +152,15 @@ def test_evaluation_never_reaches_serving(path):
     assert offending == [], f"{path.name} reaches {offending}"
 
 
+@pytest.mark.parametrize("path", _source_files(SERVING), ids=lambda path: path.name)
+def test_serving_never_reaches_evaluation(path):
+    """Judges stay with the client: the wire carries judgments, never a judge."""
+    offending = sorted(
+        module for module in import_closure(path) if _within(module, "repro.evaluation")
+    )
+    assert offending == [], f"{path.name} reaches {offending}"
+
+
 #: Library modules that no served path, experiment or benchmark imports,
 #: each kept for the reason given.  The list may only shrink.
 UNREACHED_ALLOWED = {
@@ -303,10 +312,22 @@ def test_no_module_imports_a_process_pool():
     assert {path: modules for path, modules in offending.items() if modules} == {}
 
 
-@pytest.mark.parametrize("name", ["absorb_counters", "_run_subfrontier"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "absorb_counters",
+        "_run_subfrontier",
+        "FrontierCoalescer",
+        "turn_limit",
+        "bypass_train_on_loops",
+        "frontier_turn_searches",
+    ],
+)
 def test_no_sub_frontier_machinery_remains(name):
     """The feedback loops are never split across workers, so nothing ships
-    a frontier to a worker or folds a worker's counters back home."""
+    a frontier to a worker or folds a worker's counters back home; and the
+    server runs no frontier of its own — interactive sessions are its one
+    feedback loop."""
     offending = [
         str(path.relative_to(SRC))
         for path in _source_files(SRC / "repro")

@@ -1,15 +1,13 @@
 """The one feedback-loop transition and the stop reason it reports.
 
-Every loop — the sequential ``run_loop``, the batched frontier, the served
-judge-shipped ``feedback_loop`` and the served client-judged session —
-drives the same :class:`~repro.feedback.engine.LoopCursor`, so all four
-must agree on *why* a loop stopped, not only on its bytes.  The per-loop
-iteration cap is validated once, by ``FeedbackEngine.start``, and a bad
-cap is a typed error wherever it arrives.
+Every loop — the sequential ``run_loop``, the batched frontier and the
+served client-judged session — drives the same
+:class:`~repro.feedback.engine.LoopCursor`, so all three must agree on
+*why* a loop stopped, not only on its bytes.  The iteration cap is the
+feedback engine's, and a bad cap is a typed error.
 """
 
 import dataclasses
-import threading
 
 import numpy as np
 import pytest
@@ -18,8 +16,8 @@ from repro.database.engine import RetrievalEngine
 from repro.evaluation.simulated_user import CategoryJudge, SimulatedUser
 from repro.feedback.engine import LOOP_REASONS, FeedbackEngine, FeedbackState, LoopCursor
 from repro.feedback.reweighting import ReweightingRule
-from repro.feedback.scheduler import FeedbackFrontier, LoopRequest, LoopScheduler
-from repro.serving import AsyncRetrievalServer, RetrievalServer, ServerConfig, ServingClient
+from repro.feedback.scheduler import LoopRequest, LoopScheduler
+from repro.serving import RetrievalServer, ServerConfig, ServingClient
 from repro.serving.codec import BINARY, CodecError
 from repro.utils.validation import ValidationError
 
@@ -48,7 +46,7 @@ def _outcome(loop):
 
 
 @pytest.mark.serving
-class TestFourPathsAgreeOnWhyALoopStopped:
+class TestEveryPathAgreesOnWhyALoopStopped:
     @pytest.mark.parametrize("rule", list(ReweightingRule))
     @pytest.mark.parametrize("move_query_point", [True, False])
     @pytest.mark.parametrize("max_iterations", [1, 3, 10])
@@ -70,40 +68,14 @@ class TestFourPathsAgreeOnWhyALoopStopped:
         )
         with RetrievalServer(RetrievalEngine(tiny_collection), config) as server:
             with ServingClient(*server.address) as client:
-                served = [client.run_feedback_loop(point, 8, judge) for point, judge in loops]
                 sessions = [client.run_feedback_session(point, 8, judge) for point, judge in loops]
 
-        for reference, *others in zip(sequential, frontier, served, sessions):
+        for reference, *others in zip(sequential, frontier, sessions):
             assert reference.reason != "active"
             for other in others:
                 assert _outcome(other) == _outcome(reference)
                 assert other.identical_to(reference)
         assert sequential[-1].reason == "no_signal"
-
-
-class TestZeroCap:
-    def test_frontier_cap_zero_is_the_first_round(self, tiny_collection, loops):
-        feedback = FeedbackEngine(RetrievalEngine(tiny_collection), max_iterations=6)
-        frontier = FeedbackFrontier(
-            feedback,
-            [
-                LoopRequest(query_point=point, k=8, judge=judge, max_iterations=0)
-                for point, judge in loops
-            ],
-        )
-        # Retired at admission: nothing is left to advance.
-        assert frontier.active_count == 0
-        assert frontier.advance() == 0
-        reference = FeedbackEngine(RetrievalEngine(tiny_collection), max_iterations=6)
-        for (point, judge), loop in zip(loops, frontier.results()):
-            first_round = reference.run_loop(point, 8, judge).initial_results
-            assert loop.iterations == 0
-            assert loop.reason == "budget"
-            assert not loop.converged
-            assert loop.initial_results == loop.final_results == first_round
-        stats = feedback.retrieval_engine.stats()
-        assert stats["frontier_batches"] == 1
-        assert stats["feedback_iterations"] == 0
 
 
 class TestCursor:
@@ -144,25 +116,12 @@ class TestCursor:
         cursor.settle(first_round)
         assert (cursor.reason, cursor.iterations) == ("converged", 1)
 
-    def test_the_request_cap_never_exceeds_the_engine_cap(self, tiny_collection):
-        feedback = FeedbackEngine(RetrievalEngine(tiny_collection), max_iterations=4)
-        point = tiny_collection.vectors[0]
-        assert feedback.start(point, 5).max_iterations == 4
-        assert feedback.start(point, 5, max_iterations=9).max_iterations == 4
-        assert feedback.start(point, 5, max_iterations=np.int64(2)).max_iterations == 2
-        assert feedback.start(point, 5, max_iterations=0).max_iterations == 0
-
     @pytest.mark.parametrize("cap", BAD_CAPS, ids=repr)
-    def test_bad_caps_are_rejected(self, tiny_collection, user, cap):
-        feedback = FeedbackEngine(RetrievalEngine(tiny_collection))
+    def test_bad_caps_are_rejected(self, tiny_collection, cap):
         with pytest.raises(ValidationError):
-            feedback.start(tiny_collection.vectors[0], 5, max_iterations=cap)
-        request = LoopRequest(
-            query_point=tiny_collection.vectors[0], k=5, judge=user.judge_for_query(0),
-            max_iterations=cap,
-        )
+            FeedbackEngine(RetrievalEngine(tiny_collection), max_iterations=cap)
         with pytest.raises(ValidationError):
-            LoopScheduler(feedback).run([request])
+            ServerConfig(max_iterations=cap)
 
     def test_an_unknown_reason_is_refused(self, tiny_collection, user):
         loop = FeedbackEngine(RetrievalEngine(tiny_collection)).run_loop(
@@ -193,45 +152,3 @@ class TestCodecCarriesTheReason:
         assert encoded.count(field) == 1
         with pytest.raises(CodecError):
             BINARY.decode(encoded.replace(field, b"s" + (6).to_bytes(4, "big") + b"bored!"))
-
-
-@pytest.mark.serving
-@pytest.mark.parametrize(
-    "server_cls", [RetrievalServer, AsyncRetrievalServer], ids=["threaded", "async"]
-)
-def test_bad_wire_caps_are_typed_errors_and_leave_neighbours_alone(
-    tiny_collection, user, server_cls
-):
-    judge = user.judge_for_query(7)
-    point = tiny_collection.vectors[7]
-    reference = FeedbackEngine(RetrievalEngine(tiny_collection), max_iterations=6).run_loop(
-        point, 8, judge
-    )
-    with server_cls(RetrievalEngine(tiny_collection), ServerConfig(max_iterations=6)) as server:
-        neighbour_loops: list = []
-        errors: list = []
-        stop = threading.Event()
-
-        def neighbour():
-            try:
-                with ServingClient(*server.address) as client:
-                    while not stop.is_set() or not neighbour_loops:
-                        neighbour_loops.append(client.run_feedback_loop(point, 8, judge))
-            except BaseException as error:  # noqa: BLE001 - surfaced below
-                errors.append(error)
-
-        thread = threading.Thread(target=neighbour)
-        thread.start()
-        try:
-            with ServingClient(*server.address) as client:
-                for cap in BAD_CAPS:
-                    with pytest.raises(ValidationError, match="max_iterations"):
-                        client.run_feedback_loop(point, 8, judge, budget={"max_iterations": cap})
-                # The connection and the frontier both survive.
-                assert client.run_feedback_loop(point, 8, judge).identical_to(reference)
-        finally:
-            stop.set()
-            thread.join(timeout=60)
-    assert not thread.is_alive()
-    assert not errors
-    assert neighbour_loops and all(loop.identical_to(reference) for loop in neighbour_loops)

@@ -25,9 +25,7 @@ from hypothesis import strategies as st
 from repro.core.oqp import OptimalQueryParameters
 from repro.core.simplex_tree import InsertOutcome
 from repro.database.query import ResultSet
-from repro.evaluation.simulated_user import CategoryJudge
 from repro.feedback.engine import FeedbackLoopResult, FeedbackState
-from repro.feedback.scores import JudgmentBatch
 from repro.serving.codec import (
     BINARY,
     MAX_HELLO_BYTES,
@@ -59,8 +57,6 @@ MESSAGES = [
     _LOOP,
     OptimalQueryParameters(delta=np.zeros(3), weights=np.ones(3)),
     InsertOutcome(action="inserted", prediction_error=0.5),
-    JudgmentBatch(indices=np.array([4, 1]), scores=np.array([1.0, 0.0])),
-    CategoryJudge(labels=np.array(["a", "b"], dtype=object), category="a"),
     {"big": 2**100, "bytes": b"\x00\xff", "tuple": (1.5, True, None), 3: -7},
     np.arange(6, dtype=np.int64).reshape(2, 3),
 ]
@@ -87,8 +83,6 @@ FRAGMENTS = [
     b"o",
     b"S",
     b"L",
-    b"B",
-    b"J",
 ]
 
 _CONTAINERS = [b"l\x00\x00\x00\x01", b"u\x00\x00\x00\x01", b"d\x00\x00\x00\x01N"]

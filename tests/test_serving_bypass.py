@@ -133,8 +133,8 @@ class TestServedTreeEquivalence:
                     assert _identical_parameters(served, local.mopt(point))
 
     @pytest.mark.parametrize("front_end", sorted(FRONT_ENDS))
-    def test_retired_loops_train_the_shared_tree(self, tiny_collection, front_end):
-        """feedback_loop retirement feeds the tree; later loops shorten-or-tie."""
+    def test_session_outcomes_train_the_shared_tree(self, tiny_collection, front_end):
+        """Sessions' stored parameters feed the tree; later sessions shorten-or-tie."""
         engine = RetrievalEngine(tiny_collection)
         user = SimulatedUser(tiny_collection)
         indices = [0, 7, 19]
@@ -143,21 +143,21 @@ class TestServedTreeEquivalence:
             with ServingClient(host, port) as client:
                 cold = {}
                 for index in indices:
-                    loop = client.run_feedback_loop(
-                        tiny_collection.vectors[index], K, user.judge_for_query(index)
-                    )
+                    query = tiny_collection.vectors[index]
+                    loop = client.run_feedback_session(query, K, user.judge_for_query(index))
+                    client.bypass_insert(query, loop.parameters_to_store(query))
                     cold[index] = loop
                 stats = client.bypass_stats(tenant=DEFAULT_TENANT)
                 assert stats["n_insert_requests"] == len(indices)
 
-                # A later client's loop starts from the shared prediction and
-                # is byte-identical to the local engine given that start.
+                # A later session starts from the shared prediction and is
+                # byte-identical to the local engine given that start.
                 reference = FeedbackEngine(
                     RetrievalEngine(tiny_collection), max_iterations=6
                 )
                 for index in indices:
                     prediction = client.bypass_mopt(tiny_collection.vectors[index])
-                    warm = client.run_feedback_loop(
+                    warm = client.run_feedback_session(
                         tiny_collection.vectors[index],
                         K,
                         user.judge_for_query(index),
@@ -233,24 +233,6 @@ class TestTenantIsolation:
                 assert client.bypass_stats(tenant="tenant-b")["n_applied"] == 0
                 registry_stats = client.bypass_stats()
                 assert set(registry_stats["tenants"]) >= {"tenant-a", "tenant-b"}
-
-    def test_loop_training_lands_in_the_requesting_tenant(self, tiny_collection):
-        engine = RetrievalEngine(tiny_collection)
-        user = SimulatedUser(tiny_collection)
-        with RetrievalServer(engine, _bypass_config()) as server:
-            host, port = server.address
-            with ServingClient(host, port) as client:
-                client.run_feedback_loop(
-                    tiny_collection.vectors[3],
-                    K,
-                    user.judge_for_query(3),
-                    tenant="team-red",
-                )
-                assert client.bypass_stats(tenant="team-red")["n_insert_requests"] == 1
-            registry = server.bypass_registry
-            assert DEFAULT_TENANT not in registry.tenants() or (
-                registry.stats(DEFAULT_TENANT)["n_insert_requests"] == 0
-            )
 
 
 class TestWarmStartPersistence:

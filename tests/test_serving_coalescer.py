@@ -1,7 +1,7 @@
-"""Edge cases of the serving layer's coalescers (no sockets involved).
+"""Edge cases of the serving layer's request coalescer (no sockets involved).
 
-The micro-batch window and the shared frontier are pure in-process
-machinery; these tests pin their contracts directly:
+The micro-batch window is pure in-process machinery; these tests pin its
+contracts directly:
 
 * a window of one (``max_batch=1``, or simply a lone caller) degenerates to
   direct engine dispatch — same results, one engine call per submission;
@@ -10,12 +10,7 @@ machinery; these tests pin their contracts directly:
 * with more than one slot, same-``k`` windows dispatch concurrently, and
   arrivals while every slot is busy still share the next window;
 * validation fails on the submitting thread, dispatch failures propagate to
-  every submitter that shared the window;
-* :meth:`~repro.feedback.scheduler.FeedbackFrontier.admit` composes with a
-  running frontier (external admission), byte-identical per query to the
-  sequential loop;
-* the :class:`~repro.serving.coalescer.FrontierCoalescer` serves concurrent
-  loops from one shared frontier and drains on close.
+  every submitter that shared the window.
 """
 
 import threading
@@ -25,11 +20,8 @@ import numpy as np
 import pytest
 
 from repro.database.engine import RetrievalEngine
-from repro.evaluation.simulated_user import SimulatedUser
-from repro.feedback.engine import FeedbackEngine
-from repro.feedback.scheduler import FeedbackFrontier, LoopRequest
 from repro.serving import coalescer as coalescer_module
-from repro.serving.coalescer import FrontierCoalescer, RequestCoalescer
+from repro.serving.coalescer import RequestCoalescer
 from repro.utils.validation import ValidationError
 
 K = 6
@@ -443,252 +435,3 @@ class TestSoloGrace:
             server.close()
         with pytest.raises(ValidationError):
             ServerConfig(solo_grace=-1.0)
-
-
-class TestFrontierExternalAdmission:
-    def test_admit_into_running_frontier_matches_sequential_loops(self, tiny_collection):
-        """Entries admitted mid-flight reproduce run_loop bit for bit."""
-        user = SimulatedUser(tiny_collection)
-        feedback = FeedbackEngine(RetrievalEngine(tiny_collection), max_iterations=6)
-        reference_feedback = FeedbackEngine(RetrievalEngine(tiny_collection), max_iterations=6)
-        indices = [0, 7, 13, 21]
-        requests = [
-            LoopRequest(
-                query_point=tiny_collection.vectors[index],
-                k=K,
-                judge=user.judge_for_query(index),
-            )
-            for index in indices
-        ]
-        reference = [
-            reference_feedback.run_loop(request.query_point, request.k, request.judge)
-            for request in requests
-        ]
-
-        frontier = FeedbackFrontier(feedback, requests[:2])
-        assert len(frontier) == 2
-        frontier.advance()  # the frontier is now mid-flight
-        positions = frontier.admit(requests[2:])
-        assert positions == [2, 3]
-        assert len(frontier) == 4
-        frontier.run_to_completion()
-        results = frontier.results()
-        for result, expected in zip(results, reference):
-            assert result.identical_to(expected)
-
-    def test_empty_frontier_and_empty_admission(self, tiny_collection):
-        feedback = FeedbackEngine(RetrievalEngine(tiny_collection))
-        frontier = FeedbackFrontier(feedback)
-        assert len(frontier) == 0
-        assert frontier.advance() == 0
-        assert frontier.admit([]) == []
-        assert frontier.results() == []
-
-    def test_failed_admission_leaves_the_frontier_untouched(self, tiny_collection):
-        """Admission is atomic: a bad batch never poisons running loops."""
-        user = SimulatedUser(tiny_collection)
-        feedback = FeedbackEngine(RetrievalEngine(tiny_collection), max_iterations=6)
-        reference = FeedbackEngine(
-            RetrievalEngine(tiny_collection), max_iterations=6
-        ).run_loop(tiny_collection.vectors[2], K, user.judge_for_query(2))
-        frontier = FeedbackFrontier(
-            feedback,
-            [
-                LoopRequest(
-                    query_point=tiny_collection.vectors[2],
-                    k=K,
-                    judge=user.judge_for_query(2),
-                )
-            ],
-        )
-        frontier.advance()  # mid-flight
-        with pytest.raises(ValidationError):
-            frontier.admit(
-                [
-                    LoopRequest(  # valid...
-                        query_point=tiny_collection.vectors[5],
-                        k=K,
-                        judge=user.judge_for_query(5),
-                    ),
-                    LoopRequest(  # ...but this one is not: wrong dimension
-                        query_point=np.zeros(3),
-                        k=K,
-                        judge=user.judge_for_query(5),
-                    ),
-                ]
-            )
-        assert len(frontier) == 1  # neither staged entry joined
-        frontier.run_to_completion()
-        assert frontier.results()[0].identical_to(reference)
-
-    def test_discard_releases_retired_entries(self, tiny_collection):
-        """Collected loops can be pruned; live ones cannot."""
-        user = SimulatedUser(tiny_collection)
-        feedback = FeedbackEngine(RetrievalEngine(tiny_collection), max_iterations=6)
-        frontier = FeedbackFrontier(
-            feedback,
-            [
-                LoopRequest(
-                    query_point=tiny_collection.vectors[index],
-                    k=K,
-                    judge=user.judge_for_query(index),
-                )
-                for index in (1, 6)
-            ],
-        )
-        with pytest.raises(ValidationError):
-            frontier.discard(0)  # still active
-        frontier.run_to_completion()
-        first = frontier.result_at(0)
-        frontier.discard(0)
-        assert len(frontier) == 1
-        with pytest.raises(ValidationError):
-            frontier.result_at(0)  # discarded positions are gone
-        # Later admissions never reuse a discarded position.
-        (position,) = frontier.admit(
-            [
-                LoopRequest(
-                    query_point=tiny_collection.vectors[1],
-                    k=K,
-                    judge=user.judge_for_query(1),
-                )
-            ]
-        )
-        assert position == 2
-        frontier.run_to_completion()
-        assert frontier.result_at(2).identical_to(first)
-
-    def test_result_at_guards_active_entries(self, tiny_collection):
-        user = SimulatedUser(tiny_collection)
-        feedback = FeedbackEngine(RetrievalEngine(tiny_collection), max_iterations=6)
-        frontier = FeedbackFrontier(
-            feedback,
-            [
-                LoopRequest(
-                    query_point=tiny_collection.vectors[3],
-                    k=K,
-                    judge=user.judge_for_query(3),
-                )
-            ],
-        )
-        assert not frontier.is_done(0)
-        with pytest.raises(ValidationError):
-            frontier.result_at(0)
-        frontier.run_to_completion()
-        assert frontier.is_done(0)
-        assert frontier.result_at(0).identical_to(frontier.results()[0])
-
-
-class TestFrontierCoalescer:
-    def test_single_loop_matches_run_loop(self, tiny_collection):
-        user = SimulatedUser(tiny_collection)
-        feedback = FeedbackEngine(RetrievalEngine(tiny_collection), max_iterations=6)
-        reference = FeedbackEngine(
-            RetrievalEngine(tiny_collection), max_iterations=6
-        ).run_loop(tiny_collection.vectors[5], K, user.judge_for_query(5))
-        with FrontierCoalescer(feedback) as coalescer:
-            served = coalescer.run_loop(
-                LoopRequest(
-                    query_point=tiny_collection.vectors[5],
-                    k=K,
-                    judge=user.judge_for_query(5),
-                )
-            )
-        assert served.identical_to(reference)
-
-    def test_concurrent_loops_share_one_frontier(self, tiny_collection):
-        user = SimulatedUser(tiny_collection)
-        feedback = FeedbackEngine(RetrievalEngine(tiny_collection), max_iterations=6)
-        reference_feedback = FeedbackEngine(RetrievalEngine(tiny_collection), max_iterations=6)
-        indices = [2, 9, 17, 25, 31]
-        reference = [
-            reference_feedback.run_loop(
-                tiny_collection.vectors[index], K, user.judge_for_query(index)
-            )
-            for index in indices
-        ]
-        results = [None] * len(indices)
-        # A generous admission window: all five barrier-released loops land
-        # before the driver opens the shared frontier.
-        with FrontierCoalescer(feedback, max_wait=0.25) as coalescer:
-
-            def submit(thread_id):
-                results[thread_id] = coalescer.run_loop(
-                    LoopRequest(
-                        query_point=tiny_collection.vectors[indices[thread_id]],
-                        k=K,
-                        judge=user.judge_for_query(indices[thread_id]),
-                    )
-                )
-
-            run_threads(len(indices), submit)
-            stats = coalescer.stats()
-        for result, expected in zip(results, reference):
-            assert result.identical_to(expected)
-        assert stats["loops"] == len(indices)
-        assert stats["frontiers"] == 1
-        assert stats["peak_active"] == len(indices)
-
-    def test_mixed_k_loops_coexist_on_the_frontier(self, tiny_collection):
-        user = SimulatedUser(tiny_collection)
-        feedback = FeedbackEngine(RetrievalEngine(tiny_collection), max_iterations=6)
-        reference_feedback = FeedbackEngine(RetrievalEngine(tiny_collection), max_iterations=6)
-        plan = [(4, 5), (11, 9), (19, 5), (27, 9)]  # (query index, k)
-        reference = [
-            reference_feedback.run_loop(
-                tiny_collection.vectors[index], k, user.judge_for_query(index)
-            )
-            for index, k in plan
-        ]
-        results = [None] * len(plan)
-        with FrontierCoalescer(feedback, max_wait=0.25) as coalescer:
-
-            def submit(thread_id):
-                index, k = plan[thread_id]
-                results[thread_id] = coalescer.run_loop(
-                    LoopRequest(
-                        query_point=tiny_collection.vectors[index],
-                        k=k,
-                        judge=user.judge_for_query(index),
-                    )
-                )
-
-            run_threads(len(plan), submit)
-        for result, expected in zip(results, reference):
-            assert result.identical_to(expected)
-
-    def test_validation_error_surfaces_to_the_submitter(self, tiny_collection):
-        user = SimulatedUser(tiny_collection)
-        feedback = FeedbackEngine(RetrievalEngine(tiny_collection))
-        with FrontierCoalescer(feedback) as coalescer:
-            with pytest.raises(ValidationError):
-                coalescer.run_loop(
-                    LoopRequest(
-                        query_point=np.zeros(3),  # wrong dimensionality
-                        k=K,
-                        judge=user.judge_for_query(0),
-                    )
-                )
-
-    def test_close_drains_then_refuses(self, tiny_collection):
-        user = SimulatedUser(tiny_collection)
-        feedback = FeedbackEngine(RetrievalEngine(tiny_collection), max_iterations=6)
-        coalescer = FrontierCoalescer(feedback)
-        served = coalescer.run_loop(
-            LoopRequest(
-                query_point=tiny_collection.vectors[8],
-                k=K,
-                judge=user.judge_for_query(8),
-            )
-        )
-        assert served is not None
-        coalescer.close()
-        coalescer.close()  # idempotent
-        with pytest.raises(ValidationError):
-            coalescer.run_loop(
-                LoopRequest(
-                    query_point=tiny_collection.vectors[8],
-                    k=K,
-                    judge=user.judge_for_query(8),
-                )
-            )

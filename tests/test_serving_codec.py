@@ -2,7 +2,7 @@
 
 The binary codec's promise (see ``src/repro/serving/codec.py``): every
 value the serving layer puts on the wire — scalars, containers, NumPy
-arrays, the five library value types — survives encode/decode **bit for
+arrays, the library's value types — survives encode/decode **bit for
 bit**, floats and arrays included; anything it cannot carry fails loudly
 at encode time; malformed payloads fail loudly at decode time.  This suite
 pins that promise value by value, independent of any socket, together
@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.database.query import ResultSet
-from repro.evaluation.simulated_user import CategoryJudge, SimulatedUser
+from repro.evaluation.simulated_user import SimulatedUser
 from repro.feedback.engine import FeedbackEngine
 from repro.feedback.engine import FeedbackState
 from repro.feedback.scores import JudgmentBatch
@@ -153,36 +153,36 @@ class TestLibraryValues:
         assert np.array_equal(state.weights, loop.final_state.weights)
         assert roundtrip(loop).identical_to(loop)
 
-    def test_judgment_batch(self):
-        batch = JudgmentBatch(
-            indices=np.array([3, 1, 4]), scores=np.array([1.0, 0.5, 0.0])
-        )
-        result = roundtrip(batch)
-        assert np.array_equal(result.indices, batch.indices)
-        assert np.array_equal(result.scores, batch.scores)
+    @pytest.mark.parametrize("kind", ["opaque", "judge", "judgments"])
+    def test_arbitrary_objects_are_refused_at_encode(self, tiny_collection, kind):
+        """Only data travels: a judge or its judgment batch stays client-side."""
 
-    def test_category_judge(self, tiny_collection):
-        user = SimulatedUser(tiny_collection)
-        judge = user.judge_for_query(0)
-        result = roundtrip(judge)
-        assert isinstance(result, CategoryJudge)
-        assert result.category == judge.category
-        assert result.scale == judge.scale
-        assert result.labels.dtype == np.dtype(object)
-        assert list(result.labels) == list(judge.labels)
-
-    def test_arbitrary_objects_are_refused_at_encode(self):
         class Opaque:
             pass
 
-        with pytest.raises(CodecError, match="cannot carry Opaque.*run_feedback_session"):
-            BINARY.encode({"judge": Opaque()})
+        value = {
+            "opaque": Opaque(),
+            "judge": SimulatedUser(tiny_collection).judge_for_query(0),
+            "judgments": JudgmentBatch(indices=np.array([3, 1]), scores=np.array([1.0, 0.0])),
+        }[kind]
+        with pytest.raises(CodecError, match=f"cannot carry {type(value).__name__}"):
+            BINARY.encode({"judge": value})
 
 
 class TestDecodeFailures:
-    def test_unknown_tag(self):
+    # "J" and "B" once carried a CategoryJudge and a JudgmentBatch.
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"Zjunk",
+            b"J" + BINARY.encode(["a", "b"]) + BINARY.encode("a") + BINARY.encode("binary"),
+            b"B" + BINARY.encode(np.array([3, 1])) + BINARY.encode(np.array([1.0, 0.0])),
+        ],
+        ids=["Z", "J", "B"],
+    )
+    def test_unknown_tag(self, payload):
         with pytest.raises(CodecError, match="unknown binary tag"):
-            BINARY.decode(b"Zjunk")
+            BINARY.decode(payload)
 
     def test_truncated_payload(self):
         encoded = BINARY.encode({"op": "ping", "data": np.arange(4.0)})

@@ -5,7 +5,7 @@ connections, every served answer is **byte-identical** to calling the
 engine (or the sequential feedback loop) directly — across engine kinds
 (plain / sharded-thread / sharded-process), per-shard index types, distance
 families and result-set sizes, including mixed-``k`` admission into one
-shared window or frontier.
+shared window.
 
 The grid is randomized but seeded, mirroring
 ``tests/test_sharded_equivalence.py``: every run draws the same
@@ -221,7 +221,7 @@ class TestServedSearchEquivalence:
 
 
 class TestServedFeedbackEquivalence:
-    """Served loops reproduce single-session InteractiveSession runs."""
+    """Served sessions reproduce single-session InteractiveSession runs."""
 
     @pytest.fixture(scope="class")
     def session(self, tiny_dataset) -> InteractiveSession:
@@ -245,32 +245,13 @@ class TestServedFeedbackEquivalence:
             max_iterations=session.config.max_iterations,
         )
 
-    def test_coalesced_loops_match_interactive_session(self, session, session_references):
-        """Concurrent judge-shipping loops == the session's sequential loops."""
-        indices, references = session_references
-        k = session.config.k
-        results: dict = {}
-        with RetrievalServer(session.retrieval_engine, self._server_config(session)) as server:
-
-            def work(client_id, client):
-                index = indices[client_id]
-                results[client_id] = client.run_feedback_loop(
-                    session.collection.vectors[index],
-                    k,
-                    session.user.judge_for_query(index),
-                )
-
-            _hammer(len(indices), server.address, work)
-            frontier_stats = server.stats()["frontier"]
-        for client_id, expected in enumerate(references):
-            assert results[client_id].identical_to(expected)
-        assert frontier_stats["loops"] == len(indices)
-        # The loops demonstrably shared frontiers: far fewer frontier
-        # instances than loops (with the admission window, typically one).
-        assert frontier_stats["frontiers"] < len(indices)
-
     def test_interactive_sessions_match_sequential_loops(self, session, session_references):
-        """Client-driven rounds (judgments over the wire) == run_loop."""
+        """Concurrent client-driven rounds (judgments over the wire) == run_loop.
+
+        The sessions' round searches are the coalescer's only traffic: each
+        is one submission, and with a gather window the concurrent
+        sessions' rounds share dispatches.
+        """
         indices, references = session_references
         k = session.config.k
         results: dict = {}
@@ -285,11 +266,15 @@ class TestServedFeedbackEquivalence:
                 )
 
             _hammer(len(indices), server.address, work)
+            coalescer = server.stats()["coalescer"]
         for client_id, expected in enumerate(references):
             assert results[client_id].identical_to(expected)
+        rounds = sum(1 + results[client_id].iterations for client_id in results)
+        assert coalescer["requests"] == rounds
+        assert coalescer["dispatches"] < rounds
 
-    def test_mixed_k_loops_on_shared_frontier(self, tiny_collection):
-        """Loops of different k coexist on one frontier, each exact."""
+    def test_mixed_k_sessions_share_the_window(self, tiny_collection):
+        """Sessions of different k coexist on one server, each exact."""
         user = SimulatedUser(tiny_collection)
         engine = RetrievalEngine(tiny_collection)
         reference_feedback = FeedbackEngine(RetrievalEngine(tiny_collection), max_iterations=6)
@@ -306,7 +291,7 @@ class TestServedFeedbackEquivalence:
 
             def work(client_id, client):
                 index, k = plan[client_id]
-                results[client_id] = client.run_feedback_loop(
+                results[client_id] = client.run_feedback_session(
                     tiny_collection.vectors[index], k, user.judge_for_query(index)
                 )
 
@@ -322,8 +307,8 @@ class TestFrontEndCodecGrid:
     :class:`~repro.serving.server.ServingCore` behind the same handshake,
     and the binary codec carries every value bit for bit — so each front
     end must reproduce the local engine and the sequential feedback loop
-    exactly, across searches, chunk-streamed batches, judge-shipped loops
-    and client-driven sessions.
+    exactly, across searches, chunk-streamed batches and client-driven
+    sessions.
     """
 
     FRONT_ENDS = {"threaded": RetrievalServer, "async": AsyncRetrievalServer}
@@ -362,10 +347,6 @@ class TestFrontEndCodecGrid:
         with server_cls(engine, config) as server:
             host, port = server.address
             with ServingClient(host, port) as client:
-                # Judge-shipped loop (the judge object travels the wire;
-                # the binary codec carries CategoryJudge natively).
-                loop = client.run_feedback_loop(tiny_collection.vectors[7], 8, judge)
-                assert loop.identical_to(reference)
                 # Client-driven session (judgments travel per round).
                 session = client.run_feedback_session(
                     tiny_collection.vectors[7], 8, judge
@@ -571,87 +552,6 @@ class TestBudgetedServing:
                 )
                 assert single == single_local
                 assert single_cov == single_local_budget.coverage()
-
-    @pytest.mark.parametrize("front_end", ["threaded", "async"])
-    def test_feedback_iteration_budget(self, tiny_collection, front_end):
-        """A wire iteration cap reproduces the sequential loop at that cap."""
-        user = SimulatedUser(tiny_collection)
-        judge = user.judge_for_query(7)
-        query_point = tiny_collection.vectors[7]
-        reference = FeedbackEngine(
-            RetrievalEngine(tiny_collection), max_iterations=2
-        ).run_loop(query_point, 8, judge)
-        config = ServerConfig(max_iterations=6)
-        server_cls = self.FRONT_ENDS[front_end]
-        with server_cls(RetrievalEngine(tiny_collection), config) as server:
-            host, port = server.address
-            with ServingClient(host, port) as client:
-                loop = client.run_feedback_loop(query_point, 8, judge, budget=2)
-                assert loop.identical_to(reference)
-                assert loop.iterations <= 2
-                # The dict form of the spec works too.
-                loop = client.run_feedback_loop(
-                    query_point, 8, judge, budget={"max_iterations": 2}
-                )
-                assert loop.identical_to(reference)
-                # Budget zero: first-round-only.  The engine cannot even be
-                # *configured* that low, so check it structurally — the
-                # first round matches every other loop's first round, and
-                # no feedback iteration ran.
-                loop = client.run_feedback_loop(query_point, 8, judge, budget=0)
-                assert loop.iterations == 0
-                assert loop.initial_results == reference.initial_results
-                assert loop.final_results == loop.initial_results
-                # Negative caps are rejected server-side.
-                with pytest.raises(ValidationError):
-                    client.run_feedback_loop(query_point, 8, judge, budget=-1)
-
-    @pytest.mark.parametrize("front_end", ["threaded", "async"])
-    def test_frontier_degradation_is_invisible_in_the_bits(
-        self, tiny_collection, front_end
-    ):
-        """``frontier_turn_searches=1`` defers neighbours, never changes them.
-
-        Under load the frontier advances only the oldest N entries per
-        dispatch turn — graceful degradation trades latency, and the loops
-        must still match the sequential reference bit for bit.
-        """
-        user = SimulatedUser(tiny_collection)
-        rows = [3, 7, 11, 15]
-        judges = {row: user.judge_for_query(row) for row in rows}
-        references = {
-            row: FeedbackEngine(
-                RetrievalEngine(tiny_collection), max_iterations=6
-            ).run_loop(tiny_collection.vectors[row], 8, judges[row])
-            for row in rows
-        }
-        config = ServerConfig(max_iterations=6, frontier_turn_searches=1)
-        server_cls = self.FRONT_ENDS[front_end]
-        with server_cls(RetrievalEngine(tiny_collection), config) as server:
-            host, port = server.address
-            results: dict = {}
-            errors: list = []
-            barrier = threading.Barrier(len(rows))
-
-            def main(row):
-                try:
-                    with ServingClient(host, port) as client:
-                        barrier.wait()
-                        results[row] = client.run_feedback_loop(
-                            tiny_collection.vectors[row], 8, judges[row]
-                        )
-                except BaseException as error:  # noqa: BLE001 - surfaced below
-                    errors.append(error)
-
-            threads = [threading.Thread(target=main, args=(row,)) for row in rows]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            if errors:
-                raise errors[0]
-            for row in rows:
-                assert results[row].identical_to(references[row]), f"row={row}"
 
     def test_pooled_client_forwards_budget(self, collection, queries):
         from repro.database.budget import Budget

@@ -6,9 +6,9 @@ Two contracts.  First, the PR 9 serving grid: ``insert`` / ``delete`` /
 byte-identical corpus statistics on each, and
 ``corpus_stats`` answers on frozen corpora too.  Second, the stress bar
 from the roadmap item: writers hammering inserts, deletes and compactions
-against a server **while** coalesced feedback frontiers are mid-flight must
-never change a single bit of any loop — the written rows are placed far
-from the query cluster, so every served loop stays byte-identical to the
+against a server **while** coalesced feedback sessions are mid-flight must
+never change a single bit of any session — the written rows are placed far
+from the query cluster, so every served session stays byte-identical to the
 frozen-corpus reference whatever the interleaving.
 """
 
@@ -177,14 +177,14 @@ class TestServedMutationSemantics:
                 assert client.corpus_stats()["delta_rows"] == 0
 
 
-class TestWritesAgainstACoalescedFrontier:
-    """The roadmap stress bar: writers vs mid-flight coalesced frontiers."""
+class TestWritesAgainstCoalescedSessions:
+    """The roadmap stress bar: writers vs mid-flight coalesced feedback sessions."""
 
     N_LOOP_CLIENTS = 4
     N_WRITERS = 2
     WRITE_ROUNDS = 12
 
-    def test_served_loops_stay_byte_identical_under_writes(self, tiny_collection):
+    def test_served_sessions_stay_byte_identical_under_writes(self, tiny_collection):
         dimension = tiny_collection.dimension
         labels = list(tiny_collection.labels)
         live = LiveCollection(tiny_collection.vectors, labels=labels)
@@ -220,7 +220,7 @@ class TestWritesAgainstACoalescedFrontier:
                     index = loop_indices[slot]
                     with ServingClient(host, port) as client:
                         barrier.wait()
-                        loops[slot] = client.run_feedback_loop(
+                        loops[slot] = client.run_feedback_session(
                             tiny_collection.vectors[index],
                             8,
                             user.judge_for_query(index),
@@ -261,7 +261,7 @@ class TestWritesAgainstACoalescedFrontier:
             if errors:
                 raise errors[0]
 
-            # Every loop ran against a corpus mutating under it — and not
+            # Every session ran against a corpus mutating under it — and not
             # one bit differs from the frozen-corpus reference.
             for slot, reference in enumerate(references):
                 assert loops[slot].identical_to(reference)

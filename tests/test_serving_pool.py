@@ -65,10 +65,6 @@ class TestPooledEquivalence:
             assert pool.search_batch_with_parameters(
                 queries, 4, deltas, weights
             ) == direct.search_batch_with_parameters(queries, 4, deltas, weights)
-            loop = pool.run_feedback_loop(
-                tiny_collection.vectors[3], 7, user.judge_for_query(3)
-            )
-            assert loop.identical_to(reference_loop)
             session = pool.run_feedback_session(
                 tiny_collection.vectors[3], 7, user.judge_for_query(3)
             )

@@ -187,6 +187,78 @@ class TestPickleAlwaysRefused:
         _assert_still_serving(server, tiny_collection)
 
 
+def _exchange(sock, message) -> dict:
+    send_payload(sock, BINARY.encode(message))
+    return BINARY.decode(recv_payload(sock))
+
+
+def _assert_connection_answers_ping(sock) -> None:
+    assert _exchange(sock, {"op": "ping"}) == {"ok": True, "result": "pong"}
+
+
+class TestNoJudgeOnTheWire:
+    """The server runs no feedback loop of its own, so no request carries a judge."""
+
+    def test_a_feedback_loop_frame_is_an_unknown_op(self, server, tiny_collection):
+        with _connect(server) as sock:
+            _handshake(sock)
+            response = _exchange(
+                sock,
+                {"op": "feedback_loop", "query_point": tiny_collection.vectors[0], "k": 3},
+            )
+            assert (response["ok"], response["error"]) == (False, "validation")
+            assert "unknown op 'feedback_loop'" in response["message"]
+            _assert_connection_answers_ping(sock)
+        _assert_still_serving(server, tiny_collection)
+
+    def test_a_judge_tag_is_a_codec_error(self, server, tiny_collection):
+        # The retired "J" tag: a CategoryJudge's labels, category and scale.
+        placeholder = BINARY.encode("judge-goes-here")
+        judge = b"J" + BINARY.encode(["a", "b"]) + BINARY.encode("a") + BINARY.encode("binary")
+        payload = BINARY.encode({"op": "ping", "judge": "judge-goes-here"})
+        assert payload.count(placeholder) == 1
+        with _connect(server) as sock:
+            _handshake(sock)
+            send_payload(sock, payload.replace(placeholder, judge))
+            response = BINARY.decode(recv_payload(sock))
+            assert (response["ok"], response["error"]) == (False, "codec")
+            _assert_connection_answers_ping(sock)
+        _assert_still_serving(server, tiny_collection)
+
+
+class TestSessionJudgmentsFromTheWire:
+    """Raw judgments are validated before any cast, and a bad round is no round."""
+
+    @pytest.mark.parametrize(
+        "indices,scores",
+        [([1.7, 2.2], [1.0, 1.0]), ([1, 2], 1.0)],
+        ids=["float-indices", "0d-scores"],
+    )
+    def test_malformed_judgments_are_validation_errors(
+        self, server, tiny_collection, indices, scores
+    ):
+        with _connect(server) as sock:
+            _handshake(sock)
+            opened = _exchange(
+                sock, {"op": "session_open", "query_point": tiny_collection.vectors[0], "k": 5}
+            )["result"]
+            response = _exchange(
+                sock,
+                {
+                    "op": "session_feedback",
+                    "session_id": opened["session_id"],
+                    "indices": indices,
+                    "scores": scores,
+                },
+            )
+            assert (response["ok"], response["error"]) == (False, "validation")
+            # The session did not advance.
+            loop = _exchange(sock, {"op": "session_close", "session_id": opened["session_id"]})
+            assert (loop["result"].iterations, loop["result"].reason) == (0, "active")
+            _assert_connection_answers_ping(sock)
+        _assert_still_serving(server, tiny_collection)
+
+
 class TestFirstFrameCap:
     """The first frame is read under the largest hello's size."""
 

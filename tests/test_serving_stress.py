@@ -4,8 +4,8 @@ Complements the equivalence grid with the ugly parts of serving real
 traffic: many connections hammering mixed operations at once (with exact
 counter totals afterwards — coalescing must lose no request and count no
 request twice), hundreds of idle connections parked on the async front end
-while hot clients are served, a client disconnecting mid-frontier while
-other sessions' loops keep advancing, a close() that drains in-flight work,
+while hot clients are served, a client disconnecting mid-session while
+other sessions keep advancing, a close() that drains an in-flight round,
 and a process-backend teardown that provably releases its shared-memory
 segment.
 """
@@ -33,13 +33,12 @@ MAX_ITERATIONS = 6
 
 
 class SlowEngine(RetrievalEngine):
-    """An engine whose frontier rounds stall (same results, later).
+    """An engine whose session rounds stall (same results, later).
 
-    ``search_batch_with_parameters`` is the frontier's one re-search call —
-    first rounds and iterations alike — so sleeping there keeps a served
-    feedback loop alive long enough for disconnects and late admissions to
-    land mid-flight, while the judge stays a plain ``CategoryJudge`` the
-    binary codec carries.  Plain searches are not slowed.
+    ``search_batch_with_parameters`` is the one call a session's searches
+    reach — first rounds and iterations alike — so sleeping there keeps a
+    round in flight long enough for disconnects and closes to land
+    mid-round.  Plain searches are not slowed.
     """
 
     DELAY = 0.05
@@ -111,7 +110,7 @@ class TestConcurrentHammering:
                     for position in range(self.N_SINGLES):
                         mine["singles"].append(client.search(singles[client_id][position], K))
                     mine["batch"] = client.search_batch(batch, K)
-                    mine["loop"] = client.run_feedback_loop(
+                    mine["loop"] = client.run_feedback_session(
                         tiny_collection.vectors[loop_indices[client_id]],
                         K,
                         user.judge_for_query(loop_indices[client_id]),
@@ -135,20 +134,26 @@ class TestConcurrentHammering:
             assert mine["batch"] == batch_ref
             assert mine["loop"].identical_to(loop_refs[client_id])
 
-        # Exact accounting: every submitted row was dispatched exactly once.
+        # Exact accounting: every submitted row — searches and the sessions'
+        # one-row round searches alike — was dispatched exactly once.
         search_rows = self.N_CLIENTS * (self.N_SINGLES + self.BATCH_ROWS)
+        search_requests = self.N_CLIENTS * (self.N_SINGLES + 1)
         coalescer = stats["coalescer"]
-        assert coalescer["requests"] == self.N_CLIENTS * (self.N_SINGLES + 1)
-        assert coalescer["rows"] == search_rows
-        assert coalescer["dispatched_rows"] == search_rows
+        assert coalescer["requests"] == search_requests + expected_loop_searches
+        assert coalescer["rows"] == search_rows + expected_loop_searches
+        assert coalescer["dispatched_rows"] == search_rows + expected_loop_searches
         assert coalescer["dispatches"] <= coalescer["requests"]
-        # Engine volume counters: the search traffic plus the loops' first
+        # Engine volume counters: the search traffic plus the sessions' first
         # rounds and iterations, nothing more, nothing lost.
         assert stats["engine"]["n_searches"] == search_rows + expected_loop_searches
         assert stats["engine"]["feedback_iterations"] == sum(
             ref.iterations for ref in loop_refs
         )
-        assert stats["frontier"]["loops"] == self.N_CLIENTS
+        # One judged round per iteration, plus the round that found no signal.
+        assert stats["sessions"]["opened"] == self.N_CLIENTS
+        assert stats["sessions"]["rounds"] == sum(
+            ref.iterations + (ref.reason == "no_signal") for ref in loop_refs
+        )
         assert stats["sessions"]["open"] == 0
         assert stats["connections"]["open"] == 0
         assert stats["connections"]["accepted"] == self.N_CLIENTS
@@ -235,9 +240,9 @@ class TestIdleConnectionSwarm:
         assert coalescer["requests"] == coalescer["dispatched_rows"] == hot_requests
 
 
-class TestDisconnectMidFrontier:
-    def test_other_sessions_survive_a_mid_loop_disconnect(self, tiny_collection, wait_until):
-        """A vanished client's loop never corrupts its frontier neighbours."""
+class TestDisconnectMidSession:
+    def test_other_sessions_survive_a_mid_round_disconnect(self, tiny_collection, wait_until):
+        """A vanished client's session never corrupts its neighbours' rounds."""
         user = SimulatedUser(tiny_collection)
         engine = SlowEngine(tiny_collection)
         judge_b = user.judge_for_query(17)
@@ -249,84 +254,95 @@ class TestDisconnectMidFrontier:
         with RetrievalServer(engine, config) as server:
             host, port = server.address
 
-            # Client A: handshakes on a raw socket, submits a slow loop and
-            # vanishes without reading the response — mid-frontier once B's
-            # loop is admitted too.
+            # Client A: handshakes on a raw socket and opens a session.
             doomed = socket.create_connection((host, port))
             send_payload(doomed, pack_hello([BINARY.name]))
             assert parse_reply(recv_payload(doomed)) == BINARY.name
             send_payload(
                 doomed,
                 BINARY.encode(
-                    {
-                        "op": "feedback_loop",
-                        "query_point": tiny_collection.vectors[3],
-                        "k": K,
-                        "judge": user.judge_for_query(3),
-                    }
+                    {"op": "session_open", "query_point": tiny_collection.vectors[3], "k": K}
                 ),
             )
+            opened = BINARY.decode(recv_payload(doomed))["result"]
+            judgments = user.judge_for_query(3)(opened["results"])
 
             result_b = {}
 
             def run_b():
                 with ServingClient(host, port) as client:
-                    result_b["loop"] = client.run_feedback_loop(
+                    result_b["loop"] = client.run_feedback_session(
                         tiny_collection.vectors[17], K, judge_b
                     )
 
             thread = threading.Thread(target=run_b)
             thread.start()
-            # Both loops are on the frontier once the submission counter
-            # says so (SlowEngine keeps the rounds alive meanwhile).
-            wait_until(lambda: server.stats()["frontier"]["loops"] == 2)
-            doomed.close()  # A disconnects mid-frontier
+            wait_until(lambda: server.stats()["sessions"]["opened"] == 2)
+            # A submits a slow round and vanishes without reading the reply.
+            send_payload(
+                doomed,
+                BINARY.encode(
+                    {
+                        "op": "session_feedback",
+                        "session_id": opened["session_id"],
+                        "indices": judgments.indices,
+                        "scores": judgments.scores,
+                    }
+                ),
+            )
+            doomed.close()
             thread.join(timeout=30.0)
             assert not thread.is_alive()
             assert result_b["loop"].identical_to(reference_b)
+            wait_until(lambda: server.stats()["sessions"]["dropped_on_disconnect"] == 1)
 
             # The server is still healthy: fresh connections serve fine and
-            # both loops ran to completion on the shared frontier.
+            # no session outlived its connection.
             with ServingClient(host, port) as client:
                 assert client.ping() == "pong"
                 assert client.search(tiny_collection.vectors[0], K) == RetrievalEngine(
                     tiny_collection
                 ).search(tiny_collection.vectors[0], K)
                 stats = client.stats()
-            assert stats["frontier"]["loops"] == 2
+            assert stats["sessions"]["open"] == 0
             assert stats["connections"]["open"] == 1
 
 
 class TestDrainAndClose:
-    def test_close_drains_an_in_flight_loop(self, tiny_collection, wait_until):
-        """close() lets an admitted loop finish and its response leave."""
+    def test_close_drains_an_in_flight_round(self, tiny_collection, wait_until):
+        """close() lets a session round in flight finish and its reply leave."""
         user = SimulatedUser(tiny_collection)
         engine = SlowEngine(tiny_collection)
         judge = user.judge_for_query(9)
-        reference = FeedbackEngine(
-            RetrievalEngine(tiny_collection), max_iterations=MAX_ITERATIONS
-        ).run_loop(tiny_collection.vectors[9], K, judge)
+        # The reply to the first judged round: the loop after one iteration.
+        reference = FeedbackEngine(RetrievalEngine(tiny_collection), max_iterations=1).run_loop(
+            tiny_collection.vectors[9], K, judge
+        )
+        assert reference.iterations == 1
 
         server = RetrievalServer(engine, ServerConfig(max_iterations=MAX_ITERATIONS))
         host, port = server.start()
         client = ServingClient(host, port)
+        opened = client.open_session(tiny_collection.vectors[9], K)
+        judgments = judge(opened["results"])
         outcome = {}
 
-        def run_loop():
-            outcome["loop"] = client.run_feedback_loop(
-                tiny_collection.vectors[9], K, judge
+        def run_round():
+            outcome["reply"] = client.session_feedback(
+                opened["session_id"], judgments.indices, judgments.scores
             )
 
-        thread = threading.Thread(target=run_loop)
+        thread = threading.Thread(target=run_round)
         thread.start()
-        # The loop is submitted (and close() drains submitted loops) once
-        # the frontier's counter sees it; SlowEngine keeps it iterating.
-        wait_until(lambda: server.stats()["frontier"]["loops"] == 1)
+        # The round is in flight once its re-search is submitted (the open
+        # was the first); SlowEngine keeps it there.
+        wait_until(lambda: server.stats()["coalescer"]["requests"] == 2)
         server.close()
         thread.join(timeout=30.0)
         client.close()
         assert not thread.is_alive()
-        assert outcome["loop"].identical_to(reference)
+        assert outcome["reply"]["iterations"] == 1
+        assert outcome["reply"]["results"] == reference.final_results
 
     def test_close_releases_process_backend_shared_memory(self, tiny_collection):
         """Server drain/close tears worker processes and segments down."""
