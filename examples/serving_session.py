@@ -58,7 +58,7 @@ def main(
     # One shared sharded engine behind the server; own_engine=True makes
     # server.close() tear the worker pool down too.
     engine = ShardedEngine(collection, 4, n_workers=2)
-    config = ServerConfig(max_batch=n_clients, max_wait=0.002, bypass=True)
+    config = ServerConfig(max_batch=n_clients, bypass=True)
     with RetrievalServer(engine, config, own_engine=True) as server:
         host, port = server.address
         print(f"Serving on {host}:{port} -> {server.engine.describe()}")

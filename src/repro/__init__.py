@@ -34,7 +34,7 @@ additionally models *simultaneous arrival* (see below):
   return byte-identical :class:`~repro.database.query.ResultSet`\\ s.  The
   :class:`~repro.database.engine.RetrievalEngine` dispatches on ``supports``
   capability (counting ``index_hits`` / ``scan_fallbacks`` in ``stats()``)
-  and serves whole batches through ``run_batch``.
+  and serves whole batches through ``search_batch``.
 * **core** — :meth:`SimplexTree.predict_batch` walks many points with
   shared traversal bookkeeping; :class:`FeedbackBypass` layers
   ``mopt_batch`` / ``insert_batch`` on top with journaling intact.
@@ -109,10 +109,9 @@ request, the shared micro-batch window pays one matrix dispatch per
 ``max_batch`` rows — so throughput under concurrent load improves even on
 a single core (batching economics, not parallelism; the coalescer's
 ``stats()`` counts requests, rows and dispatches).  The knobs to know:
-``max_batch`` (window row cap; ``1`` disables coalescing), ``max_wait``
-(``0.0`` = continuous batching with no deliberate delay — sharing comes
-from backpressure; raise it only to grow windows under sparse arrivals),
-and ``own_engine=True`` when the server should tear the engine down
+``max_batch`` (window row cap; ``1`` disables coalescing — there is no
+deliberate delay, sharing comes from backpressure once every dispatch slot
+is busy) and ``own_engine=True`` when the server should tear the engine down
 — worker processes, shared-memory segments and all — on ``close()``.  The
 wire speaks one codec behind a versioned handshake: a length-prefixed
 binary format (float64 bits survive exactly; decoding never executes code)
@@ -248,7 +247,6 @@ from repro.database import (
     LinearScanIndex,
     LiveCollection,
     MTreeIndex,
-    Query,
     ResultSet,
     RetrievalEngine,
     SharedCorpus,
@@ -300,7 +298,6 @@ __all__ = [
     "LinearScanIndex",
     "LiveCollection",
     "MTreeIndex",
-    "Query",
     "ResultSet",
     "RetrievalEngine",
     "SharedCorpus",

@@ -204,11 +204,6 @@ class FeedbackBypass:
     # ------------------------------------------------------------------ #
     # Convenience
     # ------------------------------------------------------------------ #
-    def predict_for_engine(self, query_point) -> tuple[np.ndarray, np.ndarray]:
-        """Return ``(delta, weights)`` arrays ready for the retrieval engine."""
-        prediction = self.mopt(query_point)
-        return prediction.delta.copy(), prediction.weights.copy()
-
     def predict_for_engine_batch(
         self, query_points
     ) -> tuple[list[OptimalQueryParameters], np.ndarray, np.ndarray]:

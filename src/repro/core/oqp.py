@@ -86,11 +86,6 @@ class OptimalQueryParameters:
         """Number of distance parameters P."""
         return int(self.weights.shape[0])
 
-    @property
-    def total_dimension(self) -> int:
-        """N = D + P, the dimensionality of the stored vector."""
-        return self.query_dimension + self.weight_dimension
-
     # ------------------------------------------------------------------ #
     # Comparisons
     # ------------------------------------------------------------------ #
@@ -98,19 +93,6 @@ class OptimalQueryParameters:
         """Return ``q_opt = q + Δ`` for the given original query point."""
         query_point = as_float_vector(query_point, name="query_point", dim=self.query_dimension)
         return query_point + self.delta
-
-    def max_difference(self, other: "OptimalQueryParameters") -> float:
-        """Maximum absolute component-wise difference to ``other``.
-
-        This is the quantity the ε-gated insert compares against the
-        threshold (Section 4.2): ``max_i |m_i(q) - v̂_i|``.
-        """
-        if (
-            other.query_dimension != self.query_dimension
-            or other.weight_dimension != self.weight_dimension
-        ):
-            raise ValidationError("cannot compare OQPs of different dimensionality")
-        return float(np.max(np.abs(self.to_vector() - other.to_vector())))
 
     def is_default(self, tolerance: float = 1e-12) -> bool:
         """True when the parameters equal the defaults (Δ = 0, W = 1)."""

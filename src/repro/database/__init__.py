@@ -39,7 +39,7 @@ from repro.database.engine import RetrievalEngine
 from repro.database.index import KNNIndex, NeighborHeap, k_smallest
 from repro.database.knn import LinearScanIndex
 from repro.database.mtree import MTreeIndex
-from repro.database.query import Query, QueryBatch, ResultItem, ResultSet
+from repro.database.query import QueryBatch, ResultItem, ResultSet
 from repro.database.segments import Compactor, LiveCollection, LiveSnapshot, SegmentUnit
 from repro.database.sharding import (
     SharedCorpus,
@@ -65,7 +65,6 @@ __all__ = [
     "k_smallest",
     "LinearScanIndex",
     "MTreeIndex",
-    "Query",
     "QueryBatch",
     "ResultItem",
     "ResultSet",

@@ -265,29 +265,6 @@ class FeatureCollection:
             self._labels_array.setflags(write=False)
 
     # ------------------------------------------------------------------ #
-    # Constructors
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_image_dataset(cls, dataset, *, embed: bool = False) -> "FeatureCollection":
-        """Build a collection from an :class:`~repro.features.datasets.ImageDataset`.
-
-        Parameters
-        ----------
-        dataset:
-            The image dataset.
-        embed:
-            When true, drop the last histogram bin so the vectors live in the
-            D = n_bins - 1 query domain used by the Simplex Tree.
-        """
-        from repro.features.normalization import drop_last_bin
-
-        vectors = dataset.features
-        if embed:
-            vectors = drop_last_bin(vectors)
-        labels = [record.category for record in dataset.records]
-        return cls(vectors, labels=labels)
-
-    # ------------------------------------------------------------------ #
     # Accessors
     # ------------------------------------------------------------------ #
     @property

@@ -6,8 +6,8 @@ function, it returns the ``k`` closest database objects.
 
 **One execution path.**  In the paper a query is always ``(q, k, Δ, W)``, so
 every public entry point — ``search`` / ``search_batch`` /
-``search_with_parameters`` / ``search_batch_with_parameters`` /
-``run_batch`` — is a thin wrapper that validates its arguments into one
+``search_with_parameters`` / ``search_batch_with_parameters`` — is a thin
+wrapper that validates its arguments into one
 :class:`~repro.database.query.QueryBatch` and hands it to ``execute(batch,
 budget=...)``.  The wrappers, ``execute`` and the counter bookkeeping are
 defined once, on :class:`QueryEngine`, and inherited by both engines
@@ -46,34 +46,11 @@ from repro.database.budget import Budget
 from repro.database.collection import FeatureCollection
 from repro.database.index import KNNIndex
 from repro.database.knn import LinearScanIndex
-from repro.database.query import Query, QueryBatch, ResultSet
+from repro.database.query import QueryBatch, ResultSet
 from repro.database.segments import LiveCollection
 from repro.distances.base import DistanceFunction
 from repro.distances.weighted_euclidean import WeightedEuclideanDistance
 from repro.utils.validation import ValidationError, as_float_vector
-
-
-def run_grouped_by_k(search_batch, queries: "list[Query]", distance: DistanceFunction | None = None) -> "list[ResultSet]":
-    """Answer ``Query`` objects through a batch search, grouped by ``k``.
-
-    Queries are grouped by their ``k`` (preserving input order in the
-    returned list) and each group runs through one ``search_batch(points,
-    k, distance)`` call, so a homogeneous multi-user batch costs one matrix
-    computation.  Shared by :meth:`QueryEngine.run_batch` and the serving
-    layer's ``run_batch`` op — one place to change when the batching policy
-    does (e.g. request coalescing).
-    """
-    if not queries:
-        return []
-    groups: dict[int, list[int]] = {}
-    for position, query in enumerate(queries):
-        groups.setdefault(query.k, []).append(position)
-    results: list[ResultSet | None] = [None] * len(queries)
-    for k, positions in groups.items():
-        points = np.vstack([queries[position].point for position in positions])
-        for position, result in zip(positions, search_batch(points, k, distance)):
-            results[position] = result
-    return results
 
 
 def _one_row(vector, name: str, dimension: int) -> np.ndarray:
@@ -91,7 +68,7 @@ class QueryEngine:
     Subclasses implement :meth:`_answer` — how a validated
     :class:`~repro.database.query.QueryBatch` is answered on their corpus
     layout — and :meth:`stats`; everything a caller sees (the four
-    ``search*`` wrappers, ``run_batch``, ``execute``, the feedback
+    ``search*`` wrappers, ``execute``, the feedback
     accounting) lives here once.
 
     Counter updates are guarded by a lock so an engine shared by a worker
@@ -301,17 +278,6 @@ class QueryEngine:
             query_points, k, distance, precision, dimension=self._collection.dimension
         )
         return self.execute(batch, budget=budget)
-
-    def run_batch(
-        self, queries: list[Query], distance: DistanceFunction | None = None
-    ) -> list[ResultSet]:
-        """Execute a batch of :class:`~repro.database.query.Query` objects.
-
-        Queries are grouped by their ``k`` (preserving input order in the
-        returned list) and each group runs through :meth:`search_batch`, so a
-        homogeneous multi-user batch costs one matrix computation.
-        """
-        return run_grouped_by_k(self.search_batch, queries, distance)
 
     def search_with_parameters(
         self, query_point, k: int, delta, weights, *, budget: "Budget | None" = None

@@ -22,36 +22,8 @@ from repro.distances.base import DistanceFunction, check_precision
 from repro.utils.validation import (
     ValidationError,
     as_float_matrix,
-    as_float_vector,
     check_dimension,
 )
-
-
-@dataclass(frozen=True)
-class Query:
-    """An initial user query ``(q, k)``.
-
-    Attributes
-    ----------
-    point:
-        The query point in feature space.
-    k:
-        Number of results requested.
-    """
-
-    point: np.ndarray
-    k: int
-
-    def __post_init__(self) -> None:
-        point = as_float_vector(self.point, name="query point")
-        point.setflags(write=False)
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "k", check_dimension(self.k, "k"))
-
-    @property
-    def dimension(self) -> int:
-        """Dimensionality of the query point."""
-        return int(self.point.shape[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,8 +17,8 @@ concurrency layer the ROADMAP asked for:
   :mod:`multiprocessing.shared_memory`, attached zero-copy by worker
   processes through a small picklable :class:`SharedCorpusHandle`.
 * :class:`ShardedEngine` — the query surface of
-  :class:`~repro.database.engine.QueryEngine` (the ``search*`` wrappers,
-  ``run_batch`` and the counters are inherited, not re-implemented) with one
+  :class:`~repro.database.engine.QueryEngine` (the ``search*`` wrappers
+  and the counters are inherited, not re-implemented) with one
   thing of its own: how a validated
   :class:`~repro.database.query.QueryBatch` is answered — fanned out
   unchanged to one :class:`~repro.database.engine.RetrievalEngine` per shard

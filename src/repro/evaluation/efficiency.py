@@ -36,11 +36,6 @@ class EfficiencyResult:
     saved_objects: np.ndarray  # saved_cycles * k
     lost_share: np.ndarray     # share of the block's queries whose bypass loop ran longer
 
-    def series_for(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Return (saved cycles, saved objects) for one value of ``k``."""
-        row = int(np.flatnonzero(self.k_values == k)[0])
-        return self.saved_cycles[row], self.saved_objects[row]
-
 
 def saved_cycles_experiment(
     dataset: ImageDataset,

@@ -30,7 +30,7 @@ import numpy as np
 from repro.core.oqp import OptimalQueryParameters
 from repro.database.engine import RetrievalEngine
 from repro.database.query import ResultSet
-from repro.distances.parameters import default_weight_vector, pack_oqp_vector
+from repro.distances.parameters import default_weight_vector
 from repro.feedback.query_point_movement import (
     optimal_query_point,
     optimal_query_point_frontier,
@@ -38,7 +38,12 @@ from repro.feedback.query_point_movement import (
 )
 from repro.feedback.reweighting import ReweightingRule, reweight, reweight_frontier
 from repro.feedback.scores import JudgmentBatch, RelevanceJudgment
-from repro.utils.validation import ValidationError, as_float_vector, check_dimension
+from repro.utils.validation import (
+    ValidationError,
+    as_float_vector,
+    check_dimension,
+    check_positive,
+)
 
 #: A judge maps a result set to one relevance judgment per result — either a
 #: judgment list or the vectorised :class:`JudgmentBatch` form.
@@ -64,17 +69,6 @@ class FeedbackState:
         weights.setflags(write=False)
         object.__setattr__(self, "query_point", query_point)
         object.__setattr__(self, "weights", weights)
-
-    def oqp_vector(self, original_query_point) -> np.ndarray:
-        """Pack this state as an OQP vector relative to ``original_query_point``.
-
-        The offset ``Δ = q_state - q_original`` and the weights are
-        concatenated — exactly the value FeedbackBypass stores per query.
-        """
-        original = as_float_vector(
-            original_query_point, name="original_query_point", dim=self.query_point.shape[0]
-        )
-        return pack_oqp_vector(self.query_point - original, self.weights)
 
 
 @dataclass(frozen=True)
@@ -276,7 +270,9 @@ class FeedbackEngine:
         converge in a handful of iterations, the bound only guards against
         oscillation.
     variance_floor:
-        Floor on per-component variance inside the re-weighting rules.
+        Floor on per-component variance inside the re-weighting rules;
+        strictly positive and finite (a zero floor divides by zero as soon
+        as a round has a single relevant result).
     """
 
     def __init__(
@@ -292,7 +288,7 @@ class FeedbackEngine:
         self._rule = reweighting_rule
         self._move_query_point = bool(move_query_point)
         self._max_iterations = check_dimension(max_iterations, "max_iterations")
-        self._variance_floor = float(variance_floor)
+        self._variance_floor = check_positive(variance_floor, "variance_floor")
 
     @property
     def retrieval_engine(self) -> RetrievalEngine:

@@ -88,11 +88,6 @@ class JudgmentBatch:
         """Boolean mask of the positively scored results."""
         return self.scores > 0
 
-    @property
-    def n_relevant(self) -> int:
-        """Number of positively scored results."""
-        return int(np.count_nonzero(self.scores))
-
     @classmethod
     def from_judgments(cls, judgments: "list[RelevanceJudgment] | JudgmentBatch") -> "JudgmentBatch":
         """Coerce a judgment list (or an existing batch) to the array form."""
@@ -174,12 +169,3 @@ def score_results_by_category(
         judgments.append(RelevanceJudgment(index=item.index, score=score))
     return judgments
 
-
-def relevant_indices(judgments: list[RelevanceJudgment]) -> np.ndarray:
-    """Return the indices of all positively scored objects."""
-    return np.asarray([j.index for j in judgments if j.is_relevant], dtype=np.intp)
-
-
-def scores_vector(judgments: list[RelevanceJudgment]) -> np.ndarray:
-    """Return the scores as an array aligned with the judgment order."""
-    return np.asarray([j.score for j in judgments], dtype=np.float64)

@@ -10,11 +10,10 @@ tree a shared serving resource:
 * **one tree per (tenant, collection, distance-family)** — the registry is
   constructed per engine (collection + distance family) and lazily opens one
   :class:`FeedbackBypass` per tenant namespace;
-* **lock-disciplined concurrency** — reads (``mopt`` / ``mopt_batch``) run
-  under a read-favoring reader/writer discipline so predictions never queue
-  behind each other, while ``insert`` / ``insert_batch`` serialize per tree
-  and append to an ordered insert log (``insert_batch`` holds the write lock
-  for the whole batch, so a batch is atomic in the log order);
+* **lock-disciplined concurrency** — reads (``mopt``) run under a
+  read-favoring reader/writer discipline so predictions never queue behind
+  each other, while ``insert`` serializes per tree and appends to an
+  ordered insert log;
 * **warm-start persistence** — with a ``snapshot_dir`` every applied insert
   is appended to a per-tenant write-ahead insert log, periodic / on-close /
   on-evict snapshots persist the whole tree via
@@ -352,16 +351,6 @@ class BypassRegistry:
             self._n_predictions += 1
         return prediction
 
-    def mopt_batch(self, tenant, query_points) -> list:
-        """Batched :meth:`mopt` under one read-lock acquisition."""
-        self._require_open()
-        entry = self._entry(tenant)
-        with entry.lock.read():
-            predictions = entry.bypass.mopt_batch(query_points)
-        with self._lock:
-            self._n_predictions += len(predictions)
-        return predictions
-
     def insert(self, tenant, query_point, parameters) -> InsertOutcome:
         """Train ``tenant``'s tree with one converged loop (write-locked)."""
         self._require_open()
@@ -372,30 +361,6 @@ class BypassRegistry:
         self._check_parameters(parameters)
         with entry.lock.write():
             return self._insert_locked(entry, query_point, parameters)
-
-    def insert_batch(self, tenant, query_points, parameters) -> list:
-        """Ordered batch insert, atomic in the insert log.
-
-        The whole batch runs under one write-lock acquisition, so no other
-        writer's rows interleave with it: the log order *is* the batch order.
-        """
-        self._require_open()
-        entry = self._entry(tenant)
-        query_points = as_float_matrix(
-            query_points, name="query_points", shape=(None, self._query_dimension)
-        )
-        parameters = list(parameters)
-        if query_points.shape[0] != len(parameters):
-            raise ValidationError(
-                "insert_batch needs exactly one parameter object per query point"
-            )
-        for item in parameters:
-            self._check_parameters(item)
-        with entry.lock.write():
-            return [
-                self._insert_locked(entry, np.array(point), item)
-                for point, item in zip(query_points, parameters)
-            ]
 
     def _check_parameters(self, parameters) -> None:
         if not isinstance(parameters, OptimalQueryParameters):

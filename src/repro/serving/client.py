@@ -5,7 +5,7 @@
 :class:`~repro.serving.server.RetrievalServer` or
 :class:`~repro.serving.async_server.AsyncRetrievalServer` and mirrors the
 engine contract method for method — ``search`` / ``search_batch`` /
-``run_batch`` / parameterised search — plus interactive feedback
+parameterised search — plus interactive feedback
 sessions: :meth:`run_feedback_session` keeps the judge local and drives the
 loop round by round over the wire (open, judge, send judgments, repeat),
 which is the real interactive-user shape.
@@ -28,7 +28,6 @@ import threading
 import numpy as np
 
 from repro.database.budget import Budget, Coverage
-from repro.database.query import Query, ResultSet
 from repro.feedback.engine import FeedbackLoopResult, Judge
 from repro.feedback.scores import JudgmentBatch
 from repro.serving.codec import BINARY, CodecError, pack_hello, parse_reply
@@ -203,13 +202,6 @@ class ServingClient:
         """
         return self._query("search_batch", k, query_points, budget=budget)
 
-    def run_batch(self, queries: "list[Query]") -> "list[ResultSet]":
-        """Execute :class:`~repro.database.query.Query` objects (mixed ``k`` fine)."""
-        return self._call(
-            "run_batch",
-            queries=[(np.asarray(query.point, dtype=np.float64), int(query.k)) for query in queries],
-        )
-
     def search_with_parameters(self, query_point, k: int, delta, weights, *, budget=None):
         """Parameterised search (``q + Δ``, weights ``W``) of one query.
 
@@ -255,15 +247,6 @@ class ServingClient:
             "bypass_insert",
             query_point=np.asarray(query_point, dtype=np.float64),
             parameters=parameters,
-            tenant=tenant,
-        )
-
-    def bypass_insert_batch(self, query_points, parameters, *, tenant: "str | None" = None):
-        """Ordered batch insert into the shared tree, atomic in log order."""
-        return self._call(
-            "bypass_insert_batch",
-            query_points=np.asarray(query_points, dtype=np.float64),
-            parameters=list(parameters),
             tenant=tenant,
         )
 

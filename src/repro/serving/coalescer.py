@@ -11,9 +11,8 @@ the window dispatches as a single ``search_batch`` /
 ``search_batch_with_parameters`` engine call.  Batching emerges from
 *backpressure* (while every dispatch slot of the group is busy, arrivals
 gather into the next window — continuous batching, no deliberate delay),
-with ``max_batch`` capping a window and ``max_wait`` optionally holding one
-open to grow it.  The rounds of concurrent feedback sessions ride these
-windows too.
+with ``max_batch`` capping a window.  The rounds of concurrent feedback
+sessions ride these windows too.
 
 **Coalescing never changes results.**  ``search_batch(Q, k)`` is
 byte-identical to ``[search(q, k) for q in Q]`` (the batch contract, tier-1
@@ -30,7 +29,7 @@ import threading
 import numpy as np
 
 from repro.database.query import QueryBatch, ResultSet
-from repro.utils.validation import ValidationError, check_dimension
+from repro.utils.validation import check_dimension
 
 __all__ = ["RequestCoalescer"]
 
@@ -63,16 +62,14 @@ class _PendingRows:
 class _Window:
     """One micro-batch in the making: the submissions of a ``(kind, k)`` group.
 
-    ``sealed`` is set once a gather on the window is pointless: it is full,
-    or a slot holder has taken it for dispatch (``closed``).
+    ``closed`` is set once a slot holder has taken it for dispatch.
     """
 
-    __slots__ = ("requests", "rows", "sealed", "closed")
+    __slots__ = ("requests", "rows", "closed")
 
     def __init__(self) -> None:
         self.requests: "list[_PendingRows]" = []
         self.rows = 0
-        self.sealed = threading.Event()
         self.closed = False
 
 
@@ -102,21 +99,6 @@ class RequestCoalescer:
         and later arrivals open the next one.  ``1`` disables coalescing —
         every submission is its own engine call (per-connection dispatch,
         up to one call per core at once).
-    max_wait:
-        Optional extra gather time (seconds).  ``0.0`` (default) is pure
-        **continuous batching**: nobody ever waits on a clock — a lone
-        request dispatches immediately, and batching comes from
-        backpressure alone.  A positive value holds a not-yet-full window
-        open that long before dispatching, trading per-request latency for
-        bigger batches (useful when arrivals are sparse but the corpus
-        scan is expensive).  A submitter that is *alone* in its group does
-        not pay the full window: it yields for at most
-        :data:`SOLO_GRACE` seconds (enough for any concurrently-arriving
-        peer to register and share the dispatch) and, still alone, skips
-        the rest of the gather — so a sparse stream of lone requests sees
-        millisecond latency under a window configured in the hundreds of
-        milliseconds, while coherent bursts keep coalescing exactly as
-        before (counted as ``solo_dispatches`` in :meth:`stats`).
 
     How batches form: requests are grouped by ``(kind, k)`` — plain
     searches with equal ``k`` stack into one ``search_batch`` matrix,
@@ -136,32 +118,9 @@ class RequestCoalescer:
     dispatch of a group runs alone.
     """
 
-    #: Default gather time (seconds) a *lone* submitter still concedes
-    #: before dispatching solo.  A blocked wait releases the GIL
-    #: immediately, so a peer that was already on its way into ``submit_*``
-    #: registers within microseconds of this wait starting — the grace only
-    #: needs to cover a thread-scheduling quantum, not the arrival gap
-    #: ``max_wait`` targets.  Tunable per instance via ``solo_grace``
-    #: (``ServerConfig.solo_grace`` at the serving layer): many mostly-idle
-    #: connections want it tiny, a few hot ones can afford more.
-    SOLO_GRACE = 0.005
-
-    def __init__(
-        self,
-        engine,
-        *,
-        max_batch: int = 64,
-        max_wait: float = 0.0,
-        solo_grace: "float | None" = None,
-    ) -> None:
+    def __init__(self, engine, *, max_batch: int = 64) -> None:
         self._engine = engine
         self._max_batch = check_dimension(max_batch, "max_batch")
-        self._max_wait = float(max_wait)
-        if self._max_wait < 0:
-            raise ValidationError("max_wait must be non-negative")
-        self._solo_grace = self.SOLO_GRACE if solo_grace is None else float(solo_grace)
-        if self._solo_grace < 0:
-            raise ValidationError("solo_grace must be non-negative")
         self._n_slots = _dispatch_slots()
         self._lock = threading.Lock()
         self._groups: "dict[tuple, _GroupState]" = {}
@@ -182,16 +141,6 @@ class RequestCoalescer:
     def max_batch(self) -> int:
         """Row bound of one micro-batch window."""
         return self._max_batch
-
-    @property
-    def max_wait(self) -> float:
-        """Time bound (seconds) of one micro-batch window."""
-        return self._max_wait
-
-    @property
-    def solo_grace(self) -> float:
-        """Gather time (seconds) a lone submitter concedes before going solo."""
-        return self._solo_grace
 
     def stats(self) -> dict:
         """Coalescing counters: requests in, dispatches out, batch shapes."""
@@ -232,15 +181,6 @@ class RequestCoalescer:
         )
         return self._submit(batch, (query_points, deltas, weights))
 
-    @staticmethod
-    def _is_solo(group: "_GroupState", window: "_Window", pending: _PendingRows) -> bool:
-        """True while ``pending`` is the group's entire window queue."""
-        return (
-            len(group.windows) == 1
-            and len(window.requests) == 1
-            and window.requests[0] is pending
-        )
-
     def _submit(self, batch: QueryBatch, arrays: tuple) -> "list[ResultSet]":
         """Admit one validated submission into its group's window and wait.
 
@@ -268,8 +208,6 @@ class RequestCoalescer:
                 group.windows.append(window)
             window.requests.append(pending)
             window.rows += n_rows
-            if window.rows >= self._max_batch:
-                window.sealed.set()
 
         # Queue for one of the group's dispatch slots.  A holder works the
         # window queue oldest-first until its own window has been taken —
@@ -281,42 +219,8 @@ class RequestCoalescer:
                 with self._lock:
                     if window.closed:
                         break
-                    current = group.windows[0]
-                    alone = self._is_solo(group, current, pending)
-                if self._max_wait > 0:
-                    if current.rows < self._max_batch:
-                        if alone:
-                            # Solo fast path: this submitter is alone in the
-                            # group (its own rows are the whole window
-                            # queue), so the gather window has nobody to
-                            # gather — a sparse arrival stream would
-                            # otherwise pay max_wait per lone request.  A
-                            # short grace wait yields the interpreter so a
-                            # peer already heading into submit_* can still
-                            # register and share; still alone after it, the
-                            # rest of the gather is skipped.  Anyone
-                            # arriving after that still coalesces: they
-                            # either join the window before it is popped
-                            # below or pile into the next one.
-                            current.sealed.wait(
-                                timeout=min(self._solo_grace, self._max_wait)
-                            )
-                            with self._lock:
-                                alone = self._is_solo(group, current, pending)
-                                if alone:
-                                    self._n_solo_dispatches += 1
-                        if not alone and current.rows < self._max_batch:
-                            # Optional gather: hold the window open briefly
-                            # so sparse arrivals can still share the dispatch
-                            # (cut short the moment it fills or another
-                            # holder takes it).
-                            current.sealed.wait(timeout=self._max_wait)
-                with self._lock:
-                    if current.closed:  # taken by another holder meanwhile
-                        continue
-                    group.windows.pop(0)
+                    current = group.windows.pop(0)
                     current.closed = True
-                current.sealed.set()
                 self._dispatch(current, batch.k)
         pending.event.wait()
         if pending.error is not None:
@@ -346,6 +250,7 @@ class RequestCoalescer:
                 results = self._engine.search_batch_with_parameters(arrays[0], k, *arrays[1:])
             with self._lock:
                 self._n_dispatches += 1
+                self._n_solo_dispatches += len(requests) == 1
                 self._n_dispatched_rows += window.rows
                 self._largest_dispatch = max(self._largest_dispatch, window.rows)
             offset = 0

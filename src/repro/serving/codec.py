@@ -26,10 +26,10 @@ handshake, and nothing on its wire is ever unpickled:
   can at worst make the decoder raise :class:`CodecError`.
 
 The codec layer also defines the **chunked streaming** envelope: a response
-whose result is a long list (a large ``run_batch``/``search_batch`` answer)
-is sent as a small header frame ``{"ok": True, "chunked": n, "total": t}``
-followed by ``n`` sub-frames each carrying one bounded slice of the list,
-instead of one giant frame — see :func:`encode_response_frames`.
+whose result is a long list (a large ``search_batch`` answer) is sent as a
+small header frame ``{"ok": True, "chunked": n, "total": t}`` followed by
+``n`` sub-frames each carrying one bounded slice of the list, instead of
+one giant frame — see :func:`encode_response_frames`.
 """
 
 from __future__ import annotations
@@ -492,7 +492,7 @@ def encode_response_frames(response: dict, codec, *, chunk_items: int) -> "list[
     split into a chunk-header frame ``{"ok": True, "chunked": n, "total":
     t}`` followed by ``n`` sub-frames each carrying at most ``chunk_items``
     items — bounding peak frame size (and the receiver's buffer) for large
-    ``run_batch`` answers.
+    ``search_batch`` answers.
     """
     result = response.get("result") if response.get("ok") else None
     if isinstance(result, list) and len(result) > chunk_items:

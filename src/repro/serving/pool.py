@@ -36,7 +36,7 @@ from __future__ import annotations
 import threading
 import time
 
-from repro.database.query import Query, ResultSet
+from repro.database.query import ResultSet
 from repro.feedback.engine import FeedbackLoopResult, Judge
 from repro.serving.client import ServingClient, ServingError
 from repro.serving.protocol import ConnectionClosed, ProtocolError
@@ -337,10 +337,6 @@ class PooledServingClient:
         """k-NN search of a query matrix, one result list per row."""
         return self._call("search_batch", query_points, k, idempotent=True, budget=budget)
 
-    def run_batch(self, queries: "list[Query]") -> "list[ResultSet]":
-        """Execute :class:`~repro.database.query.Query` objects (mixed ``k`` fine)."""
-        return self._call("run_batch", queries, idempotent=True)
-
     def search_with_parameters(
         self, query_point, k: int, delta, weights, *, budget=None
     ) -> ResultSet:
@@ -374,12 +370,6 @@ class PooledServingClient:
         """Train the shared tree (not retried: a lost ack must not double-count)."""
         return self._call(
             "bypass_insert", query_point, parameters, idempotent=False, tenant=tenant
-        )
-
-    def bypass_insert_batch(self, query_points, parameters, *, tenant: "str | None" = None):
-        """Ordered batch insert (not retried, same as :meth:`bypass_insert`)."""
-        return self._call(
-            "bypass_insert_batch", query_points, parameters, idempotent=False, tenant=tenant
         )
 
     def bypass_stats(self, *, tenant: "str | None" = None) -> dict:

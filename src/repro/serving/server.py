@@ -10,8 +10,8 @@ byte-identical whichever one answers (tier-1,
 ``tests/test_serving_equivalence.py``).
 
 :class:`RetrievalServer` binds a TCP port and serves the full retrieval
-query contract — ``search`` / ``search_batch`` / ``run_batch`` / k-NN with
-per-query ``(Δ, W)`` parameters — plus interactive relevance-feedback
+query contract — ``search`` / ``search_batch`` and k-NN with per-query
+``(Δ, W)`` parameters — plus interactive relevance-feedback
 sessions (the client judges each round's results and ships the judgments,
 the loop state is held by the :class:`~repro.serving.sessions.SessionManager`
 and every round's search rides the shared
@@ -43,8 +43,6 @@ import numpy as np
 
 from repro.core.oqp import OptimalQueryParameters
 from repro.database.budget import Budget
-from repro.database.engine import run_grouped_by_k
-from repro.database.query import Query
 from repro.database.segments import Compactor
 from repro.feedback.engine import FeedbackEngine
 from repro.feedback.reweighting import ReweightingRule
@@ -65,7 +63,7 @@ from repro.serving.protocol import (
     send_payload,
 )
 from repro.serving.sessions import SessionManager
-from repro.utils.validation import ValidationError, check_dimension
+from repro.utils.validation import ValidationError, check_dimension, check_positive
 
 __all__ = ["ServerConfig", "ServingCore", "RetrievalServer"]
 
@@ -84,18 +82,12 @@ class ServerConfig:
     host, port:
         Bind address.  Port ``0`` (default) asks the OS for an ephemeral
         port — read the real one from :attr:`RetrievalServer.address`.
-    max_batch, max_wait:
-        The micro-batch window of the request coalescer: ``max_batch``
-        caps a window's rows (``1`` disables coalescing — per-connection
-        dispatch, up to one engine call per core at once), ``max_wait``
-        optionally holds a not-yet-full window open to grow it (``0.0``,
-        the default, is pure continuous batching: no deliberate delay,
-        sharing comes from backpressure once every dispatch slot is busy).
-    solo_grace:
-        Gather time (seconds) a *lone* submitter still concedes before
-        dispatching solo when ``max_wait`` is on — the coalescer's solo
-        fast path.  Per-server because C10K tuning moves it: many mostly-
-        idle connections want it tiny, few hot ones can afford more.
+    max_batch:
+        Row cap of one micro-batch window of the request coalescer (``1``
+        disables coalescing — per-connection dispatch, up to one engine
+        call per core at once).  There is no deliberate delay: windows
+        share a dispatch through backpressure once every dispatch slot is
+        busy.
     reweighting_rule, move_query_point, max_iterations, variance_floor:
         The feedback-engine configuration the server runs sessions
         under — match them to the
@@ -108,7 +100,7 @@ class ServerConfig:
     stream_chunk_items:
         Responses whose result list is longer than this stream as chunked
         sub-frames of at most this many items, bounding peak frame size for
-        large ``run_batch`` answers.
+        large ``search_batch`` answers.
     executor_threads:
         Size of the async front end's dispatch pool — the number of
         requests that can *block* in the coalescer concurrently.  Ignored
@@ -141,8 +133,6 @@ class ServerConfig:
     host: str = "127.0.0.1"
     port: int = 0
     max_batch: int = 64
-    max_wait: float = 0.0
-    solo_grace: float = RequestCoalescer.SOLO_GRACE
     reweighting_rule: ReweightingRule = ReweightingRule.OPTIMAL
     move_query_point: bool = True
     max_iterations: int = 10
@@ -169,18 +159,13 @@ class ServerConfig:
         check_dimension(self.bypass_max_tenants, "bypass_max_tenants")
         if self.bypass_max_nodes is not None:
             check_dimension(self.bypass_max_nodes, "bypass_max_nodes")
-        if self.max_wait < 0:
-            raise ValidationError("max_wait must be non-negative")
-        if self.solo_grace < 0:
-            raise ValidationError("solo_grace must be non-negative")
-        if self.bypass_epsilon < 0:
-            raise ValidationError("bypass_epsilon must be non-negative")
-        if self.bypass_margin < 0:
-            raise ValidationError("bypass_margin must be non-negative")
+        check_positive(self.variance_floor, "variance_floor")
+        check_positive(self.bypass_epsilon, "bypass_epsilon", strict=False)
+        check_positive(self.bypass_margin, "bypass_margin", strict=False)
         if self.bypass_snapshot_every < 0:
             raise ValidationError("bypass_snapshot_every must be non-negative")
-        if self.idle_timeout is not None and self.idle_timeout <= 0:
-            raise ValidationError("idle_timeout must be positive (or None to disable)")
+        if self.idle_timeout is not None:
+            check_positive(self.idle_timeout, "idle_timeout")
 
 
 class ServingCore:
@@ -204,12 +189,7 @@ class ServingCore:
             max_iterations=self.config.max_iterations,
             variance_floor=self.config.variance_floor,
         )
-        self.coalescer = RequestCoalescer(
-            engine,
-            max_batch=self.config.max_batch,
-            max_wait=self.config.max_wait,
-            solo_grace=self.config.solo_grace,
-        )
+        self.coalescer = RequestCoalescer(engine, max_batch=self.config.max_batch)
         self.bypass: "BypassRegistry | None" = None
         if self.config.bypass:
             self.bypass = BypassRegistry.for_engine(
@@ -242,13 +222,11 @@ class ServingCore:
             "info": self._op_info,
             "stats": self._op_stats,
             **dict.fromkeys(QUERY_WIRE_KEYS, self._op_query),
-            "run_batch": self._op_run_batch,
             "session_open": self._op_session_open,
             "session_feedback": self._op_session_feedback,
             "session_close": self._op_session_close,
             "bypass_mopt": self._op_bypass_mopt,
             "bypass_insert": self._op_bypass_insert,
-            "bypass_insert_batch": self._op_bypass_insert_batch,
             "bypass_stats": self._op_bypass_stats,
             "insert": self._op_insert,
             "delete": self._op_delete,
@@ -369,7 +347,6 @@ class ServingCore:
         info = {
             "protocol_version": PROTOCOL_VERSION,
             "max_batch": self.config.max_batch,
-            "max_wait": self.config.max_wait,
             "max_iterations": self.config.max_iterations,
             "reweighting_rule": self.config.reweighting_rule.name,
             "move_query_point": self.config.move_query_point,
@@ -422,12 +399,6 @@ class ServingCore:
             result_key: results[0] if single else results,
             "coverage": budget.coverage().to_dict(),
         }
-
-    def _op_run_batch(self, message, owner):
-        queries = [Query(point=point, k=k) for point, k in message["queries"]]
-        return run_grouped_by_k(
-            lambda points, k, distance: self.coalescer.submit_search(points, k), queries
-        )
 
     def _op_session_open(self, message, owner) -> dict:
         session = self.sessions.open(
@@ -484,20 +455,6 @@ class ServingCore:
             )
         point = np.atleast_1d(np.asarray(message["query_point"], dtype=np.float64))
         return registry.insert(self._tenant_of(message), point, parameters)
-
-    def _op_bypass_insert_batch(self, message, owner):
-        registry = self._require_bypass()
-        parameters = message["parameters"]
-        if not isinstance(parameters, (list, tuple)) or not all(
-            isinstance(item, OptimalQueryParameters) for item in parameters
-        ):
-            raise ValidationError(
-                "bypass_insert_batch needs a list of OptimalQueryParameters "
-                "in 'parameters'"
-            )
-        return registry.insert_batch(
-            self._tenant_of(message), message["query_points"], parameters
-        )
 
     def _op_bypass_stats(self, message, owner) -> dict:
         registry = self._require_bypass()

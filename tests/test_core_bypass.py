@@ -73,11 +73,6 @@ class TestMopt:
             prediction = bypass.mopt(rng.random(3) * 0.9)
             assert np.all(prediction.weights >= 0.0)
 
-    def test_predict_for_engine_returns_arrays(self, bypass):
-        delta, weights = bypass.predict_for_engine([0.1, 0.1, 0.1])
-        assert delta.shape == (3,)
-        assert weights.shape == (3,)
-
     def test_query_dimension_validated(self, bypass):
         with pytest.raises(ValidationError):
             bypass.mopt([0.1, 0.2])

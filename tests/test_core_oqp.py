@@ -12,7 +12,6 @@ class TestConstruction:
         oqp = OptimalQueryParameters(delta=np.zeros(3), weights=np.ones(4))
         assert oqp.query_dimension == 3
         assert oqp.weight_dimension == 4
-        assert oqp.total_dimension == 7
 
     def test_arrays_are_read_only(self):
         oqp = OptimalQueryParameters(delta=np.zeros(2), weights=np.ones(2))
@@ -62,18 +61,6 @@ class TestSemantics:
         oqp = OptimalQueryParameters(delta=np.zeros(2), weights=np.ones(2))
         with pytest.raises(ValidationError):
             oqp.optimal_query_point([1.0, 2.0, 3.0])
-
-    def test_max_difference(self):
-        first = OptimalQueryParameters(delta=np.zeros(2), weights=np.ones(2))
-        second = OptimalQueryParameters(delta=np.array([0.0, 0.3]), weights=np.array([1.0, 1.5]))
-        assert first.max_difference(second) == pytest.approx(0.5)
-        assert second.max_difference(first) == pytest.approx(0.5)
-
-    def test_max_difference_dimension_mismatch(self):
-        first = OptimalQueryParameters(delta=np.zeros(2), weights=np.ones(2))
-        second = OptimalQueryParameters(delta=np.zeros(3), weights=np.ones(3))
-        with pytest.raises(ValidationError):
-            first.max_difference(second)
 
     def test_is_default_tolerance(self):
         almost = OptimalQueryParameters(delta=np.array([1e-15]), weights=np.array([1.0 + 1e-15]))

@@ -16,7 +16,6 @@ from repro.database.engine import RetrievalEngine
 from repro.database.index import KNNIndex, NeighborHeap, k_smallest, merge_topk
 from repro.database.knn import LinearScanIndex
 from repro.database.mtree import MTreeIndex
-from repro.database.query import Query
 from repro.database.segments import LiveCollection
 from repro.database.sharding import ShardedEngine
 from repro.database.vptree import VPTreeIndex
@@ -245,21 +244,6 @@ class TestEngineDispatch:
         engine.search_batch(queries, 4)
         assert engine.stats()["index_hits"] == len(queries)
         assert engine.stats()["scan_fallbacks"] == 0
-
-    def test_run_batch_groups_by_k(self, collection, queries):
-        engine = RetrievalEngine(collection)
-        batch = [
-            Query(point=queries[0], k=3),
-            Query(point=queries[1], k=5),
-            Query(point=queries[2], k=3),
-        ]
-        results = engine.run_batch(batch)
-        assert [len(result) for result in results] == [3, 5, 3]
-        for query, result in zip(batch, results):
-            _assert_identical(result, RetrievalEngine(collection).search(query.point, query.k))
-
-    def test_run_batch_empty(self, collection):
-        assert RetrievalEngine(collection).run_batch([]) == []
 
     def test_search_batch_with_parameters_equals_loop(self, collection, queries):
         rng = np.random.default_rng(11)

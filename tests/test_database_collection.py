@@ -83,16 +83,3 @@ class TestAccessors:
         assert point.shape == (2,)
         with pytest.raises(ValidationError):
             labelled_collection.validate_query_point([0.5])
-
-
-class TestFromImageDataset:
-    def test_embedding_drops_last_bin(self, tiny_dataset):
-        raw = FeatureCollection.from_image_dataset(tiny_dataset, embed=False)
-        embedded = FeatureCollection.from_image_dataset(tiny_dataset, embed=True)
-        assert raw.dimension == tiny_dataset.n_bins
-        assert embedded.dimension == tiny_dataset.n_bins - 1
-        assert raw.size == embedded.size == tiny_dataset.n_images
-
-    def test_labels_are_categories(self, tiny_dataset):
-        collection = FeatureCollection.from_image_dataset(tiny_dataset)
-        assert collection.label(0) == tiny_dataset.category_of(0)

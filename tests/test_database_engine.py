@@ -5,7 +5,6 @@ import pytest
 
 from repro.database.collection import FeatureCollection
 from repro.database.engine import RetrievalEngine
-from repro.database.query import Query
 from repro.database.vptree import VPTreeIndex
 from repro.distances.minkowski import euclidean
 from repro.distances.weighted_euclidean import WeightedEuclideanDistance
@@ -34,11 +33,6 @@ class TestSearch:
         results = engine.search(query, 5)
         reference = np.sort(euclidean(4).distances_to(query, collection.vectors))[:5]
         np.testing.assert_allclose(results.distances(), reference, atol=1e-12)
-
-    def test_run_batch_query_object(self, collection):
-        engine = RetrievalEngine(collection)
-        (results,) = engine.run_batch([Query(point=np.zeros(4), k=3)])
-        assert len(results) == 3
 
     def test_custom_distance_is_used(self, collection):
         engine = RetrievalEngine(collection)

@@ -3,28 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.database.query import Query, ResultItem, ResultSet
+from repro.database.query import ResultItem, ResultSet
 from repro.utils.validation import ValidationError
-
-
-class TestQuery:
-    def test_basic_construction(self):
-        query = Query(point=np.array([0.1, 0.2]), k=5)
-        assert query.k == 5
-        assert query.dimension == 2
-
-    def test_point_is_read_only(self):
-        query = Query(point=np.array([0.1, 0.2]), k=5)
-        with pytest.raises(ValueError):
-            query.point[0] = 9.0
-
-    def test_rejects_non_positive_k(self):
-        with pytest.raises(ValidationError):
-            Query(point=np.array([0.1]), k=0)
-
-    def test_rejects_matrix_point(self):
-        with pytest.raises(ValidationError):
-            Query(point=np.zeros((2, 2)), k=1)
 
 
 class TestResultSet:

@@ -10,7 +10,9 @@ the user-facing entry points honest:
 * ``examples/quickstart.py`` and ``examples/serving_session.py`` run end
   to end at miniature parameters through their ``main`` entry points;
 * ``examples/run_paper_experiments.py`` runs every entry of the ``FIGURES``
-  registry on the miniature corpus and prints its table.
+  registry on the miniature corpus and prints its table;
+* the op table of ``docs/serving.md`` names exactly the ops the server
+  serves.
 
 A documented name that disappears, a signature that changes, or a serving
 op that breaks fails here before any reader trips over it.
@@ -29,6 +31,7 @@ from repro.evaluation.figures import FIGURES
 from repro.features.datasets import build_imsi_like_dataset
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
+SERVING_DOC = Path(__file__).resolve().parent.parent / "docs" / "serving.md"
 
 
 def _tiny_builder(*, scale, seed, **kwargs):
@@ -108,3 +111,28 @@ class TestExampleScripts:
         printed = capsys.readouterr().out
         assert f"[{name}]\n" in printed
         assert "\n--" in printed  # the table's header rule
+
+
+def _documented_ops() -> "set[str]":
+    """The op names in the first column of the ``### Ops`` table."""
+    lines = SERVING_DOC.read_text(encoding="utf-8").splitlines()
+    start = lines.index("### Ops") + 1
+    ops = set()
+    for line in lines[start:]:
+        if line.startswith("#"):
+            break
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if line.startswith("|") and cells[0].startswith("`"):
+            ops.add(cells[0].strip("`"))
+    return ops
+
+
+def test_the_op_table_names_every_served_op(tiny_collection):
+    from repro.database.engine import RetrievalEngine
+    from repro.serving.server import ServingCore
+
+    core = ServingCore(RetrievalEngine(tiny_collection))
+    served = set(core._ops)
+    core.shutdown(own_engine=False)
+    assert _documented_ops() == served
+    assert len(served) == 17

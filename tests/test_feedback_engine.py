@@ -35,11 +35,6 @@ def feedback_setup(synthetic_collection):
 
 
 class TestFeedbackState:
-    def test_oqp_vector_packs_delta_and_weights(self):
-        state = FeedbackState(query_point=np.array([1.0, 2.0]), weights=np.array([3.0, 4.0]))
-        vector = state.oqp_vector(np.array([0.5, 0.5]))
-        np.testing.assert_allclose(vector, [0.5, 1.5, 3.0, 4.0])
-
     def test_arrays_are_read_only(self):
         state = FeedbackState(query_point=np.zeros(2), weights=np.ones(2))
         with pytest.raises(ValueError):
@@ -76,6 +71,31 @@ class TestComputeNewState:
         judgments = [RelevanceJudgment(index=0, score=1.0), RelevanceJudgment(index=5, score=1.0)]
         new_state = feedback.compute_new_state(state, judgments)
         np.testing.assert_allclose(new_state.query_point, np.full(6, 0.25))
+
+
+class TestVarianceFloor:
+    @pytest.mark.parametrize(
+        "floor", [0.0, -1e-6, float("nan"), float("inf"), float("-inf")], ids=repr
+    )
+    def test_a_floor_that_is_not_positive_and_finite_is_rejected(
+        self, synthetic_collection, floor
+    ):
+        with pytest.raises(ValidationError, match="variance_floor"):
+            FeedbackEngine(RetrievalEngine(synthetic_collection), variance_floor=floor)
+
+    def test_a_single_relevant_result_keeps_the_weights_finite(self, synthetic_collection):
+        """One relevant result has zero variance: the floor alone bounds 1/σ²."""
+        feedback = FeedbackEngine(RetrievalEngine(synthetic_collection), max_iterations=3)
+
+        def first_only(results):
+            return [
+                RelevanceJudgment(index=item.index, score=float(rank == 0))
+                for rank, item in enumerate(results)
+            ]
+
+        result = feedback.run_loop(synthetic_collection.vector(0), 10, first_only)
+        assert result.iterations >= 1
+        assert np.all(np.isfinite(result.final_state.weights))
 
 
 class TestRunLoop:

@@ -1,15 +1,12 @@
 """Tests for repro.feedback.scores."""
 
-import numpy as np
 import pytest
 
 from repro.database.query import ResultSet
 from repro.feedback.scores import (
     RelevanceJudgment,
     RelevanceScale,
-    relevant_indices,
     score_results_by_category,
-    scores_vector,
 )
 from repro.utils.validation import ValidationError
 
@@ -73,13 +70,3 @@ class TestGradedAndContinuousScoring:
             judgments = score_results_by_category(results, CATEGORIES, "Fish", scale=scale)
             assert judgments[0].score == 0.0
             assert judgments[1].score > 0.0
-
-
-class TestHelpers:
-    def test_relevant_indices(self, results):
-        judgments = score_results_by_category(results, CATEGORIES, "Bird")
-        np.testing.assert_array_equal(relevant_indices(judgments), [10, 12])
-
-    def test_scores_vector(self, results):
-        judgments = score_results_by_category(results, CATEGORIES, "Bird")
-        np.testing.assert_allclose(scores_vector(judgments), [1.0, 0.0, 1.0, 0.0])

@@ -321,19 +321,46 @@ def test_no_module_imports_a_process_pool():
         "turn_limit",
         "bypass_train_on_loops",
         "frontier_turn_searches",
+        "max_wait",
+        "solo_grace",
+        "SOLO_GRACE",
+        "run_grouped_by_k",
+        "bypass_insert_batch",
     ],
 )
 def test_no_sub_frontier_machinery_remains(name):
     """The feedback loops are never split across workers, so nothing ships
-    a frontier to a worker or folds a worker's counters back home; and the
+    a frontier to a worker or folds a worker's counters back home; the
     server runs no frontier of its own — interactive sessions are its one
-    feedback loop."""
+    feedback loop; and a served call has one request shape, batched by
+    backpressure alone (no mixed-``k`` grouping, no batch insert op, no
+    timed gather)."""
     offending = [
         str(path.relative_to(SRC))
         for path in _source_files(SRC / "repro")
         if name in path.read_text(encoding="utf-8")
     ]
     assert offending == []
+
+
+def test_one_request_shape_per_served_call():
+    """``QueryBatch`` is the one query type; nothing serves a mixed-``k`` batch
+    or a batch insert, and the coalescer takes no clock setting."""
+    import repro.database.query as query_module
+    from repro.database.engine import QueryEngine
+    from repro.serving import BypassRegistry, PooledServingClient, ServingClient
+    from repro.serving.coalescer import RequestCoalescer
+
+    assert not hasattr(query_module, "Query")
+    for surface in (QueryEngine, ServingClient, PooledServingClient):
+        assert not hasattr(surface, "run_batch"), surface.__name__
+    for removed in ("insert_batch", "mopt_batch"):
+        assert not hasattr(BypassRegistry, removed), removed
+    parameters = inspect.signature(RequestCoalescer).parameters.values()
+    assert [(parameter.name, parameter.kind) for parameter in parameters] == [
+        ("engine", inspect.Parameter.POSITIONAL_OR_KEYWORD),
+        ("max_batch", inspect.Parameter.KEYWORD_ONLY),
+    ]
 
 
 def test_the_worker_pool_runs_threads_only():

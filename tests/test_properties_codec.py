@@ -49,7 +49,7 @@ _LOOP = FeedbackLoopResult(
 #: Real serving messages, both directions, every value type the codec carries.
 MESSAGES = [
     {"op": "search", "query_point": np.arange(4.0), "k": 3, "budget": None},
-    {"op": "run_batch", "queries": [(np.arange(2.0), 3), (np.ones(2), 5)]},
+    {"op": "search_batch", "query_points": np.ones((2, 2)), "k": 5, "budget": {"max_rows": 7}},
     {"ok": True, "result": _RESULTS},
     {"ok": True, "chunked": 2, "total": 3},
     [_RESULTS, _RESULTS],
@@ -57,7 +57,7 @@ MESSAGES = [
     _LOOP,
     OptimalQueryParameters(delta=np.zeros(3), weights=np.ones(3)),
     InsertOutcome(action="inserted", prediction_error=0.5),
-    {"big": 2**100, "bytes": b"\x00\xff", "tuple": (1.5, True, None), 3: -7},
+    {"big": 2**100, "bytes": b"\x00\xff", "tuple": (1.5, True, None, np.arange(2.0)), 3: -7},
     np.arange(6, dtype=np.int64).reshape(2, 3),
 ]
 ENCODED = [BINARY.encode(message) for message in MESSAGES]

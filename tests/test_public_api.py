@@ -34,7 +34,6 @@ class TestTopLevelExports:
             "LinearScanIndex",
             "VPTreeIndex",
             "MTreeIndex",
-            "Query",
             "ResultSet",
             "WeightedEuclideanDistance",
             "MinkowskiDistance",

@@ -27,7 +27,7 @@ pytestmark = pytest.mark.serving
 
 N_THREADS = 8
 SINGLES_PER_THREAD = 6
-BATCH_ROWS_PER_THREAD = 4
+BURST_ROWS_PER_THREAD = 4  # inserted back to back, with no reads between
 MOPTS_PER_THREAD = 10
 
 
@@ -78,7 +78,7 @@ class TestConcurrentTraining:
         """8 threads of interleaved writes and reads; totals come out exact."""
         engine = RetrievalEngine(tiny_collection)
         dimension = tiny_collection.dimension
-        per_thread = SINGLES_PER_THREAD + BATCH_ROWS_PER_THREAD
+        per_thread = SINGLES_PER_THREAD + BURST_ROWS_PER_THREAD
         config = ServerConfig(bypass=True)
         with RetrievalServer(engine, config) as server:
             host, port = server.address
@@ -98,14 +98,12 @@ class TestConcurrentTraining:
                             tiny_collection.vectors[index]
                         )
                         assert prediction.query_dimension == dimension
-                    batch_rows = [
-                        base + SINGLES_PER_THREAD + offset
-                        for offset in range(BATCH_ROWS_PER_THREAD)
-                    ]
-                    client.bypass_insert_batch(
-                        tiny_collection.vectors[batch_rows],
-                        [_parameters_for(index, dimension) for index in batch_rows],
-                    )
+                    for offset in range(BURST_ROWS_PER_THREAD):
+                        index = base + SINGLES_PER_THREAD + offset
+                        client.bypass_insert(
+                            tiny_collection.vectors[index],
+                            _parameters_for(index, dimension),
+                        )
                     for offset in range(MOPTS_PER_THREAD):
                         client.bypass_mopt(
                             tiny_collection.vectors[(base + offset) % tiny_collection.size]
@@ -131,43 +129,6 @@ class TestConcurrentTraining:
                 assert _identical(
                     registry.mopt(DEFAULT_TENANT, point), local.mopt(point)
                 )
-
-    def test_batch_rows_never_interleave(self, tiny_collection):
-        """insert_batch is atomic in the log: batches appear contiguously."""
-        engine = RetrievalEngine(tiny_collection)
-        dimension = tiny_collection.dimension
-        rows_per_batch = 5
-        n_batches_each = 3
-        with RetrievalServer(engine, ServerConfig(bypass=True)) as server:
-            host, port = server.address
-
-            def work(thread_id):
-                with ServingClient(host, port) as client:
-                    for round_id in range(n_batches_each):
-                        base = (thread_id * n_batches_each + round_id) * rows_per_batch
-                        rows = [base + offset for offset in range(rows_per_batch)]
-                        client.bypass_insert_batch(
-                            tiny_collection.vectors[rows],
-                            [_parameters_for(index, dimension) for index in rows],
-                            tenant="batchy",
-                        )
-
-            _run_threads(6, work)
-            registry = server.bypass_registry
-            log = registry.insert_log("batchy")
-            assert len(log) == 6 * n_batches_each * rows_per_batch
-            # Row indices recover which batch each log row belongs to; every
-            # batch must occupy a contiguous run of the log.
-            vectors = tiny_collection.vectors
-            row_ids = []
-            for point, _ in log:
-                matches = np.flatnonzero((vectors == point).all(axis=1))
-                assert matches.size >= 1
-                row_ids.append(int(matches[0]))
-            for start in range(0, len(row_ids), rows_per_batch):
-                chunk = row_ids[start : start + rows_per_batch]
-                first = chunk[0]
-                assert chunk == list(range(first, first + rows_per_batch))
 
 
 class TestReaderWriterContention:

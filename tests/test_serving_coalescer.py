@@ -5,12 +5,16 @@ contracts directly:
 
 * a window of one (``max_batch=1``, or simply a lone caller) degenerates to
   direct engine dispatch — same results, one engine call per submission;
-* concurrent same-``k`` submissions merge into one dispatch, mixed-``k``
-  submissions never do — whatever the number of dispatch slots;
-* with more than one slot, same-``k`` windows dispatch concurrently, and
-  arrivals while every slot is busy still share the next window;
+* same-``k`` submissions that arrive while every dispatch slot is busy merge
+  into one dispatch, mixed-``k`` submissions never do — whatever the number
+  of dispatch slots;
+* with more than one slot, same-``k`` windows dispatch concurrently;
 * validation fails on the submitting thread, dispatch failures propagate to
   every submitter that shared the window.
+
+Nothing here waits on a clock to make windows share: a :class:`GatedEngine`
+holds every dispatch slot inside the engine while the submissions under
+test arrive, so sharing comes from backpressure alone.
 """
 
 import threading
@@ -75,6 +79,62 @@ def join_all(threads, errors):
         raise errors[0]
 
 
+class GatedEngine:
+    """Holds every engine call inside the engine until ``gate`` opens.
+
+    Each call records its row count and releases ``entered`` on the way in,
+    so a test knows when a submitter holds a dispatch slot.
+    """
+
+    def __init__(self, engine) -> None:
+        self.collection = engine.collection
+        self.engine = engine
+        self.gate = threading.Event()
+        self.entered = threading.Semaphore(0)
+        self.rows_per_call = []
+
+    def _hold(self, points) -> None:
+        self.rows_per_call.append(points.shape[0])
+        self.entered.release()
+        self.gate.wait(timeout=5)
+
+    def search_batch(self, points, k, distance=None):
+        self._hold(points)
+        return self.engine.search_batch(points, k)
+
+    def search_batch_with_parameters(self, points, k, deltas, weights):
+        self._hold(points)
+        return self.engine.search_batch_with_parameters(points, k, deltas, weights)
+
+
+def behind_busy_slots(coalescer, gated, holders, late):
+    """Run the ``late`` submitters while the ``holders`` keep every slot busy.
+
+    Each holder is started and waited on until it sits inside the gated
+    engine; then every late submitter starts, and the gate opens only once
+    all of them have joined a window.
+    """
+    errors, threads = [], []
+    for submit in holders:
+        threads.append(start_thread(submit, errors))
+        assert gated.entered.acquire(timeout=5)
+    for submit in late:
+        threads.append(start_thread(submit, errors))
+    n_requests = len(holders) + len(late)
+    wait_until(lambda: coalescer.stats()["requests"] == n_requests)
+    gated.gate.set()
+    join_all(threads, errors)
+
+
+def searcher(coalescer, points, results, position):
+    """A thread target that searches row ``position`` into ``results``."""
+
+    def submit():
+        (results[position],) = coalescer.submit_search(points[position : position + 1], K)
+
+    return submit
+
+
 def run_threads(n_threads, target):
     """Run ``target(thread_id)`` on N threads released together by a barrier."""
     barrier = threading.Barrier(n_threads)
@@ -110,79 +170,64 @@ class TestRequestCoalescerWindows:
         assert stats["largest_dispatch"] == 1
 
     def test_lone_caller_degenerates_to_direct_dispatch(self, engine, queries):
-        """A lone submission is one engine call, gather wait or not.
+        """A lone submission is one engine call, dispatched at once.
 
-        With ``max_wait`` set the lone caller holds the window open at most
-        that long (nobody joins), then dispatches exactly its own rows —
-        same results as calling the engine directly, one dispatch counted.
+        Nobody joins its window, so it carries exactly its own rows — same
+        results as calling the engine directly, one solo dispatch counted.
         """
-        coalescer = RequestCoalescer(engine, max_batch=8, max_wait=0.01)
+        coalescer = RequestCoalescer(engine, max_batch=8)
         reference = engine.search_batch(queries[:1], K)
         assert coalescer.submit_search(queries[:1], K) == reference
-        assert coalescer.stats()["dispatches"] == 1
-
-    def test_lone_caller_skips_the_gather_wait(self, engine, queries):
-        """A solo submitter dispatches immediately, not after ``max_wait``.
-
-        With a gather window far longer than the query itself, the solo
-        fast path is the difference between microsecond and multi-second
-        latency — the elapsed bound here is generous but still an order of
-        magnitude below the configured window.
-        """
-        import time
-
-        max_wait = 2.0
-        coalescer = RequestCoalescer(engine, max_batch=8, max_wait=max_wait)
-        reference = engine.search_batch(queries[:1], K)
-        start = time.perf_counter()
-        result = coalescer.submit_search(queries[:1], K)
-        elapsed = time.perf_counter() - start
-        assert result == reference
-        assert elapsed < max_wait / 10
         stats = coalescer.stats()
         assert stats["dispatches"] == 1
         assert stats["solo_dispatches"] == 1
 
-    @pytest.mark.usefixtures("slots")
-    def test_shared_dispatches_are_not_counted_solo(self, engine, queries):
-        n_threads = 4
-        coalescer = RequestCoalescer(engine, max_batch=n_threads, max_wait=5.0)
-
-        def submit(thread_id):
-            coalescer.submit_search(queries[thread_id][None, :], K)
-
-        run_threads(n_threads, submit)
+    def test_shared_dispatches_are_not_counted_solo(self, slots, engine, queries):
+        """Each slot holder dispatches alone; the window behind them is shared."""
+        n_late = 4
+        gated = GatedEngine(engine)
+        coalescer = RequestCoalescer(gated, max_batch=64)
+        results = {}
+        behind_busy_slots(
+            coalescer,
+            gated,
+            [searcher(coalescer, queries, results, position) for position in range(slots)],
+            [
+                searcher(coalescer, queries, results, position)
+                for position in range(slots, slots + n_late)
+            ],
+        )
         stats = coalescer.stats()
-        # However the arrivals interleaved, solo and shared dispatches
-        # partition the total — and a full window is never solo.
-        assert stats["solo_dispatches"] < stats["dispatches"]
-        assert stats["dispatched_rows"] == n_threads
+        assert stats["dispatches"] == slots + 1
+        assert stats["solo_dispatches"] == slots
+        assert stats["dispatched_rows"] == slots + n_late
 
-    @pytest.mark.usefixtures("slots")
-    def test_concurrent_same_k_submissions_share_one_dispatch(self, engine, queries):
-        """N same-k submissions released together ride one engine call."""
-        n_threads = 4
-        # The window seals exactly when all four rows have joined, so the
-        # generous gather wait is cut short and the test stays fast.
-        coalescer = RequestCoalescer(engine, max_batch=n_threads, max_wait=5.0)
-        reference = engine.search_batch(queries[:n_threads], K)
-        results = [None] * n_threads
+    def test_concurrent_same_k_submissions_share_one_dispatch(self, slots, engine, queries):
+        """N same-k submissions behind busy slots ride one engine call.
 
-        def submit(thread_id):
-            (results[thread_id],) = coalescer.submit_search(
-                queries[thread_id][None, :], K
-            )
-
-        run_threads(n_threads, submit)
-        assert results == reference
-        stats = coalescer.stats()
-        assert stats["dispatches"] == 1
-        assert stats["largest_dispatch"] == n_threads
+        ``max_batch`` is exactly N, so the window is full with the last
+        arrival and nothing spills into another one.
+        """
+        n_late = 4
+        gated = GatedEngine(engine)
+        coalescer = RequestCoalescer(gated, max_batch=n_late)
+        positions = range(slots + n_late)
+        results = {}
+        behind_busy_slots(
+            coalescer,
+            gated,
+            [searcher(coalescer, queries, results, position) for position in positions[:slots]],
+            [searcher(coalescer, queries, results, position) for position in positions[slots:]],
+        )
+        reference = engine.search_batch(queries[: slots + n_late], K)
+        assert [results[position] for position in positions] == reference
+        assert gated.rows_per_call == [1] * slots + [n_late]
+        assert coalescer.stats()["largest_dispatch"] == n_late
 
     @pytest.mark.usefixtures("slots")
     def test_mixed_k_submissions_never_share(self, engine, queries):
         """Different k means different result shapes: separate dispatches."""
-        coalescer = RequestCoalescer(engine, max_batch=8, max_wait=0.05)
+        coalescer = RequestCoalescer(engine, max_batch=8)
         ks = [3, 5, 3, 5]
         results = [None] * len(ks)
 
@@ -200,31 +245,38 @@ class TestRequestCoalescerWindows:
         assert stats["dispatches"] >= 2
         assert stats["largest_dispatch"] <= 2
 
-    @pytest.mark.usefixtures("slots")
-    def test_parameterised_submissions_coalesce(self, engine, queries):
+    def test_parameterised_submissions_coalesce(self, slots, engine, queries):
         """(Δ, W) searches group by k and stack into one parameterised call."""
-        n_threads = 3
+        n_late = 3
+        n_rows = slots + n_late
         dimension = queries.shape[1]
         rng = np.random.default_rng(7)
-        deltas = rng.normal(scale=0.01, size=(n_threads, dimension))
-        weights = rng.random((n_threads, dimension)) + 0.1
-        reference = engine.search_batch_with_parameters(
-            queries[:n_threads], K, deltas, weights
+        deltas = rng.normal(scale=0.01, size=(n_rows, dimension))
+        weights = rng.random((n_rows, dimension)) + 0.1
+        reference = engine.search_batch_with_parameters(queries[:n_rows], K, deltas, weights)
+        gated = GatedEngine(engine)
+        coalescer = RequestCoalescer(gated, max_batch=n_late)
+        results = {}
+
+        def submitter(position):
+            def submit():
+                (results[position],) = coalescer.submit_search_with_parameters(
+                    queries[position : position + 1],
+                    K,
+                    deltas[position : position + 1],
+                    weights[position : position + 1],
+                )
+
+            return submit
+
+        behind_busy_slots(
+            coalescer,
+            gated,
+            [submitter(position) for position in range(slots)],
+            [submitter(position) for position in range(slots, n_rows)],
         )
-        coalescer = RequestCoalescer(engine, max_batch=n_threads, max_wait=5.0)
-        results = [None] * n_threads
-
-        def submit(thread_id):
-            (results[thread_id],) = coalescer.submit_search_with_parameters(
-                queries[thread_id][None, :],
-                K,
-                deltas[thread_id][None, :],
-                weights[thread_id][None, :],
-            )
-
-        run_threads(n_threads, submit)
-        assert results == reference
-        assert coalescer.stats()["dispatches"] == 1
+        assert [results[position] for position in range(n_rows)] == reference
+        assert gated.rows_per_call == [1] * slots + [n_late]
 
     def test_multi_row_submissions_stay_contiguous(self, engine, queries):
         """A batched submission's rows come back in its own order."""
@@ -241,26 +293,36 @@ class TestRequestCoalescerWindows:
             coalescer.submit_search(np.zeros((2, engine.collection.dimension)), 0)
         assert coalescer.stats()["dispatches"] == 0
 
-    @pytest.mark.usefixtures("slots")
-    def test_dispatch_failure_propagates_to_every_submitter(self, tiny_collection, queries):
+    def test_dispatch_failure_propagates_to_every_submitter(self, slots, tiny_collection, queries):
         class ExplodingEngine:
             collection = tiny_collection
 
             def search_batch(self, points, k, distance=None):
                 raise RuntimeError("engine down")
 
-        n_threads = 3
-        coalescer = RequestCoalescer(ExplodingEngine(), max_batch=n_threads, max_wait=5.0)
+        n_late = 3
+        gated = GatedEngine(ExplodingEngine())
+        coalescer = RequestCoalescer(gated, max_batch=n_late)
         failures = []
 
-        def submit(thread_id):
-            try:
-                coalescer.submit_search(queries[thread_id][None, :], K)
-            except RuntimeError as error:
-                failures.append(str(error))
+        def submitter(position):
+            def submit():
+                try:
+                    coalescer.submit_search(queries[position : position + 1], K)
+                except RuntimeError as error:
+                    failures.append(str(error))
 
-        run_threads(n_threads, submit)
-        assert failures == ["engine down"] * n_threads
+            return submit
+
+        behind_busy_slots(
+            coalescer,
+            gated,
+            [submitter(position) for position in range(slots)],
+            [submitter(position) for position in range(slots, slots + n_late)],
+        )
+        # The late submitters shared one failed dispatch; all of them see it.
+        assert gated.rows_per_call == [1] * slots + [n_late]
+        assert failures == ["engine down"] * (slots + n_late)
 
 
 class MeetingEngine:
@@ -302,15 +364,33 @@ class TestDispatchSlots:
         assert coalescer.stats()["dispatches"] == 2
 
     def test_a_holder_whose_window_was_taken_frees_its_slot(self, engine, queries, monkeypatch):
-        """``max_wait > 0``: the holder that lost its window to a peer steps aside.
+        """The holder that lost its window to a peer steps aside.
 
-        A and B share the first window, so one of them dispatches it and the
-        other finds it taken.  That one must release its slot at once — C's
-        full window can only meet A/B's dispatch at the barrier through it.
+        Two gated holders keep both slots busy while A and B join one
+        window.  Once the gate opens, A and B take the freed slots: one of
+        them dispatches the shared window and the other finds it taken.
+        That one must release its slot at once — C's full window can only
+        meet A/B's dispatch at the barrier through it.
         """
         monkeypatch.setattr(coalescer_module, "_dispatch_slots", lambda: 2)
-        meeting = MeetingEngine(engine)
-        coalescer = RequestCoalescer(meeting, max_batch=2, max_wait=5.0, solo_grace=5.0)
+        gate = threading.Event()
+        entered = threading.Semaphore(0)
+        barrier = threading.Barrier(2, timeout=5)
+        calls = []
+
+        class HeldThenMeetingEngine:
+            collection = engine.collection
+
+            def search_batch(self, points, k, distance=None):
+                calls.append(points.shape[0])
+                if len(calls) <= 2:
+                    entered.release()
+                    gate.wait(timeout=5)
+                else:
+                    barrier.wait()
+                return engine.search_batch(points, k)
+
+        coalescer = RequestCoalescer(HeldThenMeetingEngine(), max_batch=2)
         results, errors = {}, []
 
         def submit(start, stop):
@@ -318,120 +398,38 @@ class TestDispatchSlots:
                 start, coalescer.submit_search(queries[start:stop], K)
             )
 
-        sharing = [start_thread(submit(0, 1), errors), start_thread(submit(1, 2), errors)]
-        wait_until(lambda: meeting.barrier.n_waiting == 1)
-        full = start_thread(submit(2, 4), errors)
-        join_all(sharing + [full], errors)
+        threads = []
+        for start in (4, 5):
+            threads.append(start_thread(submit(start, start + 1), errors))
+            assert entered.acquire(timeout=5)
+        threads += [start_thread(submit(0, 1), errors), start_thread(submit(1, 2), errors)]
+        wait_until(lambda: coalescer.stats()["requests"] == 4)
+        gate.set()
+        wait_until(lambda: barrier.n_waiting == 1)
+        threads.append(start_thread(submit(2, 4), errors))
+        join_all(threads, errors)
         assert results[0] + results[1] + results[2] == engine.search_batch(queries[:4], K)
-        stats = coalescer.stats()
-        assert stats["dispatches"] == 2
-        assert stats["largest_dispatch"] == 2
+        assert calls == [1, 1, 2, 2]
 
     def test_arrivals_beyond_the_slots_share_the_next_window(self, slots, engine, queries):
         """Every slot busy: later submitters pile into one window and one call."""
-        gate = threading.Event()
-        entered = threading.Semaphore(0)
-        rows_per_call = []
-
-        class GatedEngine:
-            collection = engine.collection
-
-            def search_batch(self, points, k, distance=None):
-                rows_per_call.append(points.shape[0])
-                entered.release()
-                gate.wait(timeout=5)
-                return engine.search_batch(points, k)
-
-        coalescer = RequestCoalescer(GatedEngine(), max_batch=64)
-        results, errors, threads = {}, [], []
-
-        def submit(position):
-            return lambda: results.__setitem__(
-                position, coalescer.submit_search(queries[position : position + 1], K)
-            )
-
-        for position in range(slots):
-            threads.append(start_thread(submit(position), errors))
-            assert entered.acquire(timeout=5)
+        gated = GatedEngine(engine)
+        coalescer = RequestCoalescer(gated, max_batch=64)
         n_late = 3
-        for position in range(slots, slots + n_late):
-            threads.append(start_thread(submit(position), errors))
-        wait_until(lambda: coalescer.stats()["requests"] == slots + n_late)
-        gate.set()
-        join_all(threads, errors)
+        results = {}
+        behind_busy_slots(
+            coalescer,
+            gated,
+            [searcher(coalescer, queries, results, position) for position in range(slots)],
+            [
+                searcher(coalescer, queries, results, position)
+                for position in range(slots, slots + n_late)
+            ],
+        )
         reference = engine.search_batch(queries[: slots + n_late], K)
-        assert [results[position][0] for position in range(slots + n_late)] == reference
-        assert rows_per_call == [1] * slots + [n_late]
+        assert [results[position] for position in range(slots + n_late)] == reference
+        assert gated.rows_per_call == [1] * slots + [n_late]
         stats = coalescer.stats()
         assert stats["dispatches"] == slots + 1
         assert stats["largest_dispatch"] == n_late
 
-
-class TestSoloGrace:
-    """The tunable solo-grace window (``ServerConfig.solo_grace``)."""
-
-    def test_default_and_override(self, engine):
-        assert RequestCoalescer(engine).solo_grace == RequestCoalescer.SOLO_GRACE
-        assert RequestCoalescer(engine, solo_grace=0.5).solo_grace == 0.5
-        assert RequestCoalescer(engine, solo_grace=0).solo_grace == 0.0
-
-    def test_negative_grace_is_rejected(self, engine):
-        with pytest.raises(ValidationError):
-            RequestCoalescer(engine, solo_grace=-0.001)
-
-    def test_zero_grace_keeps_the_lone_caller_exact_and_fast(self, engine, queries):
-        """solo_grace=0: a lone submitter never yields to the clock at all."""
-        import time
-
-        coalescer = RequestCoalescer(engine, max_batch=8, max_wait=2.0, solo_grace=0.0)
-        reference = engine.search_batch(queries[:1], K)
-        start = time.perf_counter()
-        result = coalescer.submit_search(queries[:1], K)
-        elapsed = time.perf_counter() - start
-        assert result == reference
-        assert elapsed < 0.2  # nowhere near the 2 s window
-        assert coalescer.stats()["solo_dispatches"] == 1
-
-    def test_grace_is_bounded_by_the_window(self, engine, queries):
-        """A grace far above ``max_wait`` still dispatches within the window."""
-        import time
-
-        coalescer = RequestCoalescer(engine, max_batch=8, max_wait=0.01, solo_grace=30.0)
-        reference = engine.search_batch(queries[:1], K)
-        start = time.perf_counter()
-        result = coalescer.submit_search(queries[:1], K)
-        elapsed = time.perf_counter() - start
-        assert result == reference
-        assert elapsed < 1.0
-
-    @pytest.mark.usefixtures("slots")
-    def test_grace_still_coalesces_concurrent_arrivals(self, engine, queries):
-        """A generous grace lets near-simultaneous submitters share dispatches."""
-        n_threads = 4
-        coalescer = RequestCoalescer(
-            engine, max_batch=n_threads, max_wait=5.0, solo_grace=0.05
-        )
-        reference = engine.search_batch(queries[:n_threads], K)
-        results: dict = {}
-
-        def submit(thread_id):
-            (results[thread_id],) = coalescer.submit_search(
-                queries[thread_id][None, :], K
-            )
-
-        run_threads(n_threads, submit)
-        for thread_id in range(n_threads):
-            assert results[thread_id] == reference[thread_id]
-        assert coalescer.stats()["dispatches"] < n_threads
-
-    @pytest.mark.serving
-    def test_server_config_plumbs_the_grace_through(self, engine):
-        from repro.serving import RetrievalServer, ServerConfig
-
-        server = RetrievalServer(engine, ServerConfig(solo_grace=0.25))
-        try:
-            assert server._core.coalescer.solo_grace == 0.25
-        finally:
-            server.close()
-        with pytest.raises(ValidationError):
-            ServerConfig(solo_grace=-1.0)

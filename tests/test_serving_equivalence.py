@@ -4,8 +4,8 @@ The serving contract: whatever coalescing happens between concurrent
 connections, every served answer is **byte-identical** to calling the
 engine (or the sequential feedback loop) directly — across engine kinds
 (plain / sharded-thread / sharded-process), per-shard index types, distance
-families and result-set sizes, including mixed-``k`` admission into one
-shared window.
+families and result-set sizes, including mixed-``k`` traffic, which the
+coalescer keeps in one window per ``k``.
 
 The grid is randomized but seeded, mirroring
 ``tests/test_sharded_equivalence.py``: every run draws the same
@@ -21,7 +21,6 @@ from repro.core.oqp import OptimalQueryParameters
 from repro.database.collection import FeatureCollection
 from repro.database.engine import RetrievalEngine
 from repro.database.mtree import MTreeIndex
-from repro.database.query import Query
 from repro.database.sharding import ShardedEngine
 from repro.database.vptree import VPTreeIndex
 from repro.distances.minkowski import MinkowskiDistance, euclidean
@@ -30,6 +29,7 @@ from repro.evaluation.session import InteractiveSession, SessionConfig
 from repro.evaluation.simulated_user import SimulatedUser
 from repro.feedback.engine import FeedbackEngine
 from repro.serving import AsyncRetrievalServer, RetrievalServer, ServerConfig, ServingClient
+from repro.serving import coalescer as coalescer_module
 from repro.utils.validation import ValidationError
 
 pytestmark = pytest.mark.serving
@@ -104,6 +104,19 @@ def _build_engine(collection, engine_kind: str, index_name: str, distance):
     )
 
 
+def _per_k_batches(search_batch, points, ks):
+    """``search_batch`` once per distinct ``k``, answers back in row order.
+
+    The way a caller with mixed ``k`` batches its rows: one call per ``k``.
+    """
+    results = [None] * len(ks)
+    for k in sorted(set(ks)):
+        rows = [row for row, row_k in enumerate(ks) if row_k == k]
+        for row, result in zip(rows, search_batch(points[rows], k)):
+            results[row] = result
+    return results
+
+
 def _hammer(n_clients: int, address, work):
     """Run ``work(client_id, client)`` on N clients released together."""
     host, port = address
@@ -154,15 +167,14 @@ class TestServedSearchEquivalence:
                 engine.search(point, k) for point, k in zip(queries, ks)
             ]
             batch_reference = engine.search_batch(queries, 5)
-            mixed_queries = [Query(point=point, k=k) for point, k in zip(queries, ks)]
-            run_batch_reference = engine.run_batch(mixed_queries)
+            per_k_reference = _per_k_batches(engine.search_batch, queries, ks)
             deltas = rng.normal(scale=0.01, size=queries.shape)
             weights = rng.random(queries.shape) + 0.1
             params_reference = engine.search_batch_with_parameters(
                 queries, 4, deltas, weights
             )
 
-            with RetrievalServer(engine, ServerConfig(max_batch=8, max_wait=0.002)) as server:
+            with RetrievalServer(engine, ServerConfig(max_batch=8)) as server:
                 results: dict = {}
 
                 def work(client_id, client):
@@ -177,7 +189,7 @@ class TestServedSearchEquivalence:
                         mine[position] = client.search(queries[position], ks[position])
                     if client_id == 0:
                         mine["batch"] = client.search_batch(queries, 5)
-                        mine["run_batch"] = client.run_batch(mixed_queries)
+                        mine["per_k"] = _per_k_batches(client.search_batch, queries, ks)
                     if client_id == 1:
                         mine["params"] = client.search_batch_with_parameters(
                             queries, 4, deltas, weights
@@ -194,7 +206,7 @@ class TestServedSearchEquivalence:
                 for position, expected in enumerate(single_reference):
                     assert mine[position] == expected
             assert results[0]["batch"] == batch_reference
-            assert results[0]["run_batch"] == run_batch_reference
+            assert results[0]["per_k"] == per_k_reference
             assert results[1]["params"] == params_reference
             assert results[1]["params_single"] == params_reference[0]
         finally:
@@ -220,6 +232,28 @@ class TestServedSearchEquivalence:
         assert stats["dispatches"] == 5
 
 
+class _GatedEngine:
+    """An engine proxy whose searches wait inside the engine until ``gate`` opens.
+
+    Every other attribute is the wrapped engine's.
+    """
+
+    def __init__(self, engine) -> None:
+        self._engine = engine
+        self.gate = threading.Event()
+
+    def __getattr__(self, name):
+        return getattr(self._engine, name)
+
+    def search_batch(self, *args, **kwargs):
+        self.gate.wait(timeout=30)
+        return self._engine.search_batch(*args, **kwargs)
+
+    def search_batch_with_parameters(self, *args, **kwargs):
+        self.gate.wait(timeout=30)
+        return self._engine.search_batch_with_parameters(*args, **kwargs)
+
+
 class TestServedFeedbackEquivalence:
     """Served sessions reproduce single-session InteractiveSession runs."""
 
@@ -239,23 +273,31 @@ class TestServedFeedbackEquivalence:
     def _server_config(self, session) -> ServerConfig:
         return ServerConfig(
             max_batch=8,
-            max_wait=0.02,
             reweighting_rule=session.config.reweighting_rule,
             move_query_point=session.config.move_query_point,
             max_iterations=session.config.max_iterations,
         )
 
-    def test_interactive_sessions_match_sequential_loops(self, session, session_references):
+    def test_interactive_sessions_match_sequential_loops(
+        self, session, session_references, monkeypatch, wait_until
+    ):
         """Concurrent client-driven rounds (judgments over the wire) == run_loop.
 
         The sessions' round searches are the coalescer's only traffic: each
-        is one submission, and with a gather window the concurrent
-        sessions' rounds share dispatches.
+        is one submission.  The engine holds every call until all sessions'
+        opening searches have been admitted: at most two of them hold the
+        two dispatch slots, and the rest pile into one shared window — so
+        the rounds ride fewer dispatches than there are rounds, with no
+        clock involved.
         """
+        n_slots = 2
+        monkeypatch.setattr(coalescer_module, "_dispatch_slots", lambda: n_slots)
         indices, references = session_references
         k = session.config.k
+        engine = _GatedEngine(session.retrieval_engine)
         results: dict = {}
-        with RetrievalServer(session.retrieval_engine, self._server_config(session)) as server:
+        errors: list = []
+        with RetrievalServer(engine, self._server_config(session)) as server:
 
             def work(client_id, client):
                 index = indices[client_id]
@@ -265,8 +307,24 @@ class TestServedFeedbackEquivalence:
                     session.user.judge_for_query(index),
                 )
 
-            _hammer(len(indices), server.address, work)
+            def hammer():
+                try:
+                    _hammer(len(indices), server.address, work)
+                except BaseException as error:  # noqa: BLE001 - surfaced below
+                    errors.append(error)
+
+            sessions = threading.Thread(target=hammer)
+            sessions.start()
+            try:
+                wait_until(lambda: server.stats()["coalescer"]["requests"] == len(indices))
+            finally:
+                engine.gate.set()
+                sessions.join(timeout=60)
+            assert not sessions.is_alive()
+            if errors:
+                raise errors[0]
             coalescer = server.stats()["coalescer"]
+        assert len(indices) >= 4
         for client_id, expected in enumerate(references):
             assert results[client_id].identical_to(expected)
         rounds = sum(1 + results[client_id].iterations for client_id in results)
@@ -286,7 +344,7 @@ class TestServedFeedbackEquivalence:
             for index, k in plan
         ]
         results: dict = {}
-        config = ServerConfig(max_wait=0.02, max_iterations=6)
+        config = ServerConfig(max_iterations=6)
         with RetrievalServer(engine, config) as server:
 
             def work(client_id, client):
@@ -320,11 +378,10 @@ class TestFrontEndCodecGrid:
         rng = np.random.default_rng(41)
         ks = [int(rng.integers(1, 12)) for _ in range(queries.shape[0])]
         single_reference = [direct.search(point, k) for point, k in zip(queries, ks)]
-        mixed = [Query(point=point, k=k) for point, k in zip(queries, ks)]
-        run_batch_reference = direct.run_batch(mixed)
+        per_k_reference = _per_k_batches(direct.search_batch, queries, ks)
         # stream_chunk_items=3 forces the chunked sub-frame path (10
         # results -> a header plus four slices).
-        config = ServerConfig(max_batch=8, max_wait=0.002, stream_chunk_items=3)
+        config = ServerConfig(max_batch=8, stream_chunk_items=3)
         server_cls = self.FRONT_ENDS[front_end]
         with server_cls(engine, config) as server:
             host, port = server.address
@@ -332,7 +389,7 @@ class TestFrontEndCodecGrid:
                 for position, k in enumerate(ks):
                     assert client.search(queries[position], k) == single_reference[position]
                 assert client.search_batch(queries, 5) == direct.search_batch(queries, 5)
-                assert client.run_batch(mixed) == run_batch_reference
+                assert _per_k_batches(client.search_batch, queries, ks) == per_k_reference
 
     @pytest.mark.parametrize("front_end", sorted(FRONT_ENDS))
     def test_feedback_paths_identical(self, tiny_collection, front_end):
@@ -363,7 +420,7 @@ class TestFrontEndCodecGrid:
         reference = [direct.search(point, 6) for point in queries]
         results: dict = {}
         errors: list = []
-        config = ServerConfig(max_batch=8, max_wait=0.002)
+        config = ServerConfig(max_batch=8)
         server_cls = self.FRONT_ENDS[front_end]
         with server_cls(engine, config) as server:
             host, port = server.address
@@ -485,7 +542,7 @@ class TestBudgetedServing:
         direct = RetrievalEngine(collection)
         exact = direct.search_batch(queries, 7)
         rows_total = SIZE * queries.shape[0]
-        config = ServerConfig(max_batch=8, max_wait=0.002)
+        config = ServerConfig(max_batch=8)
         server_cls = self.FRONT_ENDS[front_end]
         with server_cls(RetrievalEngine(collection), config) as server:
             host, port = server.address

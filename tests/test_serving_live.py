@@ -208,7 +208,7 @@ class TestWritesAgainstCoalescedSessions:
             for index in loop_indices
         ]
 
-        config = ServerConfig(max_batch=8, max_wait=0.02, max_iterations=6)
+        config = ServerConfig(max_batch=8, max_iterations=6)
         errors: list = []
         loops: dict = {}
         with RetrievalServer(engine, config) as server:

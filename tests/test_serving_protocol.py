@@ -19,6 +19,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.oqp import OptimalQueryParameters
 from repro.database.engine import RetrievalEngine
 from repro.serving import (
     AsyncRetrievalServer,
@@ -45,6 +46,7 @@ from repro.serving.protocol import (
     recv_payload,
     send_payload,
 )
+from repro.utils.validation import ValidationError
 
 FRONT_ENDS = {"threaded": RetrievalServer, "async": AsyncRetrievalServer}
 
@@ -56,7 +58,7 @@ pytestmark = [
 
 @pytest.fixture()
 def server(front_end, tiny_collection):
-    config = ServerConfig(max_wait=0.0, idle_timeout=30.0)
+    config = ServerConfig(idle_timeout=30.0)
     with FRONT_ENDS[front_end](RetrievalEngine(tiny_collection), config) as srv:
         yield srv
 
@@ -226,6 +228,70 @@ class TestNoJudgeOnTheWire:
         _assert_still_serving(server, tiny_collection)
 
 
+class TestRemovedOps:
+    """One request shape per served call: mixed-k batches and batch inserts are gone."""
+
+    @pytest.mark.parametrize("op", ["run_batch", "bypass_insert_batch"])
+    def test_a_removed_op_is_an_unknown_op(self, server, tiny_collection, op):
+        vectors = tiny_collection.vectors
+        messages = {
+            "run_batch": {"op": "run_batch", "queries": [(vectors[0], 3), (vectors[1], 5)]},
+            "bypass_insert_batch": {
+                "op": "bypass_insert_batch",
+                "query_points": vectors[:2],
+                "parameters": [OptimalQueryParameters.default(tiny_collection.dimension)] * 2,
+            },
+        }
+        with _connect(server) as sock:
+            _handshake(sock)
+            response = _exchange(sock, messages[op])
+            assert (response["ok"], response["error"]) == (False, "validation")
+            assert f"unknown op {op!r}" in response["message"]
+            _assert_connection_answers_ping(sock)
+        _assert_still_serving(server, tiny_collection)
+
+
+class TestConfigFailsBeforeBinding:
+    """A float setting no socket accepts is refused before any socket binds."""
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("idle_timeout", float("nan")),
+            ("idle_timeout", float("inf")),
+            ("idle_timeout", 0.0),
+            ("idle_timeout", -1.0),
+            ("variance_floor", 0.0),
+            ("variance_floor", -1e-6),
+            ("variance_floor", float("nan")),
+            ("bypass_epsilon", -0.1),
+            ("bypass_epsilon", float("nan")),
+            ("bypass_margin", -0.1),
+            ("bypass_margin", float("inf")),
+        ],
+        ids=lambda value: repr(value) if isinstance(value, float) else value,
+    )
+    def test_a_bad_float_field_raises_before_any_socket_binds(
+        self, front_end, tiny_collection, monkeypatch, field, value
+    ):
+        bound = []
+        monkeypatch.setattr(socket.socket, "bind", lambda sock, address: bound.append(address))
+        with pytest.raises(ValidationError, match=field):
+            with FRONT_ENDS[front_end](
+                RetrievalEngine(tiny_collection), ServerConfig(**{field: value})
+            ):
+                pass  # pragma: no cover - the config never constructs
+        assert bound == []
+
+    def test_the_float_fields_keep_their_accepted_edges(self, front_end):
+        config = ServerConfig(idle_timeout=None, bypass_epsilon=0.0, bypass_margin=0.0)
+        assert (config.idle_timeout, config.bypass_epsilon, config.bypass_margin) == (
+            None,
+            0.0,
+            0.0,
+        )
+
+
 class TestSessionJudgmentsFromTheWire:
     """Raw judgments are validated before any cast, and a bad round is no round."""
 
@@ -339,7 +405,7 @@ class TestFrameMemoryFollowsArrivals:
 class TestStreamingAndStalls:
     @pytest.fixture()
     def chunking_server(self, front_end, tiny_collection):
-        config = ServerConfig(max_wait=0.0, stream_chunk_items=2, idle_timeout=30.0)
+        config = ServerConfig(stream_chunk_items=2, idle_timeout=30.0)
         with FRONT_ENDS[front_end](RetrievalEngine(tiny_collection), config) as srv:
             yield srv
 
@@ -357,7 +423,7 @@ class TestStreamingAndStalls:
         _assert_still_serving(chunking_server, tiny_collection)
 
     def test_idle_timeout_reaps_stalled_connections(self, front_end, tiny_collection):
-        config = ServerConfig(max_wait=0.0, idle_timeout=0.3)
+        config = ServerConfig(idle_timeout=0.3)
         with FRONT_ENDS[front_end](RetrievalEngine(tiny_collection), config) as server:
             with _connect(server) as sock:
                 _handshake(sock)
@@ -377,7 +443,7 @@ class TestStreamingAndStalls:
 
     def test_slow_loris_header_is_reaped(self, front_end, tiny_collection):
         """A byte-at-a-time header cannot pin a handler past the timeout."""
-        config = ServerConfig(max_wait=0.0, idle_timeout=0.3)
+        config = ServerConfig(idle_timeout=0.3)
         with FRONT_ENDS[front_end](RetrievalEngine(tiny_collection), config) as server:
             with _connect(server) as sock:
                 _handshake(sock)

@@ -99,7 +99,7 @@ class TestConcurrentHammering:
         ]
         expected_loop_searches = len(loop_refs) + sum(ref.iterations for ref in loop_refs)
 
-        config = ServerConfig(max_batch=self.N_CLIENTS, max_wait=0.002, max_iterations=MAX_ITERATIONS)
+        config = ServerConfig(max_batch=self.N_CLIENTS, max_iterations=MAX_ITERATIONS)
         with RetrievalServer(engine, config, own_engine=True) as server:
             host, port = server.address
             outputs: dict = {}
@@ -250,7 +250,7 @@ class TestDisconnectMidSession:
             RetrievalEngine(tiny_collection), max_iterations=MAX_ITERATIONS
         ).run_loop(tiny_collection.vectors[17], K, judge_b)
 
-        config = ServerConfig(max_wait=0.05, max_iterations=MAX_ITERATIONS)
+        config = ServerConfig(max_iterations=MAX_ITERATIONS)
         with RetrievalServer(engine, config) as server:
             host, port = server.address
 

@@ -171,7 +171,6 @@ class TestShardedSearchEquivalence:
             "search_batch",
             "search_with_parameters",
             "search_batch_with_parameters",
-            "run_batch",
             "execute",
         ):
             assert inspect.signature(getattr(ShardedEngine, name)) == inspect.signature(
