@@ -65,6 +65,10 @@ class CorpusWorkspace:
         ``precision="exact"`` override and a direct exact ``pairwise`` read
         them.
 
+    Every centred term is stored **dimension-major**, a C-contiguous
+    ``(D, N)`` matrix, so a kernel's product ``(Q, D) @ centred`` comes out
+    query-major and contiguous, with one long row per query.
+
     All arrays are read-only; the workspace is valid for the lifetime of the
     matrix it was built from (:meth:`owns` lets a kernel verify it was
     handed the workspace of the very matrix it is scanning).  Everything in
@@ -117,10 +121,20 @@ class CorpusWorkspace:
                     setattr(self, slot, value)
         return value
 
+    def _centred_mirror(self, dtype) -> np.ndarray:
+        """``(matrix - mean)ᵀ`` as a C-contiguous ``(D, N)`` matrix of ``dtype``.
+
+        Computed in float64 and written straight through the transpose of
+        the output, so no temporary of either layout is allocated.
+        """
+        mirror = np.empty(self.matrix.shape[::-1], dtype=dtype)
+        np.subtract(self.matrix, self.mean, out=mirror.T, casting="same_kind")
+        return mirror
+
     @property
     def centered(self) -> np.ndarray:
-        """Float64 centred matrix ``matrix - mean`` (lazy, cached, read-only)."""
-        return self._filled("_centered", lambda: self.matrix - self.mean)
+        """Float64 centred matrix ``(matrix - mean)ᵀ``, ``(D, N)`` (lazy, cached, read-only)."""
+        return self._filled("_centered", lambda: self._centred_mirror(np.float64))
 
     @property
     def centered_squared(self) -> np.ndarray:
@@ -129,13 +143,8 @@ class CorpusWorkspace:
 
     @property
     def centered32(self) -> np.ndarray:
-        """Float32 centred matrix, computed in float64 (lazy, cached, read-only)."""
-
-        def build():
-            mirror = np.empty(self.matrix.shape, dtype=np.float32)
-            return np.subtract(self.matrix, self.mean, out=mirror, casting="same_kind")
-
-        return self._filled("_centered32", build)
+        """Float32 centred matrix, ``(D, N)``, computed in float64 (lazy, cached, read-only)."""
+        return self._filled("_centered32", lambda: self._centred_mirror(np.float32))
 
     @property
     def centered_squared32(self) -> np.ndarray:
@@ -174,9 +183,10 @@ class CorpusWorkspace:
     def block(self, start: int, stop: int) -> "CorpusBlockView":
         """A row-range view ``[start, stop)`` of this workspace.
 
-        The view's arrays are slices — row ranges of C-contiguous matrices
-        are themselves C-contiguous views, so a block costs a handful of
-        array headers, never a copy.  The blocked scans pass
+        The view's arrays are slices — rows ``[start, stop)`` of the matrix
+        and columns ``[start, stop)`` of the ``(D, N)`` centred terms, each
+        a view with unit stride along the corpus — so a block costs a
+        handful of array headers, never a copy.  The blocked scans pass
         ``view.matrix`` as the ``points`` argument and the view itself as
         the ``workspace``, so :meth:`CorpusBlockView.owns` holds by object
         identity exactly as it does for the full workspace.
@@ -192,10 +202,11 @@ class CorpusBlockView:
 
     Satisfies the workspace interface the distance kernels consume (``mean``,
     the centred matrices, :meth:`point_norms`, ``owns``) for the row range
-    ``[start, stop)``.  The mean is the **full-corpus** mean — the centring
-    only exists to keep cancellation error on the distance scale, and the
-    exact re-scoring never sees it, so block-level results are independent of
-    how the corpus was blocked.
+    ``[start, stop)``: the centred terms are the ``(D, stop - start)``
+    column slices of the parent's.  The mean is the **full-corpus** mean —
+    the centring only exists to keep cancellation error on the distance
+    scale, and the exact re-scoring never sees it, so block-level results
+    are independent of how the corpus was blocked.
     """
 
     __slots__ = ("parent", "start", "stop", "matrix", "mean")
@@ -209,19 +220,19 @@ class CorpusBlockView:
 
     @property
     def centered(self) -> np.ndarray:
-        return self.parent.centered[self.start : self.stop]
+        return self.parent.centered[:, self.start : self.stop]
 
     @property
     def centered_squared(self) -> np.ndarray:
-        return self.parent.centered_squared[self.start : self.stop]
+        return self.parent.centered_squared[:, self.start : self.stop]
 
     @property
     def centered32(self) -> np.ndarray:
-        return self.parent.centered32[self.start : self.stop]
+        return self.parent.centered32[:, self.start : self.stop]
 
     @property
     def centered_squared32(self) -> np.ndarray:
-        return self.parent.centered_squared32[self.start : self.stop]
+        return self.parent.centered_squared32[:, self.start : self.stop]
 
     def point_norms(self, weights: np.ndarray) -> np.ndarray:
         return self.parent.point_norms(weights)[self.start : self.stop]

@@ -22,8 +22,9 @@ every other path against.  Two scale features live here:
 * **A float32 candidate stage, exact float64 confirmation** — the default
   scan.  Every family with a float32 kernel (weighted Euclidean, per-row
   weights, Minkowski) pools candidates from an order-preserving float32
-  surrogate (one sgemm per block over the workspace's float32 centred
-  corpus for the Gram forms), widened by a margin sized from the row's
+  surrogate (one sgemm per block over the workspace's dimension-major
+  float32 centred corpus for the Gram forms, a query-major ``(Q, rows)``
+  matrix), widened by a margin sized from the row's
   :meth:`~repro.distances.base.DistanceFunction.term_bound` (ties
   included), and re-scores the pool once, exactly in float64 with the
   global (distance, index) tie-break: **byte-identical** to
@@ -59,7 +60,7 @@ from repro.distances.weighted_euclidean import (
 from repro.utils.validation import ValidationError, check_dimension
 
 #: Corpus rows per scan block.  At 64 dimensions an 8,192-row block of the
-#: float32 centred corpus is 2 MiB and its ``(rows, 16)`` float32 matrix
+#: float32 centred corpus is 2 MiB and its ``(16, rows)`` float32 matrix
 #: 512 KiB, which stays in cache while its norms are added and its entries
 #: pooled.  Measured at D = 64: 2,048 and 4,096 rows slower, 16,384 no faster.
 DEFAULT_BLOCK_ROWS = 8192
@@ -153,7 +154,7 @@ class LinearScanIndex(KNNIndex):
         ``(Δ, W)`` batches alike: each :attr:`block_rows`-row workspace
         block (a short corpus is one block) feeds one candidate pool per
         query, and the pools are re-scored once (:class:`_StreamedScan`) —
-        same results as one ``(N, Q)`` matrix, peak memory bounded by the
+        same results as one ``(Q, N)`` matrix, peak memory bounded by the
         block, bits equal to :meth:`search`'s.
 
         A finite ``budget`` clamps the scan: blocks are charged at ``rows ×
@@ -241,8 +242,11 @@ class _StreamedScan:
         self.scale = np.ones(batch.n_rows) if self.bounds is None else None
 
     def add(self, view) -> None:
-        """Pool the entries of one corpus block under the current cut."""
-        batch = self.batch
+        """Pool the entries of one corpus block under the current cut.
+
+        Every kernel returns the block's ``(Q, rows)`` matrix query-major,
+        so a flat hit position decodes to ``(query, row)`` by one ``divmod``.
+        """
         matrix = self.kernel(view.matrix, workspace=view, precision=self.precision)
         rows = matrix.shape[1]
         if self.scale is not None:
@@ -250,19 +254,10 @@ class _StreamedScan:
             if self.kth is not None:
                 self._derive(self.kth)
         if not self.scanned and rows >= self.k:
-            self._derive(np.partition(np.ascontiguousarray(matrix), self.k - 1, axis=1)[:, self.k - 1])
-        mask = matrix <= self.bar
-        if mask.flags.c_contiguous:
-            major, flat = matrix, np.flatnonzero(mask)
-        else:  # corpus-major, as the Gram kernels lay out a wide batch
-            major, flat = matrix.T, np.flatnonzero(mask.T)
-        values = major.reshape(-1)[flat]
-        if batch.n_rows == 1:
-            labels, queries = flat, np.zeros(flat.size, np.intp)
-        elif major is matrix:
-            queries, labels = np.divmod(flat, rows)
-        else:
-            labels, queries = np.divmod(flat, batch.n_rows)
+            self._derive(np.partition(matrix, self.k - 1, axis=1)[:, self.k - 1])
+        flat = np.flatnonzero(matrix <= self.bar)
+        values = matrix.reshape(-1)[flat]
+        queries, labels = np.divmod(flat, rows)
         if view.start:
             labels += view.start
         self.parts.append((labels, queries, values))

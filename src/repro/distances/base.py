@@ -47,22 +47,18 @@ def check_precision(precision: str) -> str:
 
 
 def assemble_float32(cross_queries, query_norms, centered_points, point_norms) -> np.ndarray:
-    """The float32 Gram matrix ``query_norms + point_norms + cross_queries @ centered_pointsᵀ``.
+    """The float32 Gram matrix ``query_norms + point_norms + cross_queries @ centered_points``.
 
     The float64 query-side terms (``-2`` folded into ``cross_queries``) are
-    cast once.  The sgemm runs corpus-major (``centered_points @
-    cross_queriesᵀ``, about twice as fast as the ``(Q, N)`` orientation) and
-    the ``(Q, N)`` result is its transpose; the norms (``point_norms`` shared
-    ``(N,)`` or ``(N, Q)``) are added into it in place while it is in cache.
-    Under 8 queries element-wise passes over such short rows cost more than
-    one query-major copy, so the product is copied to that layout first.
+    cast once.  ``centered_points`` is a dimension-major ``(D, N)`` mirror,
+    so the sgemm's ``(Q, N)`` result is query-major and C-contiguous, and
+    the norms (``point_norms`` shared ``(N,)`` or per query ``(Q, N)``) are
+    added into it in place, one long row per query, while it is in cache.
     """
-    matrix = centered_points @ cross_queries.T.astype(np.float32)
-    if matrix.shape[1] < 8:
-        matrix = np.ascontiguousarray(matrix.T).T
-    matrix += point_norms if point_norms.ndim == 2 else point_norms[:, None]
-    matrix += query_norms.astype(np.float32)
-    return matrix.T
+    matrix = cross_queries.astype(np.float32) @ centered_points
+    matrix += point_norms
+    matrix += query_norms.astype(np.float32)[:, None]
+    return matrix
 
 
 class DistanceFunction(abc.ABC):

@@ -86,9 +86,10 @@ class MinkowskiDistance(DistanceFunction):
         to reuse), but accepts it for the uniform :class:`KNNIndex` call shape.
 
         ``precision="fast"`` runs the same broadcast in float32 over the
-        workspace's :attr:`~repro.database.collection.CorpusWorkspace.centered32`
-        (both sides centred in float64 first, so a large common offset
-        costs no float32 bits) and returns the p-th **power sum** without
+        workspace's :attr:`~repro.database.collection.CorpusWorkspace.centered32`,
+        read row by row through the transpose of its ``(D, N)`` layout (both
+        sides centred in float64 first, so a large common offset costs no
+        float32 bits), and returns the p-th **power sum** without
         the outer ``1/p`` root — a monotone transform of the distance, which
         is all candidate selection needs, and one full-matrix ``power`` call
         cheaper.  The result differs from the float64 row form in the low
@@ -102,7 +103,7 @@ class MinkowskiDistance(DistanceFunction):
                 center = points.mean(axis=0)
                 points = (points - center).astype(np.float32)
             else:
-                center, points = cache.mean, cache.centered32
+                center, points = cache.mean, cache.centered32.T
             queries = (queries - center).astype(np.float32)
             weights = self._weights.astype(np.float32)
             dtype = np.float32

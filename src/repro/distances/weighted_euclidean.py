@@ -75,19 +75,21 @@ class WeightedEuclideanDistance(DistanceFunction):
         coordinate scale.
 
         With the corpus :class:`~repro.database.collection.CorpusWorkspace`
-        supplied, every corpus-side term comes out of the cache: the centred
-        matrix is reused as the product's right-hand side and the weighted
-        point norms reduce to one matvec ``(P - mean)² @ w`` — no ``(N, D)``
-        corpus temporary is allocated per batch.
+        supplied, every corpus-side term comes out of the cache: the
+        dimension-major ``(D, N)`` centred matrix is the product's
+        right-hand side, so the result comes out query-major, and the
+        weighted point norms reduce to one vector-matrix product
+        ``w @ (P - mean)²`` — no ``(N, D)`` corpus temporary is allocated per
+        batch.  Without one the centred points are laid out the same way.
 
         ``precision="fast"`` runs the same expansion in float32 (sgemm
         instead of dgemm, half the bytes through the memory bus) against the
         workspace's float32 centred matrix and its cached point norms for
         these weights, and returns the **squared** distances — candidate
         selection is monotone in d², so the fast path skips the clip + sqrt
-        over the full ``(Q, N)`` matrix entirely.  The returned float32
-        matrix is candidate-selection input for the two-stage scan, not
-        final distances.
+        over the full ``(Q, N)`` matrix entirely.  The returned C-contiguous
+        float32 matrix is candidate-selection input for the two-stage scan,
+        not final distances.
         """
         check_precision(precision)
         queries = self._validate_points(queries, name="queries")
@@ -96,20 +98,16 @@ class WeightedEuclideanDistance(DistanceFunction):
             return self._pairwise_fast(queries, points, cache)
         if cache is None:
             center = points.mean(axis=0)
-            centered_points = points - center
-            point_norms = np.einsum(
-                "ij,ij->i", centered_points * self._weights, centered_points
-            )
+            centered_points = (points - center).T
+            point_norms = self._weights @ (centered_points * centered_points)
         else:
             center = cache.mean
             centered_points = cache.centered
-            point_norms = cache.centered_squared @ self._weights
+            point_norms = self._weights @ cache.centered_squared
         queries = queries - center
         weighted_queries = queries * self._weights
         query_norms = np.einsum("ij,ij->i", weighted_queries, queries)
-        squared = (
-            query_norms[:, None] + point_norms[None, :] - 2.0 * weighted_queries @ centered_points.T
-        )
+        squared = query_norms[:, None] + point_norms[None, :] - 2.0 * weighted_queries @ centered_points
         return np.sqrt(np.clip(squared, 0.0, None))
 
     def _pairwise_fast(self, queries: np.ndarray, points: np.ndarray, cache) -> np.ndarray:
@@ -119,9 +117,9 @@ class WeightedEuclideanDistance(DistanceFunction):
         :meth:`term_bound`.  Both norm terms are computed in float64."""
         if cache is None:
             center = points.mean(axis=0)
-            centered = points - center
+            centered = (points - center).T
             centered_points = centered.astype(np.float32)
-            point_norms = np.einsum("ij,ij->i", centered * self._weights, centered)
+            point_norms = self._weights @ (centered * centered)
         else:
             center = cache.mean
             centered_points = cache.centered32
@@ -160,20 +158,20 @@ def pairwise_per_query_weights(
     approximate in the last bits; callers refine the final candidates through
     an exact row computation.
 
-    This is the frontier scheduler's hot loop: every feedback iteration of
-    every active query re-ranks the corpus through this expansion.  With the
+    This is the hot loop of every feedback round: each iteration of every
+    active query re-ranks the corpus through this expansion.  With the
     corpus :class:`~repro.database.collection.CorpusWorkspace` supplied, the
-    centred matrix and its element-wise squares come from the cache, so the
-    per-batch cost is exactly the three query-sized products — the
-    ``points * points`` corpus temporary this function used to allocate on
-    every call disappears.
+    dimension-major ``(D, N)`` centred matrix and its element-wise squares
+    come from the cache, so the per-batch cost is exactly the three
+    query-sized products — ``W @ P²`` and ``(q∘w) @ P`` come out query-major,
+    with no corpus temporary.
 
     ``precision="fast"`` evaluates the same products in float32 against the
-    workspace's float32 centred matrix and its squares — the frontier's
-    candidate scan at scale — returning the approximate **squared**
-    distances (no full-matrix clip + sqrt, as with
-    :meth:`WeightedEuclideanDistance.pairwise`); callers re-score candidates
-    exactly either way.
+    workspace's float32 centred matrix and its squares — the candidate scan
+    at scale — returning the approximate **squared** distances as a
+    C-contiguous ``(Q, N)`` float32 matrix (no full-matrix clip + sqrt, as
+    with :meth:`WeightedEuclideanDistance.pairwise`); callers re-score
+    candidates exactly either way.
     """
     check_precision(precision)
     queries = np.asarray(queries, dtype=np.float64)
@@ -183,7 +181,7 @@ def pairwise_per_query_weights(
     fast = precision == "fast"
     if cache is None:
         center = points.mean(axis=0)
-        centered_points = points - center
+        centered_points = (points - center).T
         if fast:
             centered_points = centered_points.astype(np.float32)
         centered_squared = centered_points * centered_points
@@ -199,13 +197,9 @@ def pairwise_per_query_weights(
     weighted_queries = queries * weights
     query_norms = np.einsum("ij,ij->i", weighted_queries, queries)
     if fast:
-        point_norms = centered_squared @ weights.T.astype(np.float32)
+        point_norms = weights.astype(np.float32) @ centered_squared
         return assemble_float32(-2.0 * weighted_queries, query_norms, centered_points, point_norms)
-    squared = (
-        query_norms[:, None]
-        + weights @ centered_squared.T
-        - 2.0 * weighted_queries @ centered_points.T
-    )
+    squared = query_norms[:, None] + weights @ centered_squared - 2.0 * weighted_queries @ centered_points
     np.clip(squared, 0.0, None, out=squared)
     return np.sqrt(squared, out=squared)
 

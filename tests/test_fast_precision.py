@@ -28,7 +28,7 @@ from repro.database.knn import DEFAULT_BLOCK_ROWS, LinearScanIndex
 from repro.database.sharding import ShardedEngine
 from repro.distances.base import DistanceFunction, check_precision
 from repro.distances.minkowski import MinkowskiDistance
-from repro.distances.weighted_euclidean import WeightedEuclideanDistance
+from repro.distances.weighted_euclidean import WeightedEuclideanDistance, pairwise_per_query_weights
 from repro.features.synthetic import build_clustered_corpus, sample_queries
 from repro.serving.coalescer import RequestCoalescer
 from repro.utils.validation import ValidationError
@@ -36,6 +36,8 @@ from repro.utils.validation import ValidationError
 DIMENSION = 16
 N_VECTORS = 2000
 N_QUERIES = 6
+#: Batch heights of the identity grid: one row, either side of eight, and wide batches.
+BATCH_HEIGHTS = (1, 7, 8, 9, 16, 33)
 
 
 class RowwiseOnly(DistanceFunction):
@@ -107,11 +109,26 @@ def queries(corpus) -> np.ndarray:
     return sample_queries(corpus, N_QUERIES, seed=32)
 
 
+@pytest.fixture(scope="module")
+def many_queries(corpus) -> np.ndarray:
+    return sample_queries(corpus, max(BATCH_HEIGHTS), seed=33)
+
+
 class TestFastPrecisionIdentity:
     @pytest.mark.parametrize("name,distance", distance_grid(), ids=lambda v: v if isinstance(v, str) else "")
     @pytest.mark.parametrize("k", [1, 7, 64])
-    def test_fast_matches_exact_across_distances_and_k(self, collection, queries, name, distance, k):
+    @pytest.mark.parametrize("n_queries", BATCH_HEIGHTS)
+    @pytest.mark.parametrize("block_rows", [None, 300], ids=["single_shot", "blocked"])
+    def test_fast_matches_exact_across_distances_and_k(
+        self, collection, many_queries, name, distance, k, n_queries, block_rows
+    ):
+        """Every family, k and batch height, over one block or several.
+
+        Batches of eight rows and more are the height ``serve_large`` runs.
+        """
         engine = RetrievalEngine(collection)
+        engine._scan = LinearScanIndex(collection, block_rows=block_rows)
+        queries = many_queries[:n_queries]
         default = engine.search_batch(queries, k, distance)
         exact = engine.search_batch(queries, k, distance, "exact")
         assert default == exact
@@ -190,6 +207,30 @@ class TestFastPrecisionIdentity:
         distance = WeightedEuclideanDistance(DIMENSION)
         matrix = distance.pairwise(queries, collection.vectors, workspace=collection.workspace, precision="fast")
         assert matrix.dtype == np.float32
+
+    @pytest.mark.parametrize("n_queries", [1, 7, 16])
+    def test_fast_kernels_return_query_major_float32(self, collection, many_queries, n_queries):
+        """On a block view every float32 kernel returns a C-contiguous ``(Q, rows)`` matrix.
+
+        The pool decodes hit positions query-major, one ``divmod`` by the
+        block's height, and reads values through a flat view.
+        """
+        view = collection.workspace.block(300, 700)
+        queries = many_queries[:n_queries]
+        weights = np.linspace(0.5, 1.5, n_queries * DIMENSION).reshape(n_queries, DIMENSION)
+        matrices = {
+            name: distance.pairwise(queries, view.matrix, workspace=view, precision="fast")
+            for name, distance in distance_grid()
+            if name not in FLOAT64_ONLY
+        }
+        matrices["per_row"] = pairwise_per_query_weights(
+            queries, weights, view.matrix, workspace=view, precision="fast"
+        )
+        assert len(matrices) == 5
+        for name, matrix in matrices.items():
+            assert matrix.dtype == np.float32, name
+            assert matrix.shape == (n_queries, 400), name
+            assert matrix.flags.c_contiguous, name
 
 
 class TestBlockedScan:
@@ -280,7 +321,8 @@ class TestBlockedScan:
         assert view.owns(view.matrix)
         assert not view.owns(collection.vectors)
         assert view.centered32.dtype == np.float32
-        assert view.centered32.shape == (300, DIMENSION)
+        assert view.centered32.shape == (DIMENSION, 300)
+        assert np.shares_memory(view.centered32, workspace.centered32)
 
 
 class TestPooledPass:
@@ -487,8 +529,9 @@ def scan_cases(draw):
     Scales 1e-30 … 1e30 (past float32 on both sides), a common offset up to
     1e6 times the scale, tight clusters stored contiguously (so a block can
     hold one cluster far from the corpus mean), exact and near-duplicate
-    rows, queries on, near and away from corpus rows, weights spanning
-    1e-6 … 1e6 (shared or one vector per row) and blocked scans.
+    rows, batches of 1 … 24 queries on, near and away from corpus rows,
+    weights spanning 1e-6 … 1e6 (shared or one vector per row) and blocked
+    scans.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(2, 40))
@@ -503,7 +546,7 @@ def scan_cases(draw):
         noise = draw(st.sampled_from([0.0, 1e-9, 1e-6]))
         base[target] = base[source] + noise * rng.normal(size=dimension)
     vectors = offset + scale * base
-    n_queries = draw(st.integers(1, 4))
+    n_queries = draw(st.integers(1, 24))
     jitter = draw(st.sampled_from([0.0, 1e-9, 1e-3, 1.0]))
     queries = vectors[rng.integers(n, size=n_queries)] + scale * jitter * rng.normal(
         size=(n_queries, dimension)
@@ -590,6 +633,50 @@ class TestWhatARequestReads:
         assert not any(
             isinstance(values, np.ndarray) and np.shares_memory(values, collection.vectors)
             for values in checked
+        )
+
+    def test_per_row_requests_read_only_the_float32_terms(self, corpus, monkeypatch):
+        """Per-row ``(Δ, W)`` batches — every session round — stream ``centered32`` and its squares.
+
+        The float64 centred terms stay unbuilt, the float32 mirror and its
+        squares are each built once, and no ``np.isfinite`` call touches
+        corpus memory.
+        """
+        collection = FeatureCollection(corpus.vectors)
+        engine = RetrievalEngine(collection)
+        coalescer = RequestCoalescer(engine)
+        workspace = collection.workspace
+        rng = np.random.default_rng(12)
+        points = sample_queries(corpus, 9, seed=13)
+        deltas = 0.01 * rng.normal(size=points.shape)
+        weights = rng.random(points.shape) + 0.1
+        checked, filled = [], []
+        isfinite, frozen = np.isfinite, collection_module._frozen
+
+        def spy_isfinite(values, *args, **kwargs):
+            checked.append(values)
+            return isfinite(values, *args, **kwargs)
+
+        def spy_frozen(array):
+            filled.append(array)
+            return frozen(array)
+
+        monkeypatch.setattr(np, "isfinite", spy_isfinite)
+        monkeypatch.setattr(collection_module, "_frozen", spy_frozen)
+        for _ in range(self.N_ROUNDS):
+            engine.search_batch_with_parameters(points, 10, deltas, weights)
+            coalescer.submit_search_with_parameters(points[:2], 10, deltas[:2], weights[:2])
+        monkeypatch.undo()
+
+        assert workspace._centered is None and workspace._centered_squared is None
+        assert [id(array) for array in filled] == [id(workspace.centered32), id(workspace.centered_squared32)]
+        assert not workspace._norms
+        assert checked, "the requests validated no input at all"
+        corpus_memory = (collection.vectors, workspace.centered32, workspace.centered_squared32)
+        assert not any(
+            isinstance(values, np.ndarray) and np.shares_memory(values, memory)
+            for values in checked
+            for memory in corpus_memory
         )
 
     @pytest.mark.parametrize("precision", ["exact", "fast"])
