@@ -17,8 +17,8 @@ Run with::
 
 from __future__ import annotations
 
-from repro import build_imsi_like_dataset
 from repro.evaluation import FIGURES
+from repro.features.datasets import build_imsi_like_dataset
 
 
 def main() -> None:

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import build_imsi_like_dataset
 from repro.core.oqp import OptimalQueryParameters
 from repro.evaluation import InteractiveSession, SessionConfig
+from repro.features.datasets import build_imsi_like_dataset
 
 
 def show_results(session: InteractiveSession, title: str, query_index: int, parameters, k: int) -> int:

@@ -20,11 +20,12 @@ import tempfile
 
 import numpy as np
 
-from repro import build_imsi_like_dataset, load_simplex_tree, save_simplex_tree
 from repro.core.bypass import FeedbackBypass
+from repro.core.persistence import load_simplex_tree, save_simplex_tree
 from repro.evaluation import InteractiveSession, SessionConfig
 from repro.evaluation.simulated_user import SimulatedUser
 from repro.database.collection import FeatureCollection
+from repro.features.datasets import build_imsi_like_dataset
 from repro.features.normalization import drop_last_bin
 
 

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import build_imsi_like_dataset
 from repro.evaluation import InteractiveSession, SessionConfig
 from repro.evaluation.metrics import precision_gain
+from repro.features.datasets import build_imsi_like_dataset
 
 
 def main(scale: float = 0.1, *, n_queries: int = 150, batch_size: int = 16, k: int = 20) -> None:
@@ -92,7 +92,10 @@ def main(scale: float = 0.1, *, n_queries: int = 150, batch_size: int = 16, k: i
     # running on a ShardedEngine inherits it.  Per-shard top-k lists merge
     # with the same (distance, ascending index) tie-break, so every answer
     # is byte-identical to the unsharded engine.
-    from repro import RetrievalEngine, RetrievalServer, ServerConfig, ServingClient, ShardedEngine
+    from repro.database.engine import RetrievalEngine
+    from repro.database.sharding import ShardedEngine
+    from repro.serving.client import ServingClient
+    from repro.serving.server import RetrievalServer, ServerConfig
 
     engine = RetrievalEngine(session.collection)
     queries = session.collection.vectors[query_indices[:batch_size]]
@@ -164,7 +167,7 @@ def main(scale: float = 0.1, *, n_queries: int = 150, batch_size: int = 16, k: i
     # every query merges exact across the segments — byte-identical to a
     # frozen rebuild at that instant — and compaction folds the deltas into
     # a fresh base off the hot path.  See docs/mutability.md.
-    from repro import LiveCollection
+    from repro.database.segments import LiveCollection
 
     live = LiveCollection(
         session.collection.vectors, labels=list(session.collection.labels)

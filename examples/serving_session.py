@@ -28,11 +28,11 @@ import threading
 
 import numpy as np
 
-from repro import build_imsi_like_dataset
 from repro.database.collection import FeatureCollection
 from repro.database.engine import RetrievalEngine
 from repro.database.sharding import ShardedEngine
 from repro.evaluation.simulated_user import SimulatedUser
+from repro.features.datasets import build_imsi_like_dataset
 from repro.features.normalization import drop_last_bin
 from repro.feedback.engine import FeedbackEngine
 from repro.serving import RetrievalServer, ServerConfig, ServingClient

@@ -16,6 +16,10 @@ depends on:
 * :mod:`repro.serving` — the coalescing network serving layer: many client
   connections, one shared engine, batched dispatches.
 
+The root imports nothing: each name is imported from the module that
+defines it, so a process loads only the layers it runs (the served path
+never loads the experiments, the corpus generator or the shard layer).
+
 Architecture: the batch-first query pipeline
 --------------------------------------------
 
@@ -143,7 +147,8 @@ ends.
 
 Quickstart::
 
-    from repro import build_imsi_like_dataset, InteractiveSession, SessionConfig
+    from repro.evaluation.session import InteractiveSession, SessionConfig
+    from repro.features.datasets import build_imsi_like_dataset
 
     dataset = build_imsi_like_dataset(scale=0.1, seed=7)
     session = InteractiveSession.for_dataset(dataset, SessionConfig(k=20))
@@ -156,8 +161,10 @@ Quickstart::
     # Network serving with request coalescing: one shared engine, many
     # connections, concurrent queries merged into batched dispatches —
     # answers byte-identical to calling the engine directly.
-    from repro import (RetrievalEngine, RetrievalServer, ServerConfig,
-                       ServingClient, SimulatedUser)
+    from repro.database.engine import RetrievalEngine
+    from repro.evaluation.simulated_user import SimulatedUser
+    from repro.serving.client import ServingClient
+    from repro.serving.server import RetrievalServer, ServerConfig
 
     engine = RetrievalEngine(session.collection)
     with RetrievalServer(engine, ServerConfig(max_batch=32)) as server:
@@ -198,7 +205,7 @@ Quickstart::
     # byte-identical to a frozen rebuild at that instant — and compaction
     # folds the deltas into a fresh base off the hot path; stable ids
     # survive the fold.
-    from repro import LiveCollection
+    from repro.database.segments import LiveCollection
 
     live = LiveCollection(session.collection.vectors)
     with RetrievalServer(RetrievalEngine(live), ServerConfig()) as server:
@@ -216,7 +223,7 @@ Quickstart::
     # and/or wall-clock of any search and get the best-so-far top-k plus
     # a coverage report.  Absent, unlimited or merely *sufficient*
     # budgets are byte-identical to the exact path.
-    from repro import Budget
+    from repro.database.budget import Budget
 
     with RetrievalServer(engine, ServerConfig()) as server:
         host, port = server.address
@@ -227,102 +234,6 @@ Quickstart::
             print(coverage.fraction, coverage.complete)
 """
 
-from repro.core import (
-    FeedbackBypass,
-    OptimalQueryParameters,
-    SimplexTree,
-    bypass_for_histograms,
-    bypass_for_points,
-    bypass_for_unit_cube,
-    load_simplex_tree,
-    save_simplex_tree,
-)
-from repro.database import (
-    Budget,
-    Compactor,
-    CorpusWorkspace,
-    Coverage,
-    FeatureCollection,
-    KNNIndex,
-    LinearScanIndex,
-    LiveCollection,
-    MTreeIndex,
-    ResultSet,
-    RetrievalEngine,
-    SharedCorpus,
-    SharedCorpusHandle,
-    ShardedCollection,
-    ShardedEngine,
-    VPTreeIndex,
-    WorkerPool,
-)
-from repro.distances import (
-    MinkowskiDistance,
-    WeightedEuclideanDistance,
-)
-from repro.features import ImageDataset, build_imsi_like_dataset
-from repro.feedback import FeedbackEngine, LoopScheduler, ReweightingRule
-from repro.evaluation import (
-    InteractiveSession,
-    SessionConfig,
-    SimulatedUser,
-    precision,
-    recall,
-)
-from repro.serving import (
-    AsyncRetrievalServer,
-    BypassRegistry,
-    PooledServingClient,
-    RetrievalServer,
-    ServerConfig,
-    ServingClient,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "FeedbackBypass",
-    "OptimalQueryParameters",
-    "SimplexTree",
-    "bypass_for_histograms",
-    "bypass_for_points",
-    "bypass_for_unit_cube",
-    "load_simplex_tree",
-    "save_simplex_tree",
-    "Budget",
-    "Compactor",
-    "CorpusWorkspace",
-    "Coverage",
-    "FeatureCollection",
-    "KNNIndex",
-    "LinearScanIndex",
-    "LiveCollection",
-    "MTreeIndex",
-    "ResultSet",
-    "RetrievalEngine",
-    "SharedCorpus",
-    "SharedCorpusHandle",
-    "ShardedCollection",
-    "ShardedEngine",
-    "VPTreeIndex",
-    "WorkerPool",
-    "MinkowskiDistance",
-    "WeightedEuclideanDistance",
-    "ImageDataset",
-    "build_imsi_like_dataset",
-    "FeedbackEngine",
-    "LoopScheduler",
-    "ReweightingRule",
-    "InteractiveSession",
-    "SessionConfig",
-    "SimulatedUser",
-    "precision",
-    "recall",
-    "AsyncRetrievalServer",
-    "BypassRegistry",
-    "PooledServingClient",
-    "RetrievalServer",
-    "ServerConfig",
-    "ServingClient",
-    "__version__",
-]
+__all__: "list[str]" = []

@@ -31,6 +31,10 @@ service:
   queries byte-identical to a frozen rebuild at every snapshot, stable ids
   across compactions), and a background :class:`Compactor` folds deltas
   into a new base off the hot path under an atomic epoch swap.
+
+The metric trees and the shard layer are imported by module path
+(``from repro.database.sharding import ShardedEngine``): the package does
+not load them, so a process that serves a plain scan never does.
 """
 
 from repro.database.budget import Budget, Coverage
@@ -38,17 +42,8 @@ from repro.database.collection import CorpusWorkspace, FeatureCollection
 from repro.database.engine import RetrievalEngine
 from repro.database.index import KNNIndex, NeighborHeap, k_smallest
 from repro.database.knn import LinearScanIndex
-from repro.database.mtree import MTreeIndex
 from repro.database.query import QueryBatch, ResultItem, ResultSet
 from repro.database.segments import Compactor, LiveCollection, LiveSnapshot, SegmentUnit
-from repro.database.sharding import (
-    SharedCorpus,
-    SharedCorpusHandle,
-    ShardedCollection,
-    ShardedEngine,
-    WorkerPool,
-)
-from repro.database.vptree import VPTreeIndex
 
 __all__ = [
     "Budget",
@@ -64,14 +59,7 @@ __all__ = [
     "NeighborHeap",
     "k_smallest",
     "LinearScanIndex",
-    "MTreeIndex",
     "QueryBatch",
     "ResultItem",
     "ResultSet",
-    "SharedCorpus",
-    "SharedCorpusHandle",
-    "ShardedCollection",
-    "ShardedEngine",
-    "VPTreeIndex",
-    "WorkerPool",
 ]

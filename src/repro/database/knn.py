@@ -291,7 +291,10 @@ class _StreamedScan:
                 exact = batch.distance.distances_to(point, self.vectors[candidates])
             else:
                 exact = weighted_distances(point, self.vectors[candidates], weights)
-            results.append(ResultSet.from_arrays(*k_smallest(exact, self.k, labels=candidates)))
+            # The pool holds every row within the cut, ties included, so its
+            # first k rows in (distance, label) order are the top-k.
+            order = np.lexsort((candidates, exact))[: self.k]
+            results.append(ResultSet.from_arrays(candidates[order], exact[order]))
         return results
 
     def _derive(self, kth: np.ndarray) -> None:

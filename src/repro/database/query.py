@@ -130,7 +130,7 @@ class QueryBatch:
         """This batch with ``distance=None`` replaced by the engine's default."""
         if self.distance is not None or self.weights is not None:
             return self
-        return replace(self, distance=default_distance)
+        return QueryBatch(self.points, self.k, default_distance, None, self.precision)
 
 
 @dataclass(frozen=True)

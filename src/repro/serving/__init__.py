@@ -34,14 +34,17 @@ shares a dispatch*, never results — every answer is byte-identical to
 calling the engine (or :meth:`~repro.feedback.engine.FeedbackEngine.run_loop`)
 directly, whichever front end carried it.  See
 ``docs/serving.md`` for the wire protocol and the coalescing semantics.
+
+The event-loop front end and the pool load on first access, so the
+threaded server's process never imports ``asyncio`` or ``ssl``.
 """
 
-from repro.serving.async_server import AsyncRetrievalServer
+import importlib
+
 from repro.serving.bypass_registry import DEFAULT_TENANT, BypassRegistry
 from repro.serving.client import ServingClient, ServingError
 from repro.serving.coalescer import RequestCoalescer
 from repro.serving.codec import BinaryCodec, CodecError
-from repro.serving.pool import PooledServingClient, PoolTimeout
 from repro.serving.protocol import ConnectionClosed, ProtocolError
 from repro.serving.server import RetrievalServer, ServerConfig, ServingCore
 from repro.serving.sessions import ServingSession, SessionManager
@@ -65,3 +68,16 @@ __all__ = [
     "ServingSession",
     "SessionManager",
 ]
+
+_DEFERRED = {
+    "AsyncRetrievalServer": "repro.serving.async_server",
+    "PooledServingClient": "repro.serving.pool",
+    "PoolTimeout": "repro.serving.pool",
+}
+
+
+def __getattr__(name: str):
+    """Import a deferred name's module on first access (PEP 562)."""
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(_DEFERRED[name]), name)

@@ -12,13 +12,18 @@ the user-facing entry points honest:
 * ``examples/run_paper_experiments.py`` runs every entry of the ``FIGURES``
   registry on the miniature corpus and prints its table;
 * the op table of ``docs/serving.md`` names exactly the ops the server
-  serves.
+  serves;
+* every ``from repro… import …`` line of README.md, ``docs/*.md``,
+  ``examples/*.py`` and the package docstring resolves, executed or not.
 
 A documented name that disappears, a signature that changes, or a serving
 op that breaks fails here before any reader trips over it.
 """
 
+import ast
+import importlib
 import importlib.util
+import re
 import sys
 import textwrap
 from pathlib import Path
@@ -28,10 +33,12 @@ import pytest
 import repro
 from repro.evaluation import figures
 from repro.evaluation.figures import FIGURES
+from repro.features import datasets
 from repro.features.datasets import build_imsi_like_dataset
 
-EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
-SERVING_DOC = Path(__file__).resolve().parent.parent / "docs" / "serving.md"
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES_DIR = ROOT / "examples"
+SERVING_DOC = ROOT / "docs" / "serving.md"
 
 
 def _tiny_builder(*, scale, seed, **kwargs):
@@ -72,7 +79,7 @@ class TestPackageDocstringQuickstart:
 
     def test_quickstart_block_executes(self, monkeypatch, capsys):
         """The documented progression runs, batch to serving, verbatim."""
-        monkeypatch.setattr(repro, "build_imsi_like_dataset", _tiny_builder)
+        monkeypatch.setattr(datasets, "build_imsi_like_dataset", _tiny_builder)
         code = self._quickstart_block()
         assert "RetrievalServer" in code  # the serving stage is documented
         exec(compile(code, "<repro-quickstart>", "exec"), {})
@@ -136,3 +143,34 @@ def test_the_op_table_names_every_served_op(tiny_collection):
     core.shutdown(own_engine=False)
     assert _documented_ops() == served
     assert len(served) == 17
+
+
+#: A ``from repro… import …`` statement at the start of a line, parenthesised
+#: name lists included.
+_REPRO_IMPORT = re.compile(r"^[ \t]*from repro(?:\.\w+)* import (?:\([^)]*\)|.*)$", re.MULTILINE)
+
+
+def _documented_texts() -> "dict[str, str]":
+    """Every documented source that imports from ``repro``, by name."""
+    paths = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md")), *sorted(EXAMPLES_DIR.glob("*.py"))]
+    texts = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8") for path in paths}
+    texts["repro.__doc__"] = repro.__doc__
+    return {name: text for name, text in texts.items() if _REPRO_IMPORT.search(text)}
+
+
+@pytest.mark.parametrize("source", list(_documented_texts()))
+def test_every_documented_import_resolves(source):
+    """Only the docstring's quickstart runs verbatim; the other import lines
+    would go stale unnoticed when a name moves."""
+    unresolved = []
+    for match in _REPRO_IMPORT.finditer(_documented_texts()[source]):
+        (statement,) = ast.parse(textwrap.dedent(match.group(0))).body
+        module = importlib.import_module(statement.module)
+        for alias in statement.names:
+            if hasattr(module, alias.name):
+                continue
+            try:
+                importlib.import_module(f"{statement.module}.{alias.name}")
+            except ImportError:
+                unresolved.append(f"{statement.module}.{alias.name}")
+    assert unresolved == []

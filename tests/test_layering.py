@@ -22,6 +22,10 @@ Parallelism has one place too: the shard fan-out of ``ShardedEngine``.
 No module starts a process pool, the thread ``WorkerPool`` has no backend
 choice, and neither the loop scheduler nor the evaluation session splits
 work across workers of its own.
+
+A server process loads only what serving runs: the benchmark's server
+child, started fresh, imports neither the experiments nor the shard layer,
+the metric trees, the event-loop front end or the client pool.
 """
 
 import ast
@@ -119,9 +123,9 @@ def import_closure(path: pathlib.Path) -> "set[str]":
     """Every library module ``path`` reaches through a chain of explicit imports.
 
     Parent packages that Python initialises on the way are not followed
-    unless a module imports them by name: ``repro/__init__`` re-exports the
-    whole library, serving included, so following it would make every
-    module depend on everything.
+    unless a module imports them by name: a subpackage ``__init__``
+    re-exports its whole layer, so following it would make every module
+    depend on every sibling of what it imports.
     """
     seen: "set[str]" = set()
     pending = [path]
@@ -177,8 +181,8 @@ def _reached_modules() -> "set[str]":
 
     The roots are every module under ``repro/serving``, the paper's
     experiment registry and the library modules the ``bench`` benchmark
-    imports.  The examples are not roots: they import the ``repro``
-    umbrella, which re-exports everything.
+    imports.  The examples are not roots: they show the library, and a
+    module only an example imports has no workload or figure that runs it.
     """
     roots = _source_files(SERVING) + [EVALUATION / "figures.py"]
     for path in _source_files(ROOT / "bench"):
@@ -196,8 +200,8 @@ def _reached_modules() -> "set[str]":
 def test_every_module_is_reached():
     """No library module survives without a caller that runs.
 
-    Package ``__init__``s are exempt: ``repro/__init__`` re-exports the
-    whole library, so they would be reached only by the umbrella import.
+    Package ``__init__``s are exempt: a subpackage's re-exports are
+    reached by a package import, and the ``repro`` root imports nothing.
     An allowlisted module must exist and stay unreached: once something
     reaches it, or it is deleted, its entry goes.
     """
@@ -423,3 +427,70 @@ def test_importing_the_library_loads_no_measurement_code():
     assert sorted(
         module for module in loaded if _within(module, "benchmarks") or _within(module, "bench")
     ) == []
+
+
+#: What the served process never needs: the experiments, the corpus
+#: generator, the wavelet view, the shard layer and metric trees, and the
+#: event-loop front end and client pool with the runtimes they pull in.
+NOT_SERVED = [
+    "repro.evaluation",
+    "repro.features",
+    "repro.wavelets",
+    "repro.database.sharding",
+    "repro.database.mtree",
+    "repro.database.vptree",
+    "repro.serving.async_server",
+    "repro.serving.pool",
+    "asyncio",
+    "multiprocessing",
+]
+
+
+def _import_statements(path: pathlib.Path, within: "str | None" = None) -> "list[str]":
+    """The ``repro`` import statements of ``path`` (of its function ``within``), as source."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    if within is not None:
+        (tree,) = [
+            node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == within
+        ]
+    return [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module and _within(node.module, "repro")
+    ]
+
+
+def test_served_process_imports_only_the_served_path():
+    """The benchmark's server child loads only what serving runs.
+
+    Its import lines, run in a fresh interpreter, load none of
+    :data:`NOT_SERVED`; the package roots import nothing eagerly that the
+    served path does not run.  ``bench/trace.py``'s ``from repro.serving
+    import (...)`` still resolves, the deferred front end and pool included.
+    """
+    served = _import_statements(ROOT / "bench" / "server_main.py", within="main")
+    traced = [
+        line
+        for line in _import_statements(ROOT / "bench" / "trace.py")
+        if line.startswith("from repro.serving import ")
+    ]
+    assert served and len(traced) == 1
+    script = "\n".join(
+        [
+            "import sys",
+            *served,
+            f"print(*sorted(name for name in {NOT_SERVED!r} if name in sys.modules))",
+            *traced,
+        ]
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        cwd=str(ROOT),
+        timeout=120,
+        check=False,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.split() == []
