@@ -48,9 +48,11 @@ def pytest_addoption(parser):
 
 
 def pytest_configure(config):
-    # A deprecation raised from repro code fails the gate instead of
-    # scrolling past as a warning.
+    # A deprecation or a NumPy floating-point warning (overflow, invalid
+    # value) raised from repro code fails the gate instead of scrolling past
+    # as a warning.
     config.addinivalue_line("filterwarnings", "error::DeprecationWarning:repro")
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning:repro")
     # Every socket-serving suite is tagged ``serving`` (module-level
     # ``pytestmark``), so ``-m "not serving"`` is the fast socket-free
     # tier-1 slice.

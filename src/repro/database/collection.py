@@ -9,7 +9,7 @@ The collection also owns the :class:`CorpusWorkspace` of its matrix: the
 corpus-side quantities every batched distance kernel would otherwise
 re-derive per call (the mean, the float32 centred matrix, the weighted
 point norms) are computed once per collection and handed to
-:meth:`~repro.distances.base.DistanceFunction.pairwise`, so a scan request
+:meth:`~repro.distances.base.DistanceFunction.block_kernel`, so a scan request
 streams the float32 centred matrix once and nothing else corpus-sized.
 """
 
@@ -93,6 +93,9 @@ class CorpusWorkspace:
         "_norms",
         "_fill_lock",
     )
+
+    #: First corpus row of the workspace's rows (a :class:`CorpusBlockView` has its own).
+    start = 0
 
     def __init__(self, matrix: np.ndarray) -> None:
         if matrix.ndim != 2:
@@ -304,8 +307,8 @@ class FeatureCollection:
         the first request that reads it — under the default scan that is
         the float32 centred matrix and the point norms of the distance's
         weights, and no float64 copy of the corpus at all.  The batch k-NN
-        paths hand it to
-        :meth:`~repro.distances.base.DistanceFunction.pairwise` so the
+        paths hand it to the distance's
+        :meth:`~repro.distances.base.DistanceFunction.block_kernel` so the
         corpus-side terms are never recomputed per query batch.  Concurrent
         first readers build it once and share it, so its lazy terms are
         filled once too.

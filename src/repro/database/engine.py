@@ -166,21 +166,17 @@ class QueryEngine:
         """Account ``count`` batched searches dispatched by the frontier."""
         self._count(frontier_batches=int(count))
 
-    def _account(self, results: "list[ResultSet]", batches: int) -> None:
-        self._count(
-            n_searches=len(results),
-            n_objects_retrieved=sum(len(result) for result in results),
-            n_batches=batches,
-        )
-
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
     def _answer(
         self, batch: QueryBatch, budget: "Budget | None", batches: int
-    ) -> "list[ResultSet]":
+    ) -> "tuple[list[ResultSet], dict[str, int]]":
         """Answer a validated batch on this engine's corpus layout.
 
+        Returns the results and the dispatch counters the answer adds
+        (``index_hits`` / ``scan_fallbacks`` / ``delta_hits``), which
+        :meth:`_run` records with the volume counters in one lock round.
         ``batches`` is what the caller counts for this request in
         ``n_batches`` (0 from the single-row wrappers); an engine that fans
         out to other engines enters them with the same count.
@@ -189,7 +185,7 @@ class QueryEngine:
 
     def _answer_live(
         self, batch: QueryBatch, budget: "Budget | None", mapper=None
-    ) -> "list[ResultSet]":
+    ) -> "tuple[list[ResultSet], dict[str, int]]":
         """Answer a batch on the current snapshot of a live collection.
 
         One dispatch decision is counted per row: the base segment's index
@@ -201,15 +197,20 @@ class QueryEngine:
         batch = batch.resolved(self._default_distance)
         snapshot = self._collection.snapshot()
         indexed = batch.weights is None and snapshot.base_index_supports(batch.distance)
-        self._count(
-            **{"index_hits" if indexed else "scan_fallbacks": batch.n_rows},
-            delta_hits=batch.n_rows if snapshot.n_delta_segments else 0,
-        )
-        return snapshot.execute(batch, budget=budget, mapper=mapper)
+        dispatch = {
+            "index_hits" if indexed else "scan_fallbacks": batch.n_rows,
+            "delta_hits": batch.n_rows if snapshot.n_delta_segments else 0,
+        }
+        return snapshot.execute(batch, budget=budget, mapper=mapper), dispatch
 
     def _run(self, batch: QueryBatch, budget: "Budget | None", batches: int) -> "list[ResultSet]":
-        results = self._answer(batch, budget, batches)
-        self._account(results, batches)
+        results, dispatch = self._answer(batch, budget, batches)
+        self._count(
+            n_searches=len(results),
+            n_objects_retrieved=sum(len(result) for result in results),
+            n_batches=batches,
+            **dispatch,
+        )
         return results
 
     def execute(self, batch: QueryBatch, *, budget: "Budget | None" = None) -> "list[ResultSet]":
@@ -263,7 +264,7 @@ class QueryEngine:
         """Return the ``k`` nearest neighbours of every row of ``query_points``.
 
         Byte-identical to ``[self.search(q, k, distance) for q in
-        query_points]`` but dispatched once (one pairwise matrix per scan
+        query_points]`` but dispatched once (one kernel matrix per scan
         block for the linear scan); the dispatch counters count one decision
         per query so batch and loop report identically.
 
@@ -465,7 +466,7 @@ class RetrievalEngine(QueryEngine):
     # ------------------------------------------------------------------ #
     def _answer(
         self, batch: QueryBatch, budget: "Budget | None", batches: int
-    ) -> list[ResultSet]:
+    ) -> "tuple[list[ResultSet], dict[str, int]]":
         """Dispatch a batch: live snapshot, metric index, or the linear scan.
 
         The metric index serves a shared-distance batch whenever it supports
@@ -482,9 +483,8 @@ class RetrievalEngine(QueryEngine):
         batch = batch.resolved(self._default_distance)
         index = self._metric_index
         if batch.weights is None and index is not None and index.supports(batch.distance):
-            self._count(index_hits=batch.n_rows)
+            dispatch = {"index_hits": batch.n_rows}
             if batch.n_rows == 1:
-                return [index.search(batch.points[0], batch.k, budget=budget)]
-            return index.search_batch(batch.points, batch.k, budget=budget)
-        self._count(scan_fallbacks=batch.n_rows)
-        return self._scan.execute(batch, budget=budget)
+                return [index.search(batch.points[0], batch.k, budget=budget)], dispatch
+            return index.search_batch(batch.points, batch.k, budget=budget), dispatch
+        return self._scan.execute(batch, budget=budget), {"scan_fallbacks": batch.n_rows}

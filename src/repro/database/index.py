@@ -242,7 +242,7 @@ def merge_topk(per_part: list, k: int, n_queries: int) -> "list[ResultSet]":
         # Already in merged order; a part may carry rows past rank k (the
         # live segments' k + dead widening).
         return [
-            ResultSet.from_arrays(labels[:k], distances[:k]) for labels, distances in per_part[0]
+            ResultSet._adopt(labels[:k], distances[:k]) for labels, distances in per_part[0]
         ]
     merged = []
     for position in range(n_queries):
@@ -251,7 +251,7 @@ def merge_topk(per_part: list, k: int, n_queries: int) -> "list[ResultSet]":
             k,
             labels=np.concatenate([pairs[position][0] for pairs in per_part]),
         )
-        merged.append(ResultSet.from_arrays(labels, distances))
+        merged.append(ResultSet._adopt(labels, distances))
     return merged
 
 

@@ -16,7 +16,7 @@ every other path against.  Two scale features live here:
 
 * **Blocked scans** — the scan walks the corpus in cache-sized row blocks
   (:data:`DEFAULT_BLOCK_ROWS`; a shorter corpus is one block), one
-  ``pairwise`` call per block, and pools each block's candidates under a
+  block-kernel call per block, and pools each block's candidates under a
   carried per-query threshold instead of selecting and merging per block:
   peak memory is O(``block_rows`` × queries), never O(corpus × queries).
 * **A float32 candidate stage, exact float64 confirmation** — the default
@@ -36,7 +36,6 @@ every other path against.  Two scale features live here:
 from __future__ import annotations
 
 from contextlib import nullcontext
-from functools import partial
 from itertools import repeat
 
 import numpy as np
@@ -52,8 +51,8 @@ from repro.distances.base import (
     DistanceFunction,
 )
 from repro.distances.weighted_euclidean import (
+    GramKernel,
     WeightedEuclideanDistance,
-    pairwise_per_query_weights,
     per_query_weights_bound,
     weighted_distances,
 )
@@ -181,7 +180,9 @@ class LinearScanIndex(KNNIndex):
             for start in range(0, n_points, self._block_rows):
                 rows = min(self._block_rows, n_points - start)
                 granted = rows if effective is None else effective.grant_rows(rows, per_row=n_queries)
-                if granted:
+                if granted == n_points:  # the whole corpus is one block: no view needed
+                    scan.add(workspace)
+                elif granted:
                     scan.add(workspace.block(start, start + granted))
                 if granted < rows:
                     # The rest of the corpus is unscanned and a scan carries
@@ -218,27 +219,31 @@ class _StreamedScan:
     def __init__(self, batch: QueryBatch, k: int, block_rows: int, workspace) -> None:
         self.batch, self.k, self.vectors = batch, k, workspace.matrix
         self.limit = block_rows * batch.n_rows
-        self.kth = self.query_norms = None
+        self.kth = None
         self.scanned = self.size = 0
         self.parts = []
         weights, distance = batch.weights, batch.distance
-        offsets = np.abs(batch.points - workspace.mean)
-        reach = offsets + workspace.extent
-        if weights is None:
-            term_bound, self.kernel = distance.term_bound, partial(distance.pairwise, batch.points)
-        else:
-            term_bound = partial(per_query_weights_bound, weights)
-            self.kernel = partial(pairwise_per_query_weights, batch.points, weights)
+        centred = batch.points - workspace.mean
+        reach = np.abs(centred)
+        reach += workspace.extent
         with np.errstate(over="ignore"):
-            self.bounds = term_bound(reach)
+            if weights is None:
+                self.bounds = distance.term_bound(reach)
+            else:
+                self.bounds = per_query_weights_bound(weights, reach)
             fast = self.bounds is not None and batch.precision == "fast"
             if fast:
                 parameters = distance.parameters() if weights is None else weights
                 largest = max(self.bounds.max(), reach.max() ** 2, np.abs(parameters).max())
                 fast = largest <= FLOAT32_TERM_LIMIT
-        if fast and (weights is not None or isinstance(distance, WeightedEuclideanDistance)):
-            self.query_norms = term_bound(offsets)
-        self.precision, self.bar = ("fast" if fast else "exact"), np.inf
+        precision = "fast" if fast else "exact"
+        # Every query-side term is formed here, once per request; a block
+        # costs only its own product and norms.
+        if weights is None:
+            self.kernel = distance.block_kernel(batch.points, centred, precision)
+        else:
+            self.kernel = GramKernel(centred, weights, precision)
+        self.bar = np.inf
         self.scale = np.ones(batch.n_rows) if self.bounds is None else None
 
     def add(self, view) -> None:
@@ -247,7 +252,7 @@ class _StreamedScan:
         Every kernel returns the block's ``(Q, rows)`` matrix query-major,
         so a flat hit position decodes to ``(query, row)`` by one ``divmod``.
         """
-        matrix = self.kernel(view.matrix, workspace=view, precision=self.precision)
+        matrix = self.kernel(view)
         rows = matrix.shape[1]
         if self.scale is not None:
             np.maximum(self.scale, matrix.max(axis=1), out=self.scale)
@@ -294,7 +299,7 @@ class _StreamedScan:
             # The pool holds every row within the cut, ties included, so its
             # first k rows in (distance, label) order are the top-k.
             order = np.lexsort((candidates, exact))[: self.k]
-            results.append(ResultSet.from_arrays(candidates[order], exact[order]))
+            results.append(ResultSet._adopt(candidates[order], exact[order]))
         return results
 
     def _derive(self, kth: np.ndarray) -> None:
@@ -302,17 +307,17 @@ class _StreamedScan:
         self.kth = kth
         if self.scale is not None:
             self.cut = kth + EXACT_MARGIN_SCALE * self.scale
-        elif self.precision == "exact":
+        elif self.kernel.precision == "exact":
             self.cut = kth + EXACT_MARGIN_SCALE * np.maximum(1.0, np.sqrt(self.bounds))
         else:
-            bounds = self.bounds
-            if self.query_norms is not None:
+            bounds, norms = self.bounds, self.kernel.norms
+            if norms is not None:
                 # Only rows within the k-th value can decide the answer, and
                 # under a (semi)norm their terms are at most 3·|q|² + 2·kth.
-                bounds = np.minimum(bounds, 3.0 * self.query_norms + 2.0 * np.maximum(kth, 0.0))
+                bounds = np.minimum(bounds, 3.0 * norms + 2.0 * np.maximum(kth, 0.0))
             self.cut = kth + FAST_MARGIN_SCALE * np.maximum(1.0, bounds)
         # The cut in the kernel's dtype, one step up: never tighter than the float64 one.
-        dtype = np.float32 if self.precision == "fast" else np.float64
+        dtype = np.float32 if self.kernel.precision == "fast" else np.float64
         self.bar = np.nextafter(self.cut.astype(dtype), np.inf)[:, None]
 
     def _tighten(self) -> None:

@@ -14,7 +14,7 @@ that request: the one validated value every execution layer below the public
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,7 +124,7 @@ class QueryBatch:
 
     def with_k(self, k: int) -> "QueryBatch":
         """The same rows asking for ``k`` results (per-segment widening)."""
-        return replace(self, k=k)
+        return QueryBatch(self.points, k, self.distance, self.weights, self.precision)
 
     def resolved(self, default_distance: DistanceFunction) -> "QueryBatch":
         """This batch with ``distance=None`` replaced by the engine's default."""
@@ -160,13 +160,12 @@ class ResultSet:
         items = tuple(items)
         indices = np.asarray([item.index for item in items], dtype=np.intp)
         distances = np.asarray([item.distance for item in items], dtype=np.float64)
-        self._initialise(indices, distances, items)
+        _check_ranked(distances)
+        self._hold(indices, distances, items)
 
-    def _initialise(
+    def _hold(
         self, indices: np.ndarray, distances: np.ndarray, items: tuple[ResultItem, ...] | None
     ) -> None:
-        if distances.shape[0] > 1 and bool((distances[1:] - distances[:-1] < -1e-12).any()):
-            raise ValidationError("result items must be sorted by non-decreasing distance")
         indices.setflags(write=False)
         distances.setflags(write=False)
         self._indices = indices
@@ -234,6 +233,17 @@ class ResultSet:
         distances = np.array(distances, dtype=np.float64)
         if indices.shape != distances.shape or indices.ndim != 1:
             raise ValidationError("indices and distances must be parallel 1-D arrays")
+        _check_ranked(distances)
+        return cls._adopt(indices, distances)
+
+    @classmethod
+    def _adopt(cls, indices: np.ndarray, distances: np.ndarray) -> "ResultSet":
+        """Take over the engines' own ranked ``intp`` / ``float64`` arrays: no copy, no re-check."""
         instance = cls.__new__(cls)
-        instance._initialise(indices, distances, None)
+        instance._hold(indices, distances, None)
         return instance
+
+
+def _check_ranked(distances: np.ndarray) -> None:
+    if distances.shape[0] > 1 and bool((distances[1:] - distances[:-1] < -1e-12).any()):
+        raise ValidationError("result items must be sorted by non-decreasing distance")

@@ -894,14 +894,14 @@ class ShardedEngine(QueryEngine):
     # ------------------------------------------------------------------ #
     def _answer(
         self, batch: QueryBatch, budget: "Budget | None", batches: int
-    ) -> list[ResultSet]:
+    ) -> "tuple[list[ResultSet], dict[str, int]]":
         """Fan the batch out to every shard and merge the per-shard top-k.
 
         The batch travels to the shard engines unchanged — ``distance=None``
         stays ``None``, so each shard engine resolves its *own* default
         distance instance (the one its metric index was built for, also
         inside a worker process) — and every shard engine answers it the way
-        :meth:`execute` would (one pairwise matrix per shard for the linear
+        :meth:`execute` would (one kernel matrix per shard for the linear
         scan), counting the ``batches`` this engine counts, so a single-row
         search counts no batch on any shard either.  The per-query Python
         overhead stays amortised *and* the shards run concurrently.
@@ -948,7 +948,8 @@ class ShardedEngine(QueryEngine):
                     budget.note_shard(answered=True)
             answers = self._process_backend.map_shards("_run", (batch, None, batches))
             per_shard = [_global_pairs(offset, results) for offset, results in zip(offsets, answers)]
-        return merge_topk(per_shard, batch.k, batch.n_rows)
+        # Dispatch decisions are counted by the shard engines that made them.
+        return merge_topk(per_shard, batch.k, batch.n_rows), {}
 
 
 def _global_pairs(offset: int, results: "list[ResultSet]") -> list:

@@ -46,19 +46,33 @@ def check_precision(precision: str) -> str:
     return precision
 
 
-def assemble_float32(cross_queries, query_norms, centered_points, point_norms) -> np.ndarray:
-    """The float32 Gram matrix ``query_norms + point_norms + cross_queries @ centered_points``.
+def block_workspace(points, workspace, dimension: int):
+    """``workspace`` if it owns ``points`` (validated when its collection was
+    built), else the validated ``points`` in a workspace of their own."""
+    if workspace is not None and workspace.owns(points) and points.shape[1] == dimension:
+        return workspace
+    # The database layer imports this module: resolved at call time.
+    from repro.database.collection import CorpusWorkspace
 
-    The float64 query-side terms (``-2`` folded into ``cross_queries``) are
-    cast once.  ``centered_points`` is a dimension-major ``(D, N)`` mirror,
-    so the sgemm's ``(Q, N)`` result is query-major and C-contiguous, and
-    the norms (``point_norms`` shared ``(N,)`` or per query ``(Q, N)``) are
-    added into it in place, one long row per query, while it is in cache.
-    """
-    matrix = cross_queries.astype(np.float32) @ centered_points
-    matrix += point_norms
-    matrix += query_norms.astype(np.float32)[:, None]
-    return matrix
+    return CorpusWorkspace(as_float_matrix(points, name="points", shape=(None, dimension)))
+
+
+class RowwiseKernel:
+    """The block kernel of a family without a matrix form: float64 ``distances_to`` rows."""
+
+    __slots__ = ("distance", "queries")
+
+    precision = "exact"
+    norms = None
+
+    def __init__(self, distance: "DistanceFunction", queries: np.ndarray) -> None:
+        self.distance, self.queries = distance, queries
+
+    def __call__(self, view) -> np.ndarray:
+        matrix = np.empty((self.queries.shape[0], view.matrix.shape[0]), dtype=np.float64)
+        for row, query in enumerate(self.queries):
+            matrix[row] = self.distance.distances_to(query, view.matrix)
+        return matrix
 
 
 class DistanceFunction(abc.ABC):
@@ -154,17 +168,26 @@ class DistanceFunction(abc.ABC):
             ``(Q, N)`` matrix with ``result[i, j] = d(queries[i], points[j])``
             (float32 when a fast kernel served the request).
 
-        The base implementation evaluates one :meth:`distances_to` row per
-        query (no corpus-side term to cache); subclasses override it with a
-        fully vectorised matrix form where the mathematics allows one.
+        Validates the queries (and a ``points`` no workspace owns), then
+        runs :meth:`block_kernel` over the whole matrix: the scan calls the
+        same kernel block by block, so there is one kernel per family.
         """
         check_precision(precision)
         queries = self._validate_points(queries, name="queries")
-        points = self._validate_points(points)
-        matrix = np.empty((queries.shape[0], points.shape[0]), dtype=np.float64)
-        for row, query in enumerate(queries):
-            matrix[row] = self.distances_to(query, points)
-        return matrix
+        workspace = block_workspace(points, workspace, self._dimension)
+        return self.block_kernel(queries, queries - workspace.mean, precision)(workspace)
+
+    def block_kernel(self, queries: np.ndarray, centred: np.ndarray, precision: str):
+        """The kernel of already validated ``queries`` (``centred``: minus the corpus mean).
+
+        Every query-side term is formed here, once per request; calling the
+        kernel on a workspace or a block view returns that block's
+        C-contiguous query-major ``(Q, rows)`` matrix.  It carries the
+        ``precision`` it computes in and the float64 weighted query
+        ``norms`` of a Gram expansion (else ``None``) for the scan's margin.
+        The base family evaluates one :meth:`distances_to` row per query.
+        """
+        return RowwiseKernel(self, queries)
 
     def term_bound(self, reach: np.ndarray) -> "np.ndarray | None":
         """Per query row, a bound on every value the matrix kernels form.
@@ -183,12 +206,6 @@ class DistanceFunction(abc.ABC):
     # ------------------------------------------------------------------ #
     # Shared helpers
     # ------------------------------------------------------------------ #
-    def _corpus(self, points, workspace):
-        """``(points, workspace)``, or the validated ``points`` and ``None`` if not owned."""
-        if workspace is not None and workspace.owns(points) and points.shape[1] == self._dimension:
-            return points, workspace
-        return self._validate_points(points), None
-
     def _validate_point(self, point, name: str = "point") -> np.ndarray:
         return as_float_vector(point, name=name, dim=self._dimension)
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.distances.base import DistanceFunction, check_precision
+from repro.distances.base import DistanceFunction
 from repro.utils.validation import ValidationError, as_float_vector, check_positive
 
 
@@ -74,56 +74,55 @@ class MinkowskiDistance(DistanceFunction):
         deltas = np.abs(points - query)
         return np.power(np.sum(self._weights * np.power(deltas, self._order), axis=1), 1.0 / self._order)
 
-    def pairwise(self, queries, points, *, workspace=None, precision: str = "exact") -> np.ndarray:
-        """Matrix form by broadcasting the row computation over all queries.
+    def block_kernel(self, queries: np.ndarray, centred: np.ndarray, precision: str) -> "PowerSumKernel":
+        """The row computation broadcast over all queries (:class:`PowerSumKernel`)."""
+        return PowerSumKernel(self, queries, centred, precision)
 
-        There is no product expansion for a general L_p norm, so the matrix
-        is built from the same element-wise operations as
-        :meth:`distances_to` (broadcast over a query chunk at a time to bound
-        the ``(Q, N, D)`` intermediate); the results are therefore
-        bit-identical to the row-wise form.  The exact path reads nothing
-        from the workspace (an element-wise ``|p - q|^p`` kernel has nothing
-        to reuse), but accepts it for the uniform :class:`KNNIndex` call shape.
+    def term_bound(self, reach: np.ndarray) -> np.ndarray:
+        return reach**self._order @ self._weights
 
-        ``precision="fast"`` runs the same broadcast in float32 over the
-        workspace's :attr:`~repro.database.collection.CorpusWorkspace.centered32`,
-        read row by row through the transpose of its ``(D, N)`` layout (both
-        sides centred in float64 first, so a large common offset costs no
-        float32 bits), and returns the p-th **power sum** without
-        the outer ``1/p`` root — a monotone transform of the distance, which
-        is all candidate selection needs, and one full-matrix ``power`` call
-        cheaper.  The result differs from the float64 row form in the low
-        bits, so it is candidate-selection input like every fast matrix.
-        """
-        check_precision(precision)
-        queries = self._validate_points(queries, name="queries")
-        points, cache = self._corpus(points, workspace)
+
+class PowerSumKernel:
+    """The weighted L_p matrix of one request's query rows, by broadcasting.
+
+    There is no product expansion for a general L_p norm: the matrix is the
+    element-wise form of :meth:`MinkowskiDistance.distances_to`, broadcast
+    over a query chunk at a time, so exact results are bit-identical to it.
+    ``"fast"`` runs the broadcast in float32 against the transpose of
+    ``centered32`` (queries centred in float64, cast once) and returns the
+    p-th **power sum** without the root: monotone in the distance,
+    candidate-selection input like every fast matrix.
+    """
+
+    __slots__ = ("order", "precision", "_queries", "_weights")
+
+    norms = None
+
+    def __init__(
+        self, distance: MinkowskiDistance, queries: np.ndarray, centred: np.ndarray, precision: str
+    ) -> None:
+        self.order, self.precision = distance.order, precision
         if precision == "fast":
-            if cache is None:
-                center = points.mean(axis=0)
-                points = (points - center).astype(np.float32)
-            else:
-                center, points = cache.mean, cache.centered32.T
-            queries = (queries - center).astype(np.float32)
-            weights = self._weights.astype(np.float32)
-            dtype = np.float32
+            self._queries = centred.astype(np.float32)
+            self._weights = distance._weights.astype(np.float32)
         else:
-            weights = self._weights
-            dtype = np.float64
-        matrix = np.empty((queries.shape[0], points.shape[0]), dtype=dtype)
+            self._queries, self._weights = queries, distance._weights
+
+    def __call__(self, view) -> np.ndarray:
+        fast = self.precision == "fast"
+        points = view.centered32.T if fast else view.matrix
+        queries, weights = self._queries, self._weights
+        matrix = np.empty((queries.shape[0], points.shape[0]), dtype=queries.dtype)
         chunk = max(1, 2_000_000 // max(points.shape[0] * points.shape[1], 1))
         for start in range(0, queries.shape[0], chunk):
             block = queries[start : start + chunk]
             deltas = np.abs(points[None, :, :] - block[:, None, :])
-            power_sums = np.sum(weights * np.power(deltas, self._order), axis=2)
-            if precision == "fast":
+            power_sums = np.sum(weights * np.power(deltas, self.order), axis=2)
+            if fast:
                 matrix[start : start + chunk] = power_sums
             else:
-                matrix[start : start + chunk] = np.power(power_sums, 1.0 / self._order)
+                matrix[start : start + chunk] = np.power(power_sums, 1.0 / self.order)
         return matrix
-
-    def term_bound(self, reach: np.ndarray) -> np.ndarray:
-        return reach**self._order @ self._weights
 
 
 def euclidean(dimension: int) -> MinkowskiDistance:

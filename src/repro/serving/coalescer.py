@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import os
 import threading
+from queue import SimpleQueue
 
 import numpy as np
 
@@ -46,7 +47,9 @@ class _PendingRows:
     """One submitter's rows inside a window, and its completion signal.
 
     ``arrays`` are the matrix arguments of the engine call the rows will
-    ride: ``(points,)`` or ``(points, deltas, weights)``.
+    ride: ``(points,)`` or ``(points, deltas, weights)``.  ``event`` exists
+    only while the submitter waits on another holder's dispatch; it and the
+    answer are set under the coalescer lock.
     """
 
     __slots__ = ("arrays", "n_rows", "event", "results", "error")
@@ -54,7 +57,7 @@ class _PendingRows:
     def __init__(self, arrays: tuple, n_rows: int) -> None:
         self.arrays = arrays
         self.n_rows = n_rows
-        self.event = threading.Event()
+        self.event: "threading.Event | None" = None
         self.results: "list[ResultSet] | None" = None
         self.error: "BaseException | None" = None
 
@@ -74,13 +77,15 @@ class _Window:
 
 
 class _GroupState:
-    """Per-``(kind, k)`` coalescing state: the window queue and the dispatch slots."""
+    """Per-``(kind, k)`` coalescing state: the window queue and one token per free dispatch slot."""
 
     __slots__ = ("windows", "slots")
 
     def __init__(self, n_slots: int) -> None:
         self.windows: "list[_Window]" = []
-        self.slots = threading.BoundedSemaphore(n_slots)
+        self.slots: SimpleQueue = SimpleQueue()
+        for _ in range(n_slots):
+            self.slots.put(None)
 
 
 class RequestCoalescer:
@@ -213,16 +218,23 @@ class RequestCoalescer:
         # window queue oldest-first until its own window has been taken —
         # usually by itself in one dispatch, occasionally after an older
         # window.  If another holder took it, that holder answers these
-        # rows: the slot is released and the wait is on the own event.
-        with group.slots:
+        # rows: the slot is released and, unless the answer is already in,
+        # the wait is on an event of its own.
+        group.slots.get()
+        try:
             while True:
                 with self._lock:
                     if window.closed:
+                        if pending.results is None and pending.error is None:
+                            pending.event = threading.Event()
                         break
                     current = group.windows.pop(0)
                     current.closed = True
                 self._dispatch(current, batch.k)
-        pending.event.wait()
+        finally:
+            group.slots.put(None)
+        if pending.event is not None:
+            pending.event.wait()
         if pending.error is not None:
             raise pending.error
         return pending.results
@@ -239,6 +251,7 @@ class RequestCoalescer:
         wraps — chosen by how many arrays a submission of this group carries.
         """
         requests = window.requests
+        error = results = None
         try:
             if len(requests) == 1:
                 arrays = requests[0].arrays
@@ -248,17 +261,19 @@ class RequestCoalescer:
                 results = self._engine.search_batch(arrays[0], k)
             else:
                 results = self._engine.search_batch_with_parameters(arrays[0], k, *arrays[1:])
-            with self._lock:
+        except BaseException as caught:  # noqa: BLE001 - fanned back to submitters
+            error = caught
+        with self._lock:
+            if error is None:
                 self._n_dispatches += 1
                 self._n_solo_dispatches += len(requests) == 1
                 self._n_dispatched_rows += window.rows
                 self._largest_dispatch = max(self._largest_dispatch, window.rows)
             offset = 0
             for pending in requests:
-                pending.results = results[offset : offset + pending.n_rows]
-                offset += pending.n_rows
-                pending.event.set()
-        except BaseException as error:  # noqa: BLE001 - fanned back to submitters
-            for pending in requests:
+                if error is None:
+                    pending.results = results[offset : offset + pending.n_rows]
+                    offset += pending.n_rows
                 pending.error = error
-                pending.event.set()
+                if pending.event is not None:
+                    pending.event.set()

@@ -217,21 +217,25 @@ class ServingCore:
         self._n_open = 0
         self._n_accepted = 0
         self._in_flight = 0
+        # op -> (handler, the request fields it cannot run without).
         self._ops = {
-            "ping": self._op_ping,
-            "info": self._op_info,
-            "stats": self._op_stats,
-            **dict.fromkeys(QUERY_WIRE_KEYS, self._op_query),
-            "session_open": self._op_session_open,
-            "session_feedback": self._op_session_feedback,
-            "session_close": self._op_session_close,
-            "bypass_mopt": self._op_bypass_mopt,
-            "bypass_insert": self._op_bypass_insert,
-            "bypass_stats": self._op_bypass_stats,
-            "insert": self._op_insert,
-            "delete": self._op_delete,
-            "compact": self._op_compact,
-            "corpus_stats": self._op_corpus_stats,
+            "ping": (self._op_ping, ()),
+            "info": (self._op_info, ()),
+            "stats": (self._op_stats, ()),
+            **{
+                op: (self._op_query, (*array_keys, "k"))
+                for op, (array_keys, _) in QUERY_WIRE_KEYS.items()
+            },
+            "session_open": (self._op_session_open, ("query_point", "k")),
+            "session_feedback": (self._op_session_feedback, ("session_id", "indices", "scores")),
+            "session_close": (self._op_session_close, ("session_id",)),
+            "bypass_mopt": (self._op_bypass_mopt, ("query_point",)),
+            "bypass_insert": (self._op_bypass_insert, ("query_point", "parameters")),
+            "bypass_stats": (self._op_bypass_stats, ()),
+            "insert": (self._op_insert, ("vectors",)),
+            "delete": (self._op_delete, ("ids",)),
+            "compact": (self._op_compact, ()),
+            "corpus_stats": (self._op_corpus_stats, ()),
         }
 
     # ------------------------------------------------------------------ #
@@ -270,9 +274,13 @@ class ServingCore:
         try:
             if not isinstance(message, dict) or "op" not in message:
                 raise ValidationError("requests must be dicts with an 'op' key")
-            handler = self._ops.get(message["op"])
-            if handler is None:
-                raise ValidationError(f"unknown op {message['op']!r}")
+            op = message["op"]
+            if op not in self._ops:
+                raise ValidationError(f"unknown op {op!r}")
+            handler, required = self._ops[op]
+            missing = [field for field in required if field not in message]
+            if missing:
+                raise ValidationError(f"{op} needs the field(s) {', '.join(missing)}")
             return {"ok": True, "result": handler(message, owner)}
         except ValidationError as error:
             return {"ok": False, "error": "validation", "message": str(error)}
@@ -381,9 +389,8 @@ class ServingCore:
         arrays = [message[key] for key in array_keys]
         single = result_key == "result"
         if single:
-            arrays = [
-                np.atleast_1d(np.asarray(array, dtype=np.float64))[None, :] for array in arrays
-            ]
+            # Lifted only: the QueryBatch the rows enter converts and validates them.
+            arrays = [np.atleast_1d(np.asarray(array))[None, :] for array in arrays]
         if len(array_keys) == 1:
             submit, search = self.coalescer.submit_search, self.engine.search_batch
         else:
@@ -443,7 +450,7 @@ class ServingCore:
 
     def _op_bypass_mopt(self, message, owner) -> OptimalQueryParameters:
         registry = self._require_bypass()
-        point = np.atleast_1d(np.asarray(message["query_point"], dtype=np.float64))
+        point = np.atleast_1d(np.asarray(message["query_point"]))
         return registry.mopt(self._tenant_of(message), point)
 
     def _op_bypass_insert(self, message, owner):
@@ -453,7 +460,7 @@ class ServingCore:
             raise ValidationError(
                 "bypass_insert needs OptimalQueryParameters in 'parameters'"
             )
-        point = np.atleast_1d(np.asarray(message["query_point"], dtype=np.float64))
+        point = np.atleast_1d(np.asarray(message["query_point"]))
         return registry.insert(self._tenant_of(message), point, parameters)
 
     def _op_bypass_stats(self, message, owner) -> dict:

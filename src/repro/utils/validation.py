@@ -16,6 +16,13 @@ class ValidationError(ValueError):
     """Raised when caller-supplied data does not satisfy a precondition."""
 
 
+def _as_float_array(values, name: str) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as error:
+        raise ValidationError(f"{name} must be numeric: {error}") from None
+
+
 def as_float_vector(values, name: str = "vector", dim: int | None = None) -> np.ndarray:
     """Convert ``values`` to a 1-D ``float64`` array, validating its shape.
 
@@ -28,19 +35,19 @@ def as_float_vector(values, name: str = "vector", dim: int | None = None) -> np.
     dim:
         If given, the required length of the vector.
     """
-    array = np.asarray(values, dtype=np.float64)
+    array = _as_float_array(values, name)
     if array.ndim != 1:
         raise ValidationError(f"{name} must be 1-dimensional, got shape {array.shape}")
     if dim is not None and array.shape[0] != dim:
         raise ValidationError(f"{name} must have dimension {dim}, got {array.shape[0]}")
-    if not np.all(np.isfinite(array)):
+    if not np.isfinite(array).all():
         raise ValidationError(f"{name} contains non-finite values")
     return array
 
 
 def as_float_matrix(values, name: str = "matrix", shape: tuple[int | None, int | None] | None = None) -> np.ndarray:
     """Convert ``values`` to a 2-D ``float64`` array, validating its shape."""
-    array = np.asarray(values, dtype=np.float64)
+    array = _as_float_array(values, name)
     if array.ndim != 2:
         raise ValidationError(f"{name} must be 2-dimensional, got shape {array.shape}")
     if shape is not None:
@@ -49,7 +56,7 @@ def as_float_matrix(values, name: str = "matrix", shape: tuple[int | None, int |
             raise ValidationError(f"{name} must have {rows} rows, got {array.shape[0]}")
         if cols is not None and array.shape[1] != cols:
             raise ValidationError(f"{name} must have {cols} columns, got {array.shape[1]}")
-    if not np.all(np.isfinite(array)):
+    if not np.isfinite(array).all():
         raise ValidationError(f"{name} contains non-finite values")
     return array
 
@@ -61,6 +68,8 @@ def check_dimension(value: int, name: str = "dimension", minimum: int = 1) -> in
     and non-finite floats are not counts: they raise
     :class:`ValidationError` like any other bad value.
     """
+    if type(value) is int and value >= minimum:  # the common case, without the ABC checks
+        return value
     if (
         isinstance(value, (bool, np.bool_))
         or not isinstance(value, numbers.Real)

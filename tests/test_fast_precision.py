@@ -11,8 +11,10 @@ scales, offsets, duplicates and weights), the memory bound of the blocked
 scan, the per-query-weights batch path, and what a request reads.
 """
 
+import sys
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -25,12 +27,20 @@ from repro.database.budget import Budget
 from repro.database.collection import FeatureCollection
 from repro.database.engine import RetrievalEngine
 from repro.database.knn import DEFAULT_BLOCK_ROWS, LinearScanIndex
+from repro.database.query import ResultSet
 from repro.database.sharding import ShardedEngine
-from repro.distances.base import DistanceFunction, check_precision
-from repro.distances.minkowski import MinkowskiDistance
-from repro.distances.weighted_euclidean import WeightedEuclideanDistance, pairwise_per_query_weights
+from repro.distances.base import DistanceFunction, RowwiseKernel, check_precision
+from repro.distances.minkowski import MinkowskiDistance, PowerSumKernel
+from repro.distances.weighted_euclidean import (
+    GramKernel,
+    WeightedEuclideanDistance,
+    pairwise_per_query_weights,
+)
 from repro.features.synthetic import build_clustered_corpus, sample_queries
+from repro.serving import coalescer as coalescer_module
 from repro.serving.coalescer import RequestCoalescer
+from repro.serving.server import ServingCore
+from repro.utils import validation
 from repro.utils.validation import ValidationError
 
 DIMENSION = 16
@@ -81,17 +91,29 @@ def distance_grid():
 FLOAT64_ONLY = {"rowwise"}
 
 
-def _spy_precisions(monkeypatch, distance_class) -> list:
-    """Record the ``precision`` of every ``pairwise`` call on ``distance_class``."""
-    precisions = []
-    original = distance_class.pairwise
+def _spy_blocks(monkeypatch) -> list:
+    """Record ``(kernel, precision, rows)`` for every corpus block a kernel computes.
 
-    def spy(self, queries, points, **kwargs):
-        precisions.append(kwargs.get("precision", "exact"))
-        return original(self, queries, points, **kwargs)
+    The block kernels are the per-block seam of every family — the scan
+    calls one per block, ``pairwise`` calls one over the whole matrix.
+    """
+    blocks = []
+    for kernel_class in (GramKernel, PowerSumKernel, RowwiseKernel):
 
-    monkeypatch.setattr(distance_class, "pairwise", spy)
-    return precisions
+        def spy(self, view, original=kernel_class.__call__):
+            blocks.append((self, self.precision, view.matrix.shape[0]))
+            return original(self, view)
+
+        monkeypatch.setattr(kernel_class, "__call__", spy)
+    return blocks
+
+
+def _precisions(blocks) -> list:
+    return [precision for _, precision, _ in blocks]
+
+
+def _widths(blocks) -> list:
+    return [rows for _, _, rows in blocks]
 
 
 @pytest.fixture(scope="module")
@@ -135,12 +157,12 @@ class TestFastPrecisionIdentity:
 
     @pytest.mark.parametrize("name,distance", distance_grid(), ids=lambda v: v if isinstance(v, str) else "")
     def test_default_takes_the_float32_stage(self, collection, queries, name, distance, monkeypatch):
-        precisions = _spy_precisions(monkeypatch, type(distance))
+        blocks = _spy_blocks(monkeypatch)
         stage = "exact" if name in FLOAT64_ONLY else "fast"
         RetrievalEngine(collection).search_batch(queries, 5, distance)
-        assert precisions == [stage]
+        assert _precisions(blocks) == [stage]
         RetrievalEngine(collection).search_batch(queries, 5, distance, "exact")
-        assert precisions == [stage, "exact"]
+        assert _precisions(blocks) == [stage, "exact"]
 
     def test_fast_matches_per_query_search_loop(self, collection, queries):
         engine = RetrievalEngine(collection)
@@ -182,12 +204,30 @@ class TestFastPrecisionIdentity:
         collection = FeatureCollection(scale * rng.normal(size=(500, 8)))
         engine = RetrievalEngine(collection)
         queries = collection.vectors[:5] + scale * 0.01 * rng.normal(size=(5, 8))
-        precisions = _spy_precisions(monkeypatch, WeightedEuclideanDistance)
+        blocks = _spy_blocks(monkeypatch)
         default = engine.search_batch(queries, 10)
         reference = [LinearScanIndex(collection).search(q, 10, engine.default_distance) for q in queries]
         assert default == reference
         assert all(len(result) == 10 for result in default)
-        assert precisions == ["fast" if scale == 1.0 else "exact"]
+        assert _precisions(blocks) == ["fast" if scale == 1.0 else "exact"]
+
+    def test_a_term_bound_past_float64_is_guarded(self):
+        """Weights near float64's limit: the term bound overflows, the distances do not.
+
+        The scan expects that overflow (the batch takes the float64 path
+        and its margin goes unbounded), so it raises no warning; any other
+        floating-point warning from the library fails the gate (root
+        ``conftest.py``).
+        """
+        vectors = np.random.default_rng(5).random((300, 8))
+        collection = FeatureCollection(vectors)
+        distance = WeightedEuclideanDistance(8, weights=np.full(8, 4e307))
+        reach = np.abs(vectors[:4] - collection.workspace.mean) + collection.workspace.extent
+        with np.errstate(over="ignore"):
+            assert np.isinf(distance.term_bound(reach)).any()
+        reference = [LinearScanIndex(collection).search(point, 7, distance) for point in vectors[:4]]
+        assert all(np.isfinite(result.distances()).all() for result in reference)
+        assert LinearScanIndex(collection).search_batch(vectors[:4], 7, distance) == reference
 
     def test_invalid_precision_rejected(self, collection, queries):
         engine = RetrievalEngine(collection)
@@ -273,38 +313,25 @@ class TestBlockedScan:
         assert blocked.search_batch(queries, 12, distance) == reference
 
     def test_blocked_scan_bounds_kernel_width(self, collection, queries, monkeypatch):
-        """No pairwise call ever sees more than ``block_rows`` corpus rows.
+        """No block kernel call ever sees more than ``block_rows`` corpus rows.
 
         This is the memory bound: the ``(Q, N)`` matrix the scan materialises
         is capped at ``(Q, block_rows)`` regardless of corpus height.
         """
         block_rows = 256
-        seen_widths = []
-        original = WeightedEuclideanDistance.pairwise
-
-        def spy(self, query_points, points, **kwargs):
-            seen_widths.append(int(np.asarray(points).shape[0]))
-            return original(self, query_points, points, **kwargs)
-
-        monkeypatch.setattr(WeightedEuclideanDistance, "pairwise", spy)
+        blocks = _spy_blocks(monkeypatch)
         scan = LinearScanIndex(collection, block_rows=block_rows)
         scan.search_batch(queries, 9, WeightedEuclideanDistance(DIMENSION))
-        assert seen_widths, "the blocked scan never reached the pairwise kernel"
+        seen_widths = _widths(blocks)
+        assert seen_widths, "the blocked scan never reached the block kernel"
         assert max(seen_widths) <= block_rows
         assert len(seen_widths) == -(-N_VECTORS // block_rows)
         assert sum(seen_widths) == N_VECTORS
 
     def test_short_corpus_scans_in_one_shot(self, collection, queries, monkeypatch):
-        seen_widths = []
-        original = WeightedEuclideanDistance.pairwise
-
-        def spy(self, query_points, points, **kwargs):
-            seen_widths.append(int(np.asarray(points).shape[0]))
-            return original(self, query_points, points, **kwargs)
-
-        monkeypatch.setattr(WeightedEuclideanDistance, "pairwise", spy)
+        blocks = _spy_blocks(monkeypatch)
         LinearScanIndex(collection).search_batch(queries, 9, WeightedEuclideanDistance(DIMENSION))
-        assert seen_widths == [N_VECTORS]
+        assert _widths(blocks) == [N_VECTORS]
 
     def test_default_block_rows(self, collection):
         assert LinearScanIndex(collection).block_rows == DEFAULT_BLOCK_ROWS
@@ -369,12 +396,12 @@ class TestPooledPass:
 
         monkeypatch.setattr(knn._StreamedScan, "add", spy_add)
         monkeypatch.setattr(knn._StreamedScan, "_tighten", spy_tighten)
-        precisions = _spy_precisions(monkeypatch, WeightedEuclideanDistance)
+        blocks = _spy_blocks(monkeypatch)
         distance = WeightedEuclideanDistance(DIMENSION)
         blocked = LinearScanIndex(collection, block_rows=block_rows)
         assert blocked.search_batch(queries, k, distance) == self._reference(collection, queries, k, distance)
         n_blocks = -(-N_VECTORS // block_rows)
-        assert precisions == ["fast"] * n_blocks
+        assert _precisions(blocks) == ["fast"] * n_blocks
         limit = block_rows * queries.shape[0]
         assert len(pooled) == n_blocks and max(pooled) <= limit
         # The order really is adversarial: the pool outgrows a block's
@@ -383,11 +410,11 @@ class TestPooledPass:
         assert limit < max(peaks) <= 2 * limit
 
     def test_k_larger_than_the_first_block(self, collection, queries, monkeypatch):
-        precisions = _spy_precisions(monkeypatch, WeightedEuclideanDistance)
+        blocks = _spy_blocks(monkeypatch)
         distance = WeightedEuclideanDistance(DIMENSION)
         blocked = LinearScanIndex(collection, block_rows=16)
         assert blocked.search_batch(queries, 40, distance) == self._reference(collection, queries, 40, distance)
-        assert len(precisions) == -(-N_VECTORS // 16)
+        assert _precisions(blocks) == ["fast"] * -(-N_VECTORS // 16)
 
     @pytest.mark.parametrize("precision", ["exact", "fast"])
     def test_exact_ties_split_across_a_block_boundary(self, collection, precision):
@@ -410,17 +437,13 @@ class TestPooledPass:
         weights = rng.random(queries.shape) + 0.05
         engine = RetrievalEngine(collection)
         engine._scan = LinearScanIndex(collection, block_rows=150)
-        calls = []
-        kernel = knn.pairwise_per_query_weights
-
-        def spy(*args, **kwargs):
-            calls.append(kwargs["precision"])
-            return kernel(*args, **kwargs)
-
-        monkeypatch.setattr(knn, "pairwise_per_query_weights", spy)
+        blocks = _spy_blocks(monkeypatch)
         results = engine.search_batch_with_parameters(queries, 11, deltas, weights, precision)
         assert results == self._reference(collection, queries + deltas, 11, weights=weights)
-        assert calls == [precision] * -(-N_VECTORS // 150)
+        assert _precisions(blocks) == [precision] * -(-N_VECTORS // 150)
+        # One per-row kernel, its query side formed once, serves every block.
+        assert len({id(kernel) for kernel, _, _ in blocks}) == 1
+        assert blocks[0][0].weights.shape == queries.shape
 
     def test_a_subclass_is_re_scored_through_its_own_distances_to(self, collection, queries):
         """Only the exact weighted Euclidean type skips distances_to on re-scoring."""
@@ -686,6 +709,129 @@ class TestWhatARequestReads:
         for _, distance in distance_grid():
             with pytest.raises(ValidationError):
                 distance.pairwise(queries, poisoned, workspace=collection.workspace, precision=precision)
+
+
+class _CountingLock:
+    """A lock that counts how often it is entered."""
+
+    def __init__(self) -> None:
+        self.lock, self.entries = threading.Lock(), 0
+
+    def __enter__(self):
+        self.entries += 1
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self.lock.__exit__(*exc_info)
+
+
+class TestWhatARequestComputes:
+    """Per-request work, counted: input validated where it enters, the
+    query side of a scan formed once, each result built once, the
+    bookkeeping paid once."""
+
+    def test_a_served_search_validates_only_at_the_layer_boundaries(self, corpus, monkeypatch):
+        """The coalescer's and the engine wrapper's ``QueryBatch`` validate the query; nothing below does."""
+        core = ServingCore(RetrievalEngine(FeatureCollection(corpus.vectors)))
+        original, callers = validation.as_float_matrix, []
+
+        def spy(values, *args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return original(values, *args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("repro") and getattr(module, "as_float_matrix", None) is original:
+                monkeypatch.setattr(module, "as_float_matrix", spy)
+        response = core.respond({"op": "search", "query_point": corpus.vectors[3], "k": 10}, object())
+        assert response["ok"] and len(response["result"]) == 10
+        assert callers == ["plain", "plain"]
+
+    @pytest.mark.parametrize("per_row", [False, True], ids=["shared", "per_row"])
+    def test_a_blocked_scan_forms_its_query_norms_once(self, collection, queries, per_row, monkeypatch):
+        """Three blocks, one set of query-side terms: a block costs its product and its norms only."""
+        scan = LinearScanIndex(collection, block_rows=-(-N_VECTORS // 3))
+        engine = RetrievalEngine(collection)
+        engine._scan = scan
+        weights = np.linspace(0.5, 1.5, queries.size).reshape(queries.shape)
+
+        def search():
+            if per_row:
+                return engine.search_batch_with_parameters(queries, 10, 0.0 * queries, weights)
+            return engine.search_batch(queries, 10)
+
+        expected = search()  # also fills the cached point norms of the default weights
+        einsum, norm_calls = np.einsum, []
+
+        def spy(subscripts, *operands, **kwargs):
+            norm_calls.append(subscripts)
+            return einsum(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", spy)
+        blocks = _spy_blocks(monkeypatch)
+        assert search() == expected
+        assert _widths(blocks) == [667, 667, 666]
+        # The weighted query norms once, plus the per-row term bound's own reduction.
+        assert len(norm_calls) == (2 if per_row else 1)
+
+    def test_the_term_bound_is_formed_once_per_request(self, collection, queries, monkeypatch):
+        bound, calls = WeightedEuclideanDistance.term_bound, []
+
+        def spy(self, reach):
+            calls.append(reach.shape)
+            return bound(self, reach)
+
+        monkeypatch.setattr(WeightedEuclideanDistance, "term_bound", spy)
+        LinearScanIndex(collection, block_rows=500).search_batch(queries, 10, WeightedEuclideanDistance(DIMENSION))
+        assert calls == [queries.shape]
+
+    def test_the_scan_builds_one_result_set_per_row(self, collection, many_queries, monkeypatch):
+        """Each row's result adopts the arrays the re-score gathered: no copy, no order re-check."""
+        built, copied = [], []
+        from_arrays = ResultSet.from_arrays.__func__
+
+        def spy_new(cls, *args, **kwargs):
+            built.append(cls)
+            return object.__new__(cls)
+
+        def spy_from_arrays(cls, indices, distances):
+            copied.append(cls)
+            return from_arrays(cls, indices, distances)
+
+        monkeypatch.setattr(ResultSet, "__new__", staticmethod(spy_new))
+        monkeypatch.setattr(ResultSet, "from_arrays", classmethod(spy_from_arrays))
+        results = LinearScanIndex(collection, block_rows=700).search_batch(
+            many_queries[:9], 12, WeightedEuclideanDistance(DIMENSION)
+        )
+        assert len(results) == 9 and all(len(result) == 12 for result in results)
+        assert len(built) == 9
+        assert copied == []
+
+    def test_an_engine_request_takes_the_counter_lock_once(self, collection, queries):
+        engine = RetrievalEngine(collection)
+        engine._counter_lock = lock = _CountingLock()
+        ones = np.ones(DIMENSION)
+        engine.search(queries[0], 5)
+        engine.search_batch(queries, 5)
+        engine.search_with_parameters(queries[0], 5, 0.0 * ones, ones)
+        engine.search_batch_with_parameters(queries, 5, 0.0 * queries, np.ones(queries.shape))
+        assert lock.entries == 4
+        stats = engine.stats()
+        assert (stats["n_searches"], stats["scan_fallbacks"], stats["n_batches"]) == (14, 14, 2)
+
+    def test_a_lone_submitter_waits_on_no_event(self, collection, queries, monkeypatch):
+        """An event is made only when a submitter waits on another holder's dispatch."""
+        coalescer = RequestCoalescer(RetrievalEngine(collection))
+        events = []
+
+        def spy_event():
+            events.append(threading.Event())
+            return events[-1]
+
+        monkeypatch.setattr(coalescer_module, "threading", types.SimpleNamespace(Event=spy_event))
+        for position in range(3):
+            coalescer.submit_search(queries[position : position + 1], 5)
+        assert events == []
+        assert coalescer.stats()["solo_dispatches"] == 3
 
 
 def _touch_together(n_threads, touch) -> list:

@@ -251,6 +251,60 @@ class TestRemovedOps:
         _assert_still_serving(server, tiny_collection)
 
 
+def _complete_requests(collection) -> dict:
+    """One well-formed request of every op that has required fields."""
+    vectors, dimension = collection.vectors, collection.dimension
+    return {
+        "search": {"query_point": vectors[0], "k": 3},
+        "search_batch": {"query_points": vectors[:2], "k": 3},
+        "search_with_parameters": {
+            "query_point": vectors[0], "k": 3, "delta": np.zeros(dimension), "weights": np.ones(dimension),
+        },
+        "search_batch_with_parameters": {
+            "query_points": vectors[:2], "k": 3,
+            "deltas": np.zeros((2, dimension)), "weights": np.ones((2, dimension)),
+        },
+        "session_open": {"query_point": vectors[0], "k": 3},
+        "session_feedback": {"session_id": 1, "indices": np.array([0]), "scores": np.array([1.0])},
+        "session_close": {"session_id": 1},
+        "bypass_mopt": {"query_point": vectors[0]},
+        "bypass_insert": {"query_point": vectors[0], "parameters": OptimalQueryParameters.default(dimension)},
+        "insert": {"vectors": vectors[:1]},
+        "delete": {"ids": np.array([0])},
+    }
+
+
+class TestMalformedRequests:
+    """A request missing a field, or carrying text for a vector, answers the typed ``validation`` error."""
+
+    def test_every_op_with_required_fields_is_covered(self, server, tiny_collection):
+        required = {op for op, (_, fields) in server._core._ops.items() if fields}
+        assert required == set(_complete_requests(tiny_collection))
+
+    def test_a_missing_field_is_a_validation_error(self, server, tiny_collection):
+        with _connect(server) as sock:
+            _handshake(sock)
+            for op, fields in _complete_requests(tiny_collection).items():
+                for missing in fields:
+                    message = {"op": op, **fields}
+                    del message[missing]
+                    response = _exchange(sock, message)
+                    assert (response["ok"], response["error"]) == (False, "validation"), (op, missing)
+                    assert missing in response["message"], (op, missing)
+                    _assert_connection_answers_ping(sock)
+        _assert_still_serving(server, tiny_collection)
+
+    @pytest.mark.parametrize("op,field", [("search", "query_point"), ("search_batch", "query_points")])
+    def test_text_for_a_vector_is_a_validation_error(self, server, tiny_collection, op, field):
+        message = {"op": op, **_complete_requests(tiny_collection)[op], field: "abc"}
+        with _connect(server) as sock:
+            _handshake(sock)
+            response = _exchange(sock, message)
+            assert (response["ok"], response["error"]) == (False, "validation")
+            _assert_connection_answers_ping(sock)
+        _assert_still_serving(server, tiny_collection)
+
+
 class TestConfigFailsBeforeBinding:
     """A float setting no socket accepts is refused before any socket binds."""
 
