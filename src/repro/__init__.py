@@ -33,12 +33,13 @@ additionally models *simultaneous arrival* (see below):
   points)`` ((Q, N) matrix form, vectorised per family).
 * **database** — every k-NN engine implements the
   :class:`~repro.database.index.KNNIndex` protocol: ``search`` /
-  ``search_batch`` / ``supports(distance)``, with ties on equal distance
-  always broken by ascending collection index so any two conforming engines
-  return byte-identical :class:`~repro.database.query.ResultSet`\\ s.  The
-  :class:`~repro.database.engine.RetrievalEngine` dispatches on ``supports``
-  capability (counting ``index_hits`` / ``scan_fallbacks`` in ``stats()``)
-  and serves whole batches through ``search_batch``.
+  ``search_batch``, with ties on equal distance always broken by ascending
+  collection index so any two conforming engines return byte-identical
+  :class:`~repro.database.query.ResultSet`\\ s.  The
+  :class:`~repro.database.engine.RetrievalEngine` answers every query with
+  the linear scan (the metric trees serve one fixed metric, never a
+  feedback-adjusted one) and serves whole batches through
+  ``search_batch``.
 * **core** — :meth:`SimplexTree.predict_batch` walks many points with
   shared traversal bookkeeping; :class:`FeedbackBypass` layers
   ``mopt_batch`` / ``insert_batch`` on top with journaling intact.
@@ -134,7 +135,7 @@ reuse.
 
 When the corpus itself must change under that traffic, swap the
 collection: a :class:`~repro.database.segments.LiveCollection` composes an
-immutable indexed base segment with append-only delta segments and
+immutable base segment with append-only delta segments and
 tombstones, so inserts and deletes cost O(delta) instead of a rebuild,
 every query remains byte-identical to a frozen rebuild at that snapshot
 (stable ids across compactions keep the feedback and bypass layers

@@ -10,12 +10,12 @@ service:
 * :mod:`repro.database.query` — query and result value objects, including
   the validated :class:`QueryBatch` every ``execute`` accepts,
 * :mod:`repro.database.index` — the :class:`KNNIndex` protocol (single and
-  batch search, capability negotiation, deterministic tie-breaking),
+  batch search, deterministic tie-breaking),
 * :mod:`repro.database.knn` — exhaustive-scan k-NN (the reference engine),
 * :mod:`repro.database.vptree` — a vantage-point tree metric index,
 * :mod:`repro.database.mtree` — an M-tree metric index (Ciaccia et al.),
-* :mod:`repro.database.engine` — the retrieval engine tying a collection, an
-  index and a parameterised distance function together; its query surface
+* :mod:`repro.database.engine` — the retrieval engine tying a collection,
+  its linear scan and a parameterised distance function together; its query surface
   (thin ``search*`` wrappers over one ``execute(batch)``) is defined once
   and shared with the sharded engine,
 * :mod:`repro.database.sharding` — the concurrency layer, and the one
@@ -26,7 +26,7 @@ service:
   threads or in long-lived worker processes — and merging the per-shard
   top-k exactly,
 * :mod:`repro.database.segments` — the mutability layer: a
-  :class:`LiveCollection` composes an immutable indexed base segment with
+  :class:`LiveCollection` composes an immutable base segment with
   append-only delta segments and tombstones (inserts/deletes in O(delta),
   queries byte-identical to a frozen rebuild at every snapshot, stable ids
   across compactions), and a background :class:`Compactor` folds deltas

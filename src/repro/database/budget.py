@@ -2,12 +2,10 @@
 
 Interactive feedback loops only pay off when every round returns before the
 user loses patience.  This module gives queries a :class:`Budget` — a cap on
-**work** (metric evaluations: corpus rows × queries for scans, individual
-pivot/bucket evaluations for the tree descents) and/or a **wall-clock
+**work** (metric evaluations: corpus rows × queries) and/or a **wall-clock
 deadline** — and a :class:`Coverage` report describing what an expired
-budget actually consulted: the fraction of the corpus scanned, how many
-shards / segments answered, and a quality bound where the index geometry
-admits one.
+budget actually consulted: the fraction of the corpus scanned and how many
+shards / segments answered.
 
 The contract every budgeted layer honours:
 
@@ -15,11 +13,10 @@ The contract every budgeted layer honours:
   ``Budget()`` with neither cap) takes the literal exact code path, so the
   bits are structurally identical to the pre-budget engine.  A *finite but
   sufficient* budget is also byte-identical: a scan granted every row
-  pools and re-scores exactly what the unbudgeted scan does, and a tree
-  traversal whose grants never run dry is the exact traversal.
+  pools and re-scores exactly what the unbudgeted scan does.
 * **Execution under a smaller work cap is a prefix of execution under a
   larger one.**  Charging never alters a traversal decision — it only
-  truncates — so the visited set grows monotonically with ``max_rows``,
+  truncates — so the scanned rows grow monotonically with ``max_rows``,
   and recall against the exact answer never decreases (an exact top-k
   object, once scanned, is in every superset's top-k).
 * **The budget object is the coverage carrier.**  Budgeted entry points
@@ -58,21 +55,13 @@ class Coverage:
         ``rows_scanned`` is what the budget actually paid for.
     complete:
         True when nothing was skipped for budget reasons — the results are
-        the exact answer.  (A metric index may still have *pruned* most of
-        the corpus; pruning is exactness, not truncation.)
+        the exact answer.
     shards_answered, shards_skipped:
         Per-shard completeness of a :class:`~repro.database.sharding.ShardedEngine`
         fan-out (zero/zero on unsharded engines).
     segments_answered, segments_skipped:
         Per-segment completeness of a live snapshot's composition
         (zero/zero on frozen collections).
-    quality_bound:
-        A lower bound on the distance of any object the budget skipped,
-        when the index geometry admits one (the minimum lower bound over
-        budget-skipped subtrees).  ``None`` when the request completed, or
-        when any truncated region carries no bound (a linear-scan tail).
-        A non-``None`` bound ``B`` certifies that no missed neighbour is
-        closer than ``B``.
     """
 
     rows_total: int
@@ -82,7 +71,6 @@ class Coverage:
     shards_skipped: int = 0
     segments_answered: int = 0
     segments_skipped: int = 0
-    quality_bound: "float | None" = None
 
     @property
     def fraction(self) -> float:
@@ -102,7 +90,6 @@ class Coverage:
             "shards_skipped": int(self.shards_skipped),
             "segments_answered": int(self.segments_answered),
             "segments_skipped": int(self.segments_skipped),
-            "quality_bound": None if self.quality_bound is None else float(self.quality_bound),
         }
 
     @classmethod
@@ -118,7 +105,6 @@ class Coverage:
             shards_skipped=int(payload.get("shards_skipped", 0)),
             segments_answered=int(payload.get("segments_answered", 0)),
             segments_skipped=int(payload.get("segments_skipped", 0)),
-            quality_bound=payload.get("quality_bound"),
         )
 
 
@@ -170,8 +156,6 @@ class Budget:
         self._rows_total = 0
         self._depth = 0
         self._truncated = False
-        self._bound_min = float("inf")
-        self._unbounded_skip = False
         self._shards_answered = 0
         self._shards_skipped = 0
         self._segments_answered = 0
@@ -181,25 +165,9 @@ class Budget:
     # Introspection
     # ------------------------------------------------------------------ #
     @property
-    def max_rows(self) -> "int | None":
-        """The work cap in metric evaluations (``None`` = uncapped)."""
-        return self._max_rows
-
-    @property
-    def deadline(self) -> "float | None":
-        """The wall-clock allowance in seconds (``None`` = uncapped)."""
-        return self._deadline
-
-    @property
     def is_unlimited(self) -> bool:
         """True when neither cap is set — the exact path applies verbatim."""
         return self._max_rows is None and self._deadline is None
-
-    @property
-    def spent(self) -> int:
-        """Metric evaluations charged so far."""
-        with self._lock:
-            return self._spent
 
     def _expired(self) -> bool:
         return self._deadline is not None and (self._clock() - self._start) >= self._deadline
@@ -223,8 +191,7 @@ class Budget:
         — which is what makes budget-clamped scan blocks reproducible;
         deadlines are all-or-nothing per grant (either the clock has
         expired or it has not).  A short grant does **not** record the
-        skipped remainder: the caller notes it via :meth:`note_skip` with
-        whatever bound it knows.
+        skipped remainder: the caller notes it via :meth:`note_skip`.
         """
         if n_rows <= 0 or per_row <= 0:
             return 0
@@ -263,20 +230,10 @@ class Budget:
     # ------------------------------------------------------------------ #
     # Coverage accounting
     # ------------------------------------------------------------------ #
-    def note_skip(self, lower_bound: "float | None" = None) -> None:
-        """Record one budget-skipped region and its distance lower bound.
-
-        ``lower_bound=None`` marks an *unbounded* skip (a linear-scan tail
-        has no geometry); any unbounded skip voids the overall quality
-        bound.  Tree descents pass the skipped subtree's triangle-inequality
-        bound, and the report keeps the minimum over all skips.
-        """
+    def note_skip(self) -> None:
+        """Record one budget-skipped region (a scan tail, a part never reached)."""
         with self._lock:
             self._truncated = True
-            if lower_bound is None:
-                self._unbounded_skip = True
-            else:
-                self._bound_min = min(self._bound_min, float(lower_bound))
 
     def note_exact(self, rows_total: int) -> None:
         """Record a request served entirely by the exact path (no budget bite)."""
@@ -303,20 +260,14 @@ class Budget:
     def coverage(self) -> Coverage:
         """The accumulated coverage report of everything charged so far."""
         with self._lock:
-            complete = not self._truncated
-            if complete or self._unbounded_skip or self._bound_min == float("inf"):
-                quality_bound = None
-            else:
-                quality_bound = self._bound_min
             return Coverage(
                 rows_total=self._rows_total,
                 rows_scanned=self._spent,
-                complete=complete,
+                complete=not self._truncated,
                 shards_answered=self._shards_answered,
                 shards_skipped=self._shards_skipped,
                 segments_answered=self._segments_answered,
                 segments_skipped=self._segments_skipped,
-                quality_bound=quality_bound,
             )
 
     # ------------------------------------------------------------------ #
@@ -373,7 +324,7 @@ def fan_out(parts, run, budget: "Budget | None", rows_total: int, note, mapper=N
 
     A finite budget consults the parts serially in order inside one
     coverage scope of ``rows_total`` evaluations, threading itself into
-    every ``run``; parts it no longer reaches are unbounded skips.  An
+    every ``run``; parts it no longer reaches are recorded as skips.  An
     absent or unlimited budget takes the exact path: every part runs with
     ``budget=None`` through ``mapper`` (an ordered ``map(function, items)``
     such as :meth:`~repro.database.sharding.WorkerPool.map`; serial when
@@ -392,7 +343,7 @@ def fan_out(parts, run, budget: "Budget | None", rows_total: int, note, mapper=N
     with effective.scope(rows_total):
         for part in parts:
             if effective.exhausted():
-                effective.note_skip(None)
+                effective.note_skip()
                 note(effective, answered=False)
                 continue
             answered.append(run(part, effective))

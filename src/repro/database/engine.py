@@ -23,17 +23,15 @@ next door); an engine only says how it *answers* a validated batch:
 
 * the :class:`~repro.database.collection.FeatureCollection` (or a
   :class:`~repro.database.segments.LiveCollection`),
-* the default distance function (unweighted Euclidean in the experiments),
-* a linear-scan engine that handles arbitrary per-query distances, and
-* optionally a metric index (VP-tree or M-tree) that accelerates queries
-  whose distance the index reports through
-  :meth:`~repro.database.index.KNNIndex.supports`.
+* the default distance function (unweighted Euclidean in the experiments), and
+* a linear-scan engine that handles arbitrary per-query distances.
 
-Dispatch is capability-driven: every candidate engine implements the
-:class:`~repro.database.index.KNNIndex` protocol, the retrieval engine asks
-``supports(distance)`` and falls back to the exact linear scan otherwise.
-Each decision is counted (``index_hits`` / ``scan_fallbacks``, one per query
-row) so silent fallbacks show up in :meth:`RetrievalEngine.stats`.
+The scan is the one access path: FeedbackBypass queries carry a per-query
+``(Δ, W)``, which a metric tree built for one fixed metric cannot serve, so
+the trees (:mod:`~repro.database.vptree`, :mod:`~repro.database.mtree`)
+stay standalone indexes the access-method ablation calls directly.  Every
+query row is counted in ``scan_fallbacks`` (``index_hits`` stays 0) so the
+stats shape of :meth:`RetrievalEngine.stats` is stable.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ import numpy as np
 
 from repro.database.budget import Budget
 from repro.database.collection import FeatureCollection
-from repro.database.index import KNNIndex
 from repro.database.knn import LinearScanIndex
 from repro.database.query import QueryBatch, ResultSet
 from repro.database.segments import LiveCollection
@@ -97,13 +94,7 @@ class QueryEngine:
         self._collection = collection
         self._live = isinstance(collection, LiveCollection)
         if default_distance is None:
-            if self._live:
-                # Metric indexes serve a distance by identity; defaulting to
-                # the instance the live collection's index factory was built
-                # with makes base-index hits work out of the box.
-                default_distance = collection.index_distance
-            else:
-                default_distance = WeightedEuclideanDistance.default(collection.dimension)
+            default_distance = WeightedEuclideanDistance.default(collection.dimension)
         if default_distance.dimension != collection.dimension:
             raise ValidationError("default distance dimensionality does not match the collection")
         self._default_distance = default_distance
@@ -175,7 +166,7 @@ class QueryEngine:
         """Answer a validated batch on this engine's corpus layout.
 
         Returns the results and the dispatch counters the answer adds
-        (``index_hits`` / ``scan_fallbacks`` / ``delta_hits``), which
+        (``scan_fallbacks`` / ``delta_hits``), which
         :meth:`_run` records with the volume counters in one lock round.
         ``batches`` is what the caller counts for this request in
         ``n_batches`` (0 from the single-row wrappers); an engine that fans
@@ -188,17 +179,14 @@ class QueryEngine:
     ) -> "tuple[list[ResultSet], dict[str, int]]":
         """Answer a batch on the current snapshot of a live collection.
 
-        One dispatch decision is counted per row: the base segment's index
-        serves the base scan when it supports the distance (``index_hits``),
-        otherwise — and always for per-row ``(Δ, W)`` batches — the whole
-        composition runs on linear scans (``scan_fallbacks``); any resident
-        delta segment also counts as a ``delta_hits`` consultation.
+        Every row runs on the segments' linear scans (``scan_fallbacks``);
+        any resident delta segment also counts as a ``delta_hits``
+        consultation.
         """
         batch = batch.resolved(self._default_distance)
         snapshot = self._collection.snapshot()
-        indexed = batch.weights is None and snapshot.base_index_supports(batch.distance)
         dispatch = {
-            "index_hits" if indexed else "scan_fallbacks": batch.n_rows,
+            "scan_fallbacks": batch.n_rows,
             "delta_hits": batch.n_rows if snapshot.n_delta_segments else 0,
         }
         return snapshot.execute(batch, budget=budget, mapper=mapper), dispatch
@@ -272,8 +260,7 @@ class QueryEngine:
         re-score them exactly in float64 (see
         :mod:`repro.database.knn`); ``precision="exact"`` overrides that
         with the float64 kernels, and the results are byte-identical either
-        way.  Metric-index dispatch is unaffected — the trees are exact by
-        construction.
+        way.
         """
         batch = QueryBatch.plain(
             query_points, k, distance, precision, dimension=self._collection.dimension
@@ -337,35 +324,16 @@ class RetrievalEngine(QueryEngine):
     default_distance:
         Distance used when a query does not override it; defaults to the
         unweighted Euclidean distance (the paper's default).
-    metric_index:
-        Optional pre-built metric index (:class:`~repro.database.vptree.VPTreeIndex`
-        or :class:`~repro.database.mtree.MTreeIndex`).  It is consulted for
-        every query whose distance it ``supports``; every other query falls
-        back to the linear scan (counted in :meth:`stats`).
     """
 
     def __init__(
         self,
         collection: "FeatureCollection | LiveCollection",
         default_distance: DistanceFunction | None = None,
-        metric_index: KNNIndex | None = None,
     ) -> None:
         super().__init__(collection, default_distance)
-        if self._live:
-            # A live collection owns its own segments, scans and base index
-            # (rebuilt by every compaction through its ``index_factory``); an
-            # engine-level index would go stale at the first insert.
-            if metric_index is not None:
-                raise ValidationError(
-                    "a live collection manages its own base index; "
-                    "pass index_factory to LiveCollection instead of metric_index"
-                )
-            self._scan = None
-        else:
-            self._scan = LinearScanIndex(collection)
-            if metric_index is not None and metric_index.collection is not collection:
-                raise ValidationError("metric index was built for a different collection")
-        self._metric_index = metric_index
+        # A live collection owns its own segments and their scans.
+        self._scan = None if self._live else LinearScanIndex(collection)
 
     # ------------------------------------------------------------------ #
     # Accessors
@@ -395,13 +363,8 @@ class RetrievalEngine(QueryEngine):
         return self._counters["n_objects_retrieved"]
 
     @property
-    def index_hits(self) -> int:
-        """Number of searches served by the metric index."""
-        return self._counters["index_hits"]
-
-    @property
     def scan_fallbacks(self) -> int:
-        """Number of searches that fell back to the exact linear scan."""
+        """Number of searches answered by the exact linear scan (all of them)."""
         return self._counters["scan_fallbacks"]
 
     @property
@@ -424,17 +387,15 @@ class RetrievalEngine(QueryEngine):
         """Static shape of this engine: what a serving front end advertises.
 
         Unlike :meth:`stats` (live counters) this is fixed at construction —
-        the corpus size and dimensionality, the default distance family and
-        whether a metric index is mounted.  The serving layer's ``info`` op
-        returns it so clients can sanity-check what they connected to.
+        the corpus size and dimensionality and the default distance family.
+        The serving layer's ``info`` op returns it so clients can
+        sanity-check what they connected to.
         """
-        index = self._collection.base_index if self._live else self._metric_index
         info = {
             "engine": type(self).__name__,
             "corpus_size": self._collection.size,
             "dimension": self._collection.dimension,
             "default_distance": type(self._default_distance).__name__,
-            "metric_index": None if index is None else type(index).__name__,
         }
         if self._live:
             info["live"] = True
@@ -443,9 +404,8 @@ class RetrievalEngine(QueryEngine):
     def stats(self) -> dict[str, int]:
         """Dispatch and volume counters of this engine.
 
-        ``scan_fallbacks`` in particular surfaces what used to happen
-        silently: a metric index that cannot serve a feedback-adjusted
-        distance sends the query through the exhaustive scan.
+        Every query row is answered by the scan and counted in
+        ``scan_fallbacks``; ``index_hits`` stays in the shape at 0.
         ``feedback_iterations`` / ``frontier_batches`` account for the
         relevance-feedback loop: how many re-searches the loops cost and how
         many of those were dispatched as frontier batches.  The snapshot is
@@ -467,24 +427,8 @@ class RetrievalEngine(QueryEngine):
     def _answer(
         self, batch: QueryBatch, budget: "Budget | None", batches: int
     ) -> "tuple[list[ResultSet], dict[str, int]]":
-        """Dispatch a batch: live snapshot, metric index, or the linear scan.
-
-        The metric index serves a shared-distance batch whenever it supports
-        the distance; every other batch — feedback may have changed the
-        distance parameters arbitrarily, and per-row ``(Δ, W)`` batches have
-        no single distance at all — runs on the exact linear scan.  On the
-        trees a single row is answered by the single walk
-        (``index.search``), which beats the shared batch traversal at one
-        row; the choice follows from the row count and the results are
-        identical by the :class:`~repro.database.index.KNNIndex` contract.
-        """
+        """Answer a batch on the live snapshot or the frozen corpus's linear scan."""
         if self._live:
             return self._answer_live(batch, budget)
         batch = batch.resolved(self._default_distance)
-        index = self._metric_index
-        if batch.weights is None and index is not None and index.supports(batch.distance):
-            dispatch = {"index_hits": batch.n_rows}
-            if batch.n_rows == 1:
-                return [index.search(batch.points[0], batch.k, budget=budget)], dispatch
-            return index.search_batch(batch.points, batch.k, budget=budget), dispatch
         return self._scan.execute(batch, budget=budget), {"scan_fallbacks": batch.n_rows}

@@ -7,14 +7,11 @@ the :class:`KNNIndex` contract:
   :class:`~repro.database.query.ResultSet`,
 * ``search_batch(query_points, k, distance=None)`` — many queries at once;
   the contract guarantees the result equals ``[search(q, k) for q in
-  query_points]`` element for element,
-* ``supports(distance)`` — whether the index can serve a query under the
-  given distance function (metric trees are built for one fixed metric, the
-  linear scan serves any distance of matching dimensionality).
+  query_points]`` element for element.
 
-The retrieval engine dispatches on ``supports`` instead of poking at index
-internals, and the batch form lets the whole first round of a multi-user
-workload run as a handful of matrix operations.
+The metric trees are built for one fixed metric and reject any other; the
+linear scan serves any distance of matching dimensionality and is the one
+access path behind the engines.
 
 Determinism on ties is part of the contract: equal distances are broken by
 ascending collection index, so any two conforming engines — and the batch
@@ -312,10 +309,6 @@ class KNNIndex(abc.ABC):
     @abc.abstractmethod
     def search(self, query_point, k: int, distance: DistanceFunction | None = None) -> ResultSet:
         """Return the ``k`` nearest neighbours of one query point."""
-
-    @abc.abstractmethod
-    def supports(self, distance: DistanceFunction) -> bool:
-        """True when this index can serve queries under ``distance``."""
 
     def search_batch(
         self, query_points, k: int, distance: DistanceFunction | None = None

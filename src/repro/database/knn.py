@@ -100,10 +100,6 @@ class LinearScanIndex(KNNIndex):
         """Corpus rows per scan block of the batched path."""
         return self._block_rows
 
-    def supports(self, distance: DistanceFunction) -> bool:
-        """The scan serves any distance of matching dimensionality."""
-        return distance.dimension == self._collection.dimension
-
     def _check_distance(self, distance: DistanceFunction) -> None:
         if distance.dimension != self._collection.dimension:
             raise ValidationError(
@@ -159,7 +155,7 @@ class LinearScanIndex(KNNIndex):
         A finite ``budget`` clamps the scan: blocks are charged at ``rows ×
         queries`` metric evaluations before being scanned, the last
         admissible block is shortened to exactly what the budget grants, and
-        the unscanned tail is recorded as an unbounded skip in the budget's
+        the unscanned tail is recorded as a skip in the budget's
         coverage.  Every block is granted at ``per_row = n_queries``
         evaluations per corpus row, so the rows scanned are a deterministic
         function of the remaining work cap — execution under a smaller cap
@@ -185,21 +181,10 @@ class LinearScanIndex(KNNIndex):
                 elif granted:
                     scan.add(workspace.block(start, start + granted))
                 if granted < rows:
-                    # The rest of the corpus is unscanned and a scan carries
-                    # no geometry to bound it: record an unbounded skip.
-                    effective.note_skip(None)
+                    # The rest of the corpus is unscanned: record the skip.
+                    effective.note_skip()
                     break
         return scan.results()
-
-    def range_search(self, query_point, radius: float, distance: DistanceFunction) -> ResultSet:
-        """Return every vector within ``radius`` of ``query_point``."""
-        query_point = self._collection.validate_query_point(query_point)
-        if radius < 0:
-            raise ValidationError("radius must be non-negative")
-        distances = distance.distances_to(query_point, self._collection.vectors)
-        hits = np.flatnonzero(distances <= radius)
-        order = hits[np.lexsort((hits, distances[hits]))]
-        return ResultSet.from_arrays(order, distances[order])
 
 
 class _StreamedScan:
@@ -223,6 +208,9 @@ class _StreamedScan:
         self.scanned = self.size = 0
         self.parts = []
         weights, distance = batch.weights, batch.distance
+        # The shared distance's parameters (copied once per request) or the
+        # per-row weights.
+        self.parameters = distance.parameters() if weights is None else weights
         centred = batch.points - workspace.mean
         reach = np.abs(centred)
         reach += workspace.extent
@@ -233,8 +221,7 @@ class _StreamedScan:
                 self.bounds = per_query_weights_bound(weights, reach)
             fast = self.bounds is not None and batch.precision == "fast"
             if fast:
-                parameters = distance.parameters() if weights is None else weights
-                largest = max(self.bounds.max(), reach.max() ** 2, np.abs(parameters).max())
+                largest = max(self.bounds.max(), reach.max() ** 2, np.abs(self.parameters).max())
                 fast = largest <= FLOAT32_TERM_LIMIT
         precision = "fast" if fast else "exact"
         # Every query-side term is formed here, once per request; a block
@@ -288,7 +275,7 @@ class _StreamedScan:
         row_weights = batch.weights
         if row_weights is None:
             shared = type(batch.distance) is WeightedEuclideanDistance
-            row_weights = repeat(batch.distance.parameters() if shared else None)
+            row_weights = repeat(self.parameters if shared else None)
         results = []
         for position, (point, weights) in enumerate(zip(batch.points, row_weights)):
             candidates = labels[edges[position] : edges[position + 1]]

@@ -15,9 +15,10 @@ covers the parts that matter for that role:
   every active query at once (vectorised pivot distances, per-query
   neighbour heaps) — byte-identical to the looped single-query search.
 
-Like the VP-tree, an M-tree is built for a fixed metric; the retrieval engine
-falls back to a linear scan whenever the feedback loop changes the distance
-weights.
+Like the VP-tree, an M-tree is built for a fixed metric and rejects any
+other, so it cannot serve a feedback-adjusted query: the engines answer every
+query with the linear scan, and the trees stand alone as the access methods
+the k-NN index ablation compares.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.database.budget import Budget, effective_budget
 from repro.database.collection import FeatureCollection
 from repro.database.index import KNNIndex, NeighborHeap
 from repro.database.query import ResultSet
@@ -127,17 +127,6 @@ class MTreeIndex(KNNIndex):
             node = node.entries[0].child
             height += 1
         return height
-
-    def node_count(self) -> int:
-        """Return the total number of nodes."""
-        count = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            if not node.is_leaf:
-                stack.extend(entry.child for entry in node.entries)
-        return count
 
     # ------------------------------------------------------------------ #
     # Distance helper
@@ -329,46 +318,19 @@ class MTreeIndex(KNNIndex):
     # ------------------------------------------------------------------ #
     # k-NN search
     # ------------------------------------------------------------------ #
-    def supports(self, distance: DistanceFunction) -> bool:
-        """An M-tree only serves the metric it was built for.
-
-        Its covering radii and parent distances were computed under that
-        metric; any other distance invalidates both pruning rules.
-        """
-        return distance is self._distance
-
-    def search(
-        self,
-        query_point,
-        k: int,
-        distance: DistanceFunction | None = None,
-        *,
-        budget: "Budget | None" = None,
-    ) -> ResultSet:
+    def search(self, query_point, k: int, distance: DistanceFunction | None = None) -> ResultSet:
         """Return the ``k`` nearest neighbours of ``query_point``.
 
         ``distance`` may be omitted; passing a different metric than the one
         the tree was built for raises, because the pruning bounds would not
         hold.  Ties on distance are broken by ascending collection index,
         matching the linear scan.
-
-        A finite ``budget`` charges one evaluation per metric call in the
-        best-first descent and stops when the grant runs dry, recording each
-        budget-skipped region's triangle-inequality lower bound; an absent
-        or unlimited budget takes this exact path verbatim.
         """
         k = check_dimension(k, "k")
         if distance is not None and distance is not self._distance:
             raise ValidationError("an M-tree can only be searched with the metric it was built for")
         query_point = self._collection.validate_query_point(query_point)
         k = min(k, self._collection.size)
-
-        effective = effective_budget(budget)
-        if effective is not None:
-            with effective.scope(self._collection.size):
-                return self._search_budgeted(query_point, k, effective)
-        if budget is not None:
-            budget.note_exact(self._collection.size)
 
         counter = itertools.count()
         # Priority queue of (lower bound, tiebreak, node, distance from query to parent pivot).
@@ -406,80 +368,8 @@ class MTreeIndex(KNNIndex):
 
         return best.result_set()
 
-    def _search_budgeted(self, query_point, k: int, budget: Budget) -> ResultSet:
-        """Best-first descent under a finite budget.
-
-        The traversal is the exact :meth:`search` loop with one evaluation
-        charged per metric call.  Charging never alters a pruning decision —
-        a denied grant truncates instead of descending — so execution under
-        a smaller work cap is a prefix of execution under a larger one, and
-        a budget that never runs dry reproduces the exact traversal bit for
-        bit.  Every budget-skipped region reports the tightest lower bound
-        the geometry gives: the popped node's queue bound, the leaf
-        parent-distance margin, or the child's covering-ball bound.
-        """
-        counter = itertools.count()
-        pending: list[tuple[float, int, _Node, float | None]] = [(0.0, next(counter), self._root, None)]
-        best = NeighborHeap(k)
-
-        while pending:
-            lower_bound, _, node, query_parent_distance = heapq.heappop(pending)
-            if lower_bound > best.bound():
-                break
-            if budget.exhausted():
-                # Everything still pending that the exact search would have
-                # visited is now a budget skip; each entry's queue bound is a
-                # certified lower bound on any neighbour it could contain.
-                budget.note_skip(lower_bound)
-                for entry_bound, _, _, _ in pending:
-                    if entry_bound <= best.bound():
-                        budget.note_skip(entry_bound)
-                break
-            if node.is_leaf:
-                for entry in node.entries:
-                    margin = (
-                        abs(query_parent_distance - entry.distance_to_parent)
-                        if query_parent_distance is not None
-                        else 0.0
-                    )
-                    if query_parent_distance is not None and margin > best.bound():
-                        continue
-                    if budget.grant_rows(1) == 0:
-                        budget.note_skip(max(lower_bound, margin))
-                        continue
-                    dist = self._dist_to_point(query_point, entry.object_index)
-                    best.offer(dist, entry.object_index)
-            else:
-                for entry in node.entries:
-                    margin = (
-                        abs(query_parent_distance - entry.distance_to_parent)
-                        if query_parent_distance is not None
-                        else None
-                    )
-                    if margin is not None and margin > best.bound() + entry.covering_radius:
-                        continue
-                    if budget.grant_rows(1) == 0:
-                        child_lower = (
-                            0.0 if margin is None else max(margin - entry.covering_radius, 0.0)
-                        )
-                        budget.note_skip(max(lower_bound, child_lower))
-                        continue
-                    pivot_distance = self._dist_to_point(query_point, entry.pivot_index)
-                    child_bound = max(pivot_distance - entry.covering_radius, 0.0)
-                    if child_bound <= best.bound():
-                        heapq.heappush(
-                            pending, (child_bound, next(counter), entry.child, pivot_distance)
-                        )
-
-        return best.result_set()
-
     def search_batch(
-        self,
-        query_points,
-        k: int,
-        distance: DistanceFunction | None = None,
-        *,
-        budget: "Budget | None" = None,
+        self, query_points, k: int, distance: DistanceFunction | None = None
     ) -> list[ResultSet]:
         """Answer every query row with one shared tree traversal.
 
@@ -512,18 +402,6 @@ class MTreeIndex(KNNIndex):
         )
         n_queries = query_points.shape[0]
         k = min(k, self._collection.size)
-        effective = effective_budget(budget)
-        if effective is not None:
-            # Budgeted batches run the per-query best-first descent serially
-            # so the cap drains in deterministic query order — the batch is
-            # then a prefix of the looped protocol default by construction.
-            with effective.scope(self._collection.size * n_queries):
-                return [
-                    self._search_budgeted(query_points[row], k, effective)
-                    for row in range(n_queries)
-                ]
-        if budget is not None:
-            budget.note_exact(self._collection.size * n_queries)
         heaps = [NeighborHeap(k) for _ in range(n_queries)]
         if n_queries:
             self._search_node_batch(

@@ -51,7 +51,7 @@ class QueryBatch:
     distance:
         The distance shared by every row; ``None`` means "the answering
         engine's default distance" (resolved per engine, so a shard worker
-        uses its own instance — the one its metric index was built for).
+        uses its own instance).
     weights:
         ``(Q, D)`` non-negative per-row weights of the weighted Euclidean
         distance, or ``None`` for a shared-distance batch.  Never set

@@ -2,17 +2,16 @@
 
 Everything below this module assumes a corpus frozen at construction — a
 :class:`~repro.database.collection.FeatureCollection` is immutable, its
-:class:`~repro.database.collection.CorpusWorkspace` and any metric index are
-built once, and the only way to add or remove a vector is a full O(corpus)
-rebuild on the hot path.  This module adopts the levelled
-storage-by-composition shape (an immutable indexed base plus small mutable
-deltas, folded together by background compaction — the CobbleDB model from
-PAPERS.md) so a corpus can mutate *under* serving traffic:
+:class:`~repro.database.collection.CorpusWorkspace` is built once, and the
+only way to add or remove a vector is a full O(corpus) rebuild on the hot
+path.  This module adopts the levelled storage-by-composition shape (an
+immutable base plus small mutable deltas, folded together by background
+compaction — the CobbleDB model from PAPERS.md) so a corpus can mutate
+*under* serving traffic:
 
 * :class:`LiveCollection` — one immutable **base segment** (a plain
-  ``FeatureCollection`` with its workspace and, via ``index_factory``, an
-  optional metric index) composed with small append-only **delta segments**
-  and a **tombstone mask**.  ``insert`` lands in the newest delta in
+  ``FeatureCollection`` with its workspace) composed with small append-only
+  **delta segments** and a **tombstone mask**.  ``insert`` lands in the newest delta in
   O(delta); ``delete`` flips copy-on-write tombstones in O(corpus-mask);
   neither touches the base.
 * :class:`LiveSnapshot` — a consistent, immutable view of the composition
@@ -21,9 +20,9 @@ PAPERS.md) so a corpus can mutate *under* serving traffic:
   :func:`~repro.database.index.merge_topk` under the library-wide
   (distance, ascending **stable id**) tie-break.
 * :class:`Compactor` — a background thread folding deltas into a new base
-  off the hot path: the rebuild (matrix gather, workspace, index) runs
-  outside the mutation lock and the new composition swaps in atomically
-  under an epoch counter, RCU-style — in-flight queries finish on the old
+  off the hot path: the rebuild (matrix gather, workspace) runs outside
+  the mutation lock and the new composition swaps in atomically under an
+  epoch counter, RCU-style — in-flight queries finish on the old
   composition and never block.
 
 **Exactness is the contract.**  Per-object distances are element-wise
@@ -51,7 +50,7 @@ import numpy as np
 
 from repro.database.budget import Budget, fan_out
 from repro.database.collection import FeatureCollection
-from repro.database.index import KNNIndex, merge_topk
+from repro.database.index import merge_topk
 from repro.database.knn import LinearScanIndex
 from repro.database.query import QueryBatch, ResultSet
 from repro.distances.base import DistanceFunction
@@ -83,27 +82,18 @@ class SegmentUnit:
 
     The unit itself carries no liveness: tombstones are snapshot state
     (:class:`_SnapshotSegment`), so one unit object — with its lazily built
-    workspace, its scan and its optional metric index — is reused across
-    snapshots until a compaction retires it.
+    workspace and its scan — is reused across snapshots until a compaction
+    retires it.
     """
 
-    __slots__ = ("collection", "ids", "index", "scan", "is_base")
+    __slots__ = ("collection", "ids", "scan")
 
-    def __init__(
-        self,
-        collection: FeatureCollection,
-        ids: np.ndarray,
-        *,
-        index: "KNNIndex | None" = None,
-        is_base: bool = False,
-    ) -> None:
+    def __init__(self, collection: FeatureCollection, ids: np.ndarray) -> None:
         self.collection = collection
         ids = np.asarray(ids, dtype=np.intp)
         ids.setflags(write=False)
         self.ids = ids
-        self.index = index
         self.scan = LinearScanIndex(collection)
-        self.is_base = is_base
 
     def __len__(self) -> int:
         return self.collection.size
@@ -184,19 +174,9 @@ class LiveSnapshot:
         return len(self._segments) - 1
 
     @property
-    def n_tombstones(self) -> int:
-        """Dead rows still resident in this snapshot's segments."""
-        return sum(segment.n_dead for segment in self._segments)
-
-    @property
     def segments(self) -> "tuple[_SnapshotSegment, ...]":
         """The snapshot's segments, base first."""
         return self._segments
-
-    def base_index_supports(self, distance: DistanceFunction) -> bool:
-        """True when the base segment's metric index serves ``distance``."""
-        index = self._segments[0].unit.index
-        return index is not None and index.supports(distance)
 
     # ------------------------------------------------------------------ #
     # Search
@@ -206,23 +186,21 @@ class LiveSnapshot:
     ) -> "list[ResultSet]":
         """The ``k`` nearest alive vectors of every batch row, by stable id.
 
-        Every segment answers the batch widened to ``k + its dead`` — through
-        the base segment's metric index when it serves the batch's shared
-        distance, otherwise through the segment's linear scan (always, for
-        per-row ``(Δ, W)`` batches) — tombstoned rows are dropped, local
-        positions map to stable ids, and
-        :func:`~repro.database.index.merge_topk` re-selects across segments.
-        Byte-identical to ``FeatureCollection(alive rows)`` queried through
-        the same engine configuration, with positions mapped to ids: the
-        exact candidate distances are element-wise per object, so segment
-        membership never shows in the bits.
+        Every segment's linear scan answers the batch widened to ``k + its
+        dead``, tombstoned rows are dropped, local positions map to stable
+        ids, and :func:`~repro.database.index.merge_topk` re-selects across
+        segments.  Byte-identical to ``FeatureCollection(alive rows)``
+        queried through a :class:`~repro.database.engine.RetrievalEngine`,
+        with positions mapped to ids: the exact candidate distances are
+        element-wise per object, so segment membership never shows in the
+        bits.
 
         The segments are the parts of one :func:`~repro.database.budget.fan_out`:
         a finite ``budget`` runs them serially (base first, then deltas in
         admission order, ignoring ``mapper``), each one the budget reaches
-        is consulted through the budgeted per-engine path and counted
+        is consulted through the budgeted scan and counted
         ``segments_answered``, and segments the exhausted budget never
-        reaches are unbounded skips counted ``segments_skipped``.  The
+        reaches are skips counted ``segments_skipped``.  The
         budget charges what a scan actually evaluates — resident rows, dead
         ones included, since liveness is filtered after the distances.
         """
@@ -230,12 +208,8 @@ class LiveSnapshot:
         def answer_segment(segment: _SnapshotSegment, segment_budget: "Budget | None") -> list:
             unit = segment.unit
             part = batch.with_k(min(batch.k + segment.n_dead, len(unit)))
-            if part.weights is None and unit.index is not None and unit.index.supports(part.distance):
-                results = unit.index.search_batch(part.points, part.k, budget=segment_budget)
-            else:
-                results = unit.scan.execute(part, budget=segment_budget)
             pairs = []
-            for result in results:
+            for result in unit.scan.execute(part, budget=segment_budget):
                 local = result.indices()
                 ordered = result.distances()
                 if segment.alive is not None:
@@ -271,7 +245,7 @@ class LiveSnapshot:
 
 
 class LiveCollection:
-    """A mutable corpus composed of one indexed base and append-only deltas.
+    """A mutable corpus composed of one frozen base and append-only deltas.
 
     Parameters
     ----------
@@ -279,22 +253,13 @@ class LiveCollection:
         The initial corpus (at least one vector, exactly as
         :class:`~repro.database.collection.FeatureCollection`); it becomes
         the first base segment with ids ``0..n-1``.
-    index_factory:
-        Optional ``(collection, distance) -> KNNIndex | None`` callable —
-        the same shape as the sharded engine's — building the **base**
-        segment's metric index.  Called at construction and again by every
-        compaction (off the hot path); deltas are never indexed, they are
-        small by construction.
-    index_distance:
-        The distance handed to ``index_factory`` (default: the unweighted
-        Euclidean distance, the library default).
 
     Concurrency: one re-entrant mutation lock guards the composition;
     writers hold it for O(delta) (insert) or O(mask-copy) (delete), readers
     only to grab a :meth:`snapshot` — after that a query runs entirely on
     immutable state, so queries never block on each other, on writers, or
     on a running compaction.  The heavy part of :meth:`compact` (gather,
-    workspace, index build) runs outside the lock; only the final pointer
+    workspace) runs outside the lock; only the final pointer
     swap — the epoch bump — is locked.
 
     Ids are assigned monotonically and never reused; :attr:`vectors` is the
@@ -304,23 +269,11 @@ class LiveCollection:
     across compactions.
     """
 
-    def __init__(
-        self,
-        vectors,
-        labels=None,
-        *,
-        index_factory=None,
-        index_distance: "DistanceFunction | None" = None,
-    ) -> None:
+    def __init__(self, vectors, labels=None) -> None:
         base_collection = FeatureCollection(vectors, labels=labels)
         n = base_collection.size
         self._dimension = base_collection.dimension
-        if index_distance is None:
-            index_distance = WeightedEuclideanDistance.default(self._dimension)
-        if index_distance.dimension != self._dimension:
-            raise ValidationError("index distance dimensionality does not match the collection")
-        self._index_factory = index_factory
-        self._index_distance = index_distance
+        self._index_distance = WeightedEuclideanDistance.default(self._dimension)
 
         capacity = max(_INITIAL_CAPACITY, 2 * n)
         self._archive = np.zeros((capacity, self._dimension), dtype=np.float64)
@@ -335,10 +288,7 @@ class LiveCollection:
             self._labels = list(base_collection.labels)
         self._labels_array: "np.ndarray | None" = None
 
-        index = None if index_factory is None else index_factory(base_collection, index_distance)
-        self._base_unit = SegmentUnit(
-            base_collection, np.arange(n, dtype=np.intp), index=index, is_base=True
-        )
+        self._base_unit = SegmentUnit(base_collection, np.arange(n, dtype=np.intp))
         self._sealed: "tuple[SegmentUnit, ...]" = ()
         self._active_start = n
         self._active_cache: "SegmentUnit | None" = None
@@ -471,8 +421,8 @@ class LiveCollection:
         """Append vectors to the newest delta segment; returns their stable ids.
 
         O(delta): the rows land in the id-indexed archive and the active
-        delta grows to cover them — no workspace, no index, no base is
-        touched.  A labelled collection requires one label per new vector
+        delta grows to cover them — no workspace, no base is touched.  A
+        labelled collection requires one label per new vector
         (a frozen rebuild could not otherwise exist); an unlabelled one
         rejects labels.
         """
@@ -585,18 +535,12 @@ class LiveCollection:
             return self._epoch
 
     @property
-    def base_index(self) -> "KNNIndex | None":
-        """The current base segment's metric index (rebuilt per compaction)."""
-        with self._lock:
-            return self._base_unit.index
-
-    @property
     def index_distance(self) -> DistanceFunction:
-        """The distance instance handed to ``index_factory``.
+        """The library's default distance, the one compaction warms the base for.
 
-        Metric indexes serve a query only under the *same* distance object
-        they were built for, so an engine defaulting to this instance gets
-        base-index hits out of the box.
+        The unweighted Euclidean distance an engine over this collection
+        defaults to; the workspace keys its norms by the weights' bytes, so
+        any equal-weights instance reads the terms the warm-up built.
         """
         return self._index_distance
 
@@ -642,8 +586,8 @@ class LiveCollection:
         Synchronous form of what the :class:`Compactor` thread runs.  Three
         phases: **seal** (under the lock, O(1): the active delta freezes
         and a new empty one opens), **rebuild** (off the lock: gather the
-        alive rows in id order, build the collection + workspace + index —
-        the O(corpus) part, off the hot path), **swap** (under the lock,
+        alive rows in id order, build the collection + workspace — the
+        O(corpus) part, off the hot path), **swap** (under the lock,
         O(1): the new base replaces base + sealed deltas, epoch bumps).
         Queries in flight keep their snapshot of the old composition;
         deletes racing the rebuild simply tombstone rows of the new base
@@ -673,17 +617,10 @@ class LiveCollection:
             # what it sees.
             alive_ids = np.flatnonzero(alive_ref[:next_id]).astype(np.intp)
             matrix = np.ascontiguousarray(archive[alive_ids])
-            collection = FeatureCollection(matrix, copy=False)
-            index = (
-                None
-                if self._index_factory is None
-                else self._index_factory(collection, self._index_distance)
-            )
-            new_base = SegmentUnit(collection, alive_ids, index=index, is_base=True)
-            if index is None or not index.supports(self._index_distance):
-                # One default-distance scan builds exactly the workspace terms
-                # the base scan reads, off the hot path, not under traffic.
-                new_base.scan.search_batch(matrix[:1], 1, self._index_distance)
+            new_base = SegmentUnit(FeatureCollection(matrix, copy=False), alive_ids)
+            # One default-distance scan builds exactly the workspace terms
+            # the base scan reads, off the hot path, not under traffic.
+            new_base.scan.search_batch(matrix[:1], 1, self._index_distance)
 
             with self._lock:
                 self._base_unit = new_base
@@ -724,12 +661,6 @@ class Compactor:
         self._interval = float(interval)
         self._stop = threading.Event()
         self._thread: "threading.Thread | None" = None
-        self._n_runs = 0
-
-    @property
-    def n_runs(self) -> int:
-        """Compactions this thread has triggered."""
-        return self._n_runs
 
     def due(self) -> bool:
         """True when the composition has grown past a trigger threshold."""
@@ -751,9 +682,7 @@ class Compactor:
     def _run(self) -> None:
         while not self._stop.wait(self._interval):
             if self.due():
-                result = self._live.compact()
-                if result.get("compacted"):
-                    self._n_runs += 1
+                self._live.compact()
 
     def close(self) -> None:
         """Stop the thread (idempotent; a fold in flight finishes first)."""

@@ -22,9 +22,9 @@ concurrency layer the ROADMAP asked for:
   thing of its own: how a validated
   :class:`~repro.database.query.QueryBatch` is answered — fanned out
   unchanged to one :class:`~repro.database.engine.RetrievalEngine` per shard
-  (each with its own linear scan and, optionally, its own metric index)
-  through :func:`~repro.database.budget.fan_out`, the per-shard top-k lists
-  merged by :func:`~repro.database.index.merge_topk`.  With
+  (each with its own linear scan) through
+  :func:`~repro.database.budget.fan_out`, the per-shard top-k lists merged
+  by :func:`~repro.database.index.merge_topk`.  With
   ``backend="process"`` the per-shard engines live in long-lived worker
   processes that attach the corpus from shared memory once; only the batch
   and the per-shard top-k lists cross the process boundary, as small
@@ -48,8 +48,8 @@ feedback-accounting surface (``record_feedback_iterations`` /
 ``record_frontier_batch``), so a
 :class:`~repro.feedback.scheduler.FeedbackFrontier` can run on top of a
 sharded engine unchanged, and :meth:`ShardedEngine.stats` aggregates the
-per-shard dispatch counters (``shard_count``, per-shard ``index_hits`` /
-``scan_fallbacks``) next to the top-level volume counters — fetched from the
+per-shard dispatch counters (``shard_count``, per-shard ``scan_fallbacks``)
+next to the top-level volume counters — fetched from the
 worker processes when the backend is ``"process"``.
 """
 
@@ -68,7 +68,7 @@ import numpy as np
 from repro.database.budget import Budget, effective_budget, fan_out
 from repro.database.collection import FeatureCollection
 from repro.database.engine import QueryEngine, RetrievalEngine
-from repro.database.index import KNNIndex, merge_topk
+from repro.database.index import merge_topk
 from repro.database.query import QueryBatch, ResultSet
 from repro.database.segments import LiveCollection
 from repro.distances.base import DistanceFunction
@@ -81,14 +81,6 @@ __all__ = [
     "SharedCorpus",
     "SharedCorpusHandle",
 ]
-
-#: Builds the optional per-shard metric index: receives the shard's
-#: collection and the engine's default distance, returns a
-#: :class:`~repro.database.index.KNNIndex` (or ``None`` for scan-only).
-#: With ``backend="process"`` the factory is shipped to the worker
-#: processes, so it must be picklable (a module-level function or
-#: ``functools.partial`` — not a lambda).
-IndexFactory = Callable[[FeatureCollection, DistanceFunction], "KNNIndex | None"]
 
 _BACKENDS = ("thread", "process")
 
@@ -336,15 +328,6 @@ class ShardedCollection:
         local_indices = np.asarray(local_indices, dtype=np.intp)
         return local_indices + self._offsets[shard_id]
 
-    def shard_of(self, global_index: int) -> tuple[int, int]:
-        """Return ``(shard_id, local_index)`` of one global index."""
-        if not 0 <= global_index < self._collection.size:
-            raise ValidationError(
-                f"index {global_index} out of range [0, {self._collection.size})"
-            )
-        shard_id = int(np.searchsorted(self._boundaries, global_index, side="right") - 1)
-        return shard_id, int(global_index - self._offsets[shard_id])
-
 
 class WorkerPool:
     """A tiny ordered-``map`` executor over a fixed set of worker threads.
@@ -429,14 +412,13 @@ class _ShardWorkerSpec:
     """Everything one shard worker process needs, as a small pickle.
 
     The corpus itself does not travel — only the shared-memory handle, the
-    half-open global ranges of the shards this worker owns, the default
-    distance and the (picklable) index factory.
+    half-open global ranges of the shards this worker owns and the default
+    distance.
     """
 
     corpus: SharedCorpusHandle
     ranges: "tuple[tuple[int, int, int], ...]"  # (shard_id, start, stop)
     distance: DistanceFunction
-    index_factory: "IndexFactory | None"
 
 
 def _shard_worker_main(connection, spec: _ShardWorkerSpec) -> None:
@@ -456,13 +438,7 @@ def _shard_worker_main(connection, spec: _ShardWorkerSpec) -> None:
         for shard_id, start, stop in spec.ranges:
             labels = None if full.labels is None else full.labels[start:stop]
             shard = FeatureCollection(full.vectors[start:stop], labels=labels, copy=False)
-            engines[shard_id] = RetrievalEngine(
-                shard,
-                default_distance=spec.distance,
-                metric_index=None
-                if spec.index_factory is None
-                else spec.index_factory(shard, spec.distance),
-            )
+            engines[shard_id] = RetrievalEngine(shard, default_distance=spec.distance)
         connection.send(("ready", None))
     except BaseException as error:  # noqa: BLE001 - shipped to the parent
         connection.send(("error", f"{type(error).__name__}: {error}"))
@@ -519,15 +495,13 @@ class _ProcessShardBackend:
         sharded: ShardedCollection,
         n_workers: int,
         distance: DistanceFunction,
-        index_factory: "IndexFactory | None",
     ) -> None:
         try:
-            pickle.dumps((distance, index_factory))
+            pickle.dumps(distance)
         except Exception as error:
             raise ValidationError(
-                "backend='process' ships the default distance and the index factory "
-                f"to worker processes, so both must be picklable (module-level "
-                f"functions, not lambdas): {error}"
+                "backend='process' ships the default distance to worker processes, "
+                f"so it must be picklable: {error}"
             ) from None
         self._n_shards = sharded.n_shards
         self._n_workers = min(check_dimension(n_workers, "n_workers"), sharded.n_shards)
@@ -548,7 +522,6 @@ class _ProcessShardBackend:
                         for shard_id in shard_ids
                     ),
                     distance=distance,
-                    index_factory=index_factory,
                 )
                 process = context.Process(
                     target=_shard_worker_main, args=(child_end, spec), daemon=True
@@ -677,14 +650,6 @@ class ShardedEngine(QueryEngine):
         Distance used when a query does not override it; shared by every
         shard engine (distances are immutable).  Must be picklable for the
         process backend (every bundled distance is).
-    index_factory:
-        Optional callable building one metric index per shard from
-        ``(shard_collection, default_distance)`` — e.g.
-        ``lambda shard, dist: VPTreeIndex(shard, dist)``.  Dispatch stays
-        capability-driven inside each shard engine exactly as in the
-        unsharded :class:`~repro.database.engine.RetrievalEngine`.  The
-        process backend requires a *picklable* factory (module-level
-        function or ``functools.partial``, not a lambda).
 
     The query surface *is* the retrieval engine's — both inherit it from
     :class:`~repro.database.engine.QueryEngine` — and the results are
@@ -708,7 +673,6 @@ class ShardedEngine(QueryEngine):
         n_workers: int = 1,
         backend: str = "thread",
         default_distance: DistanceFunction | None = None,
-        index_factory: IndexFactory | None = None,
     ) -> None:
         self._backend = _check_backend(backend)
         self._process_backend: "_ProcessShardBackend | None" = None
@@ -729,11 +693,6 @@ class ShardedEngine(QueryEngine):
                     "a live collection mutates in place and cannot be hosted in "
                     "shared memory; use backend='thread'"
                 )
-            if index_factory is not None:
-                raise ValidationError(
-                    "a live collection manages its own base index; "
-                    "pass index_factory to LiveCollection instead"
-                )
             super().__init__(collection, default_distance)
             self._pool = WorkerPool(n_workers)
             return
@@ -750,30 +709,18 @@ class ShardedEngine(QueryEngine):
         if self._backend == "process":
             self._pool = None
             self._process_backend = _ProcessShardBackend(
-                self._sharded, n_workers, default_distance, index_factory
+                self._sharded, n_workers, default_distance
             )
         else:
             self._pool = WorkerPool(n_workers)
             self._shard_engines = tuple(
-                RetrievalEngine(
-                    shard,
-                    default_distance=default_distance,
-                    metric_index=None
-                    if index_factory is None
-                    else index_factory(shard, default_distance),
-                )
+                RetrievalEngine(shard, default_distance=default_distance)
                 for shard in self._sharded.shards
             )
 
     # ------------------------------------------------------------------ #
     # Accessors
     # ------------------------------------------------------------------ #
-    @property
-    def sharded_collection(self) -> "ShardedCollection | None":
-        """The shard layout this engine serves (``None`` for live collections,
-        whose partition is the segment composition of the current snapshot)."""
-        return self._sharded
-
     @property
     def backend(self) -> str:
         """The shard fan-out backend, ``"thread"`` or ``"process"``."""
@@ -854,22 +801,20 @@ class ShardedEngine(QueryEngine):
         Top-level volume counters (``n_searches`` / ``n_batches`` /
         ``n_objects_retrieved``) count *merged* queries and result objects —
         directly comparable to the unsharded engine's accounting — while the
-        dispatch counters (``index_hits`` / ``scan_fallbacks``) are summed
-        over the shards (each query consults every shard, so they scale with
-        ``shard_count``).  ``per_shard`` keeps the unaggregated
-        per-shard dispatch stats for drill-down; with ``backend="process"``
-        they are fetched from the worker processes.
+        dispatch counter ``scan_fallbacks`` is summed over the shards (each
+        query consults every shard, so it scales with ``shard_count``).
+        ``per_shard`` keeps the unaggregated per-shard dispatch stats for
+        drill-down; with ``backend="process"`` they are fetched from the
+        worker processes.
 
-        Live collections have no shard engines: the dispatch decision is
-        made once per query against the snapshot's base index, so the
-        counters live at the top level and ``per_shard`` is empty.
+        Live collections have no shard engines: the dispatch is counted
+        once per query at the top level and ``per_shard`` is empty.
         """
         counters = self._counter_snapshot()
         delta_hits = counters.pop("delta_hits")
         per_shard = ()
         if not self._live:
             per_shard = self._shard_stats()
-            counters["index_hits"] = sum(shard["index_hits"] for shard in per_shard)
             counters["scan_fallbacks"] = sum(shard["scan_fallbacks"] for shard in per_shard)
         stats = {
             "shard_count": self.n_shards,
@@ -899,11 +844,10 @@ class ShardedEngine(QueryEngine):
 
         The batch travels to the shard engines unchanged — ``distance=None``
         stays ``None``, so each shard engine resolves its *own* default
-        distance instance (the one its metric index was built for, also
-        inside a worker process) — and every shard engine answers it the way
-        :meth:`execute` would (one kernel matrix per shard for the linear
-        scan), counting the ``batches`` this engine counts, so a single-row
-        search counts no batch on any shard either.  The per-query Python
+        distance instance (also inside a worker process) — and every shard
+        engine answers it the way :meth:`execute` would (one kernel matrix
+        per shard for the linear scan), counting the ``batches`` this engine
+        counts, so a single-row search counts no batch on any shard either.  The per-query Python
         overhead stays amortised *and* the shards run concurrently.
         Shard-local indices become global by one offset addition and
         :func:`~repro.database.index.merge_topk` re-selects the global

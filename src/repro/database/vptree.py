@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.database.budget import Budget, effective_budget
 from repro.database.collection import FeatureCollection
 from repro.database.index import KNNIndex, NeighborHeap
 from repro.database.query import ResultSet
@@ -96,16 +95,9 @@ class VPTreeIndex(KNNIndex):
         """The metric the tree was built for."""
         return self._distance
 
-    def supports(self, distance: DistanceFunction) -> bool:
-        """A VP-tree only serves the metric it was built for.
-
-        The pruning bounds rely on the triangle inequality of that specific
-        metric instance; feedback-adjusted distances must fall back to the
-        linear scan.
-        """
-        return distance is self._distance
-
     def _check_search_distance(self, distance: DistanceFunction | None) -> None:
+        # The pruning bounds rely on the triangle inequality of the build
+        # metric instance, so any other distance is rejected.
         if distance is not None and distance is not self._distance:
             raise ValidationError("a VP-tree can only be searched with the metric it was built for")
 
@@ -135,28 +127,13 @@ class VPTreeIndex(KNNIndex):
         for index, dist in zip(node.bucket[near], distances[near]):
             heap.offer(float(dist), int(index))
 
-    def search(
-        self,
-        query_point,
-        k: int,
-        distance: DistanceFunction | None = None,
-        *,
-        budget: "Budget | None" = None,
-    ) -> ResultSet:
+    def search(self, query_point, k: int, distance: DistanceFunction | None = None) -> ResultSet:
         """Return the ``k`` nearest neighbours of ``query_point``.
 
         ``distance`` may be omitted (the build metric is used); passing a
         different metric raises, because the tree's pruning bounds would be
         invalid.  Ties on distance are broken by ascending collection index,
         matching the linear scan.
-
-        A finite ``budget`` charges one metric evaluation per vantage point
-        and per bucket member; when it runs dry the remaining subtrees are
-        skipped and their triangle-inequality lower bounds recorded, so the
-        coverage report carries a quality bound (no missed neighbour is
-        closer than the minimum recorded bound).  The traversal order is
-        untouched by charging, so a budget that never runs dry is
-        byte-identical to the exact search.
         """
         k = check_dimension(k, "k")
         self._check_search_distance(distance)
@@ -164,13 +141,6 @@ class VPTreeIndex(KNNIndex):
         k = min(k, self._collection.size)
 
         heap = NeighborHeap(k)
-        effective = effective_budget(budget)
-        if effective is not None:
-            with effective.scope(self._collection.size):
-                self._search_node_budgeted(self._root, query_point, heap, effective, 0.0)
-            return heap.result_set()
-        if budget is not None:
-            budget.note_exact(self._collection.size)
         self._search_node(self._root, query_point, heap)
         return heap.result_set()
 
@@ -194,68 +164,8 @@ class VPTreeIndex(KNNIndex):
         if abs(vantage_distance - node.radius) <= heap.bound():
             self._search_node(second, query_point, heap)
 
-    def _search_node_budgeted(
-        self,
-        node: _VPNode | None,
-        query_point: np.ndarray,
-        heap: NeighborHeap,
-        budget: Budget,
-        path_bound: float,
-    ) -> None:
-        """The exact descent, with charging and budget-skip bookkeeping.
-
-        ``path_bound`` is a lower bound on the distance from the query to
-        anything in this subtree, accumulated from the ancestors' vantage
-        geometry (inner child: ``d(q, v) - r``; outer child: ``r - d(q,
-        v)``; both clamped at the parent's bound).  When the budget stops a
-        subtree, that bound is what the coverage report can still certify.
-        Charging mirrors the metric evaluations of :meth:`_search_node`
-        one for one and never alters a pruning decision, so the visited
-        sequence under a smaller work cap is a prefix of the sequence under
-        a larger one.
-        """
-        if node is None:
-            return
-        if node.bucket is not None:
-            granted = budget.grant_rows(int(node.bucket.size))
-            if granted < node.bucket.size:
-                budget.note_skip(path_bound)
-            if granted == 0:
-                return
-            bucket = node.bucket[:granted]
-            distances = self._distance.distances_to(query_point, self._collection.vectors[bucket])
-            near = distances <= heap.bound()
-            for index, dist in zip(bucket[near], distances[near]):
-                heap.offer(float(dist), int(index))
-            return
-
-        if budget.grant_rows(1) == 0:
-            budget.note_skip(path_bound)
-            return
-        vantage_distance = float(self._vantage_distances(node, query_point[None, :])[0])
-        heap.offer(vantage_distance, int(node.vantage_index))
-
-        inner_bound = max(path_bound, vantage_distance - node.radius)
-        outer_bound = max(path_bound, node.radius - vantage_distance)
-        if vantage_distance <= node.radius:
-            first, second = node.inner, node.outer
-            first_bound, second_bound = inner_bound, outer_bound
-        else:
-            first, second = node.outer, node.inner
-            first_bound, second_bound = outer_bound, inner_bound
-        self._search_node_budgeted(first, query_point, heap, budget, first_bound)
-        if abs(vantage_distance - node.radius) <= heap.bound():
-            self._search_node_budgeted(second, query_point, heap, budget, second_bound)
-        # An untaken second side here is legitimate pruning (exactness),
-        # not a budget skip — no coverage note.
-
     def search_batch(
-        self,
-        query_points,
-        k: int,
-        distance: DistanceFunction | None = None,
-        *,
-        budget: "Budget | None" = None,
+        self, query_points, k: int, distance: DistanceFunction | None = None
     ) -> list[ResultSet]:
         """Answer every query row with one shared tree traversal.
 
@@ -282,22 +192,6 @@ class VPTreeIndex(KNNIndex):
         )
         n_queries = query_points.shape[0]
         k = min(k, self._collection.size)
-        effective = effective_budget(budget)
-        if effective is not None:
-            # Budgeted batches run serially in row order, each query
-            # descending with whatever work remains: deterministic, and
-            # byte-identical to the exact batch whenever the grants never
-            # run dry (the batch contract makes shared-traversal results
-            # equal to the looped search this path reduces to).
-            with effective.scope(self._collection.size * n_queries):
-                results = []
-                for row in query_points:
-                    heap = NeighborHeap(k)
-                    self._search_node_budgeted(self._root, row, heap, effective, 0.0)
-                    results.append(heap.result_set())
-            return results
-        if budget is not None:
-            budget.note_exact(self._collection.size * n_queries)
         heaps = [NeighborHeap(k) for _ in range(n_queries)]
         if n_queries:
             self._search_node_batch(self._root, query_points, np.arange(n_queries, dtype=np.intp), heaps)

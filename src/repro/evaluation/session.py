@@ -420,7 +420,7 @@ class InteractiveSession:
         positions = range(indices.size)
 
         # Strategy 1: Default first rounds, one batched search under the
-        # default distance (metric-index eligible).
+        # default distance.
         default_results = self._engine.search_batch(points, k)
 
         # Strategy 2: FeedbackBypass first rounds — batched predictions plus

@@ -91,10 +91,3 @@ class HistogramExtractor:
         return histogram_from_hsv_pixels(
             hsv_image, n_hue_bins=self._n_hue_bins, n_saturation_bins=self._n_saturation_bins
         )
-
-    def extract_batch(self, rgb_images) -> np.ndarray:
-        """Extract histograms for a sequence of RGB images, returning a matrix."""
-        histograms = [self.extract_from_rgb(image) for image in rgb_images]
-        if not histograms:
-            return np.zeros((0, self.n_bins), dtype=np.float64)
-        return np.vstack(histograms)

@@ -32,7 +32,7 @@ from repro.feedback.engine import FeedbackLoopResult, Judge
 from repro.feedback.scores import JudgmentBatch
 from repro.serving.codec import BINARY, CodecError, pack_hello, parse_reply
 from repro.serving.protocol import QUERY_WIRE_KEYS, recv_payload, send_payload
-from repro.utils.validation import ValidationError
+from repro.utils.validation import ValidationError, as_float_matrix, as_float_vector
 
 __all__ = ["ServingClient", "ServingError"]
 
@@ -171,11 +171,14 @@ class ServingClient:
         return budget
 
     def _query(self, op: str, k: int, *arrays, budget=None):
-        """Build and send one k-NN query request (wire names from ``QUERY_WIRE_KEYS``)."""
+        """Build and send one k-NN query request (wire names from ``QUERY_WIRE_KEYS``).
+
+        Arrays that are not numeric vectors (one-row ops) or matrices raise
+        :class:`~repro.utils.validation.ValidationError` before anything is sent.
+        """
         array_keys, result_key = QUERY_WIRE_KEYS[op]
-        message = {
-            key: np.asarray(array, dtype=np.float64) for key, array in zip(array_keys, arrays)
-        }
+        convert = as_float_vector if result_key == "result" else as_float_matrix
+        message = {key: convert(array, name=key) for key, array in zip(array_keys, arrays)}
         message["k"] = int(k)
         spec = self._budget_spec(budget)
         if spec is None:

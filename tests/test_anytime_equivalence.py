@@ -9,12 +9,11 @@ bites.  Three budgets must be byte-identical — indices *and* distance bits
 * an **unlimited** ``Budget()`` (detected and routed to the exact path,
   recording complete coverage),
 * a **finite but sufficient** cap (takes the budgeted path; identical
-  because budget-clamped sub-block top-k lists merge associatively and a
-  tree traversal whose grants never run dry is the exact traversal), and a
+  because budget-clamped sub-block top-k lists merge associatively), and a
   far-future deadline on a fake clock (the uncapped budgeted path).
 
-The grid crosses index type x distance family x shard count x worker
-backend x precision x live/frozen, seeded so failures reproduce.  The one
+The grid crosses distance family x shard count x worker backend x
+precision x live/frozen, seeded so failures reproduce.  The one
 deliberate hole: a *finite* budget cannot cross the process boundary (it
 is live shared state — a lock and a clock), so the process backend is
 exercised with unlimited budgets and asserted to reject finite ones.
@@ -26,10 +25,8 @@ import pytest
 from repro.database.budget import Budget, Coverage
 from repro.database.collection import FeatureCollection
 from repro.database.engine import RetrievalEngine
-from repro.database.mtree import MTreeIndex
 from repro.database.segments import LiveCollection
 from repro.database.sharding import ShardedEngine
-from repro.database.vptree import VPTreeIndex
 from repro.distances.minkowski import MinkowskiDistance, euclidean
 from repro.distances.weighted_euclidean import WeightedEuclideanDistance
 from repro.utils.validation import ValidationError
@@ -54,21 +51,6 @@ def queries(collection) -> np.ndarray:
     points = rng.random((9, DIMENSION))
     points[2] = collection.vectors[120]  # lands exactly on the triplicate
     return points
-
-
-def _vptree_factory(shard, distance):
-    return VPTreeIndex(shard, distance, leaf_size=4, seed=11)
-
-
-def _mtree_factory(shard, distance):
-    return MTreeIndex(shard, distance, node_capacity=5, seed=11)
-
-
-INDEX_FACTORIES = {
-    "linear": None,
-    "vptree": _vptree_factory,
-    "mtree": _mtree_factory,
-}
 
 
 def _distance_for(name: str):
@@ -107,32 +89,25 @@ def _assert_batch_identical(batch, expected, context=None):
 
 
 class TestEngineByteIdentity:
-    """Unsharded engine: every index x distance x precision, frozen and live."""
+    """Unsharded engine: every distance x precision, frozen and live."""
 
-    @pytest.mark.parametrize("index_type", list(INDEX_FACTORIES))
     @pytest.mark.parametrize("distance_name", ["euclidean", "weighted", "cityblock"])
     @pytest.mark.parametrize("k", [1, 10, SIZE + 5])
-    def test_search_batch_grid(self, collection, queries, index_type, distance_name, k):
+    def test_search_batch_grid(self, collection, queries, distance_name, k):
         distance = _distance_for(distance_name)
-        factory = INDEX_FACTORIES[index_type]
-        engine = RetrievalEngine(
-            collection,
-            default_distance=distance,
-            metric_index=None if factory is None else factory(collection, distance),
-        )
+        engine = RetrievalEngine(collection, default_distance=distance)
         expected = engine.search_batch(queries, k)
         rows_total = SIZE * queries.shape[0]
         for label, budget in _sufficient_budgets(rows_total):
-            context = (index_type, distance_name, k, label)
+            context = (distance_name, k, label)
             batch = engine.search_batch(queries, k, budget=budget)
             _assert_batch_identical(batch, expected, context)
             coverage = budget.coverage()
             assert coverage.complete, context
             assert coverage.fraction >= 0.0, context
-            assert coverage.quality_bound is None, context
         # Single-query path agrees with the batch row.
         single = engine.search(queries[2], k, budget=Budget(max_rows=rows_total))
-        _assert_identical(single, expected[2], (index_type, distance_name, k))
+        _assert_identical(single, expected[2], (distance_name, k))
 
     @pytest.mark.parametrize("precision", ["exact", "fast"])
     def test_precision_modes(self, collection, queries, precision):
@@ -182,15 +157,9 @@ class TestShardedByteIdentity:
     """Sharded fan-out: shard x worker x backend, plus the process-backend gate."""
 
     @pytest.mark.parametrize("n_shards,n_workers", [(1, 1), (3, 1), (5, 2), (8, 4)])
-    @pytest.mark.parametrize("index_type", ["linear", "vptree"])
-    def test_thread_backend_grid(self, collection, queries, n_shards, n_workers, index_type):
-        factory = INDEX_FACTORIES[index_type]
+    def test_thread_backend_grid(self, collection, queries, n_shards, n_workers):
         distance = _distance_for("weighted")
-        reference = RetrievalEngine(
-            collection,
-            default_distance=distance,
-            metric_index=None if factory is None else factory(collection, distance),
-        )
+        reference = RetrievalEngine(collection, default_distance=distance)
         expected = reference.search_batch(queries, 12)
         rows_total = SIZE * queries.shape[0]
         with ShardedEngine(
@@ -199,10 +168,9 @@ class TestShardedByteIdentity:
             n_workers=n_workers,
             backend="thread",
             default_distance=distance,
-            index_factory=factory,
         ) as sharded:
             for label, budget in _sufficient_budgets(rows_total):
-                context = (n_shards, n_workers, index_type, label)
+                context = (n_shards, n_workers, label)
                 batch = sharded.search_batch(queries, 12, budget=budget)
                 _assert_batch_identical(batch, expected, context)
                 coverage = budget.coverage()
@@ -246,11 +214,7 @@ class TestLiveByteIdentity:
 
     @pytest.fixture(scope="class")
     def live(self, collection):
-        live = LiveCollection(
-            collection.vectors[:100],
-            labels=list(collection.labels[:100]),
-            index_factory=_vptree_factory,
-        )
+        live = LiveCollection(collection.vectors[:100], labels=list(collection.labels[:100]))
         live.insert(collection.vectors[100:130], labels=list(collection.labels[100:130]))
         live.delete(np.arange(20, 35))
         live.insert(collection.vectors[130:], labels=list(collection.labels[130:]))
@@ -295,15 +259,15 @@ class TestBudgetWireForm:
         budget = Budget(max_rows=123, deadline=4.5)
         spec = budget.to_wire()
         assert spec == {"max_rows": 123, "deadline": 4.5}
-        rebuilt = Budget.from_wire(spec, clock=_frozen_clock)
-        assert rebuilt.max_rows == 123 and rebuilt.deadline == 4.5
+        assert Budget.from_wire(spec, clock=_frozen_clock).to_wire() == spec
 
     def test_from_wire_validates(self):
         with pytest.raises(ValidationError):
             Budget.from_wire({"max_rows": 1, "bogus": 2})
         with pytest.raises(ValidationError):
             Budget.from_wire("not a dict")
-        assert Budget.from_wire(Budget(max_rows=5)).max_rows == 5
+        budget = Budget(max_rows=5)
+        assert Budget.from_wire(budget) is budget
 
     def test_coverage_round_trip(self):
         coverage = Coverage(
@@ -312,7 +276,7 @@ class TestBudgetWireForm:
             complete=False,
             shards_answered=2,
             shards_skipped=1,
-            quality_bound=0.25,
+            segments_answered=3,
         )
         assert Coverage.from_dict(coverage.to_dict()) == coverage
         with pytest.raises(ValidationError):

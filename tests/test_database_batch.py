@@ -204,29 +204,29 @@ class TestProtocol:
         for index in _indexes(collection, distance):
             assert isinstance(index, KNNIndex)
 
-    def test_supports_capability(self, collection):
+    def test_trees_reject_a_foreign_metric(self, collection, queries):
         build_distance = euclidean(DIMENSION)
         other = WeightedEuclideanDistance(DIMENSION, weights=np.full(DIMENSION, 2.0))
-        scan, vptree, mtree = _indexes(collection, build_distance)
-        assert scan.supports(build_distance) and scan.supports(other)
-        assert vptree.supports(build_distance) and not vptree.supports(other)
-        assert mtree.supports(build_distance) and not mtree.supports(other)
-        assert not scan.supports(euclidean(DIMENSION + 1))
+        _, vptree, mtree = _indexes(collection, build_distance)
+        for tree in (vptree, mtree):
+            with pytest.raises(ValidationError, match="built for"):
+                tree.search(queries[0], 3, other)
+            with pytest.raises(ValidationError, match="built for"):
+                tree.search_batch(queries, 3, other)
 
 
 class TestEngineDispatch:
     def test_stats_count_hits_and_fallbacks(self, collection, queries):
-        distance = euclidean(DIMENSION)
-        vptree = VPTreeIndex(collection, distance, seed=1)
-        engine = RetrievalEngine(collection, default_distance=distance, metric_index=vptree)
-        engine.search(queries[0], 5)  # default distance -> index
-        engine.search(queries[1], 5, distance=WeightedEuclideanDistance(DIMENSION))  # -> scan
+        """Every row is a scan fallback; ``index_hits`` stays in the shape at 0."""
+        engine = RetrievalEngine(collection)
+        engine.search(queries[0], 5)
+        engine.search(queries[1], 5, distance=WeightedEuclideanDistance(DIMENSION))
         stats = engine.stats()
-        assert stats["index_hits"] == 1
-        assert stats["scan_fallbacks"] == 1
+        assert stats["index_hits"] == 0
+        assert stats["scan_fallbacks"] == 2
         assert stats["n_searches"] == 2
         engine.reset_counters()
-        assert engine.stats()["index_hits"] == 0
+        assert engine.stats()["scan_fallbacks"] == 0
 
     def test_engine_search_batch_equals_loop(self, collection, queries):
         engine = RetrievalEngine(collection)
@@ -236,14 +236,6 @@ class TestEngineDispatch:
             _assert_identical(result, engine_loop.search(query, 6))
         assert engine.stats()["n_batches"] == 1
         assert engine.stats()["n_searches"] == len(queries)
-
-    def test_engine_batch_uses_metric_index_when_supported(self, collection, queries):
-        distance = euclidean(DIMENSION)
-        vptree = VPTreeIndex(collection, distance, seed=1)
-        engine = RetrievalEngine(collection, default_distance=distance, metric_index=vptree)
-        engine.search_batch(queries, 4)
-        assert engine.stats()["index_hits"] == len(queries)
-        assert engine.stats()["scan_fallbacks"] == 0
 
     def test_search_batch_with_parameters_equals_loop(self, collection, queries):
         rng = np.random.default_rng(11)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.database.collection import FeatureCollection
 from repro.database.engine import RetrievalEngine
-from repro.database.vptree import VPTreeIndex
 from repro.distances.minkowski import euclidean
 from repro.distances.weighted_euclidean import WeightedEuclideanDistance
 from repro.utils.validation import ValidationError
@@ -45,21 +44,6 @@ class TestSearch:
             np.sort(weighted.distances_to(np.zeros(4), collection.vectors))[:5],
             atol=1e-12,
         )
-
-    def test_metric_index_used_for_default_distance(self, collection):
-        distance = euclidean(4)
-        index = VPTreeIndex(collection, distance)
-        engine = RetrievalEngine(collection, default_distance=distance, metric_index=index)
-        results = engine.search(np.full(4, 0.2), 6)
-        reference = np.sort(distance.distances_to(np.full(4, 0.2), collection.vectors))[:6]
-        np.testing.assert_allclose(results.distances(), reference, atol=1e-10)
-
-    def test_metric_index_for_wrong_collection_rejected(self, collection):
-        rng = np.random.default_rng(1)
-        other = FeatureCollection(rng.random((10, 4)))
-        index = VPTreeIndex(other, euclidean(4))
-        with pytest.raises(ValidationError):
-            RetrievalEngine(collection, metric_index=index)
 
     def test_dimension_mismatch_rejected(self, collection):
         with pytest.raises(ValidationError):

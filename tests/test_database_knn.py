@@ -63,22 +63,3 @@ class TestLinearScan:
         index = LinearScanIndex(grid_collection)
         with pytest.raises(ValidationError):
             index.search([0.0, 0.0], 0, euclidean(2))
-
-
-class TestRangeSearch:
-    def test_range_search_returns_ball(self, grid_collection):
-        index = LinearScanIndex(grid_collection)
-        results = index.range_search([2.0, 2.0], 1.0, euclidean(2))
-        assert len(results) == 5  # centre plus the four axis neighbours
-        assert np.all(results.distances() <= 1.0 + 1e-12)
-
-    def test_zero_radius_returns_exact_matches(self, grid_collection):
-        index = LinearScanIndex(grid_collection)
-        results = index.range_search([3.0, 4.0], 0.0, euclidean(2))
-        assert len(results) == 1
-        assert results[0].index == 19
-
-    def test_negative_radius_rejected(self, grid_collection):
-        index = LinearScanIndex(grid_collection)
-        with pytest.raises(ValidationError):
-            index.range_search([0.0, 0.0], -1.0, euclidean(2))

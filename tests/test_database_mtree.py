@@ -72,7 +72,6 @@ class TestMTreeCorrectness:
 class TestMTreeStructure:
     def test_tree_has_multiple_levels(self, built_tree, random_collection):
         assert built_tree.height() >= 2
-        assert built_tree.node_count() > 1
 
     def test_pruning_saves_distance_computations(self, random_collection):
         # A search should not have to compute the distance to every object

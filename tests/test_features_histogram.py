@@ -80,16 +80,6 @@ class TestHistogramExtractor:
             atol=1e-12,
         )
 
-    def test_extract_batch_shape(self):
-        rng = np.random.default_rng(4)
-        images = [rng.random((4, 4, 3)) for _ in range(5)]
-        batch = HistogramExtractor().extract_batch(images)
-        assert batch.shape == (5, 32)
-        np.testing.assert_allclose(batch.sum(axis=1), 1.0)
-
-    def test_extract_batch_empty(self):
-        assert HistogramExtractor().extract_batch([]).shape == (0, 32)
-
     def test_histogram_is_permutation_invariant(self):
         rng = np.random.default_rng(5)
         image = rng.random((6, 6, 3))

@@ -398,6 +398,31 @@ def test_the_session_has_no_sharding_knob():
     assert not hasattr(InteractiveSession, "configure_sharding")
 
 
+def test_the_engines_take_no_index():
+    """The linear scan is the one access path behind the engines.
+
+    FeedbackBypass queries carry a per-query ``(Δ, W)`` that no tree built
+    for one fixed metric can serve, so no engine takes a metric index and
+    no served module negotiates one; the trees stay standalone indexes.
+    """
+    from repro.database.engine import RetrievalEngine
+    from repro.database.index import KNNIndex
+    from repro.database.segments import LiveCollection
+    from repro.database.sharding import ShardedEngine
+
+    knobs = {"metric_index", "index_factory", "index_distance"}
+    for engine in (RetrievalEngine, LiveCollection, ShardedEngine):
+        taken = knobs & set(inspect.signature(engine).parameters)
+        assert not taken, f"{engine.__name__} takes {sorted(taken)}"
+    database = SRC / "repro" / "database"
+    served = [database / name for name in ("engine.py", "segments.py", "sharding.py")]
+    for path in served + _source_files(SERVING):
+        text = path.read_text()
+        assert ".supports(" not in text, path
+        assert "KNNIndex" not in text, path
+    assert not hasattr(KNNIndex, "supports")
+
+
 def test_importing_the_library_loads_no_measurement_code():
     """The whole library, imported in a fresh interpreter, loads neither.
 

@@ -1,7 +1,7 @@
 """The live-corpus contract: mutation without losing a bit of exactness.
 
 A :class:`~repro.database.segments.LiveCollection` composes an immutable
-indexed base segment with append-only deltas and tombstones.  The tier-1
+base segment with append-only deltas and tombstones.  The tier-1
 contract tested here: **any** interleaving of inserts, deletes, queries and
 compactions is byte-identical — indices *and* distance bits — to freezing
 the alive rows into a plain :class:`FeatureCollection` at that snapshot and
@@ -17,10 +17,9 @@ import pytest
 
 from repro.database.collection import FeatureCollection
 from repro.database.engine import RetrievalEngine
-from repro.database.mtree import MTreeIndex
+from repro.database.knn import LinearScanIndex
 from repro.database.segments import Compactor, LiveCollection
 from repro.database.sharding import ShardedEngine
-from repro.database.vptree import VPTreeIndex
 from repro.distances.minkowski import cityblock
 from repro.distances.weighted_euclidean import WeightedEuclideanDistance
 from repro.evaluation.simulated_user import SimulatedUser
@@ -28,21 +27,6 @@ from repro.feedback.engine import FeedbackEngine
 from repro.utils.validation import ValidationError
 
 DIMENSION = 6
-
-
-def _vptree_factory(collection, distance):
-    return VPTreeIndex(collection, distance, leaf_size=4, seed=11)
-
-
-def _mtree_factory(collection, distance):
-    return MTreeIndex(collection, distance, node_capacity=4, seed=7)
-
-
-INDEX_FACTORIES = {
-    "none": None,
-    "vptree": _vptree_factory,
-    "mtree": _mtree_factory,
-}
 
 
 def _base_vectors(n=40, seed=501):
@@ -171,15 +155,12 @@ class TestLiveCollectionShape:
         live = LiveCollection(_base_vectors())
         with pytest.raises(ValidationError):
             live.insert(np.ones(DIMENSION + 1))
-        with pytest.raises(ValidationError):
-            LiveCollection(_base_vectors(), index_distance=WeightedEuclideanDistance.default(3))
 
 
-@pytest.mark.parametrize("index_kind", sorted(INDEX_FACTORIES))
 @pytest.mark.parametrize("precision", ["exact", "fast"])
 class TestByteIdentityToFrozenRebuild:
-    def _mutated(self, index_kind):
-        live = LiveCollection(_base_vectors(), index_factory=INDEX_FACTORIES[index_kind])
+    def _mutated(self):
+        live = LiveCollection(_base_vectors())
         rng = np.random.default_rng(9)
         live.insert(rng.random((7, DIMENSION)))
         # A delta row duplicating a base row: the cross-segment tie must
@@ -189,8 +170,8 @@ class TestByteIdentityToFrozenRebuild:
         live.insert(rng.random((3, DIMENSION)))
         return live
 
-    def test_search_batch(self, index_kind, precision):
-        live = self._mutated(index_kind)
+    def test_search_batch(self, precision):
+        live = self._mutated()
         engine = RetrievalEngine(live)
         frozen, ids = _frozen_rebuild(live)
         reference = RetrievalEngine(frozen, default_distance=engine.default_distance)
@@ -202,8 +183,8 @@ class TestByteIdentityToFrozenRebuild:
                 ids,
             )
 
-    def test_search_batch_under_a_fallback_distance(self, index_kind, precision):
-        live = self._mutated(index_kind)
+    def test_search_batch_under_a_fallback_distance(self, precision):
+        live = self._mutated()
         engine = RetrievalEngine(live)
         frozen, ids = _frozen_rebuild(live)
         reference = RetrievalEngine(frozen)
@@ -215,9 +196,9 @@ class TestByteIdentityToFrozenRebuild:
             ids,
         )
 
-    def test_single_search_matches_batch(self, index_kind, precision):
+    def test_single_search_matches_batch(self, precision):
         del precision
-        live = self._mutated(index_kind)
+        live = self._mutated()
         engine = RetrievalEngine(live)
         queries = _queries(live)
         batched = engine.search_batch(queries, 6)
@@ -226,8 +207,8 @@ class TestByteIdentityToFrozenRebuild:
             np.testing.assert_array_equal(single.indices(), expected.indices())
             assert single.distances().tobytes() == expected.distances().tobytes()
 
-    def test_search_batch_with_parameters(self, index_kind, precision):
-        live = self._mutated(index_kind)
+    def test_search_batch_with_parameters(self, precision):
+        live = self._mutated()
         engine = RetrievalEngine(live)
         frozen, ids = _frozen_rebuild(live)
         reference = RetrievalEngine(frozen)
@@ -241,8 +222,8 @@ class TestByteIdentityToFrozenRebuild:
             ids,
         )
 
-    def test_identity_survives_a_compaction(self, index_kind, precision):
-        live = self._mutated(index_kind)
+    def test_identity_survives_a_compaction(self, precision):
+        live = self._mutated()
         engine = RetrievalEngine(live)
         queries = _queries(live)
         before = engine.search_batch(queries, 8, precision=precision)
@@ -264,20 +245,18 @@ class TestWritesNeverRebuild:
     N_WRITES = 24
 
     def test_single_row_writes_leave_the_base_untouched(self):
-        """O(delta), no rebuild: writes never replace the indexed base.
+        """O(delta), no rebuild: writes never replace the base.
 
         After many single-row inserts and deletes — with queries in between,
         so every intermediate snapshot is materialised and searched — the
-        base segment, its metric index and its kernel workspace are the very
-        objects the collection started with, no compaction ran, and the
-        inserted rows sit in exactly one delta segment.
+        base segment and its kernel workspace are the very objects the
+        collection started with, no compaction ran, and the inserted rows
+        sit in exactly one delta segment.
         """
-        live = LiveCollection(_base_vectors(), index_factory=_vptree_factory)
+        live = LiveCollection(_base_vectors())
         engine = RetrievalEngine(live)
         base = live.snapshot().segments[0].unit
-        base_index = live.base_index
         workspace = base.collection.workspace
-        assert isinstance(base_index, VPTreeIndex)
 
         rng = np.random.default_rng(8)
         inserted = []
@@ -290,35 +269,32 @@ class TestWritesNeverRebuild:
         snapshot = live.snapshot()
         assert snapshot.segments[0].unit is base
         assert snapshot.segments[0].unit.collection.workspace is workspace
-        assert live.base_index is base_index
         assert snapshot.epoch == live.epoch == 0
         assert live.n_compactions == live.corpus_stats()["compactions"] == 0
         assert snapshot.n_delta_segments == 1
         np.testing.assert_array_equal(snapshot.segments[1].unit.ids, inserted)
-        assert snapshot.n_tombstones == self.N_WRITES
+        assert live.corpus_stats()["tombstones"] == self.N_WRITES
         assert live.size == 40
 
     @staticmethod
     def _base_objects(live):
         unit = live.snapshot().segments[0].unit
-        return unit, live.base_index, unit.collection.workspace
+        return unit, unit.collection.workspace
 
     @staticmethod
     def _assert_base_is(live, objects):
-        unit, index, workspace = objects
+        unit, workspace = objects
         assert live.snapshot().segments[0].unit is unit
-        assert live.base_index is index
         assert unit.collection.workspace is workspace
 
-    @pytest.mark.parametrize("index_kind", sorted(INDEX_FACTORIES))
-    def test_mixed_traffic_is_exact_and_never_rebuilds(self, index_kind):
+    def test_mixed_traffic_is_exact_and_never_rebuilds(self):
         """Nine reads to one write, every read checked against a frozen rebuild.
 
-        Whatever the base index, the reads stay byte-identical to freezing
-        the alive rows at that instant, and the writes between them still
-        touch nothing but the delta segment and the tombstones.
+        The reads stay byte-identical to freezing the alive rows at that
+        instant, and the writes between them still touch nothing but the
+        delta segment and the tombstones.
         """
-        live = LiveCollection(_base_vectors(), index_factory=INDEX_FACTORIES[index_kind])
+        live = LiveCollection(_base_vectors())
         engine = RetrievalEngine(live)
         base = self._base_objects(live)
         rng = np.random.default_rng(21)
@@ -339,7 +315,7 @@ class TestWritesNeverRebuild:
         assert live.corpus_stats()["tombstones"] == 4
 
     def test_sharded_engine_writes_leave_the_base_untouched(self):
-        live = LiveCollection(_base_vectors(), index_factory=_vptree_factory)
+        live = LiveCollection(_base_vectors())
         base = self._base_objects(live)
         rng = np.random.default_rng(22)
         with ShardedEngine(live, n_workers=2) as sharded:
@@ -356,7 +332,7 @@ class TestWritesNeverRebuild:
         assert live.epoch == 0
 
     def test_compaction_is_the_one_rebuild(self):
-        live = LiveCollection(_base_vectors(), index_factory=_vptree_factory)
+        live = LiveCollection(_base_vectors())
         original = self._base_objects(live)
         rng = np.random.default_rng(23)
         live.insert(rng.random((4, DIMENSION)))
@@ -371,47 +347,46 @@ class TestWritesNeverRebuild:
         self._assert_base_is(live, folded)
         assert live.epoch == 1 and live.n_compactions == 1
 
-    @pytest.mark.parametrize("index_kind", ["none", "vptree"])
-    def test_compaction_warms_what_the_scan_reads(self, index_kind):
+    def test_compaction_warms_what_the_scan_reads(self):
         """The new base's float32 terms exist before its first query — and nothing else.
 
-        Without an index the base scan serves the default distance, so the
-        off-lock rebuild builds ``centered32`` and the default weights' point
-        norms; the float64 centred copies stay unbuilt.  A base index that
-        serves the default distance leaves the workspace to the first scan.
+        The base scan serves the default distance, so the off-lock rebuild
+        builds ``centered32`` and the default weights' point norms; the
+        float64 centred copies stay unbuilt.
         """
-        live = LiveCollection(_base_vectors(), index_factory=INDEX_FACTORIES[index_kind])
+        live = LiveCollection(_base_vectors())
         rng = np.random.default_rng(24)
         live.insert(rng.random((4, DIMENSION)))
         live.delete([2])
         live.compact()
         collection = live.snapshot().segments[0].unit.collection
-        if index_kind != "none":
-            assert collection._workspace is None
-            return
         workspace = collection._workspace
         assert workspace is not None and workspace._centered32 is not None
         assert list(workspace._norms) == [live.index_distance.weights.tobytes()]
         assert workspace._centered is None and workspace._centered_squared is None
 
-    def test_reads_and_writes_proceed_while_a_fold_rebuilds(self):
+    def test_reads_and_writes_proceed_while_a_fold_rebuilds(self, monkeypatch):
         """A compaction parked in its O(corpus) phase holds up nobody.
 
-        The fold's index build is blocked on an event; meanwhile reads
-        answer byte-identically to a frozen rebuild and writes land, all
-        before the fold is let go.  After the swap the racing insert sits in
-        the fresh delta and the racing delete is a tombstone of the new base.
+        The fold's off-lock warm-up scan is blocked on an event; meanwhile
+        reads answer byte-identically to a frozen rebuild and writes land,
+        all before the fold is let go.  After the swap the racing insert
+        sits in the fresh delta and the racing delete is a tombstone of the
+        new base.
         """
         building, release = threading.Event(), threading.Event()
         armed = []
+        warm_up = LinearScanIndex.search_batch
 
-        def blocking_factory(collection, distance):
+        def blocking_warm_up(scan, *args, **kwargs):
+            # Reads run ``execute``; only the compaction's warm-up calls this.
             if armed:
                 building.set()
                 assert release.wait(timeout=30.0)
-            return _vptree_factory(collection, distance)
+            return warm_up(scan, *args, **kwargs)
 
-        live = LiveCollection(_base_vectors(), index_factory=blocking_factory)
+        monkeypatch.setattr(LinearScanIndex, "search_batch", blocking_warm_up)
+        live = LiveCollection(_base_vectors())
         engine = RetrievalEngine(live)
         live.insert(np.random.default_rng(24).random((3, DIMENSION)))
         armed.append(True)
@@ -447,7 +422,7 @@ class TestWritesNeverRebuild:
         snapshot = live.snapshot()
         assert snapshot.n_delta_segments == 1
         np.testing.assert_array_equal(snapshot.segments[1].unit.ids, [racing_id])
-        assert snapshot.n_tombstones == 1
+        assert live.corpus_stats()["tombstones"] == 1
         assert live.size == 40 + 3 + 1 - 1
         # The same answers, bit for bit, across the swap.
         for before, after in zip(racing, engine.search_batch(queries, 5)):
@@ -457,7 +432,7 @@ class TestWritesNeverRebuild:
 
 class TestCompaction:
     def test_compact_folds_everything_into_one_segment(self):
-        live = LiveCollection(_base_vectors(), index_factory=_vptree_factory)
+        live = LiveCollection(_base_vectors())
         rng = np.random.default_rng(3)
         live.insert(rng.random((5, DIMENSION)))
         live.delete([1, 41])
@@ -468,9 +443,7 @@ class TestCompaction:
         assert outcome["tombstones"] == 0
         assert outcome["epoch"] == live.epoch == 1
         assert live.n_compactions == 1
-        # The base index was rebuilt over the folded corpus.
-        assert isinstance(live.base_index, VPTreeIndex)
-        assert live.base_index.collection.size == live.size
+        assert live.snapshot().segments[0].unit.collection.size == live.size
 
     def test_compact_with_nothing_to_fold_is_a_no_op(self):
         live = LiveCollection(_base_vectors())
@@ -539,10 +512,9 @@ class TestCompaction:
 class TestCompactor:
     def test_triggers_on_delta_rows(self, wait_until):
         live = LiveCollection(_base_vectors())
-        with Compactor(live, min_delta_rows=8, interval=0.005) as compactor:
+        with Compactor(live, min_delta_rows=8, interval=0.005):
             live.insert(np.random.default_rng(6).random((10, DIMENSION)))
             wait_until(lambda: live.n_compactions >= 1, timeout=5.0)
-            assert compactor.n_runs >= 1
         assert live.corpus_stats()["delta_rows"] == 0
 
     def test_triggers_on_tombstones(self, wait_until):
@@ -557,7 +529,7 @@ class TestCompactor:
         compactor = Compactor(live, min_delta_rows=100, interval=0.005).start()
         live.insert(np.random.default_rng(7).random((5, DIMENSION)))
         compactor.close()
-        assert compactor.n_runs == 0
+        assert live.n_compactions == 0
         assert live.epoch == 0
 
     def test_validation(self):
@@ -570,17 +542,18 @@ class TestCompactor:
 
 class TestEngineOverLiveCollection:
     def test_engine_defaults_to_the_index_distance(self):
-        live = LiveCollection(_base_vectors(), index_factory=_vptree_factory)
+        """The engine's default and the compaction warm-up's are the same weights."""
+        live = LiveCollection(_base_vectors())
         engine = RetrievalEngine(live)
         assert engine.is_live
-        assert engine.default_distance is live.index_distance
+        assert engine.default_distance.is_default() and live.index_distance.is_default()
         engine.search_batch(_queries(live), 5)
         stats = engine.stats()
-        assert stats["index_hits"] == 8 and stats["scan_fallbacks"] == 0
+        assert stats["index_hits"] == 0 and stats["scan_fallbacks"] == 8
         assert stats["delta_hits"] == 0 and stats["compactions"] == 0
 
     def test_delta_hits_count_resident_deltas(self):
-        live = LiveCollection(_base_vectors(), index_factory=_vptree_factory)
+        live = LiveCollection(_base_vectors())
         engine = RetrievalEngine(live)
         live.insert(np.random.default_rng(8).random((2, DIMENSION)))
         engine.search_batch(_queries(live), 5)
@@ -591,19 +564,11 @@ class TestEngineOverLiveCollection:
         stats = engine.stats()
         assert stats["delta_hits"] == 0 and stats["compactions"] == 1
 
-    def test_engine_level_metric_index_rejected(self):
-        live = LiveCollection(_base_vectors())
-        frozen = FeatureCollection(_base_vectors())
-        with pytest.raises(ValidationError):
-            RetrievalEngine(live, metric_index=_vptree_factory(
-                frozen, WeightedEuclideanDistance.default(DIMENSION)
-            ))
-
     def test_describe_reports_live(self):
-        live = LiveCollection(_base_vectors(), index_factory=_mtree_factory)
+        live = LiveCollection(_base_vectors())
         description = RetrievalEngine(live).describe()
         assert description["live"] is True
-        assert description["metric_index"] == "MTreeIndex"
+        assert "metric_index" not in description
 
     def test_frozen_stats_shape_is_unchanged(self):
         engine = RetrievalEngine(FeatureCollection(_base_vectors()))
@@ -613,7 +578,7 @@ class TestEngineOverLiveCollection:
 
 class TestShardedEngineOverLiveCollection:
     def _mutated(self):
-        live = LiveCollection(_base_vectors(), index_factory=_vptree_factory)
+        live = LiveCollection(_base_vectors())
         rng = np.random.default_rng(10)
         live.insert(rng.random((6, DIMENSION)))
         live.insert(live.vector(7)[None, :])
@@ -652,11 +617,10 @@ class TestShardedEngineOverLiveCollection:
         with ShardedEngine(live, n_workers=2) as sharded:
             assert sharded.is_live
             assert sharded.collection is live
-            assert sharded.sharded_collection is None
             assert sharded.n_shards == live.snapshot().n_segments
             sharded.search_batch(_queries(live), 5)
             stats = sharded.stats()
-            assert stats["index_hits"] == 8
+            assert stats["scan_fallbacks"] == 8 and stats["index_hits"] == 0
             assert stats["delta_hits"] == 8
             assert stats["per_shard"] == ()
             assert sharded.describe()["live"] is True
@@ -667,8 +631,6 @@ class TestShardedEngineOverLiveCollection:
             ShardedEngine(live, n_shards=4)
         with pytest.raises(ValidationError):
             ShardedEngine(live, backend="process")
-        with pytest.raises(ValidationError):
-            ShardedEngine(live, index_factory=_vptree_factory)
 
 
 class TestFeedbackOverLiveCollection:

@@ -5,7 +5,7 @@ hosted in long-lived worker processes over a
 :class:`~repro.database.sharding.SharedCorpus` segment — returns result sets
 byte-identical to the serial unsharded
 :class:`~repro.database.engine.RetrievalEngine` for every shard count,
-worker count, index type, distance family and ``k``.  Lifecycle is part
+worker count, distance family and ``k``.  Lifecycle is part
 of the contract too: ``close()`` stops the workers and unlinks the segment
 deterministically, and a worker killed under the engine is reported as a
 dead worker on every later call — a server-side fault, never a closed
@@ -23,10 +23,8 @@ import pytest
 from repro.database.budget import Budget
 from repro.database.collection import FeatureCollection
 from repro.database.engine import RetrievalEngine
-from repro.database.mtree import MTreeIndex
 from repro.database.query import QueryBatch
 from repro.database.sharding import ShardedEngine
-from repro.database.vptree import VPTreeIndex
 from repro.distances.minkowski import MinkowskiDistance, euclidean
 from repro.distances.weighted_euclidean import WeightedEuclideanDistance
 from repro.utils.validation import ValidationError
@@ -38,19 +36,6 @@ SIZE = 149
 def _segments() -> "set[str]":
     """The shared-memory segments ``multiprocessing`` has created on this host."""
     return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
-
-
-# Module-level factories: the process backend ships them to worker
-# processes, so (unlike the thread backend's) they must be picklable.
-def vptree_factory(shard, distance):
-    return VPTreeIndex(shard, distance, leaf_size=4, seed=11)
-
-
-def mtree_factory(shard, distance):
-    return MTreeIndex(shard, distance, node_capacity=5, seed=11)
-
-
-INDEX_FACTORIES = {"linear": None, "vptree": vptree_factory, "mtree": mtree_factory}
 
 
 @pytest.fixture(scope="module")
@@ -88,35 +73,29 @@ def _assert_identical(first, second, context=None):
 
 class TestProcessEngineEquivalence:
     @pytest.mark.parametrize(
-        "n_shards,n_workers,index_type,distance_name,k",
+        "n_shards,n_workers,distance_name,k",
         [
-            (3, 2, "linear", "euclidean", 7),
-            (5, 2, "vptree", "weighted", 40),
-            (4, 4, "mtree", "cityblock", 1),
-            (2, 2, "linear", "weighted", SIZE + 10),  # k > corpus
-            (7, 3, "vptree", "euclidean", 25),  # k > shard
-            (1, 1, "linear", "cityblock", 5),  # single process worker
+            (3, 2, "euclidean", 7),
+            (5, 2, "weighted", 40),
+            (4, 4, "cityblock", 1),
+            (2, 2, "weighted", SIZE + 10),  # k > corpus
+            (7, 3, "euclidean", 25),  # k > shard
+            (1, 1, "cityblock", 5),  # single process worker
         ],
         ids=lambda value: str(value),
     )
     def test_matches_unsharded_reference(
-        self, collection, queries, n_shards, n_workers, index_type, distance_name, k
+        self, collection, queries, n_shards, n_workers, distance_name, k
     ):
         distance = _distance_for(distance_name)
-        factory = INDEX_FACTORIES[index_type]
-        reference = RetrievalEngine(
-            collection,
-            default_distance=distance,
-            metric_index=None if factory is None else factory(collection, distance),
-        )
-        context = (n_shards, n_workers, index_type, distance_name, k)
+        reference = RetrievalEngine(collection, default_distance=distance)
+        context = (n_shards, n_workers, distance_name, k)
         with ShardedEngine(
             collection,
             n_shards,
             n_workers=n_workers,
             backend="process",
             default_distance=distance,
-            index_factory=factory,
         ) as engine:
             assert engine.backend == "process"
             batch = engine.search_batch(queries, k)
@@ -168,9 +147,7 @@ class TestProcessEngineEquivalence:
         np.testing.assert_allclose(result.distances(), 0.0, atol=0.0)
 
     def test_stats_travel_home_from_the_workers(self, collection, queries):
-        with ShardedEngine(
-            collection, 3, n_workers=2, backend="process", index_factory=vptree_factory
-        ) as engine:
+        with ShardedEngine(collection, 3, n_workers=2, backend="process") as engine:
             engine.search_batch(queries, 5)
             stats = engine.stats()
             assert stats["backend"] == "process"
@@ -178,17 +155,17 @@ class TestProcessEngineEquivalence:
             assert stats["n_workers"] == 2
             assert stats["n_searches"] == queries.shape[0]
             assert len(stats["per_shard"]) == 3
-            # The default distance is index-eligible: every per-shard engine
-            # (living in a worker process) recorded one hit per query.
-            assert stats["index_hits"] == 3 * queries.shape[0]
-            assert stats["scan_fallbacks"] == 0
+            # Every per-shard engine (living in a worker process) recorded
+            # one scan per query.
+            assert stats["scan_fallbacks"] == 3 * queries.shape[0]
+            assert stats["index_hits"] == 0
             # A single-row search counts no batch, worker-side either.
             engine.search(queries[0], 5)
             assert [shard["n_batches"] for shard in engine.stats()["per_shard"]] == [1, 1, 1]
             engine.reset_counters()
             cleared = engine.stats()
             assert cleared["n_searches"] == 0
-            assert cleared["index_hits"] == 0
+            assert cleared["scan_fallbacks"] == 0
             assert all(shard["n_searches"] == 0 for shard in cleared["per_shard"])
 
 
@@ -206,25 +183,20 @@ class TestProcessEngineLifecycle:
 
     def test_construction_failure_leaks_nothing(self, collection):
         before = _segments()
-        with pytest.raises(ValidationError):
+        distance = WeightedEuclideanDistance.default(DIMENSION)
+        distance.hook = lambda: None  # unpicklable
+        with pytest.raises(ValidationError, match="picklable"):
             ShardedEngine(
-                collection,
-                3,
-                n_workers=2,
-                backend="process",
-                index_factory=lambda shard, distance: None,  # unpicklable
+                collection, 3, n_workers=2, backend="process", default_distance=distance
             )
         assert _segments() == before
 
     def test_thread_backend_unaffected(self, collection, queries):
-        # The thread backend keeps its permissive construction (lambdas fine)
-        # and its serve-after-close degradation.
-        with ShardedEngine(
-            collection,
-            3,
-            n_workers=2,
-            index_factory=lambda shard, distance: vptree_factory(shard, distance),
-        ) as engine:
+        # The thread backend keeps its permissive construction (an
+        # unpicklable distance is fine) and its serve-after-close degradation.
+        distance = WeightedEuclideanDistance.default(DIMENSION)
+        distance.hook = lambda: None
+        with ShardedEngine(collection, 3, n_workers=2, default_distance=distance) as engine:
             assert engine.backend == "thread"
             expected = engine.search_batch(queries, 5)
         assert engine.search_batch(queries, 5) == expected

@@ -89,21 +89,3 @@ class TestIndexEquivalenceProperties:
         np.testing.assert_allclose(
             small.distances(), large.distances()[: len(small)], atol=1e-12
         )
-
-    @settings(max_examples=15, deadline=None)
-    @given(
-        st.integers(min_value=0, max_value=10_000),
-        st.integers(min_value=5, max_value=120),
-        st.integers(min_value=2, max_value=8),
-        st.floats(min_value=0.05, max_value=1.5),
-    )
-    def test_range_search_agrees_with_knn_distances(self, seed, size, dimension, radius):
-        collection = _make_collection(seed, size, dimension)
-        distance = _make_distance(seed, dimension)
-        scan = LinearScanIndex(collection)
-        rng = np.random.default_rng(seed + 4)
-        query = rng.random(dimension)
-        in_range = scan.range_search(query, radius, distance)
-        all_results = scan.search(query, size, distance)
-        expected = int(np.sum(all_results.distances() <= radius))
-        assert len(in_range) == expected

@@ -5,8 +5,7 @@ operations against a :class:`~repro.database.segments.LiveCollection` and
 asserts, **at every query point of the interleaving**, byte-identity to
 freezing the alive rows into a plain collection and querying that — the
 same contract ``tests/test_live_collection.py`` pins on hand-picked cases,
-here across generated operation sequences, index types and distance
-families.  Duplicated rows are injected aggressively so cross-segment
+here across generated operation sequences and distance families.  Duplicated rows are injected aggressively so cross-segment
 distance ties (broken by ascending stable id) are common, not rare.
 """
 
@@ -16,25 +15,11 @@ from hypothesis import strategies as st
 
 from repro.database.collection import FeatureCollection
 from repro.database.engine import RetrievalEngine
-from repro.database.mtree import MTreeIndex
 from repro.database.segments import LiveCollection
-from repro.database.vptree import VPTreeIndex
 from repro.distances.minkowski import MinkowskiDistance
 from repro.distances.weighted_euclidean import WeightedEuclideanDistance
 
 DIMENSION = 4
-
-
-def _index_factory(kind: int):
-    if kind == 1:
-        return lambda collection, distance: VPTreeIndex(
-            collection, distance, leaf_size=4, seed=3
-        )
-    if kind == 2:
-        return lambda collection, distance: MTreeIndex(
-            collection, distance, node_capacity=4, seed=3
-        )
-    return None
 
 
 def _distance(kind: int, rng: np.random.Generator):
@@ -42,7 +27,7 @@ def _distance(kind: int, rng: np.random.Generator):
         return WeightedEuclideanDistance(DIMENSION, weights=rng.random(DIMENSION) + 0.1)
     if kind == 2:
         return MinkowskiDistance(DIMENSION, order=1.0, weights=rng.random(DIMENSION) + 0.1)
-    return None  # the engine default (the live collection's index distance)
+    return None  # the engine default
 
 
 # One step of an interleaving: (op, payload).  Ops are drawn with weights —
@@ -85,16 +70,11 @@ class TestInterleavingProperties:
     @given(
         st.integers(min_value=0, max_value=10_000),
         st.integers(min_value=0, max_value=2),
-        st.integers(min_value=0, max_value=2),
         st.lists(_STEP, min_size=1, max_size=14),
     )
-    def test_any_interleaving_matches_a_frozen_rebuild(
-        self, seed, index_kind, distance_kind, steps
-    ):
+    def test_any_interleaving_matches_a_frozen_rebuild(self, seed, distance_kind, steps):
         rng = np.random.default_rng(seed)
-        live = LiveCollection(
-            rng.random((10, DIMENSION)), index_factory=_index_factory(index_kind)
-        )
+        live = LiveCollection(rng.random((10, DIMENSION)))
         engine = RetrievalEngine(live)
         distance = _distance(distance_kind, np.random.default_rng(seed + 1))
         for op, payload in steps:

@@ -20,9 +20,7 @@ import pytest
 from repro.core.oqp import OptimalQueryParameters
 from repro.database.collection import FeatureCollection
 from repro.database.engine import RetrievalEngine
-from repro.database.mtree import MTreeIndex
 from repro.database.sharding import ShardedEngine
-from repro.database.vptree import VPTreeIndex
 from repro.distances.minkowski import MinkowskiDistance, euclidean
 from repro.distances.weighted_euclidean import WeightedEuclideanDistance
 from repro.evaluation.session import InteractiveSession, SessionConfig
@@ -59,23 +57,6 @@ def queries(collection) -> np.ndarray:
     return points
 
 
-# Module-level factories: the process-backend configurations ship them to
-# worker processes, so they must be picklable (no lambdas).
-def _vptree_factory(shard, distance):
-    return VPTreeIndex(shard, distance, leaf_size=4, seed=11)
-
-
-def _mtree_factory(shard, distance):
-    return MTreeIndex(shard, distance, node_capacity=5, seed=11)
-
-
-INDEX_FACTORIES = {
-    "linear": None,
-    "vptree": _vptree_factory,
-    "mtree": _mtree_factory,
-}
-
-
 def _distance_for(name: str):
     if name == "euclidean":
         return euclidean(DIMENSION)
@@ -85,22 +66,12 @@ def _distance_for(name: str):
     return MinkowskiDistance(DIMENSION, order=1.0)
 
 
-def _build_engine(collection, engine_kind: str, index_name: str, distance):
-    factory = INDEX_FACTORIES[index_name]
+def _build_engine(collection, engine_kind: str, distance):
     if engine_kind == "plain":
-        return RetrievalEngine(
-            collection,
-            default_distance=distance,
-            metric_index=None if factory is None else factory(collection, distance),
-        )
+        return RetrievalEngine(collection, default_distance=distance)
     backend = "process" if engine_kind == "sharded-process" else "thread"
     return ShardedEngine(
-        collection,
-        3,
-        n_workers=2,
-        backend=backend,
-        default_distance=distance,
-        index_factory=factory,
+        collection, 3, n_workers=2, backend=backend, default_distance=distance
     )
 
 
@@ -144,22 +115,20 @@ class TestServedSearchEquivalence:
     """Concurrent served searches reproduce the local engine bit for bit."""
 
     # A seeded random draw over the full grid, like the sharded suite: the
-    # axes are engine kind x index type x distance family.
+    # axes are engine kind x distance family.
     GRID = [
-        ("plain", "linear", "euclidean"),
-        ("plain", "vptree", "weighted"),
-        ("plain", "mtree", "minkowski"),
-        ("sharded-thread", "vptree", "euclidean"),
-        ("sharded-thread", "linear", "weighted"),
-        ("sharded-process", "mtree", "euclidean"),
+        ("plain", "euclidean"),
+        ("plain", "weighted"),
+        ("plain", "minkowski"),
+        ("sharded-thread", "euclidean"),
+        ("sharded-thread", "weighted"),
+        ("sharded-process", "euclidean"),
     ]
 
-    @pytest.mark.parametrize("engine_kind,index_name,distance_name", GRID)
-    def test_served_equals_local(
-        self, collection, queries, engine_kind, index_name, distance_name
-    ):
+    @pytest.mark.parametrize("engine_kind,distance_name", GRID)
+    def test_served_equals_local(self, collection, queries, engine_kind, distance_name):
         distance = _distance_for(distance_name)
-        engine = _build_engine(collection, engine_kind, index_name, distance)
+        engine = _build_engine(collection, engine_kind, distance)
         try:
             rng = np.random.default_rng(99)
             ks = [int(rng.integers(1, 12)) for _ in range(queries.shape[0])]

@@ -20,7 +20,6 @@ import pytest
 from repro.database.collection import FeatureCollection
 from repro.database.engine import RetrievalEngine
 from repro.database.segments import LiveCollection
-from repro.database.vptree import VPTreeIndex
 from repro.feedback.engine import FeedbackEngine
 from repro.evaluation.simulated_user import SimulatedUser
 from repro.serving import (
@@ -39,13 +38,9 @@ DIMENSION = 5
 FRONT_ENDS = {"threaded": RetrievalServer, "async": AsyncRetrievalServer}
 
 
-def _vptree_factory(collection, distance):
-    return VPTreeIndex(collection, distance, leaf_size=4, seed=5)
-
-
 def _fresh_live(n=30, seed=900):
     rng = np.random.default_rng(seed)
-    return LiveCollection(rng.random((n, DIMENSION)), index_factory=_vptree_factory)
+    return LiveCollection(rng.random((n, DIMENSION)))
 
 
 def _mutation_script(client, rng):

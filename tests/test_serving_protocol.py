@@ -305,6 +305,25 @@ class TestMalformedRequests:
         _assert_still_serving(server, tiny_collection)
 
 
+    def test_text_for_a_vector_fails_in_the_client(self, server, monkeypatch):
+        """``client.search("abc", 3)`` raises the typed error before any frame leaves."""
+        import repro.serving.client as client_module
+
+        sent = []
+        host, port = server.address
+        with ServingClient(host, port) as client:
+            monkeypatch.setattr(
+                client_module,
+                "send_payload",
+                lambda sock, payload: (sent.append(payload), send_payload(sock, payload))[1],
+            )
+            with pytest.raises(ValidationError, match="query_point"):
+                client.search("abc", 3)
+            assert sent == []
+            assert client.ping() == "pong"
+        assert len(sent) == 1
+
+
 class TestConfigFailsBeforeBinding:
     """A float setting no socket accepts is refused before any socket binds."""
 

@@ -1,7 +1,7 @@
 """Randomized equivalence grid of the sharded multi-worker engine.
 
-The sharding contract: for any shard count, worker count, per-shard index
-type, distance family and result-set size — including ``k`` larger than a
+The sharding contract: for any shard count, worker count, backend, distance
+family and result-set size — including ``k`` larger than a
 shard and larger than the whole collection — the
 :class:`~repro.database.sharding.ShardedEngine` must return result sets
 byte-identical (indices *and* distance bits) to the unsharded
@@ -21,9 +21,7 @@ import pytest
 from repro.database.budget import Budget
 from repro.database.collection import FeatureCollection
 from repro.database.engine import RetrievalEngine
-from repro.database.mtree import MTreeIndex
 from repro.database.sharding import ShardedCollection, ShardedEngine, WorkerPool
-from repro.database.vptree import VPTreeIndex
 from repro.distances.minkowski import MinkowskiDistance, euclidean
 from repro.distances.weighted_euclidean import WeightedEuclideanDistance
 from repro.evaluation.simulated_user import SimulatedUser
@@ -56,23 +54,6 @@ def queries(collection) -> np.ndarray:
     return points
 
 
-# Module-level factories: the grid's process-backend configurations ship
-# them to worker processes, so they must be picklable (no lambdas).
-def _vptree_factory(shard, distance):
-    return VPTreeIndex(shard, distance, leaf_size=4, seed=11)
-
-
-def _mtree_factory(shard, distance):
-    return MTreeIndex(shard, distance, node_capacity=5, seed=11)
-
-
-INDEX_FACTORIES = {
-    "linear": None,
-    "vptree": _vptree_factory,
-    "mtree": _mtree_factory,
-}
-
-
 def _distance_for(name: str):
     if name == "euclidean":
         return euclidean(DIMENSION)
@@ -92,7 +73,6 @@ def _sampled_grid(n_samples: int = 24):
     rng = np.random.default_rng(424242)
     shard_counts = [1, 2, 3, 5, 8]
     worker_counts = [1, 2, 4]
-    index_types = list(INDEX_FACTORIES)
     distances = ["euclidean", "weighted", "cityblock"]
     backends = ["thread", "process"]
     configurations = []
@@ -104,7 +84,6 @@ def _sampled_grid(n_samples: int = 24):
             (
                 n_shards,
                 worker_counts[rng.integers(len(worker_counts))],
-                index_types[rng.integers(len(index_types))],
                 distances[rng.integers(len(distances))],
                 int(k_choices[rng.integers(len(k_choices))]),
                 backends[rng.integers(len(backends))],
@@ -115,28 +94,22 @@ def _sampled_grid(n_samples: int = 24):
 
 class TestShardedSearchEquivalence:
     @pytest.mark.parametrize(
-        "n_shards,n_workers,index_type,distance_name,k,backend",
+        "n_shards,n_workers,distance_name,k,backend",
         _sampled_grid(),
         ids=lambda value: str(value),
     )
     def test_randomized_grid_matches_unsharded(
-        self, collection, queries, n_shards, n_workers, index_type, distance_name, k, backend
+        self, collection, queries, n_shards, n_workers, distance_name, k, backend
     ):
         distance = _distance_for(distance_name)
-        factory = INDEX_FACTORIES[index_type]
-        reference = RetrievalEngine(
-            collection,
-            default_distance=distance,
-            metric_index=None if factory is None else factory(collection, distance),
-        )
-        context = (n_shards, n_workers, index_type, distance_name, k, backend)
+        reference = RetrievalEngine(collection, default_distance=distance)
+        context = (n_shards, n_workers, distance_name, k, backend)
         with ShardedEngine(
             collection,
             n_shards,
             n_workers=n_workers,
             backend=backend,
             default_distance=distance,
-            index_factory=factory,
         ) as sharded:
             batch = sharded.search_batch(queries, k)
             expected = reference.search_batch(queries, k)
@@ -229,7 +202,7 @@ class TestShardedSearchEquivalence:
                 for result, reference_result in zip(sharded.search_batch(queries, k), expected):
                     _assert_identical(result, reference_result, (n_workers, backend))
             stats = sharded.stats()
-            shard_sizes = [shard.size for shard in sharded.sharded_collection.shards]
+            shard_sizes = [shard.size for shard in ShardedCollection(collection, 4).shards]
         assert max(shard_sizes) < k and sum(shard_sizes) == SIZE
         assert stats["n_batches"] == rounds
         assert stats["n_searches"] == rounds * len(queries)
@@ -297,18 +270,10 @@ class TestShardedCollectionLayout:
         assert engine.search_batch(queries, 5) == expected
         assert engine.pool._executor is None
 
-    def test_shard_of_inverts_to_global(self, collection):
-        sharded = ShardedCollection(collection, 4)
-        for global_index in (0, 36, 37, 74, 75, 148):
-            shard_id, local = sharded.shard_of(global_index)
-            assert int(sharded.to_global(shard_id, [local])[0]) == global_index
-
     def test_validation(self, collection):
         with pytest.raises(ValidationError):
             ShardedCollection(collection, 0)
         sharded = ShardedCollection(collection, 3)
-        with pytest.raises(ValidationError):
-            sharded.shard_of(SIZE)
         with pytest.raises(ValidationError):
             sharded.to_global(3, [0])
         with pytest.raises(ValidationError):
