@@ -154,11 +154,12 @@ class TestEngineByteIdentity:
 
 
 class TestShardedByteIdentity:
-    """Sharded fan-out: shard x worker x backend, plus the process-backend gate."""
+    """Sharded fan-out: shard x worker x distance, plus the process-backend gate."""
 
+    @pytest.mark.parametrize("distance_name", ["euclidean", "weighted", "cityblock"])
     @pytest.mark.parametrize("n_shards,n_workers", [(1, 1), (3, 1), (5, 2), (8, 4)])
-    def test_thread_backend_grid(self, collection, queries, n_shards, n_workers):
-        distance = _distance_for("weighted")
+    def test_thread_backend_grid(self, collection, queries, n_shards, n_workers, distance_name):
+        distance = _distance_for(distance_name)
         reference = RetrievalEngine(collection, default_distance=distance)
         expected = reference.search_batch(queries, 12)
         rows_total = SIZE * queries.shape[0]
@@ -170,7 +171,7 @@ class TestShardedByteIdentity:
             default_distance=distance,
         ) as sharded:
             for label, budget in _sufficient_budgets(rows_total):
-                context = (n_shards, n_workers, label)
+                context = (n_shards, n_workers, distance_name, label)
                 batch = sharded.search_batch(queries, 12, budget=budget)
                 _assert_batch_identical(batch, expected, context)
                 coverage = budget.coverage()

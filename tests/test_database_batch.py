@@ -156,6 +156,54 @@ class TestBatchLoopEquivalence:
         np.testing.assert_allclose(result.distances(), 0.0, atol=0.0)
 
 
+TREE_SHAPES = {
+    "vptree-deep": lambda collection, distance: VPTreeIndex(
+        collection, distance, leaf_size=1, seed=5
+    ),
+    "vptree-wide": lambda collection, distance: VPTreeIndex(
+        collection, distance, leaf_size=32, seed=5
+    ),
+    "mtree-deep": lambda collection, distance: MTreeIndex(
+        collection, distance, node_capacity=4, seed=5
+    ),
+    "mtree-wide": lambda collection, distance: MTreeIndex(
+        collection, distance, node_capacity=24, seed=5
+    ),
+}
+
+GRID_DISTANCES = {
+    "euclidean": lambda: euclidean(DIMENSION),
+    "weighted": lambda: _distance_functions()[0],
+    "cityblock": lambda: _distance_functions()[1],
+}
+
+
+class TestTreesAgreeWithTheScan:
+    """The standalone trees (the k-NN index ablation) against the scan.
+
+    Tree shape x metric x k, on the tied corpus: the same objects in the
+    same order as ``LinearScanIndex``, through both ``search`` and
+    ``search_batch``, with distances equal up to the last bits.
+    """
+
+    @pytest.mark.parametrize("shape", list(TREE_SHAPES))
+    @pytest.mark.parametrize("distance_name", list(GRID_DISTANCES))
+    @pytest.mark.parametrize("k", [1, 9, 305])
+    def test_grid(self, collection, queries, shape, distance_name, k):
+        distance = GRID_DISTANCES[distance_name]()
+        tree = TREE_SHAPES[shape](collection, distance)
+        expected = LinearScanIndex(collection).search_batch(queries, k, distance)
+        batch = tree.search_batch(queries, k)
+        assert len(batch) == len(expected)
+        for query, result, reference in zip(queries, batch, expected):
+            assert len(result) == min(k, collection.size)
+            np.testing.assert_array_equal(result.indices(), reference.indices())
+            np.testing.assert_allclose(
+                result.distances(), reference.distances(), rtol=1e-9, atol=1e-12
+            )
+            _assert_identical(tree.search(query, k), result)
+
+
 class TestSelectionHelpers:
     def test_k_smallest_breaks_ties_by_label(self):
         distances = np.array([0.5, 0.1, 0.5, 0.1, 0.3])

@@ -157,21 +157,45 @@ class TestLiveCollectionShape:
             live.insert(np.ones(DIMENSION + 1))
 
 
+def _inserts_only(live, rng):
+    live.insert(rng.random((7, DIMENSION)))
+    # A delta row duplicating a base row: the cross-segment tie must
+    # break toward the smaller (base) id.
+    live.insert(live.vector(7)[None, :])
+    live.insert(rng.random((3, DIMENSION)))
+
+
+def _deletes_only(live, rng):
+    # Tombstones in the base alone, one of them on the duplicate pair.
+    live.delete([2, 30, int(rng.integers(31, 40))])
+
+
+def _mixed(live, rng):
+    live.insert(rng.random((7, DIMENSION)))
+    live.insert(live.vector(7)[None, :])
+    live.delete([2, 30, 44])
+    live.insert(rng.random((3, DIMENSION)))
+
+
+HISTORIES = {
+    "inserts-only": _inserts_only,
+    "deletes-only": _deletes_only,
+    "mixed": _mixed,
+}
+
+
+@pytest.mark.parametrize("history", sorted(HISTORIES))
 @pytest.mark.parametrize("precision", ["exact", "fast"])
 class TestByteIdentityToFrozenRebuild:
-    def _mutated(self):
+    """Each history leaves a different segment layout: deltas, tombstones, both."""
+
+    @pytest.fixture
+    def live(self, history):
         live = LiveCollection(_base_vectors())
-        rng = np.random.default_rng(9)
-        live.insert(rng.random((7, DIMENSION)))
-        # A delta row duplicating a base row: the cross-segment tie must
-        # break toward the smaller (base) id.
-        live.insert(live.vector(7)[None, :])
-        live.delete([2, 30, 44])
-        live.insert(rng.random((3, DIMENSION)))
+        HISTORIES[history](live, np.random.default_rng(9))
         return live
 
-    def test_search_batch(self, precision):
-        live = self._mutated()
+    def test_search_batch(self, live, precision):
         engine = RetrievalEngine(live)
         frozen, ids = _frozen_rebuild(live)
         reference = RetrievalEngine(frozen, default_distance=engine.default_distance)
@@ -183,8 +207,7 @@ class TestByteIdentityToFrozenRebuild:
                 ids,
             )
 
-    def test_search_batch_under_a_fallback_distance(self, precision):
-        live = self._mutated()
+    def test_search_batch_under_a_fallback_distance(self, live, precision):
         engine = RetrievalEngine(live)
         frozen, ids = _frozen_rebuild(live)
         reference = RetrievalEngine(frozen)
@@ -196,9 +219,8 @@ class TestByteIdentityToFrozenRebuild:
             ids,
         )
 
-    def test_single_search_matches_batch(self, precision):
+    def test_single_search_matches_batch(self, live, precision):
         del precision
-        live = self._mutated()
         engine = RetrievalEngine(live)
         queries = _queries(live)
         batched = engine.search_batch(queries, 6)
@@ -207,8 +229,7 @@ class TestByteIdentityToFrozenRebuild:
             np.testing.assert_array_equal(single.indices(), expected.indices())
             assert single.distances().tobytes() == expected.distances().tobytes()
 
-    def test_search_batch_with_parameters(self, precision):
-        live = self._mutated()
+    def test_search_batch_with_parameters(self, live, precision):
         engine = RetrievalEngine(live)
         frozen, ids = _frozen_rebuild(live)
         reference = RetrievalEngine(frozen)
@@ -222,8 +243,7 @@ class TestByteIdentityToFrozenRebuild:
             ids,
         )
 
-    def test_identity_survives_a_compaction(self, precision):
-        live = self._mutated()
+    def test_identity_survives_a_compaction(self, live, precision):
         engine = RetrievalEngine(live)
         queries = _queries(live)
         before = engine.search_batch(queries, 8, precision=precision)
