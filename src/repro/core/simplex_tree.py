@@ -25,7 +25,7 @@ triangulation, so a prediction gathers its D+1 payload rows by id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

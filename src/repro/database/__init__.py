@@ -28,8 +28,9 @@ service:
 * :mod:`repro.database.segments` — the mutability layer: a
   :class:`LiveCollection` composes an immutable base segment with
   append-only delta segments and tombstones (inserts/deletes in O(delta),
-  queries byte-identical to a frozen rebuild at every snapshot, stable ids
-  across compactions), and a background :class:`Compactor` folds deltas
+  one streamed scan per query over the whole composition, byte-identical
+  to a frozen rebuild at every snapshot, stable ids across compactions),
+  and a background :class:`Compactor` folds deltas
   into a new base off the hot path under an atomic epoch swap.
 
 The metric trees and the shard layer are imported by module path

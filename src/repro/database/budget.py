@@ -212,8 +212,8 @@ class Budget:
     def scope(self, rows_total: int):
         """Declare the full-scan-equivalent work of one entry point.
 
-        Budgeted layers nest (a sharded engine fans out to shard engines,
-        a live snapshot to per-segment scans); only the *outermost* scope
+        Budgeted layers nest (a sharded engine fans out to shard engines);
+        only the *outermost* scope
         adds to the coverage denominator, so ``rows_total`` is counted
         exactly once per request however deep the composition goes.
         """
@@ -310,42 +310,3 @@ def effective_budget(budget: "Budget | None") -> "Budget | None":
     if budget is None or budget.is_unlimited:
         return None
     return budget
-
-
-def fan_out(parts, run, budget: "Budget | None", rows_total: int, note, mapper=None) -> list:
-    """Answer one request part by part; returns the answered parts' results.
-
-    The one "split the corpus, run each part, merge the per-part top-k"
-    composition of the library (live segments, shards): ``run(part,
-    budget)`` answers the request on one part, ``note(budget,
-    answered=...)`` records that part's fate (:meth:`Budget.note_segment` /
-    :meth:`Budget.note_shard`), and the returned list — in part order,
-    skipped parts absent — feeds :func:`~repro.database.index.merge_topk`.
-
-    A finite budget consults the parts serially in order inside one
-    coverage scope of ``rows_total`` evaluations, threading itself into
-    every ``run``; parts it no longer reaches are recorded as skips.  An
-    absent or unlimited budget takes the exact path: every part runs with
-    ``budget=None`` through ``mapper`` (an ordered ``map(function, items)``
-    such as :meth:`~repro.database.sharding.WorkerPool.map`; serial when
-    omitted), and an unlimited budget records the complete coverage.
-    """
-    effective = effective_budget(budget)
-    if effective is None:
-        if budget is not None:
-            budget.note_exact(rows_total)
-            for _ in parts:
-                note(budget, answered=True)
-        if mapper is None:
-            return [run(part, None) for part in parts]
-        return mapper(lambda part: run(part, None), parts)
-    answered = []
-    with effective.scope(rows_total):
-        for part in parts:
-            if effective.exhausted():
-                effective.note_skip()
-                note(effective, answered=False)
-                continue
-            answered.append(run(part, effective))
-            note(effective, answered=True)
-    return answered

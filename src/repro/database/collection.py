@@ -47,7 +47,9 @@ class CorpusWorkspace:
         Column means, and per column the largest ``|x - mean|`` of the
         corpus (both eager, ``D`` floats).  Every kernel centres on the
         mean; the scan bounds its terms with ``extent``
-        (:meth:`~repro.distances.base.DistanceFunction.term_bound`).
+        (:meth:`~repro.distances.base.DistanceFunction.term_bound`).  A
+        live delta segment passes its base's ``mean`` instead, so one
+        request's kernel serves every segment of the composition.
     ``centered32``
         ``matrix - mean`` computed in float64 and stored float32 (lazy, one
         streaming pass with no float64 temporary): the right-hand side of
@@ -94,14 +96,12 @@ class CorpusWorkspace:
         "_fill_lock",
     )
 
-    #: First corpus row of the workspace's rows (a :class:`CorpusBlockView` has its own).
-    start = 0
-
-    def __init__(self, matrix: np.ndarray) -> None:
+    def __init__(self, matrix: np.ndarray, mean: "np.ndarray | None" = None) -> None:
         if matrix.ndim != 2:
             raise ValidationError("a corpus workspace needs a 2-D matrix")
         self.matrix = matrix
-        mean = _frozen(matrix.mean(axis=0))
+        if mean is None:
+            mean = _frozen(matrix.mean(axis=0))
         self.mean = mean
         self.extent = _frozen(np.maximum(matrix.max(axis=0) - mean, mean - matrix.min(axis=0)))
         self._centered: np.ndarray | None = None

@@ -14,9 +14,9 @@ defined once, on :class:`QueryEngine`, and inherited by both engines
 (:class:`RetrievalEngine` here, :class:`~repro.database.sharding.ShardedEngine`
 next door); an engine only says how it *answers* a validated batch:
 
-``QueryBatch`` → ``execute`` → blocked scan
-(:meth:`~repro.database.knn.LinearScanIndex.execute`) or part fan-out
-(:func:`~repro.database.budget.fan_out` over live segments / shards) →
+``QueryBatch`` → ``execute`` → one blocked scan
+(:func:`~repro.database.knn.scan_segments`, over the frozen corpus or over a
+live snapshot's base and delta segments), or the shard fan-out →
 :func:`~repro.database.index.merge_topk`.
 
 :class:`RetrievalEngine` owns
@@ -63,8 +63,9 @@ class QueryEngine:
     """The query surface and counter bookkeeping shared by both engines.
 
     Subclasses implement :meth:`_answer` — how a validated
-    :class:`~repro.database.query.QueryBatch` is answered on their corpus
-    layout — and :meth:`stats`; everything a caller sees (the four
+    :class:`~repro.database.query.QueryBatch` is answered on their frozen
+    corpus layout; a live collection is answered here, by one scan of its
+    snapshot — and :meth:`stats`; everything a caller sees (the four
     ``search*`` wrappers, ``execute``, the feedback
     accounting) lives here once.
 
@@ -166,7 +167,7 @@ class QueryEngine:
         """Answer a validated batch on this engine's corpus layout.
 
         Returns the results and the dispatch counters the answer adds
-        (``scan_fallbacks`` / ``delta_hits``), which
+        (``scan_fallbacks``), which
         :meth:`_run` records with the volume counters in one lock round.
         ``batches`` is what the caller counts for this request in
         ``n_batches`` (0 from the single-row wrappers); an engine that fans
@@ -175,13 +176,13 @@ class QueryEngine:
         raise NotImplementedError
 
     def _answer_live(
-        self, batch: QueryBatch, budget: "Budget | None", mapper=None
+        self, batch: QueryBatch, budget: "Budget | None"
     ) -> "tuple[list[ResultSet], dict[str, int]]":
         """Answer a batch on the current snapshot of a live collection.
 
-        Every row runs on the segments' linear scans (``scan_fallbacks``);
-        any resident delta segment also counts as a ``delta_hits``
-        consultation.
+        Every row runs on the snapshot's one streamed scan over base and
+        deltas (``scan_fallbacks``); any resident delta segment also counts
+        as a ``delta_hits`` consultation.
         """
         batch = batch.resolved(self._default_distance)
         snapshot = self._collection.snapshot()
@@ -189,10 +190,13 @@ class QueryEngine:
             "scan_fallbacks": batch.n_rows,
             "delta_hits": batch.n_rows if snapshot.n_delta_segments else 0,
         }
-        return snapshot.execute(batch, budget=budget, mapper=mapper), dispatch
+        return snapshot.execute(batch, budget=budget), dispatch
 
     def _run(self, batch: QueryBatch, budget: "Budget | None", batches: int) -> "list[ResultSet]":
-        results, dispatch = self._answer(batch, budget, batches)
+        if self._live:
+            results, dispatch = self._answer_live(batch, budget)
+        else:
+            results, dispatch = self._answer(batch, budget, batches)
         self._count(
             n_searches=len(results),
             n_objects_retrieved=sum(len(result) for result in results),
@@ -427,8 +431,6 @@ class RetrievalEngine(QueryEngine):
     def _answer(
         self, batch: QueryBatch, budget: "Budget | None", batches: int
     ) -> "tuple[list[ResultSet], dict[str, int]]":
-        """Answer a batch on the live snapshot or the frozen corpus's linear scan."""
-        if self._live:
-            return self._answer_live(batch, budget)
+        """Answer a batch on the frozen corpus's linear scan."""
         batch = batch.resolved(self._default_distance)
         return self._scan.execute(batch, budget=budget), {"scan_fallbacks": batch.n_rows}

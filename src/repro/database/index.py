@@ -18,8 +18,7 @@ ascending collection index, so any two conforming engines — and the batch
 and single-query paths of the same engine — return byte-identical result
 sets.  :func:`k_smallest` and :class:`NeighborHeap` implement that rule for
 array-based and heap-based engines respectively, and :func:`merge_topk` is
-the one place per-part top-k lists (live segments, shards) are merged under
-it.
+the one place per-part top-k lists (shards) are merged under it.
 
 :func:`k_smallest` itself has two interchangeable selection strategies —
 the vectorised argpartition pipeline and a bounded heap — whose outputs are
@@ -218,8 +217,8 @@ def k_smallest(
 def merge_topk(per_part: list, k: int, n_queries: int) -> "list[ResultSet]":
     """Global top-``k`` per query from per-part ``(labels, distances)`` lists.
 
-    ``per_part`` holds one entry per corpus part that answered — a live
-    segment, a shard — each a list of ``n_queries`` pairs
+    ``per_part`` holds one entry per corpus part that answered — a shard —
+    each a list of ``n_queries`` pairs
     whose labels are already global and whose rows are in (distance,
     ascending label) order.  Every global top-k object is inside its own
     part's top-k (fewer than ``k`` objects precede it anywhere, so in
@@ -236,8 +235,7 @@ def merge_topk(per_part: list, k: int, n_queries: int) -> "list[ResultSet]":
     if not per_part:
         return [ResultSet.empty() for _ in range(n_queries)]
     if len(per_part) == 1:
-        # Already in merged order; a part may carry rows past rank k (the
-        # live segments' k + dead widening).
+        # Already in merged order: rows past rank k, if any, are cut.
         return [
             ResultSet._adopt(labels[:k], distances[:k]) for labels, distances in per_part[0]
         ]

@@ -9,7 +9,8 @@ computation).  The metric indexes (:mod:`repro.database.vptree`,
 Its :meth:`LinearScanIndex.execute` answers a whole validated
 :class:`~repro.database.query.QueryBatch` — rows sharing one distance, or
 rows carrying their own ``(Δ, W)`` — in one streamed pass: the batch-first
-hot path of the retrieval engine, and the only scan loop in the library.
+hot path of the retrieval engine.  The pass is :func:`scan_segments`, the
+only scan loop in the library, which a live snapshot's segments share.
 :meth:`LinearScanIndex.search` is kept beside it as the exact-definition
 reference (``distances_to`` + ``k_smallest``) the equivalence grids compare
 every other path against.  Two scale features live here:
@@ -145,52 +146,83 @@ class LinearScanIndex(KNNIndex):
     def execute(self, batch: QueryBatch, *, budget: "Budget | None" = None) -> list[ResultSet]:
         """Answer a validated batch in one streamed pass over the corpus.
 
-        The one blocked scan of the library, for shared-distance and per-row
-        ``(Δ, W)`` batches alike: each :attr:`block_rows`-row workspace
-        block (a short corpus is one block) feeds one candidate pool per
-        query, and the pools are re-scored once (:class:`_StreamedScan`) —
-        same results as one ``(Q, N)`` matrix, peak memory bounded by the
-        block, bits equal to :meth:`search`'s.
-
-        A finite ``budget`` clamps the scan: blocks are charged at ``rows ×
-        queries`` metric evaluations before being scanned, the last
-        admissible block is shortened to exactly what the budget grants, and
-        the unscanned tail is recorded as a skip in the budget's
-        coverage.  Every block is granted at ``per_row = n_queries``
-        evaluations per corpus row, so the rows scanned are a deterministic
-        function of the remaining work cap — execution under a smaller cap
-        answers exactly over a prefix of the rows a larger cap scans (the
-        anytime monotonicity property) — and a budget large enough to scan
-        everything is byte-identical to no budget at all.
+        The corpus is the one segment of :func:`scan_segments`, labelled by
+        position; the bits equal :meth:`search`'s.
         """
-        n_queries = batch.n_rows
-        if n_queries == 0:
-            return []
         workspace = self._collection.workspace
-        n_points = self._collection.size
-        scan = _StreamedScan(batch, min(batch.k, n_points), self._block_rows, workspace)
-        effective = effective_budget(budget)
-        if effective is None and budget is not None:
-            budget.note_exact(n_points * n_queries)
-        with nullcontext() if effective is None else effective.scope(n_points * n_queries):
-            for start in range(0, n_points, self._block_rows):
-                rows = min(self._block_rows, n_points - start)
+        k = min(batch.k, self._collection.size)
+        segments = ((workspace, 0, None),)
+        return scan_segments(batch, k, segments, workspace, block_rows=self._block_rows, budget=budget)
+
+
+def _unnoted(budget: Budget, answered: bool) -> None:
+    """A frozen corpus has no segments to account."""
+
+
+def scan_segments(
+    batch: QueryBatch,
+    k: int,
+    segments,
+    frame,
+    *,
+    block_rows: int = DEFAULT_BLOCK_ROWS,
+    budget: "Budget | None" = None,
+    note=_unnoted,
+) -> "list[ResultSet]":
+    """The one blocked scan loop: every segment's blocks feed one pool per query.
+
+    ``segments`` are ``(workspace, labels, alive)`` in scan order.  Rows are
+    centred on ``frame.mean``; labels are an offset or one per row, ascending
+    across segments, so the position tie-break is the label one; ``alive``
+    masks the rows a pool may hold (``None``: all).  ``frame.extent`` bounds
+    ``|x - mean|`` over every row, and ``frame.matrix[label]`` is the row the
+    exact re-score reads.  A finite ``budget`` charges resident rows, masked
+    ones included, block by block; the last admissible block shrinks to its
+    grant, the rest is a recorded skip, and ``note(budget, answered=...)``
+    counts each segment as reached or not.  A smaller cap scans a prefix of
+    a larger one's rows; a sufficient one is byte-identical to none.
+    """
+    n_queries = batch.n_rows
+    if n_queries == 0:
+        return []
+    scan = _StreamedScan(batch, k, block_rows, frame)
+    rows_total = sum(workspace.matrix.shape[0] for workspace, _, _ in segments) * n_queries
+    effective = effective_budget(budget)
+    if effective is None and budget is not None:
+        budget.note_exact(rows_total)
+        for _ in segments:
+            note(budget, answered=True)
+    with nullcontext() if effective is None else effective.scope(rows_total):
+        for workspace, labels, alive in segments:
+            if effective is not None:
+                answered = not effective.exhausted()
+                note(effective, answered=answered)
+                if not answered:
+                    effective.note_skip()
+                    continue
+            n_rows = workspace.matrix.shape[0]
+            for start in range(0, n_rows, block_rows):
+                rows = min(block_rows, n_rows - start)
                 granted = rows if effective is None else effective.grant_rows(rows, per_row=n_queries)
-                if granted == n_points:  # the whole corpus is one block: no view needed
-                    scan.add(workspace)
+                if granted == n_rows:  # the whole segment is one block: no view needed
+                    scan.add(workspace, labels, alive)
                 elif granted:
-                    scan.add(workspace.block(start, start + granted))
+                    stop = start + granted
+                    scan.add(
+                        workspace.block(start, stop),
+                        labels[start:stop] if isinstance(labels, np.ndarray) else labels + start,
+                        None if alive is None else alive[start:stop],
+                    )
                 if granted < rows:
-                    # The rest of the corpus is unscanned: record the skip.
                     effective.note_skip()
                     break
-        return scan.results()
+    return scan.results()
 
 
 class _StreamedScan:
     """The candidate pools of one streamed pass, and their one exact re-score.
 
-    A query's cut is the k-th value of the first ``k`` rows scanned plus a
+    A query's cut is the k-th value of the first ``k`` alive rows scanned plus a
     margin from its :meth:`~repro.distances.base.DistanceFunction.term_bound`
     on the matrix's scale (squared for the float32 stage, the root for the
     float64 expansions, the largest value seen for a family without a
@@ -201,8 +233,8 @@ class _StreamedScan:
     below :data:`~repro.distances.base.FLOAT32_TERM_LIMIT`.
     """
 
-    def __init__(self, batch: QueryBatch, k: int, block_rows: int, workspace) -> None:
-        self.batch, self.k, self.vectors = batch, k, workspace.matrix
+    def __init__(self, batch: QueryBatch, k: int, block_rows: int, frame) -> None:
+        self.batch, self.k, self.vectors = batch, k, frame.matrix
         self.limit = block_rows * batch.n_rows
         self.kth = None
         self.scanned = self.size = 0
@@ -211,9 +243,9 @@ class _StreamedScan:
         # The shared distance's parameters (copied once per request) or the
         # per-row weights.
         self.parameters = distance.parameters() if weights is None else weights
-        centred = batch.points - workspace.mean
+        centred = batch.points - frame.mean
         reach = np.abs(centred)
-        reach += workspace.extent
+        reach += frame.extent
         with np.errstate(over="ignore"):
             if weights is None:
                 self.bounds = distance.term_bound(reach)
@@ -233,27 +265,37 @@ class _StreamedScan:
         self.bar = np.inf
         self.scale = np.ones(batch.n_rows) if self.bounds is None else None
 
-    def add(self, view) -> None:
+    def add(self, view, labels=0, alive=None) -> None:
         """Pool the entries of one corpus block under the current cut.
 
         Every kernel returns the block's ``(Q, rows)`` matrix query-major,
-        so a flat hit position decodes to ``(query, row)`` by one ``divmod``.
+        so a flat hit position decodes to ``(query, row)`` by one ``divmod``;
+        ``labels`` maps a row to its label (an offset, or one label per
+        row).  Rows outside the ``alive`` mask enter neither the pool nor
+        the first k-th value: an explicit mask, because a sentinel value
+        would pass a cut that is still infinite.
         """
         matrix = self.kernel(view)
         rows = matrix.shape[1]
         if self.scale is not None:
+            # Masked rows may raise the scale: that only widens the margin.
             np.maximum(self.scale, matrix.max(axis=1), out=self.scale)
             if self.kth is not None:
                 self._derive(self.kth)
-        if not self.scanned and rows >= self.k:
-            self._derive(np.partition(matrix, self.k - 1, axis=1)[:, self.k - 1])
-        flat = np.flatnonzero(matrix <= self.bar)
+        eligible = rows if alive is None else int(np.count_nonzero(alive))
+        if not self.scanned and eligible >= self.k:
+            first = matrix.copy() if alive is None else matrix.compress(alive, axis=1)
+            first.partition(self.k - 1, axis=1)
+            self._derive(first[:, self.k - 1])
+        hits = matrix <= self.bar
+        if alive is not None:
+            hits &= alive
+        flat = np.flatnonzero(hits)
         values = matrix.reshape(-1)[flat]
-        queries, labels = np.divmod(flat, rows)
-        if view.start:
-            labels += view.start
-        self.parts.append((labels, queries, values))
-        self.scanned += rows
+        queries, positions = np.divmod(flat, rows)
+        positions = labels[positions] if isinstance(labels, np.ndarray) else positions + labels
+        self.parts.append((positions, queries, values))
+        self.scanned += eligible
         self.size += flat.size
         if self.size > self.limit or (self.kth is None and self.scanned >= self.k):
             self._tighten()
@@ -266,7 +308,9 @@ class _StreamedScan:
         batch = self.batch
         if not self.parts:
             return [ResultSet.empty() for _ in range(batch.n_rows)]
-        if len(self.parts) > 1:  # blocks pooled since the cut was last derived
+        if len(self.parts) > 1 and self.size > 2 * self.k * batch.n_rows:
+            # Blocks pooled since the cut was last derived hold more than a
+            # re-derived cut would keep: cutting first saves re-score work.
             self._tighten()
         labels, _, _, edges = self._grouped()
         # Weighted Euclidean rows (shared or per-row weights) skip distances_to's

@@ -36,7 +36,7 @@ class QueryBatch:
     workers) accepts nothing but a ``QueryBatch`` — the type *is* the proof
     that shapes, finiteness, ``k`` and ``precision`` were checked.  The bare
     constructor is for deriving a batch from a validated one
-    (:meth:`with_k`, :meth:`resolved`).
+    (:meth:`resolved`).
 
     A batch is plain picklable data (it crosses the pipe to the shard worker
     processes); the mutable :class:`~repro.database.budget.Budget` accounting
@@ -121,10 +121,6 @@ class QueryBatch:
     def group_key(self) -> tuple:
         """What two batches must share for their rows to ride one dispatch."""
         return (self.weights is not None, self.k, self.distance, self.precision)
-
-    def with_k(self, k: int) -> "QueryBatch":
-        """The same rows asking for ``k`` results (per-segment widening)."""
-        return QueryBatch(self.points, k, self.distance, self.weights, self.precision)
 
     def resolved(self, default_distance: DistanceFunction) -> "QueryBatch":
         """This batch with ``distance=None`` replaced by the engine's default."""

@@ -15,24 +15,24 @@ compaction — the CobbleDB model from PAPERS.md) so a corpus can mutate
   O(delta); ``delete`` flips copy-on-write tombstones in O(corpus-mask);
   neither touches the base.
 * :class:`LiveSnapshot` — a consistent, immutable view of the composition
-  at one instant.  Queries run per segment with a ``k + dead`` widened
-  top-k, drop tombstoned rows, and re-select the global top-k through
-  :func:`~repro.database.index.merge_topk` under the library-wide
-  (distance, ascending **stable id**) tie-break.
+  at one instant.  A query is **one** streamed scan over base and deltas
+  (:func:`~repro.database.knn.scan_segments`) with tombstones masked out of
+  its candidate pool, under the (distance, ascending **stable id**) order.
 * :class:`Compactor` — a background thread folding deltas into a new base
   off the hot path: the rebuild (matrix gather, workspace) runs outside
   the mutation lock and the new composition swaps in atomically under an
   epoch counter, RCU-style — in-flight queries finish on the old
   composition and never block.
 
-**Exactness is the contract.**  Per-object distances are element-wise
-expressions whose bits do not depend on which segment hosts the object (the
-same argument as the sharded engine's), ids are assigned once and never
-reused, each segment's local order is id-ascending, and the merge re-selects
-under (distance, ascending id) — so any interleaving of writes and queries
-is **byte-identical** to rebuilding a frozen collection from the alive rows
-at that snapshot and querying it (tier-1, ``tests/test_live_collection.py``
-and the hypothesis interleavings in ``tests/test_properties_live.py``).
+**Exactness is the contract.**  A read is the plain replay of the
+composition: one scan over base, sealed deltas and active delta, an
+id-ascending order (ids are assigned once and never reused), so the scan's
+(distance, position) tie-break is the (distance, id) one, and the exact
+re-score reads rows by id, with bits independent of the hosting segment.
+Any interleaving of writes and queries is **byte-identical** to rebuilding a
+frozen collection from the alive rows at that snapshot and querying it
+(tier-1, ``tests/test_live_collection.py`` and the hypothesis interleavings
+in ``tests/test_properties_live.py``).
 
 **Stable ids.**  Result-set indices of a live collection are stable
 external ids: row ``id`` of the id-indexed :attr:`LiveCollection.vectors`
@@ -45,13 +45,14 @@ That is what keeps the feedback layer working unchanged — judges gather
 from __future__ import annotations
 
 import threading
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.database.budget import Budget, fan_out
-from repro.database.collection import FeatureCollection
-from repro.database.index import merge_topk
-from repro.database.knn import LinearScanIndex
+from repro.database.budget import Budget
+from repro.database.collection import CorpusWorkspace, FeatureCollection
+from repro.database.knn import scan_segments
 from repro.database.query import QueryBatch, ResultSet
 from repro.distances.base import DistanceFunction
 from repro.distances.weighted_euclidean import WeightedEuclideanDistance
@@ -74,32 +75,40 @@ class SegmentUnit:
 
     ``ids`` maps the collection's local positions to stable external ids,
     and is **strictly ascending** — ids are assigned monotonically within a
-    delta, and a compacted base keeps its alive ids sorted — so the local
-    (distance, position) tie-break order of any engine over ``collection``
-    is the same order as (distance, id).  That order-isomorphism is what
-    lets per-segment results merge under the global tie-break without
-    re-sorting anything inside a segment.
+    delta, and a compacted base keeps its alive ids sorted — and above
+    every earlier segment's, so a scan in segment order meets rows in id
+    order.
 
     The unit itself carries no liveness: tombstones are snapshot state
     (:class:`_SnapshotSegment`), so one unit object — with its lazily built
-    workspace and its scan — is reused across snapshots until a compaction
-    retires it.
+    workspace — is reused across snapshots until a compaction retires it.
     """
 
-    __slots__ = ("collection", "ids", "scan")
+    __slots__ = ("collection", "ids", "_workspace")
 
     def __init__(self, collection: FeatureCollection, ids: np.ndarray) -> None:
         self.collection = collection
         ids = np.asarray(ids, dtype=np.intp)
         ids.setflags(write=False)
         self.ids = ids
-        self.scan = LinearScanIndex(collection)
+        self._workspace: "CorpusWorkspace | None" = None
 
     def __len__(self) -> int:
         return self.collection.size
 
+    def centred_on(self, base: CorpusWorkspace) -> CorpusWorkspace:
+        """This delta's kernel workspace, centred on the ``base`` workspace's mean.
 
-class _SnapshotSegment:
+        Cached until the base changes: a compaction that swaps the base
+        swaps its mean, and the next read re-centres.
+        """
+        workspace = self._workspace
+        if workspace is None or workspace.mean is not base.mean:
+            workspace = self._workspace = CorpusWorkspace(self.collection.vectors, base.mean)
+        return workspace
+
+
+class _SnapshotSegment(NamedTuple):
     """One segment as seen by one snapshot: a unit plus its tombstones.
 
     ``alive`` is ``None`` when every row is alive (the common case, and the
@@ -108,42 +117,35 @@ class _SnapshotSegment:
     lock, so it can never change under a running query.
     """
 
-    __slots__ = ("unit", "alive", "n_dead")
-
-    def __init__(self, unit: SegmentUnit, alive: "np.ndarray | None", n_dead: int) -> None:
-        self.unit = unit
-        self.alive = alive
-        self.n_dead = int(n_dead)
+    unit: SegmentUnit
+    alive: "np.ndarray | None"
 
 
 class LiveSnapshot:
     """A consistent, immutable view of a :class:`LiveCollection`.
 
-    Searching a snapshot is the live system's read path: every segment
-    answers with a ``min(k + its dead, its size)`` top-k (any global top-k
-    alive object has fewer than ``k`` alive predecessors anywhere — so in
-    particular within its segment — plus at most ``n_dead`` dead ones, so
-    widening by the segment's tombstone count loses nothing), tombstoned
-    rows are dropped, local positions map to stable ids, and
-    :func:`~repro.database.index.merge_topk` re-selects the global top-k
-    under (distance, ascending id).  The result is byte-identical to
-    querying a frozen collection rebuilt from the snapshot's alive rows.
-
-    ``mapper`` on :meth:`execute` accepts a
-    :meth:`~repro.database.sharding.WorkerPool.map`-shaped callable so a
-    sharded engine can fan the per-segment scans out over its worker pool;
-    the merge is order-fixed, so parallelism never shows in the bits.
+    Searching it (:meth:`execute`) is the live system's read path.
+    ``archive`` holds every id assigned at the snapshot, rows that never
+    change, which the scan's exact re-score reads by id.
     """
 
-    __slots__ = ("_segments", "_epoch", "_size", "_dimension")
+    __slots__ = ("_segments", "_archive", "_epoch", "_size", "_dimension", "_plan")
 
     def __init__(
-        self, segments: "tuple[_SnapshotSegment, ...]", *, epoch: int, size: int, dimension: int
+        self,
+        segments: "tuple[_SnapshotSegment, ...]",
+        archive: np.ndarray,
+        *,
+        epoch: int,
+        size: int,
+        dimension: int,
     ) -> None:
         self._segments = segments
+        self._archive = archive
         self._epoch = int(epoch)
         self._size = int(size)
         self._dimension = int(dimension)
+        self._plan = None
 
     # ------------------------------------------------------------------ #
     # Shape
@@ -181,54 +183,44 @@ class LiveSnapshot:
     # ------------------------------------------------------------------ #
     # Search
     # ------------------------------------------------------------------ #
-    def execute(
-        self, batch: QueryBatch, *, budget: "Budget | None" = None, mapper=None
-    ) -> "list[ResultSet]":
+    def _scan_plan(self) -> tuple:
+        """The one scan's frame and ``(workspace, labels, alive)`` segments, built on first read.
+
+        Deltas are centred on the base's mean, the extent is the max of the
+        segments' extents around it, and a contiguous id run is labelled by
+        its first id.
+        """
+        if self._plan is None:
+            base = self._segments[0].unit.collection.workspace
+            extent, parts = base.extent, []
+            for segment in self._segments:
+                workspace = segment.unit.centred_on(base) if parts else base
+                extent = np.maximum(extent, workspace.extent)
+                ids = segment.unit.ids
+                labels = int(ids[0]) if ids[-1] - ids[0] == ids.shape[0] - 1 else ids
+                parts.append((workspace, labels, segment.alive))
+            frame = SimpleNamespace(mean=base.mean, extent=extent, matrix=self._archive)
+            self._plan = (frame, tuple(parts))
+        return self._plan
+
+    def execute(self, batch: QueryBatch, *, budget: "Budget | None" = None) -> "list[ResultSet]":
         """The ``k`` nearest alive vectors of every batch row, by stable id.
 
-        Every segment's linear scan answers the batch widened to ``k + its
-        dead``, tombstoned rows are dropped, local positions map to stable
-        ids, and :func:`~repro.database.index.merge_topk` re-selects across
-        segments.  Byte-identical to ``FeatureCollection(alive rows)``
-        queried through a :class:`~repro.database.engine.RetrievalEngine`,
-        with positions mapped to ids: the exact candidate distances are
-        element-wise per object, so segment membership never shows in the
-        bits.
-
-        The segments are the parts of one :func:`~repro.database.budget.fan_out`:
-        a finite ``budget`` runs them serially (base first, then deltas in
-        admission order, ignoring ``mapper``), each one the budget reaches
-        is consulted through the budgeted scan and counted
-        ``segments_answered``, and segments the exhausted budget never
-        reaches are skips counted ``segments_skipped``.  The
-        budget charges what a scan actually evaluates — resident rows, dead
-        ones included, since liveness is filtered after the distances.
+        One :func:`~repro.database.knn.scan_segments` pass: the base's
+        blocks, then every delta in admission order, feed one candidate
+        pool per query under one kernel and one cut; tombstoned rows are
+        masked out of the pool, which is re-scored once from the archive
+        rows of its ids.  Byte-identical to ``FeatureCollection(alive
+        rows)`` queried through a
+        :class:`~repro.database.engine.RetrievalEngine`, positions mapped
+        to ids.  A finite ``budget`` charges resident rows, dead ones
+        included, and counts each segment it reaches ``segments_answered``
+        and each it never reaches ``segments_skipped``.
         """
-
-        def answer_segment(segment: _SnapshotSegment, segment_budget: "Budget | None") -> list:
-            unit = segment.unit
-            part = batch.with_k(min(batch.k + segment.n_dead, len(unit)))
-            pairs = []
-            for result in unit.scan.execute(part, budget=segment_budget):
-                local = result.indices()
-                ordered = result.distances()
-                if segment.alive is not None:
-                    keep = segment.alive[local]
-                    local = local[keep]
-                    ordered = ordered[keep]
-                pairs.append((unit.ids[local], ordered))
-            return pairs
-
-        rows_resident = sum(len(segment.unit) for segment in self._segments)
-        per_segment = fan_out(
-            self._segments,
-            answer_segment,
-            budget,
-            rows_resident * batch.n_rows,
-            Budget.note_segment,
-            mapper,
+        frame, parts = self._scan_plan()
+        return scan_segments(
+            batch, min(batch.k, self._size), parts, frame, budget=budget, note=Budget.note_segment
         )
-        return merge_topk(per_segment, batch.k, batch.n_rows)
 
     def search_batch(
         self,
@@ -270,22 +262,22 @@ class LiveCollection:
     """
 
     def __init__(self, vectors, labels=None) -> None:
-        base_collection = FeatureCollection(vectors, labels=labels)
-        n = base_collection.size
-        self._dimension = base_collection.dimension
+        vectors = as_float_matrix(vectors, name="vectors")
+        n, self._dimension = vectors.shape
         self._index_distance = WeightedEuclideanDistance.default(self._dimension)
 
         capacity = max(_INITIAL_CAPACITY, 2 * n)
         self._archive = np.zeros((capacity, self._dimension), dtype=np.float64)
-        self._archive[:n] = base_collection.vectors
+        self._archive[:n] = vectors
+        # The base adopts the archive's first rows, stored once: rows below
+        # the next id never change.
+        base_collection = FeatureCollection(self._archive[:n], labels=labels, copy=False)
         self._alive = np.zeros(capacity, dtype=bool)
         self._alive[:n] = True
         self._next_id = n
         self._n_alive = n
-        if base_collection.labels is None:
-            self._labels: "list[str] | None" = None
-        else:
-            self._labels = list(base_collection.labels)
+        labels = base_collection.labels
+        self._labels: "list[str] | None" = None if labels is None else list(labels)
         self._labels_array: "np.ndarray | None" = None
 
         self._base_unit = SegmentUnit(base_collection, np.arange(n, dtype=np.intp))
@@ -509,14 +501,11 @@ class LiveCollection:
             segments = []
             for unit in units:
                 mask = self._alive[unit.ids]
-                n_dead = int(unit.ids.shape[0] - np.count_nonzero(mask))
-                if n_dead:
-                    mask.setflags(write=False)
-                    segments.append(_SnapshotSegment(unit, mask, n_dead))
-                else:
-                    segments.append(_SnapshotSegment(unit, None, 0))
+                mask.setflags(write=False)
+                segments.append(_SnapshotSegment(unit, None if mask.all() else mask))
             snapshot = LiveSnapshot(
                 tuple(segments),
+                self._archive[: self._next_id],
                 epoch=self._epoch,
                 size=self._n_alive,
                 dimension=self._dimension,
@@ -618,9 +607,7 @@ class LiveCollection:
             alive_ids = np.flatnonzero(alive_ref[:next_id]).astype(np.intp)
             matrix = np.ascontiguousarray(archive[alive_ids])
             new_base = SegmentUnit(FeatureCollection(matrix, copy=False), alive_ids)
-            # One default-distance scan builds exactly the workspace terms
-            # the base scan reads, off the hot path, not under traffic.
-            new_base.scan.search_batch(matrix[:1], 1, self._index_distance)
+            _warm(new_base.collection.workspace, self._index_distance)
 
             with self._lock:
                 self._base_unit = new_base
@@ -629,6 +616,17 @@ class LiveCollection:
                 self._n_compactions += 1
                 self._snapshot_cache = None
                 return {"compacted": True, **self.corpus_stats()}
+
+
+def _warm(workspace: CorpusWorkspace, distance: WeightedEuclideanDistance) -> None:
+    """Build the workspace terms a ``distance`` read streams, off the hot path.
+
+    The float32 centred matrix and the distance's point norms: exactly what
+    the default scan reads, so the first read after a compaction builds
+    nothing under traffic.
+    """
+    workspace.centered32
+    workspace.point_norms(distance.weights)
 
 
 class Compactor:

@@ -22,9 +22,8 @@ concurrency layer the ROADMAP asked for:
   thing of its own: how a validated
   :class:`~repro.database.query.QueryBatch` is answered — fanned out
   unchanged to one :class:`~repro.database.engine.RetrievalEngine` per shard
-  (each with its own linear scan) through
-  :func:`~repro.database.budget.fan_out`, the per-shard top-k lists merged
-  by :func:`~repro.database.index.merge_topk`.  With
+  (each with its own linear scan), the per-shard top-k lists merged by
+  :func:`~repro.database.index.merge_topk`.  With
   ``backend="process"`` the per-shard engines live in long-lived worker
   processes that attach the corpus from shared memory once; only the batch
   and the per-shard top-k lists cross the process boundary, as small
@@ -65,7 +64,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.database.budget import Budget, effective_budget, fan_out
+from repro.database.budget import Budget, effective_budget
 from repro.database.collection import FeatureCollection
 from repro.database.engine import QueryEngine, RetrievalEngine
 from repro.database.index import merge_topk
@@ -682,8 +681,8 @@ class ShardedEngine(QueryEngine):
             # A live collection already *is* a partition — base + delta
             # segments — and the partition changes with every insert and
             # compaction, so a static index-range ShardedCollection cannot
-            # exist over it.  The engine fans the per-segment scans of each
-            # snapshot over its worker pool instead.
+            # exist over it.  Its snapshot answers with one scan over the
+            # segments, the same read an unsharded engine makes.
             if n_shards is not None:
                 raise ValidationError(
                     "a live collection shards by segment; n_shards must be None"
@@ -844,54 +843,53 @@ class ShardedEngine(QueryEngine):
 
         The batch travels to the shard engines unchanged — ``distance=None``
         stays ``None``, so each shard engine resolves its *own* default
-        distance instance (also inside a worker process) — and every shard
-        engine answers it the way :meth:`execute` would (one kernel matrix
-        per shard for the linear scan), counting the ``batches`` this engine
-        counts, so a single-row search counts no batch on any shard either.  The per-query Python
-        overhead stays amortised *and* the shards run concurrently.
+        distance (also inside a worker process) — and each answers it as
+        :meth:`execute` would, counting the ``batches`` this engine counts.
         Shard-local indices become global by one offset addition and
         :func:`~repro.database.index.merge_topk` re-selects the global
-        top-k; distances are carried through verbatim, so the merged arrays
-        are byte-identical to the unsharded result.
+        top-k from verbatim distances: byte-identical to the unsharded
+        result.
 
-        Thread backend: the shards are the parts of one
-        :func:`~repro.database.budget.fan_out` over the worker pool — a
-        finite ``budget`` consults them serially in shard-id order and stops
-        when it runs dry (``shards_answered`` / ``shards_skipped``).
-        Process backend: one pipe round-trip per worker carrying the pickled
-        batch; only the batch and the per-shard top-k lists cross the
-        process boundary, and finite budgets are refused — a live
-        :class:`~repro.database.budget.Budget` (lock, clock) cannot cross
-        it, and a shared cap drained from another process would not be
-        deterministic anyway.
+        An absent or unlimited budget runs every shard exact, over the
+        worker pool or one pipe round-trip per worker process.  A finite
+        ``budget`` consults the shards serially in shard-id order inside one
+        coverage scope, recording those it no longer reaches as skips
+        (``shards_answered`` / ``shards_skipped``); it needs the thread
+        backend, since a :class:`~repro.database.budget.Budget` (lock,
+        clock) cannot cross the process boundary.  A live collection never
+        reaches here: :class:`~repro.database.engine.QueryEngine` answers it
+        with the one streamed scan of its snapshot, as unsharded.
         """
-        if self._live:
-            return self._answer_live(batch, budget, mapper=self._pool.map)
         rows_total = self._collection.size * batch.n_rows
         offsets = self._sharded.offsets
-        if self._process_backend is None:
-            per_shard = fan_out(
-                list(zip(offsets, self._shard_engines)),
-                lambda shard, shard_budget: _global_pairs(
-                    shard[0], shard[1]._run(batch, shard_budget, batches)
-                ),
-                budget,
-                rows_total,
-                Budget.note_shard,
-                self._pool.map,
-            )
-        else:
-            if effective_budget(budget) is not None:
-                raise ValidationError(
-                    "finite budgets need backend='thread': a live Budget cannot "
-                    "cross the process boundary"
-                )
+        effective = effective_budget(budget)
+        if effective is None:
             if budget is not None:
                 budget.note_exact(rows_total)
                 for _ in offsets:
                     budget.note_shard(answered=True)
-            answers = self._process_backend.map_shards("_run", (batch, None, batches))
+            if self._process_backend is None:
+                answers = self._pool.map(
+                    lambda engine: engine._run(batch, None, batches), self._shard_engines
+                )
+            else:
+                answers = self._process_backend.map_shards("_run", (batch, None, batches))
             per_shard = [_global_pairs(offset, results) for offset, results in zip(offsets, answers)]
+        elif self._process_backend is not None:
+            raise ValidationError(
+                "finite budgets need backend='thread': a live Budget cannot "
+                "cross the process boundary"
+            )
+        else:
+            per_shard = []
+            with effective.scope(rows_total):
+                for offset, engine in zip(offsets, self._shard_engines):
+                    answered = not effective.exhausted()
+                    effective.note_shard(answered=answered)
+                    if answered:
+                        per_shard.append(_global_pairs(offset, engine._run(batch, effective, batches)))
+                    else:
+                        effective.note_skip()
         # Dispatch decisions are counted by the shard engines that made them.
         return merge_topk(per_shard, batch.k, batch.n_rows), {}
 

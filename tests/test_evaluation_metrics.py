@@ -1,6 +1,5 @@
 """Tests for repro.evaluation.metrics."""
 
-import numpy as np
 import pytest
 
 from repro.database.query import ResultSet

@@ -386,8 +386,8 @@ class TestPooledPass:
         pooled, peaks = [], []
         add, tighten = knn._StreamedScan.add, knn._StreamedScan._tighten
 
-        def spy_add(self, view):
-            add(self, view)
+        def spy_add(self, view, *labels_and_mask):
+            add(self, view, *labels_and_mask)
             pooled.append(self.size)
 
         def spy_tighten(self):

@@ -9,7 +9,6 @@ claims at small scale.
 import numpy as np
 import pytest
 
-from repro.core.oqp import OptimalQueryParameters
 from repro.core.persistence import load_simplex_tree, save_simplex_tree
 from repro.core.bypass import FeedbackBypass
 from repro.database.collection import FeatureCollection

@@ -21,7 +21,8 @@ function of the codec module that both front ends call.
 Parallelism has one place too: the shard fan-out of ``ShardedEngine``.
 No module starts a process pool, the thread ``WorkerPool`` has no backend
 choice, and neither the loop scheduler nor the evaluation session splits
-work across workers of its own.
+work across workers of its own.  A live read is one scan, so the segment
+layer imports neither the top-k merge nor a part fan-out.
 
 A server process loads only what serving runs: the benchmark's server
 child, started fresh, imports neither the experiments nor the shard layer,
@@ -421,6 +422,17 @@ def test_the_engines_take_no_index():
         assert ".supports(" not in text, path
         assert "KNNIndex" not in text, path
     assert not hasattr(KNNIndex, "supports")
+
+
+def test_a_live_read_merges_nothing():
+    """A live snapshot answers with one scan over its segments: no per-segment
+    top-k lists, so no merge, no part fan-out and no worker-pool mapper."""
+    from repro.database.segments import LiveSnapshot
+
+    modules = imported_modules(SRC / "repro" / "database" / "segments.py")
+    for name in ("repro.database.index.merge_topk", "repro.database.budget.fan_out"):
+        assert name not in modules
+    assert "mapper" not in inspect.signature(LiveSnapshot.execute).parameters
 
 
 def test_importing_the_library_loads_no_measurement_code():

@@ -10,17 +10,19 @@ Cross-segment distance ties (duplicate vectors split between base and
 delta) must break by ascending stable id, exactly like the sharded merge.
 """
 
+import contextlib
 import threading
 
 import numpy as np
 import pytest
 
+from repro.database import knn, segments
 from repro.database.collection import FeatureCollection
 from repro.database.engine import RetrievalEngine
-from repro.database.knn import LinearScanIndex
+from repro.database.knn import DEFAULT_BLOCK_ROWS
 from repro.database.segments import Compactor, LiveCollection
 from repro.database.sharding import ShardedEngine
-from repro.distances.minkowski import cityblock
+from repro.distances.minkowski import MinkowskiDistance, cityblock
 from repro.distances.weighted_euclidean import WeightedEuclideanDistance
 from repro.evaluation.simulated_user import SimulatedUser
 from repro.feedback.engine import FeedbackEngine
@@ -261,6 +263,152 @@ class TestByteIdentityToFrozenRebuild:
         )
 
 
+@contextlib.contextmanager
+def _parked_fold(live, monkeypatch):
+    """``live.compact()`` on a thread parked in its off-lock rebuild until the block exits."""
+    building, release = threading.Event(), threading.Event()
+    warm_up = segments._warm
+
+    def parked_warm_up(*args):
+        building.set()
+        assert release.wait(timeout=30.0)
+        return warm_up(*args)
+
+    monkeypatch.setattr(segments, "_warm", parked_warm_up)
+    fold = threading.Thread(target=live.compact)
+    fold.start()
+    try:
+        assert building.wait(timeout=30.0)
+        yield
+    finally:
+        release.set()
+        fold.join(timeout=30.0)
+    assert not fold.is_alive()
+
+
+def _assert_reads_match(live, k_values, precision, distance=None):
+    """Every ``k`` of ``k_values`` reads byte-identically to the frozen rebuild."""
+    engine = RetrievalEngine(live)
+    frozen, ids = _frozen_rebuild(live)
+    reference = RetrievalEngine(frozen, default_distance=engine.default_distance)
+    queries = _queries(live)
+    for k in k_values:
+        _assert_identical(
+            engine.search_batch(queries, k, distance, precision=precision),
+            reference.search_batch(queries, k, distance, precision=precision),
+            ids,
+        )
+
+
+class _Unbounded(MinkowskiDistance):
+    """A family without a ``term_bound``: the scan sizes its margin from the values it sees."""
+
+    def term_bound(self, reach):
+        return None
+
+
+@pytest.mark.parametrize("precision", ["exact", "fast"])
+class TestOneScanEdges:
+    """The one-scan read where its pool and cut are easiest to get wrong."""
+
+    def test_a_first_block_with_fewer_than_k_alive_rows(self, precision):
+        """The cut stays infinite past the first block: tombstones must stay out by mask."""
+        rng = np.random.default_rng(41)
+        live = LiveCollection(rng.random((DEFAULT_BLOCK_ROWS + 40, DIMENSION)))
+        live.delete(np.arange(3, DEFAULT_BLOCK_ROWS))
+        live.insert(rng.random((5, DIMENSION)))
+        assert live.snapshot().segments[0].alive[:DEFAULT_BLOCK_ROWS].sum() == 3
+        _assert_reads_match(live, (1, 5, 9), precision)
+
+    def test_a_segment_whose_every_row_is_dead(self, precision):
+        rng = np.random.default_rng(42)
+        dead_delta = LiveCollection(_base_vectors())
+        dead_delta.delete(dead_delta.insert(rng.random((6, DIMENSION))))
+        _assert_reads_match(dead_delta, (1, 5), precision)
+        dead_base = LiveCollection(_base_vectors())
+        dead_base.insert(rng.random((9, DIMENSION)))
+        dead_base.delete(np.arange(40))
+        assert dead_base.snapshot().segments[0].alive.sum() == 0
+        _assert_reads_match(dead_base, (1, 5, 9), precision)
+
+    def test_k_above_the_alive_count(self, precision):
+        live = LiveCollection(_base_vectors())
+        _mixed(live, np.random.default_rng(43))
+        live.delete([0, 1, 45])
+        resident = sum(len(segment.unit) for segment in live.snapshot().segments)
+        assert live.size + 3 < resident
+        _assert_reads_match(live, (live.size - 1, live.size, live.size + 3, resident + 1), precision)
+
+    def test_per_row_parameters(self, precision):
+        live = LiveCollection(_base_vectors())
+        _mixed(live, np.random.default_rng(44))
+        engine = RetrievalEngine(live)
+        frozen, ids = _frozen_rebuild(live)
+        reference = RetrievalEngine(frozen)
+        queries = _queries(live)
+        rng = np.random.default_rng(45)
+        deltas = rng.normal(scale=0.05, size=queries.shape)
+        weights = rng.random(queries.shape) + 0.25
+        for k in (1, 6, live.size + 2):
+            _assert_identical(
+                engine.search_batch_with_parameters(queries, k, deltas, weights, precision),
+                reference.search_batch_with_parameters(queries, k, deltas, weights, precision),
+                ids,
+            )
+
+    def test_a_family_without_a_term_bound(self, precision):
+        live = LiveCollection(_base_vectors())
+        _mixed(live, np.random.default_rng(46))
+        _assert_reads_match(live, (1, 7, live.size), precision, _Unbounded(DIMENSION, order=1.0))
+
+    def test_a_delta_cached_across_a_compaction(self, precision, monkeypatch):
+        """A delta read on the old base is re-centred on the new base's mean.
+
+        The base sits far from everything that survives it, so the fold
+        moves the mean by about fifty per coordinate: a delta workspace
+        still centred on the old mean would score its rows wrongly.
+        """
+        rng = np.random.default_rng(47)
+        live = LiveCollection(np.vstack([rng.random((30, DIMENSION)) + 50.0, _base_vectors(12)]))
+        live.delete(np.arange(30))
+        engine = RetrievalEngine(live)
+        with _parked_fold(live, monkeypatch):
+            live.insert(rng.random((6, DIMENSION)))
+            engine.search_batch(_queries(live), 5, precision=precision)
+            delta = live.snapshot().segments[-1].unit
+            stale = delta.centred_on(live.snapshot().segments[0].unit.collection.workspace)
+        base = live.snapshot().segments[0].unit.collection.workspace
+        assert live.epoch == 1 and live.snapshot().segments[-1].unit is delta
+        assert np.abs(stale.mean - base.mean).min() > 10.0
+        _assert_reads_match(live, (1, 5, 9), precision)
+        assert delta.centred_on(base).mean is base.mean
+
+
+class TestOneScanPerRead:
+    def test_a_live_read_builds_one_streamed_scan(self, monkeypatch):
+        """However many delta segments ride on the base, a read is one scan."""
+        built = []
+
+        class CountedScan(knn._StreamedScan):
+            def __init__(self, *args):
+                built.append(args[0].n_rows)
+                super().__init__(*args)
+
+        monkeypatch.setattr(knn, "_StreamedScan", CountedScan)
+        live = LiveCollection(_base_vectors())
+        engine = RetrievalEngine(live)
+        live.insert(np.random.default_rng(48).random((4, DIMENSION)))
+        live.delete([3, 41])
+        assert live.snapshot().n_delta_segments == 1
+        engine.search_batch(_queries(live), 5)
+        assert built == [8]
+        with _parked_fold(live, monkeypatch):
+            live.insert(np.random.default_rng(49).random((2, DIMENSION)))
+            assert live.snapshot().n_delta_segments == 2
+            engine.search_batch(_queries(live, n=3), 5)
+            assert built == [8, 3]
+
+
 class TestWritesNeverRebuild:
     N_WRITES = 24
 
@@ -388,28 +536,25 @@ class TestWritesNeverRebuild:
     def test_reads_and_writes_proceed_while_a_fold_rebuilds(self, monkeypatch):
         """A compaction parked in its O(corpus) phase holds up nobody.
 
-        The fold's off-lock warm-up scan is blocked on an event; meanwhile
+        The fold's off-lock warm-up is blocked on an event; meanwhile
         reads answer byte-identically to a frozen rebuild and writes land,
         all before the fold is let go.  After the swap the racing insert
         sits in the fresh delta and the racing delete is a tombstone of the
         new base.
         """
         building, release = threading.Event(), threading.Event()
-        armed = []
-        warm_up = LinearScanIndex.search_batch
+        warm_up = segments._warm
 
-        def blocking_warm_up(scan, *args, **kwargs):
-            # Reads run ``execute``; only the compaction's warm-up calls this.
-            if armed:
-                building.set()
-                assert release.wait(timeout=30.0)
-            return warm_up(scan, *args, **kwargs)
+        def blocking_warm_up(*args):
+            # Only the compaction's off-lock rebuild warms a workspace.
+            building.set()
+            assert release.wait(timeout=30.0)
+            return warm_up(*args)
 
-        monkeypatch.setattr(LinearScanIndex, "search_batch", blocking_warm_up)
+        monkeypatch.setattr(segments, "_warm", blocking_warm_up)
         live = LiveCollection(_base_vectors())
         engine = RetrievalEngine(live)
         live.insert(np.random.default_rng(24).random((3, DIMENSION)))
-        armed.append(True)
         outcomes = []
         fold = threading.Thread(target=lambda: outcomes.append(live.compact()))
         fold.start()

@@ -22,8 +22,6 @@ deterministic by construction.  The real clock is exercised by exactly one
 smoke test, via the bounded-poll helper.
 """
 
-import time
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from repro.geometry.barycentric import barycentric_coordinates, barycentric_interpolate
 from repro.geometry.bounding import standard_simplex_vertices, unit_cube_root_vertices
-from repro.geometry.predicates import contains_point
 from repro.geometry.simplex import Simplex
 from repro.geometry.triangulation import IncrementalTriangulation
 from repro.utils.validation import ValidationError

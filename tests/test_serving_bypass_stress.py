@@ -11,7 +11,6 @@ on the wire) must cost nothing but that connection.
 import socket
 import struct
 import threading
-import time
 
 import numpy as np
 import pytest

@@ -18,7 +18,6 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.database.query import ResultSet
 from repro.evaluation.simulated_user import SimulatedUser
 from repro.feedback.engine import FeedbackEngine
 from repro.feedback.engine import FeedbackState

@@ -41,8 +41,6 @@ from repro.serving.protocol import (
     _PREALLOCATED_FRAME_BYTES,
     MAX_FRAME_BYTES,
     ConnectionClosed,
-    ProtocolError,
-    frame,
     recv_payload,
     send_payload,
 )
