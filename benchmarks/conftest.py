@@ -11,9 +11,9 @@ clock.  The corpus is scaled down (``BENCH_SCALE = 0.15`` of the paper's
 Each entry writes its rendered series (the rows the paper plots, followed by
 any claim that failed) to the tracked ``benchmarks/results/`` only under an
 explicit ``pytest --record``, otherwise to a temp directory, so running the
-gate leaves the working tree untouched.  The series are echoed to stdout
-either way.  Served-path speed is measured by ``python3 -m bench``, not
-here.
+gate leaves the working tree untouched; without ``--record`` the series must
+equal the tracked one.  The series are echoed to stdout either way.
+Served-path speed is measured by ``python3 -m bench``, not here.
 """
 
 from __future__ import annotations
@@ -68,9 +68,17 @@ def results_dir(request, tmp_path_factory) -> str:
     return RESULTS_DIRECTORY
 
 
-def write_series(results_dir: str, name: str, text: str) -> None:
-    """Write a rendered series to ``<results_dir>/<name>.txt`` and echo it."""
+def write_series(results_dir: str, name: str, text: str) -> str:
+    """Write a rendered series to ``<results_dir>/<name>.txt``, echo it and
+    return the file's content."""
     path = os.path.join(results_dir, f"{name}.txt")
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text + "\n")
     print(f"\n[{name}]\n{text}\n")
+    return text + "\n"
+
+
+def tracked_series(name: str) -> str:
+    """The recorded ``benchmarks/results/<name>.txt``."""
+    with open(os.path.join(RESULTS_DIRECTORY, f"{name}.txt"), encoding="utf-8") as handle:
+        return handle.read()

@@ -13,13 +13,7 @@
   ``mopt`` / ``insert`` interface of Figure 5.
 """
 
-from repro.core.analysis import (
-    TreeStorageReport,
-    branching_profile,
-    nodes_per_level,
-    prediction_roughness,
-    storage_estimate,
-)
+from repro.core.analysis import TreeStorageReport, storage_estimate
 from repro.core.bootstrap import (
     bypass_for_histograms,
     bypass_for_unit_cube,
@@ -33,9 +27,6 @@ from repro.core.simplex_tree import SimplexTree, TreeStatistics
 
 __all__ = [
     "TreeStorageReport",
-    "branching_profile",
-    "nodes_per_level",
-    "prediction_roughness",
     "storage_estimate",
     "bypass_for_histograms",
     "bypass_for_unit_cube",

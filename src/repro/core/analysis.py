@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.simplex_tree import SimplexTree
 
 #: Bytes per stored floating-point value (the tree stores float64 payloads).
@@ -95,48 +93,3 @@ def iter_nodes(tree: SimplexTree):
         node = stack.pop()
         yield node
         stack.extend(node.children)
-
-
-def nodes_per_level(tree: SimplexTree) -> np.ndarray:
-    """Return the number of simplex nodes at every depth (index = depth)."""
-    counts: dict[int, int] = {}
-    for node in iter_nodes(tree):
-        counts[node.depth] = counts.get(node.depth, 0) + 1
-    depth = max(counts) if counts else 0
-    return np.asarray([counts.get(level, 0) for level in range(depth + 1)], dtype=np.intp)
-
-
-def branching_profile(tree: SimplexTree) -> tuple[float, int]:
-    """Return (average children per inner node, maximum children).
-
-    A split produces at most D+1 children; points landing on faces produce
-    fewer.  The profile shows how close the tree stays to the ideal fan-out,
-    which together with the level counts explains the logarithmic depth of
-    Figure 16.
-    """
-    child_counts = [len(node.children) for node in iter_nodes(tree) if node.children]
-    if not child_counts:
-        return 0.0, 0
-    return float(np.mean(child_counts)), int(max(child_counts))
-
-
-def prediction_roughness(tree: SimplexTree, probes) -> float:
-    """Average payload disagreement between a probe's enclosing vertices.
-
-    For each probe point, the spread (max minus min, averaged over payload
-    components) of the payloads at the vertices of the enclosing leaf simplex
-    is computed.  A small value means the optimal query mapping is locally
-    smooth — exactly the situation in which few stored points suffice and the
-    ε-gate rejects most inserts (Section 4.2's "low frequencies" case).
-    """
-    probes = np.asarray(probes, dtype=np.float64)
-    if probes.ndim != 2 or probes.shape[1] != tree.dimension:
-        raise ValueError("probes must be a matrix of query points")
-    spreads = []
-    for probe in probes:
-        if not tree.contains(probe):
-            continue
-        leaf, _ = tree.locate(probe)
-        payloads = tree.vertex_payloads(leaf)
-        spreads.append(float(np.mean(payloads.max(axis=0) - payloads.min(axis=0))))
-    return float(np.mean(spreads)) if spreads else 0.0

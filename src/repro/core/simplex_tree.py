@@ -21,6 +21,16 @@ solves once more on the leaf it finds for the interpolation weights;
 prediction and, if the point is to be stored, is the leaf that is split.
 Payloads live in one ``(n_vertices, N)`` table under the vertex ids of the
 triangulation, so a prediction gathers its D+1 payload rows by id.
+
+A stored vertex looked up again — the paper's repeated query — does not walk
+from the root.  The tree remembers, per stored vertex, the state its last
+walk ended in (:class:`~repro.geometry.triangulation.Walk`) and the point's
+solved coordinates in that leaf.  While the leaf is still a leaf both are
+the answer; once it has been split the walk resumes from it, which the
+triangulation shows to be exact.  The insert that stores a point seeds its
+entry with the state it reached at the leaf it split.  The entries hold
+nothing that persistence replays: they are rebuilt on demand and replaced
+whole, never changed in place, so concurrent readers need no lock.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.geometry.simplex import Simplex
-from repro.geometry.triangulation import IncrementalTriangulation, RowTable, TriangulationNode
+from repro.geometry.triangulation import IncrementalTriangulation, RowTable, TriangulationNode, Walk
 from repro.utils.validation import (
     ValidationError,
     as_float_matrix,
@@ -139,6 +149,10 @@ class SimplexTree:
             self._key(vertex): vertex_id for vertex_id, vertex in enumerate(root_vertices)
         }
 
+        # Per stored vertex id: the state its last walk ended in, and its
+        # solved coordinates in that leaf (None once the leaf is split).
+        self._walks: dict[int, tuple[Walk, np.ndarray | None]] = {}
+
         self.statistics = TreeStatistics()
         # Ordered log of (point, payload, action) used by persistence to
         # reproduce the exact tree.
@@ -150,18 +164,35 @@ class SimplexTree:
     def _key(self, point: np.ndarray) -> tuple[float, ...]:
         return tuple(np.round(np.asarray(point, dtype=np.float64), 12))
 
-    def _interpolate(self, leaf: TriangulationNode, point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _interpolate(
+        self, leaf: TriangulationNode, point: np.ndarray, weights: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """``(coordinates of point in leaf, interpolated payload)`` — the
-        arithmetic of :func:`~repro.core.interpolation.interpolate_payloads`."""
-        weights = leaf.coordinates(point)
+        arithmetic of :func:`~repro.core.interpolation.interpolate_payloads`;
+        ``weights``, when known, are ``leaf.coordinates(point)``."""
+        if weights is None:
+            weights = leaf.coordinates(point)
         return weights, weights @ self.vertex_payloads(leaf)
 
-    def _lookup(self, point: np.ndarray) -> tuple[TriangulationNode, int]:
-        """Counted :meth:`locate` of an already validated point."""
-        leaf, visited = self._triangulation.locate(point)
+    def _lookup(self, point: np.ndarray, key: tuple[float, ...] | None = None) -> tuple[Walk, np.ndarray | None]:
+        """Counted walk of an already validated point (``key`` is its
+        :meth:`_key`), and its coordinates in the leaf when they are known.
+
+        A point bitwise equal to a stored vertex resumes that vertex's
+        remembered walk; the rounded key alone does not qualify it.
+        """
+        vertex_id = self._vertex_ids.get(self._key(point) if key is None else key)
+        if vertex_id is None or self._triangulation.vertex(vertex_id).tobytes() != point.tobytes():
+            walk, weights = self._triangulation.walk(point), None
+        else:
+            walk, weights = self._walks.get(vertex_id, (None, None))
+            if walk is None or walk.node.children:
+                walk = self._triangulation.walk(point, walk)
+                weights = walk.node.coordinates(point)
+                self._walks[vertex_id] = (walk, weights)
         self.statistics.n_lookups += 1
-        self.statistics.total_traversed += visited
-        return leaf, visited
+        self.statistics.total_traversed += walk.visited
+        return walk, weights
 
     # ------------------------------------------------------------------ #
     # Properties
@@ -231,20 +262,24 @@ class SimplexTree:
     def locate(self, point) -> tuple[TriangulationNode, int]:
         """Return the leaf node whose simplex contains ``point`` and the path length.
 
-        The one point location every operation of the tree uses; it touches
-        no counter.  Raises :class:`ValidationError` outside the root simplex.
+        The point location every operation of the tree answers with — a
+        stored vertex's remembered walk reaches the same leaf after the same
+        count — walked from the root; it touches no counter.  Raises
+        :class:`ValidationError` outside the root simplex.
         """
         point = as_float_vector(point, name="point", dim=self.dimension)
         return self._triangulation.locate(point)
 
     def lookup(self, point) -> tuple[TriangulationNode, int]:
-        """:meth:`locate`, counted in :attr:`statistics`.
+        """:meth:`locate`, counted in :attr:`statistics` (a stored vertex
+        resumes its remembered walk).
 
         Mirrors ``SimplexTree::Lookup`` in Figure 8 of the paper; the path
         length feeds the Figure 16 statistics.
         """
         point = as_float_vector(point, name="point", dim=self.dimension)
-        return self._lookup(point)
+        leaf, _, visited = self._lookup(point)[0]
+        return leaf, visited
 
     def vertex_payloads(self, leaf: TriangulationNode) -> np.ndarray:
         """The ``(D+1, N)`` payloads stored at the vertices of ``leaf`` (copy)."""
@@ -261,10 +296,10 @@ class SimplexTree:
         point = as_float_vector(point, name="point", dim=self.dimension)
         self.statistics.n_predictions += 1
         try:
-            leaf, _ = self._lookup(point)
+            walk, weights = self._lookup(point)
         except ValidationError:  # outside the root simplex
             return self._default_value.copy()
-        return self._interpolate(leaf, point)[1]
+        return self._interpolate(walk.node, point, weights)[1]
 
     def predict_batch(self, points) -> np.ndarray:
         """Predict the payloads for every row of ``points`` at once.
@@ -279,21 +314,23 @@ class SimplexTree:
         self.statistics.n_predictions += points.shape[0]
 
         # Locate every point, bucketing rows by their enclosing leaf.
-        rows_by_leaf: dict[int, tuple[TriangulationNode, list[int]]] = {}
+        rows_by_leaf: dict[int, tuple[TriangulationNode, list[tuple[int, np.ndarray | None]]]] = {}
         for row, point in enumerate(points):
             try:
-                leaf, _ = self._lookup(point)
+                walk, weights = self._lookup(point)
             except ValidationError:  # outside the root simplex
                 predictions[row] = self._default_value
                 continue
-            rows_by_leaf.setdefault(id(leaf), (leaf, []))[1].append(row)
+            rows_by_leaf.setdefault(id(walk.node), (walk.node, []))[1].append((row, weights))
 
         # Interpolate per leaf: the payload matrix is gathered once and
         # reused for every point that landed in the same simplex.
         for leaf, rows in rows_by_leaf.values():
             payloads = self.vertex_payloads(leaf)
-            for row in rows:
-                predictions[row] = leaf.coordinates(points[row]) @ payloads
+            for row, weights in rows:
+                if weights is None:
+                    weights = leaf.coordinates(points[row])
+                predictions[row] = weights @ payloads
         return predictions
 
     # ------------------------------------------------------------------ #
@@ -313,15 +350,16 @@ class SimplexTree:
         value = as_float_vector(value, name="value", dim=self._value_dimension)
         # One walk: the leaf it finds serves the ε-gate's prediction and,
         # if the point is stored, the split.
+        key = self._key(point)
         try:
-            leaf, _ = self._lookup(point)
+            walk, weights = self._lookup(point, key)
         except ValidationError:
             raise ValidationError("cannot insert a point outside the root simplex") from None
+        leaf = walk.node
         self.statistics.n_predictions += 1
-        weights, prediction = self._interpolate(leaf, point)
+        weights, prediction = self._interpolate(leaf, point, weights)
         error = float(np.max(np.abs(value - prediction)))
 
-        key = self._key(point)
         vertex_id = self._vertex_ids.get(key)
         if vertex_id is not None:
             # Already-seen query: refresh its OQPs, no geometric change.
@@ -345,6 +383,9 @@ class SimplexTree:
 
         self._payloads.append(value)
         self._vertex_ids[key] = vertex_id
+        # The walk ended at the leaf just split: the new vertex's next
+        # lookup resumes there and walks one level.
+        self._walks[vertex_id] = (walk, None)
         self.statistics.n_inserts += 1
         self._journal.append((point.copy(), value.copy(), "inserted"))
         return InsertOutcome(action="inserted", prediction_error=error)

@@ -634,7 +634,7 @@ class ShardedEngine(QueryEngine):
         Number of contiguous index-range shards.
     n_workers:
         Degree of parallelism of the shard fan-out (``1`` = serial for the
-        thread backend).
+        thread backend; a live collection, read by one scan, takes only ``1``).
     backend:
         ``"thread"`` (default) fans shards out over a
         :class:`WorkerPool` of threads — zero setup cost, scales until the
@@ -692,8 +692,13 @@ class ShardedEngine(QueryEngine):
                     "a live collection mutates in place and cannot be hosted in "
                     "shared memory; use backend='thread'"
                 )
+            if n_workers != 1:
+                raise ValidationError(
+                    "a live collection is read by one scan of its snapshot; "
+                    "n_workers must be 1"
+                )
             super().__init__(collection, default_distance)
-            self._pool = WorkerPool(n_workers)
+            self._pool = None
             return
         if isinstance(collection, ShardedCollection):
             if n_shards is not None and n_shards != collection.n_shards:
@@ -738,11 +743,14 @@ class ShardedEngine(QueryEngine):
         """Degree of parallelism of the shard fan-out."""
         if self._process_backend is not None:
             return self._process_backend.n_workers
+        if self._pool is None:  # live: one scan of the snapshot
+            return 1
         return self._pool.n_workers
 
     @property
     def pool(self) -> "WorkerPool | None":
-        """The thread fan-out pool (``None`` for the process backend)."""
+        """The thread fan-out pool (``None`` for the process backend and for a
+        live collection)."""
         return self._pool
 
     def close(self) -> None:

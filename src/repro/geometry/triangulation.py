@@ -35,9 +35,32 @@ parent, its coordinates in child ``h`` follow in closed form::
 is written at ``DECISION_MARGIN``).  Everywhere else that node is decided by
 the per-child solves themselves, and the chosen child's solved coordinates
 replace ``lam``, so the closed form restarts from exact values.
+
+**A walk can be resumed.**  The loop of :meth:`IncrementalTriangulation.walk`
+carries ``(node, weights, visited)`` from level to level, and that state is
+a function of the point and of the nodes above ``node`` alone.  A split only
+turns a leaf into an inner node — it never changes ``children``,
+``split_weights``, ``replaced`` or ``trusted`` of a node that has them — so
+the state a walk ended in at a leaf is still the state a walk of the same
+point from the root reaches at that node after any number of later splits.
+Continuing the loop from it (:class:`Walk`) therefore finds the same leaf
+after the same number of visited nodes, with the same bits.
+
+**A split certifies its children from one inverse.**  Every child's edge
+matrix is a rank-one update of its leaf's ``M``: child ``h >= 1`` replaces
+row ``h-1``, ``M + e_{h-1} (q - s_h)^T``; child 0 moves the base vertex,
+``M - 1 (q - s_0)^T``.  From ``A = M^-1`` Sherman–Morrison gives every
+child's inverse in O(D²), and ``1 / (‖E‖_F ‖E^-1‖_F)`` is a lower bound on
+``sigma_min / sigma_max`` (``sigma_max <= ‖E‖_F``, ``1 / sigma_min <=
+‖E^-1‖_F``).  A child whose bound is at least ``CERTIFY_FACTOR`` times the
+closed-form floor (and the degeneracy tolerance) is kept and trusted without
+further work; only the others go to the SVD, which decides them exactly as
+:meth:`Simplex.split` does.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,6 +114,15 @@ ANCHOR_EVERY = 8
 #: child to be left to the closed form: two per level it may have come.
 TRUST_FACTOR = 2.0 * ANCHOR_EVERY
 
+#: A split skips the SVD of a child whose Sherman–Morrison bound on
+#: ``sigma_min / sigma_max`` is at least this many times the larger of the
+#: closed-form floor and the degeneracy tolerance: the child is then kept
+#: and trusted, as the SVD would decide.  The factor absorbs the rounding of
+#: the bound itself — the inverse is only formed for a leaf at or above the
+#: floor, so it is accurate to about ``(D+1) * eps / floor`` (6e-9 at
+#: D = 31), a long way inside a factor of two.
+CERTIFY_FACTOR = 2.0
+
 
 class RowTable:
     """An append-only ``(n, width)`` float64 table with O(1) amortised append.
@@ -143,8 +175,12 @@ class TriangulationNode:
     children:
         The kept children of the split, in order (empty for a leaf).
     rcond:
-        ``sigma_min / sigma_max`` of the node's edge matrix, as the degeneracy
-        test of the split that created it computed it.
+        A lower bound on ``sigma_min / sigma_max`` of the node's edge matrix,
+        from the split that created it: the SVD's exact ratio, or — for a
+        child the split certified — its Sherman–Morrison bound, at least
+        ``CERTIFY_FACTOR`` times the closed-form floor and the tolerance.  It
+        is only ever compared against those, which both sides of it clear
+        alike.
     split_weights, replaced:
         Inner nodes only: the barycentric coordinates of the split point in
         this node, and for each child the position of the vertex it replaced
@@ -186,6 +222,17 @@ class TriangulationNode:
     def coordinates(self, point: np.ndarray) -> np.ndarray:
         """Barycentric coordinates of ``point`` in this node, by the reference solve."""
         return barycentric_coordinates(self.vertices, point, check=False)
+
+
+class Walk(NamedTuple):
+    """Where the locate loop stands: at ``node``, with the point's
+    coordinates ``weights`` in it, after ``visited`` nodes (``node``
+    included).  A walk that ended at a leaf resumes from here once that leaf
+    is split (see the module docstring)."""
+
+    node: TriangulationNode
+    weights: np.ndarray
+    visited: int
 
 
 def _in_band(weights: np.ndarray, tolerance: float) -> bool:
@@ -266,17 +313,35 @@ class IncrementalTriangulation:
             If ``point`` lies outside the root simplex.
         """
         point = as_float_vector(point, name="point", dim=self.dimension)
-        node = self._root
-        weights = self._accepted(node, point)
-        if weights is None:
-            raise ValidationError("point lies outside the root simplex")
-        visited = 1
+        leaf, _, visited = self.walk(point)
+        return leaf, visited
+
+    def walk(self, point: np.ndarray, start: Walk | None = None) -> Walk:
+        """Walk a validated ``point`` down to its leaf; return the final state.
+
+        ``start`` resumes the walk from a state an earlier walk of the same
+        point ended in — exact, since the state depends only on the point
+        and the nodes above it.  Without it the walk starts at the root and
+        raises :class:`ValidationError` outside it.
+        """
+        if start is None:
+            weights = self._accepted(self._root, point)
+            if weights is None:
+                raise ValidationError("point lies outside the root simplex")
+            node, visited = self._root, 1
+        else:
+            node, weights, visited = start
         while node.children:
             if visited % ANCHOR_EVERY == 0 and node.trusted:
                 weights = node.coordinates(point)
             node, weights = self._descend(node, weights, point)
             visited += 1
-        return node, visited
+        # A copy: a row of the closed form's matrix would keep it all alive.
+        return Walk(node, weights.copy(), visited)
+
+    def vertex(self, vertex_id: int) -> np.ndarray:
+        """The row of vertex ``vertex_id`` (a view; do not write to it)."""
+        return self._vertices.take(vertex_id)
 
     def _accepted(self, node: TriangulationNode, point: np.ndarray) -> np.ndarray | None:
         """The reference containment test: the coordinates if ``node`` accepts, else None."""
@@ -362,9 +427,11 @@ class IncrementalTriangulation:
 
         The kept children are those of ``leaf.simplex.split(point,
         tolerance=...)`` — same vertices, same order, same omissions, same
-        errors — found with one batched SVD instead of D+1.  ``weights``, when
-        given, must be ``leaf.coordinates(point)`` (a caller that already
-        solved on the leaf passes it to save the solve).
+        errors.  Children the Sherman–Morrison bound certifies need no SVD;
+        the others are decided by one batched SVD, as each child's own
+        degeneracy test would.  ``weights``, when given, must be
+        ``leaf.coordinates(point)`` (a caller that already solved on the leaf
+        passes it to save the solve).
         """
         point = as_float_vector(point, name="point", dim=self.dimension)
         if leaf.children:
@@ -377,16 +444,22 @@ class IncrementalTriangulation:
         if weights is None:
             raise ValidationError("split point must lie inside the simplex")
         vertices = leaf.vertices
-        if np.any(np.all(np.isclose(vertices, point, atol=tolerance), axis=1)):
+        # np.isclose(vertices, point, atol=tolerance) for finite rows.
+        if np.any(np.all(np.abs(vertices - point) <= tolerance + 1e-5 * np.abs(point), axis=1)):
             raise ValidationError("split point coincides with an existing vertex")
 
         # Child h is the leaf with vertex h replaced by the point.
         positions = self._positions
-        stack = np.repeat(vertices[None], len(positions), axis=0)
-        stack[positions, positions] = point
-        singular = np.linalg.svd(stack[:, 1:] - stack[:, :1], compute_uv=False)
-        rcond = _rcond(singular)
-        kept = ~((singular[:, 0] == 0.0) | (rcond < tolerance))
+        rcond = np.full(len(positions), np.nan)
+        if leaf.rcond >= self._rcond_floor:
+            rcond = self._bound_children(vertices, point)
+        doubtful = positions[~(rcond >= CERTIFY_FACTOR * max(self._rcond_floor, tolerance))]
+        if len(doubtful):
+            stack = np.repeat(vertices[None], len(doubtful), axis=0)
+            stack[positions[: len(doubtful)], doubtful] = point
+            singular = np.linalg.svd(stack[:, 1:] - stack[:, :1], compute_uv=False)
+            rcond[doubtful] = np.where(singular[:, 0] == 0.0, np.nan, _rcond(singular))
+        kept = rcond >= tolerance
         replaced, rcond = positions[kept], rcond[kept]
         if not len(replaced):
             raise ValidationError("split produced no non-degenerate children")
@@ -407,3 +480,42 @@ class IncrementalTriangulation:
         self._n_leaves += len(replaced) - 1
         self._depth = max(self._depth, leaf.depth + 1)
         return vertex_id
+
+    @staticmethod
+    def _bound_children(vertices: np.ndarray, point: np.ndarray) -> np.ndarray:
+        """``1 / (‖E_h‖_F ‖E_h^-1‖_F)`` for every child ``h`` of a split of
+        ``vertices`` around ``point``: a lower bound on its ``sigma_min /
+        sigma_max`` (nan where the leaf's inverse cannot be formed).
+
+        With ``A`` the inverse of the leaf's edge matrix ``M`` (rows ``s_j -
+        s_0``), child ``h`` is ``M + u_h w_h^T`` with ``w_h = point - s_h``
+        and ``u_h = e_{h-1}`` (``-1`` for ``h = 0``).  By Sherman–Morrison
+        its inverse is ``A - x_h y_h^T / c_h`` with ``x_h = A u_h``, ``y_h =
+        A^T w_h`` and ``c_h = 1 + y_h . u_h``, so
+
+            ‖E_h^-1‖_F² = ‖A‖_F² - 2 x_h.(A y_h) / c_h + ‖x_h‖² ‖y_h‖² / c_h²
+
+        — O(D²) per child.  The sum is taken with its own rounding added
+        (``(D+1) * eps`` per unit of ``(‖A‖_F + ‖x_h‖ ‖y_h‖ / |c_h|)²``), so a
+        cancellation can only lower the bound.
+        """
+        edges = vertices[1:] - vertices[0]
+        try:
+            inverse = np.linalg.inv(edges)
+        except np.linalg.LinAlgError:
+            return np.full(len(vertices), np.nan)
+        shifts = point - vertices  # w_h, one row per child
+        columns = np.vstack([-inverse.sum(axis=1), inverse.T])  # x_h
+        rows = shifts @ inverse  # y_h
+        pivots = np.concatenate(([1.0 - rows[0].sum()], 1.0 + np.diagonal(rows[1:])))  # c_h
+        inverse_sq = np.einsum("ij,ij->", inverse, inverse)
+        cross = np.einsum("ij,ij->i", columns @ inverse, rows)
+        product = np.sqrt(np.einsum("ij,ij->i", columns, columns) * np.einsum("ij,ij->i", rows, rows))
+        edge_rows = np.einsum("ij,ij->i", edges, edges)
+        shift_rows = np.einsum("ij,ij->i", shifts, shifts)
+        edge_sq = np.concatenate(([shift_rows[1:].sum()], edge_rows.sum() - edge_rows + shift_rows[0]))
+        with np.errstate(all="ignore"):
+            spread = product / np.abs(pivots)
+            rounding = len(vertices) * np.finfo(np.float64).eps * (np.sqrt(inverse_sq) + spread) ** 2
+            child_sq = inverse_sq - 2.0 * cross / pivots + spread**2 + rounding
+            return 1.0 / np.sqrt(edge_sq * child_sq)

@@ -247,7 +247,7 @@ class TestLiveByteIdentity:
 
     def test_live_sharded_composition(self, live, queries):
         """ShardedEngine over a LiveCollection keeps the identity too."""
-        with ShardedEngine(live, n_workers=2) as sharded:
+        with ShardedEngine(live) as sharded:
             expected = sharded.search_batch(queries, 8)
             for label, budget in _sufficient_budgets(200 * queries.shape[0]):
                 batch = sharded.search_batch(queries, 8, budget=budget)

@@ -1,14 +1,8 @@
 """Tests for repro.core.analysis."""
 
 import numpy as np
-import pytest
 
-from repro.core.analysis import (
-    branching_profile,
-    nodes_per_level,
-    prediction_roughness,
-    storage_estimate,
-)
+from repro.core.analysis import storage_estimate
 from repro.core.simplex_tree import SimplexTree
 from repro.geometry.bounding import unit_cube_root_vertices
 
@@ -56,49 +50,3 @@ class TestStorageEstimate:
         few = storage_estimate(build_tree(n_points=10, seed=2))
         many = storage_estimate(build_tree(n_points=40, seed=2))
         assert many.total_bytes > few.total_bytes
-
-
-class TestNodeStatistics:
-    def test_nodes_per_level_sums_to_simplex_count(self):
-        tree = build_tree(n_points=25, seed=3)
-        levels = nodes_per_level(tree)
-        assert levels.sum() == tree.n_simplices
-        assert levels[0] == 1  # exactly one root
-
-    def test_nodes_per_level_length_matches_depth(self):
-        tree = build_tree(n_points=25, seed=4)
-        levels = nodes_per_level(tree)
-        assert len(levels) == tree.depth() + 1
-
-    def test_branching_profile_bounds(self):
-        tree = build_tree(dimension=3, n_points=25, seed=5)
-        average, maximum = branching_profile(tree)
-        assert 2.0 <= average <= 4.0  # splits produce between 2 and D+1 children
-        assert maximum <= 4
-
-    def test_branching_profile_empty_tree(self):
-        tree = SimplexTree(unit_cube_root_vertices(2), value_dimension=2)
-        assert branching_profile(tree) == (0.0, 0)
-
-
-class TestPredictionRoughness:
-    def test_constant_mapping_has_zero_roughness(self):
-        tree = SimplexTree(
-            unit_cube_root_vertices(2, margin=1e-9), value_dimension=2, default_value=[1.0, 1.0]
-        )
-        rng = np.random.default_rng(6)
-        for point in rng.random((10, 2)) * 0.9 + 0.05:
-            tree.insert(point, np.array([1.0, 1.0]), force=True)
-        probes = rng.random((20, 2)) * 0.9 + 0.05
-        assert prediction_roughness(tree, probes) == pytest.approx(0.0, abs=1e-12)
-
-    def test_rough_mapping_has_positive_roughness(self):
-        tree = build_tree(dimension=2, value_dimension=2, n_points=15, seed=7)
-        rng = np.random.default_rng(8)
-        probes = rng.random((20, 2)) * 0.9 + 0.05
-        assert prediction_roughness(tree, probes) > 0.0
-
-    def test_rejects_bad_probe_shape(self):
-        tree = build_tree(dimension=2, value_dimension=2, n_points=5, seed=9)
-        with pytest.raises(ValueError):
-            prediction_roughness(tree, np.zeros(3))

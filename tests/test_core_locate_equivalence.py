@@ -14,6 +14,12 @@ whose probes are chosen to sit where the two could disagree: stored vertices
 the root.  On the same trees every split must equal ``Simplex.split`` and
 every prediction must equal ``interpolate_payloads`` on the oracle's leaf,
 byte for byte.
+
+A stored vertex looked up again resumes its remembered walk instead of
+walking from the root, and a split certifies most children from one inverse
+instead of one SVD each; both are held to the same oracle here — every
+stored vertex re-looked-up after every insert, and every split against
+``Simplex.split``.
 """
 
 from __future__ import annotations
@@ -29,7 +35,13 @@ from repro.core.analysis import iter_nodes
 from repro.core.interpolation import interpolate_payloads
 from repro.core.simplex_tree import SimplexTree
 from repro.geometry.bounding import bounding_simplex_for_points, unit_cube_root_vertices
-from repro.geometry.triangulation import IncrementalTriangulation
+from repro.geometry.simplex import Simplex
+from repro.geometry.triangulation import (
+    DECISION_MARGIN,
+    TRUST_FACTOR,
+    IncrementalTriangulation,
+    TriangulationNode,
+)
 from repro.utils.validation import ValidationError
 
 TOLERANCE = 1e-9
@@ -211,6 +223,219 @@ class TestStructureAndBytes:
         batch = np.vstack([point for _, point, _, _ in grown.inside[:40]] + grown.outside[:2])
         singles = np.vstack([tree.predict(point) for point in batch])
         assert tree.predict_batch(batch).tobytes() == singles.tobytes()
+
+    def test_rcond_is_a_lower_bound_that_decides_like_the_svd(self, grown):
+        """A certified child stores its bound, never more than the SVD's
+        ratio, and on the same side of the closed-form floor."""
+        floor = _floor(grown.tree.dimension)
+        for node in iter_nodes(grown.tree):
+            vertices = node.vertices
+            singular = np.linalg.svd(vertices[1:] - vertices[0], compute_uv=False)
+            exact = singular[-1] / singular[0]
+            assert node.rcond <= exact * (1.0 + 1e-9)
+            assert (node.rcond >= floor) == (exact >= floor)
+
+
+def _floor(dimension: int) -> float:
+    """The closed-form floor on ``sigma_min / sigma_max`` of a D-dim tree."""
+    return TRUST_FACTOR * (dimension + 1) * np.finfo(np.float64).eps / DECISION_MARGIN
+
+
+def _replay(tree: SimplexTree) -> tuple[SimplexTree, list]:
+    """A fresh tree with ``tree``'s geometry, and ``tree``'s journal to feed it."""
+    fresh = SimplexTree(tree.root_simplex.vertices, tree.value_dimension, tolerance=TOLERANCE)
+    return fresh, tree.journal
+
+
+def _assert_predicts_on(tree: SimplexTree, point: np.ndarray, leaf) -> None:
+    vertices = leaf.simplex.vertices
+    payloads = np.vstack([tree.stored_payload(vertex) for vertex in vertices])
+    assert tree.predict(point).tobytes() == interpolate_payloads(vertices, payloads, point).tobytes()
+
+
+class TestRememberedWalks:
+    def test_every_stored_vertex_after_every_insert(self, grown, locate_oracle):
+        """Replay the grid tree's journal; after each insert look every stored
+        vertex (root corners included) up again.  Leaf, visited count and
+        predicted bytes are the oracle's, also for vertices whose remembered
+        leaf the insert just split."""
+        tree, journal = _replay(grown.tree)
+        vertices = list(tree.root_simplex.vertices)
+        answers: dict[bytes, tuple] = {}
+        n_moved = 0
+        for point, payload, action in journal:
+            tree.insert(point, payload, force=action == "inserted")
+            if action == "inserted":
+                vertices.append(point)
+            for vertex in vertices:
+                known = answers.get(vertex.tobytes())
+                # The oracle reads nothing but ``children``, which a split
+                # sets once on a leaf: its answer for a vertex moves only
+                # when that answer's leaf is split, and is walked anew then.
+                moved = known is None or bool(known[0].children)
+                if moved:
+                    known = answers[vertex.tobytes()] = locate_oracle(tree.root, vertex, TOLERANCE)
+                leaf, visited = tree.lookup(vertex)
+                assert leaf is known[0] and visited == known[1]
+                if moved:
+                    n_moved += 1
+                    _assert_predicts_on(tree, vertex, leaf)
+        # Some remembered leaves were split and walked on from (at D = 31 a
+        # vertex's leaf is rarely split again within the grid's inserts).
+        assert n_moved > len(vertices) or tree.dimension == 31
+        for vertex in vertices:
+            leaf, visited = locate_oracle(tree.root, vertex, TOLERANCE)
+            assert tree.lookup(vertex) == (leaf, visited)
+            _assert_predicts_on(tree, vertex, leaf)
+
+    @pytest.mark.parametrize("grown", [row for row in GRID if "D31" not in row.id], indirect=True)
+    def test_a_walk_resumes_across_several_splits(self, grown, locate_oracle):
+        """Vertices remembered halfway through the journal and looked up only
+        at its end resume across every split their leaf went through since."""
+        tree, journal = _replay(grown.tree)
+        half = len(journal) // 2
+        for point, payload, action in journal[:half]:
+            tree.insert(point, payload, force=action == "inserted")
+        vertices = np.vstack([tree.root_simplex.vertices, tree.stored_points()])
+        halfway = [tree.lookup(vertex)[1] for vertex in vertices]
+        for point, payload, action in journal[half:]:
+            tree.insert(point, payload, force=action == "inserted")
+        deepened = []
+        for vertex, before in zip(vertices, halfway):
+            leaf, visited = locate_oracle(tree.root, vertex, TOLERANCE)
+            assert tree.lookup(vertex) == (leaf, visited)
+            _assert_predicts_on(tree, vertex, leaf)
+            deepened.append(visited - before)
+        # Some walks went on past their remembered leaf (at D = 2, across
+        # more than one split of it).
+        assert max(deepened) >= (2 if tree.dimension == 2 else 1)
+
+    def test_a_remembered_vertex_predicts_without_a_solve_or_a_descent(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        tree = SimplexTree(unit_cube_root_vertices(5, margin=1e-6), 3, tolerance=TOLERANCE)
+        for point in rng.random((80, 5)):
+            tree.insert(point, rng.standard_normal(3))
+        counts = {"coordinates": 0, "descend": 0}
+        coordinates = TriangulationNode.coordinates
+        descend = IncrementalTriangulation._descend
+
+        def counting_coordinates(node, point):
+            counts["coordinates"] += 1
+            return coordinates(node, point)
+
+        def counting_descend(self, node, weights, point):
+            counts["descend"] += 1
+            return descend(self, node, weights, point)
+
+        monkeypatch.setattr(TriangulationNode, "coordinates", counting_coordinates)
+        monkeypatch.setattr(IncrementalTriangulation, "_descend", counting_descend)
+        vertex = tree.stored_points()[17].copy()
+        first = tree.predict(vertex)
+        assert counts["descend"] > 0
+        counts.update(coordinates=0, descend=0)
+        assert tree.predict(vertex).tobytes() == first.tobytes()
+        assert counts == {"coordinates": 0, "descend": 0}
+
+        # Equal under the rounded key but not bitwise: an ordinary walk.
+        nearby = vertex.copy()
+        nearby[0] = np.nextafter(nearby[0], 1.0)
+        assert tree._key(nearby) == tree._key(vertex)
+        tree.predict(nearby)
+        assert counts["descend"] > 0 and counts["coordinates"] > 0
+
+        # A freshly stored point starts from the leaf its insert split.
+        point = rng.random(5)
+        assert tree.insert(point, rng.standard_normal(3)).action == "inserted"
+        counts.update(coordinates=0, descend=0)
+        assert tree.lookup(point) == tree.locate(point)
+        assert counts["descend"] == 1 + (tree.locate(point)[1] - 1)
+
+
+class TestSplitCertificate:
+    @staticmethod
+    def _split_like_simplex(triangulation, leaf, point, tolerance=TOLERANCE) -> None:
+        """Split ``leaf``; children, order and ``trusted`` are the reference's."""
+        floor = _floor(triangulation.dimension)
+        reference = leaf.simplex.split(point, tolerance=tolerance)
+        leaf_vertices = leaf.vertices
+        singular = np.linalg.svd(leaf_vertices[1:] - leaf_vertices[0], compute_uv=False)
+        exact_rconds = []
+        for child in reference:
+            values = np.linalg.svd(child.vertices[1:] - child.vertices[0], compute_uv=False)
+            exact_rconds.append(values[-1] / values[0])
+        thin = [rcond < floor for rcond in exact_rconds]
+        expected_trusted = 0
+        if singular[-1] / singular[0] >= floor:
+            expected_trusted = thin.index(True) if any(thin) else len(reference)
+        triangulation.split(leaf, point)
+        assert [child.simplex.vertices.tobytes() for child in leaf.children] == [
+            child.vertices.tobytes() for child in reference
+        ]
+        assert leaf.trusted == expected_trusted
+        for child, exact in zip(leaf.children, exact_rconds):
+            assert child.rcond <= exact * (1.0 + 1e-9)
+
+    @staticmethod
+    def _svd_calls_of_split(monkeypatch, triangulation, leaf, point) -> list:
+        """Split ``leaf``; return the shapes ``np.linalg.svd`` was called with."""
+        calls = []
+        svd = np.linalg.svd
+
+        def spying_svd(matrix, *args, **kwargs):
+            calls.append(np.shape(matrix))
+            return svd(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spying_svd)
+        triangulation.split(leaf, point)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        return calls
+
+    def test_a_well_conditioned_split_runs_no_svd(self, monkeypatch):
+        triangulation = IncrementalTriangulation(unit_cube_root_vertices(31), tolerance=TOLERANCE)
+        root = triangulation.root
+        point = np.random.default_rng(431).dirichlet(np.ones(32)) @ root.vertices
+        assert self._svd_calls_of_split(monkeypatch, triangulation, root, point) == []
+        assert len(root.children) == root.trusted == 32
+        assert [Simplex(child.vertices) for child in root.children] == root.simplex.split(point, tolerance=TOLERANCE)
+
+    @pytest.mark.parametrize("dimension", [2, 5, 31])
+    def test_a_near_degenerate_leaf_drops_what_simplex_split_drops(self, dimension):
+        """Split points on a face, a hair off it, and inside a sliver: the
+        children the SVD has to decide are decided as ``Simplex.split`` does."""
+        rng = np.random.default_rng([432, dimension])
+        for offset in (0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4):
+            triangulation = IncrementalTriangulation(unit_cube_root_vertices(dimension), tolerance=TOLERANCE)
+            root = triangulation.root
+            weights = rng.dirichlet(np.ones(dimension + 1))
+            weights[: dimension // 2] = offset  # near the face opposite those vertices
+            weights /= weights.sum()
+            self._split_like_simplex(triangulation, root, weights @ root.vertices)
+            # Then a thin child of that split is split in turn.
+            thinnest = min(root.children, key=lambda child: child.rcond)
+            inner = rng.dirichlet(np.ones(dimension + 1)) @ thinnest.vertices
+            self._split_like_simplex(triangulation, thinnest, inner)
+
+    def test_a_coarse_tolerance_still_drops_what_simplex_split_drops(self):
+        """A tolerance above the floor: whether a child clears it is the
+        SVD's call, also where its bound already clears the floor."""
+        for offset in (3e-4, 1e-3, 1.1e-3, 1.3e-3, 3e-3, 1e-2):
+            triangulation = IncrementalTriangulation(unit_cube_root_vertices(3), tolerance=1e-3)
+            weights = np.array([offset, 0.3, 0.3, 0.4])
+            weights /= weights.sum()
+            point = weights @ triangulation.root.vertices
+            self._split_like_simplex(triangulation, triangulation.root, point, tolerance=1e-3)
+
+    def test_a_sliver_leaf_sends_every_child_to_the_svd(self, monkeypatch):
+        """Below the floor the leaf's inverse is not trusted for a bound."""
+        vertices = unit_cube_root_vertices(5)
+        vertices[-1] = vertices[0] + 1e-8 * (vertices[-1] - vertices[0])
+        triangulation = IncrementalTriangulation(vertices, tolerance=TOLERANCE)
+        root = triangulation.root
+        assert root.rcond < _floor(5)
+        point = np.full(6, 1.0 / 6) @ vertices
+        assert self._svd_calls_of_split(monkeypatch, triangulation, root, point) == [(6, 5, 5)]
+        assert root.trusted == 0
+        assert [Simplex(child.vertices) for child in root.children] == root.simplex.split(point, tolerance=TOLERANCE)
 
 
 @pytest.mark.parametrize("grown", [GRID[-1]], indirect=True)

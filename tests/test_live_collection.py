@@ -486,7 +486,7 @@ class TestWritesNeverRebuild:
         live = LiveCollection(_base_vectors())
         base = self._base_objects(live)
         rng = np.random.default_rng(22)
-        with ShardedEngine(live, n_workers=2) as sharded:
+        with ShardedEngine(live) as sharded:
             for write in range(self.N_WRITES):
                 live.insert(rng.random(DIMENSION))
                 live.delete([write])
@@ -752,7 +752,7 @@ class TestShardedEngineOverLiveCollection:
 
     def test_byte_identical_to_the_unsharded_engine(self):
         live = self._mutated()
-        sharded = ShardedEngine(live, n_workers=3)
+        sharded = ShardedEngine(live)
         try:
             reference = RetrievalEngine(live)
             queries = _queries(live)
@@ -779,7 +779,7 @@ class TestShardedEngineOverLiveCollection:
 
     def test_stats_and_shape(self):
         live = self._mutated()
-        with ShardedEngine(live, n_workers=2) as sharded:
+        with ShardedEngine(live) as sharded:
             assert sharded.is_live
             assert sharded.collection is live
             assert sharded.n_shards == live.snapshot().n_segments
@@ -796,6 +796,12 @@ class TestShardedEngineOverLiveCollection:
             ShardedEngine(live, n_shards=4)
         with pytest.raises(ValidationError):
             ShardedEngine(live, backend="process")
+        # One scan of the snapshot answers a live read: no fan-out pool.
+        with pytest.raises(ValidationError):
+            ShardedEngine(live, n_workers=2)
+        with ShardedEngine(live) as sharded:
+            assert sharded.pool is None
+            assert sharded.n_workers == sharded.stats()["n_workers"] == sharded.describe()["n_workers"] == 1
 
 
 class TestFeedbackOverLiveCollection:

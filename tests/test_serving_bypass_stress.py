@@ -18,7 +18,7 @@ import pytest
 from repro.core.oqp import OptimalQueryParameters
 from repro.database.engine import RetrievalEngine
 from repro.serving import RetrievalServer, ServerConfig, ServingClient
-from repro.serving.bypass_registry import DEFAULT_TENANT
+from repro.serving.bypass_registry import DEFAULT_TENANT, BypassRegistry
 from repro.serving.codec import BINARY, pack_hello, parse_reply
 from repro.serving.protocol import recv_payload, send_payload
 
@@ -172,6 +172,74 @@ class TestReaderWriterContention:
             assert stats["n_insert_requests"] == n_writers * writes_each
             local = _replayed_reference(registry, DEFAULT_TENANT)
             assert stats["n_stored_queries"] == local.n_stored_queries
+
+
+class TestRememberedWalksUnderContention:
+    def test_concurrent_mopt_of_stored_points_equals_the_replay(self, tiny_collection, wait_until):
+        """Readers predict stored points — each resuming the walk its tree
+        remembers for it — while a writer splits their leaves.  Every read
+        is, byte for byte, what a single-threaded replay of the log predicts
+        after some prefix the read overlapped, and afterwards every stored
+        point predicts exactly as the replay does."""
+        registry = BypassRegistry.for_engine(RetrievalEngine(tiny_collection))
+        dimension = tiny_collection.dimension
+        vectors = tiny_collection.vectors
+        n_seeded, n_writes = 6, 40
+        for index in range(n_seeded):
+            registry.insert(DEFAULT_TENANT, vectors[index], _parameters_for(index, dimension))
+        written = [n_seeded]  # rows inserted so far; only the writer moves it
+        done = threading.Event()
+        reads = []  # (log length before, row, prediction bytes, log length after)
+
+        def log_length():
+            return registry.stats(DEFAULT_TENANT)["log_length"]
+
+        def work(thread_id):
+            if thread_id == 0:
+                try:
+                    for index in range(n_seeded, n_writes):
+                        registry.insert(DEFAULT_TENANT, vectors[index], _parameters_for(index, dimension))
+                        written[0] = index + 1
+                        # Let the readers in on every stage of the tree.
+                        seen = len(reads)
+                        wait_until(lambda: len(reads) >= seen + 6, timeout=5.0, strict=False)
+                finally:
+                    done.set()
+                return
+            rng = np.random.default_rng(thread_id)
+            while not done.is_set():
+                row = int(rng.integers(0, written[0]))
+                before = log_length()
+                prediction = registry.mopt(DEFAULT_TENANT, vectors[row])
+                reads.append(
+                    (before, row, prediction.delta.tobytes() + prediction.weights.tobytes(), log_length())
+                )
+                # The lock favours readers: pause so the writer gets a turn.
+                done.wait(0.0005)
+
+        _run_threads(4, work)
+
+        local = registry.local_reference()
+        log = registry.insert_log(DEFAULT_TENANT)
+        assert len(log) == n_writes
+
+        def replayed_predictions():
+            return [
+                local.mopt(vectors[row]).delta.tobytes() + local.mopt(vectors[row]).weights.tobytes()
+                for row in range(n_writes)
+            ]
+
+        after_prefix = [replayed_predictions()]
+        for point, parameters in log:
+            local.insert(point, parameters)
+            after_prefix.append(replayed_predictions())
+        # The reads saw the tree at many stages of the writer's inserts.
+        assert len({before for before, _, _, _ in reads}) >= n_writes // 2
+        for before, row, observed, after in reads:
+            assert any(after_prefix[k][row] == observed for k in range(before, after + 1))
+        for row in range(n_writes):
+            prediction = registry.mopt(DEFAULT_TENANT, vectors[row])
+            assert prediction.delta.tobytes() + prediction.weights.tobytes() == after_prefix[-1][row]
 
 
 class TestDisconnectMidInsert:
