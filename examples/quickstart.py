@@ -34,7 +34,7 @@ def main(scale: float = 0.1, *, n_queries: int = 150, batch_size: int = 16, k: i
     # A ~10% scale corpus keeps the example under a few seconds (the
     # parameters exist so the docs smoke test can run a miniature pass).
     dataset = build_imsi_like_dataset(scale=scale, seed=42)
-    print(f"Corpus: {dataset.n_images} images, {dataset.n_bins}-bin HSV histograms")
+    print(f"Corpus: {len(dataset.records)} images, {dataset.n_bins}-bin HSV histograms")
     print(f"Evaluation categories: {', '.join(dataset.evaluation_categories)}")
 
     config = SessionConfig(k=k, epsilon=0.05)

@@ -38,7 +38,7 @@ def parse_arguments() -> argparse.Namespace:
 def main(names=None, *, scale: float = 0.15, seed: int = 2001) -> None:
     dataset = build_imsi_like_dataset(scale=scale, seed=seed)
     print(
-        f"Corpus: {dataset.n_images} images ({', '.join(dataset.evaluation_categories)} + noise), "
+        f"Corpus: {len(dataset.records)} images ({', '.join(dataset.evaluation_categories)} + noise), "
         f"{dataset.n_bins}-bin histograms\n"
     )
     for name in names or FIGURES:

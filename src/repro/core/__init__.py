@@ -6,19 +6,15 @@
   interpolation of OQPs inside a simplex,
 * :mod:`repro.core.simplex_tree` — the Simplex Tree index with Lookup,
   Predict and ε-gated Insert (Section 4),
-* :mod:`repro.core.bootstrap` — root-simplex construction for the common
-  query domains (normalised histograms, unit cube, arbitrary point clouds),
+* :mod:`repro.core.bootstrap` — the FeedbackBypass for normalised
+  histograms, the paper's query domain,
 * :mod:`repro.core.persistence` — saving and loading a tree,
 * :mod:`repro.core.bypass` — the :class:`FeedbackBypass` facade with the
   ``mopt`` / ``insert`` interface of Figure 5.
 """
 
 from repro.core.analysis import TreeStorageReport, storage_estimate
-from repro.core.bootstrap import (
-    bypass_for_histograms,
-    bypass_for_unit_cube,
-    bypass_for_points,
-)
+from repro.core.bootstrap import bypass_for_histograms
 from repro.core.bypass import FeedbackBypass
 from repro.core.interpolation import interpolate_payloads
 from repro.core.oqp import OptimalQueryParameters
@@ -29,8 +25,6 @@ __all__ = [
     "TreeStorageReport",
     "storage_estimate",
     "bypass_for_histograms",
-    "bypass_for_unit_cube",
-    "bypass_for_points",
     "FeedbackBypass",
     "interpolate_payloads",
     "OptimalQueryParameters",

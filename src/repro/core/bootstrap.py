@@ -2,19 +2,16 @@
 
 Section 4.1 of the paper gives two recipes for the initial simplex ``S_0``:
 the ``(0,…,0), (D,0,…,0), …`` construction for ``[0,1]^D`` and the standard
-simplex for normalised histograms with a dropped bin.  These helpers build a
-ready-to-use :class:`~repro.core.bypass.FeedbackBypass` for either case, plus
-a data-driven variant for arbitrary feature clouds.
+simplex for normalised histograms with a dropped bin.  The paper's corpus is
+histograms, so the one helper here builds a ready-to-use
+:class:`~repro.core.bypass.FeedbackBypass` for that case; the other root
+simplices live in :mod:`repro.geometry.bounding`.
 """
 
 from __future__ import annotations
 
 from repro.core.bypass import FeedbackBypass
-from repro.geometry.bounding import (
-    bounding_simplex_for_points,
-    standard_simplex_vertices,
-    unit_cube_root_vertices,
-)
+from repro.geometry.bounding import standard_simplex_vertices
 from repro.utils.validation import check_dimension
 
 
@@ -40,36 +37,3 @@ def bypass_for_histograms(
         vertices, dimension, weight_dimension=weight_dimension, epsilon=epsilon
     )
 
-
-def bypass_for_unit_cube(
-    dimension: int,
-    *,
-    epsilon: float = 0.0,
-    margin: float = 1e-6,
-    weight_dimension: int | None = None,
-) -> FeedbackBypass:
-    """FeedbackBypass for feature vectors normalised to ``[0, 1]^D``."""
-    dimension = check_dimension(dimension, "dimension")
-    vertices = unit_cube_root_vertices(dimension, margin=margin)
-    return FeedbackBypass(
-        vertices, dimension, weight_dimension=weight_dimension, epsilon=epsilon
-    )
-
-
-def bypass_for_points(
-    points,
-    *,
-    epsilon: float = 0.0,
-    margin: float = 0.1,
-    weight_dimension: int | None = None,
-) -> FeedbackBypass:
-    """FeedbackBypass whose root simplex covers the given point cloud.
-
-    Useful when the query domain is an arbitrary feature space; queries far
-    outside the covered region fall back to default-parameter predictions.
-    """
-    vertices = bounding_simplex_for_points(points, margin=margin)
-    dimension = vertices.shape[1]
-    return FeedbackBypass(
-        vertices, dimension, weight_dimension=weight_dimension, epsilon=epsilon
-    )

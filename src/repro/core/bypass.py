@@ -180,19 +180,10 @@ class FeedbackBypass:
     # ------------------------------------------------------------------ #
     # Persistence
     # ------------------------------------------------------------------ #
-    def save(self, path) -> None:
-        """Persist the underlying Simplex Tree to ``path`` (an ``.npz`` file).
-
-        Convenience wrapper around
-        :func:`repro.core.persistence.save_simplex_tree`.
-        """
-        from repro.core.persistence import save_simplex_tree
-
-        save_simplex_tree(self._tree, path)
-
     @classmethod
     def load(cls, path, query_dimension: int) -> "FeedbackBypass":
-        """Reload a FeedbackBypass instance saved with :meth:`save`.
+        """Reload a FeedbackBypass whose :attr:`tree` was saved with
+        :func:`~repro.core.persistence.save_simplex_tree`.
 
         ``query_dimension`` must match the dimension the tree was built for
         (the weight dimension is recovered from the stored payload size).

@@ -132,20 +132,6 @@ class QueryEngine:
         with self._counter_lock:
             return dict(self._counters)
 
-    def reset_counters(self) -> None:
-        """Reset every counter reported by :meth:`stats`.
-
-        That includes the feedback-loop accounting (``feedback_iterations``
-        / ``frontier_batches``) and, on a sharded engine, every shard
-        engine's own counters.
-        """
-        with self._counter_lock:
-            self._counters = dict.fromkeys(self._COUNTERS, 0)
-        self._reset_parts()
-
-    def _reset_parts(self) -> None:
-        """Reset the counters of the engines this one fans out to (none here)."""
-
     def record_feedback_iterations(self, count: int = 1) -> None:
         """Account ``count`` feedback-loop iterations (re-searches).
 

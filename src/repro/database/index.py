@@ -124,10 +124,6 @@ class KSelectionAutotuner:
         """A snapshot of the cached per-bucket decisions (for inspection)."""
         return dict(self._decisions)
 
-    def reset(self) -> None:
-        """Drop every cached decision (the next calls re-calibrate)."""
-        self._decisions.clear()
-
     def _calibrate(self, n: int, k: int) -> str:
         rng = np.random.default_rng(n * 31 + k)
         sample = rng.random(n)

@@ -119,15 +119,6 @@ class MTreeIndex(KNNIndex):
         """Number of metric evaluations performed so far (build + searches)."""
         return self._distance_computations
 
-    def height(self) -> int:
-        """Return the height of the tree (a single leaf root has height 1)."""
-        height = 1
-        node = self._root
-        while not node.is_leaf:
-            node = node.entries[0].child
-            height += 1
-        return height
-
     # ------------------------------------------------------------------ #
     # Distance helper
     # ------------------------------------------------------------------ #

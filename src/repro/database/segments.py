@@ -166,11 +166,6 @@ class LiveSnapshot:
         return self._dimension
 
     @property
-    def n_segments(self) -> int:
-        """Number of segments (base + deltas)."""
-        return len(self._segments)
-
-    @property
     def n_delta_segments(self) -> int:
         """Number of delta segments riding on the base."""
         return len(self._segments) - 1

@@ -459,10 +459,6 @@ def _shard_worker_main(connection, spec: _ShardWorkerSpec) -> None:
                 }
             elif command == "stats":
                 payload = {shard_id: engine.stats() for shard_id, engine in engines.items()}
-            elif command == "reset":
-                for engine in engines.values():
-                    engine.reset_counters()
-                payload = None
             else:
                 raise ValidationError(f"unknown shard worker command {command!r}")
             connection.send(("ok", payload))
@@ -595,10 +591,6 @@ class _ProcessShardBackend:
         collected = self._round_trip(("stats",))
         return tuple(collected[shard_id] for shard_id in range(self._n_shards))
 
-    def reset(self) -> None:
-        """Reset every worker-side shard engine's counters."""
-        self._round_trip(("reset",))
-
     def close(self) -> None:
         """Stop the workers, release the pipes and unlink the segment."""
         with self._lock:
@@ -634,7 +626,7 @@ class ShardedEngine(QueryEngine):
         Number of contiguous index-range shards.
     n_workers:
         Degree of parallelism of the shard fan-out (``1`` = serial for the
-        thread backend; a live collection, read by one scan, takes only ``1``).
+        thread backend).
     backend:
         ``"thread"`` (default) fans shards out over a
         :class:`WorkerPool` of threads — zero setup cost, scales until the
@@ -666,40 +658,22 @@ class ShardedEngine(QueryEngine):
 
     def __init__(
         self,
-        collection: "FeatureCollection | ShardedCollection | LiveCollection",
+        collection: "FeatureCollection | ShardedCollection",
         n_shards: int | None = None,
         *,
         n_workers: int = 1,
         backend: str = "thread",
         default_distance: DistanceFunction | None = None,
     ) -> None:
+        if isinstance(collection, LiveCollection):
+            raise ValidationError(
+                "a live collection is read by one scan of its snapshot; "
+                "serve it with RetrievalEngine, not ShardedEngine"
+            )
         self._backend = _check_backend(backend)
         self._process_backend: "_ProcessShardBackend | None" = None
         self._shard_engines: tuple[RetrievalEngine, ...] = ()
         self._sharded: "ShardedCollection | None" = None
-        if isinstance(collection, LiveCollection):
-            # A live collection already *is* a partition — base + delta
-            # segments — and the partition changes with every insert and
-            # compaction, so a static index-range ShardedCollection cannot
-            # exist over it.  Its snapshot answers with one scan over the
-            # segments, the same read an unsharded engine makes.
-            if n_shards is not None:
-                raise ValidationError(
-                    "a live collection shards by segment; n_shards must be None"
-                )
-            if self._backend == "process":
-                raise ValidationError(
-                    "a live collection mutates in place and cannot be hosted in "
-                    "shared memory; use backend='thread'"
-                )
-            if n_workers != 1:
-                raise ValidationError(
-                    "a live collection is read by one scan of its snapshot; "
-                    "n_workers must be 1"
-                )
-            super().__init__(collection, default_distance)
-            self._pool = None
-            return
         if isinstance(collection, ShardedCollection):
             if n_shards is not None and n_shards != collection.n_shards:
                 raise ValidationError(
@@ -732,10 +706,7 @@ class ShardedEngine(QueryEngine):
 
     @property
     def n_shards(self) -> int:
-        """Number of shards (for a live collection: segments in the current
-        snapshot, which changes with inserts and compactions)."""
-        if self._live:
-            return self._collection.snapshot().n_segments
+        """Number of shards."""
         return self._sharded.n_shards
 
     @property
@@ -743,14 +714,11 @@ class ShardedEngine(QueryEngine):
         """Degree of parallelism of the shard fan-out."""
         if self._process_backend is not None:
             return self._process_backend.n_workers
-        if self._pool is None:  # live: one scan of the snapshot
-            return 1
         return self._pool.n_workers
 
     @property
     def pool(self) -> "WorkerPool | None":
-        """The thread fan-out pool (``None`` for the process backend and for a
-        live collection)."""
+        """The thread fan-out pool (``None`` for the process backend)."""
         return self._pool
 
     def close(self) -> None:
@@ -789,7 +757,7 @@ class ShardedEngine(QueryEngine):
         :class:`~repro.serving.server.RetrievalServer` can answer ``info``
         requests without touching the worker processes.
         """
-        info = {
+        return {
             "engine": type(self).__name__,
             "corpus_size": self.collection.size,
             "dimension": self.collection.dimension,
@@ -798,9 +766,6 @@ class ShardedEngine(QueryEngine):
             "n_workers": self.n_workers,
             "backend": self._backend,
         }
-        if self._live:
-            info["live"] = True
-        return info
 
     def stats(self) -> dict:
         """Aggregate counters across the worker pool and every shard.
@@ -813,33 +778,18 @@ class ShardedEngine(QueryEngine):
         ``per_shard`` keeps the unaggregated per-shard dispatch stats for
         drill-down; with ``backend="process"`` they are fetched from the
         worker processes.
-
-        Live collections have no shard engines: the dispatch is counted
-        once per query at the top level and ``per_shard`` is empty.
         """
         counters = self._counter_snapshot()
-        delta_hits = counters.pop("delta_hits")
-        per_shard = ()
-        if not self._live:
-            per_shard = self._shard_stats()
-            counters["scan_fallbacks"] = sum(shard["scan_fallbacks"] for shard in per_shard)
-        stats = {
+        del counters["delta_hits"]  # a frozen corpus has no delta segments
+        per_shard = self._shard_stats()
+        counters["scan_fallbacks"] = sum(shard["scan_fallbacks"] for shard in per_shard)
+        return {
             "shard_count": self.n_shards,
             "n_workers": self.n_workers,
             "backend": self._backend,
             **counters,
+            "per_shard": per_shard,
         }
-        if self._live:
-            stats["delta_hits"] = delta_hits
-            stats["compactions"] = self._collection.n_compactions
-        stats["per_shard"] = per_shard
-        return stats
-
-    def _reset_parts(self) -> None:
-        if self._process_backend is not None:
-            self._process_backend.reset()
-        for engine in self._shard_engines:
-            engine.reset_counters()
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -864,9 +814,7 @@ class ShardedEngine(QueryEngine):
         coverage scope, recording those it no longer reaches as skips
         (``shards_answered`` / ``shards_skipped``); it needs the thread
         backend, since a :class:`~repro.database.budget.Budget` (lock,
-        clock) cannot cross the process boundary.  A live collection never
-        reaches here: :class:`~repro.database.engine.QueryEngine` answers it
-        with the one streamed scan of its snapshot, as unsharded.
+        clock) cannot cross the process boundary.
         """
         rows_total = self._collection.size * batch.n_rows
         offsets = self._sharded.offsets

@@ -16,25 +16,22 @@ that function.  This subpackage holds the distances the library runs:
 """
 
 from repro.distances.base import DistanceFunction
-from repro.distances.minkowski import MinkowskiDistance, cityblock, euclidean
+from repro.distances.minkowski import MinkowskiDistance, euclidean
 from repro.distances.weighted_euclidean import WeightedEuclideanDistance
 from repro.distances.parameters import (
     default_weight_vector,
     normalize_weights,
     pack_oqp_vector,
     unpack_oqp_vector,
-    weights_from_parameters,
 )
 
 __all__ = [
     "DistanceFunction",
     "MinkowskiDistance",
-    "cityblock",
     "euclidean",
     "WeightedEuclideanDistance",
     "default_weight_vector",
     "normalize_weights",
     "pack_oqp_vector",
     "unpack_oqp_vector",
-    "weights_from_parameters",
 ]

@@ -96,14 +96,9 @@ class DistanceFunction(abc.ABC):
     # ------------------------------------------------------------------ #
     # Parameter interface
     # ------------------------------------------------------------------ #
-    @property
-    @abc.abstractmethod
-    def n_parameters(self) -> int:
-        """Number of free parameters P of this distance class."""
-
     @abc.abstractmethod
     def parameters(self) -> np.ndarray:
-        """Return the current parameter vector (length ``n_parameters``)."""
+        """Return the current parameter vector."""
 
     @abc.abstractmethod
     def with_parameters(self, parameters) -> "DistanceFunction":

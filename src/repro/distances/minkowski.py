@@ -49,10 +49,6 @@ class MinkowskiDistance(DistanceFunction):
     # ------------------------------------------------------------------ #
     # Parameter interface
     # ------------------------------------------------------------------ #
-    @property
-    def n_parameters(self) -> int:
-        return self.dimension
-
     def parameters(self) -> np.ndarray:
         return self._weights.copy()
 
@@ -128,8 +124,3 @@ class PowerSumKernel:
 def euclidean(dimension: int) -> MinkowskiDistance:
     """Unweighted Euclidean distance on R^D (the paper's default)."""
     return MinkowskiDistance(dimension, order=2.0)
-
-
-def cityblock(dimension: int) -> MinkowskiDistance:
-    """Unweighted Manhattan (L1) distance on R^D."""
-    return MinkowskiDistance(dimension, order=1.0)

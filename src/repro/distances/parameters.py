@@ -82,14 +82,3 @@ def unpack_oqp_vector(vector, dimension: int) -> tuple[np.ndarray, np.ndarray]:
             f"got length {vector.shape[0]}"
         )
     return vector[:dimension].copy(), vector[dimension:].copy()
-
-
-def weights_from_parameters(parameters, dimension: int) -> np.ndarray:
-    """Extract the weight portion of a flat OQP vector.
-
-    Convenience wrapper used by the retrieval engine when it only needs the
-    distance weights (e.g. to instantiate a
-    :class:`~repro.distances.weighted_euclidean.WeightedEuclideanDistance`).
-    """
-    _, weights = unpack_oqp_vector(parameters, dimension)
-    return weights

@@ -42,10 +42,6 @@ class WeightedEuclideanDistance(DistanceFunction):
     # ------------------------------------------------------------------ #
     # Parameter interface
     # ------------------------------------------------------------------ #
-    @property
-    def n_parameters(self) -> int:
-        return self.dimension
-
     def parameters(self) -> np.ndarray:
         return self._weights.copy()
 

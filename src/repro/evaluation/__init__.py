@@ -53,10 +53,8 @@ from repro.evaluation.experiments import (
 from repro.evaluation.efficiency import EfficiencyResult, saved_cycles_experiment
 from repro.evaluation.workloads import (
     RepeatRateBenefitResult,
-    category_skewed_workload,
     repeat_rate_benefit,
     repeated_query_workload,
-    uniform_workload,
 )
 from repro.evaluation.figures import FIGURES, Figure, Table, format_series_table
 
@@ -84,10 +82,8 @@ __all__ = [
     "EfficiencyResult",
     "saved_cycles_experiment",
     "RepeatRateBenefitResult",
-    "category_skewed_workload",
     "repeat_rate_benefit",
     "repeated_query_workload",
-    "uniform_workload",
     "FIGURES",
     "Figure",
     "Table",

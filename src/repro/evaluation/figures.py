@@ -689,10 +689,6 @@ class _CountingDistance(DistanceFunction):
         self._inner = inner
         self.evaluations = 0
 
-    @property
-    def n_parameters(self) -> int:
-        return self._inner.n_parameters
-
     def parameters(self) -> np.ndarray:
         return self._inner.parameters()
 

@@ -217,11 +217,6 @@ class InteractiveSession:
         return self._feedback
 
     @property
-    def scheduler(self) -> LoopScheduler:
-        """The frontier scheduler batching feedback loops across queries."""
-        return self._scheduler
-
-    @property
     def bypass(self) -> FeedbackBypass:
         """The FeedbackBypass module being trained."""
         return self._bypass

@@ -33,8 +33,8 @@ class CategoryJudge:
     This is the callable :meth:`SimulatedUser.judge_for_query` hands to the
     feedback loops.  It carries only the collection's label array (shared
     across every judge of the same collection), the query's category and
-    the score scale.  The scores are exactly
-    :meth:`SimulatedUser.judge_batch`'s.
+    the score scale.  The scores are exactly :meth:`SimulatedUser.judge`'s,
+    as parallel arrays.
     """
 
     labels: np.ndarray
@@ -84,12 +84,6 @@ class SimulatedUser:
     def judge(self, results: ResultSet, query_category: str) -> list[RelevanceJudgment]:
         """Score a result list for a query of the given category."""
         return score_results_by_category(
-            results, self.categories_of(results), query_category, scale=self._scale
-        )
-
-    def judge_batch(self, results: ResultSet, query_category: str) -> JudgmentBatch:
-        """Vectorised :meth:`judge`: the same scores as parallel arrays."""
-        return score_results_by_category_batch(
             results, self.categories_of(results), query_category, scale=self._scale
         )
 

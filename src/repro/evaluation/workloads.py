@@ -1,11 +1,10 @@
 """Query-workload generators.
 
 The paper samples queries uniformly from the evaluation images.  Real
-interactive systems see more structured streams: some categories are far more
-popular than others, and the *same* query is often re-issued — which is
-exactly the case FeedbackBypass turns into a complete bypass of the feedback
-loop.  This module provides generators for those stream shapes and the
-experiment that quantifies how the benefit grows with the repetition rate.
+interactive systems often see the *same* query re-issued — which is exactly
+the case FeedbackBypass turns into a complete bypass of the feedback loop.
+This module provides the generator for that stream shape and the experiment
+that quantifies how the benefit grows with the repetition rate.
 """
 
 from __future__ import annotations
@@ -18,46 +17,7 @@ from repro.evaluation.metrics import average_precision_recall
 from repro.evaluation.session import InteractiveSession, SessionConfig
 from repro.features.datasets import ImageDataset
 from repro.utils.rng import derive_seed, ensure_rng
-from repro.utils.validation import ValidationError, check_dimension, check_in_range
-
-
-def uniform_workload(dataset: ImageDataset, n_queries: int, *, seed: int = 0) -> np.ndarray:
-    """The paper's workload: queries sampled uniformly from the evaluation images."""
-    rng = ensure_rng(derive_seed(seed, "uniform_workload"))
-    return dataset.sample_query_indices(n_queries, rng)
-
-
-def category_skewed_workload(
-    dataset: ImageDataset,
-    n_queries: int,
-    *,
-    zipf_exponent: float = 1.0,
-    seed: int = 0,
-) -> np.ndarray:
-    """Queries whose categories follow a Zipf-like popularity distribution.
-
-    Categories are ranked by size (the biggest category is also the most
-    popular, which is how real galleries behave); the probability of rank
-    ``r`` is proportional to ``1 / r^zipf_exponent``.  Within a category,
-    images are drawn uniformly.
-    """
-    check_dimension(n_queries, "n_queries")
-    if zipf_exponent < 0:
-        raise ValidationError("zipf_exponent must be non-negative")
-    rng = ensure_rng(derive_seed(seed, "skewed_workload"))
-    categories = sorted(
-        dataset.evaluation_categories, key=dataset.category_size, reverse=True
-    )
-    ranks = np.arange(1, len(categories) + 1, dtype=np.float64)
-    probabilities = 1.0 / np.power(ranks, zipf_exponent)
-    probabilities /= probabilities.sum()
-
-    chosen_categories = rng.choice(len(categories), size=n_queries, p=probabilities)
-    indices = np.empty(n_queries, dtype=np.intp)
-    for position, category_rank in enumerate(chosen_categories):
-        members = dataset.indices_of_category(categories[int(category_rank)])
-        indices[position] = int(rng.choice(members))
-    return indices
+from repro.utils.validation import check_dimension, check_in_range
 
 
 def repeated_query_workload(

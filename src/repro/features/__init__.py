@@ -32,8 +32,6 @@ from repro.features.histogram import HistogramExtractor, histogram_from_hsv_pixe
 from repro.features.hsv import hsv_to_rgb, rgb_to_hsv
 from repro.features.normalization import (
     drop_last_bin,
-    normalize_histogram,
-    restore_last_bin,
 )
 from repro.features.synthetic import (
     ClusteredCorpus,
@@ -53,8 +51,6 @@ __all__ = [
     "hsv_to_rgb",
     "rgb_to_hsv",
     "drop_last_bin",
-    "normalize_histogram",
-    "restore_last_bin",
     "CategorySpec",
     "ColorTheme",
     "SyntheticImageGenerator",

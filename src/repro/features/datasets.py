@@ -214,11 +214,6 @@ class ImageDataset:
     # Basic accessors
     # ------------------------------------------------------------------ #
     @property
-    def n_images(self) -> int:
-        """Number of images in the corpus."""
-        return int(self.features.shape[0])
-
-    @property
     def n_bins(self) -> int:
         """Number of histogram bins per image."""
         return int(self.features.shape[1])
@@ -248,10 +243,6 @@ class ImageDataset:
     def category_size(self, category: str) -> int:
         """Return the number of images in ``category``."""
         return int(self.indices_of_category(category).shape[0])
-
-    def feature(self, index: int) -> np.ndarray:
-        """Return a copy of the feature vector of image ``index``."""
-        return self.features[index].copy()
 
     # ------------------------------------------------------------------ #
     # Query sampling

@@ -14,29 +14,12 @@ import numpy as np
 from repro.utils.validation import ValidationError, as_float_matrix, as_float_vector
 
 
-def normalize_histogram(histogram, *, tolerance: float = 1e-12) -> np.ndarray:
-    """Return ``histogram`` scaled to sum to one.
-
-    Raises :class:`ValidationError` for negative bins or an all-zero
-    histogram (an image with no pixels has no colour distribution).
-    """
-    histogram = as_float_vector(histogram, name="histogram")
-    if np.any(histogram < -tolerance):
-        raise ValidationError("histogram bins must be non-negative")
-    histogram = np.clip(histogram, 0.0, None)
-    total = histogram.sum()
-    if total <= tolerance:
-        raise ValidationError("histogram must have positive total mass")
-    return histogram / total
-
-
 def drop_last_bin(histograms) -> np.ndarray:
     """Embed normalised histograms into the standard simplex by dropping the last bin.
 
     Accepts a single histogram (1-D) or a matrix of histograms (2-D); the
     returned array has one fewer column.  Because the bins sum to one, the
-    dropped bin is redundant and can be restored exactly with
-    :func:`restore_last_bin`.
+    dropped bin is redundant: it is one minus the sum of the kept bins.
     """
     array = np.asarray(histograms, dtype=np.float64)
     if array.ndim == 1:
@@ -48,19 +31,3 @@ def drop_last_bin(histograms) -> np.ndarray:
     if matrix.shape[1] < 2:
         raise ValidationError("histograms must have at least two bins")
     return matrix[:, :-1].copy()
-
-
-def restore_last_bin(embedded) -> np.ndarray:
-    """Invert :func:`drop_last_bin`, re-appending the implied last bin."""
-    array = np.asarray(embedded, dtype=np.float64)
-    if array.ndim == 1:
-        vector = as_float_vector(array, name="embedded histogram")
-        last = 1.0 - vector.sum()
-        if last < -1e-6:
-            raise ValidationError("embedded histogram sums to more than one")
-        return np.concatenate([vector, [max(last, 0.0)]])
-    matrix = as_float_matrix(array, name="embedded histograms")
-    last = 1.0 - matrix.sum(axis=1)
-    if np.any(last < -1e-6):
-        raise ValidationError("an embedded histogram sums to more than one")
-    return np.hstack([matrix, np.clip(last, 0.0, None)[:, None]])

@@ -32,7 +32,6 @@ from repro.feedback.scores import (
 from repro.feedback.query_point_movement import (
     optimal_query_point,
     optimal_query_point_frontier,
-    rocchio_update,
     segment_boundaries,
 )
 from repro.feedback.reweighting import (
@@ -53,7 +52,6 @@ __all__ = [
     "score_results_by_category_batch",
     "optimal_query_point",
     "optimal_query_point_frontier",
-    "rocchio_update",
     "segment_boundaries",
     "ReweightingRule",
     "mars_weights",

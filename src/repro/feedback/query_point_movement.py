@@ -1,13 +1,10 @@
 """Query-point-movement feedback.
 
-Two implementations are provided:
-
-* :func:`rocchio_update` — Rocchio's classical formula, moving the query
-  towards the centroid of the good results and away from the centroid of the
-  bad results, and
-* :func:`optimal_query_point` — the score-weighted average of the good
-  results that Ishikawa et al. proved optimal for positive feedback
-  (Equation 2 in the paper).
+The loop moves the query with :func:`optimal_query_point`, the
+score-weighted average of the good results that Ishikawa et al. proved
+optimal for positive feedback (Equation 2 in the paper);
+:func:`optimal_query_point_frontier` applies the same rule to a frontier of
+queries at once.
 """
 
 from __future__ import annotations
@@ -107,38 +104,3 @@ def optimal_query_point_frontier(good_vectors, scores, offsets) -> np.ndarray:
             raise ValidationError("at least one score must be positive")
         new_points[query] = (segment_scores[:, None] * good_vectors[start:stop]).sum(axis=0) / total
     return new_points
-
-
-def rocchio_update(
-    query_point,
-    good_vectors,
-    bad_vectors=None,
-    *,
-    alpha: float = 1.0,
-    beta: float = 0.75,
-    gamma: float = 0.25,
-) -> np.ndarray:
-    """Rocchio's query-point update.
-
-    ``q' = alpha * q + beta * centroid(good) - gamma * centroid(bad)``.
-
-    The defaults follow the classical document-retrieval setting cited by the
-    paper ([Sal88]).  ``bad_vectors`` may be ``None`` or empty, in which case
-    the negative term vanishes.
-    """
-    query_point = as_float_vector(query_point, name="query_point")
-    good_vectors = as_float_matrix(good_vectors, name="good_vectors")
-    if good_vectors.shape[1] != query_point.shape[0]:
-        raise ValidationError("good_vectors must match the query dimensionality")
-    if good_vectors.shape[0] == 0:
-        raise ValidationError("at least one good result is required")
-
-    updated = alpha * query_point + beta * good_vectors.mean(axis=0)
-    if bad_vectors is not None:
-        bad_vectors = np.asarray(bad_vectors, dtype=np.float64)
-        if bad_vectors.size:
-            bad_vectors = as_float_matrix(bad_vectors, name="bad_vectors")
-            if bad_vectors.shape[1] != query_point.shape[0]:
-                raise ValidationError("bad_vectors must match the query dimensionality")
-            updated = updated - gamma * bad_vectors.mean(axis=0)
-    return updated

@@ -15,8 +15,6 @@ operations on D-dimensional simplices:
 
 from repro.geometry.barycentric import (
     barycentric_coordinates,
-    barycentric_interpolate,
-    cartesian_from_barycentric,
 )
 from repro.geometry.bounding import (
     standard_simplex_vertices,
@@ -33,8 +31,6 @@ from repro.geometry.triangulation import IncrementalTriangulation
 
 __all__ = [
     "barycentric_coordinates",
-    "barycentric_interpolate",
-    "cartesian_from_barycentric",
     "standard_simplex_vertices",
     "unit_cube_root_vertices",
     "bounding_simplex_for_points",

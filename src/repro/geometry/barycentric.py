@@ -66,33 +66,3 @@ def barycentric_coordinates(vertices, point, *, check: bool = True) -> np.ndarra
     tail = np.linalg.solve(edges, rhs)
     head = 1.0 - tail.sum()
     return np.concatenate(([head], tail))
-
-
-def cartesian_from_barycentric(vertices, weights, *, check: bool = True) -> np.ndarray:
-    """Map barycentric ``weights`` back to a Cartesian point."""
-    if check:
-        vertices = as_float_matrix(vertices, name="vertices")
-        weights = as_float_vector(weights, name="weights", dim=vertices.shape[0])
-    else:
-        vertices = np.asarray(vertices, dtype=np.float64)
-        weights = np.asarray(weights, dtype=np.float64)
-    return weights @ vertices
-
-
-def barycentric_interpolate(vertices, values, point, *, check: bool = True) -> np.ndarray:
-    """Linearly interpolate vertex ``values`` at ``point``.
-
-    ``values`` is a ``(D+1, N)`` array holding one N-dimensional payload per
-    vertex (in the paper: the OQP vector of each stored query point).  The
-    result is the payload predicted at ``point``, i.e. the unbalanced-Haar
-    interpolation of the optimal query mapping.
-    """
-    weights = barycentric_coordinates(vertices, point, check=check)
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim == 1:
-        return float(weights @ values)
-    if check and values.shape[0] != weights.shape[0]:
-        raise ValidationError(
-            f"values must provide one row per vertex ({weights.shape[0]}), got {values.shape[0]}"
-        )
-    return weights @ values

@@ -57,10 +57,6 @@ class Simplex:
         """Return a copy of vertex ``index`` (0-based)."""
         return np.array(self.vertices[index], dtype=np.float64)
 
-    def centroid(self) -> np.ndarray:
-        """Return the centroid (mean of the vertices)."""
-        return self.vertices.mean(axis=0)
-
     def volume(self) -> float:
         """Return the D-dimensional volume."""
         return simplex_volume(self.vertices)

@@ -10,10 +10,10 @@ tree a shared serving resource:
 * **one tree per (tenant, collection, distance-family)** — the registry is
   constructed per engine (collection + distance family) and lazily opens one
   :class:`FeedbackBypass` per tenant namespace;
-* **lock-disciplined concurrency** — reads (``mopt``) run under a
-  read-favoring reader/writer discipline so predictions never queue behind
-  each other, while ``insert`` serializes per tree and appends to an
-  ordered insert log;
+* **lock-disciplined concurrency** — reads (``mopt``) share a per-tree
+  reader/writer lock so predictions never queue behind each other, while
+  ``insert`` serializes per tree and appends to an ordered insert log; a
+  waiting insert holds off arriving reads, so reads cannot starve it;
 * **warm-start persistence** — with a ``snapshot_dir`` every applied insert
   is appended to a per-tenant write-ahead insert log, periodic / on-close /
   on-evict snapshots persist the whole tree via
@@ -79,23 +79,26 @@ def _checked_name(name, what: str) -> str:
     return name
 
 
-class _ReadFavoringLock:
-    """Reader/writer lock where arriving readers overtake waiting writers.
+class _WriterPreferringLock:
+    """Reader/writer lock where a waiting writer holds off arriving readers.
 
-    ``mopt`` traffic vastly outnumbers inserts, so readers proceed whenever
-    no writer is *active* (even if one is waiting); a writer runs only when
-    no reader and no other writer holds the lock.
+    Readers share the lock and a writer runs alone.  A reader that arrives
+    while a writer waits queues behind it, while readers already inside
+    finish, so back-to-back ``mopt`` traffic cannot starve an ``insert``.
+    No thread takes a tenant's read lock twice, which this preference
+    needs: a nested read behind a waiting writer would deadlock.
     """
 
     def __init__(self) -> None:
         self._condition = threading.Condition()
         self._n_readers = 0
+        self._n_writers_waiting = 0
         self._writing = False
 
     @contextmanager
     def read(self):
         with self._condition:
-            while self._writing:
+            while self._writing or self._n_writers_waiting:
                 self._condition.wait()
             self._n_readers += 1
         try:
@@ -109,8 +112,12 @@ class _ReadFavoringLock:
     @contextmanager
     def write(self):
         with self._condition:
-            while self._writing or self._n_readers:
-                self._condition.wait()
+            self._n_writers_waiting += 1
+            try:
+                while self._writing or self._n_readers:
+                    self._condition.wait()
+            finally:
+                self._n_writers_waiting -= 1
             self._writing = True
         try:
             yield
@@ -140,7 +147,7 @@ class _TenantTree:
     def __init__(self, tenant: str, bypass: FeedbackBypass) -> None:
         self.tenant = tenant
         self.bypass = bypass
-        self.lock = _ReadFavoringLock()
+        self.lock = _WriterPreferringLock()
         self.log: list = []
         self.wal = None
         self.n_requests = 0

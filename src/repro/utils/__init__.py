@@ -13,7 +13,6 @@ from repro.utils.validation import (
     check_dimension,
     check_in_range,
     check_positive,
-    check_probability_vector,
 )
 
 __all__ = [
@@ -26,5 +25,4 @@ __all__ = [
     "check_dimension",
     "check_in_range",
     "check_positive",
-    "check_probability_vector",
 ]

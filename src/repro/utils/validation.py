@@ -101,14 +101,3 @@ def check_in_range(value: float, low: float, high: float, name: str = "value") -
     if not (low <= value <= high):
         raise ValidationError(f"{name} must be in [{low}, {high}], got {value}")
     return value
-
-
-def check_probability_vector(values, name: str = "histogram", tolerance: float = 1e-6) -> np.ndarray:
-    """Validate that ``values`` is a non-negative vector summing to one."""
-    array = as_float_vector(values, name=name)
-    if np.any(array < -tolerance):
-        raise ValidationError(f"{name} has negative entries")
-    total = float(array.sum())
-    if abs(total - 1.0) > tolerance:
-        raise ValidationError(f"{name} must sum to 1 (got {total:.6f})")
-    return np.clip(array, 0.0, None)

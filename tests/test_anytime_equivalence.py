@@ -245,15 +245,6 @@ class TestLiveByteIdentity:
             _assert_batch_identical(batch, expected, label)
             assert budget.coverage().complete, label
 
-    def test_live_sharded_composition(self, live, queries):
-        """ShardedEngine over a LiveCollection keeps the identity too."""
-        with ShardedEngine(live) as sharded:
-            expected = sharded.search_batch(queries, 8)
-            for label, budget in _sufficient_budgets(200 * queries.shape[0]):
-                batch = sharded.search_batch(queries, 8, budget=budget)
-                _assert_batch_identical(batch, expected, label)
-                assert budget.coverage().complete, label
-
 
 class TestBudgetWireForm:
     def test_round_trip(self):

@@ -23,7 +23,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.bootstrap import bypass_for_unit_cube
+from repro.core.bypass import FeedbackBypass
 from repro.core.oqp import OptimalQueryParameters
 from repro.database.collection import FeatureCollection
 from repro.database.engine import RetrievalEngine
@@ -31,6 +31,7 @@ from repro.database.sharding import ShardedEngine
 from repro.evaluation.simulated_user import SimulatedUser
 from repro.feedback.engine import FeedbackEngine
 from repro.feedback.scheduler import LoopRequest, LoopScheduler
+from repro.geometry.bounding import unit_cube_root_vertices
 from repro.serving.coalescer import RequestCoalescer
 
 DIMENSION = 5
@@ -92,7 +93,7 @@ class TestSearchStress:
                 reference.search_batch_with_parameters(queries, K, deltas, weights),
             )
 
-        bypass = bypass_for_unit_cube(DIMENSION)
+        bypass = FeedbackBypass(unit_cube_root_vertices(DIMENSION, margin=1e-6), DIMENSION)
         trainer_rng = np.random.default_rng(8)
         train_points = trainer_rng.random((N_ROUNDS, 4, DIMENSION))
         train_parameters = [
@@ -144,7 +145,7 @@ class TestSearchStress:
             assert shard_stats["n_batches"] == calls
 
         # The interleaved training matches the same inserts run alone.
-        reference_bypass = bypass_for_unit_cube(DIMENSION)
+        reference_bypass = FeedbackBypass(unit_cube_root_vertices(DIMENSION, margin=1e-6), DIMENSION)
         for round_points, round_parameters in zip(train_points, train_parameters):
             reference_bypass.insert_batch(round_points, round_parameters)
         assert (
@@ -152,7 +153,7 @@ class TestSearchStress:
             == reference_bypass.statistics()["n_stored_queries"]
         )
 
-    def test_reset_counters_under_load_keeps_totals_consistent(self, collection):
+    def test_stats_under_load_keep_totals_consistent(self, collection):
         # Not a determinism check — just that concurrent stats() snapshots
         # are internally consistent and the final totals are exact.
         with ShardedEngine(collection, 3, n_workers=2) as engine:
@@ -166,12 +167,10 @@ class TestSearchStress:
 
             errors = _run_threads([searcher] * N_THREADS)
             assert errors == []
-            assert engine.stats()["n_searches"] == N_THREADS * N_ROUNDS * 8
-            engine.reset_counters()
             final = engine.stats()
-        assert final["n_searches"] == 0
-        assert final["n_batches"] == 0
-        assert all(shard["n_searches"] == 0 for shard in final["per_shard"])
+        assert final["n_searches"] == N_THREADS * N_ROUNDS * 8
+        assert final["n_batches"] == N_THREADS * N_ROUNDS
+        assert all(shard["n_searches"] == final["n_searches"] for shard in final["per_shard"])
 
 
 class TestSchedulerStress:
@@ -201,7 +200,6 @@ class TestSchedulerStress:
             results = scheduler.run(requests)
             assert all(r.identical_to(e) for r, e in zip(results, expected))
             per_run = engine.stats()
-            engine.reset_counters()
 
             def scheduling_client():
                 for _ in range(3):
@@ -211,8 +209,8 @@ class TestSchedulerStress:
             errors = _run_threads([scheduling_client] * 4)
             assert errors == []
             stats = engine.stats()
-        # 4 threads x 3 runs, each byte-identical to the calibration run:
-        # every counter is exactly 12x the single run's (no lost updates).
+        # The calibration run plus 4 threads x 3 runs, each byte-identical to
+        # it: every counter is exactly 13x the single run's (no lost updates).
         for counter in (
             "n_searches",
             "n_batches",
@@ -221,7 +219,7 @@ class TestSchedulerStress:
             "frontier_batches",
             "scan_fallbacks",
         ):
-            assert stats[counter] == 12 * per_run[counter], counter
+            assert stats[counter] == 13 * per_run[counter], counter
 
 
 class TestCoalescerStress:

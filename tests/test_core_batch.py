@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.bootstrap import bypass_for_unit_cube
+from repro.core.bypass import FeedbackBypass
 from repro.core.oqp import OptimalQueryParameters
 from repro.core.simplex_tree import SimplexTree
 from repro.geometry.bounding import unit_cube_root_vertices
@@ -67,7 +67,7 @@ class TestPredictBatch:
 class TestBypassBatch:
     @pytest.fixture()
     def trained_bypass(self, rng):
-        bypass = bypass_for_unit_cube(DIMENSION, epsilon=0.0)
+        bypass = FeedbackBypass(unit_cube_root_vertices(DIMENSION, margin=1e-6), DIMENSION, epsilon=0.0)
         for _ in range(15):
             point = rng.random(DIMENSION) * 0.2
             if bypass.tree.contains(point):
@@ -104,8 +104,8 @@ class TestBypassBatch:
             )
             for _ in range(len(points))
         ]
-        batched = bypass_for_unit_cube(DIMENSION, epsilon=0.0)
-        sequential = bypass_for_unit_cube(DIMENSION, epsilon=0.0)
+        batched = FeedbackBypass(unit_cube_root_vertices(DIMENSION, margin=1e-6), DIMENSION, epsilon=0.0)
+        sequential = FeedbackBypass(unit_cube_root_vertices(DIMENSION, margin=1e-6), DIMENSION, epsilon=0.0)
         outcomes = batched.insert_batch(points, parameter_list)
         for point, parameters in zip(points, parameter_list):
             sequential.insert(point, parameters)
@@ -119,6 +119,6 @@ class TestBypassBatch:
         )
 
     def test_insert_batch_validates_alignment(self, rng):
-        bypass = bypass_for_unit_cube(DIMENSION)
+        bypass = FeedbackBypass(unit_cube_root_vertices(DIMENSION, margin=1e-6), DIMENSION)
         with pytest.raises(ValidationError):
             bypass.insert_batch(rng.random((3, DIMENSION)) * 0.1, [])

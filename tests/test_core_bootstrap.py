@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.bootstrap import bypass_for_histograms, bypass_for_points, bypass_for_unit_cube
+from repro.core.bootstrap import bypass_for_histograms
 from repro.utils.validation import ValidationError
 
 
@@ -32,38 +32,3 @@ class TestBypassForHistograms:
         with pytest.raises(ValidationError):
             bypass_for_histograms(1)
 
-
-class TestBypassForUnitCube:
-    def test_covers_cube(self):
-        instance = bypass_for_unit_cube(4)
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            assert instance.tree.contains(rng.random(4))
-
-    def test_covers_corners(self):
-        instance = bypass_for_unit_cube(3)
-        assert instance.tree.contains(np.ones(3))
-        assert instance.tree.contains(np.zeros(3))
-
-    def test_rejects_invalid_dimension(self):
-        with pytest.raises(ValidationError):
-            bypass_for_unit_cube(0)
-
-
-class TestBypassForPoints:
-    def test_covers_training_points(self):
-        rng = np.random.default_rng(1)
-        points = rng.normal(size=(40, 3)) * 2.0
-        instance = bypass_for_points(points)
-        for point in points:
-            assert instance.tree.contains(point)
-
-    def test_query_dimension_inferred(self):
-        points = np.random.default_rng(2).random((10, 6))
-        assert bypass_for_points(points).query_dimension == 6
-
-    def test_far_away_query_predicts_default(self):
-        points = np.random.default_rng(3).random((10, 2))
-        instance = bypass_for_points(points)
-        prediction = instance.mopt(np.array([100.0, 100.0]))
-        assert prediction.is_default()

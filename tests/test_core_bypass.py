@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.bootstrap import bypass_for_histograms, bypass_for_unit_cube
+from repro.core.bootstrap import bypass_for_histograms
 from repro.core.bypass import FeedbackBypass
 from repro.core.oqp import OptimalQueryParameters
 from repro.geometry.bounding import unit_cube_root_vertices
@@ -86,7 +86,7 @@ class TestInsert:
         assert bypass.n_stored_queries == 1
 
     def test_epsilon_skips_uninformative_parameters(self):
-        instance = bypass_for_unit_cube(3, epsilon=0.5)
+        instance = FeedbackBypass(unit_cube_root_vertices(3, margin=1e-6), 3, epsilon=0.5)
         nearly_default = OptimalQueryParameters(
             delta=np.full(3, 0.01), weights=np.full(3, 1.01)
         )

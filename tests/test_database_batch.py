@@ -273,8 +273,6 @@ class TestEngineDispatch:
         assert stats["index_hits"] == 0
         assert stats["scan_fallbacks"] == 2
         assert stats["n_searches"] == 2
-        engine.reset_counters()
-        assert engine.stats()["scan_fallbacks"] == 0
 
     def test_engine_search_batch_equals_loop(self, collection, queries):
         engine = RetrievalEngine(collection)

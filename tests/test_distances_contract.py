@@ -15,7 +15,6 @@ from repro.database.collection import CorpusWorkspace
 from repro.distances import (
     MinkowskiDistance,
     WeightedEuclideanDistance,
-    cityblock,
     euclidean,
 )
 from repro.distances.base import FAST_MARGIN_SCALE
@@ -33,7 +32,7 @@ def _weights(rng, zero: bool = False):
 
 FAMILIES = {
     "euclidean": lambda rng: euclidean(DIMENSION),
-    "cityblock": lambda rng: cityblock(DIMENSION),
+    "cityblock": lambda rng: MinkowskiDistance(DIMENSION, order=1.0),
     "minkowski-1.5": lambda rng: MinkowskiDistance(DIMENSION, order=1.5, weights=_weights(rng)),
     "minkowski-3": lambda rng: MinkowskiDistance(DIMENSION, order=3.0, weights=_weights(rng, zero=True)),
     "weighted-euclidean-default": lambda rng: WeightedEuclideanDistance.default(DIMENSION),
@@ -162,7 +161,7 @@ class TestFastStage:
 class TestParameters:
     def test_parameter_roundtrip(self, distance, data):
         parameters = distance.parameters()
-        assert parameters.shape == (distance.n_parameters,)
+        assert parameters.shape == (DIMENSION,)
         rebuilt = distance.with_parameters(parameters)
         assert type(rebuilt) is type(distance)
         assert _order(rebuilt) == _order(distance)

@@ -8,7 +8,6 @@ from repro.distances.parameters import (
     normalize_weights,
     pack_oqp_vector,
     unpack_oqp_vector,
-    weights_from_parameters,
 )
 from repro.distances.weighted_euclidean import WeightedEuclideanDistance
 from repro.utils.validation import ValidationError
@@ -74,10 +73,6 @@ class TestPacking:
     def test_unpack_rejects_too_short_vector(self):
         with pytest.raises(ValidationError):
             unpack_oqp_vector(np.zeros(3), 3)
-
-    def test_weights_from_parameters(self):
-        vector = pack_oqp_vector(np.zeros(4), np.array([2.0, 3.0, 4.0, 5.0]))
-        np.testing.assert_allclose(weights_from_parameters(vector, 4), [2.0, 3.0, 4.0, 5.0])
 
     def test_default_weight_vector(self):
         np.testing.assert_allclose(default_weight_vector(6), np.ones(6))

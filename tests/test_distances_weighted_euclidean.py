@@ -71,9 +71,6 @@ class TestParameters:
         rebuilt = distance.with_parameters(distance.parameters())
         np.testing.assert_allclose(rebuilt.weights, distance.weights)
 
-    def test_n_parameters_equals_dimension(self):
-        assert WeightedEuclideanDistance(31).n_parameters == 31
-
     def test_rejects_negative_weights(self):
         with pytest.raises(ValidationError):
             WeightedEuclideanDistance(2, weights=[1.0, -1.0])

@@ -27,7 +27,7 @@ class TestSessionConfig:
 
 class TestSessionConstruction:
     def test_for_dataset_builds_consistent_components(self, tiny_dataset, tiny_session):
-        assert tiny_session.collection.size == tiny_dataset.n_images
+        assert tiny_session.collection.size == len(tiny_dataset.records)
         assert tiny_session.collection.dimension == tiny_dataset.n_bins - 1
         assert tiny_session.bypass.query_dimension == tiny_dataset.n_bins - 1
 

@@ -3,44 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.evaluation.workloads import (
-    category_skewed_workload,
-    repeat_rate_benefit,
-    repeated_query_workload,
-    uniform_workload,
-)
+from repro.evaluation.workloads import repeat_rate_benefit, repeated_query_workload
 from repro.utils.validation import ValidationError
-
-
-class TestUniformWorkload:
-    def test_length_and_determinism(self, tiny_dataset):
-        first = uniform_workload(tiny_dataset, 50, seed=1)
-        second = uniform_workload(tiny_dataset, 50, seed=1)
-        assert first.shape == (50,)
-        np.testing.assert_array_equal(first, second)
-
-    def test_only_evaluation_categories(self, tiny_dataset):
-        workload = uniform_workload(tiny_dataset, 80, seed=2)
-        assert all(not tiny_dataset.records[int(i)].is_noise for i in workload)
-
-
-class TestCategorySkewedWorkload:
-    def test_large_categories_dominate(self, tiny_dataset):
-        workload = category_skewed_workload(tiny_dataset, 300, zipf_exponent=1.5, seed=3)
-        categories = [tiny_dataset.category_of(int(i)) for i in workload]
-        biggest = max(tiny_dataset.evaluation_categories, key=tiny_dataset.category_size)
-        smallest = min(tiny_dataset.evaluation_categories, key=tiny_dataset.category_size)
-        assert categories.count(biggest) > categories.count(smallest)
-
-    def test_zero_exponent_is_uniform_over_categories(self, tiny_dataset):
-        workload = category_skewed_workload(tiny_dataset, 700, zipf_exponent=0.0, seed=4)
-        categories = [tiny_dataset.category_of(int(i)) for i in workload]
-        counts = [categories.count(name) for name in tiny_dataset.evaluation_categories]
-        assert max(counts) < 3 * min(counts)
-
-    def test_negative_exponent_rejected(self, tiny_dataset):
-        with pytest.raises(ValidationError):
-            category_skewed_workload(tiny_dataset, 10, zipf_exponent=-1.0)
 
 
 def _interleaves_fresh_prefix(workload, fresh) -> bool:
@@ -92,6 +56,36 @@ class TestRepeatedQueryWorkload:
         first = repeated_query_workload(tiny_dataset, 40, repeat_rate=0.5, seed=8)
         second = repeated_query_workload(tiny_dataset, 40, repeat_rate=0.5, seed=8)
         np.testing.assert_array_equal(first, second)
+
+    def test_only_evaluation_categories(self, tiny_dataset):
+        workload = repeated_query_workload(tiny_dataset, 80, repeat_rate=0.5, seed=2)
+        assert all(not tiny_dataset.records[int(index)].is_noise for index in workload)
+
+    def test_repeats_come_from_the_working_set(self, tiny_dataset):
+        # A query that is not the next fresh one is one of the last
+        # ``working_set_size`` fresh queries already issued.
+        working_set_size = 3
+        fresh = [int(query) for query in repeated_query_workload(tiny_dataset, 150, repeat_rate=0.0, seed=9)]
+        workload = repeated_query_workload(
+            tiny_dataset, 150, repeat_rate=0.6, working_set_size=working_set_size, seed=9
+        )
+        issued = 0
+        for query in (int(query) for query in workload):
+            if query == fresh[issued]:
+                issued += 1
+            else:
+                assert query in fresh[max(0, issued - working_set_size):issued]
+        assert issued < len(workload)
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"n_queries": 0}, {"working_set_size": 0}, {"repeat_rate": -0.1}],
+        ids=["no-queries", "empty-working-set", "negative-rate"],
+    )
+    def test_invalid_sizes_rejected(self, tiny_dataset, options):
+        arguments = {"n_queries": 10, **options}
+        with pytest.raises(ValidationError):
+            repeated_query_workload(tiny_dataset, arguments.pop("n_queries"), **arguments)
 
 
 class TestRepeatRateBenefit:

@@ -58,8 +58,6 @@ class RowwiseOnly(DistanceFunction):
     margin from the largest value it has seen.
     """
 
-    n_parameters = 0
-
     def parameters(self):
         return np.empty(0)
 

@@ -83,7 +83,7 @@ class TestBuildDataset:
 
 class TestImageDatasetAccessors:
     def test_category_of_matches_records(self, tiny_dataset):
-        for index in (0, 10, tiny_dataset.n_images - 1):
+        for index in (0, 10, len(tiny_dataset.records) - 1):
             assert tiny_dataset.category_of(index) == tiny_dataset.records[index].category
 
     def test_indices_of_category_consistent(self, tiny_dataset):
@@ -96,11 +96,6 @@ class TestImageDatasetAccessors:
 
     def test_evaluation_categories_exclude_noise(self, tiny_dataset):
         assert set(tiny_dataset.evaluation_categories) == set(IMSI_CATEGORY_SIZES)
-
-    def test_feature_returns_copy(self, tiny_dataset):
-        feature = tiny_dataset.feature(0)
-        feature[0] = 99.0
-        assert tiny_dataset.features[0, 0] != 99.0
 
     def test_sample_query_indices_only_evaluation_categories(self, tiny_dataset):
         rng = np.random.default_rng(0)

@@ -3,41 +3,24 @@
 import numpy as np
 import pytest
 
-from repro.features.normalization import drop_last_bin, normalize_histogram, restore_last_bin
+from repro.features.normalization import drop_last_bin
 from repro.utils.validation import ValidationError
 
 
-class TestNormalizeHistogram:
-    def test_scales_to_unit_sum(self):
-        histogram = normalize_histogram([2.0, 2.0, 4.0])
-        np.testing.assert_allclose(histogram, [0.25, 0.25, 0.5])
-
-    def test_already_normalised_is_unchanged(self):
-        histogram = np.array([0.3, 0.7])
-        np.testing.assert_allclose(normalize_histogram(histogram), histogram)
-
-    def test_rejects_negative_bins(self):
-        with pytest.raises(ValidationError):
-            normalize_histogram([-1.0, 2.0])
-
-    def test_rejects_zero_mass(self):
-        with pytest.raises(ValidationError):
-            normalize_histogram([0.0, 0.0])
-
-    def test_clips_tiny_negative_noise(self):
-        histogram = normalize_histogram([1.0, -1e-15, 1.0])
-        assert np.all(histogram >= 0.0)
+def _restore_last_bin(embedded):
+    """The dropped bin is what the kept bins leave of the unit mass."""
+    return np.concatenate([embedded, 1.0 - embedded.sum(axis=-1, keepdims=True)], axis=-1)
 
 
 class TestDropRestoreLastBin:
     def test_vector_roundtrip(self):
         histogram = np.array([0.1, 0.2, 0.3, 0.4])
-        np.testing.assert_allclose(restore_last_bin(drop_last_bin(histogram)), histogram, atol=1e-12)
+        np.testing.assert_allclose(_restore_last_bin(drop_last_bin(histogram)), histogram, atol=1e-12)
 
     def test_matrix_roundtrip(self):
         rng = np.random.default_rng(0)
         histograms = rng.dirichlet(np.ones(8), size=20)
-        np.testing.assert_allclose(restore_last_bin(drop_last_bin(histograms)), histograms, atol=1e-12)
+        np.testing.assert_allclose(_restore_last_bin(drop_last_bin(histograms)), histograms, atol=1e-12)
 
     def test_embedding_dimension(self):
         rng = np.random.default_rng(1)
@@ -55,15 +38,30 @@ class TestDropRestoreLastBin:
         histogram = np.array([0.0, 0.0, 1.0])
         np.testing.assert_allclose(drop_last_bin(histogram), [0.0, 0.0])
 
-    def test_restore_rejects_oversum(self):
-        with pytest.raises(ValidationError):
-            restore_last_bin(np.array([0.8, 0.5]))
-
     def test_drop_rejects_single_bin(self):
         with pytest.raises(ValidationError):
             drop_last_bin(np.array([1.0]))
 
-    def test_restore_clips_rounding_noise(self):
-        embedded = np.array([0.6, 0.4 + 1e-12])
-        restored = restore_last_bin(embedded)
-        assert restored[-1] == pytest.approx(0.0, abs=1e-9)
+    def test_drop_returns_a_copy(self):
+        histogram = np.array([0.5, 0.25, 0.25])
+        embedded = drop_last_bin(histogram)
+        embedded[0] = 9.0
+        np.testing.assert_array_equal(histogram, [0.5, 0.25, 0.25])
+        histograms = np.array([[0.5, 0.5], [0.25, 0.75]])
+        drop_last_bin(histograms)[:] = 9.0
+        np.testing.assert_array_equal(histograms, [[0.5, 0.5], [0.25, 0.75]])
+
+    def test_drop_accepts_lists(self):
+        np.testing.assert_array_equal(drop_last_bin([[0.5, 0.5], [0.25, 0.75]]), [[0.5], [0.25]])
+
+    def test_drop_rejects_single_bin_matrix(self):
+        with pytest.raises(ValidationError, match="two bins"):
+            drop_last_bin(np.ones((3, 1)))
+
+    def test_drop_rejects_non_finite_bins(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            drop_last_bin(np.array([0.5, np.nan, 0.5]))
+
+    def test_drop_rejects_a_stack_of_matrices(self):
+        with pytest.raises(ValidationError, match="2-dimensional"):
+            drop_last_bin(np.full((2, 2, 2), 0.5))

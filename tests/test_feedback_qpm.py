@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.feedback.query_point_movement import optimal_query_point, rocchio_update
+from repro.feedback.query_point_movement import optimal_query_point
 from repro.utils.validation import ValidationError
 
 
@@ -46,39 +46,3 @@ class TestOptimalQueryPoint:
         with pytest.raises(ValidationError):
             optimal_query_point(np.ones((2, 2)), np.array([1.0, -1.0]))
 
-
-class TestRocchio:
-    def test_moves_towards_good_centroid(self):
-        query = np.zeros(2)
-        good = np.array([[1.0, 1.0], [1.0, 1.0]])
-        updated = rocchio_update(query, good, alpha=1.0, beta=1.0, gamma=0.0)
-        np.testing.assert_allclose(updated, [1.0, 1.0])
-
-    def test_moves_away_from_bad_centroid(self):
-        query = np.zeros(2)
-        good = np.array([[0.0, 0.0]])
-        bad = np.array([[1.0, 0.0]])
-        updated = rocchio_update(query, good, bad, alpha=1.0, beta=0.0, gamma=1.0)
-        assert updated[0] < 0.0
-
-    def test_default_coefficients(self):
-        query = np.array([1.0, 1.0])
-        good = np.array([[2.0, 2.0]])
-        bad = np.array([[0.0, 0.0]])
-        updated = rocchio_update(query, good, bad)
-        np.testing.assert_allclose(updated, 1.0 * query + 0.75 * np.array([2.0, 2.0]))
-
-    def test_empty_bad_set_is_ignored(self):
-        query = np.zeros(3)
-        good = np.ones((2, 3))
-        with_none = rocchio_update(query, good, None)
-        with_empty = rocchio_update(query, good, np.zeros((0, 3)))
-        np.testing.assert_allclose(with_none, with_empty)
-
-    def test_requires_good_results(self):
-        with pytest.raises(ValidationError):
-            rocchio_update(np.zeros(2), np.zeros((0, 2)))
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            rocchio_update(np.zeros(2), np.ones((1, 3)))

@@ -14,7 +14,7 @@ import pytest
 from repro.core.oqp import OptimalQueryParameters
 from repro.database.engine import RetrievalEngine
 from repro.evaluation.session import InteractiveSession, SessionConfig
-from repro.evaluation.simulated_user import SimulatedUser
+from repro.evaluation.simulated_user import CategoryJudge, SimulatedUser
 from repro.feedback.engine import FeedbackEngine, FeedbackLoopResult
 from repro.feedback.query_point_movement import (
     optimal_query_point,
@@ -181,9 +181,8 @@ class TestSchedulerEquivalenceGrid:
             assert_loop_results_identical(sequential_result, frontier_result)
         assert_dispatch_counts(sequential_engine, frontier_engine, frontier, ks)
 
-    def test_no_signal_query_retires_without_iterating(self, tiny_collection, user):
-        def hopeless_judge(results):
-            return user.judge_batch(results, "NoSuchCategory")
+    def test_no_signal_query_retires_without_iterating(self, tiny_collection):
+        hopeless_judge = CategoryJudge(tiny_collection.labels_array, "NoSuchCategory")
 
         engine = FeedbackEngine(RetrievalEngine(tiny_collection))
         request = LoopRequest(
@@ -194,11 +193,8 @@ class TestSchedulerEquivalenceGrid:
         assert not result.converged
         assert result.final_results == result.initial_results
 
-    def test_a_frontier_that_retires_at_once_costs_one_dispatch(
-        self, tiny_collection, user, query_indices
-    ):
-        def hopeless_judge(results):
-            return user.judge_batch(results, "NoSuchCategory")
+    def test_a_frontier_that_retires_at_once_costs_one_dispatch(self, tiny_collection, query_indices):
+        hopeless_judge = CategoryJudge(tiny_collection.labels_array, "NoSuchCategory")
 
         engine = FeedbackEngine(RetrievalEngine(tiny_collection))
         requests = [
@@ -374,6 +370,3 @@ class TestSessionIntegration:
             outcome.loop_iterations_default for outcome in outcomes
         )
         assert stats["frontier_batches"] >= 1
-        session.retrieval_engine.reset_counters()
-        assert session.retrieval_engine.stats()["feedback_iterations"] == 0
-        assert session.retrieval_engine.stats()["frontier_batches"] == 0

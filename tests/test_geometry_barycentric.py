@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.geometry.barycentric import (
-    barycentric_coordinates,
-    barycentric_interpolate,
-    cartesian_from_barycentric,
-)
+from repro.geometry.barycentric import barycentric_coordinates
 from repro.utils.validation import ValidationError
 
 
@@ -63,43 +59,56 @@ class TestBarycentricCoordinates:
         with pytest.raises(np.linalg.LinAlgError):
             barycentric_coordinates(degenerate, np.array([0.5, 0.5]))
 
-
-class TestCartesianFromBarycentric:
-    def test_roundtrip(self):
-        point = np.array([0.1, 0.7])
-        weights = barycentric_coordinates(TRIANGLE, point)
-        np.testing.assert_allclose(cartesian_from_barycentric(TRIANGLE, weights), point, atol=1e-12)
-
-    def test_vertex_weights(self):
-        weights = np.array([0.0, 1.0, 0.0])
-        np.testing.assert_allclose(cartesian_from_barycentric(TRIANGLE, weights), TRIANGLE[1])
-
-    def test_rejects_wrong_weight_count(self):
-        with pytest.raises(ValidationError):
-            cartesian_from_barycentric(TRIANGLE, np.array([0.5, 0.5]))
-
-
-class TestBarycentricInterpolate:
-    def test_scalar_values_linear_function(self):
-        # f(x, y) = 2x + 3y + 1 is linear, so interpolation is exact.
-        values = np.array([1.0, 3.0, 4.0])  # f at the triangle's vertices
-        point = np.array([0.3, 0.4])
-        expected = 2 * 0.3 + 3 * 0.4 + 1
-        assert barycentric_interpolate(TRIANGLE, values, point) == pytest.approx(expected)
-
-    def test_vector_values(self):
-        values = np.array([[0.0, 1.0], [1.0, 1.0], [0.0, 2.0]])
-        point = TRIANGLE.mean(axis=0)
-        np.testing.assert_allclose(
-            barycentric_interpolate(TRIANGLE, values, point), values.mean(axis=0), atol=1e-12
+    def test_unchecked_path_gives_the_same_coordinates(self):
+        point = np.array([0.3, 0.1])
+        np.testing.assert_array_equal(
+            barycentric_coordinates(TRIANGLE, point, check=False),
+            barycentric_coordinates(TRIANGLE, point),
         )
 
-    def test_vertex_returns_vertex_value(self):
-        values = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+
+class TestInterpolationByCoordinates:
+    """What the Simplex Tree's prediction does with the coordinates: the
+    weighted sum of the vertex values (Section 4.2's linear interpolation)."""
+
+    def test_a_linear_function_is_reproduced_exactly(self):
+        rng = np.random.default_rng(3)
+        vertices = rng.random((4, 3))
+        slope, offset = rng.normal(size=3), 0.7
+        values = vertices @ slope + offset
+        for point in rng.dirichlet(np.ones(4), size=10) @ vertices:
+            weights = barycentric_coordinates(vertices, point)
+            assert weights @ values == pytest.approx(point @ slope + offset, abs=1e-12)
+
+    def test_inside_the_simplex_the_sum_is_a_convex_combination(self):
+        rng = np.random.default_rng(4)
+        vertices = rng.random((5, 4))
+        values = rng.normal(size=(5, 2))
+        for point in rng.dirichlet(np.ones(5), size=20) @ vertices:
+            weights = barycentric_coordinates(vertices, point)
+            assert weights.min() >= -1e-12
+            interpolated = weights @ values
+            assert np.all(interpolated >= values.min(axis=0) - 1e-12)
+            assert np.all(interpolated <= values.max(axis=0) + 1e-12)
+
+    def test_coordinates_follow_a_reordering_of_the_vertices(self):
+        rng = np.random.default_rng(5)
+        vertices = rng.random((4, 3))
+        point = np.array([0.2, 0.3, 0.5]) @ vertices[:3] * 0.5 + vertices[3] * 0.5
+        order = np.array([2, 0, 3, 1])
         np.testing.assert_allclose(
-            barycentric_interpolate(TRIANGLE, values, TRIANGLE[2]), values[2], atol=1e-12
+            barycentric_coordinates(vertices[order], point),
+            barycentric_coordinates(vertices, point)[order],
+            atol=1e-12,
         )
 
-    def test_rejects_mismatched_values(self):
-        with pytest.raises(ValidationError):
-            barycentric_interpolate(TRIANGLE, np.zeros((2, 2)), np.array([0.2, 0.2]))
+    def test_coordinates_are_unchanged_by_an_affine_map(self):
+        rng = np.random.default_rng(6)
+        vertices = rng.random((3, 2))
+        point = np.array([0.25, 0.35])
+        matrix, shift = np.array([[2.0, 0.5], [-0.3, 1.5]]), np.array([4.0, -1.0])
+        np.testing.assert_allclose(
+            barycentric_coordinates(vertices @ matrix.T + shift, matrix @ point + shift),
+            barycentric_coordinates(vertices, point),
+            atol=1e-12,
+        )

@@ -39,17 +39,35 @@ class TestConstruction:
         other = Simplex(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]]))
         assert triangle != other
 
+    def test_holds_a_copy_of_the_given_vertices(self):
+        vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        simplex = Simplex(vertices)
+        vertices[1, 0] = 7.0
+        assert simplex.vertices[1, 0] == 1.0
+
 
 class TestGeometryQueries:
-    def test_centroid(self, triangle):
-        np.testing.assert_allclose(triangle.centroid(), [1.0 / 3.0, 1.0 / 3.0])
-
     def test_volume(self, triangle):
         assert triangle.volume() == pytest.approx(0.5)
 
     def test_contains_interior_and_not_exterior(self, triangle):
         assert triangle.contains([0.25, 0.25])
         assert not triangle.contains([0.9, 0.9])
+
+    def test_contains_its_boundary(self, triangle):
+        for point in ([0.0, 0.0], [1.0, 0.0], [0.5, 0.0], [0.5, 0.5], [0.0, 0.3]):
+            assert triangle.contains(point), point
+
+    def test_contains_within_the_tolerance_only(self, triangle):
+        assert triangle.contains([0.5, -1e-10])
+        assert not triangle.contains([0.5, -1e-6])
+        assert triangle.contains([0.5, -1e-6], tolerance=1e-5)
+
+    def test_point_queries_reject_a_wrong_dimension(self, triangle):
+        with pytest.raises(ValidationError):
+            triangle.contains([0.1, 0.1, 0.1])
+        with pytest.raises(ValidationError):
+            triangle.barycentric_coordinates([0.1])
 
     def test_barycentric_coordinates_match_module(self, triangle):
         weights = triangle.barycentric_coordinates([0.2, 0.3])

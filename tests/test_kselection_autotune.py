@@ -76,13 +76,6 @@ class TestAutotuner:
         assert tuner.choose(KSelectionAutotuner.HEAP_CEILING + 1, 10) == "argpartition"
         assert tuner.decisions() == {}, "shapes above the ceiling must not calibrate"
 
-    def test_reset_drops_decisions(self):
-        tuner = KSelectionAutotuner()
-        tuner.choose(500, 5)
-        assert tuner.decisions()
-        tuner.reset()
-        assert tuner.decisions() == {}
-
     def test_process_wide_instance_is_shared_and_consulted(self):
         tuner = k_selection_autotuner()
         assert tuner is k_selection_autotuner()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry.barycentric import barycentric_coordinates, barycentric_interpolate
+from repro.geometry.barycentric import barycentric_coordinates
 from repro.geometry.bounding import standard_simplex_vertices, unit_cube_root_vertices
 from repro.geometry.simplex import Simplex
 from repro.geometry.triangulation import IncrementalTriangulation
@@ -56,15 +56,6 @@ class TestBarycentricProperties:
         vertices, point, _ = data
         weights = barycentric_coordinates(vertices, point)
         assert np.all(weights >= -1e-7)
-
-    @settings(max_examples=50, deadline=None)
-    @given(simplex_with_point())
-    def test_interpolation_is_convex_combination(self, data):
-        vertices, point, _ = data
-        dimension = vertices.shape[1]
-        payloads = np.linspace(0.0, 1.0, dimension + 1).reshape(-1, 1)
-        value = barycentric_interpolate(vertices, payloads, point)
-        assert payloads.min() - 1e-7 <= float(value[0]) <= payloads.max() + 1e-7
 
 
 class TestSimplexSplitProperties:

@@ -17,11 +17,12 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.bootstrap import bypass_for_unit_cube
 from repro.core.bypass import FeedbackBypass
 from repro.core.oqp import OptimalQueryParameters
+from repro.core.persistence import save_simplex_tree
 from repro.evaluation.session import InteractiveSession, SessionConfig
 from repro.features.datasets import build_imsi_like_dataset
+from repro.geometry.bounding import unit_cube_root_vertices
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -31,8 +32,6 @@ DEFINING_MODULES = [
     ("repro.core.oqp", "OptimalQueryParameters"),
     ("repro.core.simplex_tree", "SimplexTree"),
     ("repro.core.bootstrap", "bypass_for_histograms"),
-    ("repro.core.bootstrap", "bypass_for_unit_cube"),
-    ("repro.core.bootstrap", "bypass_for_points"),
     ("repro.core.persistence", "save_simplex_tree"),
     ("repro.core.persistence", "load_simplex_tree"),
     ("repro.database.collection", "FeatureCollection"),
@@ -116,13 +115,13 @@ class TestEndToEndThroughPublicApi:
         assert 0.0 <= outcome.default_precision <= 1.0
 
     def test_bypass_save_load_through_public_api(self, tmp_path):
-        bypass = bypass_for_unit_cube(3, epsilon=0.0)
+        bypass = FeedbackBypass(unit_cube_root_vertices(3, margin=1e-6), 3, epsilon=0.0)
         bypass.insert(
             np.array([0.4, 0.4, 0.4]),
             OptimalQueryParameters(delta=np.full(3, 0.1), weights=np.full(3, 2.0)),
         )
         path = tmp_path / "bypass.npz"
-        bypass.save(path)
+        save_simplex_tree(bypass.tree, path)
         reloaded = FeedbackBypass.load(path, 3)
         np.testing.assert_allclose(
             reloaded.mopt([0.4, 0.4, 0.4]).to_vector(),

@@ -10,15 +10,17 @@ on the wire) must cost nothing but that connection.
 
 import socket
 import struct
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+from repro.core.bypass import FeedbackBypass
 from repro.core.oqp import OptimalQueryParameters
 from repro.database.engine import RetrievalEngine
 from repro.serving import RetrievalServer, ServerConfig, ServingClient
-from repro.serving.bypass_registry import DEFAULT_TENANT, BypassRegistry
+from repro.serving.bypass_registry import DEFAULT_TENANT, BypassRegistry, _WriterPreferringLock
 from repro.serving.codec import BINARY, pack_hello, parse_reply
 from repro.serving.protocol import recv_payload, send_payload
 
@@ -214,10 +216,15 @@ class TestRememberedWalksUnderContention:
                 reads.append(
                     (before, row, prediction.delta.tobytes() + prediction.weights.tobytes(), log_length())
                 )
-                # The lock favours readers: pause so the writer gets a turn.
-                done.wait(0.0005)
 
-        _run_threads(4, work)
+        # Short GIL slices: the readers never pause, and the writer must
+        # still get its turns at the interpreter.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _run_threads(4, work)
+        finally:
+            sys.setswitchinterval(interval)
 
         local = registry.local_reference()
         log = registry.insert_log(DEFAULT_TENANT)
@@ -240,6 +247,202 @@ class TestRememberedWalksUnderContention:
         for row in range(n_writes):
             prediction = registry.mopt(DEFAULT_TENANT, vectors[row])
             assert prediction.delta.tobytes() + prediction.weights.tobytes() == after_prefix[-1][row]
+
+
+class _Holder:
+    """A thread that takes one side of a tenant lock and holds it until told to leave."""
+
+    def __init__(self, lock, side: str) -> None:
+        self.entered = threading.Event()
+        self.leave = threading.Event()
+        self.left = threading.Event()
+        self.thread = threading.Thread(target=self._hold, args=(getattr(lock, side),), daemon=True)
+        self.thread.start()
+
+    def _hold(self, take) -> None:
+        with take():
+            self.entered.set()
+            self.leave.wait(timeout=30.0)
+        self.left.set()
+
+    def release(self) -> None:
+        self.leave.set()
+        assert self.left.wait(timeout=10.0)
+        self.thread.join(timeout=10.0)
+
+
+class TestWriterPreferringLock:
+    """The tenant lock, one ordering at a time.  ``PAUSE`` is how long a
+    thread that must stay out is given to get in wrongly."""
+
+    PAUSE = 0.05
+
+    @pytest.fixture
+    def lock(self):
+        return _WriterPreferringLock()
+
+    @pytest.fixture
+    def holders(self):
+        started = []
+
+        def hold(lock, side):
+            started.append(_Holder(lock, side))
+            return started[-1]
+
+        yield hold
+        for holder in started:
+            holder.leave.set()
+            holder.thread.join(timeout=10.0)
+        assert not any(holder.thread.is_alive() for holder in started)
+
+    def test_readers_share_the_lock(self, lock, holders):
+        first = holders(lock, "read")
+        assert first.entered.wait(timeout=10.0)
+        second = holders(lock, "read")
+        assert second.entered.wait(timeout=10.0)
+
+    def test_a_writer_waits_for_the_reader_inside(self, lock, holders):
+        reader = holders(lock, "read")
+        assert reader.entered.wait(timeout=10.0)
+        writer = holders(lock, "write")
+        assert not writer.entered.wait(timeout=self.PAUSE)
+        reader.release()
+        assert writer.entered.wait(timeout=10.0)
+
+    def test_a_writer_runs_alone(self, lock, holders, wait_until):
+        first = holders(lock, "write")
+        assert first.entered.wait(timeout=10.0)
+        second = holders(lock, "write")
+        wait_until(lambda: lock._n_writers_waiting == 1)
+        reader = holders(lock, "read")
+        assert not second.entered.wait(timeout=self.PAUSE)
+        assert not reader.entered.is_set()
+        first.release()
+        assert second.entered.wait(timeout=10.0)
+        assert not reader.entered.wait(timeout=self.PAUSE)
+        second.release()
+        assert reader.entered.wait(timeout=10.0)
+
+    def test_a_waiting_writer_holds_off_arriving_readers(self, lock, holders, wait_until):
+        inside = holders(lock, "read")
+        assert inside.entered.wait(timeout=10.0)
+        writer = holders(lock, "write")
+        wait_until(lambda: lock._n_writers_waiting == 1)
+        arriving = holders(lock, "read")
+        assert not arriving.entered.wait(timeout=self.PAUSE)
+        inside.release()
+        assert writer.entered.wait(timeout=10.0)
+        assert not arriving.entered.wait(timeout=self.PAUSE)
+        writer.release()
+        assert arriving.entered.wait(timeout=10.0)
+
+    def test_readers_inside_finish_while_a_writer_waits(self, lock, holders, wait_until):
+        readers = [holders(lock, "read") for _ in range(2)]
+        assert all(reader.entered.wait(timeout=10.0) for reader in readers)
+        writer = holders(lock, "write")
+        wait_until(lambda: lock._n_writers_waiting == 1)
+        readers[0].release()
+        assert not writer.entered.wait(timeout=self.PAUSE)
+        readers[1].release()
+        assert writer.entered.wait(timeout=10.0)
+
+    def test_a_writer_stops_counting_as_waiting_once_inside(self, lock, holders, wait_until):
+        reader = holders(lock, "read")
+        assert reader.entered.wait(timeout=10.0)
+        writer = holders(lock, "write")
+        wait_until(lambda: lock._n_writers_waiting == 1)
+        reader.release()
+        assert writer.entered.wait(timeout=10.0)
+        assert lock._n_writers_waiting == 0
+        writer.release()
+        with lock.read():
+            assert lock._n_readers == 1
+        assert (lock._n_readers, lock._writing) == (0, False)
+
+    @pytest.mark.parametrize("side", ["read", "write"])
+    def test_an_error_inside_releases_the_lock(self, lock, side):
+        with pytest.raises(RuntimeError, match="inside"):
+            with getattr(lock, side)():
+                raise RuntimeError("inside")
+        assert (lock._n_readers, lock._n_writers_waiting, lock._writing) == (0, 0, False)
+        with lock.write():
+            pass
+        with lock.read():
+            pass
+
+
+class TestWritersAreNeverStarved:
+    #: How long a read waits for the next read to come in before it leaves.
+    GRACE = 0.05
+
+    def test_inserts_finish_while_readers_read_back_to_back(self, tiny_collection, monkeypatch, wait_until):
+        """Three threads call ``mopt`` back to back while a fourth makes 34
+        inserts.  Each read stays inside the read lock until the next read
+        has come in, so the reads overlap and the lock never empties of its
+        own accord: a lock that lets arriving readers overtake a waiting
+        writer starves the inserts for good.  A waiting insert holds off
+        arriving reads instead, the last read leaves after the grace, and
+        every insert finishes inside the bound; the readers then read on."""
+        registry = BypassRegistry.for_engine(RetrievalEngine(tiny_collection))
+        dimension = tiny_collection.dimension
+        vectors = tiny_collection.vectors
+        n_readers, n_inserts = 3, 34
+        parameters = [_parameters_for(index, dimension) for index in range(n_inserts)]
+        reads = [0] * n_readers
+        inserted = [0]
+        done = threading.Event()
+        errors = []
+        relay = threading.Condition()
+        entered = [0]
+        mopt = FeedbackBypass.mopt
+
+        def overlapping_mopt(bypass, query_point):
+            with relay:
+                entered[0] += 1
+                ticket = entered[0]
+                relay.notify_all()
+                relay.wait_for(lambda: entered[0] > ticket, timeout=self.GRACE)
+            return mopt(bypass, query_point)
+
+        monkeypatch.setattr(FeedbackBypass, "mopt", overlapping_mopt)
+
+        def read(thread_id):
+            try:
+                while not done.is_set():
+                    registry.mopt(DEFAULT_TENANT, vectors[thread_id])
+                    reads[thread_id] += 1
+            except BaseException as error:  # noqa: BLE001 - surfaced below
+                errors.append(error)
+
+        def write():
+            try:
+                for index in range(n_inserts):
+                    registry.insert(DEFAULT_TENANT, vectors[index], parameters[index])
+                    inserted[0] = index + 1
+            except BaseException as error:  # noqa: BLE001 - surfaced below
+                errors.append(error)
+
+        readers = [threading.Thread(target=read, args=(i,), daemon=True) for i in range(n_readers)]
+        writer = threading.Thread(target=write, daemon=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in readers:
+                thread.start()
+            wait_until(lambda: min(reads) > 0)
+            writer.start()
+            wait_until(lambda: inserted[0] == n_inserts or bool(errors))
+            counted = list(reads)
+            wait_until(lambda: all(now > then for now, then in zip(reads, counted)) or bool(errors))
+        finally:
+            done.set()
+            for thread in [*readers, writer]:
+                if thread.is_alive():
+                    thread.join(timeout=30.0)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in [*readers, writer])
+        assert errors == []
+        assert registry.stats(DEFAULT_TENANT)["n_insert_requests"] == n_inserts
 
 
 class TestDisconnectMidInsert:

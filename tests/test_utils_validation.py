@@ -10,7 +10,6 @@ from repro.utils.validation import (
     check_dimension,
     check_in_range,
     check_positive,
-    check_probability_vector,
 )
 
 
@@ -47,6 +46,10 @@ class TestAsFloatVector:
         with pytest.raises(ValidationError, match="query point"):
             as_float_vector([[1]], name="query point")
 
+    def test_rejects_non_numeric_entries(self):
+        with pytest.raises(ValidationError, match="weights must be numeric"):
+            as_float_vector(["a", "b"], name="weights")
+
 
 class TestAsFloatMatrix:
     def test_converts_nested_list(self):
@@ -72,6 +75,10 @@ class TestAsFloatMatrix:
     def test_rejects_nan(self):
         with pytest.raises(ValidationError):
             as_float_matrix([[np.nan, 1.0]])
+
+    def test_rejects_ragged_rows(self):
+        with pytest.raises(ValidationError, match="must be numeric"):
+            as_float_matrix([[1.0, 2.0], [3.0]])
 
 
 class TestCheckDimension:
@@ -126,6 +133,10 @@ class TestCheckPositive:
         with pytest.raises(ValidationError):
             check_positive(float("nan"))
 
+    def test_rejects_infinity(self):
+        with pytest.raises(ValidationError, match="finite"):
+            check_positive(float("inf"))
+
 
 class TestCheckInRange:
     def test_accepts_inside(self):
@@ -139,21 +150,10 @@ class TestCheckInRange:
         with pytest.raises(ValidationError):
             check_in_range(1.5, 0.0, 1.0)
 
-
-class TestCheckProbabilityVector:
-    def test_accepts_valid_histogram(self):
-        result = check_probability_vector([0.25, 0.25, 0.5])
-        np.testing.assert_allclose(result.sum(), 1.0)
-
-    def test_rejects_negative_entries(self):
+    def test_rejects_nan(self):
         with pytest.raises(ValidationError):
-            check_probability_vector([-0.1, 1.1])
+            check_in_range(float("nan"), 0.0, 1.0)
 
-    def test_rejects_wrong_sum(self):
-        with pytest.raises(ValidationError):
-            check_probability_vector([0.2, 0.2])
-
-    def test_tolerates_tiny_numeric_error(self):
-        histogram = np.array([0.5, 0.5 + 1e-9])
-        result = check_probability_vector(histogram)
-        assert result.shape == (2,)
+    def test_error_message_uses_name(self):
+        with pytest.raises(ValidationError, match="repeat_rate"):
+            check_in_range(-0.1, 0.0, 1.0, name="repeat_rate")
